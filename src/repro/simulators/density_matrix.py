@@ -1,9 +1,13 @@
 """Dense density-matrix simulator with Kraus-operator noise.
 
 This is the substitute for Qiskit's ``AerSimulator`` density-matrix backend
-used by the paper for 8–12 qubit evaluations (Sec. 5.2.1).  Gates are applied
-as unitary conjugations and noise as Kraus channels, both via tensor
-contraction, so the cost per gate is O(4^n · 4^k) rather than O(16^n).
+used by the paper for 8–12 qubit evaluations (Sec. 5.2.1).  Circuits run as
+compiled programs (:mod:`repro.simulators.program`), all via tensor
+contraction on the ``4^n`` entries of ρ: a k-qubit gate is a conjugation
+``U ρ U†`` costing O(4^n · 2^k), and a k-qubit channel is one contraction
+with its ``4^k × 4^k`` superoperator ``Σ K⊗K̄`` costing O(4^n · 4^k)
+whatever its Kraus rank r (the Kraus loop costs O(r · 4^n · 2^k), and a
+dense full-space superoperator O(16^n)).
 
 Index convention matches the rest of the package: qubit ``q`` is bit ``q`` of
 the computational-basis index (little-endian); multi-qubit gate matrices put
@@ -13,13 +17,13 @@ the computational-basis index (little-endian); multi-qubit gate matrices put
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..operators.pauli import PauliSum
-from .noise import NoiseModel, QuantumChannel, RESET_CHANNEL
+from .noise import NoiseModel
 from .statevector import Statevector, counts_from_outcomes
 
 
@@ -110,16 +114,6 @@ class DensityMatrix:
         return counts_from_outcomes(outcomes, self._num_qubits)
 
 
-def _apply_matrix(tensor: np.ndarray, matrix: np.ndarray, tensor_axes: List[int],
-                  total_axes: int) -> np.ndarray:
-    """Contract ``matrix`` against ``tensor_axes`` of a (2,)*total_axes tensor."""
-    k = len(tensor_axes)
-    gate_tensor = matrix.reshape([2] * (2 * k))
-    tensor = np.tensordot(gate_tensor, tensor,
-                          axes=(list(range(k, 2 * k)), tensor_axes))
-    return np.moveaxis(tensor, list(range(k)), tensor_axes)
-
-
 class DensityMatrixSimulator:
     """Executes circuits on density matrices under a :class:`NoiseModel`."""
 
@@ -127,37 +121,6 @@ class DensityMatrixSimulator:
                  seed: Optional[int] = None):
         self.noise_model = noise_model
         self._rng = np.random.default_rng(seed)
-
-    # -- low-level application --------------------------------------------------
-    def _apply_unitary(self, rho: np.ndarray, matrix: np.ndarray,
-                       qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-        total_axes = 2 * num_qubits
-        tensor = rho.reshape([2] * total_axes)
-        # Row axis of qubit q is (num_qubits - 1 - q); column axis adds num_qubits.
-        row_axes = [num_qubits - 1 - q for q in reversed(qubits)]
-        col_axes = [num_qubits + axis for axis in row_axes]
-        tensor = _apply_matrix(tensor, matrix, row_axes, total_axes)
-        tensor = _apply_matrix(tensor, matrix.conj(), col_axes, total_axes)
-        dim = 2 ** num_qubits
-        return tensor.reshape(dim, dim)
-
-    def _apply_channel(self, rho: np.ndarray, channel: QuantumChannel,
-                       qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-        total_axes = 2 * num_qubits
-        dim = 2 ** num_qubits
-        row_axes = [num_qubits - 1 - q for q in reversed(qubits)]
-        col_axes = [num_qubits + axis for axis in row_axes]
-        accumulated = np.zeros((dim, dim), dtype=complex)
-        for kraus in channel.kraus_operators:
-            tensor = rho.reshape([2] * total_axes)
-            tensor = _apply_matrix(tensor, kraus, row_axes, total_axes)
-            tensor = _apply_matrix(tensor, kraus.conj(), col_axes, total_axes)
-            accumulated += tensor.reshape(dim, dim)
-        return accumulated
-
-    def _apply_reset(self, rho: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-        """Reset a qubit to |0⟩ (trace out and re-prepare)."""
-        return self._apply_channel(rho, RESET_CHANNEL, (qubit,), num_qubits)
 
     # -- execution ----------------------------------------------------------------
     def run(self, circuit: QuantumCircuit,
@@ -168,8 +131,9 @@ class DensityMatrixSimulator:
         The circuit is lowered once through
         :func:`repro.simulators.program.compile_circuit` (cached by circuit
         fingerprint + noise-model version): gate matrices are resolved at
-        compile time, each noisy slot carries one pre-merged Kraus channel,
-        and diagonal gates apply as row/column phase multiplies.
+        compile time, each noisy slot carries its pre-merged channel's
+        superoperator, and diagonal gates apply as row/column phase
+        multiplies.
 
         ``measure`` instructions do not collapse the state (the evaluation
         works with expectation values); with ``apply_measure_noise=True`` the

@@ -50,17 +50,38 @@ class QuantumChannel:
     """A completely-positive trace-preserving map given by Kraus operators."""
 
     def __init__(self, kraus_operators: Sequence[np.ndarray], name: str = "channel"):
-        ops = [np.asarray(op, dtype=complex) for op in kraus_operators]
+        ops = [np.array(op, dtype=complex) for op in kraus_operators]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
         for op in ops:
             if op.shape != (dim, dim):
                 raise ValueError("all Kraus operators must be square and equal-sized")
+            op.setflags(write=False)
         self._kraus = ops
         self._dim = dim
         self.name = name
         self._validate()
+        self._clear_memos()
+
+    # A channel is immutable once built, so its derived forms are computed on
+    # first use and kept.  They are not pickled: shard and spool payloads
+    # carry only the Kraus operators and rebuild the forms where needed.
+    _MEMOS = ("_superoperator", "_twirl_probabilities", "_twirl")
+
+    def _clear_memos(self) -> None:
+        for attribute in self._MEMOS:
+            setattr(self, attribute, None)
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key not in self._MEMOS}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for op in self._kraus:
+            op.setflags(write=False)
+        self._clear_memos()
 
     def _validate(self, atol: float = 1e-8) -> None:
         total = sum(op.conj().T @ op for op in self._kraus)
@@ -71,18 +92,33 @@ class QuantumChannel:
 
     @property
     def kraus_operators(self) -> List[np.ndarray]:
+        """The Kraus operators (shared read-only arrays; copy to mutate)."""
         return list(self._kraus)
 
     @property
     def num_qubits(self) -> int:
         return int(round(math.log2(self._dim)))
 
+    def superoperator(self) -> np.ndarray:
+        """The channel's Liouville superoperator ``Σ_k K_k ⊗ K̄_k``.
+
+        A ``4^k × 4^k`` read-only array, computed once per channel: on the
+        row-major vectorization of ρ, ``vec(Σ_k K_k ρ K_k†) = S · vec(ρ)``,
+        so a channel of any Kraus rank applies as one matrix product.
+        """
+        if self._superoperator is None:
+            kraus = np.stack(self._kraus)
+            superoperator = np.einsum("kia,kjb->ijab", kraus, kraus.conj())
+            superoperator = superoperator.reshape(self._dim ** 2,
+                                                  self._dim ** 2)
+            superoperator.setflags(write=False)
+            self._superoperator = superoperator
+        return self._superoperator
+
     def apply_to_density_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Apply the channel to a density matrix of matching dimension."""
-        out = np.zeros_like(rho)
-        for op in self._kraus:
-            out += op @ rho @ op.conj().T
-        return out
+        rho = np.asarray(rho, dtype=complex)
+        return (self.superoperator() @ rho.reshape(-1)).reshape(rho.shape)
 
     def compose(self, other: "QuantumChannel") -> "QuantumChannel":
         """Channel composition ``self ∘ other`` (other applied first)."""
@@ -119,22 +155,26 @@ class QuantumChannel:
         the Pauli basis.  For a channel that is already a Pauli channel this
         is exact; for coherent / amplitude-damping channels this is the
         standard twirling approximation the paper cites (Ghosh et al.) for
-        Clifford-level simulation.
+        Clifford-level simulation.  Computed once per channel; every call
+        returns a fresh dict.
         """
-        num_qubits = self.num_qubits
-        labels = ["".join(combo) for combo in
-                  itertools.product(_PAULI_LABELS_1Q, repeat=num_qubits)]
-        probabilities: Dict[str, float] = {}
-        for label in labels:
-            pauli = pauli_label_matrix(label)
-            weight = 0.0
-            for op in self._kraus:
-                weight += abs(np.trace(pauli.conj().T @ op)) ** 2
-            probabilities[label] = float(weight) / (self._dim ** 2)
-        total = sum(probabilities.values())
-        if total <= 0:
-            raise ValueError("degenerate channel: zero total twirl weight")
-        return {label: prob / total for label, prob in probabilities.items()}
+        if self._twirl_probabilities is None:
+            labels = ["".join(combo) for combo in
+                      itertools.product(_PAULI_LABELS_1Q,
+                                        repeat=self.num_qubits)]
+            probabilities: Dict[str, float] = {}
+            for label in labels:
+                pauli = pauli_label_matrix(label)
+                weight = 0.0
+                for op in self._kraus:
+                    weight += abs(np.trace(pauli.conj().T @ op)) ** 2
+                probabilities[label] = float(weight) / (self._dim ** 2)
+            total = sum(probabilities.values())
+            if total <= 0:
+                raise ValueError("degenerate channel: zero total twirl weight")
+            self._twirl_probabilities = {
+                label: prob / total for label, prob in probabilities.items()}
+        return dict(self._twirl_probabilities)
 
     def __repr__(self):
         return f"QuantumChannel(name={self.name!r}, qubits={self.num_qubits}, kraus={len(self._kraus)})"
@@ -170,10 +210,13 @@ class PauliChannel(QuantumChannel):
         return dict(self._probabilities)
 
     def pauli_twirl_probabilities(self) -> Dict[str, float]:
-        num_qubits = self.num_qubits
-        labels = ["".join(combo) for combo in
-                  itertools.product(_PAULI_LABELS_1Q, repeat=num_qubits)]
-        return {label: self._probabilities.get(label, 0.0) for label in labels}
+        if self._twirl_probabilities is None:
+            labels = ["".join(combo) for combo in
+                      itertools.product(_PAULI_LABELS_1Q,
+                                        repeat=self.num_qubits)]
+            self._twirl_probabilities = {
+                label: self._probabilities.get(label, 0.0) for label in labels}
+        return dict(self._twirl_probabilities)
 
     def error_probability(self) -> float:
         """Probability that a non-identity Pauli is applied."""
@@ -284,9 +327,17 @@ def two_qubit_tensor_channel(channel_a: QuantumChannel,
 
 
 def pauli_twirl(channel: QuantumChannel) -> PauliChannel:
-    """The Pauli-twirled (stochastic Pauli) approximation of a channel."""
-    probs = channel.pauli_twirl_probabilities()
-    return PauliChannel(probs, name=f"twirl({channel.name})")
+    """The Pauli-twirled (stochastic Pauli) approximation of a channel.
+
+    Memoized per channel: repeated calls return the same
+    :class:`PauliChannel` (rebuilt only if the channel was renamed since).
+    """
+    name = f"twirl({channel.name})"
+    twirl = channel._twirl
+    if twirl is None or twirl.name != name:
+        twirl = PauliChannel(channel.pauli_twirl_probabilities(), name=name)
+        channel._twirl = twirl
+    return twirl
 
 
 # --------------------------------------------------------------------------

@@ -14,9 +14,15 @@ sweep in one NumPy pass:
   compile time) and lowers diagonal gates (``rz``/``cz``/``rzz``/``z``/``s``/
   ``t``/…) to elementwise phase vectors instead of tensordots.  Compiling
   with a :class:`~repro.simulators.noise.NoiseModel` produces the
-  density-matrix program: layer-ordered ops with one **pre-merged** Kraus
-  channel per noisy slot plus idle/readout channel ops (fusion is skipped so
-  channels keep their exact positions).
+  density-matrix program: layer-ordered ops with one **pre-merged** channel
+  per noisy slot plus idle/readout channel ops, each carrying the channel's
+  memoized superoperator so it applies as one contraction whatever its
+  Kraus rank (fusion is skipped so channels keep their exact positions).
+  Value-independent lowering is computed once per process: the monomial
+  form of each named static gate (``cx``/``x``/``swap``/…; never a bound
+  rotation, whose name does not fix its matrix) and the full-index gather
+  table of each run of monomial ops, kept read-only in a byte-capped LRU
+  shared between programs.
 * **cache** — programs are cached by ``circuit.fingerprint()`` (+ the noise
   model's identity and mutation ``version``), so optimizer re-queries and
   repeated executor traffic skip compilation entirely.
@@ -49,7 +55,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import DIAGONAL_GATE_NAMES, parametric_matrix
+from ..circuits.gates import (DIAGONAL_GATE_NAMES, _STATIC_MATRICES,
+                              parametric_matrix)
 from ..circuits.parameters import Parameter, ParameterExpression
 from .noise import NoiseModel, QuantumChannel, RESET_CHANNEL, bit_flip_channel
 
@@ -73,7 +80,7 @@ OP_UNITARY = "unitary"          # dense k-qubit matrix, tensor contraction
 OP_DIAG = "diag"                # k-qubit diagonal, elementwise phase multiply
 OP_PERM = "perm"                # monomial matrix (CX/SWAP/X/...), index gather
 OP_RESET = "reset"              # projective reset to |0> (stochastic on kets)
-OP_CHANNEL = "channel"          # Kraus channel (density-matrix programs)
+OP_CHANNEL = "channel"          # channel superoperator (density-matrix programs)
 OP_MEASURE_NOISE = "measure_noise"  # readout flip channel, applied on demand
 
 #: Above this qubit count the per-op full-index gather tables of the
@@ -200,9 +207,14 @@ class CompiledOp:
 
     ``data`` depends on ``kind``: the dense matrix (:data:`OP_UNITARY`), the
     broadcast-shaped phase tensor (:data:`OP_DIAG`), a ``(columns, phases)``
-    pair over the small ``2^k`` index space (:data:`OP_PERM`), the
-    Kraus-operator list (:data:`OP_CHANNEL` / :data:`OP_MEASURE_NOISE`) or
-    ``None`` (:data:`OP_RESET`).  ``factors`` (gate ops only) records the
+    pair over the small ``2^k`` index space (:data:`OP_PERM`; ``None`` for a
+    fused run, which carries only its full-index table), or the channel's
+    read-only ``4^k × 4^k`` superoperator ``Σ K⊗K̄`` (:data:`OP_CHANNEL`,
+    :data:`OP_MEASURE_NOISE`, and :data:`OP_RESET`: density-matrix runs
+    apply the reset channel, statevector runs reset projectively instead).
+    Channel ops with equal channels share one superoperator array; static
+    perm ops share their memoized monomial data and gather tables.
+    ``factors`` (gate ops only) records the
     constituent instructions so parametric ops can be rebuilt on bind;
     ``data is None`` marks an op still awaiting parameter binding.
     """
@@ -231,9 +243,7 @@ class CompiledOp:
         pure permutations (CX, SWAP, X).
         """
         if self._full is None:
-            columns, phases = self.data
-            self._full = _perm_apply_to_values(
-                _index_arange(1 << num_qubits), self.qubits, columns, phases)
+            self._full = _perm_table([self], num_qubits)
         return self._full
 
     def bound(self, bindings: Mapping, num_qubits: int) -> "CompiledOp":
@@ -302,8 +312,8 @@ class CompiledProgram:
     @property
     def is_bound(self) -> bool:
         """True when every op has resolved numeric data."""
-        return all(op.data is not None or op.kind == OP_RESET
-                   or op._full is not None for op in self.ops)
+        return all(op.data is not None or op._full is not None
+                   for op in self.ops)
 
     @property
     def has_reset(self) -> bool:
@@ -389,8 +399,9 @@ class CompiledProgram:
         """Execute on a density matrix; returns the final ``2^n × 2^n`` ρ.
 
         Unitaries are applied as conjugations (diagonal ops as row/column
-        phase multiplies), channels as pre-merged Kraus sums.
-        :data:`OP_MEASURE_NOISE` ops fire only when ``apply_measure_noise``.
+        phase multiplies), channels and resets as one superoperator
+        contraction each.  :data:`OP_MEASURE_NOISE` ops fire only when
+        ``apply_measure_noise``.
         """
         n = self.num_qubits
         dim = 1 << n
@@ -409,11 +420,8 @@ class CompiledProgram:
                     rho = rho * np.outer(phases, np.conj(phases))
             elif op.kind == OP_UNITARY:
                 rho = _dm_apply_unitary(rho, op.data, op.qubits, n)
-            elif op.kind == OP_CHANNEL:
+            elif op.kind in (OP_CHANNEL, OP_RESET):
                 rho = _dm_apply_channel(rho, op.data, op.qubits, n)
-            elif op.kind == OP_RESET:
-                rho = _dm_apply_channel(rho, RESET_CHANNEL.kraus_operators,
-                                        op.qubits, n)
             elif op.kind == OP_MEASURE_NOISE:
                 if apply_measure_noise:
                     rho = _dm_apply_channel(rho, op.data, op.qubits, n)
@@ -532,22 +540,51 @@ def _dm_apply_diag(rho: np.ndarray, diag_tensor: np.ndarray,
     return tensor.reshape(dim, dim)
 
 
-def _dm_apply_channel(rho: np.ndarray, kraus_operators: Sequence[np.ndarray],
+def _dm_apply_channel(rho: np.ndarray, superoperator: np.ndarray,
                       qubits: Tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """ρ → Σ_k K_k ρ K_k† as one contraction over the 2k row and column axes.
+
+    ``superoperator`` is the channel's ``Σ K⊗K̄``
+    (:meth:`~repro.simulators.noise.QuantumChannel.superoperator`): its row
+    index is the output pair ``(i, j)``, its column index the input pair
+    ``(a, b)``, so it contracts like a ``2k``-qubit matrix on the target
+    qubits' row axes followed by their column axes.
+    """
     dim = 1 << num_qubits
     row_axes, col_axes = _dm_axes(qubits, num_qubits)
-    accumulated = np.zeros((dim, dim), dtype=complex)
-    for kraus in kraus_operators:
-        tensor = rho.reshape([2] * (2 * num_qubits))
-        tensor = _dm_apply_matrix(tensor, kraus, row_axes)
-        tensor = _dm_apply_matrix(tensor, kraus.conj(), col_axes)
-        accumulated += tensor.reshape(dim, dim)
-    return accumulated
+    tensor = _dm_apply_matrix(rho.reshape([2] * (2 * num_qubits)),
+                              superoperator, row_axes + col_axes)
+    return tensor.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
+
+def _monomial_form(matrix: np.ndarray
+                   ) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Read-only ``(columns, phases)`` of a monomial matrix, else ``None``.
+
+    ``phases`` is ``None`` for a pure permutation.
+    """
+    nonzero = np.abs(matrix) > 1e-12
+    if (nonzero.sum(axis=1) != 1).any():
+        return None
+    columns = np.argmax(nonzero, axis=1).astype(np.int64)
+    columns.setflags(write=False)
+    phases = matrix[np.arange(len(matrix)), columns]
+    if (phases == 1.0).all():
+        return columns, None
+    phases.setflags(write=False)
+    return columns, phases
+
+
+#: Monomial forms of the named static gates, lowered once.  Only these names
+#: key it: a bound rotation's name does not fix its matrix (``rx(π)`` is
+#: monomial with phases, ``rx(0.3)`` is not monomial at all).
+_STATIC_MONOMIALS = {name: _monomial_form(matrix)
+                     for name, matrix in _STATIC_MATRICES.items()}
+
 
 def _as_perm_op(op: CompiledOp) -> CompiledOp:
     """Convert a static unitary op to :data:`OP_PERM` when it is monomial.
@@ -557,26 +594,42 @@ def _as_perm_op(op: CompiledOp) -> CompiledOp:
     the state instead of a matmul's several.  Non-monomial ops are returned
     unchanged.
     """
-    matrix = op.data
-    nonzero = np.abs(matrix) > 1e-12
-    if (nonzero.sum(axis=1) != 1).any():
+    factors = op.factors
+    if len(factors) == 1 and factors[0].name in _STATIC_MONOMIALS:
+        form = _STATIC_MONOMIALS[factors[0].name]
+    else:
+        form = _monomial_form(op.data)
+    if form is None:
         return op
-    columns = np.argmax(nonzero, axis=1).astype(np.int64)
-    phases = matrix[np.arange(len(matrix)), columns]
-    if (phases == 1.0).all():
-        phases = None
-    return CompiledOp(OP_PERM, op.qubits, (columns, phases), op.factors)
+    return CompiledOp(OP_PERM, op.qubits, form, factors)
 
 
-def _fuse_perm_run(run: List[CompiledOp], num_qubits: int) -> CompiledOp:
-    """Collapse consecutive PERM ops into one full-index gather.
+#: Byte ceiling of the gather-table memo.  One table is ``2^n`` int64
+#: sources (plus ``2^n`` complex phases), 8 MiB at 20 qubits; a table larger
+#: than the whole ceiling is built but not kept.
+_PERM_TABLE_MAX_BYTES = 64 * 1024 * 1024
+_PERM_TABLES: "OrderedDict[Tuple, Tuple[Tuple, int]]" = OrderedDict()
+_PERM_TABLE_LOCK = threading.Lock()
+_PERM_TABLE_BYTES = 0
 
-    Permutation composition happens index-wise over the full ``2^n`` space,
-    so a whole CNOT ladder (or any monomial-gate run) becomes a *single*
-    gather per execution, regardless of which qubits each gate touched.
+
+def _perm_table(run: Sequence[CompiledOp], num_qubits: int
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The memoized full-index ``(source, phases)`` gather of a perm run.
+
+    Keyed by each op's ``(qubits, columns, phases)``, so every program whose
+    run lowers to the same monomials shares one read-only table.
     """
-    if len(run) == 1:
-        return run[0]
+    global _PERM_TABLE_BYTES
+    key = (num_qubits,) + tuple(
+        (op.qubits, op.data[0].tobytes(),
+         None if op.data[1] is None else op.data[1].tobytes())
+        for op in run)
+    with _PERM_TABLE_LOCK:
+        cached = _PERM_TABLES.get(key)
+        if cached is not None:
+            _PERM_TABLES.move_to_end(key)
+            return cached[0]
     # Walk the run in reverse, applying each op's bit-level action to the
     # evolving index table: the composed gather builds in O(run length)
     # vectorized passes with no per-op tables.
@@ -589,10 +642,36 @@ def _fuse_perm_run(run: List[CompiledOp], num_qubits: int) -> CompiledOp:
         if phase_factors is not None:
             phases = (phase_factors if phases is None
                       else phases * phase_factors)
+    table = (source, phases)
+    nbytes = 0
+    for part in table:
+        if part is not None:
+            part.setflags(write=False)
+            nbytes += part.nbytes
+    if nbytes <= _PERM_TABLE_MAX_BYTES:
+        with _PERM_TABLE_LOCK:
+            if key not in _PERM_TABLES:
+                _PERM_TABLES[key] = (table, nbytes)
+                _PERM_TABLE_BYTES += nbytes
+            while _PERM_TABLE_BYTES > _PERM_TABLE_MAX_BYTES:
+                _, (_, evicted) = _PERM_TABLES.popitem(last=False)
+                _PERM_TABLE_BYTES -= evicted
+    return table
+
+
+def _fuse_perm_run(run: List[CompiledOp], num_qubits: int) -> CompiledOp:
+    """Collapse consecutive PERM ops into one full-index gather.
+
+    Permutation composition happens index-wise over the full ``2^n`` space,
+    so a whole CNOT ladder (or any monomial-gate run) becomes a *single*
+    gather per execution, regardless of which qubits each gate touched.
+    """
+    if len(run) == 1:
+        return run[0]
     qubits = tuple(sorted({q for op in run for q in op.qubits}))
     factors = [factor for op in run for factor in (op.factors or [])]
     fused = CompiledOp(OP_PERM, qubits, None, factors)
-    fused._full = (source, phases)
+    fused._full = _perm_table(run, num_qubits)
     return fused
 
 
@@ -675,6 +754,10 @@ def _merged_channel(channels: List[QuantumChannel]) -> QuantumChannel:
     return merged
 
 
+def _reset_op(qubits: Tuple[int, ...]) -> CompiledOp:
+    return CompiledOp(OP_RESET, qubits, RESET_CHANNEL.superoperator())
+
+
 def _compile_noiseless(circuit: QuantumCircuit, fuse: bool
                        ) -> List[CompiledOp]:
     """Instruction-order lowering: fusion + diagonal fast path, no channels."""
@@ -685,7 +768,7 @@ def _compile_noiseless(circuit: QuantumCircuit, fuse: bool
         if name in ("barrier", "measure", "i", "id"):
             continue  # no-ops on a noiseless ket; identities are dropped
         if name == "reset":
-            ops.append(CompiledOp(OP_RESET, inst.qubits, None))
+            ops.append(_reset_op(inst.qubits))
             continue
         new = _make_gate_op(inst, num_qubits)
         if fuse and ops:
@@ -721,10 +804,10 @@ def _compile_noisy(circuit: QuantumCircuit,
             if name == "measure":
                 if readout is not None:
                     ops.append(CompiledOp(OP_MEASURE_NOISE, inst.qubits,
-                                          readout.kraus_operators))
+                                          readout.superoperator()))
                 continue
             if name == "reset":
-                ops.append(CompiledOp(OP_RESET, inst.qubits, None))
+                ops.append(_reset_op(inst.qubits))
                 continue
             ops.append(_make_gate_op(inst, num_qubits))
             if name not in merged_cache:
@@ -734,12 +817,12 @@ def _compile_noisy(circuit: QuantumCircuit,
             merged = merged_cache[name]
             if merged is not None:
                 ops.append(CompiledOp(OP_CHANNEL, inst.qubits,
-                                      merged.kraus_operators))
+                                      merged.superoperator()))
         if idle_channel is not None:
-            idle_kraus = idle_channel.kraus_operators
+            idle = idle_channel.superoperator()
             for qubit in range(num_qubits):
                 if qubit not in busy:
-                    ops.append(CompiledOp(OP_CHANNEL, (qubit,), idle_kraus))
+                    ops.append(CompiledOp(OP_CHANNEL, (qubit,), idle))
     return ops
 
 
@@ -796,13 +879,19 @@ def program_cache_counters() -> Tuple[int, int]:
 
 
 def clear_program_cache() -> None:
-    """Drop every cached program and reset the counters (mainly for tests)."""
-    global _COMPILED_COUNT, _HIT_COUNT, _CACHE_BYTES
+    """Drop every cached program and gather table, reset the counters.
+
+    Mainly for tests.
+    """
+    global _COMPILED_COUNT, _HIT_COUNT, _CACHE_BYTES, _PERM_TABLE_BYTES
     with _CACHE_LOCK:
         _PROGRAM_CACHE.clear()
         _CACHE_BYTES = 0
         _COMPILED_COUNT = 0
         _HIT_COUNT = 0
+    with _PERM_TABLE_LOCK:
+        _PERM_TABLES.clear()
+        _PERM_TABLE_BYTES = 0
 
 
 def _noise_cache_token(noise_model: Optional[NoiseModel]):

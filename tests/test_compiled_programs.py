@@ -10,6 +10,8 @@ perf fixes (``Gate.matrix`` caching, vectorized ``sample_counts``).
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from repro.simulators.kernels import (statevector_term_expectations,
                                       statevector_term_expectations_batch)
 from repro.simulators.noise import (NoiseModel, RESET_CHANNEL,
                                     amplitude_damping_channel,
-                                    bit_flip_channel, depolarizing_channel)
-from repro.simulators.program import (OP_DIAG, OP_PERM, OP_UNITARY,
+                                    depolarizing_channel)
+from repro.simulators import program as program_module
+from repro.simulators.program import (OP_CHANNEL, OP_DIAG, OP_PERM, OP_RESET,
+                                      OP_UNITARY, clear_program_cache,
                                       compile_circuit, program_cache_counters,
                                       run_batch, run_interpreted)
 from repro.simulators.statevector import (StatevectorSimulator, Statevector,
@@ -38,6 +42,8 @@ from repro.vqe.clifford_vqe import CliffordVQE
 from repro.vqe.energy import BackendEnergyEvaluator
 from repro.vqe.optimizers import GeneticOptimizer, SPSAOptimizer
 from repro.vqe.runner import VQE
+
+from reference.density_matrix import naive_density_matrix_run
 
 
 # ---------------------------------------------------------------------------
@@ -76,42 +82,6 @@ def random_circuit(num_qubits, depth, rng, pool=_GATE_POOL):
         else:
             getattr(circuit, name)(qubit)
     return circuit
-
-
-def naive_density_matrix_run(simulator, circuit, apply_measure_noise=False):
-    """The pre-compile per-instruction density-matrix loop (reference)."""
-    num_qubits = circuit.num_qubits
-    rho = DensityMatrix.zero_state(num_qubits).data.copy()
-    noise = simulator.noise_model
-    idle = noise.idle_channel if noise is not None else None
-    for layer in circuit.layers():
-        busy = set()
-        for inst in layer:
-            busy.update(inst.qubits)
-            if inst.name == "measure":
-                if apply_measure_noise and noise is not None \
-                        and noise.readout_error > 0:
-                    rho = simulator._apply_channel(
-                        rho, bit_flip_channel(noise.readout_error),
-                        inst.qubits, num_qubits)
-                continue
-            if inst.name == "reset":
-                rho = simulator._apply_reset(rho, inst.qubits[0], num_qubits)
-                continue
-            if inst.name == "barrier":
-                continue
-            rho = simulator._apply_unitary(rho, inst.gate.matrix(),
-                                           inst.qubits, num_qubits)
-            if noise is not None:
-                for channel in noise.gate_channels(inst.name):
-                    rho = simulator._apply_channel(rho, channel, inst.qubits,
-                                                   num_qubits)
-        if idle is not None:
-            for qubit in range(num_qubits):
-                if qubit not in busy:
-                    rho = simulator._apply_channel(rho, idle, (qubit,),
-                                                   num_qubits)
-    return rho
 
 
 def make_noise_model():
@@ -223,7 +193,8 @@ class TestCompiledDensityMatrix:
             compiled = simulator.run(
                 circuit, apply_measure_noise=apply_measure_noise).data
             reference = naive_density_matrix_run(
-                simulator, circuit, apply_measure_noise=apply_measure_noise)
+                simulator.noise_model, circuit,
+                apply_measure_noise=apply_measure_noise)
             np.testing.assert_allclose(compiled, reference, atol=1e-12)
 
     def test_noiseless_run_matches_statevector(self):
@@ -241,6 +212,144 @@ class TestCompiledDensityMatrix:
         rho = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
         out = RESET_CHANNEL.apply_to_density_matrix(rho)
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+
+    def test_channel_ops_share_the_channel_superoperator(self):
+        noise = make_noise_model()
+        circuit = QuantumCircuit(3)
+        circuit.h(0).cx(0, 2).reset(1)
+        program = compile_circuit(circuit, noise_model=noise, use_cache=False)
+        idle = noise.idle_channel.superoperator()
+        idle_ops = [op for op in program.ops
+                    if op.kind == OP_CHANNEL and op.data is idle]
+        assert idle_ops, "idle slots must carry the idle channel's array"
+        resets = [op for op in program.ops if op.kind == OP_RESET]
+        assert [op.data for op in resets] == [RESET_CHANNEL.superoperator()]
+        assert resets[0].data is RESET_CHANNEL.superoperator()
+        for op in program.ops:
+            if op.kind == OP_CHANNEL:
+                assert op.data.shape == (4 ** len(op.qubits),) * 2
+                assert not op.data.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Memoized static lowering
+# ---------------------------------------------------------------------------
+
+class TestStaticLoweringMemo:
+    def _lowered(self, build):
+        circuit = QuantumCircuit(1)
+        build(circuit)
+        program = compile_circuit(circuit, use_cache=False)
+        assert len(program.ops) == 1
+        for basis in range(2):
+            state = np.zeros(2, dtype=complex)
+            state[basis] = 1.0
+            np.testing.assert_allclose(
+                program.run_statevector(state),
+                list(circuit)[0].gate.matrix()[:, basis], atol=1e-15)
+        return program.ops[0]
+
+    def test_gate_name_alone_does_not_key_the_lowering(self):
+        # A memo keyed by gate name would lower rx(0.3) like rx(π) (or the
+        # other way round) and ry(0) like any other ry.
+        x = self._lowered(lambda c: c.x(0))
+        rx_pi = self._lowered(lambda c: c.rx(math.pi, 0))
+        rx_small = self._lowered(lambda c: c.rx(0.3, 0))
+        ry_zero = self._lowered(lambda c: c.ry(0.0, 0))
+        assert x.kind == OP_PERM
+        np.testing.assert_array_equal(x.data[0], [1, 0])
+        assert x.data[1] is None
+        assert rx_pi.kind == OP_PERM
+        np.testing.assert_array_equal(rx_pi.data[0], [1, 0])
+        np.testing.assert_allclose(rx_pi.data[1], [-1j, -1j], atol=1e-15)
+        assert rx_small.kind == OP_UNITARY
+        assert ry_zero.kind == OP_PERM
+        np.testing.assert_array_equal(ry_zero.data[0], [0, 1])
+        assert ry_zero.data[1] is None
+
+    def test_static_gates_share_their_lowered_form(self):
+        first = self._lowered(lambda c: c.x(0))
+        second = self._lowered(lambda c: c.x(0))
+        assert first.data is second.data
+        assert not first.data[0].flags.writeable
+
+    def test_bound_circuit_compiles_bitwise_identically(self):
+        template = FullyConnectedAnsatz(5, 2).build()
+        rng = np.random.default_rng(3)
+        bound = template.bind_parameters(dict(zip(
+            template.ordered_parameters(),
+            rng.uniform(-np.pi, np.pi, len(template.ordered_parameters())))))
+        first = compile_circuit(bound, use_cache=False)
+        second = compile_circuit(bound, use_cache=False)
+        assert first is not second
+        np.testing.assert_array_equal(first.run_statevector(),
+                                      second.run_statevector())
+        assert any(op.kind == OP_PERM for op in first.ops)
+        for a, b in zip(first.ops, second.ops):
+            if a.kind == OP_PERM:
+                # Gather tables are shared read-only between programs.
+                assert a.full_indices(5) is b.full_indices(5)
+                assert not a.full_indices(5)[0].flags.writeable
+
+    def test_gather_table_memo_stays_under_its_byte_cap(self):
+        clear_program_cache()
+        n = 20
+        cap = program_module._PERM_TABLE_MAX_BYTES
+        try:
+            for target in range(1, 11):
+                circuit = QuantumCircuit(n)
+                circuit.cx(0, target).cx(target, n - 1).y(target)
+                program = compile_circuit(circuit, use_cache=False)
+                assert [op.kind for op in program.ops] == [OP_PERM]
+                assert 0 < program_module._PERM_TABLE_BYTES <= cap
+            tables = program_module._PERM_TABLES
+            assert 0 < len(tables) < 10  # the oldest tables were evicted
+            assert program_module._PERM_TABLE_BYTES == sum(
+                nbytes for _, nbytes in tables.values())
+        finally:
+            clear_program_cache()
+        assert program_module._PERM_TABLE_BYTES == 0
+
+    def test_gather_table_memo_accounting_under_concurrent_compiles(
+            self, monkeypatch):
+        # Threads insert and evict concurrently; a lost update would leave
+        # the byte count disagreeing with the entries, or over the cap.
+        n = 12
+        table_bytes = (1 << n) * 8
+        monkeypatch.setattr(program_module, "_PERM_TABLE_MAX_BYTES",
+                            3 * table_bytes)
+        clear_program_cache()
+        errors = []
+
+        def compile_ladders(offset):
+            try:
+                for step in range(40):
+                    a = (offset + step) % n
+                    b = (a + 1 + step % (n - 1)) % n
+                    circuit = QuantumCircuit(n)
+                    circuit.cx(a, b).swap(b, (b + 1) % n)
+                    compile_circuit(circuit, use_cache=False)
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_ladders, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        tables = program_module._PERM_TABLES
+        assert program_module._PERM_TABLE_BYTES == sum(
+            nbytes for _, nbytes in tables.values())
+        assert program_module._PERM_TABLE_BYTES <= 3 * table_bytes
+        clear_program_cache()
 
 
 # ---------------------------------------------------------------------------

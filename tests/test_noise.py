@@ -111,6 +111,76 @@ class TestPauliTwirl:
         assert twirled.probabilities["X"] == pytest.approx(0.1)
 
 
+class TestChannelMemos:
+    """Derived channel forms are computed once and never leak or grow."""
+
+    def _channels(self):
+        return [amplitude_damping_channel(0.2), depolarizing_channel(0.01, 2),
+                thermal_relaxation_channel(1.2e-3, 1e-3, 3e-7),
+                pauli_error_channel(0.05, 0.02, 0.03)]
+
+    def test_kraus_operators_are_read_only_copies(self):
+        source = np.array([[1, 0], [0, 1]], dtype=complex)
+        channel = QuantumChannel([source])
+        assert source.flags.writeable  # the caller's array is not frozen
+        for op in self._channels()[0].kraus_operators + \
+                channel.kraus_operators:
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+
+    def test_superoperator_is_memoized_and_matches_kraus_sum(self):
+        for channel in self._channels():
+            superoperator = channel.superoperator()
+            assert channel.superoperator() is superoperator
+            assert not superoperator.flags.writeable
+            expected = sum(np.kron(k, k.conj())
+                           for k in channel.kraus_operators)
+            np.testing.assert_allclose(superoperator, expected, atol=1e-15)
+
+    def test_pauli_twirl_is_memoized(self):
+        for channel in self._channels():
+            assert pauli_twirl(channel) is pauli_twirl(channel)
+
+    def test_renamed_channel_twirls_under_its_new_name(self):
+        channel = amplitude_damping_channel(0.2)
+        first = pauli_twirl(channel)
+        channel.name = "t1_decay"
+        second = pauli_twirl(channel)
+        assert second.name == "twirl(t1_decay)"
+        assert second.probabilities == first.probabilities
+
+    def test_mutating_returned_probabilities_leaves_memo_intact(self):
+        for channel in self._channels():
+            probabilities = channel.pauli_twirl_probabilities()
+            expected = dict(probabilities)
+            probabilities["I"] = -1.0
+            probabilities.clear()
+            assert channel.pauli_twirl_probabilities() == expected
+
+    def test_fingerprint_serialization_and_pickle_unchanged_by_memos(self):
+        import pickle
+        from repro.io.serialization import channel_from_dict, channel_to_dict
+        for channel in self._channels():
+            fingerprint = channel.fingerprint()
+            payload = channel_to_dict(channel)
+            pickled = pickle.dumps(channel)
+            channel.superoperator()
+            pauli_twirl(channel)
+            assert channel.fingerprint() == fingerprint
+            assert channel_to_dict(channel) == payload
+            assert channel_from_dict(payload).fingerprint() == fingerprint
+            assert pickle.dumps(channel) == pickled
+            restored = pickle.loads(pickled)
+            assert restored.fingerprint() == fingerprint
+            assert not restored.kraus_operators[0].flags.writeable
+            np.testing.assert_array_equal(restored.superoperator(),
+                                          channel.superoperator())
+        # Pinned digest: Kraus bytes, not memos, define a channel's identity.
+        assert depolarizing_channel(0.01, 2).fingerprint() == \
+            "119ce5971a29470452eaa1b37afba85c"
+
+
 class TestNoiseModel:
     def test_gate_error_locations(self):
         noise = NoiseModel().add_gate_error(depolarizing_channel(0.01, 2), ["cx"])

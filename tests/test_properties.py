@@ -17,6 +17,8 @@ Contracts covered, one test class per contract family:
   ``decode_batch`` — for all five decoder configurations
 * packed vs dense vs streaming Monte-Carlo memory sampling
 * compiled vs interpreted statevector programs (≤ 1e-12)
+* superoperator vs Kraus-loop density-matrix channels and noisy programs,
+  with trace and hermiticity preserved (≤ 1e-12)
 * grouped vs per-term observable readout (≤ 1e-12)
 
 Everything numeric that is *discrete* is compared exactly; only genuinely
@@ -47,10 +49,18 @@ from repro.qec.rare_event import (_conditional_include_table,
                                   tilted_probabilities)
 from repro.qec.sampling import (packed_syndromes_and_flips, sample_errors,
                                 sampling_arrays, syndromes_and_flips)
-from repro.simulators.program import compile_circuit, run_interpreted
+from repro.simulators.density_matrix import DensityMatrixSimulator
+from repro.simulators.noise import (NoiseModel, QuantumChannel,
+                                    depolarizing_channel,
+                                    thermal_relaxation_channel,
+                                    two_qubit_tensor_channel)
+from repro.simulators.program import (_dm_apply_channel, compile_circuit,
+                                      run_interpreted)
 from repro.simulators.stabilizer import (DenseStabilizerState,
                                          StabilizerSimulator, StabilizerState)
 from repro.simulators.statevector import StatevectorSimulator
+
+from reference.density_matrix import apply_channel, naive_density_matrix_run
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +133,70 @@ def statevector_circuits(draw, max_qubits: int = 4, max_ops: int = 20):
         else:
             getattr(circuit, kind)(q)
     return circuit
+
+
+@st.composite
+def cptp_channels(draw, num_qubits: int):
+    """Random CPTP channels on ``num_qubits`` ∈ {1, 2} qubits.
+
+    Either a Haar-ish random isometry cut into Kraus blocks (rank 1 to
+    ``4^k``), or depolarizing ∘ thermal relaxation as the NISQ regime
+    merges them per gate (16 Kraus operators on one qubit, 256 on two).
+    """
+    dim = 2 ** num_qubits
+    if draw(st.booleans()):
+        p = draw(st.floats(0.0, 0.2, allow_nan=False))
+        gate_time = draw(st.floats(1e-8, 2e-6, allow_nan=False))
+        relax = thermal_relaxation_channel(1.2e-3, 1.0e-3, gate_time)
+        if num_qubits == 2:
+            relax = two_qubit_tensor_channel(relax, relax)
+        return depolarizing_channel(p, num_qubits).compose(relax)
+    rank = draw(st.integers(1, dim * dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    gaussian = (rng.standard_normal((rank * dim, dim))
+                + 1j * rng.standard_normal((rank * dim, dim)))
+    isometry, _ = np.linalg.qr(gaussian)     # V†V = I  ⇒  Σ K†K = I
+    return QuantumChannel(isometry.reshape(rank, dim, dim), name="random")
+
+
+def random_density_matrix(rng, num_qubits):
+    """A full-rank random mixed state (trace 1, Hermitian, PSD)."""
+    dim = 2 ** num_qubits
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+@st.composite
+def noisy_circuits(draw, max_ops: int = 6):
+    """``(noise_model, circuit)`` over n ∈ 3..7 with random channels.
+
+    Two-qubit gates land on any ordered pair (reversed and non-adjacent
+    included); resets and measurements exercise the reset and readout ops.
+    """
+    n = draw(st.integers(3, 7))
+    noise = NoiseModel()
+    noise.add_gate_error(draw(cptp_channels(2)), ["cx", "cz", "swap"])
+    noise.add_gate_error(draw(cptp_channels(1)), ["h", "rx", "ry"])
+    if draw(st.booleans()):
+        noise.add_idle_error(draw(cptp_channels(1)))
+    noise.add_readout_error(draw(st.floats(0.0, 0.1, allow_nan=False)))
+    circuit = QuantumCircuit(n)
+    for qubit in range(n):
+        circuit.ry(draw(st.floats(-math.pi, math.pi, allow_nan=False)), qubit)
+    for _ in range(draw(st.integers(1, max_ops))):
+        kind = draw(st.sampled_from(["h", "rx", "rz", "cx", "cz", "swap",
+                                     "reset", "measure"]))
+        pair = draw(st.permutations(range(n)))[:2]
+        if kind in ("cx", "cz", "swap"):
+            getattr(circuit, kind)(*pair)
+        elif kind in ("rx", "rz"):
+            getattr(circuit, kind)(
+                draw(st.floats(-math.pi, math.pi, allow_nan=False)), pair[0])
+        else:
+            getattr(circuit, kind)(pair[0])
+    circuit.measure_all()
+    return noise, circuit
 
 
 @st.composite
@@ -416,6 +490,41 @@ class TestProgramProperties:
         interpreted_state = run_interpreted(circuit)
         np.testing.assert_allclose(compiled_state, interpreted_state,
                                    atol=1e-12, rtol=0)
+
+
+# ---------------------------------------------------------------------------
+# Density matrices: superoperator channels vs the Kraus loop
+# ---------------------------------------------------------------------------
+
+def _assert_physical(rho):
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12, rtol=0)
+
+
+class TestDensityMatrixChannelProperties:
+    @given(data=st.data())
+    def test_superoperator_matches_kraus_loop(self, data):
+        k = data.draw(st.sampled_from([1, 2]))
+        channel = data.draw(cptp_channels(k))
+        n = data.draw(st.integers(3, 7))
+        qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        rho = random_density_matrix(rng, n)
+        out = _dm_apply_channel(rho, channel.superoperator(), qubits, n)
+        reference = apply_channel(rho, channel, qubits, n)
+        np.testing.assert_allclose(out, reference, atol=1e-12, rtol=0)
+        _assert_physical(out)
+
+    @given(setup=noisy_circuits(), apply_measure_noise=st.booleans())
+    def test_noisy_program_matches_kraus_loop(self, setup,
+                                              apply_measure_noise):
+        noise, circuit = setup
+        compiled = DensityMatrixSimulator(noise).run(
+            circuit, apply_measure_noise=apply_measure_noise).data
+        reference = naive_density_matrix_run(
+            noise, circuit, apply_measure_noise=apply_measure_noise)
+        np.testing.assert_allclose(compiled, reference, atol=1e-12, rtol=0)
+        _assert_physical(compiled)
 
 
 # ---------------------------------------------------------------------------
