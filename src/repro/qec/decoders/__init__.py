@@ -9,7 +9,9 @@ than asserted:
 * :mod:`repro.qec.decoders.graph` — space-time decoding graphs for the
   repetition code and the rotated surface code under phenomenological noise;
 * :mod:`repro.qec.decoders.mwpm` — minimum-weight perfect matching on the
-  defect graph (exact distances via Dijkstra, matching via networkx);
+  defect graph (exact distances via Dijkstra; per-shot matching via
+  networkx blossom, batched verdicts via a subset DP over the defects'
+  distance submatrix, with ties and large syndromes left to networkx);
 * :mod:`repro.qec.decoders.union_find` — the Union-Find cluster-growth +
   peeling decoder (almost-linear time, slightly lower threshold);
 * :mod:`repro.qec.decoders.lookup` — a bounded-weight lookup-table decoder

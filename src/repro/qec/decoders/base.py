@@ -313,9 +313,10 @@ class SyndromeBatchDecoder:
     whose columns follow :meth:`DecodingGraph.detector_order`, deduplicates
     the rows to unique syndromes (``np.unique``), decodes each unique
     syndrome exactly once, and scatters the per-unique logical-flip verdicts
-    back to all shots.  Subclasses with a faster bulk path (the lookup
-    decoder's vectorized table probe) override :meth:`_decode_unique` and
-    keep the dedup/accounting shell.
+    back to all shots.  Subclasses with a faster bulk path override
+    :meth:`_decode_unique` / :meth:`_decode_unique_packed` and keep the
+    dedup/accounting shell: the lookup decoder's vectorized table probe and
+    the MWPM decoder's subset-DP matching with its per-graph verdict memo.
 
     Decoding is deterministic, so deduplication can never change results —
     only how often the underlying decoder runs.  Note that diagnostic

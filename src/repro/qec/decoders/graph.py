@@ -115,6 +115,15 @@ class DecodingGraph:
     def detectors(self) -> List[Detector]:
         return [node for node in self._graph.nodes if node != BOUNDARY]
 
+    def check_defects(self, defects: Iterable) -> None:
+        """Raise ``ValueError`` for a defect that is not a detector.
+
+        The virtual boundary node is a graph node but never a defect.
+        """
+        for defect in defects:
+            if defect == BOUNDARY or defect not in self._graph:
+                raise ValueError(f"unknown detector {defect!r}")
+
     def edge_between(self, node_a, node_b) -> Optional[DecodingEdge]:
         data = self._graph.get_edge_data(node_a, node_b)
         return None if data is None else data["edge_ref"]

@@ -70,9 +70,7 @@ class CliquePredecoder(SyndromeBatchDecoder):
     # -- decoding -----------------------------------------------------------------
     def decode(self, defects: Sequence[Detector]) -> DecodeOutcome:
         defect_set = set(defects)
-        for defect in defect_set:
-            if defect not in self._graph.graph:
-                raise ValueError(f"unknown detector {defect!r}")
+        self._graph.check_defects(defect_set)
         correction: List[DecodingEdge] = []
         matched_pairs: List[Tuple[object, object]] = []
         handled: Set[Detector] = set()

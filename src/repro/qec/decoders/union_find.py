@@ -189,9 +189,7 @@ class UnionFindDecoder(SyndromeBatchDecoder):
         defects = list(dict.fromkeys(defects))
         if not defects:
             return DecodeOutcome([], [], 0.0)
-        for defect in defects:
-            if defect not in self._graph.graph:
-                raise ValueError(f"unknown detector {defect!r}")
+        self._graph.check_defects(defects)
         erasure, clusters = self._grow_clusters(defects)
         correction = self._peel(erasure, clusters, defects)
         total_weight = sum(edge.weight for edge in correction)

@@ -1,18 +1,27 @@
 """Tests for decoding graphs, decoders and surface-code memory experiments."""
 
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qec.decoders.graph import (repetition_code_graph,
+from repro.qec.decoders.graph import (BOUNDARY, repetition_code_graph,
                                       rotated_surface_code_graph,
                                       rotated_surface_code_stabilizers)
 from repro.qec.decoders.lookup import LookupDecoder, syndrome_of_edges
-from repro.qec.decoders.mwpm import MWPMDecoder
+from repro.qec.decoders import mwpm as mwpm_module
+from repro.qec.decoders.base import (apply_decoder_counter_delta,
+                                     decoder_counter_delta,
+                                     decoder_counter_snapshot)
+from repro.qec.decoders.mwpm import MWPMDecoder, clear_matching_tables
 from repro.qec.decoders.predecoder import CliquePredecoder
 from repro.qec.decoders.union_find import UnionFindDecoder
+from repro.qec.sampling import sampling_arrays, syndromes_and_flips
 from repro.qec.surface_memory import (SurfaceCodeMemory, decoder_comparison,
                                       logical_error_rate_curve,
                                       repetition_code_memory_experiment,
@@ -147,8 +156,10 @@ class TestDecoderContracts:
 
     def test_unknown_detector_rejected(self, decoder_name, factory):
         graph = rotated_surface_code_graph(3, 1, 1e-3)
-        with pytest.raises(ValueError):
-            factory(graph).decode([(99, 99)])
+        # The virtual boundary is a graph node but never a detector.
+        for defect in [(99, 99), BOUNDARY]:
+            with pytest.raises(ValueError, match="unknown detector"):
+                factory(graph).decode([defect])
 
     def test_single_error_corrections_are_valid_and_harmless(self, decoder_name,
                                                              factory):
@@ -199,6 +210,207 @@ class TestMWPMSpecifics:
         decoder = MWPMDecoder(graph)
         outcome = decoder.decode([(0, 0), (0, 0), (1, 0)])
         assert _syndrome_matches(graph, outcome.correction, {(0, 0), (1, 0)})
+
+    def test_tied_parity_syndrome_goes_to_networkx(self):
+        # Defects on stabilizer 0 in round 0 and stabilizer 1 in round 1
+        # have minimum-weight matchings of both logical parities, so the
+        # subset DP cannot decide and the batched path asks decode().
+        clear_matching_tables()
+        graph = rotated_surface_code_graph(3, 1, 1e-3)
+        decoder = MWPMDecoder(graph)
+        detectors = graph.detector_order()
+        defects = [(0, 0), (1, 1)]
+        syndrome = np.zeros((1, len(detectors)), dtype=np.uint8)
+        syndrome[0, [detectors.index(defect) for defect in defects]] = 1
+        table = mwpm_module._matching_table(graph)
+        index = [table.index[defect] for defect in defects]
+        flip_batched = decoder.decode_batch(syndrome)[0]
+        assert decoder.fallback_count == 1
+        parities = {int(table.parity[index[0], index[1]]),
+                    int(table.parity[index[1], index[0]]),
+                    int(table.parity[index[0], -1] ^ table.parity[index[1], -1])}
+        assert parities == {0, 1}
+        assert flip_batched == decoder.decode(defects).flips_logical
+
+    def test_single_parity_syndromes_skip_networkx(self):
+        clear_matching_tables()
+        graph = rotated_surface_code_graph(3, 2, 1e-3)
+        decoder = MWPMDecoder(graph)
+        syndromes = np.stack([np.isin(np.arange(len(graph.detectors)),
+                                      syndrome_columns).astype(np.uint8)
+                              for syndrome_columns in ([], [0], [5], [2, 9])])
+        flips = decoder.decode_batch(syndromes)
+        assert decoder.fallback_count == 0
+        detectors = graph.detector_order()
+        for row, flip in zip(syndromes, flips):
+            defects = [detectors[column] for column in np.flatnonzero(row)]
+            assert flip == decoder.decode(defects).flips_logical
+
+    def test_large_syndromes_go_to_networkx(self):
+        clear_matching_tables()
+        graph = rotated_surface_code_graph(5, 2, 1e-3)
+        decoder = MWPMDecoder(graph)
+        detectors = graph.detector_order()
+        cap = mwpm_module._DP_MAX_DEFECTS
+        syndrome = np.zeros((1, len(detectors)), dtype=np.uint8)
+        syndrome[0, :cap + 1] = 1
+        flip = decoder.decode_batch(syndrome)[0]
+        assert decoder.fallback_count == 1
+        assert flip == decoder.decode(detectors[:cap + 1]).flips_logical
+
+    def test_permuted_columns_match_and_bypass_the_memo(self):
+        clear_matching_tables()
+        graph = rotated_surface_code_graph(3, 2, 0.05)
+        decoder = MWPMDecoder(graph)
+        detectors = graph.detector_order()[::-1]
+        syndromes = _random_syndromes(graph, 40, seed=5)
+        flips = decoder.decode_batch(syndromes, detectors)
+        assert mwpm_module._matching_table(graph).verdicts == {}
+        for row, flip in zip(syndromes, flips):
+            defects = [detectors[column] for column in np.flatnonzero(row)]
+            assert flip == decoder.decode(defects).flips_logical
+
+    def test_boundary_column_rejected_on_the_batched_path(self):
+        graph = rotated_surface_code_graph(3, 1, 1e-3)
+        detectors = graph.detector_order() + [BOUNDARY]
+        syndrome = np.zeros((1, len(detectors)), dtype=np.uint8)
+        syndrome[0, [0, -1]] = 1
+        with pytest.raises(ValueError, match="unknown detector"):
+            MWPMDecoder(graph).decode_batch(syndrome, detectors)
+
+
+def _random_syndromes(graph, shots, seed):
+    """Syndromes of random error subsets (every row physically reachable)."""
+    arrays = sampling_arrays(graph)
+    rng = np.random.default_rng(seed)
+    errors = (rng.random((shots, arrays.num_edges)) < 0.06).astype(np.uint8)
+    return syndromes_and_flips(arrays, errors)[0]
+
+
+class TestMatchingTables:
+    """The process-wide per-graph matching table and verdict memo."""
+
+    def setup_method(self):
+        clear_matching_tables()
+
+    def teardown_method(self):
+        clear_matching_tables()
+
+    def test_equal_graphs_share_one_table_and_memo(self):
+        first_graph = rotated_surface_code_graph(3, 2, 0.05)
+        second_graph = rotated_surface_code_graph(3, 2, 0.05)
+        assert first_graph is not second_graph
+        syndromes = _random_syndromes(first_graph, 200, seed=3)
+        first, second = MWPMDecoder(first_graph), MWPMDecoder(second_graph)
+        first_flips = first.decode_batch(syndromes)
+        assert first.fallback_count > 0  # the d=3 sample holds tied parities
+        second_flips = second.decode_batch(syndromes)
+        assert np.array_equal(first_flips, second_flips)
+        assert len(mwpm_module._TABLES) == 1
+        table = mwpm_module._matching_table(second_graph)
+        assert table is mwpm_module._matching_table(first_graph)
+        assert len(table.verdicts) == len(np.unique(syndromes, axis=0))
+        # Every verdict came from the memo the first decoder filled.
+        assert second.fallback_count == 0
+
+    def test_concurrent_batches_give_identical_verdicts(self):
+        graph = rotated_surface_code_graph(5, 2, 0.03)
+        syndromes = _random_syndromes(graph, 120, seed=11)
+        detectors = graph.detector_order()
+        reference = MWPMDecoder(graph)
+        expected = [reference.decode([detectors[column] for column
+                                      in np.flatnonzero(row)]).flips_logical
+                    for row in syndromes]
+        clear_matching_tables()
+        barrier = threading.Barrier(4)
+
+        def run(seed):
+            # Each thread builds its own graph, as every service job does.
+            barrier.wait(timeout=60)
+            order = np.random.default_rng(seed).permutation(len(syndromes))
+            own_graph = rotated_surface_code_graph(5, 2, 0.03)
+            flips = MWPMDecoder(own_graph).decode_batch(syndromes[order])
+            result = np.empty_like(flips)
+            result[order] = flips
+            return result
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, seed) for seed in range(4)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert result.tolist() == expected
+        assert len(mwpm_module._TABLES) == 1
+        table = mwpm_module._matching_table(graph)
+        assert len(table.verdicts) == len(np.unique(syndromes, axis=0))
+        filled = [row is not None for row in table.rows]
+        assert np.isfinite(table.distance[filled]).all()
+        assert np.isinf(table.distance[np.logical_not(filled)]).all()
+
+    def test_table_accounting_under_concurrent_eviction(self, monkeypatch):
+        # Threads create and evict tables concurrently; a lost update would
+        # leave the byte count disagreeing with the entries, or over the cap.
+        graphs = [rotated_surface_code_graph(3, 1, 0.01 * (k + 1))
+                  for k in range(5)]
+        table_bytes = mwpm_module._MatchingTable(graphs[0]).nbytes
+        monkeypatch.setattr(mwpm_module, "_TABLE_MAX_BYTES", 2 * table_bytes)
+        errors = []
+
+        def decode_round_robin(offset):
+            try:
+                for step in range(40):
+                    graph = graphs[(offset + step) % len(graphs)]
+                    MWPMDecoder(graph).decode([graph.detector_order()[0]])
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode_round_robin, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert mwpm_module._TABLE_BYTES == sum(
+            table.nbytes for table in mwpm_module._TABLES.values())
+        assert mwpm_module._TABLE_BYTES <= 2 * table_bytes
+
+    def test_byte_bound_evicts_the_oldest_table(self, monkeypatch):
+        graphs = [rotated_surface_code_graph(3, 2, rate)
+                  for rate in (0.01, 0.02, 0.03)]
+        table_bytes = mwpm_module._matching_table(graphs[0]).nbytes
+        clear_matching_tables()
+        monkeypatch.setattr(mwpm_module, "_TABLE_MAX_BYTES", 2 * table_bytes)
+        tables = [mwpm_module._matching_table(graph) for graph in graphs]
+        assert len(mwpm_module._TABLES) == 2
+        assert mwpm_module._TABLE_BYTES == 2 * table_bytes
+        assert mwpm_module._matching_table(graphs[2]) is tables[2]
+        assert mwpm_module._matching_table(graphs[1]) is tables[1]
+        # The evicted first table is rebuilt empty on its next use.
+        assert mwpm_module._matching_table(graphs[0]) is not tables[0]
+        assert mwpm_module._TABLE_BYTES == sum(
+            table.nbytes for table in mwpm_module._TABLES.values())
+
+    def test_fallback_count_folds_back_across_processes(self):
+        decoder = MWPMDecoder(rotated_surface_code_graph(3, 1, 1e-3))
+        before = decoder_counter_snapshot(decoder)
+        assert before == {"fallback_count": 0}
+        worker_copy = pickle.loads(pickle.dumps(decoder))
+        worker_copy.fallback_count += 3
+        delta = decoder_counter_delta(before,
+                                      decoder_counter_snapshot(worker_copy))
+        apply_decoder_counter_delta(decoder, delta)
+        assert decoder.fallback_count == 3
 
 
 class TestLookupDecoder:

@@ -42,7 +42,8 @@ from repro.qec.bitops import (Mod2GatherPlan, mod2_matmul_packed,
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode,
                                 batch_decode_packed)
-from repro.qec.decoders.graph import repetition_code_graph
+from repro.qec.decoders.graph import (repetition_code_graph,
+                                      rotated_surface_code_graph)
 from repro.qec.rare_event import (_conditional_include_table,
                                   _log_weight_terms, _sample_fixed_weight,
                                   stratum_probabilities,
@@ -213,15 +214,21 @@ def pauli_sums(draw, max_qubits: int = 5, max_terms: int = 6):
 
 @st.composite
 def decoding_setups(draw):
-    """``(graph, syndromes, detectors)`` with decodable syndrome batches.
+    """``(graph, syndromes)`` with decodable syndrome batches.
 
     Syndromes are generated from random error subsets of the graph's edges,
     so every row is reachable by a physical error pattern (what the
-    decoders' contracts are defined over).
+    decoders' contracts are defined over).  Surface-code graphs at d=3
+    hold syndromes whose minimum-weight matchings tie in logical parity,
+    and at d=5 rows with more defects than the MWPM subset-DP cap, so both
+    of the batched MWPM path's hand-offs to networkx are exercised.
     """
     distance = draw(st.sampled_from([3, 5]))
     rounds = draw(st.integers(1, 3))
-    graph = repetition_code_graph(distance, rounds, 0.05)
+    if draw(st.booleans()):
+        graph = rotated_surface_code_graph(distance, rounds, 0.05)
+    else:
+        graph = repetition_code_graph(distance, rounds, 0.05)
     arrays = sampling_arrays(graph)
     shots = draw(st.integers(1, 24))
     seed = draw(st.integers(0, 2**31))
