@@ -125,6 +125,8 @@ class QuantumCircuit:
 
     def sx(self, qubit: int): return self.append(Gate("sx"), (qubit,))
 
+    def sxdg(self, qubit: int): return self.append(Gate("sxdg"), (qubit,))
+
     def t(self, qubit: int): return self.append(Gate("t"), (qubit,))
 
     def tdg(self, qubit: int): return self.append(Gate("tdg"), (qubit,))
@@ -241,8 +243,6 @@ class QuantumCircuit:
         seen: List[Parameter] = []
         seen_set: set[Parameter] = set()
         for inst in self._instructions:
-            for param in free_parameters(inst.params):
-                pass  # free_parameters returns a frozenset; keep appearance order below
             for value in inst.params:
                 if isinstance(value, ParameterExpression):
                     for param in sorted(value.parameters, key=lambda p: p.name):

@@ -18,7 +18,8 @@ stabilizer tableau, Pauli propagation):
 * :func:`evaluate_sweep` — the batched parameter-sweep pipeline over the
   circuit-compile layer (:mod:`repro.simulators.program`): the parametric
   template compiles once, each point rebinds only its rotation matrices,
-  and noiseless statevector sweeps execute as a single stacked NumPy pass;
+  and noiseless statevector sweeps execute as a single stacked NumPy pass
+  (noiseless ``pauli_propagation`` sweeps as one bit-sliced Clifford pass);
 * :class:`ExecutionPolicy` — one frozen value for "how should this run"
   (fan-out mode, worker count, shard broker, retry budget), accepted
   everywhere the legacy ``parallel=`` / ``max_workers=`` keywords are;
@@ -54,7 +55,7 @@ from .broker import (BROKER_SPOOL_ENV, FilesystemBroker,
                      LocalProcessBroker, ShardBroker, SpoolLayout,
                      make_broker)
 from .errors import (BackendCapabilityError, ExecutionError, RoutingError,
-                     TransientFault, UnknownBackendError)
+                     SweepShapeError, TransientFault, UnknownBackendError)
 from .executor import (ExecutionStats, Executor, default_executor,
                        evaluate_observable, evaluate_sweep, execute,
                        execute_one, reset_default_executor, term_expectations)
@@ -110,6 +111,7 @@ __all__ = [
     "ShardSpec",
     "SpoolLayout",
     "StabilizerBackend",
+    "SweepShapeError",
     "StatevectorBackend",
     "TieredExpectationCache",
     "TransientFault",

@@ -34,10 +34,10 @@ MAX_DENSITY_MATRIX_QUBITS = 14
 DEFAULT_TRAJECTORIES = 200
 
 #: Gate names the stabilizer tableau / Pauli propagator consume natively.
-#: Anything else (sx, t, rzz, u3, ...) is rewritten over Clifford+Rz first.
+#: Anything else (t, rzz, u3, ...) is rewritten over Clifford+Rz first.
 _TABLEAU_NATIVE_GATES = frozenset(
-    {"i", "id", "x", "y", "z", "h", "s", "sdg", "cx", "cnot", "cz", "swap",
-     "rx", "ry", "rz", "barrier", "measure", "reset"})
+    {"i", "id", "x", "y", "z", "h", "s", "sdg", "sx", "sxdg", "cx", "cnot",
+     "cz", "swap", "rx", "ry", "rz", "barrier", "measure", "reset"})
 
 
 def _tableau_ready(circuit) -> bool:

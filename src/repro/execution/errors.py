@@ -25,6 +25,14 @@ class BackendCapabilityError(ExecutionError):
     """A task was dispatched to a backend that cannot run it."""
 
 
+class SweepShapeError(ExecutionError, ValueError):
+    """A sweep point's length differs from the template's parameter count.
+
+    Also a ``ValueError``, like binding a wrong-length parameter list with
+    :meth:`~repro.circuits.circuit.QuantumCircuit.bind_parameters`.
+    """
+
+
 class RoutingError(ExecutionError):
     """Auto-routing could not find a backend able to run a task."""
 

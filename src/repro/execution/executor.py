@@ -35,14 +35,14 @@ from .broker import make_broker
 from .cache import CacheStats, ExpectationCache
 from .disk_cache import (DiskCacheStats, DiskExpectationCache,
                          TieredExpectationCache, disk_cache_from_env)
-from .errors import BackendCapabilityError, ExecutionError
+from .errors import BackendCapabilityError, ExecutionError, SweepShapeError
 from .observables import run_grouped, track_program_cache
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_task
-from .sharding import (FaultReport, ShardPlanner, _run_batch_shard,
-                       _sweep_points_shard, resolve_workers, run_sharded,
-                       split_evenly)
+from .sharding import (FaultReport, ShardPlanner, _clifford_sweep_shard,
+                       _run_batch_shard, _sweep_points_shard, resolve_workers,
+                       run_sharded, split_evenly)
 from .task import ExecutionResult, ExecutionTask
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
@@ -465,28 +465,38 @@ class Executor:
                        ) -> List[float]:
         """⟨H⟩ at every point of a parameter sweep over one circuit template.
 
-        The batched fast path of the compile layer: when every sweep point
-        lands on the (noiseless) statevector backend, the template is
-        compiled **once** (:func:`repro.simulators.program.compile_circuit`,
-        served by the fingerprint-keyed program cache on repeat sweeps), each
-        parameter set only rebinds the parametric matrices, and all uncached
-        points execute as a single stacked ``(B, 2^n)``
-        :func:`~repro.simulators.program.run_batch` pass with one vectorized
-        term-readout kernel over the whole batch.  Values are cached per
-        ``(template, parameter tuple, term)`` — a sweep-specific key space,
-        separate from the grouped engine's per-circuit keys — so repeated
-        points (SPSA ± re-queries, genetic elites) cost a dictionary lookup
-        across sweep calls.  Sweeps that route elsewhere (noise models,
-        Clifford regimes, custom backends) fall back to one grouped
-        :meth:`evaluate_observable` batch over the bound circuits.  Returns
-        energies aligned with ``parameter_sets``.
-        Example::
+        The batched fast path of the compile layer.  Two engines serve a
+        noiseless sweep from a template compiled **once**, with no circuit
+        bound per point:
+
+        * ``statevector`` — :func:`repro.simulators.program.compile_circuit`
+          (served by the fingerprint-keyed program cache on repeat sweeps);
+          each parameter set only rebinds the parametric matrices, and all
+          uncached points execute as a single stacked ``(B, 2^n)``
+          :func:`~repro.simulators.program.run_batch` pass with one
+          vectorized term-readout kernel over the whole batch;
+        * ``pauli_propagation`` (named explicitly) —
+          :func:`repro.simulators.pauli_propagation.compile_clifford` lowers
+          the canonicalized symbolic template to a Clifford op table, and
+          every uncached point rides one bit-sliced propagation pass.  A
+          point that puts a rotation off a multiple of π/2 raises
+          :class:`BackendCapabilityError`.
+
+        Values are cached per ``(template, parameter tuple, term, engine)``
+        — a sweep-specific key space, separate from the grouped engine's
+        per-circuit keys — so repeated points (SPSA ± re-queries, genetic
+        elites) cost a dictionary lookup across sweep calls.  Sweeps that
+        route elsewhere (noise models, auto-routed Clifford regimes, custom
+        backends) fall back to one grouped :meth:`evaluate_observable` batch
+        over the bound circuits.  A point whose length differs from the
+        template's parameter count raises :class:`SweepShapeError` (an
+        :class:`ExecutionError` and a ``ValueError``).  Returns energies
+        aligned with ``parameter_sets``.  Example::
 
             energies = executor.evaluate_sweep(
                 ansatz.build(), sweep_points, hamiltonian,
                 backend="statevector")
         """
-        from .adapters import StatevectorBackend
         parameter_sets = [[float(value) for value in values]
                           for values in parameter_sets]
         if not parameter_sets:
@@ -494,22 +504,15 @@ class Executor:
         num_parameters = len(template.ordered_parameters())
         for values in parameter_sets:
             if len(values) != num_parameters:
-                raise ExecutionError(
+                raise SweepShapeError(
                     f"template has {num_parameters} free parameters, got a "
                     f"sweep point with {len(values)}")
         use_cache = self.use_cache if use_cache is None else use_cache
 
-        def _is_statevector(resolved) -> bool:
-            return (isinstance(resolved, StatevectorBackend)
-                    and resolved.name == "statevector")
-
-        noisy = noise_model is not None and noise_model.has_noise()
+        engine = self.compiled_sweep_engine(backend, noise_model)
         bound_circuits: Optional[List] = None
-        if not noisy and isinstance(backend, Backend):
-            batchable = _is_statevector(backend)
-        elif not noisy and backend != "auto":
-            batchable = _is_statevector(self.registry.get(backend))
-        elif not noisy:
+        if engine is None and backend == "auto" and not (
+                noise_model is not None and noise_model.has_noise()):
             # Auto-routing depends on each bound circuit (Clifford points
             # route to the tableau engines), so it costs one circuit bind
             # per point.  A sweep whose every point already sits in the
@@ -524,15 +527,14 @@ class Executor:
             # Bind once; a non-batchable verdict reuses these circuits.
             bound_circuits = [template.bind_parameters(values)
                               for values in parameter_sets]
-            batchable = all(
-                _is_statevector(self._resolve_backend(task, backend)[0])
-                for task in (ExecutionTask(
-                    circuit=circuit, observable=observable,
-                    trajectories=trajectories, include_idle=include_idle)
-                    for circuit in bound_circuits))
-        else:
-            batchable = False
-        if not batchable:
+            if all(self.compiled_sweep_engine(
+                    self._resolve_backend(task, backend)[0]) == "statevector"
+                   for task in (ExecutionTask(
+                       circuit=circuit, observable=observable,
+                       trajectories=trajectories, include_idle=include_idle)
+                       for circuit in bound_circuits)):
+                engine = "statevector"
+        if engine is None:
             if bound_circuits is None:
                 bound_circuits = [template.bind_parameters(values)
                                   for values in parameter_sets]
@@ -541,26 +543,47 @@ class Executor:
                 backend=backend, trajectories=trajectories,
                 include_idle=include_idle, use_cache=use_cache,
                 max_workers=max_workers, parallel=parallel, policy=policy)
-        return self._sweep_statevector(template, parameter_sets, observable,
-                                       use_cache, parallel=parallel,
-                                       max_workers=max_workers, policy=policy)
+        return self._sweep_compiled(template, parameter_sets, observable,
+                                    engine, use_cache, parallel=parallel,
+                                    max_workers=max_workers, policy=policy)
+
+    def compiled_sweep_engine(self, backend: Union[str, Backend],
+                              noise_model=None) -> Optional[str]:
+        """The engine that serves a sweep on ``backend`` from a compiled
+        template — ``"statevector"`` or ``"pauli_propagation"`` — or None
+        when the sweep binds a circuit per point (noise models, ``"auto"``,
+        other or custom backends)."""
+        from .adapters import PauliPropagationBackend, StatevectorBackend
+        if noise_model is not None and noise_model.has_noise():
+            return None
+        if not isinstance(backend, Backend):
+            if backend == "auto":
+                return None
+            backend = self.registry.get(backend)
+        for engine, kind in (("statevector", StatevectorBackend),
+                             ("pauli_propagation", PauliPropagationBackend)):
+            if isinstance(backend, kind) and backend.name == engine:
+                return engine
+        return None
 
     @staticmethod
     def _sweep_cache_keys(template_fingerprint: str, point_key: Tuple,
-                          term_keys) -> List[Tuple]:
+                          term_keys, engine: str) -> List[Tuple]:
         """Value-cache keys of one sweep point — no circuit binding needed."""
-        return [("sweep", template_fingerprint, point_key, term_key,
-                 "statevector") for term_key in term_keys]
+        return [("sweep", template_fingerprint, point_key, term_key, engine)
+                for term_key in term_keys]
 
     def _serve_sweep_from_cache(self, template, parameter_sets,
                                 observable) -> Optional[List[float]]:
-        """The whole sweep's energies from cache, or None on any miss."""
+        """The whole sweep's energies from the statevector sweep cache, or
+        None on any miss."""
         term_keys = [pauli.key() for pauli, _ in observable.terms()]
         template_fingerprint = template.fingerprint()
         values_per_point = []
         for values in parameter_sets:
             cached = self.cache.get_many(self._sweep_cache_keys(
-                template_fingerprint, tuple(values), term_keys))
+                template_fingerprint, tuple(values), term_keys,
+                "statevector"))
             if any(value is None for value in cached):
                 return None
             values_per_point.append(np.array(cached))
@@ -574,30 +597,66 @@ class Executor:
         return [float(np.dot(coefficients, values))
                 for values in values_per_point]
 
-    def _sweep_statevector(self, template, parameter_sets, observable,
-                           use_cache: bool,
-                           parallel: Optional[str] = None,
-                           max_workers: Optional[int] = None,
-                           policy: Optional[ExecutionPolicy] = None
-                           ) -> List[float]:
+    def _sweep_kernel(self, engine: str, template, fingerprint: str,
+                      observable, points):
+        """``(shard function, payload builder, planner hint, block cap)``
+        of one compiled sweep engine over the sweep's uncached points.
+
+        ``payload(points, block)`` is the shard function's argument tuple
+        for a process-shard block (``block=True``) or the inline batch.
+        """
+        if engine == "pauli_propagation":
+            from ..simulators.pauli_propagation import compile_clifford
+            try:
+                program = compile_clifford(template, fingerprint)
+                program.quarter_turns(points)
+            except ValueError as error:
+                raise BackendCapabilityError(
+                    f"backend 'pauli_propagation' cannot run this sweep: "
+                    f"{error}") from error
+            # One bit-sliced pass costs microseconds per point: never worth
+            # a fork under "auto".
+            return (_clifford_sweep_shard,
+                    lambda block_points, block: (program, block_points,
+                                                 observable),
+                    "inline", 64)
+        bare_template = template.without_measurements()
+        num_qubits = int(bare_template.num_qubits)
+        # A block executes as one stacked batch (its amplitude budget is its
+        # size); the inline batch chunks under the global amplitude bound.
+        # Up to 8 concurrent workers each holding one stacked block stay
+        # inside the ~1 GB amplitude bound.
+        return (_sweep_points_shard,
+                lambda block_points, block: (
+                    bare_template, block_points, observable,
+                    len(block_points) << num_qubits if block
+                    else _SWEEP_BATCH_AMPLITUDES),
+                "process", _SWEEP_BATCH_AMPLITUDES // (8 << num_qubits))
+
+    def _sweep_compiled(self, template, parameter_sets, observable,
+                        engine: str, use_cache: bool,
+                        parallel: Optional[str] = None,
+                        max_workers: Optional[int] = None,
+                        policy: Optional[ExecutionPolicy] = None
+                        ) -> List[float]:
         """One compiled batch over the uncached points of a noiseless sweep.
 
         Cached values are keyed per ``("sweep", template fingerprint,
-        parameter tuple, term)`` — derived without binding a circuit per
-        point, which keeps the repeat-query hot path at dictionary-lookup
-        cost.  Process-mode sweeps run their uncached points in
-        fixed-size **point blocks** whose size depends only on the qubit
-        count and the unique-point count — never on the worker count or
-        broker — so pooled and spool-brokered sweeps submit byte-identical
-        shard payloads (a spool's content-named result files stay valid
-        across run shapes, and fine-grained blocks let elastic workers
-        load-balance).  Each block's term values flush through the cache
-        (and its disk tier) **as the block lands**, so a killed
+        parameter tuple, term, engine)`` — derived without binding a circuit
+        per point, which keeps the repeat-query hot path at dictionary-lookup
+        cost.  Identical uncached points share one evaluation (counted as
+        ``dedup_hits``).  Process-mode sweeps run their uncached points in
+        fixed-size **point blocks** whose size depends only on the engine,
+        the qubit count and the unique-point count — never on the worker
+        count or broker — so pooled and spool-brokered sweeps submit
+        byte-identical shard payloads (a spool's content-named result files
+        stay valid across run shapes, and fine-grained blocks let elastic
+        workers load-balance).  Each block's term values flush through the
+        cache (and its disk tier) **as the block lands**, so a killed
         multi-worker sweep resumes warm: already-flushed points are served
         from cache and recompute nothing.  Inline sweeps keep the single
-        compiled batch (one lowering, full stacked vectorisation) — the
-        per-point values are identical either way, so the two shapes can
-        never diverge bitwise.
+        compiled batch — the per-point values are identical either way, so
+        the two shapes can never diverge bitwise.
         """
         num_points = len(parameter_sets)
         with self._lock:
@@ -607,25 +666,29 @@ class Executor:
         values_per_point: List[Optional[np.ndarray]] = [None] * num_points
         point_keys = [tuple(values) for values in parameter_sets]
         with track_program_cache(self):
-            bare_template = template.without_measurements()
             template_fingerprint = template.fingerprint()
 
             def cache_keys(point_key: Tuple) -> List[Tuple]:
                 return self._sweep_cache_keys(template_fingerprint,
-                                              point_key, term_keys)
+                                              point_key, term_keys, engine)
 
             missing: List[int] = []
-            for index in range(num_points):
-                if not use_cache:
-                    missing.append(index)
-                    continue
-                cached = self.cache.get_many(cache_keys(point_keys[index]))
-                if all(value is not None for value in cached):
-                    values_per_point[index] = np.array(cached)
-                    with self._lock:
-                        self.stats.term_cache_hits += len(cached)
-                else:
-                    missing.append(index)
+            if use_cache:
+                width = len(term_keys)
+                cached = self.cache.get_many([
+                    key for point_key in point_keys
+                    for key in cache_keys(point_key)])
+                for index in range(num_points):
+                    row = cached[index * width:(index + 1) * width]
+                    if all(value is not None for value in row):
+                        values_per_point[index] = np.array(row)
+                    else:
+                        missing.append(index)
+                with self._lock:
+                    self.stats.term_cache_hits += \
+                        (num_points - len(missing)) * width
+            else:
+                missing = list(range(num_points))
             if missing:
                 # In-batch dedup: identical sweep points share one evolution.
                 leaders: Dict[Tuple, int] = {}
@@ -635,34 +698,29 @@ class Executor:
                         continue
                     leaders[point_keys[index]] = len(unique)
                     unique.append(index)
+                shard, payload, hint, block_cap = self._sweep_kernel(
+                    engine, template, template_fingerprint, observable,
+                    [parameter_sets[index] for index in unique])
                 effective = self._resolve_policy(policy, parallel=parallel,
                                                  max_workers=max_workers)
-                plan = self.planner.plan(len(unique), hints=("process",),
+                plan = self.planner.plan(len(unique), hints=(hint,),
                                          parallel=effective.parallel,
                                          max_workers=effective.max_workers)
                 if plan.mode == "process" and len(unique) > 1:
-                    # Point-block size: a function of the qubit count and
-                    # the unique-point count alone — never the worker count
-                    # or broker — so block composition (and hence shard
-                    # payload identity) is the same pooled or brokered, and
-                    # stable across a kill/resume with a different worker
-                    # census.  Up to 8 concurrent workers each holding one
-                    # stacked block stay inside the ~1 GB amplitude bound;
-                    # the /16 divisor keeps at least ~16 blocks on big
-                    # sweeps so elastic workers can load-balance and
-                    # checkpoints stay fine-grained.
-                    num_qubits = int(bare_template.num_qubits)
-                    block_size = max(1, min(64,
-                                            _SWEEP_BATCH_AMPLITUDES
-                                            // (8 << num_qubits),
+                    # Point-block size: a function of the engine, the qubit
+                    # count and the unique-point count alone — never the
+                    # worker count or broker — so block composition (and
+                    # hence shard payload identity) is the same pooled or
+                    # brokered, and stable across a kill/resume with a
+                    # different worker census.  The /16 divisor keeps at
+                    # least ~16 blocks on big sweeps so elastic workers can
+                    # load-balance and checkpoints stay fine-grained.
+                    block_size = max(1, min(64, block_cap,
                                             -(-len(unique) // 16)))
                     blocks = [unique[start:start + block_size]
                               for start in range(0, len(unique), block_size)]
-                    # Each block is one shard payload executing as a single
-                    # stacked batch (its amplitude budget is its size).
-                    payloads = [(bare_template,
-                                 [parameter_sets[index] for index in block],
-                                 observable, len(block) << num_qubits)
+                    payloads = [payload([parameter_sets[index]
+                                         for index in block], True)
                                 for block in blocks]
 
                     def flush_block(position: int, block_values) -> None:
@@ -675,7 +733,7 @@ class Executor:
                         self.cache.put_many(entries)
 
                     row_blocks = run_sharded(
-                        plan, _sweep_points_shard, payloads,
+                        plan, shard, payloads,
                         on_result=flush_block if use_cache else None,
                         **self._shard_kwargs(effective, plan))
                     unique_values = (row_blocks[0] if len(row_blocks) == 1
@@ -683,27 +741,23 @@ class Executor:
                     with self._lock:
                         self.stats.process_shards += len(payloads)
                 else:
-                    # Same code path a worker shard runs (compile +
-                    # amplitude-budget chunked batches), executed
-                    # in-process as one compiled batch — one
-                    # implementation, so inline and sharded sweeps can
-                    # never diverge.
-                    unique_values = _sweep_points_shard(
-                        bare_template,
-                        [parameter_sets[index] for index in unique],
-                        observable, _SWEEP_BATCH_AMPLITUDES)
+                    # Same code path a worker shard runs, executed
+                    # in-process as one compiled batch — one implementation,
+                    # so inline and sharded sweeps can never diverge.
+                    unique_values = shard(*payload(
+                        [parameter_sets[index] for index in unique], False))
                     if use_cache:
-                        for row, index in enumerate(unique):
-                            self.cache.put_many(
-                                zip(cache_keys(point_keys[index]),
-                                    (float(v) for v in unique_values[row])))
+                        self.cache.put_many(
+                            entry for row, index in enumerate(unique)
+                            for entry in zip(
+                                cache_keys(point_keys[index]),
+                                (float(v) for v in unique_values[row])))
                 for index in missing:
                     values_per_point[index] = \
                         unique_values[leaders[point_keys[index]]]
                 with self._lock:
                     counters = self.stats.backend_invocations
-                    counters["statevector"] = \
-                        counters.get("statevector", 0) + len(unique)
+                    counters[engine] = counters.get(engine, 0) + len(unique)
                     self.stats.dedup_hits += len(missing) - len(unique)
         coefficients = np.array([float(np.real(coeff))
                                  for _, coeff in observable.terms()])
@@ -892,10 +946,11 @@ def evaluate_sweep(template, parameter_sets, observable, *, noise_model=None,
     """⟨H⟩ over a whole parameter sweep through the shared default executor.
 
     The batched sweep entry point: the parametric ``template`` is compiled
-    once, every parameter set rebinds only the parametric gate matrices, and
-    noiseless statevector sweeps execute as a single stacked NumPy pass —
-    see :meth:`Executor.evaluate_sweep`.  Other regimes fall back to one
-    grouped :func:`evaluate_observable` batch over the bound circuits.
+    once; noiseless statevector sweeps execute as a single stacked NumPy
+    pass and noiseless ``pauli_propagation`` sweeps as one bit-sliced
+    Clifford pass — see :meth:`Executor.evaluate_sweep`.  Other regimes fall
+    back to one grouped :func:`evaluate_observable` batch over the bound
+    circuits.
     Example::
 
         from repro.execution import evaluate_sweep

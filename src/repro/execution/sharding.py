@@ -650,6 +650,15 @@ def _sweep_points_shard(circuit, parameter_sets, observable,
     return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
 
 
+def _clifford_sweep_shard(program, parameter_sets, observable) -> np.ndarray:
+    """Compiled Clifford sweep: ``(points, terms)`` values of one packed
+    Pauli-propagation pass over a
+    :class:`~repro.simulators.pauli_propagation.CliffordProgram`."""
+    from ..simulators import pauli_propagation
+    return pauli_propagation.propagate(program, observable,
+                                       points=parameter_sets)
+
+
 def plan_trajectory_shards(backend, task, plan: ShardPlan
                            ) -> Optional[Tuple[Callable, List[tuple],
                                                Callable]]:

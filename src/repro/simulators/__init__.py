@@ -15,8 +15,8 @@ from .noise import (ErrorLocation, NoiseModel, PauliChannel, QuantumChannel,
                     depolarizing_channel, pauli_error_channel, pauli_twirl,
                     phase_damping_channel, phase_flip_channel,
                     thermal_relaxation_channel, two_qubit_tensor_channel)
-from .pauli_propagation import (PauliPropagationSimulator, PauliPropagator,
-                                expectation_value)
+from .pauli_propagation import (CliffordProgram, PauliPropagationSimulator,
+                                compile_clifford, expectation_value)
 from .program import (CompiledProgram, compile_circuit, program_cache_counters,
                       run_batch, run_interpreted)
 from .stabilizer import (DenseStabilizerState, StabilizerSimulator,
@@ -24,6 +24,7 @@ from .stabilizer import (DenseStabilizerState, StabilizerSimulator,
 from .statevector import Statevector, StatevectorSimulator, circuit_unitary
 
 __all__ = [
+    "CliffordProgram",
     "CompiledProgram",
     "DensityMatrix",
     "DensityMatrixSimulator",
@@ -31,7 +32,6 @@ __all__ = [
     "NoiseModel",
     "PauliChannel",
     "PauliPropagationSimulator",
-    "PauliPropagator",
     "QuantumChannel",
     "DenseStabilizerState",
     "StabilizerSimulator",
@@ -42,6 +42,7 @@ __all__ = [
     "bit_flip_channel",
     "circuit_unitary",
     "compile_circuit",
+    "compile_clifford",
     "density_matrix_term_expectations",
     "depolarizing_channel",
     "expectation_value",

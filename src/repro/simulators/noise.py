@@ -67,7 +67,10 @@ class QuantumChannel:
     # A channel is immutable once built, so its derived forms are computed on
     # first use and kept.  They are not pickled: shard and spool payloads
     # carry only the Kraus operators and rebuild the forms where needed.
-    _MEMOS = ("_superoperator", "_twirl_probabilities", "_twirl")
+    # ``_damping_table`` is the Pauli-propagation class-factor table
+    # (:mod:`repro.simulators.pauli_propagation`).
+    _MEMOS = ("_superoperator", "_twirl_probabilities", "_twirl",
+              "_damping_table")
 
     def _clear_memos(self) -> None:
         for attribute in self._MEMOS:

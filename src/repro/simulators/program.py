@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -900,6 +900,40 @@ def _noise_cache_token(noise_model: Optional[NoiseModel]):
     return (id(noise_model), noise_model.version)
 
 
+def cached_program(key, build: Callable[[], object],
+                   nbytes: Callable[[object], int]):
+    """The program cached under ``key``, or ``build()`` it and cache it.
+
+    The one memo behind every compiled-program kind (statevector/density
+    programs here, Clifford propagation programs in
+    :mod:`repro.simulators.pauli_propagation`): bounded by entry count and
+    by the ``nbytes`` payload estimate, LRU-evicted, and counted in
+    :func:`program_cache_counters`.
+    """
+    global _COMPILED_COUNT, _HIT_COUNT, _CACHE_BYTES
+    with _CACHE_LOCK:
+        cached = _PROGRAM_CACHE.get(key)
+        if cached is not None:
+            _PROGRAM_CACHE.move_to_end(key)
+            _HIT_COUNT += 1
+            return cached[0]
+    program = build()
+    size = nbytes(program)
+    with _CACHE_LOCK:
+        _COMPILED_COUNT += 1
+        previous = _PROGRAM_CACHE.get(key)
+        if previous is not None:
+            _CACHE_BYTES -= previous[1]
+        _PROGRAM_CACHE[key] = (program, size)
+        _PROGRAM_CACHE.move_to_end(key)
+        _CACHE_BYTES += size
+        while _PROGRAM_CACHE and (len(_PROGRAM_CACHE) > _CACHE_MAX_SIZE
+                                  or _CACHE_BYTES > _CACHE_MAX_BYTES):
+            _, (_, evicted_bytes) = _PROGRAM_CACHE.popitem(last=False)
+            _CACHE_BYTES -= evicted_bytes
+    return program
+
+
 def compile_circuit(circuit: QuantumCircuit,
                     noise_model: Optional[NoiseModel] = None,
                     fuse: bool = True,
@@ -919,54 +953,34 @@ def compile_circuit(circuit: QuantumCircuit,
     programs.  Parametric circuits compile their structure once; use
     :meth:`CompiledProgram.bind` per parameter vector.
     """
-    global _COMPILED_COUNT, _HIT_COUNT
+    global _COMPILED_COUNT
     parameters = circuit.ordered_parameters()
-    key = None
-    if use_cache:
-        # Parameter *identities* join the key: two structurally identical
-        # templates built from distinct Parameter objects share a
-        # fingerprint, but a cached program holds the first template's
-        # Parameter objects and mapping-based bind() matches by identity.
-        # (The cached program pins its parameters, so ids cannot recycle.)
-        key = (circuit.fingerprint(),
-               tuple(id(parameter) for parameter in parameters), fuse,
-               _noise_cache_token(noise_model))
-        with _CACHE_LOCK:
-            cached = _PROGRAM_CACHE.get(key)
-            if cached is not None:
-                _PROGRAM_CACHE.move_to_end(key)
-                _HIT_COUNT += 1
-                return cached[0]
-    if noise_model is not None and noise_model.has_noise():
-        ops = _compile_noisy(circuit, noise_model)
-        effective_fuse = False
-    else:
-        ops = _compile_noiseless(circuit, fuse)
-        effective_fuse = fuse
-    ops = _finalize_ops(ops, circuit.num_qubits)
-    program = CompiledProgram(circuit.num_qubits, ops, parameters,
-                              noise_model,
-                              circuit.fingerprint() if key is None else key[0],
-                              effective_fuse)
-    if use_cache:
-        nbytes = _program_nbytes(program)
-        global _CACHE_BYTES
+    fingerprint = circuit.fingerprint()
+
+    def build() -> CompiledProgram:
+        if noise_model is not None and noise_model.has_noise():
+            ops = _compile_noisy(circuit, noise_model)
+            effective_fuse = False
+        else:
+            ops = _compile_noiseless(circuit, fuse)
+            effective_fuse = fuse
+        return CompiledProgram(circuit.num_qubits,
+                               _finalize_ops(ops, circuit.num_qubits),
+                               parameters, noise_model, fingerprint,
+                               effective_fuse)
+
+    if not use_cache:
         with _CACHE_LOCK:
             _COMPILED_COUNT += 1
-            previous = _PROGRAM_CACHE.get(key)
-            if previous is not None:
-                _CACHE_BYTES -= previous[1]
-            _PROGRAM_CACHE[key] = (program, nbytes)
-            _PROGRAM_CACHE.move_to_end(key)
-            _CACHE_BYTES += nbytes
-            while _PROGRAM_CACHE and (len(_PROGRAM_CACHE) > _CACHE_MAX_SIZE
-                                      or _CACHE_BYTES > _CACHE_MAX_BYTES):
-                _, (_, evicted_bytes) = _PROGRAM_CACHE.popitem(last=False)
-                _CACHE_BYTES -= evicted_bytes
-    else:
-        with _CACHE_LOCK:
-            _COMPILED_COUNT += 1
-    return program
+        return build()
+    # Parameter *identities* join the key: two structurally identical
+    # templates built from distinct Parameter objects share a fingerprint,
+    # but a cached program holds the first template's Parameter objects and
+    # mapping-based bind() matches by identity.  (The cached program pins
+    # its parameters, so ids cannot recycle.)
+    key = (fingerprint, tuple(id(parameter) for parameter in parameters),
+           fuse, _noise_cache_token(noise_model))
+    return cached_program(key, build, _program_nbytes)
 
 
 # ---------------------------------------------------------------------------

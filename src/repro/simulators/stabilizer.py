@@ -18,7 +18,7 @@ survives as :class:`DenseStabilizerState`, the differential-testing
 reference (``tests/test_properties.py`` holds the two bit-for-bit equal,
 including the measurement draw stream).
 
-Supported Clifford gates: H, S, Sdg, X, Y, Z, CX, CZ, SWAP, plus
+Supported Clifford gates: H, S, Sdg, SX, SXdg, X, Y, Z, CX, CZ, SWAP, plus
 ``rz``/``rx``/``ry`` at multiples of π/2.  Pauli errors can be injected
 directly (used by Monte-Carlo noisy trajectories), and expectation values
 of Pauli observables are computed exactly.
@@ -51,6 +51,17 @@ class _StabilizerOps:
         # Sdg = Z · S
         self.apply_z(qubit)
         self.apply_s(qubit)
+
+    def apply_sx(self, qubit: int) -> None:
+        # SX = H · S · H (up to global phase)
+        self.apply_h(qubit)
+        self.apply_s(qubit)
+        self.apply_h(qubit)
+
+    def apply_sxdg(self, qubit: int) -> None:
+        self.apply_h(qubit)
+        self.apply_sdg(qubit)
+        self.apply_h(qubit)
 
     def apply_cz(self, qubit_a: int, qubit_b: int) -> None:
         self.apply_h(qubit_b)
@@ -516,7 +527,7 @@ class StabilizerSimulator:
 
     With a noise model, ``expectation`` averages Monte-Carlo Pauli-error
     trajectories; the deterministic alternative is
-    :class:`repro.simulators.pauli_propagation.PauliPropagator`, which is
+    :mod:`repro.simulators.pauli_propagation`, which is
     exact for the same noise class and is what the evaluation pipeline uses.
     """
 
@@ -546,6 +557,10 @@ class StabilizerSimulator:
             state.apply_s(inst.qubits[0])
         elif name == "sdg":
             state.apply_sdg(inst.qubits[0])
+        elif name == "sx":
+            state.apply_sx(inst.qubits[0])
+        elif name == "sxdg":
+            state.apply_sxdg(inst.qubits[0])
         elif name == "x":
             state.apply_x(inst.qubits[0])
         elif name == "y":

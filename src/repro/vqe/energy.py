@@ -150,15 +150,19 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         compiled once, each point only rebinds the parametric gate matrices,
         and noiseless statevector sweeps execute as a single stacked NumPy
         pass.  SPSA ± pairs, parameter-shift pairs, genetic populations and
-        classifier batches all ride this.  Counts ``len(parameter_sets)``
-        evaluations; returns energies aligned with the input.  Example::
+        classifier batches all ride this.  A noiseless Pauli-propagation
+        sweep compiles the canonicalized template once and scores every
+        point in one bit-sliced pass, so ``canonicalize`` costs nothing per
+        point there.  Counts ``len(parameter_sets)`` evaluations; returns
+        energies aligned with the input.  Example::
 
             energies = evaluator.evaluate_sweep(ansatz.build(), sweep_points)
         """
         parameter_sets = [list(values) for values in parameter_sets]
         self.num_evaluations += len(parameter_sets)
         executor = self._executor or default_executor()
-        if self.canonicalize:
+        if self.canonicalize and executor.compiled_sweep_engine(
+                self.backend, self.noise_model) != "pauli_propagation":
             # The Clifford+Rz rewrite runs on bound circuits; the grouped
             # engine still serves the whole batch in one call.
             circuits = [self._prepare_circuit(template.bind_parameters(values))

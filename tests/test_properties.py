@@ -20,12 +20,16 @@ Contracts covered, one test class per contract family:
 * superoperator vs Kraus-loop density-matrix channels and noisy programs,
   with trace and hermiticity preserved (≤ 1e-12)
 * grouped vs per-term observable readout (≤ 1e-12)
+* packed Pauli propagation vs the numpy-column reference propagator under
+  random Pauli-twirled noise, and compiled Clifford sweeps vs per-point
+  bound evaluation (both bitwise)
 
 Everything numeric that is *discrete* is compared exactly; only genuinely
 floating-point contracts get the 1e-12 tolerance.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -51,10 +55,15 @@ from repro.qec.rare_event import (_conditional_include_table,
 from repro.qec.sampling import (packed_syndromes_and_flips, sample_errors,
                                 sampling_arrays, syndromes_and_flips)
 from repro.simulators.density_matrix import DensityMatrixSimulator
-from repro.simulators.noise import (NoiseModel, QuantumChannel,
+from repro.circuits.parameters import ParameterVector
+from repro.circuits.transpile import decompose_to_clifford_rz, merge_rz_runs
+from repro.execution import BackendCapabilityError, Executor
+from repro.simulators.noise import (NoiseModel, PauliChannel, QuantumChannel,
                                     depolarizing_channel,
                                     thermal_relaxation_channel,
                                     two_qubit_tensor_channel)
+from repro.simulators.pauli_propagation import (compile_clifford,
+                                                expectation_value, propagate)
 from repro.simulators.program import (_dm_apply_channel, compile_circuit,
                                       run_interpreted)
 from repro.simulators.stabilizer import (DenseStabilizerState,
@@ -62,6 +71,7 @@ from repro.simulators.stabilizer import (DenseStabilizerState,
 from repro.simulators.statevector import StatevectorSimulator
 
 from reference.density_matrix import apply_channel, naive_density_matrix_run
+from reference.pauli_propagation import reference_propagate
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +211,118 @@ def noisy_circuits(draw, max_ops: int = 6):
 
 
 @st.composite
-def pauli_sums(draw, max_qubits: int = 5, max_terms: int = 6):
-    """Random Hermitian Pauli sums with real coefficients."""
-    n = draw(st.integers(1, max_qubits))
+def pauli_sums(draw, max_qubits: int = 5, max_terms: int = 6,
+               num_qubits: Optional[int] = None):
+    """Random Hermitian Pauli sums with real coefficients (on
+    ``num_qubits`` qubits when given)."""
+    n = num_qubits or draw(st.integers(1, max_qubits))
     observable = PauliSum(n)
     for _ in range(draw(st.integers(1, max_terms))):
         label = "".join(draw(st.sampled_from("IXYZ")) for _ in range(n))
         coeff = draw(st.floats(-2.0, 2.0, allow_nan=False))
         observable.add_label(label, coeff)
     return observable
+
+
+_CLIFFORD_1Q = ["h", "s", "sdg", "x", "y", "z", "sx", "sxdg"]
+_CLIFFORD_2Q = ["cx", "cz", "swap"]
+
+
+@st.composite
+def noisy_clifford_setups(draw, max_qubits: int = 5, max_ops: int = 24):
+    """``(circuit, noise_model, observable, include_idle)`` for propagation.
+
+    Clifford gates (rotations at k·π/2 included) and measurements under a
+    random mix of 1q/2q depolarizing, Pauli-twirled thermal relaxation, a
+    biased ``PauliChannel`` on the rotations, idle and readout noise.
+    """
+    n = draw(st.integers(1, max_qubits))
+    circuit = QuantumCircuit(n)
+    for _ in range(draw(st.integers(0, max_ops))):
+        kind = draw(st.sampled_from(_CLIFFORD_1Q + _CLIFFORD_2Q
+                                    + ["rx", "ry", "rz", "measure"]))
+        pair = draw(st.permutations(range(n)))[:2]
+        if kind in _CLIFFORD_2Q:
+            if n > 1:
+                getattr(circuit, kind)(*pair)
+        elif kind in ("rx", "ry", "rz"):
+            turns = draw(st.integers(-4, 4))
+            getattr(circuit, kind)(turns * math.pi / 2, pair[0])
+        else:
+            getattr(circuit, kind)(pair[0])
+    noise = NoiseModel()
+    rate = st.floats(0.0, 0.3, allow_nan=False)
+    relax = thermal_relaxation_channel(
+        1.2e-3, 1.0e-3, draw(st.floats(1e-8, 2e-4, allow_nan=False)))
+    one_qubit = draw(st.sampled_from(["depolarizing", "relaxation", None]))
+    if one_qubit == "depolarizing":
+        noise.add_gate_error(depolarizing_channel(draw(rate), 1),
+                             draw(st.lists(st.sampled_from(_CLIFFORD_1Q),
+                                           min_size=1, unique=True)))
+    elif one_qubit == "relaxation":
+        noise.add_gate_error(relax, _CLIFFORD_1Q)
+    if draw(st.booleans()):
+        noise.add_gate_error(depolarizing_channel(draw(rate), 2),
+                             _CLIFFORD_2Q)
+    if draw(st.booleans()):
+        noise.add_gate_error(two_qubit_tensor_channel(relax, relax), ["cx"])
+    if draw(st.booleans()):
+        weights = {label: draw(rate) / 3 for label in "XYZ"}
+        weights["Z"] += 1e-3  # a PauliChannel needs one nonzero error
+        noise.add_gate_error(PauliChannel(weights, name="injection"),
+                             ["rz", "rx", "ry"])
+    idle = draw(st.sampled_from(["depolarizing", "relaxation", None]))
+    if idle == "depolarizing":
+        noise.add_idle_error(depolarizing_channel(draw(rate), 1))
+    elif idle == "relaxation":
+        noise.add_idle_error(relax)
+    if draw(st.booleans()):
+        noise.add_readout_error(draw(st.floats(0.0, 0.2, allow_nan=False)))
+    observable = draw(pauli_sums(num_qubits=n))
+    return circuit, noise, observable, draw(st.booleans())
+
+
+@st.composite
+def clifford_templates(draw, max_qubits: int = 4, max_ops: int = 16):
+    """``(template, observable, points)``: a parametric Clifford+rotation
+    template whose angles are affine forms with integer coefficients, and
+    sweep points at multiples of π/2 (so every point is Clifford)."""
+    n = draw(st.integers(1, max_qubits))
+    theta = ParameterVector("t", draw(st.integers(1, 4)))
+    template = QuantumCircuit(n)
+    for _ in range(draw(st.integers(1, max_ops))):
+        kind = draw(st.sampled_from(_CLIFFORD_1Q + _CLIFFORD_2Q
+                                    + ["rx", "ry", "rz", "rzz", "u3"]))
+        pair = draw(st.permutations(range(n)))[:2]
+
+        def angle():
+            form = draw(st.integers(-4, 4)) * math.pi / 2
+            for parameter in draw(st.lists(st.sampled_from(theta.params),
+                                           max_size=2)):
+                form = form + draw(st.sampled_from([-2, -1, 1, 2])) * parameter
+            return form
+
+        if kind in _CLIFFORD_2Q or kind == "rzz":
+            if n == 1:
+                continue
+            if kind == "rzz":
+                template.rzz(angle(), *pair)
+            else:
+                getattr(template, kind)(*pair)
+        elif kind == "u3":
+            template.u3(angle(), angle(), angle(), pair[0])
+        elif kind in ("rx", "ry", "rz"):
+            getattr(template, kind)(angle(), pair[0])
+        else:
+            getattr(template, kind)(pair[0])
+    if draw(st.booleans()):
+        template.measure_all()
+    width = len(template.ordered_parameters())
+    points = draw(st.lists(st.lists(st.integers(0, 3), min_size=width,
+                                    max_size=width),
+                           min_size=1, max_size=6))
+    points = [[k * math.pi / 2 for k in point] for point in points]
+    return template, draw(pauli_sums(num_qubits=n)), points
 
 
 @st.composite
@@ -572,6 +685,59 @@ class TestGroupedReadoutProperties:
             expected = (1.0 if pauli.is_identity()
                         else state.expectation_pauli(pauli))
             assert abs(grouped[index] - expected) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Pauli propagation: packed kernel vs reference, compiled sweeps vs bound
+# ---------------------------------------------------------------------------
+
+def _bound_canonical(template, point):
+    return merge_rz_runs(decompose_to_clifford_rz(
+        template.bind_parameters(point)))
+
+
+class TestPauliPropagationProperties:
+    @given(setup=noisy_clifford_setups())
+    def test_packed_kernel_matches_reference(self, setup):
+        circuit, noise, observable, include_idle = setup
+        values = propagate(circuit, observable, noise,
+                           include_idle=include_idle)
+        reference = reference_propagate(circuit, observable, noise,
+                                        include_idle=include_idle)
+        assert values.tobytes() == reference.term_values().tobytes()
+        assert expectation_value(circuit, observable, noise,
+                                 include_idle=include_idle) \
+            == reference.expectation_on_zero_state()
+
+    @given(setup=clifford_templates())
+    def test_compiled_sweep_matches_bound_points(self, setup):
+        template, observable, points = setup
+        bound = [_bound_canonical(template, point) for point in points]
+        reference = np.array([reference_propagate(circuit, observable)
+                              .term_values() for circuit in bound])
+        values = propagate(compile_clifford(template), observable,
+                           points=points)
+        assert values.tobytes() == reference.tobytes()
+        swept = Executor(use_cache=False).evaluate_sweep(
+            template, points, observable, backend="pauli_propagation")
+        per_point = Executor(use_cache=False).evaluate_observable(
+            bound, observable, backend="pauli_propagation")
+        assert swept == per_point
+
+    @given(setup=clifford_templates())
+    def test_bad_points_still_raise(self, setup):
+        template, observable, points = setup
+        executor = Executor(use_cache=False)
+        with pytest.raises(ValueError):
+            executor.evaluate_sweep(template, [points[0] + [0.0]],
+                                    observable, backend="pauli_propagation")
+        program = compile_clifford(template)
+        assume(program.num_parameters and program.coefficients[:, 0].any())
+        # 0.3 times any small integer coefficient is off every k·π/2.
+        point = [0.3] + points[0][1:]
+        with pytest.raises(BackendCapabilityError):
+            executor.evaluate_sweep(template, [point], observable,
+                                    backend="pauli_propagation")
 
 
 class TestRareEventProperties:

@@ -11,7 +11,8 @@ from repro.circuits import QuantumCircuit
 from repro.operators import PauliString, PauliSum, ising_hamiltonian
 from repro.simulators import (DenseStabilizerState, DensityMatrix,
                               DensityMatrixSimulator, NoiseModel,
-                              StabilizerSimulator, StabilizerState,
+                              PauliChannel, StabilizerSimulator,
+                              StabilizerState,
                               Statevector, StatevectorSimulator,
                               depolarizing_channel, expectation_value)
 from repro.simulators.statevector import circuit_unitary
@@ -240,6 +241,84 @@ class TestPauliPropagation:
         sampled = StabilizerSimulator(noise, seed=11).expectation(
             qc, observable, trajectories=600)
         assert sampled == pytest.approx(exact, abs=0.1)
+
+
+class TestSqrtXGates:
+    """``sx``/``sxdg`` are Clifford, so auto-routing sends them to the
+    Clifford engines; both must run them natively, with one noise location
+    per gate."""
+
+    LABELS = ("ZI", "XI", "YI", "IZ", "ZZ", "XY", "YZ")
+
+    @staticmethod
+    def circuit(gates):
+        qc = QuantumCircuit(2)
+        qc.h(1).cx(1, 0)
+        for name in gates:
+            getattr(qc, name)(0)
+        qc.s(1).sx(1).cz(0, 1)
+        return qc
+
+    @pytest.mark.parametrize("gates", [("sx",), ("sxdg",), ("sx", "sx"),
+                                       ("sx", "h", "sxdg"), ("s", "sxdg"),
+                                       ("sxdg", "sxdg", "sxdg")])
+    def test_noiseless_engines_match_statevector(self, gates):
+        qc = self.circuit(gates)
+        state = StabilizerSimulator().run(qc)
+        for label in self.LABELS:
+            observable = PauliSum.from_label_dict({label: 1.0})
+            exact = StatevectorSimulator().expectation(qc, observable)
+            assert expectation_value(qc, observable) \
+                == pytest.approx(exact, abs=1e-12)
+            assert state.expectation(observable) \
+                == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("gates", [("sx",), ("sxdg", "sx"),
+                                       ("h", "sxdg")])
+    def test_noisy_pauli_propagation_matches_density_matrix(self, gates):
+        qc = self.circuit(gates).measure_all()
+        noise = (NoiseModel()
+                 .add_gate_error(depolarizing_channel(0.07, 1), ["sx"])
+                 .add_gate_error(depolarizing_channel(0.03, 1), ["sxdg", "h"])
+                 .add_gate_error(depolarizing_channel(0.02, 2), ["cx", "cz"])
+                 .add_readout_error(0.04))
+        observable = PauliSum.from_label_dict(
+            {label: 0.3 + index for index, label in enumerate(self.LABELS)})
+        exact = DensityMatrixSimulator(noise).expectation(qc, observable)
+        assert expectation_value(qc, observable, noise) \
+            == pytest.approx(exact, abs=1e-10)
+
+    def test_stabilizer_keeps_one_noise_location_per_gate(self):
+        # An X error with probability 1 after every sx: trajectories are
+        # deterministic, so one location per gate reproduces the density
+        # matrix exactly (an expansion into h·s·h would change the count).
+        qc = QuantumCircuit(1)
+        qc.sx(0).sx(0).sxdg(0)
+        noise = NoiseModel().add_gate_error(
+            PauliChannel({"X": 1.0}), ["sx", "sxdg"])
+        for label in ("Z", "Y", "X"):
+            observable = PauliSum.from_label_dict({label: 1.0})
+            exact = DensityMatrixSimulator(noise).expectation(qc, observable)
+            sampled = StabilizerSimulator(noise, seed=3).expectation(
+                qc, observable, trajectories=4)
+            assert sampled == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("backend", ["pauli_propagation", "stabilizer",
+                                         "auto"])
+    def test_execution_backends_run_sx(self, backend):
+        from repro.execution import Executor
+        qc = QuantumCircuit(1)
+        qc.sx(0)
+        observable = PauliSum.from_label_dict({"Z": 1.0, "Y": 0.5})
+        [value] = Executor(use_cache=False).evaluate_observable(
+            qc, observable, backend=backend)
+        assert value == pytest.approx(-0.5, abs=1e-12)
+
+    def test_native_on_the_tableau_path(self):
+        from repro.execution.adapters import _canonicalize_if_needed
+        qc = QuantumCircuit(1)
+        qc.sx(0).sxdg(0)
+        assert _canonicalize_if_needed(qc) is qc
 
 
 class TestStabilizerMeasureRegression:
