@@ -1,21 +1,23 @@
-"""PR-7 acceptance gate: bit-packed mod-2 kernels and streaming sampling.
+"""PR-7 acceptance gate: bit-packed mod-2 kernels and bounded-memory sampling.
 
 Two checks, recorded to ``BENCH_pr7.json``:
 
 * **Packed ≥ 2x** — on the d=9 EFT-regime workload (16384 shots), the
   bit-packed syndrome-extraction + dedup kernel
   (:class:`~repro.qec.bitops.Mod2GatherPlan` gather matmul + packed-word
-  dedup) must be ≥ 2x faster than the legacy dense float32 GEMM + byte-row
-  ``np.unique`` it replaces, **and** full ``run_memory_sampling`` runs
-  under the dense, packed and streaming paths must produce bitwise-identical
+  dedup) must be ≥ 2x faster than the dense float32 GEMM + byte-row
+  ``np.unique`` it replaced, **and** ``run_memory_sampling``,
+  ``stream_memory_sampling`` and the dense per-shot
+  ``run_memory_sampling_reference`` must produce bitwise-identical
   failure and defect counts (same Bernoulli draw stream by construction).
-* **d=15 streaming fits** — an 8-round d=15 surface-code run (32768 shots,
-  union-find) in streaming mode must stay under the documented
-  :data:`STREAM_BUDGET_BYTES` tracemalloc peak.  The dense batch path
+* **d=15 fits** — an 8-round d=15 surface-code ``run_memory_sampling``
+  (32768 shots, union-find), whose shard decodes its blocks in
+  byte-bounded groups, must stay under the documented
+  :data:`STREAM_BUDGET_BYTES` tracemalloc peak.  A dense batch path
   cannot hold this workload inside the budget even analytically: the
   ``(shots, n_edges)`` error matrix alone is ~91 MiB and the float32
   syndrome intermediate another ~126 MiB, both far beyond the 24 MiB
-  budget the streaming loop is held to.
+  budget the grouped loop is held to.
 
 Timings compare single-core paths; the gate measures the kernel, not
 core count.
@@ -34,8 +36,10 @@ from repro.qec.decoders import MWPMDecoder, UnionFindDecoder
 from repro.qec.decoders.base import _dedup_packed
 from repro.qec.decoders.graph import rotated_surface_code_graph
 from repro.qec.sampling import (packed_syndromes_and_flips,
-                                run_memory_sampling, sample_errors,
-                                sampling_arrays, syndromes_and_flips)
+                                run_memory_sampling,
+                                run_memory_sampling_reference, sample_errors,
+                                sampling_arrays, stream_memory_sampling,
+                                syndromes_and_flips)
 
 from conftest import full_mode, print_table
 
@@ -51,7 +55,7 @@ STREAM_DISTANCE = 15
 STREAM_ROUNDS = 8
 STREAM_ERROR_RATE = 1e-4
 STREAM_SHOTS = 32768
-#: Documented tracemalloc peak budget for the d=15 streaming loop.
+#: Documented tracemalloc peak budget for the d=15 grouped-decode run.
 STREAM_BUDGET_BYTES = 24 * 2**20
 
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -104,26 +108,29 @@ def test_packed_kernel_speedup(benchmark):
     assert packed_out == dense_out, "kernel outputs disagree"
 
     # End-to-end: all three execution paths, bitwise-identical counts.
-    counts = {}
-    for mode, (kernel, streaming) in {"dense": ("dense", False),
-                                      "packed": ("packed", False),
-                                      "streaming": ("packed", True)}.items():
-        run = run_memory_sampling(graph, MWPMDecoder(graph), SHOTS,
-                                  seed=SEED, executor=Executor(use_cache=False),
-                                  parallel="none", kernel=kernel,
-                                  streaming=streaming)
-        counts[mode] = (run.failures, run.total_defects)
+    *_, streamed = stream_memory_sampling(graph, MWPMDecoder(graph), SHOTS,
+                                          seed=SEED,
+                                          executor=Executor(use_cache=False))
+    runs = {"dense": run_memory_sampling_reference(graph, MWPMDecoder(graph),
+                                                   SHOTS, seed=SEED),
+            "packed": run_memory_sampling(graph, MWPMDecoder(graph), SHOTS,
+                                          seed=SEED,
+                                          executor=Executor(use_cache=False),
+                                          parallel="none"),
+            "streaming": streamed}
+    counts = {mode: (run.failures, run.total_defects)
+              for mode, run in runs.items()}
 
     print_table(
         f"bit-packed syndrome kernel (d={DISTANCE}, rounds={ROUNDS}, "
         f"p={PHYSICAL_ERROR_RATE}, {SHOTS} shots, popcount="
         f"{popcount_impl()})",
         ["path", "kernel s", "speedup", "failures", "defects"],
-        [["dense f32 GEMM", f"{dense_seconds:.3f}", "1.0x",
+        [["dense f32 GEMM (reference)", f"{dense_seconds:.3f}", "1.0x",
           counts["dense"][0], counts["dense"][1]],
          ["packed gather", f"{packed_seconds:.3f}", f"{speedup:.1f}x",
           counts["packed"][0], counts["packed"][1]],
-         ["packed streaming", "-", "-",
+         ["packed streamed", "-", "-",
           counts["streaming"][0], counts["streaming"][1]]])
 
     assert len(set(counts.values())) == 1, f"paths disagree: {counts}"
@@ -145,7 +152,7 @@ def test_packed_kernel_speedup(benchmark):
 
 
 def test_streaming_d15_fits_memory_budget():
-    """d=15 streaming run under the documented 24 MiB tracemalloc budget."""
+    """d=15 run under the documented 24 MiB tracemalloc budget."""
     graph = rotated_surface_code_graph(STREAM_DISTANCE, STREAM_ROUNDS,
                                        STREAM_ERROR_RATE)
     arrays = sampling_arrays(graph)  # incidence + gather plan, pre-trace
@@ -160,25 +167,25 @@ def test_streaming_d15_fits_memory_budget():
     start = time.perf_counter()
     run = run_memory_sampling(graph, decoder, STREAM_SHOTS, seed=SEED,
                               executor=Executor(use_cache=False),
-                              parallel="none", streaming=True)
+                              parallel="none")
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     print_table(
-        f"d={STREAM_DISTANCE} streaming memory (rounds={STREAM_ROUNDS}, "
+        f"d={STREAM_DISTANCE} grouped-decode memory (rounds={STREAM_ROUNDS}, "
         f"p={STREAM_ERROR_RATE}, {STREAM_SHOTS} shots, union-find)",
         ["quantity", "value"],
         [["edges / detectors", f"{arrays.num_edges} / {arrays.num_detectors}"],
          ["dense error matrix", f"{dense_errors_bytes / 2**20:.1f} MiB"],
          ["dense f32 syndromes", f"{dense_syndromes_bytes / 2**20:.1f} MiB"],
-         ["streaming peak", f"{peak / 2**20:.1f} MiB"],
+         ["tracemalloc peak", f"{peak / 2**20:.1f} MiB"],
          ["budget", f"{STREAM_BUDGET_BYTES / 2**20:.0f} MiB"],
          ["failures / defects", f"{run.failures} / {run.total_defects}"],
          ["seconds", f"{seconds:.1f}"]])
 
     assert peak < STREAM_BUDGET_BYTES, \
-        f"streaming peak {peak / 2**20:.1f} MiB over the 24 MiB budget"
+        f"peak {peak / 2**20:.1f} MiB over the 24 MiB budget"
 
     _RECORD["streaming_d15"] = {
         "distance": STREAM_DISTANCE, "rounds": STREAM_ROUNDS,

@@ -41,14 +41,16 @@ samples are drawn exactly (no rejection) with the suffix-probability table
 of the same dynamic program, so heterogeneous edge rates are handled
 without approximation.
 
-Both estimators ride the existing engine end to end: the per-graph
+Both estimators ride the direct sampler's engine end to end: the per-graph
 :class:`~repro.qec.sampling.SamplingArrays`, the bit-packed syndrome
-kernels, per-block ``SeedSequence.spawn`` seeding (blocks — never workers —
-are the determinism unit), executor shard dispatch through any
-:class:`~repro.execution.broker.ShardBroker`, and expectation-cache
-checkpointing (full-run keys here, per-chunk keys in
-:func:`stream_rare_event_sampling`).  Floating-point aggregates are folded
-with :func:`math.fsum` over *per-block* partial sums — ``fsum`` is
+kernel, per-block ``SeedSequence.spawn`` seeding (blocks — never workers —
+are the determinism unit), and the seeded-block run
+(:class:`~repro.qec.sampling._SeededRun`) that owns shard dispatch through
+any :class:`~repro.execution.broker.ShardBroker`, worker-counter fold-back
+and expectation-cache checkpointing (full-run keys, plus per-chunk keys in
+:func:`stream_rare_event_sampling`).  This module supplies only the spec,
+the per-block sampling body and the folds.  Floating-point aggregates are
+folded with :func:`math.fsum` over *per-block* partial sums — ``fsum`` is
 correctly rounded regardless of summand order, so how blocks are grouped
 onto workers or brokers can never move a bit of the estimate.
 """
@@ -56,25 +58,17 @@ onto workers or brokers can never move a bit of the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..execution.broker import make_broker
-from ..execution.sharding import run_sharded, split_evenly
 from .bitops import popcount
-from .decoders.base import (absorb_batch_decode_delta, batch_decode,
-                            batch_decode_delta, batch_decode_packed,
-                            batch_decode_stats,
-                            apply_decoder_counter_delta,
-                            decoder_cache_token,
-                            decoder_counter_delta, decoder_counter_snapshot)
+from .decoders.base import batch_decode_packed
 from .decoders.graph import DecodingGraph
-from .sampling import (SHOT_BLOCK, SamplingArrays, SeedLike, _note_experiment,
-                       _shot_blocks, as_seed_sequence,
-                       packed_syndromes_and_flips, resolve_kernel,
-                       sampling_arrays, syndromes_and_flips, wilson_interval)
+from .sampling import (SHOT_BLOCK, SamplingArrays, SeedLike, _SeededRun,
+                       _shot_blocks, packed_syndromes_and_flips,
+                       sampling_arrays, wilson_interval)
 
 __all__ = [
     "RareEventResult", "StratumResult", "effective_wilson_interval",
@@ -430,7 +424,7 @@ def _sample_fixed_weight(arrays: SamplingArrays, weight: int, shots: int,
 
 
 # ---------------------------------------------------------------------------
-# The shard payload (module-level: pickles by reference into workers)
+# The per-block sampling body (module-level: pickles by reference)
 # ---------------------------------------------------------------------------
 
 
@@ -451,45 +445,23 @@ def _log_weight_terms(p: np.ndarray, q: np.ndarray
     return float(keep.sum()), log_ratio
 
 
-def _decode_failures(arrays: SamplingArrays, errors: np.ndarray, decoder,
-                     detectors, kernel: str
-                     ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """``(per-shot failure bools, error flips, total defects)`` for one
-    block of errors, through either syndrome kernel."""
-    if kernel == "dense":
-        syndromes, flips = syndromes_and_flips(arrays, errors)
-        decoder_flips = batch_decode(decoder, syndromes, detectors)
-        defects = int(syndromes.sum(dtype=np.int64))
-    else:
-        words, flips = packed_syndromes_and_flips(arrays, errors)
-        decoder_flips = batch_decode_packed(decoder, words, detectors)
-        defects = int(popcount(words))
-    return decoder_flips != flips.astype(bool), flips, defects
-
-
-def _rare_event_shard(graph: DecodingGraph, decoder, q: Optional[np.ndarray],
-                      units: Sequence[Tuple[Optional[int],
-                                            np.random.SeedSequence, int]],
-                      kernel: str = "packed") -> Dict:
-    """Sample + decode one worker's slice of rare-event blocks.
+def _rare_event_blocks(graph: DecodingGraph, decoder,
+                       q: Optional[np.ndarray],
+                       units: Sequence[Tuple[Optional[int],
+                                             np.random.SeedSequence, int]]
+                       ) -> List[Dict]:
+    """Sample + decode rare-event blocks; one partial-sum dict per block.
 
     Each unit is ``(stratum weight | None, block seed, block shots)``:
     ``None`` means an importance-sampling block drawn from the tilted
     rates ``q``; an integer means a stratified block conditioned on that
-    exact error weight.  Returns **per-block** partial sums (never folded
-    inside the shard) so the parent can reduce them with ``math.fsum`` in
-    a grouping-independent way, plus the decode/decoder counter deltas
-    accumulated in this process.
+    exact error weight.  Blocks are never folded here, so the caller can
+    reduce them with ``math.fsum`` in a grouping-independent way.
     """
     arrays = sampling_arrays(graph)
     detectors = graph.detector_order()
-    decode_before = batch_decode_stats()
-    counters_before = decoder_counter_snapshot(decoder)
-
-    log_ratio = base_log = None
     if q is not None:
         base_log, log_ratio = _log_weight_terms(arrays.probabilities, q)
-
     include_tables: Dict[int, np.ndarray] = {}
     blocks: List[Dict] = []
     for weight, seed_child, block_shots in units:
@@ -497,20 +469,6 @@ def _rare_event_shard(graph: DecodingGraph, decoder, q: Optional[np.ndarray],
         if weight is None:
             draws = rng.random((int(block_shots), arrays.num_edges))
             errors = (draws < q).view(np.uint8)
-            failures, _, defects = _decode_failures(arrays, errors, decoder,
-                                                    detectors, kernel)
-            log_weights = base_log + errors @ log_ratio
-            weights = np.exp(log_weights)
-            weighted = weights * failures
-            blocks.append({
-                "shots": int(block_shots),
-                "raw_failures": int(failures.sum()),
-                "defects": defects,
-                "wf": float(weighted.sum()),
-                "wf2": float((weighted * weighted).sum()),
-                "w": float(weights.sum()),
-                "w2": float((weights * weights).sum()),
-            })
         else:
             include = include_tables.get(int(weight))
             if include is None:
@@ -519,39 +477,47 @@ def _rare_event_shard(graph: DecodingGraph, decoder, q: Optional[np.ndarray],
                 include_tables[int(weight)] = include
             errors = _sample_fixed_weight(arrays, int(weight), block_shots,
                                           rng, include)
-            failures, _, defects = _decode_failures(arrays, errors, decoder,
-                                                    detectors, kernel)
-            blocks.append({
-                "weight": int(weight),
-                "shots": int(block_shots),
-                "failures": int(failures.sum()),
-                "defects": defects,
-            })
-    return {
-        "blocks": blocks,
-        "decode_delta": batch_decode_delta(decode_before,
-                                           batch_decode_stats()),
-        "decoder_delta": decoder_counter_delta(
-            counters_before, decoder_counter_snapshot(decoder)),
-    }
+        words, flips = packed_syndromes_and_flips(arrays, errors)
+        failures = (batch_decode_packed(decoder, words, detectors)
+                    != flips.astype(bool))
+        block = {"shots": int(block_shots), "defects": int(popcount(words))}
+        if weight is None:
+            weights = np.exp(base_log + errors @ log_ratio)
+            weighted = weights * failures
+            block.update(raw=int(failures.sum()),
+                         wf=float(weighted.sum()),
+                         wf2=float((weighted * weighted).sum()),
+                         w=float(weights.sum()),
+                         w2=float((weights * weights).sum()))
+        else:
+            block.update(weight=int(weight), failures=int(failures.sum()))
+        blocks.append(block)
+    return blocks
+
+
+#: Per-block (and per streamed chunk) sums of each method — the checkpoint
+#: components of a streamed chunk.
+_IMPORTANCE_SUMS = ("wf", "wf2", "w", "w2", "raw", "defects", "shots")
+_STRATUM_SUMS = ("failures", "defects", "shots")
 
 
 # ---------------------------------------------------------------------------
-# Folding per-block results (fsum: grouping-independent to the last bit)
+# Folding block sums (fsum: grouping-independent to the last bit)
 # ---------------------------------------------------------------------------
 
 
-def _fold_importance(blocks: Sequence[Dict], shots: int
-                     ) -> Tuple[float, float, float, int, int]:
-    """``(estimate, variance, ess, raw failures, defects)`` from per-block
-    importance partial sums."""
+def _count(blocks: Sequence[Dict], name: str) -> int:
+    """Exact total of an integer field (replayed checkpoints hold floats)."""
+    return int(round(math.fsum(block[name] for block in blocks)))
+
+
+def _fold_importance(blocks: Sequence[Dict]) -> RareEventResult:
+    """The importance estimate from per-block (or per-chunk) sums."""
     wf = math.fsum(block["wf"] for block in blocks)
     wf2 = math.fsum(block["wf2"] for block in blocks)
     w = math.fsum(block["w"] for block in blocks)
     w2 = math.fsum(block["w2"] for block in blocks)
-    raw = sum(block["raw_failures"] for block in blocks)
-    defects = sum(block["defects"] for block in blocks)
-    shots = int(shots)
+    shots = _count(blocks, "shots")
     estimate = wf / shots
     if shots > 1:
         # Sample variance of x_i = w_i·fail_i over the S draws, then /S
@@ -561,26 +527,24 @@ def _fold_importance(blocks: Sequence[Dict], shots: int
     else:
         variance = 0.0
     ess = (w * w / w2) if w2 > 0.0 else 0.0
-    return estimate, variance, ess, raw, defects
+    return RareEventResult(
+        method="importance", shots=shots, estimate=estimate,
+        variance=variance, ess=ess, raw_failures=_count(blocks, "raw"),
+        total_defects=_count(blocks, "defects"), from_cache=False)
 
 
-def _fold_strata(blocks: Sequence[Dict], spec: _RareEventSpec
-                 ) -> Tuple[float, float, float, int, int,
-                            Tuple[StratumResult, ...]]:
-    """``(estimate, variance, ess, raw failures, defects, strata)`` from
-    per-block stratified counts (all integers — order cannot matter)."""
-    shots_by = {w: 0 for w in spec.strata}
-    failures_by = {w: 0 for w in spec.strata}
-    defects = 0
+def _fold_strata(blocks: Sequence[Dict],
+                 spec: _RareEventSpec) -> RareEventResult:
+    """The stratified estimate from per-block (or per-chunk) counts — all
+    integers, so order cannot matter."""
+    by_weight: Dict[int, List[Dict]] = {w: [] for w in spec.strata}
     for block in blocks:
-        weight = block["weight"]
-        shots_by[weight] += block["shots"]
-        failures_by[weight] += block["failures"]
-        defects += block["defects"]
-    strata = tuple(StratumResult(weight=w,
-                                 probability=spec.stratum_probability[w],
-                                 shots=shots_by[w], failures=failures_by[w])
-                   for w in spec.strata)
+        by_weight[block["weight"]].append(block)
+    strata = tuple(
+        StratumResult(weight=w, probability=spec.stratum_probability[w],
+                      shots=_count(by_weight[w], "shots"),
+                      failures=_count(by_weight[w], "failures"))
+        for w in spec.strata)
     estimate = math.fsum(s.contribution for s in strata)
     # Laplace-smoothed conditional rates for the variance only: a stratum
     # with zero observed failures still carries nonzero uncertainty.
@@ -591,8 +555,18 @@ def _fold_strata(blocks: Sequence[Dict], spec: _RareEventSpec
         for s in strata if s.shots > 0)
     clipped = min(max(estimate, 1e-300), 1.0 - 1e-12)
     ess = clipped * (1.0 - clipped) / variance if variance > 0.0 else 0.0
-    raw = sum(s.failures for s in strata)
-    return estimate, variance, ess, raw, defects, strata
+    return RareEventResult(
+        method="stratified", shots=sum(s.shots for s in strata),
+        estimate=estimate, variance=variance, ess=ess,
+        raw_failures=sum(s.failures for s in strata),
+        total_defects=_count(blocks, "defects"), from_cache=False,
+        strata=strata, tail_probability=spec.tail)
+
+
+def _fold(blocks: Sequence[Dict], spec: _RareEventSpec) -> RareEventResult:
+    if spec.method == "importance":
+        return _fold_importance(blocks)
+    return _fold_strata(blocks, spec)
 
 
 def _allocate_main_shots(spec: _RareEventSpec,
@@ -626,68 +600,53 @@ def _allocate_main_shots(spec: _RareEventSpec,
     return allocation
 
 
-# ---------------------------------------------------------------------------
-# Cache keys
-# ---------------------------------------------------------------------------
+def _main_allocation(spec: _RareEventSpec, pilot_blocks: Sequence[Dict],
+                     shots: int) -> Dict[int, int]:
+    """Allocate what the pilot blocks left of the ``shots`` budget."""
+    pilot = {s.weight: (s.shots, s.failures)
+             for s in _fold_strata(pilot_blocks, spec).strata}
+    budget = int(shots) - sum(count for count, _ in pilot.values())
+    return _allocate_main_shots(spec, pilot, budget)
 
 
-def _rare_cache_base(graph: DecodingGraph, decoder_token: tuple,
-                     spec: _RareEventSpec, shots: int, seed_key: tuple
-                     ) -> tuple:
-    return ("qec-rare", graph.fingerprint(), decoder_token,
-            spec.method_token, int(shots), int(SHOT_BLOCK), seed_key)
+# ---------------------------------------------------------------------------
+# Cached result components
+# ---------------------------------------------------------------------------
 
 
 _SCALAR_COMPONENTS = ("estimate", "variance", "ess", "raw", "defects")
 
 
-def _load_cached_result(executor, base: tuple, spec: _RareEventSpec,
-                        shots: int) -> Optional[RareEventResult]:
-    values = {}
-    for component in _SCALAR_COMPONENTS:
-        hit = executor.cache.get(base + (component,))
-        if hit is None:
-            return None
-        values[component] = hit
-    strata: List[StratumResult] = []
-    for weight in spec.strata:
-        stratum_shots = executor.cache.get(base + ("stratum", weight,
-                                                   "shots"))
-        stratum_failures = executor.cache.get(base + ("stratum", weight,
-                                                      "failures"))
-        if stratum_shots is None or stratum_failures is None:
-            return None
-        strata.append(StratumResult(
-            weight=weight, probability=spec.stratum_probability[weight],
-            shots=int(round(stratum_shots)),
-            failures=int(round(stratum_failures))))
+def _result_names(spec: _RareEventSpec) -> tuple:
+    return _SCALAR_COMPONENTS + tuple(
+        ("stratum", weight, field) for weight in spec.strata
+        for field in ("shots", "failures"))
+
+
+def _result_values(result: RareEventResult) -> Dict:
+    values = dict(zip(_SCALAR_COMPONENTS,
+                      (result.estimate, result.variance, result.ess,
+                       result.raw_failures, result.total_defects)))
+    for stratum in result.strata:
+        values["stratum", stratum.weight, "shots"] = stratum.shots
+        values["stratum", stratum.weight, "failures"] = stratum.failures
+    return values
+
+
+def _cached_result(values: Dict, spec: _RareEventSpec,
+                   shots: int) -> RareEventResult:
+    strata = tuple(StratumResult(
+        weight=weight, probability=spec.stratum_probability[weight],
+        shots=int(round(values["stratum", weight, "shots"])),
+        failures=int(round(values["stratum", weight, "failures"])))
+        for weight in spec.strata)
     return RareEventResult(
         method=spec.method, shots=int(shots),
         estimate=float(values["estimate"]),
         variance=float(values["variance"]), ess=float(values["ess"]),
         raw_failures=int(round(values["raw"])),
         total_defects=int(round(values["defects"])), from_cache=True,
-        strata=tuple(strata), tail_probability=spec.tail)
-
-
-def _store_result(executor, base: tuple, result: RareEventResult) -> None:
-    executor.cache.put(base + ("estimate",), float(result.estimate))
-    executor.cache.put(base + ("variance",), float(result.variance))
-    executor.cache.put(base + ("ess",), float(result.ess))
-    executor.cache.put(base + ("raw",), float(result.raw_failures))
-    executor.cache.put(base + ("defects",), float(result.total_defects))
-    for stratum in result.strata:
-        executor.cache.put(base + ("stratum", stratum.weight, "shots"),
-                           float(stratum.shots))
-        executor.cache.put(base + ("stratum", stratum.weight, "failures"),
-                           float(stratum.failures))
-
-
-def _chunk_keys(base: tuple, phase: str, weight: Optional[int], start: int,
-                count: int, components: Sequence[str]) -> Dict[str, tuple]:
-    prefix = ("qec-rare-chunk",) + base[1:] + (
-        phase, -1 if weight is None else int(weight), int(start), int(count))
-    return {component: prefix + (component,) for component in components}
+        strata=strata, tail_probability=spec.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -714,53 +673,14 @@ def _stratum_children(seed_sequence: np.random.SeedSequence,
             for index, weight in enumerate(spec.strata)}
 
 
-# ---------------------------------------------------------------------------
-# Shard dispatch shared by both phases
-# ---------------------------------------------------------------------------
-
-
-def _dispatch_units(executor, effective, graph, decoder, spec, units, kernel,
-                    fault_reports: list) -> Tuple[List[Dict], int]:
-    """Run ``units`` through the planner / broker seam; returns the
-    per-block results **in unit order** plus the process-shard count."""
-    if not units:
-        return [], 0
-    plan = executor.planner.plan(num_items=len(units), hints=("process",),
-                                 parallel=effective.parallel,
-                                 max_workers=effective.max_workers)
-    if plan.is_parallel:
-        chunks = split_evenly(list(units), plan.workers)
-    else:
-        chunks = [list(units)]
-    payloads = [(graph, decoder, spec.q, chunk, kernel) for chunk in chunks]
-    crosses_processes = (plan.mode == "process" and plan.is_parallel
-                         and len(payloads) > 1)
-
-    def _on_fault(report) -> None:
-        fault_reports.append(report)
-        note = getattr(executor, "note_fault_report", None)
-        if note is not None:
-            note(report)
-
-    broker = None
-    if plan.mode == "process":
-        broker = make_broker(effective.broker, plan.workers)
-    shard_results = run_sharded(plan, _rare_event_shard, payloads,
-                                policy=effective.retry, broker=broker,
-                                on_fault=_on_fault)
-    if crosses_processes:
-        inline_shards = {index for report in fault_reports
-                         for index in getattr(report, "inline_indices", ())}
-        for index, result in enumerate(shard_results):
-            if index in inline_shards:
-                continue
-            absorb_batch_decode_delta(result["decode_delta"])
-            apply_decoder_counter_delta(decoder, result["decoder_delta"])
-        executor.note_process_shards(len(payloads))
-    blocks: List[Dict] = []
-    for result in shard_results:
-        blocks.extend(result["blocks"])
-    return blocks, (len(payloads) if crosses_processes else 0)
+def _rare_run(graph: DecodingGraph, decoder, shots: int, method: str,
+              seed: SeedLike, executor, use_cache: Optional[bool],
+              knobs: tuple) -> Tuple[_SeededRun, _RareEventSpec]:
+    spec = _resolve_spec(graph, sampling_arrays(graph), method, shots,
+                         *knobs)
+    run = _SeededRun("qec-rare", graph, decoder, shots, seed, executor,
+                     use_cache, extra=(spec.method_token,))
+    return run, spec
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +695,6 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
                             parallel: Optional[str] = None,
                             max_workers: Optional[int] = None,
                             use_cache: Optional[bool] = None,
-                            kernel: Optional[str] = None,
                             policy=None,
                             tilt: TiltLike = None,
                             min_fault_weight: Optional[int] = None,
@@ -810,78 +729,37 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     per-block partial sums, whose correctly-rounded total is independent
     of how blocks were grouped.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    kernel = resolve_kernel(kernel)
-    from ..execution.executor import default_executor
-    if executor is None:
-        executor = default_executor()
-    if use_cache is None:
-        use_cache = executor.use_cache
+    run, spec = _rare_run(graph, decoder, shots, method, seed, executor,
+                          use_cache, (tilt, min_fault_weight, max_weight,
+                                      pilot_shots, tail_rtol))
+    hit = run.cached(_result_names(spec))
+    if hit is not None:
+        return _cached_result(hit, spec, run.shots)
+    effective = run.executor._resolve_policy(policy, parallel=parallel,
+                                             max_workers=max_workers)
 
-    arrays = sampling_arrays(graph)
-    spec = _resolve_spec(graph, arrays, method, shots, tilt,
-                         min_fault_weight, max_weight, pilot_shots,
-                         tail_rtol)
-    seed_sequence, seed_key = as_seed_sequence(seed)
-    decoder_token = decoder_cache_token(decoder)
-    cacheable = (use_cache and seed_key is not None
-                 and decoder_token is not None)
-    base = None
-    if cacheable:
-        base = _rare_cache_base(graph, decoder_token, spec, shots, seed_key)
-        cached = _load_cached_result(executor, base, spec, shots)
-        if cached is not None:
-            _note_experiment(shots, cached=True, process_shards=0)
-            return cached
+    def sample(units) -> List[Dict]:
+        shards = run.dispatch(effective, _rare_event_blocks, units,
+                              (spec.q,))
+        return [block for blocks in shards for block in blocks]
 
-    effective = executor._resolve_policy(policy, parallel=parallel,
-                                         max_workers=max_workers)
-    fault_reports: list = []
     if spec.method == "importance":
-        units = [(None, child, block_shots)
-                 for child, block_shots in _shot_blocks(seed_sequence, shots)]
-        blocks, process_shards = _dispatch_units(
-            executor, effective, graph, decoder, spec, units, kernel,
-            fault_reports)
-        estimate, variance, ess, raw, defects = _fold_importance(blocks,
-                                                                 shots)
-        strata: Tuple[StratumResult, ...] = ()
+        blocks = sample([(None, child, block_shots) for child, block_shots
+                         in _shot_blocks(run.seed_sequence, shots)])
     else:
-        children = _stratum_children(seed_sequence, spec)
-        pilot_units = [(weight, child, block_shots)
-                       for weight in spec.strata
-                       for child, block_shots in _stratum_blocks(
-                           children[weight][0], spec.pilot_shots)]
-        pilot_blocks, pilot_shards = _dispatch_units(
-            executor, effective, graph, decoder, spec, pilot_units, kernel,
-            fault_reports)
-        pilot: Dict[int, Tuple[int, int]] = {w: (0, 0) for w in spec.strata}
-        for block in pilot_blocks:
-            shots_so_far, failures_so_far = pilot[block["weight"]]
-            pilot[block["weight"]] = (shots_so_far + block["shots"],
-                                      failures_so_far + block["failures"])
-        budget = int(shots) - sum(count for count, _ in pilot.values())
-        allocation = _allocate_main_shots(spec, pilot, budget)
-        main_units = [(weight, child, block_shots)
-                      for weight in spec.strata
-                      for child, block_shots in _stratum_blocks(
-                          children[weight][1], allocation[weight])]
-        main_blocks, main_shards = _dispatch_units(
-            executor, effective, graph, decoder, spec, main_units, kernel,
-            fault_reports)
-        process_shards = pilot_shards + main_shards
-        estimate, variance, ess, raw, defects, strata = _fold_strata(
-            pilot_blocks + main_blocks, spec)
-    _note_experiment(shots, cached=False, process_shards=process_shards)
-
-    result = RareEventResult(
-        method=spec.method, shots=int(shots), estimate=estimate,
-        variance=variance, ess=ess, raw_failures=raw, total_defects=defects,
-        from_cache=False, strata=strata, tail_probability=spec.tail,
-        fault_report=fault_reports[0] if fault_reports else None)
-    if cacheable:
-        _store_result(executor, base, result)
+        children = _stratum_children(run.seed_sequence, spec)
+        blocks = sample([(weight, child, block_shots)
+                         for weight in spec.strata
+                         for child, block_shots in _stratum_blocks(
+                             children[weight][0], spec.pilot_shots)])
+        allocation = _main_allocation(spec, blocks, shots)
+        blocks += sample([(weight, child, block_shots)
+                          for weight in spec.strata
+                          for child, block_shots in _stratum_blocks(
+                              children[weight][1], allocation[weight])])
+    result = replace(_fold(blocks, spec), shots=run.shots,
+                     fault_report=run.fault_report)
+    run.finish(_result_values(result))
     return result
 
 
@@ -891,7 +769,6 @@ def stream_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
                                executor=None,
                                chunk_blocks: int = 4,
                                use_cache: Optional[bool] = None,
-                               kernel: Optional[str] = None,
                                tilt: TiltLike = None,
                                min_fault_weight: Optional[int] = None,
                                max_weight: Optional[int] = None,
@@ -909,8 +786,8 @@ def stream_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     retried service job, a restarted server, a new process over the same
     cache directory — replays flushed chunks without sampling or decoding
     and produces snapshots bitwise identical to an uninterrupted run
-    (chunk aggregates are folded the same way whether they come from the
-    cache or from fresh decoding).
+    (chunk sums are folded the same way whether they come from the cache
+    or from fresh decoding).
 
     The final snapshot writes the same full-run cache entries
     :func:`run_rare_event_sampling` uses, so batch and streaming runs warm
@@ -920,157 +797,45 @@ def stream_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     rounding of the partial sums (exactly equal whenever the weights are
     exact — e.g. the ``q == p`` anchor).
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    run, spec = _rare_run(graph, decoder, shots, method, seed, executor,
+                          use_cache, (tilt, min_fault_weight, max_weight,
+                                      pilot_shots, tail_rtol))
     if chunk_blocks < 1:
         raise ValueError("chunk_blocks must be a positive integer")
-    kernel = resolve_kernel(kernel)
-    from ..execution.executor import default_executor
-    if executor is None:
-        executor = default_executor()
-    if use_cache is None:
-        use_cache = executor.use_cache
+    hit = run.cached(_result_names(spec))
+    if hit is not None:
+        yield _cached_result(hit, spec, run.shots)
+        return
 
-    arrays = sampling_arrays(graph)
-    spec = _resolve_spec(graph, arrays, method, shots, tilt,
-                         min_fault_weight, max_weight, pilot_shots,
-                         tail_rtol)
-    seed_sequence, seed_key = as_seed_sequence(seed)
-    decoder_token = decoder_cache_token(decoder)
-    cacheable = (use_cache and seed_key is not None
-                 and decoder_token is not None)
-    base = None
-    if cacheable:
-        base = _rare_cache_base(graph, decoder_token, spec, shots, seed_key)
-        cached = _load_cached_result(executor, base, spec, shots)
-        if cached is not None:
-            _note_experiment(shots, cached=True, process_shards=0)
-            yield cached
-            return
+    chunks: List[Dict] = []
 
-    importance_components = ("wf", "wf2", "w", "w2", "raw", "defects",
-                             "shots")
-    stratified_components = ("failures", "defects", "shots")
+    def phase(name: str, weight: Optional[int], block_seeds):
+        """Stream one phase's chunks, yielding the running snapshot."""
+        sums = _IMPORTANCE_SUMS if weight is None else _STRATUM_SUMS
 
-    def _run_chunks(phase: str, weight: Optional[int], block_seeds):
-        """Yield per-chunk aggregate dicts (cache-served or computed)."""
-        for start in range(0, len(block_seeds), int(chunk_blocks)):
-            chunk = block_seeds[start:start + int(chunk_blocks)]
-            components = (importance_components if weight is None
-                          else stratified_components)
-            keys = None
-            if cacheable:
-                keys = _chunk_keys(base, phase, weight, start, len(chunk),
-                                   components)
-                hits = {component: executor.cache.get(key)
-                        for component, key in keys.items()}
-                if all(value is not None for value in hits.values()):
-                    yield {component: hits[component]
-                           for component in components}
-                    continue
-            units = [(weight, child, block_shots)
-                     for child, block_shots in chunk]
-            shard = _rare_event_shard(graph, decoder, spec.q, units, kernel)
-            if weight is None:
-                aggregate = {
-                    "wf": math.fsum(b["wf"] for b in shard["blocks"]),
-                    "wf2": math.fsum(b["wf2"] for b in shard["blocks"]),
-                    "w": math.fsum(b["w"] for b in shard["blocks"]),
-                    "w2": math.fsum(b["w2"] for b in shard["blocks"]),
-                    "raw": float(sum(b["raw_failures"]
-                                     for b in shard["blocks"])),
-                    "defects": float(sum(b["defects"]
-                                         for b in shard["blocks"])),
-                    "shots": float(sum(b["shots"] for b in shard["blocks"])),
-                }
-            else:
-                aggregate = {
-                    "failures": float(sum(b["failures"]
-                                          for b in shard["blocks"])),
-                    "defects": float(sum(b["defects"]
-                                         for b in shard["blocks"])),
-                    "shots": float(sum(b["shots"] for b in shard["blocks"])),
-                }
-            if keys is not None:
-                for component, key in keys.items():
-                    executor.cache.put(key, float(aggregate[component]))
-            yield aggregate
+        def compute(chunk) -> Dict[str, float]:
+            blocks = _rare_event_blocks(graph, decoder, spec.q,
+                                        [(weight, child, block_shots)
+                                         for child, block_shots in chunk])
+            return {component: math.fsum(block[component]
+                                         for block in blocks)
+                    for component in sums}
+
+        position = (name, -1 if weight is None else int(weight))
+        for _, values in run.checkpointed(block_seeds, chunk_blocks, sums,
+                                          compute, position):
+            chunks.append(dict(values, weight=weight))
+            yield _fold(chunks, spec)
 
     if spec.method == "importance":
-        chunks: List[Dict] = []
-        done_shots = 0
-        block_seeds = _shot_blocks(seed_sequence, shots)
-        final = None
-        for aggregate in _run_chunks("is", None, block_seeds):
-            chunks.append(aggregate)
-            done_shots += int(round(aggregate["shots"]))
-            wf = math.fsum(c["wf"] for c in chunks)
-            wf2 = math.fsum(c["wf2"] for c in chunks)
-            w = math.fsum(c["w"] for c in chunks)
-            w2 = math.fsum(c["w2"] for c in chunks)
-            raw = int(round(math.fsum(c["raw"] for c in chunks)))
-            defects = int(round(math.fsum(c["defects"] for c in chunks)))
-            estimate = wf / done_shots
-            if done_shots > 1:
-                sample_var = max(wf2 - done_shots * estimate * estimate,
-                                 0.0) / (done_shots - 1)
-                variance = sample_var / done_shots
-            else:
-                variance = 0.0
-            ess = (w * w / w2) if w2 > 0.0 else 0.0
-            final = RareEventResult(
-                method="importance", shots=done_shots, estimate=estimate,
-                variance=variance, ess=ess, raw_failures=raw,
-                total_defects=defects, from_cache=False)
-            yield final
+        yield from phase("is", None, _shot_blocks(run.seed_sequence, shots))
     else:
-        children = _stratum_children(seed_sequence, spec)
-        counts: Dict[int, Tuple[int, int]] = {w: (0, 0) for w in spec.strata}
-        defects = 0
-
-        def _snapshot() -> RareEventResult:
-            strata = tuple(StratumResult(
-                weight=w, probability=spec.stratum_probability[w],
-                shots=counts[w][0], failures=counts[w][1])
-                for w in spec.strata)
-            estimate = math.fsum(s.contribution for s in strata)
-            variance = math.fsum(
-                s.probability * s.probability
-                * ((s.failures + 1) / (s.shots + 2))
-                * (1.0 - (s.failures + 1) / (s.shots + 2)) / s.shots
-                for s in strata if s.shots > 0)
-            clipped = min(max(estimate, 1e-300), 1.0 - 1e-12)
-            ess = (clipped * (1.0 - clipped) / variance
-                   if variance > 0.0 else 0.0)
-            return RareEventResult(
-                method="stratified",
-                shots=sum(s.shots for s in strata), estimate=estimate,
-                variance=variance, ess=ess,
-                raw_failures=sum(s.failures for s in strata),
-                total_defects=defects, from_cache=False, strata=strata,
-                tail_probability=spec.tail)
-
-        for phase in ("pilot", "main"):
-            if phase == "main":
-                budget = int(shots) - sum(count
-                                          for count, _ in counts.values())
-                allocation = _allocate_main_shots(spec, counts, budget)
-            for weight in spec.strata:
-                if phase == "pilot":
-                    block_seeds = _stratum_blocks(children[weight][0],
-                                                  spec.pilot_shots)
-                else:
-                    block_seeds = _stratum_blocks(children[weight][1],
-                                                  allocation[weight])
-                for aggregate in _run_chunks(phase, weight, block_seeds):
-                    old_shots, old_failures = counts[weight]
-                    counts[weight] = (
-                        old_shots + int(round(aggregate["shots"])),
-                        old_failures + int(round(aggregate["failures"])))
-                    defects += int(round(aggregate["defects"]))
-                    yield _snapshot()
-        final = _snapshot()
-
-    _note_experiment(shots, cached=False, process_shards=0)
-    if cacheable and final is not None:
-        _store_result(executor, base, final)
+        children = _stratum_children(run.seed_sequence, spec)
+        for weight in spec.strata:
+            yield from phase("pilot", weight, _stratum_blocks(
+                children[weight][0], spec.pilot_shots))
+        allocation = _main_allocation(spec, chunks, shots)
+        for weight in spec.strata:
+            yield from phase("main", weight, _stratum_blocks(
+                children[weight][1], allocation[weight]))
+    run.finish(_result_values(_fold(chunks, spec)))

@@ -11,16 +11,20 @@ experiment is three NumPy operations plus one batched decode:
 2. **Syndrome matmul** — a precomputed edge→detector incidence matrix turns
    the error matrix into all detector syndromes with one mod-2 matmul; the
    logical-mask vector yields every shot's true logical flip the same way.
-   The default ``"packed"`` kernel (:mod:`repro.qec.bitops`) does this in
-   bit-packed uint64 words via a precompiled gather-table plan — exact
-   integer mod-2 math at any size; the legacy ``"dense"`` float32-GEMM
-   kernel remains selectable (``kernel=`` / ``REPRO_QEC_KERNEL``) and both
-   produce bitwise-identical failure counts.
+   :func:`packed_syndromes_and_flips` does this in bit-packed uint64 words
+   via a precompiled gather-table plan (:mod:`repro.qec.bitops`) — exact
+   integer mod-2 math at any size.  The float32-GEMM
+   :func:`syndromes_and_flips` is kept only as the dense reference that
+   :func:`run_memory_sampling_reference` and the equivalence tests use.
 3. **Batched decode** — the decoder's ``decode_batch``
    (:mod:`repro.qec.decoders.base`) deduplicates shots to unique syndromes
-   and decodes each once.
+   and decodes each once.  A shard decodes its blocks in groups whose
+   packed syndrome rows stay under :data:`_DECODE_GROUP_BYTES`, so memory
+   stays flat in the shot count.
 
-Execution-layer contract (mirrors :mod:`repro.execution.sharding`):
+Execution-layer contract (mirrors :mod:`repro.execution.sharding`), owned
+by :class:`_SeededRun` for every entry point here and in
+:mod:`repro.qec.rare_event`:
 
 * Shots are partitioned into fixed-size **blocks** of :data:`SHOT_BLOCK`;
   each block is seeded by its own ``SeedSequence.spawn`` child.  Blocks — not
@@ -28,34 +32,34 @@ Execution-layer contract (mirrors :mod:`repro.execution.sharding`):
   identical** for any ``max_workers`` and for the inline/thread/process
   paths (workers only change how blocks are *grouped*).
 * Process shards are planned by the executor's
-  :class:`~repro.execution.sharding.ShardPlanner` and run on the shared
-  persistent pool; decoder diagnostic counters mutated in workers are
-  shipped home as deltas and folded into the caller's decoder.
-* Seeded experiments cache their ``(failures, total defects)`` in the
-  executor's expectation cache (in-memory LRU, plus the on-disk L2 when
-  ``REPRO_CACHE_DIR`` / ``cache_dir=`` is configured), keyed on the graph's
-  content :meth:`~repro.qec.decoders.graph.DecodingGraph.fingerprint`, the
+  :class:`~repro.execution.sharding.ShardPlanner` and run through its shard
+  broker; decode and decoder diagnostic counters mutated in workers are
+  shipped home as deltas and folded into the caller's counters.
+* Seeded experiments cache their results in the executor's expectation
+  cache (in-memory LRU, plus the on-disk L2 when ``REPRO_CACHE_DIR`` /
+  ``cache_dir=`` is configured), keyed on the graph's content
+  :meth:`~repro.qec.decoders.graph.DecodingGraph.fingerprint`, the
   decoder's cache token, shots, block size and seed — so a warm figure-suite
-  re-run decodes nothing (provable via :func:`sampling_stats`).
+  re-run decodes nothing (provable via :func:`sampling_stats`).  Streamed
+  runs also checkpoint every chunk of blocks under chunk-position keys.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from ..execution.broker import make_broker
 from ..execution.sharding import run_sharded, split_evenly
-from .bitops import Mod2GatherPlan, mod2_matvec_packed, pack_rows, popcount
-from .decoders.base import (absorb_batch_decode_delta, batch_decode,
-                            batch_decode_delta, batch_decode_packed,
-                            batch_decode_stats,
+from .bitops import (Mod2GatherPlan, mod2_matvec_packed, pack_rows,
+                     packed_words, popcount)
+from .decoders.base import (absorb_batch_decode_delta, batch_decode_delta,
+                            batch_decode_packed, batch_decode_stats,
                             decoder_cache_token,
                             apply_decoder_counter_delta,
                             decoder_counter_delta, decoder_counter_snapshot,
@@ -67,6 +71,14 @@ from .decoders.graph import BOUNDARY, DecodingGraph
 #: distributed over workers.  Changing this constant changes which child
 #: seeds a given shot — it is folded into the cache key for that reason.
 SHOT_BLOCK = 256
+
+#: Upper bound on the packed syndrome rows one memory-sampling decode call
+#: holds.  A shard decodes its blocks in groups of
+#: ``_DECODE_GROUP_BYTES // (SHOT_BLOCK × packed row bytes)`` blocks (at
+#: least one), so peak memory stays flat in the shot count.  Decoding is
+#: deterministic, so grouping never changes a count — only how many
+#: syndromes dedup can share.
+_DECODE_GROUP_BYTES = 4 * 2**20
 
 SeedLike = Union[None, int, np.random.SeedSequence]
 
@@ -90,10 +102,10 @@ class SamplingArrays:
     probabilities: np.ndarray
     incidence: np.ndarray
     logical_mask: np.ndarray
-    # float32 copies drive the legacy dense kernel: integer matmuls bypass
-    # BLAS, so its mod-2 reductions run over small-count float32 GEMMs
-    # (exact only while detector degrees stay below float32's 2^24 integer
-    # ceiling — the limit the packed kernel removes).
+    # float32 copies drive the dense reference kernel: integer matmuls
+    # bypass BLAS, so its mod-2 reductions run over small-count float32
+    # GEMMs (exact only while detector degrees stay below float32's 2^24
+    # integer ceiling — the limit the packed kernel removes).
     incidence_f32: np.ndarray
     logical_mask_f32: np.ndarray
     # Bit-packed kernel state (repro.qec.bitops): the gather-table matmul
@@ -157,28 +169,14 @@ def sample_errors(arrays: SamplingArrays, shots: int,
     return (draws < arrays.probabilities).view(np.uint8)
 
 
-def syndromes_of_errors(arrays: SamplingArrays,
-                        errors: np.ndarray) -> np.ndarray:
-    """All shots' detector syndromes via one mod-2 matmul.
-
-    The count matmul runs in float32 (BLAS; exact — per-detector counts are
-    bounded by the detector degree) and the ``& 1`` recovers the XOR of
-    incident error edges per detector.
-    """
-    counts = errors.astype(np.float32) @ arrays.incidence_f32
-    return counts.astype(np.uint8) & 1
-
-
-def logical_flips_of_errors(arrays: SamplingArrays,
-                            errors: np.ndarray) -> np.ndarray:
-    """Each shot's true logical-flip parity (uint8 vector of 0/1)."""
-    counts = errors.astype(np.float32) @ arrays.logical_mask_f32
-    return counts.astype(np.uint8) & 1
-
-
 def syndromes_and_flips(arrays: SamplingArrays, errors: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(syndromes, logical flips)`` sharing one float32 error conversion."""
+    """``(syndromes, logical flips)`` of the dense reference kernel.
+
+    The count matmuls run in float32 (BLAS; exact — per-detector counts are
+    bounded by the detector degree) and the ``& 1`` recovers the XOR of
+    incident error edges per detector (and along the logical mask).
+    """
     errors_f32 = errors.astype(np.float32)
     syndromes = (errors_f32 @ arrays.incidence_f32).astype(np.uint8) & 1
     flips = (errors_f32 @ arrays.logical_mask_f32).astype(np.uint8) & 1
@@ -202,26 +200,6 @@ def packed_syndromes_and_flips(arrays: SamplingArrays, errors: np.ndarray
     syndrome_words = arrays.incidence_plan.matmul_packed(error_words)
     flips = mod2_matvec_packed(error_words, arrays.logical_mask_words)
     return syndrome_words, flips
-
-
-#: Environment knob selecting the default syndrome kernel
-#: (``"packed"`` | ``"dense"``); per-call ``kernel=`` overrides win.
-_KERNEL_ENV = "REPRO_QEC_KERNEL"
-_KERNELS = ("packed", "dense")
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The effective syndrome kernel: argument > ``REPRO_QEC_KERNEL`` > packed.
-
-    Both kernels produce bitwise-identical failure counts (the property
-    suite holds them to it), so the choice never enters a cache key — a
-    result cached under one kernel is valid for the other.
-    """
-    choice = kernel or os.environ.get(_KERNEL_ENV) or "packed"
-    if choice not in _KERNELS:
-        raise ValueError(
-            f"unknown QEC kernel {choice!r}; expected one of {_KERNELS}")
-    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -366,102 +344,231 @@ def _shot_blocks(seed_sequence: np.random.SeedSequence, shots: int
 
 
 # ---------------------------------------------------------------------------
-# Shard payload (module-level: pickles by reference into worker processes)
+# The seeded-block run (shared with repro.qec.rare_event)
 # ---------------------------------------------------------------------------
 
 
-def _memory_sampling_shard(graph: DecodingGraph, decoder,
-                           blocks: Sequence[Tuple[np.random.SeedSequence,
-                                                  int]],
-                           kernel: str = "packed",
-                           streaming: bool = False) -> Dict:
-    """Sample + decode one worker's slice of blocks.
+def _block_shard(body: Callable, graph: DecodingGraph, decoder, *args
+                 ) -> Dict:
+    """Run one shard's ``body(graph, decoder, *args)`` and report, next to
+    its value, the decode/decoder counter deltas it accumulated here.
 
-    ``kernel`` picks the syndrome-extraction math: ``"packed"`` (bit-packed
-    uint64 words, :mod:`repro.qec.bitops`) or ``"dense"`` (the legacy
-    float32 GEMM).  Both sample the identical Bernoulli stream and produce
-    bitwise-identical failure counts.  ``streaming`` (packed kernel only)
-    decodes and folds each :data:`SHOT_BLOCK`-shot block as it is sampled —
-    constant memory in the shot count; neither the ``(shots, n_edges)``
-    error matrix nor any per-shard syndrome accumulation is ever
-    materialized.  Decoding is deterministic, so folding per block instead
-    of deduplicating across the shard cannot change any verdict.
-
-    Returns plain ints plus the decode/decoder counter deltas accumulated
-    inside this call, so the parent process can fold worker-side accounting
-    back into its own counters (process mode only; inline/thread mode
-    mutates the caller's objects directly and ignores the deltas).
+    Module-level (with a module-level ``body``) so the payload pickles by
+    reference into pool workers and spool ``repro-worker`` processes.  The
+    parent folds the deltas back only for shards that really ran in
+    another process (:meth:`_SeededRun.dispatch`).
     """
-    arrays = sampling_arrays(graph)
-    detectors = graph.detector_order()
     decode_before = batch_decode_stats()
     counters_before = decoder_counter_snapshot(decoder)
-
-    shots = 0
-    failures = 0
-    total_defects = 0
-    if kernel == "dense":
-        syndrome_rows: List[np.ndarray] = []
-        flip_rows: List[np.ndarray] = []
-        for seed_sequence, block_shots in blocks:
-            rng = np.random.default_rng(seed_sequence)
-            errors = sample_errors(arrays, block_shots, rng)
-            block_syndromes, block_flips = syndromes_and_flips(arrays, errors)
-            syndrome_rows.append(block_syndromes)
-            flip_rows.append(block_flips)
-        syndromes = np.concatenate(syndrome_rows, axis=0)
-        error_flips = np.concatenate(flip_rows, axis=0).astype(bool)
-        decoder_flips = batch_decode(decoder, syndromes, detectors)
-        shots = int(syndromes.shape[0])
-        failures = int(np.sum(decoder_flips != error_flips))
-        total_defects = int(syndromes.sum(dtype=np.int64))
-    elif streaming:
-        # sample → pack → decode → fold, one block at a time.
-        for seed_sequence, block_shots in blocks:
-            rng = np.random.default_rng(seed_sequence)
-            errors = sample_errors(arrays, block_shots, rng)
-            syndrome_words, block_flips = \
-                packed_syndromes_and_flips(arrays, errors)
-            decoder_flips = batch_decode_packed(decoder, syndrome_words,
-                                                detectors)
-            shots += int(block_shots)
-            failures += int(np.sum(decoder_flips
-                                   != block_flips.astype(bool)))
-            total_defects += int(popcount(syndrome_words))
-    else:
-        # Packed batch path: only the 8×-smaller packed syndrome words are
-        # accumulated across blocks (the error matrix stays per-block), and
-        # dedup spans the whole shard for maximum decode sharing.
-        word_rows: List[np.ndarray] = []
-        flip_blocks: List[np.ndarray] = []
-        for seed_sequence, block_shots in blocks:
-            rng = np.random.default_rng(seed_sequence)
-            errors = sample_errors(arrays, block_shots, rng)
-            syndrome_words, block_flips = \
-                packed_syndromes_and_flips(arrays, errors)
-            word_rows.append(syndrome_words)
-            flip_blocks.append(block_flips)
-        all_words = np.concatenate(word_rows, axis=0)
-        error_flips = np.concatenate(flip_blocks, axis=0).astype(bool)
-        decoder_flips = batch_decode_packed(decoder, all_words, detectors)
-        shots = int(all_words.shape[0])
-        failures = int(np.sum(decoder_flips != error_flips))
-        total_defects = int(popcount(all_words))
-
+    value = body(graph, decoder, *args)
     return {
-        "shots": shots,
-        "failures": failures,
-        "total_defects": total_defects,
+        "value": value,
         "decode_delta": batch_decode_delta(decode_before,
                                            batch_decode_stats()),
-        "decoder_delta": decoder_counter_delta(counters_before,
-                                               decoder_counter_snapshot(decoder)),
+        "decoder_delta": decoder_counter_delta(
+            counters_before, decoder_counter_snapshot(decoder)),
     }
 
 
+class _SeededRun:
+    """The plumbing every QEC sampling entry point shares for one run.
+
+    It owns the cacheability decision and the full-run cache probe/store,
+    the chunk-checkpoint loop of the streaming generators, the one
+    planner → :func:`~repro.execution.sharding.run_sharded` dispatch, and
+    the fold-back of worker-side counters.  Memory and rare-event sampling
+    supply only their spec, their per-block sampling body and their fold.
+
+    Cache keys are ``(tag, graph fingerprint, decoder token, *extra,
+    shots, SHOT_BLOCK, seed key, name)`` for the full run and ``(tag +
+    "-chunk", …same identity…, *chunk position, name)`` for one streamed
+    chunk; ``name`` is a component string or, for a tuple, spliced in.
+    """
+
+    def __init__(self, tag: str, graph: DecodingGraph, decoder, shots: int,
+                 seed: SeedLike, executor, use_cache: Optional[bool],
+                 extra: tuple = ()):
+        if shots < 1:
+            raise ValueError("need at least one shot")
+        from ..execution.executor import default_executor
+        self.executor = (executor if executor is not None
+                         else default_executor())
+        if use_cache is None:
+            use_cache = self.executor.use_cache
+        self.tag = tag
+        self.graph = graph
+        self.decoder = decoder
+        self.shots = int(shots)
+        self.seed_sequence, seed_key = as_seed_sequence(seed)
+        decoder_token = decoder_cache_token(decoder)
+        # Cacheable only when the run is seeded AND the decoder's behaviour
+        # is fully pinned down by a content token (None = unknown
+        # configuration).
+        self.cacheable = bool(use_cache and seed_key is not None
+                              and decoder_token is not None)
+        self.identity = None
+        if self.cacheable:
+            self.identity = ((graph.fingerprint(), decoder_token)
+                             + tuple(extra)
+                             + (self.shots, SHOT_BLOCK, seed_key))
+        self.fault_reports: list = []
+        self.process_shards = 0
+
+    @property
+    def fault_report(self):
+        """The first shard-supervisor report of this run, None if healthy."""
+        return self.fault_reports[0] if self.fault_reports else None
+
+    # -- cache -----------------------------------------------------------
+    def _keys(self, names: Sequence, position: tuple = ()) -> Dict:
+        head = ((self.tag + "-chunk",) if position else (self.tag,)) \
+            + self.identity + position
+        return {name: head + (name if isinstance(name, tuple) else (name,))
+                for name in names}
+
+    def _lookup(self, keys: Dict) -> Optional[Dict]:
+        """The cached value per name, or None unless every key hits."""
+        values = self.executor.cache.get_many(list(keys.values()))
+        if any(value is None for value in values):
+            return None
+        return dict(zip(keys, values))
+
+    def _store(self, keys: Dict, values: Dict) -> None:
+        self.executor.cache.put_many((key, float(values[name]))
+                                     for name, key in keys.items())
+
+    def cached(self, names: Sequence) -> Optional[Dict]:
+        """The full-run result's cached components (the experiment then
+        counts as served from cache), or None when it must be computed."""
+        if not self.cacheable:
+            return None
+        values = self._lookup(self._keys(names))
+        if values is not None:
+            _note_experiment(self.shots, cached=True, process_shards=0)
+        return values
+
+    def finish(self, values: Dict) -> None:
+        """Count the computed experiment and store its components."""
+        _note_experiment(self.shots, cached=False,
+                         process_shards=self.process_shards)
+        if self.cacheable:
+            self._store(self._keys(list(values)), values)
+
+    # -- streaming -------------------------------------------------------
+    def checkpointed(self, blocks: Sequence, chunk_blocks: int,
+                     names: Sequence, compute: Callable[[list], Dict],
+                     position: tuple = ()
+                     ) -> Iterator[Tuple[list, Dict]]:
+        """Yield ``(chunk, components)`` per ``chunk_blocks`` blocks.
+
+        A chunk a previous attempt already flushed is replayed from its
+        checkpoint without sampling or decoding; any other is computed by
+        ``compute(chunk)`` and, when the run is cacheable, its ``names``
+        components are flushed under the chunk's position *and* width —
+        so a resumed run with the same chunking re-decodes nothing, and a
+        different chunking can never alias a partial count onto the wrong
+        shots.  Replayed components are floats.
+        """
+        for start in range(0, len(blocks), int(chunk_blocks)):
+            chunk = blocks[start:start + int(chunk_blocks)]
+            keys = (self._keys(names, position + (start, len(chunk)))
+                    if self.cacheable else None)
+            values = self._lookup(keys) if keys is not None else None
+            if values is None:
+                values = compute(chunk)
+                if keys is not None:
+                    self._store(keys, values)
+            yield chunk, values
+
+    # -- dispatch --------------------------------------------------------
+    def dispatch(self, effective, body: Callable, units: Sequence,
+                 extra: tuple = ()) -> List:
+        """Run ``body(graph, decoder, *extra, chunk)`` on each planner
+        chunk of ``units``; returns each shard's value in unit order.
+
+        ``effective`` is the call's resolved
+        :class:`~repro.execution.policy.ExecutionPolicy`.  Process dispatch
+        takes its broker, retry policy and fault callback from the
+        executor; fault reports are also kept for :attr:`fault_report`.
+        """
+        if not units:
+            return []
+        executor = self.executor
+        plan = executor.planner.plan(num_items=len(units), hints=("process",),
+                                     parallel=effective.parallel,
+                                     max_workers=effective.max_workers)
+        chunks = (split_evenly(list(units), plan.workers) if plan.is_parallel
+                  else [list(units)])
+        payloads = [(body, self.graph, self.decoder) + extra + (chunk,)
+                    for chunk in chunks]
+        reports: list = []
+        kwargs = {}
+        if plan.mode == "process":
+            kwargs = executor._shard_kwargs(effective, plan)
+            note = kwargs["on_fault"]
+
+            def on_fault(report) -> None:
+                reports.append(report)
+                note(report)
+
+            kwargs["on_fault"] = on_fault
+        results = run_sharded(plan, _block_shard, payloads, **kwargs)
+        self.fault_reports.extend(reports)
+        # run_sharded executes a single payload inline even under a process
+        # plan; then — and for shards the supervisor degraded to inline —
+        # this process's counters were mutated directly, and folding the
+        # deltas again would double-count them.
+        if plan.mode == "process" and plan.is_parallel and len(payloads) > 1:
+            inline = {index for report in reports
+                      for index in report.inline_indices}
+            for index, result in enumerate(results):
+                if index not in inline:
+                    absorb_batch_decode_delta(result["decode_delta"])
+                    apply_decoder_counter_delta(self.decoder,
+                                                result["decoder_delta"])
+            executor.note_process_shards(len(payloads))
+            self.process_shards += len(payloads)
+        return [result["value"] for result in results]
+
+
 # ---------------------------------------------------------------------------
-# The executor-routed experiment entry point
+# Memory sampling
 # ---------------------------------------------------------------------------
+
+
+def _memory_blocks(graph: DecodingGraph, decoder,
+                   blocks: Sequence[Tuple[np.random.SeedSequence, int]]
+                   ) -> Dict[str, int]:
+    """``{"failures", "defects"}`` of sampling and decoding ``blocks``.
+
+    Only packed syndrome words are kept across blocks (the error matrix
+    stays per block), and they are decoded in groups of whole blocks whose
+    rows stay under :data:`_DECODE_GROUP_BYTES` — dedup spans a group.
+    """
+    arrays = sampling_arrays(graph)
+    detectors = graph.detector_order()
+    row_bytes = 8 * max(1, packed_words(arrays.num_detectors))
+    group = max(1, _DECODE_GROUP_BYTES // (SHOT_BLOCK * row_bytes))
+    failures = 0
+    defects = 0
+    for start in range(0, len(blocks), group):
+        word_rows: List[np.ndarray] = []
+        flip_rows: List[np.ndarray] = []
+        for seed_sequence, block_shots in blocks[start:start + group]:
+            rng = np.random.default_rng(seed_sequence)
+            errors = sample_errors(arrays, block_shots, rng)
+            words, flips = packed_syndromes_and_flips(arrays, errors)
+            word_rows.append(words)
+            flip_rows.append(flips)
+        words = np.concatenate(word_rows, axis=0)
+        decoder_flips = batch_decode_packed(decoder, words, detectors)
+        error_flips = np.concatenate(flip_rows, axis=0).astype(bool)
+        failures += int(np.sum(decoder_flips != error_flips))
+        defects += int(popcount(words))
+    return {"failures": failures, "defects": defects}
+
+
+_MEMORY_COMPONENTS = ("failures", "defects")
 
 
 @dataclass(frozen=True)
@@ -490,27 +597,10 @@ class SamplingRun:
         return self.total_defects / self.shots if self.shots else 0.0
 
 
-def _cache_keys(graph: DecodingGraph, decoder_token: tuple, shots: int,
-                seed_key: tuple) -> Tuple[tuple, tuple]:
-    base = ("qec-memory", graph.fingerprint(), decoder_token,
-            int(shots), int(SHOT_BLOCK), seed_key)
-    return base + ("failures",), base + ("defects",)
-
-
-def _chunk_cache_keys(graph: DecodingGraph, decoder_token: tuple,
-                      shots: int, seed_key: tuple, start_block: int,
-                      num_blocks: int) -> Tuple[tuple, tuple]:
-    """Checkpoint keys for one streamed chunk of sampling blocks.
-
-    Keyed by chunk position *and* width on top of the full-run identity,
-    so a resumed :func:`stream_memory_sampling` with the same
-    ``chunk_blocks`` re-decodes nothing already flushed, while a different
-    chunking can never alias a partial count onto the wrong shots.
-    """
-    base = ("qec-memory-chunk", graph.fingerprint(), decoder_token,
-            int(shots), int(SHOT_BLOCK), seed_key, int(start_block),
-            int(num_blocks))
-    return base + ("failures",), base + ("defects",)
+def _cached_sampling_run(shots: int, hit: Dict[str, float]) -> SamplingRun:
+    return SamplingRun(shots=shots, failures=int(round(hit["failures"])),
+                       total_defects=int(round(hit["defects"])),
+                       from_cache=True)
 
 
 def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
@@ -519,8 +609,6 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
                         parallel: Optional[str] = None,
                         max_workers: Optional[int] = None,
                         use_cache: Optional[bool] = None,
-                        kernel: Optional[str] = None,
-                        streaming: bool = False,
                         policy=None) -> SamplingRun:
     """Run a batched Monte-Carlo memory experiment over ``graph``.
 
@@ -528,7 +616,7 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     decoders additionally implement ``decode_batch`` (via
     :class:`~repro.qec.decoders.base.SyndromeBatchDecoder`) and are decoded
     through it, while plain decoders get the generic dedup shell
-    (:func:`repro.qec.decoders.base.batch_decode`).
+    (:func:`repro.qec.decoders.base.batch_decode_packed`).
     ``executor`` supplies the shard planner, the expectation cache and the
     stats block (default: the process-wide
     :func:`repro.execution.executor.default_executor`); ``policy`` (an
@@ -536,114 +624,39 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     ``parallel`` / ``max_workers`` keywords override its fan-out policy —
     including the shard broker — for this call.
 
-    ``kernel`` selects the syndrome math (:func:`resolve_kernel`:
-    ``"packed"`` bit-packed words by default, ``"dense"`` the legacy
-    float32 GEMM); ``streaming=True`` decodes and folds each
-    :data:`SHOT_BLOCK`-shot block as it is sampled, keeping memory
-    constant in the shot count (d≥15 surface-code runs fit where the
-    dense path cannot — see ``benchmarks/test_bitpacked_kernels.py``).
+    Each shard decodes its blocks in groups bounded by
+    :data:`_DECODE_GROUP_BYTES` of packed syndrome rows, so memory stays
+    flat in the shot count (a d=15, 32768-shot run fits the 24 MiB budget
+    of ``benchmarks/test_bitpacked_kernels.py``).
 
-    Failure counts are bitwise identical for any worker count, any of the
-    inline/thread/process paths, either kernel, and streaming on or off:
-    all variants consume the identical per-block Bernoulli draw stream and
-    decoding is deterministic.  Seeded runs therefore share one cache
-    entry — the key encodes none of those execution choices — so
-    repeating a seeded experiment decodes nothing.
+    Failure counts are bitwise identical for any worker count and any of
+    the inline/thread/process paths: all consume the identical per-block
+    Bernoulli draw stream and decoding is deterministic.  Seeded runs
+    therefore share one cache entry — the key encodes none of those
+    execution choices — so repeating a seeded experiment decodes nothing.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    kernel = resolve_kernel(kernel)
-    if streaming and kernel != "packed":
-        raise ValueError("streaming mode requires the packed kernel")
-    from ..execution.executor import default_executor
-    if executor is None:
-        executor = default_executor()
-    if use_cache is None:
-        use_cache = executor.use_cache
-
-    seed_sequence, seed_key = as_seed_sequence(seed)
-    decoder_token = decoder_cache_token(decoder)
-    # Cacheable only when the run is seeded AND the decoder's behaviour is
-    # fully pinned down by a content token (None = unknown configuration).
-    cacheable = (use_cache and seed_key is not None
-                 and decoder_token is not None)
-    if cacheable:
-        failures_key, defects_key = _cache_keys(graph, decoder_token, shots,
-                                                seed_key)
-        failures_hit = executor.cache.get(failures_key)
-        defects_hit = executor.cache.get(defects_key)
-        if failures_hit is not None and defects_hit is not None:
-            _note_experiment(shots, cached=True, process_shards=0)
-            return SamplingRun(shots=int(shots),
-                               failures=int(round(failures_hit)),
-                               total_defects=int(round(defects_hit)),
-                               from_cache=True)
-
-    blocks = _shot_blocks(seed_sequence, shots)
-    effective = executor._resolve_policy(policy, parallel=parallel,
-                                         max_workers=max_workers)
-    plan = executor.planner.plan(num_items=len(blocks), hints=("process",),
-                                 parallel=effective.parallel,
-                                 max_workers=effective.max_workers)
-    if plan.is_parallel:
-        chunks = split_evenly(blocks, plan.workers)
-    else:
-        chunks = [blocks]
-    payloads = [(graph, decoder, chunk, kernel, streaming)
-                for chunk in chunks]
-    # run_sharded executes a single payload inline even under a process
-    # plan, in which case the caller's objects were mutated directly and
-    # the returned deltas must NOT be applied a second time.
-    crosses_processes = (plan.mode == "process" and plan.is_parallel
-                         and len(payloads) > 1)
-
-    fault_reports: list = []
-
-    def _on_fault(report) -> None:
-        fault_reports.append(report)
-        note = getattr(executor, "note_fault_report", None)
-        if note is not None:
-            note(report)
-
-    broker = None
-    if plan.mode == "process":
-        broker = make_broker(effective.broker, plan.workers)
-    shard_results = run_sharded(plan, _memory_sampling_shard, payloads,
-                                policy=effective.retry, broker=broker,
-                                on_fault=_on_fault)
-
-    failures = sum(result["failures"] for result in shard_results)
-    total_defects = sum(result["total_defects"] for result in shard_results)
-    if crosses_processes:
-        # Shards the supervisor degraded to inline execution mutated this
-        # process's counters directly — folding their deltas again would
-        # double-count them.
-        inline_shards = {index for report in fault_reports
-                         for index in report.inline_indices}
-        for index, result in enumerate(shard_results):
-            if index in inline_shards:
-                continue
-            absorb_batch_decode_delta(result["decode_delta"])
-            apply_decoder_counter_delta(decoder, result["decoder_delta"])
-        executor.note_process_shards(len(payloads))
-    _note_experiment(shots, cached=False,
-                     process_shards=len(payloads) if crosses_processes else 0)
-
-    if cacheable:
-        executor.cache.put(failures_key, float(failures))
-        executor.cache.put(defects_key, float(total_defects))
-    return SamplingRun(shots=int(shots), failures=int(failures),
-                       total_defects=int(total_defects), from_cache=False,
-                       fault_report=fault_reports[0] if fault_reports
-                       else None)
+    run = _SeededRun("qec-memory", graph, decoder, shots, seed, executor,
+                     use_cache)
+    hit = run.cached(_MEMORY_COMPONENTS)
+    if hit is not None:
+        return _cached_sampling_run(run.shots, hit)
+    effective = run.executor._resolve_policy(policy, parallel=parallel,
+                                             max_workers=max_workers)
+    counts = run.dispatch(effective, _memory_blocks,
+                          _shot_blocks(run.seed_sequence, shots))
+    totals = {name: sum(count[name] for count in counts)
+              for name in _MEMORY_COMPONENTS}
+    run.finish(totals)
+    return SamplingRun(shots=run.shots, failures=totals["failures"],
+                       total_defects=totals["defects"], from_cache=False,
+                       fault_report=run.fault_report)
 
 
 def stream_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
                            seed: SeedLike = None,
                            executor=None,
                            chunk_blocks: int = 4,
-                           use_cache: Optional[bool] = None,
-                           kernel: Optional[str] = None):
+                           use_cache: Optional[bool] = None):
     """Generator variant of :func:`run_memory_sampling` with partial results.
 
     Yields **cumulative** :class:`SamplingRun` snapshots after every
@@ -672,70 +685,26 @@ def stream_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     the same per-block stream, so a resumed run's snapshots and final
     counts stay bitwise identical to an uninterrupted one.
     """
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    run = _SeededRun("qec-memory", graph, decoder, shots, seed, executor,
+                     use_cache)
     if chunk_blocks < 1:
         raise ValueError("chunk_blocks must be a positive integer")
-    kernel = resolve_kernel(kernel)
-    from ..execution.executor import default_executor
-    if executor is None:
-        executor = default_executor()
-    if use_cache is None:
-        use_cache = executor.use_cache
-
-    seed_sequence, seed_key = as_seed_sequence(seed)
-    decoder_token = decoder_cache_token(decoder)
-    cacheable = (use_cache and seed_key is not None
-                 and decoder_token is not None)
-    if cacheable:
-        failures_key, defects_key = _cache_keys(graph, decoder_token, shots,
-                                                seed_key)
-        failures_hit = executor.cache.get(failures_key)
-        defects_hit = executor.cache.get(defects_key)
-        if failures_hit is not None and defects_hit is not None:
-            _note_experiment(shots, cached=True, process_shards=0)
-            yield SamplingRun(shots=int(shots),
-                              failures=int(round(failures_hit)),
-                              total_defects=int(round(defects_hit)),
-                              from_cache=True)
-            return
-
-    blocks = _shot_blocks(seed_sequence, shots)
+    hit = run.cached(_MEMORY_COMPONENTS)
+    if hit is not None:
+        yield _cached_sampling_run(run.shots, hit)
+        return
     done_shots = 0
-    failures = 0
-    total_defects = 0
-    for start in range(0, len(blocks), int(chunk_blocks)):
-        chunk = blocks[start:start + int(chunk_blocks)]
-        chunk_keys = None
-        if cacheable:
-            chunk_keys = _chunk_cache_keys(graph, decoder_token, shots,
-                                           seed_key, start, len(chunk))
-            chunk_failures = executor.cache.get(chunk_keys[0])
-            chunk_defects = executor.cache.get(chunk_keys[1])
-            if chunk_failures is not None and chunk_defects is not None:
-                # Checkpointed by a previous attempt: fold the flushed
-                # counts, decode nothing.
-                done_shots += sum(block_shots for _, block_shots in chunk)
-                failures += int(round(chunk_failures))
-                total_defects += int(round(chunk_defects))
-                yield SamplingRun(shots=done_shots, failures=failures,
-                                  total_defects=total_defects,
-                                  from_cache=False)
-                continue
-        partial = _memory_sampling_shard(graph, decoder, chunk, kernel)
-        done_shots += partial["shots"]
-        failures += partial["failures"]
-        total_defects += partial["total_defects"]
-        if chunk_keys is not None:
-            executor.cache.put(chunk_keys[0], float(partial["failures"]))
-            executor.cache.put(chunk_keys[1],
-                               float(partial["total_defects"]))
-        yield SamplingRun(shots=done_shots, failures=failures,
-                          total_defects=total_defects, from_cache=False)
-    _note_experiment(shots, cached=False, process_shards=0)
-    if cacheable:
-        executor.cache.put(failures_key, float(failures))
-        executor.cache.put(defects_key, float(total_defects))
+    totals = dict.fromkeys(_MEMORY_COMPONENTS, 0)
+    for chunk, counts in run.checkpointed(
+            _shot_blocks(run.seed_sequence, shots), chunk_blocks,
+            _MEMORY_COMPONENTS,
+            lambda chunk: _memory_blocks(graph, decoder, chunk)):
+        done_shots += sum(block_shots for _, block_shots in chunk)
+        for name in _MEMORY_COMPONENTS:
+            totals[name] += int(round(counts[name]))
+        yield SamplingRun(shots=done_shots, failures=totals["failures"],
+                          total_defects=totals["defects"], from_cache=False)
+    run.finish(totals)
 
 
 def run_memory_sampling_reference(graph: DecodingGraph, decoder,

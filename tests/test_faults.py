@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
-from repro.execution import Executor
+from repro.execution import ExecutionPolicy, Executor
 from repro.execution.disk_cache import DiskExpectationCache
 from repro.execution.faults import (FAULTS_ENV, FaultInjector, FaultRule,
                                     active_injector, clear_injector,
@@ -329,6 +329,28 @@ class TestExecutorChaos:
         assert chaotic.fault_report.respawns >= 1
         assert executor.stats.pool_respawns >= 1
 
+    def test_qec_sampling_degraded_shards_count_decodes_once(self):
+        """Shards the supervisor degrades to inline decode in this process,
+        so their counter deltas must not be folded back a second time."""
+        graph = rotated_surface_code_graph(3, 2, 0.01)
+        shots = 2 * SHOT_BLOCK + 17
+        clean = run_memory_sampling(graph, MWPMDecoder(graph), shots,
+                                    seed=321,
+                                    executor=Executor(use_cache=False),
+                                    parallel="none")
+        executor = Executor(use_cache=False)
+        policy = ExecutionPolicy(parallel="process", max_workers=2,
+                                 retry=_fast_policy(max_retries=0))
+        reset_sampling_stats()
+        with inject_faults("shard.raise=1"):  # every pooled attempt fails
+            degraded = run_memory_sampling(graph, MWPMDecoder(graph), shots,
+                                           seed=321, executor=executor,
+                                           policy=policy)
+        assert (degraded.failures, degraded.total_defects) \
+            == (clean.failures, clean.total_defects)
+        assert sorted(degraded.fault_report.inline_indices) == [0, 1]
+        assert sampling_stats().shots_decoded == shots
+
     def test_stream_checkpoints_resume_with_partial_decodes(self, tmp_path):
         graph = rotated_surface_code_graph(3, 2, 0.01)
         shots = 6 * SHOT_BLOCK + 13
@@ -480,9 +502,13 @@ class TestServiceChaos:
                                      shots=262144, chunk_blocks=4)
         with service() as handle:
             with ServiceClient(handle.socket_path) as client:
-                submitted = client.submit("qec_memory", payload,
-                                          deadline=0.3)
-                result = client.result(submitted.job_id, wait=True)
+                # A 10 ms stall at each of the job's 256 chunk checkpoints
+                # makes it outlast the 0.3 s deadline however fast the
+                # machine samples.
+                with inject_faults("job.delay=1:0.01"):
+                    submitted = client.submit("qec_memory", payload,
+                                              deadline=0.3)
+                    result = client.result(submitted.job_id, wait=True)
                 assert result.state == "failed"
                 assert "deadline" in (result.error or "")
                 assert client.status(submitted.job_id)["attempts"] == 1

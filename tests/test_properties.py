@@ -564,7 +564,7 @@ class TestDecoderProperties:
 
 
 # ---------------------------------------------------------------------------
-# Sampling: packed vs dense vs streaming
+# Sampling: packed vs dense reference vs streamed
 # ---------------------------------------------------------------------------
 
 class TestSamplingKernelProperties:
@@ -584,15 +584,21 @@ class TestSamplingKernelProperties:
     @settings(max_examples=15)
     def test_run_memory_sampling_kernel_equivalence(self, seed, shots):
         from repro.execution.executor import Executor
-        from repro.qec.sampling import run_memory_sampling
+        from repro.qec.sampling import (run_memory_sampling,
+                                        run_memory_sampling_reference,
+                                        stream_memory_sampling)
         graph = repetition_code_graph(3, 2, 0.05)
         executor = Executor(use_cache=False)
+        *_, streamed = stream_memory_sampling(graph, MWPMDecoder(graph),
+                                              shots, seed=seed,
+                                              executor=executor)
         results = [
+            # dense float32 GEMM syndromes, per-shot decode
+            run_memory_sampling_reference(graph, MWPMDecoder(graph), shots,
+                                          seed=seed),
             run_memory_sampling(graph, MWPMDecoder(graph), shots, seed=seed,
-                                executor=executor, kernel=kernel,
-                                streaming=streaming)
-            for kernel, streaming in (("dense", False), ("packed", False),
-                                      ("packed", True))
+                                executor=executor),
+            streamed,
         ]
         failures = {r.failures for r in results}
         defects = {r.total_defects for r in results}

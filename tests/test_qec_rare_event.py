@@ -33,7 +33,9 @@ from repro.qec import (RareEventMemoryOutcome, RareEventResult,
                        stream_rare_event_sampling,
                        surface_code_memory_experiment)
 from repro.qec.decoders import LookupDecoder, MWPMDecoder
-from repro.qec.decoders.base import batch_decode_stats
+from repro.qec.bitops import unpack_rows
+from repro.qec.decoders.base import (batch_decode, batch_decode_packed,
+                                     batch_decode_stats)
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
 from repro.qec.rare_event import (_allocate_main_shots,
@@ -44,7 +46,9 @@ from repro.qec.rare_event import (_allocate_main_shots,
                                   stratum_probabilities,
                                   tilt_for_mean_weight,
                                   tilted_probabilities)
-from repro.qec.sampling import run_memory_sampling, sampling_arrays
+from repro.qec.sampling import (packed_syndromes_and_flips,
+                                run_memory_sampling, sampling_arrays,
+                                syndromes_and_flips)
 
 
 def _executor():
@@ -175,28 +179,31 @@ class TestIdentityTiltAnchor:
         assert anchored.estimate == direct.failures / 1024
         assert anchored.ess == 1024.0
 
-    def test_anchor_holds_on_dense_kernel(self):
-        graph = small_graph()
-        direct = run_memory_sampling(graph, MWPMDecoder(graph), 512,
-                                     seed=8, executor=_executor(),
-                                     kernel="dense")
-        anchored = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), 512, method="importance", tilt=0.0,
-            seed=8, executor=_executor(), kernel="dense")
-        assert anchored.raw_failures == direct.failures
-        assert anchored.total_defects == direct.total_defects
-
     def test_kernels_agree_bitwise(self):
+        """Tilted Bernoulli rows and exact fixed-weight rows — the two
+        rare-event error matrices — give the same syndromes, logical flips
+        and decoder verdicts through the packed kernel as through the
+        dense reference."""
         graph = small_graph()
-        packed = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                         method="stratified", seed=13,
-                                         executor=_executor())
-        dense = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                        method="stratified", seed=13,
-                                        executor=_executor(),
-                                        kernel="dense")
-        assert packed.estimate == dense.estimate
-        assert packed.strata == dense.strata
+        arrays = sampling_arrays(graph)
+        detectors = graph.detector_order()
+        decoder = MWPMDecoder(graph)
+        rng = np.random.default_rng(13)
+        q = tilted_probabilities(arrays.probabilities, 1.5)
+        tilted = (rng.random((300, arrays.num_edges)) < q).view(np.uint8)
+        fixed = _sample_fixed_weight(
+            arrays, 3, 300, rng,
+            _conditional_include_table(arrays.probabilities, 3))
+        for errors in (tilted, fixed):
+            syndromes, flips = syndromes_and_flips(arrays, errors)
+            words, packed_flips = packed_syndromes_and_flips(arrays, errors)
+            assert syndromes.any()
+            assert np.array_equal(unpack_rows(words, arrays.num_detectors),
+                                  syndromes)
+            assert np.array_equal(packed_flips, flips)
+            assert np.array_equal(
+                batch_decode_packed(decoder, words, detectors),
+                batch_decode(decoder, syndromes, detectors))
 
 
 # ---------------------------------------------------------------------------

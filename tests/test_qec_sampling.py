@@ -14,10 +14,12 @@ Covers the four refactor layers:
   collision-free sweep seeding, Wilson intervals on both result classes).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.execution import Executor
+from repro.execution import ExpectationCache, Executor
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode_stats,
                                 decoder_cache_token)
@@ -30,16 +32,17 @@ from repro.qec.memory_experiment import (MemoryExperimentResult,
                                          RepetitionCodeMemory,
                                          RepetitionMatchingDecoder,
                                          logical_error_rate_sweep)
-from repro.qec.bitops import unpack_rows
+from repro.qec import (run_rare_event_sampling, sampling as sampling_module,
+                       stream_rare_event_sampling)
+from repro.qec.bitops import packed_words, unpack_rows
 from repro.qec.sampling import (SHOT_BLOCK, as_seed_sequence,
                                 binomial_standard_error,
-                                logical_flips_of_errors,
                                 packed_syndromes_and_flips,
-                                reset_sampling_stats, resolve_kernel,
-                                run_memory_sampling,
+                                reset_sampling_stats, run_memory_sampling,
                                 run_memory_sampling_reference, sample_errors,
                                 sampling_arrays, sampling_stats,
-                                syndromes_of_errors, wilson_interval)
+                                stream_memory_sampling,
+                                syndromes_and_flips, wilson_interval)
 from repro.qec.surface_memory import (SurfaceCodeMemory,
                                       surface_code_memory_experiment)
 
@@ -66,7 +69,7 @@ def _random_syndromes(graph, shots, seed, boost=1.0):
     draws = rng.random((shots, arrays.num_edges))
     errors = (draws < np.minimum(arrays.probabilities * boost, 0.5)
               ).view(np.uint8)
-    return syndromes_of_errors(arrays, errors)
+    return syndromes_and_flips(arrays, errors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,7 @@ class TestSamplingKernel:
         arrays = sampling_arrays(graph)
         detectors = graph.detector_order()
         errors = sample_errors(arrays, 40, np.random.default_rng(3))
-        syndromes = syndromes_of_errors(arrays, errors)
+        syndromes, _ = syndromes_and_flips(arrays, errors)
         edges = graph.edges
         for shot in range(40):
             sample = [edges[e] for e in np.flatnonzero(errors[shot])]
@@ -123,7 +126,7 @@ class TestSamplingKernel:
         graph = repetition_code_graph(5, 2, 0.05)
         arrays = sampling_arrays(graph)
         errors = sample_errors(arrays, 60, np.random.default_rng(8))
-        flips = logical_flips_of_errors(arrays, errors)
+        _, flips = syndromes_and_flips(arrays, errors)
         edges = graph.edges
         for shot in range(60):
             sample = [edges[e] for e in np.flatnonzero(errors[shot])]
@@ -514,104 +517,211 @@ class TestUncertainty:
 
 
 class TestPackedKernel:
-    """The bit-packed syndrome path: selection, equivalence, cache identity."""
+    """The bit-packed syndrome path: equivalence with the dense reference,
+    grouped decoding, cache identity of batch and streamed runs."""
 
     def test_packed_syndromes_and_flips_match_dense(self):
         graph = rotated_surface_code_graph(3, 2, 0.05)
         arrays = sampling_arrays(graph)
         errors = sample_errors(arrays, 60, np.random.default_rng(4))
         words, flips = packed_syndromes_and_flips(arrays, errors)
+        dense_syndromes, dense_flips = syndromes_and_flips(arrays, errors)
         assert words.dtype == np.uint64
         assert np.array_equal(unpack_rows(words, arrays.num_detectors),
-                              syndromes_of_errors(arrays, errors))
-        assert np.array_equal(flips, logical_flips_of_errors(arrays, errors))
-
-    def test_resolve_kernel_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QEC_KERNEL", raising=False)
-        assert resolve_kernel() == "packed"          # default
-        monkeypatch.setenv("REPRO_QEC_KERNEL", "dense")
-        assert resolve_kernel() == "dense"           # env overrides default
-        assert resolve_kernel("packed") == "packed"  # argument overrides env
-        with pytest.raises(ValueError, match="unknown QEC kernel"):
-            resolve_kernel("float128")
-        monkeypatch.setenv("REPRO_QEC_KERNEL", "simd")
-        with pytest.raises(ValueError, match="unknown QEC kernel"):
-            resolve_kernel()
-
-    def test_streaming_requires_packed_kernel(self):
-        graph = repetition_code_graph(3, 1, 1e-3)
-        with pytest.raises(ValueError, match="streaming"):
-            run_memory_sampling(graph, MWPMDecoder(graph), 10, seed=1,
-                                kernel="dense", streaming=True,
-                                use_cache=False)
+                              dense_syndromes)
+        assert np.array_equal(flips, dense_flips)
 
     def test_kernels_and_streaming_bitwise_identical_with_real_failures(self):
         graph = rotated_surface_code_graph(3, 2, 0.03)
         decoder = MWPMDecoder(graph)
         shots = 2 * SHOT_BLOCK + 17   # three blocks, uneven tail
+        *_, streamed = stream_memory_sampling(
+            graph, decoder, shots, seed=321,
+            executor=Executor(use_cache=False))
         runs = {
-            mode: run_memory_sampling(
+            "packed": run_memory_sampling(
                 graph, decoder, shots, seed=321,
-                executor=Executor(use_cache=False),
-                kernel=kernel, streaming=streaming)
-            for mode, (kernel, streaming) in {
-                "dense": ("dense", False),
-                "packed": ("packed", False),
-                "streaming": ("packed", True),
-            }.items()
+                executor=Executor(use_cache=False)),
+            "streaming": streamed,
+            # dense float32 GEMM syndromes + per-shot decode
+            "reference": run_memory_sampling_reference(graph, decoder, shots,
+                                                       seed=321),
         }
-        reference = run_memory_sampling_reference(graph, decoder, shots,
-                                                  seed=321)
-        assert runs["dense"].failures > 0, "workload should produce failures"
+        assert runs["reference"].failures > 0, \
+            "workload should produce failures"
         assert len({run.failures for run in runs.values()}) == 1
         assert len({run.total_defects for run in runs.values()}) == 1
-        assert runs["dense"].failures == reference.failures
-        assert runs["dense"].total_defects == reference.total_defects
 
     def test_worker_count_determinism_with_real_failures(self):
         """Small-shot tier-1 version of the benchmark determinism gate:
         failure counts are bitwise identical across shard modes/workers on a
-        workload that actually fails, for both kernels."""
+        workload that actually fails, and equal to the dense reference and
+        the streamed run."""
         graph = rotated_surface_code_graph(3, 2, 0.03)
         shots = 2 * SHOT_BLOCK + 17
 
-        def failures(parallel, workers, **kwargs):
+        def failures(parallel, workers):
             run = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                       seed=321,
                                       executor=Executor(use_cache=False),
-                                      parallel=parallel, max_workers=workers,
-                                      **kwargs)
+                                      parallel=parallel, max_workers=workers)
             return run.failures, run.total_defects
 
         inline = failures("none", 1)
         assert inline[0] > 0, "workload should produce real failures"
         assert failures("process", 2) == inline
         assert failures("thread", 2) == inline
-        assert failures("process", 2, kernel="dense") == inline
-        assert failures("process", 2, streaming=True) == inline
+        reference = run_memory_sampling_reference(graph, MWPMDecoder(graph),
+                                                  shots, seed=321)
+        assert (reference.failures, reference.total_defects) == inline
+        *_, streamed = stream_memory_sampling(
+            graph, MWPMDecoder(graph), shots, seed=321,
+            executor=Executor(use_cache=False))
+        assert (streamed.failures, streamed.total_defects) == inline
 
-    def test_kernel_choice_not_in_cache_key(self, tmp_path):
-        """Dense, packed and streaming runs are bitwise identical, so the
-        kernel deliberately stays out of the cache key: a packed (or
-        streaming) re-run of a dense-cached experiment is served without
-        decoding a single syndrome."""
+    def test_grouped_decode_bitwise_equal_to_one_group(self, monkeypatch):
+        """A shard whose blocks span several decode groups folds exactly
+        the counts of one group; only dedup sharing (unique syndromes,
+        batch calls) follows the grouping."""
+        graph = rotated_surface_code_graph(3, 2, 0.03)
+        shots = 5 * SHOT_BLOCK + 17   # six blocks, uneven tail
+
+        def sample():
+            reset_sampling_stats()
+            run = run_memory_sampling(graph, MWPMDecoder(graph), shots,
+                                      seed=99,
+                                      executor=Executor(use_cache=False),
+                                      parallel="none")
+            return (run.failures, run.total_defects), sampling_stats()
+
+        one_group, one_stats = sample()
+        assert one_stats.batch_calls == 1
+        row_bytes = packed_words(sampling_arrays(graph).num_detectors) * 8
+        monkeypatch.setattr(sampling_module, "_DECODE_GROUP_BYTES",
+                            2 * SHOT_BLOCK * row_bytes)  # two blocks a group
+        grouped, grouped_stats = sample()
+        assert one_group[0] > 0, "workload should produce real failures"
+        assert grouped == one_group
+        assert grouped_stats.batch_calls == 3
+        for field in ("experiments", "cached_experiments", "shots_sampled",
+                      "process_shards", "shots_decoded"):
+            assert getattr(grouped_stats, field) == getattr(one_stats, field)
+        assert one_stats.shots_decoded == shots
+        assert (one_stats.syndromes_decoded <= grouped_stats.syndromes_decoded
+                <= shots)
+
+    def test_batch_and_stream_share_one_cache_entry(self, tmp_path):
+        """A batch run and a streamed run of the same seeded experiment are
+        bitwise identical, so they share one cache entry: either re-run of
+        a cached experiment is served without decoding a single
+        syndrome."""
         graph = rotated_surface_code_graph(3, 2, 0.03)
         kwargs = dict(shots=200, seed=9)
         cold = run_memory_sampling(graph, MWPMDecoder(graph),
                                    executor=Executor(cache_dir=tmp_path),
-                                   kernel="dense", **kwargs)
+                                   **kwargs)
         reset_sampling_stats()
-        for kernel, streaming in (("packed", False), ("packed", True)):
-            warm = run_memory_sampling(graph, MWPMDecoder(graph),
-                                       executor=Executor(cache_dir=tmp_path),
-                                       kernel=kernel, streaming=streaming,
-                                       **kwargs)
+        warm_runs = [
+            run_memory_sampling(graph, MWPMDecoder(graph),
+                                executor=Executor(cache_dir=tmp_path),
+                                **kwargs),
+            *stream_memory_sampling(graph, MWPMDecoder(graph),
+                                    executor=Executor(cache_dir=tmp_path),
+                                    **kwargs),
+        ]
+        assert len(warm_runs) == 2   # a warm stream yields one snapshot
+        for warm in warm_runs:
+            assert warm.from_cache
             assert (warm.failures, warm.total_defects) \
                 == (cold.failures, cold.total_defects)
         stats = sampling_stats()
         assert stats.syndromes_decoded == 0
         assert stats.shots_sampled == 0
         assert stats.cached_experiments == 2
+
+
+class TestCacheKeys:
+    """The exact cache key tuples every entry point writes.  Existing disk
+    caches keep serving only while these stay put, so each test reads the
+    full key set of one small seeded run back from ``executor.cache``."""
+
+    SHOTS = 2 * SHOT_BLOCK + 17   # three blocks, uneven tail
+
+    @staticmethod
+    def _executor():
+        return Executor(cache=ExpectationCache(), parallel="none")
+
+    @staticmethod
+    def _assert_holds_exactly(executor, keys):
+        for key in keys:
+            assert key in executor.cache, key
+        assert len(executor.cache) == len(set(keys))
+
+    def _identity(self, graph, decoder, *extra, shots=None):
+        return ((graph.fingerprint(), decoder_cache_token(decoder)) + extra
+                + (self.SHOTS if shots is None else shots, 256,
+                   ("seed", 5)))
+
+    def test_run_memory_sampling_keys(self):
+        graph = repetition_code_graph(3, 2, 0.05)
+        decoder = MWPMDecoder(graph)
+        executor = self._executor()
+        run_memory_sampling(graph, decoder, self.SHOTS, seed=5,
+                            executor=executor)
+        base = ("qec-memory",) + self._identity(graph, decoder)
+        self._assert_holds_exactly(
+            executor, [base + ("failures",), base + ("defects",)])
+
+    def test_stream_memory_sampling_keys(self):
+        graph = repetition_code_graph(3, 2, 0.05)
+        decoder = MWPMDecoder(graph)
+        executor = self._executor()
+        list(stream_memory_sampling(graph, decoder, self.SHOTS, seed=5,
+                                    executor=executor, chunk_blocks=2))
+        identity = self._identity(graph, decoder)
+        keys = [("qec-memory",) + identity + (name,)
+                for name in ("failures", "defects")]
+        keys += [("qec-memory-chunk",) + identity + (start, count, name)
+                 for start, count in ((0, 2), (2, 1))
+                 for name in ("failures", "defects")]
+        self._assert_holds_exactly(executor, keys)
+
+    def test_run_rare_event_sampling_keys(self):
+        graph = repetition_code_graph(3, 2, 0.05)
+        decoder = MWPMDecoder(graph)
+        executor = self._executor()
+        run_rare_event_sampling(graph, decoder, 1024, seed=5,
+                                method="stratified", min_fault_weight=2,
+                                max_weight=3, pilot_shots=64,
+                                executor=executor)
+        base = ("qec-rare",) + self._identity(
+            graph, decoder, ("stratified", 2, 3, 64), shots=1024)
+        keys = [base + (name,) for name
+                in ("estimate", "variance", "ess", "raw", "defects")]
+        keys += [base + ("stratum", weight, name) for weight in (2, 3)
+                 for name in ("shots", "failures")]
+        self._assert_holds_exactly(executor, keys)
+
+    def test_stream_rare_event_sampling_keys(self):
+        graph = repetition_code_graph(3, 2, 0.05)
+        decoder = MWPMDecoder(graph)
+        executor = self._executor()
+        *_, final = stream_rare_event_sampling(
+            graph, decoder, self.SHOTS, seed=5, method="importance",
+            tilt=0.0, chunk_blocks=2, executor=executor)
+        assert final.shots == self.SHOTS
+        digest = hashlib.blake2b(
+            sampling_arrays(graph).probabilities.tobytes(),
+            digest_size=16).hexdigest()
+        identity = self._identity(graph, decoder, ("importance", digest))
+        keys = [("qec-rare",) + identity + (name,) for name
+                in ("estimate", "variance", "ess", "raw", "defects")]
+        keys += [("qec-rare-chunk",) + identity + ("is", -1, start, count,
+                                                    name)
+                 for start, count in ((0, 2), (2, 1))
+                 for name in ("wf", "wf2", "w", "w2", "raw", "defects",
+                              "shots")]
+        self._assert_holds_exactly(executor, keys)
 
 
 class TestSyndromeNormalization:
