@@ -17,7 +17,8 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from .gates import Gate
-from .parameters import Parameter, ParameterExpression, free_parameters
+from .parameters import (LinearForm, Parameter, ParameterExpression,
+                         free_parameters, linear_form)
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,15 @@ class Instruction:
 
 
 class QuantumCircuit:
-    """A mutable, ordered quantum circuit over ``num_qubits`` qubits."""
+    """A mutable, ordered quantum circuit over ``num_qubits`` qubits.
+
+    Derived structure (:meth:`fingerprint`, :meth:`ordered_parameters`,
+    :meth:`parametric_slots`) is memoized per circuit; every writer of the
+    instruction list drops the memo.
+    """
+
+    #: Class default, so a circuit unpickled without a memo still has one.
+    _memo: Optional[Dict[str, object]] = None
 
     def __init__(self, num_qubits: int, name: str = "circuit"):
         if num_qubits < 1:
@@ -64,6 +73,21 @@ class QuantumCircuit:
         self._instructions: List[Instruction] = []
         self.name = name
         self.metadata: Dict[str, object] = {}
+
+    def __getstate__(self):
+        # The memo never travels: shard payloads pickle circuits, and their
+        # bytes must not depend on which queries ran before.
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
+    def _memoized(self, key: str, compute: Callable[[], object]):
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -76,7 +100,8 @@ class QuantumCircuit:
 
     @property
     def instructions(self) -> List[Instruction]:
-        """The instruction list (a live reference; mutate with care)."""
+        """The instruction list (a live reference: read it, but append
+        through the circuit's methods, which keep the memo current)."""
         return self._instructions
 
     def __len__(self) -> int:
@@ -101,11 +126,13 @@ class QuantumCircuit:
         """Append ``gate`` acting on ``qubits``; returns ``self`` for chaining."""
         self._check_qubits(qubits)
         self._instructions.append(Instruction(gate, tuple(qubits), tuple(clbits)))
+        self._memo = None
         return self
 
     def append_instruction(self, instruction: Instruction) -> "QuantumCircuit":
         self._check_qubits(instruction.qubits)
         self._instructions.append(instruction)
+        self._memo = None
         return self
 
     # Named gate helpers ---------------------------------------------------
@@ -173,6 +200,7 @@ class QuantumCircuit:
     def barrier(self, *qubits: int):
         targets = tuple(qubits) if qubits else tuple(range(self._num_qubits))
         self._instructions.append(Instruction(Gate("barrier"), targets))
+        self._memo = None
         return self
 
     # -- structural queries ----------------------------------------------------
@@ -240,16 +268,37 @@ class QuantumCircuit:
 
     def ordered_parameters(self) -> List[Parameter]:
         """Free parameters in first-appearance order (stable for optimizers)."""
-        seen: List[Parameter] = []
-        seen_set: set[Parameter] = set()
+        return list(self._memoized("ordered_parameters",
+                                   self._ordered_parameters))
+
+    def _ordered_parameters(self) -> Tuple[Parameter, ...]:
+        seen: Dict[Parameter, None] = {}
         for inst in self._instructions:
             for value in inst.params:
                 if isinstance(value, ParameterExpression):
                     for param in sorted(value.parameters, key=lambda p: p.name):
-                        if param not in seen_set:
-                            seen.append(param)
-                            seen_set.add(param)
-        return seen
+                        seen.setdefault(param)
+        return tuple(seen)
+
+    def parametric_slots(self) -> Tuple[Tuple[int, Tuple[LinearForm, ...]],
+                                        ...]:
+        """``(instruction index, forms)`` of every instruction with a free
+        parameter, in circuit order (memoized).
+
+        ``forms`` holds one :data:`~repro.circuits.parameters.LinearForm`
+        per gate parameter over :meth:`ordered_parameters` positions, so
+        ``evaluate_form(form, values)`` is bitwise the angle
+        ``bind_parameters(values)`` puts in that slot.
+        """
+        return self._memoized("parametric_slots", self._parametric_slots)
+
+    def _parametric_slots(self):
+        positions = {param: index
+                     for index, param in enumerate(self.ordered_parameters())}
+        return tuple((index, tuple(linear_form(value, positions)
+                                   for value in inst.params))
+                     for index, inst in enumerate(self._instructions)
+                     if inst.gate.is_parameterized)
 
     @property
     def num_parameters(self) -> int:
@@ -277,8 +326,11 @@ class QuantumCircuit:
         contribute, so rebuilding the same circuit yields the same
         fingerprint across processes.  This is the cache/deduplication key
         used by :mod:`repro.execution` and the compiled-program cache in
-        :mod:`repro.simulators.program`.
+        :mod:`repro.simulators.program`.  Memoized until the next append.
         """
+        return self._memoized("fingerprint", self._fingerprint)
+
+    def _fingerprint(self) -> str:
         hasher = hashlib.blake2b(digest_size=16)
         hasher.update(struct.pack("<I", self._num_qubits))
         appearance: Dict[Parameter, int] = {}

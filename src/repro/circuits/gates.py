@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -208,6 +208,17 @@ def is_clifford_angle(theta: float, atol: float = CLIFFORD_ANGLE_ATOL) -> bool:
     return abs(ratio - round(ratio)) <= atol
 
 
+def is_clifford_at(name: str, angles: Sequence[float]) -> bool:
+    """True when gate ``name`` with bound parameter values ``angles`` is a
+    Clifford gate: a named Clifford, or rx/ry/rz/rzz at a multiple of π/2.
+    Every other gate (T, u3, ...) is non-Clifford at every angle."""
+    if name in CLIFFORD_GATE_NAMES:
+        return True
+    if name in {"rx", "ry", "rz", "rzz"}:
+        return is_clifford_angle(float(angles[0]))
+    return False
+
+
 @dataclass(frozen=True)
 class Gate:
     """An abstract gate: a name plus parameter values (possibly symbolic).
@@ -253,15 +264,8 @@ class Gate:
     @property
     def is_clifford(self) -> bool:
         """True when the gate (at its bound parameter values) is Clifford."""
-        if self.name in CLIFFORD_GATE_NAMES:
-            return True
-        if self.name in {"t", "tdg"}:
-            return False
-        if self.name in {"rx", "ry", "rz", "rzz"}:
-            if self.is_parameterized:
-                return False
-            return is_clifford_angle(float(self.params[0]))
-        return False
+        return (not self.is_parameterized
+                and is_clifford_at(self.name, self.params))
 
     @property
     def is_rotation(self) -> bool:

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Number = Union[int, float]
+
+#: ``(offset, ((position, coefficient), ...))``: an affine expression over
+#: positional parameter values, terms in the expression's own order.
+LinearForm = Tuple[float, Tuple[Tuple[int, float], ...]]
 
 _parameter_counter = itertools.count()
 
@@ -262,6 +266,29 @@ def bind_value(value, bindings: Mapping[Parameter, Number]) -> float | Parameter
         bound = value.bind(bindings)
         return float(bound) if bound.is_bound else bound
     return float(value)
+
+
+def linear_form(value, positions: Mapping[Parameter, int]) -> LinearForm:
+    """``value`` (number or expression) as a :data:`LinearForm` over
+    ``positions`` (each free parameter's index in the value vector).
+
+    Terms keep the expression's own order, so :func:`evaluate_form` adds
+    them exactly as :meth:`ParameterExpression.bind` does and lands on the
+    same float.
+    """
+    if isinstance(value, ParameterExpression):
+        return value._offset, tuple((positions[param], coeff)
+                                    for param, coeff in value._terms.items())
+    return float(value), ()
+
+
+def evaluate_form(form: LinearForm, values: Sequence[Number]) -> float:
+    """The float a :data:`LinearForm` takes at positional ``values``:
+    bitwise the value :func:`bind_value` gives the source expression."""
+    offset, terms = form
+    for position, coeff in terms:
+        offset += coeff * float(values[position])
+    return offset
 
 
 def free_parameters(values: Iterable) -> frozenset[Parameter]:

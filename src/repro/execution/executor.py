@@ -39,7 +39,7 @@ from .errors import BackendCapabilityError, ExecutionError, SweepShapeError
 from .observables import run_grouped, track_program_cache
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
-from .router import route_task
+from .router import route_sweep, route_task
 from .sharding import (FaultReport, ShardPlanner, _clifford_sweep_shard,
                        _run_batch_shard, _sweep_points_shard, resolve_workers,
                        run_sharded, split_evenly)
@@ -485,12 +485,18 @@ class Executor:
         Values are cached per ``(template, parameter tuple, term, engine)``
         — a sweep-specific key space, separate from the grouped engine's
         per-circuit keys — so repeated points (SPSA ± re-queries, genetic
-        elites) cost a dictionary lookup across sweep calls.  Sweeps that
-        route elsewhere (noise models, auto-routed Clifford regimes, custom
-        backends) fall back to one grouped :meth:`evaluate_observable` batch
-        over the bound circuits.  A point whose length differs from the
-        template's parameter count raises :class:`SweepShapeError` (an
-        :class:`ExecutionError` and a ``ValueError``).  Returns energies
+        elites) cost a dictionary lookup across sweep calls.  ``"auto"``
+        routes every point from the template alone
+        (:func:`~repro.execution.router.route_sweep`: the verdict
+        :func:`~repro.execution.router.route_task` would give the bound
+        circuit, with no circuit bound); a noiseless sweep whose every point
+        routes to ``statevector`` takes the compiled path above.  Sweeps
+        that route elsewhere (noise models, a Clifford point under
+        ``"auto"``, custom backends) fall back to one grouped
+        :meth:`evaluate_observable` batch over the bound circuits.  A point
+        whose length differs from the template's parameter count raises
+        :class:`SweepShapeError` (an :class:`ExecutionError` and a
+        ``ValueError``).  Returns energies
         aligned with ``parameter_sets``.  Example::
 
             energies = executor.evaluate_sweep(
@@ -510,34 +516,17 @@ class Executor:
         use_cache = self.use_cache if use_cache is None else use_cache
 
         engine = self.compiled_sweep_engine(backend, noise_model)
-        bound_circuits: Optional[List] = None
         if engine is None and backend == "auto" and not (
                 noise_model is not None and noise_model.has_noise()):
-            # Auto-routing depends on each bound circuit (Clifford points
-            # route to the tableau engines), so it costs one circuit bind
-            # per point.  A sweep whose every point already sits in the
-            # sweep cache skips that entirely: cached values can only have
-            # been produced by an earlier statevector-batched run of the
-            # same (template, point), so serving them is consistent.
-            if use_cache:
-                served = self._serve_sweep_from_cache(template, parameter_sets,
-                                                      observable)
-                if served is not None:
-                    return served
-            # Bind once; a non-batchable verdict reuses these circuits.
+            # The template task validates like every bound point's would.
+            ExecutionTask(circuit=template, observable=observable,
+                          trajectories=trajectories, include_idle=include_idle)
+            if all(name == "statevector"
+                   for name in route_sweep(template, parameter_sets)):
+                engine = self.compiled_sweep_engine("statevector")
+        if engine is None:
             bound_circuits = [template.bind_parameters(values)
                               for values in parameter_sets]
-            if all(self.compiled_sweep_engine(
-                    self._resolve_backend(task, backend)[0]) == "statevector"
-                   for task in (ExecutionTask(
-                       circuit=circuit, observable=observable,
-                       trajectories=trajectories, include_idle=include_idle)
-                       for circuit in bound_circuits)):
-                engine = "statevector"
-        if engine is None:
-            if bound_circuits is None:
-                bound_circuits = [template.bind_parameters(values)
-                                  for values in parameter_sets]
             return self.evaluate_observable(
                 bound_circuits, observable, noise_model=noise_model,
                 backend=backend, trajectories=trajectories,
@@ -551,8 +540,9 @@ class Executor:
                               noise_model=None) -> Optional[str]:
         """The engine that serves a sweep on ``backend`` from a compiled
         template — ``"statevector"`` or ``"pauli_propagation"`` — or None
-        when the sweep binds a circuit per point (noise models, ``"auto"``,
-        other or custom backends)."""
+        when the engine depends on the points (``"auto"``, routed per point
+        by :meth:`evaluate_sweep`) or the sweep binds a circuit per point
+        (noise models, other or custom backends)."""
         from .adapters import PauliPropagationBackend, StatevectorBackend
         if noise_model is not None and noise_model.has_noise():
             return None
@@ -572,30 +562,6 @@ class Executor:
         """Value-cache keys of one sweep point — no circuit binding needed."""
         return [("sweep", template_fingerprint, point_key, term_key, engine)
                 for term_key in term_keys]
-
-    def _serve_sweep_from_cache(self, template, parameter_sets,
-                                observable) -> Optional[List[float]]:
-        """The whole sweep's energies from the statevector sweep cache, or
-        None on any miss."""
-        term_keys = [pauli.key() for pauli, _ in observable.terms()]
-        template_fingerprint = template.fingerprint()
-        values_per_point = []
-        for values in parameter_sets:
-            cached = self.cache.get_many(self._sweep_cache_keys(
-                template_fingerprint, tuple(values), term_keys,
-                "statevector"))
-            if any(value is None for value in cached):
-                return None
-            values_per_point.append(np.array(cached))
-        with self._lock:
-            self.stats.tasks_submitted += len(parameter_sets)
-            self.stats.grouped_tasks += len(parameter_sets)
-            self.stats.term_cache_hits += \
-                len(parameter_sets) * len(term_keys)
-        coefficients = np.array([float(np.real(coeff))
-                                 for _, coeff in observable.terms()])
-        return [float(np.dot(coefficients, values))
-                for values in values_per_point]
 
     def _sweep_kernel(self, engine: str, template, fingerprint: str,
                       observable, points):
@@ -620,7 +586,11 @@ class Executor:
                     lambda block_points, block: (program, block_points,
                                                  observable),
                     "inline", 64)
-        bare_template = template.without_measurements()
+        # A template with nothing to strip is used as is: a copy would
+        # re-hash its fingerprint and miss its program-cache view.
+        bare_template = (template.without_measurements()
+                         if any(inst.name in ("measure", "reset", "barrier")
+                                for inst in template) else template)
         num_qubits = int(bare_template.num_qubits)
         # A block executes as one stacked batch (its amplitude budget is its
         # size); the inline batch chunks under the global amplitude bound.

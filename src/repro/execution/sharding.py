@@ -633,18 +633,18 @@ def _sweep_points_shard(circuit, parameter_sets, observable,
 
     Each worker compiles the template once into its own process-wide program
     cache (first shard pays it, later sweeps of the same template hit), then
-    executes its points in amplitude-budget-bounded stacked batches exactly
-    like the single-process path.
+    binds and executes its points in amplitude-budget-bounded stacked
+    batches (:meth:`~repro.simulators.program.CompiledProgram.run_sweep`)
+    exactly like the single-process path.
     """
     from ..simulators.kernels import statevector_term_expectations_batch
-    from ..simulators.program import compile_circuit, run_batch
+    from ..simulators.program import compile_circuit
 
     program = compile_circuit(circuit)
     chunk = max(1, amplitude_budget // (1 << circuit.num_qubits))
     rows: List[np.ndarray] = []
     for start in range(0, len(parameter_sets), chunk):
-        states = run_batch([program.bind(values) for values
-                            in parameter_sets[start:start + chunk]])
+        states = program.run_sweep(parameter_sets[start:start + chunk])
         rows.append(statevector_term_expectations_batch(
             states, observable=observable))
     return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)

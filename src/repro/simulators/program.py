@@ -23,14 +23,16 @@ sweep in one NumPy pass:
   rotation, whose name does not fix its matrix) and the full-index gather
   table of each run of monomial ops, kept read-only in a byte-capped LRU
   shared between programs.
-* **cache** — programs are cached by ``circuit.fingerprint()`` (+ the noise
-  model's identity and mutation ``version``), so optimizer re-queries and
-  repeated executor traffic skip compilation entirely.
-  :func:`program_cache_counters` feeds the execution layer's
-  ``programs_compiled`` / ``program_cache_hits`` stats.
+* **cache** — lowerings are cached by ``circuit.fingerprint()`` (+ the
+  noise model's identity and mutation ``version``), so optimizer re-queries
+  and repeated executor traffic skip compilation entirely; structurally
+  identical templates built from distinct ``Parameter`` objects get cheap
+  views over one lowering.  :func:`program_cache_counters` feeds the
+  execution layer's ``programs_compiled`` / ``program_cache_hits`` stats.
 * **bind** — a program compiled from a parametric template keeps its
-  structure and rebuilds only the parametric matrices:
-  ``program.bind(theta)`` is the per-sweep-point cost.
+  structure and rebuilds only the parametric matrices from linear forms
+  over positional parameters: ``program.bind(theta)`` binds one point,
+  :meth:`CompiledProgram.run_sweep` a whole sweep in one stacked pass.
 * **batch** — :func:`run_batch` executes ``B`` structure-sharing bound
   programs as one ``(B, 2^n)`` stacked pass: every op is applied across the
   whole batch in a single (batched) matmul or broadcast multiply, which is
@@ -41,7 +43,8 @@ Example::
 
     template = ansatz.build()                      # free parameters
     program = compile_circuit(template)            # compiled once, cached
-    states = run_batch([program.bind(theta) for theta in sweep])
+    states = program.run_sweep(sweep)              # bitwise equal to
+    # run_batch([program.bind(theta) for theta in sweep]);
     # states.shape == (len(sweep), 2 ** n)
 """
 
@@ -57,7 +60,8 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import (DIAGONAL_GATE_NAMES, _STATIC_MATRICES,
                               parametric_matrix)
-from ..circuits.parameters import Parameter, ParameterExpression
+from ..circuits.parameters import (LinearForm, Parameter, evaluate_form,
+                                   linear_form)
 from .noise import NoiseModel, QuantumChannel, RESET_CHANNEL, bit_flip_channel
 
 __all__ = [
@@ -111,19 +115,23 @@ def _broadcast_diag(diag: np.ndarray, qubits: Tuple[int, ...],
     The returned array has ``num_qubits`` axes: size 2 at the state-tensor
     axis of each target qubit (axis ``n-1-q`` for qubit ``q``), size 1
     elsewhere.  Multiplying the ``(…, 2, 2, …)`` state tensor by it applies
-    the diagonal gate; a leading batch axis broadcasts for free.
+    the diagonal gate; a leading batch axis broadcasts for free.  A
+    ``(B, 2^k)`` stack of diagonals keeps its leading axis.
     """
     k = len(qubits)
-    tensor = np.asarray(diag, dtype=complex).reshape([2] * k)
+    diag = np.asarray(diag, dtype=complex)
+    lead = diag.shape[:-1]
+    tensor = diag.reshape(lead + (2,) * k)
     # tensor axis for qubits[j] is k-1-j (qubits[0] = least significant bit).
     # Reorder axes so they land in ascending state-tensor axis order, which
     # is descending qubit order.
     order = sorted(range(k), key=lambda j: qubits[j], reverse=True)
-    tensor = np.transpose(tensor, axes=[k - 1 - j for j in order])
+    tensor = np.transpose(tensor, axes=list(range(len(lead))) + [
+        len(lead) + k - 1 - j for j in order])
     shape = [1] * num_qubits
     for qubit in qubits:
         shape[num_qubits - 1 - qubit] = 2
-    return np.ascontiguousarray(tensor).reshape(shape)
+    return np.ascontiguousarray(tensor).reshape(lead + tuple(shape))
 
 
 _ARANGE_CACHE: Dict[int, np.ndarray] = {}
@@ -165,20 +173,65 @@ def _perm_apply_to_values(values: np.ndarray, qubits: Tuple[int, ...],
     return out, (None if phases is None else phases[small])
 
 
+def _stacked_gate(name: str, angles: List[np.ndarray]) -> np.ndarray:
+    """``(B, 2^k, 2^k)`` matrices (or ``(B, 2^k)`` diagonals for rz/rzz) of
+    a parametric gate at ``B`` angle tuples, each bitwise equal to
+    :func:`parametric_matrix` / :func:`_parametric_diag` at that tuple.
+
+    Real trig goes through the same scalar ``math.cos``/``math.sin`` as the
+    gate-matrix functions (vectorized numpy may use SIMD kernels that differ
+    by an ulp); complex ``np.exp`` has no SIMD loop, so it runs vectorized.
+    """
+    if name in ("rz", "rzz"):
+        half = angles[0] / 2.0
+        phase, conj = np.exp(-1j * half), np.exp(1j * half)
+        columns = [phase, conj] if name == "rz" else [phase, conj, conj, phase]
+        return np.stack(columns, axis=1)
+    if name in ("rx", "ry"):
+        half = (angles[0] / 2.0).tolist()
+        cos = np.array([math.cos(value) for value in half])
+        sin = np.array([math.sin(value) for value in half])
+        out = np.empty((len(half), 2, 2), dtype=complex)
+        out[:, 0, 0] = out[:, 1, 1] = cos
+        if name == "rx":
+            out[:, 0, 1] = out[:, 1, 0] = -1j * sin
+        else:
+            out[:, 0, 1] = -sin
+            out[:, 1, 0] = sin
+        return out
+    return np.stack([parametric_matrix(name, point)
+                     for point in zip(*(column.tolist()
+                                        for column in angles))])
+
+
+def _stacked_form(form: LinearForm, points: np.ndarray) -> np.ndarray:
+    """A linear form's value at every row of ``points``, with the scalar
+    :func:`~repro.circuits.parameters.evaluate_form`'s operation order."""
+    offset, terms = form
+    if not terms:
+        return np.full(len(points), offset)
+    column = offset + terms[0][1] * points[:, terms[0][0]]
+    for position, coeff in terms[1:]:
+        column = column + coeff * points[:, position]
+    return column
+
+
 class _Factor:
     """One instruction's contribution to a (possibly fused) compiled op.
 
     Static factors carry their resolved array (a matrix, or a bare diagonal
-    vector when ``diag``); parametric factors carry the gate name and its raw
-    parameter expressions and are rebuilt on :meth:`CompiledProgram.bind`.
+    vector when ``diag``); parametric factors carry the gate name and one
+    :data:`~repro.circuits.parameters.LinearForm` per gate parameter over
+    the template's positional parameters, and are rebuilt on
+    :meth:`CompiledProgram.bind` / :meth:`CompiledProgram.run_sweep`.
     """
 
-    __slots__ = ("name", "params", "static", "diag")
+    __slots__ = ("name", "forms", "static", "diag")
 
-    def __init__(self, name: str, params: Optional[tuple],
+    def __init__(self, name: str, forms: Optional[Tuple[LinearForm, ...]],
                  static: Optional[np.ndarray], diag: bool):
         self.name = name
-        self.params = params
+        self.forms = forms
         self.static = static
         self.diag = diag
 
@@ -186,20 +239,22 @@ class _Factor:
     def is_parametric(self) -> bool:
         return self.static is None
 
-    def resolve(self, bindings: Mapping) -> Tuple[np.ndarray, bool]:
-        """The factor's array at the given bindings: ``(array, is_diag)``."""
+    def resolve(self, values: Sequence[float]) -> np.ndarray:
+        """The factor's array at positional parameter ``values``."""
         if self.static is not None:
-            return self.static, self.diag
-        values = []
-        for param in self.params:
-            if isinstance(param, ParameterExpression):
-                values.append(float(param.bind(bindings)))
-            else:
-                values.append(float(param))
-        values = tuple(values)
+            return self.static
+        angles = tuple(evaluate_form(form, values) for form in self.forms)
         if self.diag:
-            return _parametric_diag(self.name, values), True
-        return parametric_matrix(self.name, values), False
+            return _parametric_diag(self.name, angles)
+        return parametric_matrix(self.name, angles)
+
+    def resolve_stacked(self, points: np.ndarray) -> np.ndarray:
+        """The factor's array at every row of ``points``: the static array
+        itself, or a ``(B, …)`` stack of :meth:`resolve` results."""
+        if self.static is not None:
+            return self.static
+        return _stacked_gate(self.name, [_stacked_form(form, points)
+                                         for form in self.forms])
 
 
 class CompiledOp:
@@ -246,28 +301,54 @@ class CompiledOp:
             self._full = _perm_table([self], num_qubits)
         return self._full
 
-    def bound(self, bindings: Mapping, num_qubits: int) -> "CompiledOp":
+    def bound(self, values: Sequence[float], num_qubits: int
+              ) -> "CompiledOp":
         """A bound copy with parametric factor matrices rebuilt."""
         if not self.is_parametric:
             return self
+        arrays = [factor.resolve(values) for factor in self.factors]
         if self.kind == OP_DIAG:
-            diag = None
-            for factor in self.factors:
-                array, _ = factor.resolve(bindings)
-                diag = array if diag is None else diag * array
+            diag = _diag_product(arrays)
             return CompiledOp(OP_DIAG, self.qubits,
                               _broadcast_diag(diag, self.qubits, num_qubits),
                               self.factors, raw_diag=diag)
-        matrix = None
-        for factor in self.factors:
-            array, is_diag = factor.resolve(bindings)
-            if is_diag:
-                array = np.diag(array)
-            matrix = array if matrix is None else array @ matrix
-        return CompiledOp(OP_UNITARY, self.qubits, matrix, self.factors)
+        return CompiledOp(OP_UNITARY, self.qubits,
+                          _matrix_product(self.factors, arrays), self.factors)
+
+    def stacked(self, points: np.ndarray, num_qubits: int) -> np.ndarray:
+        """This parametric op's data at every row of ``points``, stacked on
+        a leading axis: row ``b`` is bitwise ``bound(points[b]).data``."""
+        arrays = [factor.resolve_stacked(points) for factor in self.factors]
+        if self.kind == OP_DIAG:
+            return _broadcast_diag(_diag_product(arrays), self.qubits,
+                                   num_qubits)
+        return _matrix_product(self.factors, arrays)
 
     def __repr__(self):
         return f"CompiledOp({self.kind}, qubits={self.qubits})"
+
+
+def _diag_product(arrays: List[np.ndarray]) -> np.ndarray:
+    """Elementwise product of diagonal factors, in factor order."""
+    diag = arrays[0]
+    for array in arrays[1:]:
+        diag = diag * array
+    return diag
+
+
+def _matrix_product(factors: List[_Factor],
+                    arrays: List[np.ndarray]) -> np.ndarray:
+    """``A_last @ … @ A_first`` of a fused op's factor arrays (diagonal
+    factors embedded as diagonal matrices); stacked arrays broadcast."""
+    matrix = None
+    for factor, array in zip(factors, arrays):
+        if factor.diag:
+            square = np.zeros(array.shape + array.shape[-1:], dtype=complex)
+            diagonal = np.arange(array.shape[-1])
+            square[..., diagonal, diagonal] = array
+            array = square
+        matrix = array if matrix is None else array @ matrix
+    return matrix
 
 
 class CompiledProgram:
@@ -286,7 +367,7 @@ class CompiledProgram:
 
     __slots__ = ("num_qubits", "ops", "parameters", "noise_model",
                  "fingerprint", "fused", "_template", "_structure",
-                 "_parametric_indices")
+                 "_parametric_indices", "_views")
 
     def __init__(self, num_qubits: int, ops: List[CompiledOp],
                  parameters: List[Parameter],
@@ -303,6 +384,7 @@ class CompiledProgram:
         self._structure = None
         self._parametric_indices = [index for index, op in enumerate(ops)
                                     if op.is_parametric]
+        self._views: Optional[Dict[Tuple[int, ...], CompiledProgram]] = None
 
     # -- classification ------------------------------------------------------
     @property
@@ -331,6 +413,33 @@ class CompiledProgram:
         return self._structure
 
     # -- binding -------------------------------------------------------------
+    def _view(self, parameters: List[Parameter]) -> "CompiledProgram":
+        """This lowering seen through a template's ``Parameter`` objects:
+        itself for its own parameters, else a view sharing the op list, so
+        mapping-based :meth:`bind` matches the caller's identities at no
+        lowering cost.
+
+        The last :data:`_MAX_VIEWS` views live on the lowering (keyed by
+        parameter ids, which cannot recycle while the view pins them), off
+        the shared program cache's entry and byte limits.
+        """
+        ids = tuple(id(parameter) for parameter in parameters)
+        if ids == tuple(id(parameter) for parameter in self.parameters):
+            return self
+        with _CACHE_LOCK:
+            if self._views is None:
+                self._views = {}
+            view = self._views.pop(ids, None)
+            if view is None:
+                view = CompiledProgram(self.num_qubits, self.ops,
+                                       list(parameters), self.noise_model,
+                                       self.fingerprint, self.fused,
+                                       template=self)
+                if len(self._views) >= _MAX_VIEWS:
+                    del self._views[next(iter(self._views))]
+            self._views[ids] = view
+        return view
+
     def bind(self, parameters) -> "CompiledProgram":
         """Bind the template's free parameters, rebuilding only parametric ops.
 
@@ -340,17 +449,21 @@ class CompiledProgram:
         only ops touching a free parameter are recomputed.
         """
         if isinstance(parameters, Mapping):
-            bindings = dict(parameters)
+            missing = [param.name for param in self.parameters
+                       if param not in parameters]
+            if missing:
+                raise ValueError(
+                    f"unbound parameters remain: {', '.join(missing)}")
+            values = [float(parameters[param]) for param in self.parameters]
         else:
             values = list(parameters)
             if len(values) != len(self.parameters):
                 raise ValueError(
                     f"expected {len(self.parameters)} parameter values, "
                     f"got {len(values)}")
-            bindings = dict(zip(self.parameters, values))
         ops = list(self.ops)
         for index in self._parametric_indices:
-            ops[index] = ops[index].bound(bindings, self.num_qubits)
+            ops[index] = ops[index].bound(values, self.num_qubits)
         return CompiledProgram(self.num_qubits, ops, [], self.noise_model,
                                None, self.fused, template=self._template)
 
@@ -431,10 +544,25 @@ class CompiledProgram:
                   ) -> np.ndarray:
         """Bind every parameter set and execute the batch in one pass.
 
-        Returns the ``(B, 2^n)`` matrix of final statevectors — see
-        :func:`run_batch` for the batching mechanics and restrictions.
+        Binding is stacked: each parametric op's ``(B, 2^k, 2^k)`` matrices
+        (or ``(B, …)`` phase tensor) fill straight from the ``(B, P)``
+        parameter array, with no per-point program.  Returns the
+        ``(B, 2^n)`` final statevectors, bitwise equal to
+        ``run_batch([self.bind(values) for values in parameter_sets])`` —
+        see :func:`run_batch` for the batching mechanics and restrictions.
         """
-        return run_batch([self.bind(values) for values in parameter_sets])
+        if not len(parameter_sets):
+            return run_batch([])
+        points = np.asarray(parameter_sets, dtype=float)
+        if points.ndim != 2 or points.shape[1] != len(self.parameters):
+            raise ValueError(
+                f"expected {len(self.parameters)} parameter values per "
+                f"point, got an array of shape {points.shape}")
+        _check_batchable(self)
+        rows: List[Optional[object]] = [None] * len(self.ops)
+        for index in self._parametric_indices:
+            rows[index] = self.ops[index].stacked(points, self.num_qubits)
+        return _run_stacked(self, rows, len(points))
 
     def __repr__(self):
         kind = "noisy" if self.noise_model is not None else "noiseless"
@@ -702,12 +830,15 @@ def _finalize_ops(ops: List[CompiledOp], num_qubits: int) -> List[CompiledOp]:
     return finalized
 
 
-def _make_gate_op(inst, num_qubits: int) -> CompiledOp:
-    """Lower one unitary instruction to an (unfused) compiled op."""
+def _make_gate_op(inst, num_qubits: int,
+                  positions: Mapping[Parameter, int]) -> CompiledOp:
+    """Lower one unitary instruction to an (unfused) compiled op;
+    ``positions`` maps each free parameter to its value-vector index."""
     gate = inst.gate
     diag = gate.name in DIAGONAL_GATE_NAMES
     if gate.is_parameterized:
-        factor = _Factor(gate.name, gate.params, None, diag)
+        forms = tuple(linear_form(value, positions) for value in gate.params)
+        factor = _Factor(gate.name, forms, None, diag)
         return CompiledOp(OP_DIAG if diag else OP_UNITARY, inst.qubits,
                           None, [factor])
     matrix = gate.matrix()
@@ -758,7 +889,8 @@ def _reset_op(qubits: Tuple[int, ...]) -> CompiledOp:
     return CompiledOp(OP_RESET, qubits, RESET_CHANNEL.superoperator())
 
 
-def _compile_noiseless(circuit: QuantumCircuit, fuse: bool
+def _compile_noiseless(circuit: QuantumCircuit, fuse: bool,
+                       positions: Mapping[Parameter, int]
                        ) -> List[CompiledOp]:
     """Instruction-order lowering: fusion + diagonal fast path, no channels."""
     num_qubits = circuit.num_qubits
@@ -770,7 +902,7 @@ def _compile_noiseless(circuit: QuantumCircuit, fuse: bool
         if name == "reset":
             ops.append(_reset_op(inst.qubits))
             continue
-        new = _make_gate_op(inst, num_qubits)
+        new = _make_gate_op(inst, num_qubits, positions)
         if fuse and ops:
             fused = _try_fuse(ops[-1], new, num_qubits)
             if fused is not None:
@@ -780,8 +912,8 @@ def _compile_noiseless(circuit: QuantumCircuit, fuse: bool
     return ops
 
 
-def _compile_noisy(circuit: QuantumCircuit,
-                   noise_model: NoiseModel) -> List[CompiledOp]:
+def _compile_noisy(circuit: QuantumCircuit, noise_model: NoiseModel,
+                   positions: Mapping[Parameter, int]) -> List[CompiledOp]:
     """Layer-order lowering mirroring ``DensityMatrixSimulator.run``.
 
     Fusion is skipped: every unitary keeps its exact position so its
@@ -809,7 +941,7 @@ def _compile_noisy(circuit: QuantumCircuit,
             if name == "reset":
                 ops.append(_reset_op(inst.qubits))
                 continue
-            ops.append(_make_gate_op(inst, num_qubits))
+            ops.append(_make_gate_op(inst, num_qubits, positions))
             if name not in merged_cache:
                 channels = noise_model.gate_channels(name)
                 merged_cache[name] = (_merged_channel(channels)
@@ -837,6 +969,8 @@ _CACHE_MAX_SIZE = 512
 _CACHE_MAX_BYTES = 256 * 1024 * 1024
 _PROGRAM_CACHE: "OrderedDict[Tuple, Tuple[CompiledProgram, int]]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
+#: Parameter-identity views kept per lowering (see ``CompiledProgram._view``).
+_MAX_VIEWS = 16
 _CACHE_BYTES = 0
 _COMPILED_COUNT = 0
 _HIT_COUNT = 0
@@ -947,22 +1081,29 @@ def compile_circuit(circuit: QuantumCircuit,
     **fusion disabled** (channels must keep their positions); it is what
     :class:`~repro.simulators.density_matrix.DensityMatrixSimulator` executes.
 
-    Programs are cached by ``circuit.fingerprint()`` plus the noise model's
-    identity and mutation :attr:`~repro.simulators.noise.NoiseModel.version`
-    (and the ``fuse`` flag), so an in-place ``add_*`` edit invalidates stale
-    programs.  Parametric circuits compile their structure once; use
-    :meth:`CompiledProgram.bind` per parameter vector.
+    Lowerings are cached by ``circuit.fingerprint()`` plus the noise
+    model's identity and mutation
+    :attr:`~repro.simulators.noise.NoiseModel.version` (and the ``fuse``
+    flag), so an in-place ``add_*`` edit invalidates stale programs.
+    Parametric circuits compile their structure once; use
+    :meth:`CompiledProgram.bind` per parameter vector.  Structurally
+    identical templates built from distinct ``Parameter`` objects share
+    one lowering: each later one gets a view holding its own parameters
+    (so mapping-based ``bind`` matches its identities), kept on the
+    lowering rather than in the shared cache, and a lowering skipped this
+    way counts as a program-cache hit.
     """
     global _COMPILED_COUNT
     parameters = circuit.ordered_parameters()
     fingerprint = circuit.fingerprint()
 
     def build() -> CompiledProgram:
+        positions = {param: index for index, param in enumerate(parameters)}
         if noise_model is not None and noise_model.has_noise():
-            ops = _compile_noisy(circuit, noise_model)
+            ops = _compile_noisy(circuit, noise_model, positions)
             effective_fuse = False
         else:
-            ops = _compile_noiseless(circuit, fuse)
+            ops = _compile_noiseless(circuit, fuse, positions)
             effective_fuse = fuse
         return CompiledProgram(circuit.num_qubits,
                                _finalize_ops(ops, circuit.num_qubits),
@@ -973,19 +1114,64 @@ def compile_circuit(circuit: QuantumCircuit,
         with _CACHE_LOCK:
             _COMPILED_COUNT += 1
         return build()
-    # Parameter *identities* join the key: two structurally identical
-    # templates built from distinct Parameter objects share a fingerprint,
-    # but a cached program holds the first template's Parameter objects and
-    # mapping-based bind() matches by identity.  (The cached program pins
-    # its parameters, so ids cannot recycle.)
-    key = (fingerprint, tuple(id(parameter) for parameter in parameters),
-           fuse, _noise_cache_token(noise_model))
-    return cached_program(key, build, _program_nbytes)
+    # The fingerprint fixes every linear form's terms but not the order an
+    # expression lists them in, which sets the float sum a bind computes;
+    # multi-term forms add that order to the key (empty for most circuits).
+    term_orders = tuple(tuple(position for position, _ in terms)
+                        for _, forms in circuit.parametric_slots()
+                        for _, terms in forms if len(terms) > 1)
+    key = (fingerprint, term_orders, fuse, _noise_cache_token(noise_model))
+    return cached_program(key, build, _program_nbytes)._view(parameters)
 
 
 # ---------------------------------------------------------------------------
 # Batched execution
 # ---------------------------------------------------------------------------
+
+def _check_batchable(program: CompiledProgram) -> None:
+    if program.has_channels:
+        raise ValueError("run_batch cannot execute noisy programs")
+    if program.has_reset:
+        raise ValueError(
+            "run_batch cannot batch programs with projective resets")
+
+
+def _stack_programs(programs: List[CompiledProgram]
+                    ) -> List[Optional[object]]:
+    """Validate structure-sharing bound programs and stack their ops into
+    :func:`_run_stacked`'s per-op ``rows``."""
+    first = programs[0]
+    structure = first.structure_key()
+    for program in programs[1:]:
+        if program.structure_key() != structure:
+            raise ValueError(
+                "run_batch requires programs sharing one op structure "
+                "(bind them from the same compiled template)")
+    _check_batchable(first)
+    for program in programs:
+        if not program.is_bound:
+            raise ValueError("run_batch requires bound programs")
+    # Programs bound from one template share every static op object, so the
+    # per-op stacking decision reduces to the template's parametric index
+    # set; mixed-origin batches fall back to identity checks per op.
+    template = first._template
+    same_template = all(program._template is template
+                        for program in programs[1:])
+    parametric_indices = set(first._parametric_indices)
+    data: List[Optional[object]] = [None] * len(first.ops)
+    for index, lead in enumerate(first.ops):
+        if same_template and index not in parametric_indices:
+            continue
+        ops = [program.ops[index] for program in programs]
+        if all(op is lead for op in ops):
+            continue
+        # Perm ops are static by construction (parametric ops never lower
+        # to PERM), but mixed-origin batches may hold *different* monomials
+        # behind one structure key — those gather row by row.
+        data[index] = (ops if lead.kind == OP_PERM
+                       else np.stack([op.data for op in ops]))
+    return data
+
 
 def run_batch(programs: Sequence[CompiledProgram],
               initial_states: Optional[np.ndarray] = None) -> np.ndarray:
@@ -1005,58 +1191,34 @@ def run_batch(programs: Sequence[CompiledProgram],
     programs = list(programs)
     if not programs:
         return np.zeros((0, 0), dtype=complex)
-    first = programs[0]
-    n = first.num_qubits
-    dim = 1 << n
-    structure = first.structure_key()
-    for program in programs[1:]:
-        if program.structure_key() != structure:
-            raise ValueError(
-                "run_batch requires programs sharing one op structure "
-                "(bind them from the same compiled template)")
-    for program in programs:
-        if program.has_channels:
-            raise ValueError("run_batch cannot execute noisy programs")
-        if program.has_reset:
-            raise ValueError(
-                "run_batch cannot batch programs with projective resets")
-        if not program.is_bound:
-            raise ValueError("run_batch requires bound programs")
+    return _run_stacked(programs[0], _stack_programs(programs),
+                        len(programs), initial_states)
 
-    batch = len(programs)
+
+def _run_stacked(program: CompiledProgram, rows: List[Optional[object]],
+                 batch: int, initial_states: Optional[np.ndarray] = None
+                 ) -> np.ndarray:
+    """The ``(B, 2^n)`` states after a batch's ops: those of ``program``
+    (the template or any bound program of the batch), where ``rows[i]`` is
+    None when op ``i`` is shared by every row, else its per-row data — a
+    stacked ``(B, …)`` array, or a list of ops for perm rows that differ."""
+    n = program.num_qubits
+    dim = 1 << n
     if initial_states is None:
         states = np.zeros((batch, dim), dtype=complex)
         states[:, 0] = 1.0
     else:
         states = np.array(initial_states, dtype=complex).reshape(batch, dim)
 
-    # Programs bound from one template share every static op object, so the
-    # per-op stacking decision reduces to the template's parametric index
-    # set; mixed-origin batches fall back to identity checks per op.
-    template = first._template
-    same_template = all(program._template is template
-                        for program in programs[1:])
-    parametric_indices = set(first._parametric_indices)
-
-    for index in range(len(first.ops)):
-        lead = first.ops[index]
-        if same_template and index not in parametric_indices:
-            ops = None
-            shared = True
-        else:
-            ops = [program.ops[index] for program in programs]
-            shared = all(op is lead for op in ops)
+    for lead, data in zip(program.ops, rows):
         if lead.kind == OP_PERM:
-            # Static by construction (parametric ops never lower to PERM),
-            # but mixed-origin batches may hold *different* monomials behind
-            # one structure key — those gather row by row.
-            if shared:
+            if data is None:
                 source, phases = lead.full_indices(n)
                 states = states[:, source]
                 if phases is not None:
                     states *= phases
             else:
-                for row, op in enumerate(ops):
+                for row, op in enumerate(data):
                     source, phases = op.full_indices(n)
                     gathered = states[row, source]
                     if phases is not None:
@@ -1064,17 +1226,11 @@ def run_batch(programs: Sequence[CompiledProgram],
                     states[row] = gathered
         elif lead.kind == OP_DIAG:
             tensor = states.reshape([batch] + [2] * n)
-            if shared:
-                tensor = tensor * lead.data
-            else:
-                tensor = tensor * np.stack([op.data for op in ops])
+            tensor = tensor * (lead.data if data is None else data)
             states = tensor.reshape(batch, dim)
         else:  # OP_UNITARY
-            if shared:
-                matrices = lead.data
-            else:
-                matrices = np.stack([op.data for op in ops])
-            states = _batch_apply_unitary(states, matrices, lead.qubits, n)
+            states = _batch_apply_unitary(
+                states, lead.data if data is None else data, lead.qubits, n)
     return states.reshape(batch, dim)
 
 

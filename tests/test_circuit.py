@@ -250,3 +250,91 @@ class TestFingerprint:
         direct.rz(0.375, 0)
         assert template.bind_parameters({theta: 0.375}).fingerprint() \
             == direct.fingerprint()
+
+
+class TestStructureMemo:
+    """Fingerprint, ordered parameters and parametric slots are memoized
+    per circuit; every writer of the instruction list drops the memo."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda qc, theta: qc.h(1),
+        lambda qc, theta: qc.rz(2 * theta, 1),
+        lambda qc, theta: qc.barrier(),
+        lambda qc, theta: qc.measure(0),
+        lambda qc, theta: qc.append(Gate("cz"), (0, 1)),
+        lambda qc, theta: qc.append_instruction(
+            Instruction(Gate("rx", (theta,)), (1,))),
+    ])
+    def test_appending_after_fingerprinting_changes_the_fingerprint(
+            self, mutate):
+        theta = Parameter("theta")
+        qc = QuantumCircuit(2)
+        qc.rx(theta, 0)
+        before = qc.fingerprint()
+        slots = qc.parametric_slots()
+        mutate(qc, theta)
+        rebuilt = QuantumCircuit(2)
+        for inst in qc:
+            rebuilt.append_instruction(inst)
+        assert qc.fingerprint() != before
+        assert qc.fingerprint() == rebuilt.fingerprint()
+        assert qc.parametric_slots() == rebuilt.parametric_slots()
+        assert len(qc.parametric_slots()) >= len(slots)
+
+    def test_new_parameter_after_ordering_is_listed(self):
+        a, b = Parameter("a"), Parameter("b")
+        qc = QuantumCircuit(1)
+        qc.rx(a, 0)
+        assert qc.ordered_parameters() == [a]
+        qc.ry(b, 0)
+        assert qc.ordered_parameters() == [a, b]
+        # The returned list is the caller's to mutate.
+        qc.ordered_parameters().append(a)
+        assert qc.ordered_parameters() == [a, b]
+
+    def test_copy_and_derived_circuits_do_not_share_the_memo(self):
+        qc = QuantumCircuit(2)
+        qc.h(0)
+        original = qc.fingerprint()
+        copied = qc.copy()
+        copied.cx(0, 1)
+        composed = qc.compose(copied)
+        assert qc.fingerprint() == original
+        assert copied.fingerprint() != original
+        assert composed.fingerprint() not in (original, copied.fingerprint())
+
+    def test_pickled_circuit_carries_no_memo(self):
+        import pickle
+        theta = Parameter("theta")
+        qc = QuantumCircuit(1)
+        qc.rz(theta, 0)
+        fresh = pickle.dumps(qc)
+        qc.fingerprint()
+        qc.ordered_parameters()
+        assert pickle.dumps(qc) == fresh
+        assert "_memo" not in pickle.loads(fresh).__dict__
+        assert pickle.loads(fresh).fingerprint() == qc.fingerprint()
+
+    def test_circuit_without_a_memo_attribute_still_fingerprints(self):
+        # Circuits pickled before the memo existed unpickle without one.
+        qc = QuantumCircuit(2)
+        qc.h(0).cx(0, 1)
+        expected = qc.fingerprint()
+        restored = QuantumCircuit.__new__(QuantumCircuit)
+        restored.__dict__.update({key: value for key, value
+                                  in qc.__dict__.items() if key != "_memo"})
+        assert "_memo" not in restored.__dict__
+        assert restored.fingerprint() == expected
+        assert restored.ordered_parameters() == []
+
+    def test_slots_evaluate_to_the_bound_angles(self):
+        a, b = Parameter("a"), Parameter("b")
+        qc = QuantumCircuit(2)
+        qc.rz(2 * a + math.pi / 2, 0).rzz(b - 0.5 * a, 0, 1)
+        qc.u3(a, 0.25, b + a, 1).h(0)
+        values = [0.37, -1.91]
+        bound = qc.bind_parameters(values)
+        from repro.circuits.parameters import evaluate_form
+        for index, forms in qc.parametric_slots():
+            assert [evaluate_form(form, values) for form in forms] \
+                == list(bound[index].gate.bound_params())

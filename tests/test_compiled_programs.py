@@ -18,7 +18,7 @@ import pytest
 
 from repro.algorithms.qml import VariationalClassifier, make_blobs_dataset
 from repro.algorithms.vqd import VQD
-from repro.ansatz import FullyConnectedAnsatz, LinearAnsatz
+from repro.ansatz import FullyConnectedAnsatz, LinearAnsatz, UCCSDAnsatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.parameters import Parameter
@@ -444,6 +444,114 @@ class TestBindAndBatch:
 
 
 # ---------------------------------------------------------------------------
+# Stacked sweep binding
+# ---------------------------------------------------------------------------
+
+def _mixed_template():
+    """Fused parametric ops of every shape: dense and diagonal factors,
+    static factors before, between and after parametric ones, u3, rzz,
+    affine forms and parameters shared across ops."""
+    a, b, c = Parameter("a"), Parameter("b"), Parameter("c")
+    circuit = QuantumCircuit(4)
+    circuit.h(0).rz(2 * a + math.pi / 2, 0).rx(b, 0).t(0).s(0)
+    circuit.rz(a, 1).t(1).rz(-b + 0.3, 1)
+    circuit.rzz(a - 0.5 * c, 1, 2).cz(1, 2).rzz(0.4, 1, 2)
+    circuit.u3(c, 0.1, b + a, 2).ry(3 * b, 2).h(2)
+    circuit.cx(0, 1).ry(a, 0).rzz(c, 3, 0)
+    circuit.sx(3).rx(c - a, 3).tdg(3)
+    return circuit
+
+
+_SWEEP_TEMPLATES = {
+    "fche": lambda: FullyConnectedAnsatz(5, 2).build(),
+    "hardware_efficient": lambda: LinearAnsatz(4, 2).build(),
+    "uccsd": lambda: UCCSDAnsatz(4, 1).build(),
+    "mixed": _mixed_template,
+}
+
+
+class TestStackedSweepBind:
+    @pytest.mark.parametrize("name", sorted(_SWEEP_TEMPLATES))
+    @pytest.mark.parametrize("points", [1, 2, 7, 16])
+    def test_run_sweep_is_bitwise_the_per_point_bind(self, name, points):
+        template = _SWEEP_TEMPLATES[name]()
+        program = compile_circuit(template)
+        assert program._parametric_indices
+        rng = np.random.default_rng(points)
+        sweep = rng.uniform(-7.0, 7.0,
+                            (points, len(template.ordered_parameters())))
+        # Clifford angles and signed zeros hit the exact-value corners.
+        sweep[0, ::2] = np.pi / 2
+        sweep[-1, 1::3] = -0.0
+        stacked = program.run_sweep(sweep)
+        assert np.array_equal(
+            stacked, run_batch([program.bind(point) for point in sweep]))
+        assert np.array_equal(program.run_sweep(sweep.tolist()), stacked)
+
+    def test_template_covers_every_fused_op_shape(self):
+        program = compile_circuit(_mixed_template())
+        shapes = set()
+        for op in program.ops:
+            if op.is_parametric:
+                shapes.add((op.kind, tuple(
+                    ("param" if factor.is_parametric else "static",
+                     factor.diag) for factor in op.factors)))
+        kinds = {kind for kind, _ in shapes}
+        assert kinds == {OP_UNITARY, OP_DIAG}
+        factors = {factor for _, shape in shapes for factor in shape}
+        assert factors == {("param", True), ("param", False),
+                           ("static", True), ("static", False)}
+
+    def test_shared_parameters_stack_per_slot(self):
+        template = UCCSDAnsatz(4, 1).build()
+        program = compile_circuit(template)
+        forms = [form for index in program._parametric_indices
+                 for factor in program.ops[index].factors
+                 if factor.is_parametric for form in factor.forms]
+        positions = [position for _, terms in forms
+                     for position, _ in terms]
+        assert len(positions) > len(set(positions))  # parameters reused
+        assert any(coeff != 1.0 for _, terms in forms for _, coeff in terms)
+
+    def test_process_point_blocks_bind_stacked_in_workers(self):
+        # 32 unique points shard into 16 two-point blocks; each worker
+        # binds its block stacked, bitwise like per-point binds of the same
+        # block read out together.
+        template = FullyConnectedAnsatz(5, 1).build()
+        hamiltonian = ising_hamiltonian(5)
+        rng = np.random.default_rng(11)
+        sweep = rng.uniform(-3.0, 3.0,
+                            (32, len(template.ordered_parameters())))
+        executor = Executor(use_cache=False)
+        energies = executor.evaluate_sweep(template, sweep, hamiltonian,
+                                           backend="statevector",
+                                           parallel="process", max_workers=2)
+        assert executor.stats.process_shards == 16
+        program = compile_circuit(template)
+        coefficients = np.array([float(np.real(coeff))
+                                 for _, coeff in hamiltonian.terms()])
+        expected = []
+        for start in range(0, 32, 2):
+            states = run_batch([program.bind(point)
+                                for point in sweep[start:start + 2]])
+            values = statevector_term_expectations_batch(
+                states, observable=hamiltonian)
+            expected.extend(float(np.dot(coefficients, row))
+                            for row in values)
+        assert energies == expected
+
+    def test_run_sweep_validates_shapes(self):
+        program = compile_circuit(LinearAnsatz(3, 1).build())
+        assert program.run_sweep([]).shape == (0, 0)
+        with pytest.raises(ValueError, match="parameter values"):
+            program.run_sweep([[0.1, 0.2]])
+        noisy = compile_circuit(_mixed_template(),
+                                noise_model=make_noise_model())
+        with pytest.raises(ValueError, match="nois"):
+            noisy.run_sweep([[0.1, 0.2, 0.3]])
+
+
+# ---------------------------------------------------------------------------
 # Program cache
 # ---------------------------------------------------------------------------
 
@@ -506,6 +614,68 @@ class TestProgramCache:
             run_interpreted(circuit_b.bind_parameters({theta_b: 0.7})),
             atol=1e-12)
         assert compile_circuit(circuit_a) is program_a  # identity-keyed hit
+
+    def test_equal_templates_share_one_lowering(self):
+        clear_program_cache()
+        circuit_a = FullyConnectedAnsatz(4, 1).build()
+        circuit_b = FullyConnectedAnsatz(4, 1).build()
+        assert set(circuit_a.ordered_parameters()).isdisjoint(
+            circuit_b.ordered_parameters())
+        program_a = compile_circuit(circuit_a)
+        assert program_cache_counters() == (1, 0)
+        program_b = compile_circuit(circuit_b)
+        # The second template costs no lowering: a program-cache hit that
+        # hands back a view over the same ops with its own parameters.
+        assert program_cache_counters() == (1, 1)
+        assert program_b is not program_a
+        assert program_b.ops is program_a.ops
+        assert program_b.parameters == circuit_b.ordered_parameters()
+        assert compile_circuit(circuit_b) is program_b
+        assert program_cache_counters() == (1, 2)
+        values = np.linspace(-1.0, 1.0, len(program_a.parameters))
+        bound_b = program_b.bind(dict(zip(circuit_b.ordered_parameters(),
+                                          values)))
+        assert np.array_equal(bound_b.run_statevector(),
+                              program_a.bind(values).run_statevector())
+        with pytest.raises(ValueError, match="unbound"):
+            program_b.bind(dict(zip(circuit_a.ordered_parameters(), values)))
+
+    def test_views_stay_off_the_shared_cache_limits(self):
+        from repro.simulators import program as program_module
+        clear_program_cache()
+        templates = [FullyConnectedAnsatz(3, 1).build()
+                     for _ in range(program_module._MAX_VIEWS + 4)]
+        lowering = compile_circuit(templates[0])
+        views = [compile_circuit(template) for template in templates[1:]]
+        # One shared-cache entry charged once, however many identities.
+        assert len(program_module._PROGRAM_CACHE) == 1
+        assert program_module._CACHE_BYTES == \
+            program_module._program_nbytes(lowering)
+        assert all(view.ops is lowering.ops for view in views)
+        assert len(lowering._views) == program_module._MAX_VIEWS
+        # The newest views are kept; an evicted identity gets a fresh view.
+        assert compile_circuit(templates[-1]) is views[-1]
+        assert compile_circuit(templates[1]) is not views[0]
+        assert program_cache_counters() == (1, len(templates) + 1)
+
+    def test_term_order_keys_its_own_lowering(self):
+        # Same fingerprint, different term order inside one expression: the
+        # bound angle is a different float sum, so the lowerings differ.
+        def build(swap):
+            a, b = Parameter("a"), Parameter("b")
+            circuit = QuantumCircuit(1)
+            circuit.rx(a, 0).ry(b, 0)
+            circuit.rz(((b + a) if swap else (a + b)) + 0.3, 0)
+            return circuit
+        plain, swapped = build(False), build(True)
+        assert plain.fingerprint() == swapped.fingerprint()
+        assert compile_circuit(plain).ops is not compile_circuit(swapped).ops
+        values = [0.1, 0.2]  # (0.3 + 0.1) + 0.2 != (0.3 + 0.2) + 0.1
+        for circuit in (plain, swapped):
+            assert np.array_equal(
+                compile_circuit(circuit).bind(values).run_statevector(),
+                compile_circuit(circuit.bind_parameters(values))
+                .run_statevector())
 
     def test_shared_vs_distinct_parameters_never_collide(self):
         # One θ reused twice and two distinct θs of the same name are
@@ -570,6 +740,9 @@ class TestEvaluateSweep:
         assert executor.stats.backend_invocations["statevector"] == 6
 
     def test_second_sweep_is_cache_served(self):
+        # Earlier tests lowered this template's structure; start cold so the
+        # first sweep's one lowering is a compile.
+        clear_program_cache()
         executor = Executor()
         first = executor.evaluate_sweep(self.template, self.sweep,
                                         self.hamiltonian,
