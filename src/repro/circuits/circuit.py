@@ -18,7 +18,27 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 
 from .gates import Gate
 from .parameters import (LinearForm, Parameter, ParameterExpression,
-                         free_parameters, linear_form)
+                         evaluate_form, free_parameters, linear_form)
+
+
+_BOUND_VALUE = struct.Struct("<cd")
+
+
+def _bound_value_bytes(value: float) -> bytes:
+    """A bound parameter value in the fingerprint stream: ``F`` + its
+    float.  The one encoding both :meth:`QuantumCircuit.fingerprint` and
+    :meth:`QuantumCircuit.bound_fingerprint` write, so the two agree."""
+    return _BOUND_VALUE.pack(b"F", value)
+
+
+def _instruction_head(inst: "Instruction") -> bytes:
+    """An instruction's fingerprint bytes before its parameters: gate name,
+    qubit indices, ``|``, classical-bit indices."""
+    return b"".join((
+        inst.name.encode("utf-8"),
+        struct.pack(f"<{len(inst.qubits)}i", *inst.qubits),
+        b"|",
+        struct.pack(f"<{len(inst.clbits)}i", *inst.clbits)))
 
 
 @dataclass(frozen=True)
@@ -335,12 +355,7 @@ class QuantumCircuit:
         hasher.update(struct.pack("<I", self._num_qubits))
         appearance: Dict[Parameter, int] = {}
         for inst in self._instructions:
-            hasher.update(inst.name.encode("utf-8"))
-            hasher.update(struct.pack(f"<{len(inst.qubits)}i", *inst.qubits)
-                          if inst.qubits else b"")
-            hasher.update(b"|")
-            hasher.update(struct.pack(f"<{len(inst.clbits)}i", *inst.clbits)
-                          if inst.clbits else b"")
+            hasher.update(_instruction_head(inst))
             for param in inst.params:
                 if isinstance(param, ParameterExpression) and not param.is_bound:
                     hasher.update(b"P")
@@ -357,9 +372,54 @@ class QuantumCircuit:
                 else:
                     # Bound expressions hash like plain floats so a
                     # template-bound circuit matches its directly-built twin.
-                    hasher.update(b"F" + struct.pack("<d", float(param)))
+                    hasher.update(_bound_value_bytes(float(param)))
             hasher.update(b";")
         return hasher.hexdigest()
+
+    def bound_fingerprint(self, values: Sequence[float]) -> str:
+        """``bind_parameters(values).fingerprint()``, with no circuit built.
+
+        ``values`` is positional (aligned with :meth:`ordered_parameters`).
+        The bytes between parametric values are fixed by the template and
+        memoized; each parametric slot contributes the float
+        :func:`~repro.circuits.parameters.evaluate_form` gives it, which is
+        bitwise the angle :meth:`bind_parameters` binds.  This is what lets
+        a template-served evaluation share the bound circuit's cache keys.
+        """
+        segments, forms = self._memoized("bound_fingerprint",
+                                         self._bound_fingerprint_plan)
+        if len(values) != len(self.ordered_parameters()):
+            raise ValueError(
+                f"expected {len(self.ordered_parameters())} parameter "
+                f"values, got {len(values)}")
+        parts = [segments[0]]
+        for form, segment in zip(forms, segments[1:]):
+            parts.append(_bound_value_bytes(evaluate_form(form, values)))
+            parts.append(segment)
+        return hashlib.blake2b(b"".join(parts), digest_size=16).hexdigest()
+
+    def _bound_fingerprint_plan(self):
+        """``(segments, forms)``: the fixed byte runs of a bound twin's
+        fingerprint stream, split at its parametric values, and each
+        value's linear form (``len(segments) == len(forms) + 1``)."""
+        slots = dict(self.parametric_slots())
+        segments: List[bytes] = []
+        forms: List[LinearForm] = []
+        current = [struct.pack("<I", self._num_qubits)]
+        for index, inst in enumerate(self._instructions):
+            current.append(_instruction_head(inst))
+            if index in slots:
+                # Binding turns every parameter of the slot into a float.
+                for form in slots[index]:
+                    segments.append(b"".join(current))
+                    forms.append(form)
+                    current = []
+            else:
+                for param in inst.params:
+                    current.append(_bound_value_bytes(float(param)))
+            current.append(b";")
+        segments.append(b"".join(current))
+        return tuple(segments), tuple(forms)
 
     # -- transformation ---------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "QuantumCircuit":
@@ -426,9 +486,13 @@ class QuantumCircuit:
     def without_measurements(self) -> "QuantumCircuit":
         new = QuantumCircuit(self._num_qubits, self.name)
         new.metadata = dict(self.metadata)
-        for inst in self._instructions:
-            if inst.name not in ("measure", "reset", "barrier"):
-                new.append_instruction(inst)
+        new._instructions = [inst for inst in self._instructions
+                             if inst.name not in ("measure", "reset",
+                                                  "barrier")]
+        if len(new._instructions) == len(self._instructions) and self._memo:
+            # Nothing stripped: the copy has this circuit's fingerprint
+            # and parameters, so it keeps the memo instead of re-hashing.
+            new._memo = dict(self._memo)
         return new
 
     # -- layering (used by the scheduler and noise models) -------------------

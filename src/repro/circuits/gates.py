@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -158,7 +158,6 @@ _PARAMETRIC_MATRIX_BUILDERS = {
 }
 
 
-@lru_cache(maxsize=4096)
 def parametric_matrix(name: str, params: tuple) -> np.ndarray:
     """Memoized read-only unitary of a parametric gate at bound angles.
 
@@ -167,6 +166,18 @@ def parametric_matrix(name: str, params: tuple) -> np.ndarray:
     rebuilding trig matrices per call is measurable on the simulation hot
     path.  The returned array is shared and read-only — copy before mutating.
     """
+    # 0.0 == -0.0 under one hash, so a point with a zero angle also keys
+    # each angle's sign: the two zeros build matrices whose zero parts
+    # differ in sign, and a bare-angle key would serve whichever was built
+    # first.  Points without a zero angle key on the angles alone.
+    signs = (tuple(math.copysign(1.0, value) for value in params)
+             if 0.0 in params else None)
+    return _parametric_matrix(name, params, signs)
+
+
+@lru_cache(maxsize=4096)
+def _parametric_matrix(name: str, params: tuple,
+                       signs: Optional[tuple]) -> np.ndarray:
     builder = _PARAMETRIC_MATRIX_BUILDERS.get(name)
     if builder is None:
         raise ValueError(f"no matrix builder for gate {name!r}")

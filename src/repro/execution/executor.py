@@ -36,7 +36,8 @@ from .cache import CacheStats, ExpectationCache
 from .disk_cache import (DiskCacheStats, DiskExpectationCache,
                          TieredExpectationCache, disk_cache_from_env)
 from .errors import BackendCapabilityError, ExecutionError, SweepShapeError
-from .observables import run_grouped, track_program_cache
+from .observables import (_Slot, count_grouped_tasks, energies,
+                          run_grouped, track_program_cache)
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_sweep, route_task
@@ -443,14 +444,9 @@ class Executor:
                                trajectories=trajectories,
                                include_idle=include_idle)
                  for circuit in circuits]
-        values_per_task = run_grouped(self, tasks, backend=backend,
-                                      use_cache=use_cache,
-                                      max_workers=max_workers,
-                                      parallel=parallel, policy=policy)
-        coefficients = np.array([float(np.real(coeff))
-                                 for _, coeff in observable.terms()])
-        return [float(np.dot(coefficients, values))
-                for values in values_per_task]
+        return energies(observable, run_grouped(
+            self, tasks, backend=backend, use_cache=use_cache,
+            max_workers=max_workers, parallel=parallel, policy=policy))
 
     # -- batched parameter sweeps --------------------------------------------
     def evaluate_sweep(self, template, parameter_sets, observable, *,
@@ -535,6 +531,87 @@ class Executor:
         return self._sweep_compiled(template, parameter_sets, observable,
                                     engine, use_cache, parallel=parallel,
                                     max_workers=max_workers, policy=policy)
+
+    def evaluate_point(self, template, values, observable, *,
+                       noise_model=None,
+                       backend: Union[str, Backend] = "auto",
+                       trajectories: Optional[int] = None,
+                       include_idle: bool = True,
+                       use_cache: Optional[bool] = None,
+                       max_workers: Optional[int] = None,
+                       parallel: Optional[str] = None,
+                       policy: Optional[ExecutionPolicy] = None) -> float:
+        """⟨H⟩ at one parameter point of a circuit template: the per-step
+        entry of point-by-point optimizers (COBYLA, Nelder–Mead).
+
+        Returns exactly (``==``) what :meth:`evaluate_observable` returns
+        for ``template.bind_parameters(values)``, and shares its cache
+        entries: values are keyed under the bound circuit's own per-term
+        keys, its fingerprint derived from the template
+        (:meth:`~repro.circuits.circuit.QuantumCircuit.bound_fingerprint`),
+        so either path — and the disk tier — serves the other.  A point
+        that runs on ``statevector`` (named, or routed there by ``"auto"``
+        through :func:`~repro.execution.router.route_sweep`) binds no
+        circuit: the cached template program is bound at ``values``
+        (:meth:`~repro.simulators.program.CompiledProgram.point_program`,
+        op for op the bound circuit's lowering) and read out with the same
+        single-state kernel, in-process (one evolution has nothing to
+        shard, so ``parallel``, ``max_workers`` and ``policy`` only reach
+        the fallback).  Noisy points, other backends and templates with
+        measurements, resets or barriers bind the circuit and take
+        :meth:`evaluate_observable`.  Example::
+
+            energy = executor.evaluate_point(ansatz.build(), theta,
+                                             hamiltonian,
+                                             backend="statevector")
+        """
+        from ..simulators.kernels import statevector_term_expectations
+        from ..simulators.program import compile_circuit
+        values = [float(value) for value in values]
+        num_parameters = len(template.ordered_parameters())
+        if len(values) != num_parameters:
+            raise SweepShapeError(
+                f"template has {num_parameters} free parameters, got "
+                f"{len(values)} values")
+        task = ExecutionTask(circuit=template, observable=observable,
+                             noise_model=noise_model,
+                             trajectories=trajectories,
+                             include_idle=include_idle)
+        engine = None
+        if not task.has_noise and not any(
+                inst.name in ("measure", "reset", "barrier")
+                for inst in template):
+            engine = (next(route_sweep(template, [values]))
+                      if backend == "auto"
+                      else self.compiled_sweep_engine(backend))
+        if engine != "statevector":
+            return self.evaluate_observable(
+                template.bind_parameters(values), observable,
+                noise_model=noise_model, backend=backend,
+                trajectories=trajectories, include_idle=include_idle,
+                use_cache=use_cache, max_workers=max_workers,
+                parallel=parallel, policy=policy)[0]
+        resolved = (backend if isinstance(backend, Backend)
+                    else self.registry.get("statevector" if backend == "auto"
+                                           else backend))
+        use_cache = self.use_cache if use_cache is None else use_cache
+        count_grouped_tasks(self, 1)
+        # run_grouped's slot for the bound circuit, keyed by its fingerprint
+        # derived from the template: same keys, stats and cache fill.
+        slot = _Slot(task, resolved, resolved.is_deterministic_for(task),
+                     template.bound_fingerprint(values))
+        slot.absorb(0, task)
+        missing = slot.probe(self, use_cache)
+        if missing:
+            with track_program_cache(self):
+                program = compile_circuit(template).point_program(values)
+            # The bound path's readout: the missing terms, one kernel pass.
+            resolved._count_invocations()
+            slot.record(self, missing, statevector_term_expectations(
+                program.run_statevector(),
+                observable=slot.synthetic_task(missing).observable),
+                use_cache)
+        return energies(observable, [slot.term_values(task)])[0]
 
     def compiled_sweep_engine(self, backend: Union[str, Backend],
                               noise_model=None) -> Optional[str]:
@@ -629,9 +706,7 @@ class Executor:
         the two shapes can never diverge bitwise.
         """
         num_points = len(parameter_sets)
-        with self._lock:
-            self.stats.tasks_submitted += num_points
-            self.stats.grouped_tasks += num_points
+        count_grouped_tasks(self, num_points)
         term_keys = [pauli.key() for pauli, _ in observable.terms()]
         values_per_point: List[Optional[np.ndarray]] = [None] * num_points
         point_keys = [tuple(values) for values in parameter_sets]
@@ -729,10 +804,7 @@ class Executor:
                     counters = self.stats.backend_invocations
                     counters[engine] = counters.get(engine, 0) + len(unique)
                     self.stats.dedup_hits += len(missing) - len(unique)
-        coefficients = np.array([float(np.real(coeff))
-                                 for _, coeff in observable.terms()])
-        return [float(np.dot(coefficients, values))
-                for values in values_per_point]
+        return energies(observable, values_per_point)
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self, wait: bool = True) -> Optional[DiskCacheStats]:

@@ -111,6 +111,51 @@ class _Slot:
     def missing_keys(self) -> List[TermKey]:
         return [key for key in self.term_keys if key not in self.values]
 
+    def cache_keys(self, keys: Sequence[TermKey]) -> List[Tuple]:
+        return [self.task.term_cache_key(self.cache_token, key,
+                                         circuit_fingerprint=self.fingerprint)
+                for key in keys]
+
+    def probe(self, executor, use_cache: bool) -> List[TermKey]:
+        """Fill this slot's cached term values; return the missing keys."""
+        if self.cacheable and use_cache:
+            keys = list(self.term_keys)
+            hits = 0
+            for key, value in zip(keys, executor.cache.get_many(
+                    self.cache_keys(keys))):
+                if value is not None:
+                    self.values[key] = value
+                    hits += 1
+            if hits:
+                with executor._lock:
+                    executor.stats.term_cache_hits += hits
+        return self.missing_keys()
+
+    def record(self, executor, missing: Sequence[TermKey],
+               values: np.ndarray, use_cache: bool) -> None:
+        """Store freshly computed term values (+ stats and cache fill)."""
+        for key, value in zip(missing, values):
+            self.values[key] = float(value)
+        # Adapters evolve once per call; a backend still on the base-class
+        # term_expectations fallback spends one run per term instead.
+        uses_fallback = (type(self.backend).term_expectations
+                         is Backend.term_expectations)
+        spent = len(missing) if uses_fallback else 1
+        with executor._lock:
+            counters = executor.stats.backend_invocations
+            counters[self.backend.name] = \
+                counters.get(self.backend.name, 0) + spent
+        if self.cacheable and use_cache:
+            executor.cache.put_many(list(zip(
+                self.cache_keys(missing),
+                (self.values[key] for key in missing))))
+
+    def term_values(self, task: ExecutionTask) -> np.ndarray:
+        """A member task's term values in its own ``observable.terms()``
+        order."""
+        return np.array([self.values[pauli.key()]
+                         for pauli, _ in task.observable.terms()])
+
     def synthetic_task(self, keys: Sequence[TermKey]) -> ExecutionTask:
         """The task whose observable carries exactly the missing terms."""
         num_qubits = self.task.observable.num_qubits
@@ -118,6 +163,22 @@ class _Slot:
                               [(pauli_from_key(num_qubits, key), 1.0)
                                for key in keys])
         return dataclasses.replace(self.task, observable=observable)
+
+
+def count_grouped_tasks(executor, count: int) -> None:
+    """Book ``count`` tasks entering the grouped engine."""
+    with executor._lock:
+        executor.stats.tasks_submitted += count
+        executor.stats.grouped_tasks += count
+
+
+def energies(observable: PauliSum, rows) -> List[float]:
+    """``Σ Re(c_i)·⟨P_i⟩`` for each row of term values (aligned with
+    ``observable.terms()``): the one dot every grouped energy takes, per
+    circuit, per sweep point and per template point."""
+    coefficients = np.array([float(np.real(coeff))
+                             for _, coeff in observable.terms()])
+    return [float(np.dot(coefficients, values)) for values in rows]
 
 
 def run_grouped(executor, tasks: Sequence[ExecutionTask],
@@ -143,9 +204,7 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
             raise ExecutionError(
                 "grouped evaluation only handles expectation tasks")
     use_cache = executor.use_cache if use_cache is None else use_cache
-    with executor._lock:
-        executor.stats.tasks_submitted += len(tasks)
-        executor.stats.grouped_tasks += len(tasks)
+    count_grouped_tasks(executor, len(tasks))
     if not tasks:
         return []
 
@@ -177,44 +236,14 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
     # 2. Per-term cache lookup.
     pending: List[Tuple[_Slot, List[TermKey]]] = []
     for slot in slots.values():
-        if slot.cacheable and use_cache:
-            keys = list(slot.term_keys)
-            cached = executor.cache.get_many(
-                [slot.task.term_cache_key(slot.cache_token, key,
-                                          circuit_fingerprint=slot.fingerprint)
-                 for key in keys])
-            hits = 0
-            for key, value in zip(keys, cached):
-                if value is not None:
-                    slot.values[key] = value
-                    hits += 1
-            if hits:
-                with executor._lock:
-                    executor.stats.term_cache_hits += hits
-        missing = slot.missing_keys()
+        missing = slot.probe(executor, use_cache)
         if missing:
             pending.append((slot, missing))
 
     # 3. Evolve each slot with missing terms exactly once.
     def record(slot: _Slot, missing: List[TermKey],
                values: np.ndarray) -> None:
-        """Store one slot's freshly computed term values (+ cache fill)."""
-        for key, value in zip(missing, values):
-            slot.values[key] = float(value)
-        # Adapters evolve once per call; a backend still on the base-class
-        # term_expectations fallback spends one run per term instead.
-        uses_fallback = (type(slot.backend).term_expectations
-                         is Backend.term_expectations)
-        spent = len(missing) if uses_fallback else 1
-        with executor._lock:
-            counters = executor.stats.backend_invocations
-            counters[slot.backend.name] = \
-                counters.get(slot.backend.name, 0) + spent
-        if slot.cacheable and use_cache:
-            executor.cache.put_many(
-                [(slot.task.term_cache_key(slot.cache_token, key,
-                                           circuit_fingerprint=slot.fingerprint),
-                  slot.values[key]) for key in missing])
+        slot.record(executor, missing, values, use_cache)
 
     def evolve(slot: _Slot, missing: List[TermKey]) -> None:
         record(slot, missing, slot.backend.term_expectations(
@@ -242,11 +271,8 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
                 evolve(slot, missing)
 
     # 4. Assemble per-task value arrays in each task's own term order.
-    results: List[np.ndarray] = []
-    for task, slot in zip(tasks, slot_of_task):
-        results.append(np.array([slot.values[pauli.key()]
-                                 for pauli, _ in task.observable.terms()]))
-    return results
+    return [slot.term_values(task)
+            for task, slot in zip(tasks, slot_of_task)]
 
 
 def _evolve_process_sharded(executor, pending, plan, record,

@@ -33,6 +33,9 @@ sweep in one NumPy pass:
   structure and rebuilds only the parametric matrices from linear forms
   over positional parameters: ``program.bind(theta)`` binds one point,
   :meth:`CompiledProgram.run_sweep` a whole sweep in one stacked pass.
+  :meth:`CompiledProgram.point_program` binds one point and lowers it the
+  way compiling the bound circuit would (monomial ops become gathers), so
+  a per-step optimizer query needs no bound circuit.
 * **batch** — :func:`run_batch` executes ``B`` structure-sharing bound
   programs as one ``(B, 2^n)`` stacked pass: every op is applied across the
   whole batch in a single (batched) matmul or broadcast multiply, which is
@@ -338,17 +341,28 @@ def _diag_product(arrays: List[np.ndarray]) -> np.ndarray:
 
 def _matrix_product(factors: List[_Factor],
                     arrays: List[np.ndarray]) -> np.ndarray:
-    """``A_last @ … @ A_first`` of a fused op's factor arrays (diagonal
-    factors embedded as diagonal matrices); stacked arrays broadcast."""
-    matrix = None
-    for factor, array in zip(factors, arrays):
+    """``A_last @ … @ A_first`` of a fused op's factor arrays, multiplied
+    in the order compile-time fusion multiplies a bound circuit's gates: a
+    leading run of diagonal factors elementwise, then each later factor (a
+    diagonal one embedded as a diagonal matrix) from the left.  Stacked
+    arrays broadcast."""
+    lead = 0
+    while lead < len(factors) and factors[lead].diag:
+        lead += 1
+    matrix = _diag_square(_diag_product(arrays[:lead])) if lead else None
+    for factor, array in zip(factors[lead:], arrays[lead:]):
         if factor.diag:
-            square = np.zeros(array.shape + array.shape[-1:], dtype=complex)
-            diagonal = np.arange(array.shape[-1])
-            square[..., diagonal, diagonal] = array
-            array = square
+            array = _diag_square(array)
         matrix = array if matrix is None else array @ matrix
     return matrix
+
+
+def _diag_square(diag: np.ndarray) -> np.ndarray:
+    """A (stack of) diagonal vector(s) embedded as diagonal matrices."""
+    square = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
+    diagonal = np.arange(diag.shape[-1])
+    square[..., diagonal, diagonal] = diag
+    return square
 
 
 class CompiledProgram:
@@ -367,13 +381,14 @@ class CompiledProgram:
 
     __slots__ = ("num_qubits", "ops", "parameters", "noise_model",
                  "fingerprint", "fused", "_template", "_structure",
-                 "_parametric_indices", "_views")
+                 "_parametric_indices", "_views", "_pregather")
 
     def __init__(self, num_qubits: int, ops: List[CompiledOp],
                  parameters: List[Parameter],
                  noise_model: Optional[NoiseModel],
                  fingerprint: Optional[str], fused: bool,
-                 template: Optional["CompiledProgram"] = None):
+                 template: Optional["CompiledProgram"] = None,
+                 pregather: Optional[List[CompiledOp]] = None):
         self.num_qubits = num_qubits
         self.ops = ops
         self.parameters = parameters
@@ -381,6 +396,9 @@ class CompiledProgram:
         self.fingerprint = fingerprint
         self.fused = fused
         self._template = template or self
+        # The op list before the monomial lowering (parametric lowerings
+        # only): what point_program re-lowers at a monomial point.
+        self._pregather = pregather
         self._structure = None
         self._parametric_indices = [index for index, op in enumerate(ops)
                                     if op.is_parametric]
@@ -466,6 +484,34 @@ class CompiledProgram:
             ops[index] = ops[index].bound(values, self.num_qubits)
         return CompiledProgram(self.num_qubits, ops, [], self.noise_model,
                                None, self.fused, template=self._template)
+
+    def point_program(self, values: Sequence[float]) -> "CompiledProgram":
+        """This template bound at ``values`` and lowered the way
+        ``compile_circuit(circuit.bind_parameters(values))`` lowers the
+        bound circuit: the two programs match op for op, bitwise.
+
+        :meth:`bind` keeps the template's op structure, which is what lets
+        :meth:`run_sweep` stack a sweep.  A bound circuit is lowered as a
+        whole instead: an op that comes out monomial at its angles (``rx(π)``,
+        ``ry(π/2)·rz(π)``, …) becomes an index gather and fuses into the
+        neighbouring gathers.  At such a point the program re-runs that
+        lowering (:func:`_finalize_ops`) over the template's pre-gather op
+        list, bound; elsewhere the structural bind already is the bound
+        circuit's lowering.
+        """
+        values = list(values)
+        program = self.bind(values)
+        if self.num_qubits > _MAX_PERM_QUBITS or not any(
+                program.ops[index].kind == OP_UNITARY
+                and _monomial_form(program.ops[index].data) is not None
+                for index in self._parametric_indices):
+            return program
+        ops = [op.bound(values, self.num_qubits)
+               for op in self._template._pregather]
+        return CompiledProgram(self.num_qubits,
+                               _finalize_ops(ops, self.num_qubits), [],
+                               self.noise_model, None, self.fused,
+                               template=self._template)
 
     # -- execution -----------------------------------------------------------
     def run_statevector(self, initial_state: Optional[np.ndarray] = None,
@@ -804,16 +850,17 @@ def _fuse_perm_run(run: List[CompiledOp], num_qubits: int) -> CompiledOp:
 
 
 def _finalize_ops(ops: List[CompiledOp], num_qubits: int) -> List[CompiledOp]:
-    """Post-fusion lowering pass for static monomial unitaries.
+    """Post-fusion lowering pass for resolved monomial unitaries.
 
-    Each static unitary with exactly one nonzero per row (CX, SWAP, X, Y and
+    Each unitary whose matrix is known (every static op; a parametric op
+    once bound) and has exactly one nonzero per row (CX, SWAP, X, Y and
     their products) is rewritten as an index gather (:data:`OP_PERM`), and
     consecutive gathers collapse into one.
     """
     if num_qubits > _MAX_PERM_QUBITS:
         return ops
     lowered = [_as_perm_op(op)
-               if op.kind == OP_UNITARY and not op.is_parametric else op
+               if op.kind == OP_UNITARY and op.data is not None else op
                for op in ops]
     finalized: List[CompiledOp] = []
     run: List[CompiledOp] = []
@@ -987,19 +1034,26 @@ def _program_nbytes(program: CompiledProgram) -> int:
     dim = 1 << program.num_qubits
     total = 0
     for op in program.ops:
-        parts = op.data if isinstance(op.data, (tuple, list)) else (op.data,)
-        for part in parts:
-            if isinstance(part, np.ndarray):
-                total += part.nbytes
+        total += _array_bytes(op.data)
         if op._full is not None:
-            for part in op._full:
-                if isinstance(part, np.ndarray):
-                    total += part.nbytes
+            total += _array_bytes(op._full)
         elif op.kind == OP_PERM:
             total += dim * 8  # int64 source table, built on first run
             if op.data[1] is not None:
                 total += dim * 16  # complex128 phase table
+    if program._pregather is not None:
+        # The pre-gather list keeps alive the dense data of every op the
+        # monomial lowering replaced.
+        kept = {id(op) for op in program.ops}
+        total += sum(_array_bytes(op.data) for op in program._pregather
+                     if id(op) not in kept)
     return total
+
+
+def _array_bytes(data) -> int:
+    """Bytes of the arrays in an op's ``data`` (an array or a tuple)."""
+    parts = data if isinstance(data, (tuple, list)) else (data,)
+    return sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
 
 
 def program_cache_counters() -> Tuple[int, int]:
@@ -1105,10 +1159,12 @@ def compile_circuit(circuit: QuantumCircuit,
         else:
             ops = _compile_noiseless(circuit, fuse, positions)
             effective_fuse = fuse
+        # Only a template's point_program reads the pre-gather list.
         return CompiledProgram(circuit.num_qubits,
                                _finalize_ops(ops, circuit.num_qubits),
                                parameters, noise_model, fingerprint,
-                               effective_fuse)
+                               effective_fuse,
+                               pregather=ops if parameters else None)
 
     if not use_cache:
         with _CACHE_LOCK:

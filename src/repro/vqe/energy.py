@@ -140,6 +140,30 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                               policy=self.policy)[0]
         return float(result.value)
 
+    def evaluate_point(self, template: QuantumCircuit, values) -> float:
+        """⟨H⟩ of ``template`` bound at ``values``: exactly what
+        ``self(template.bind_parameters(values))`` returns, counted as one
+        evaluation.
+
+        The per-step entry of point-by-point optimizers.  A noiseless
+        statevector evaluation goes through
+        :meth:`repro.execution.Executor.evaluate_point`, which serves the
+        point from the cached template program with no circuit bound,
+        hashed or compiled; canonicalizing, ungrouped and subclassed
+        evaluators bind the circuit as :meth:`evaluate` expects.
+        """
+        if (self.canonicalize or not self.grouped
+                or type(self).evaluate is not BackendEnergyEvaluator.evaluate):
+            return self(template.bind_parameters(list(values)))
+        self.num_evaluations += 1
+        executor = self._executor or default_executor()
+        return executor.evaluate_point(
+            template, values, self.hamiltonian,
+            noise_model=self.noise_model, backend=self.backend,
+            trajectories=self.trajectories, include_idle=self.include_idle,
+            use_cache=self.use_cache, parallel=self.parallel,
+            max_workers=self.max_workers, policy=self.policy)
+
     def evaluate_sweep(self, template: QuantumCircuit,
                        parameter_sets) -> list:
         """⟨H⟩ at every point of a parameter sweep over one ansatz template.

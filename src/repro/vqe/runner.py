@@ -88,9 +88,16 @@ class VQE:
 
     # -- objective ---------------------------------------------------------------
     def energy(self, parameters: Sequence[float]) -> float:
-        """⟨H⟩ for one parameter vector (one circuit execution)."""
-        circuit = self._template.bind_parameters(list(parameters))
-        return self.evaluator(circuit)
+        """⟨H⟩ for one parameter vector (one circuit execution).
+
+        Evaluators exposing ``evaluate_point`` (every
+        :class:`~repro.vqe.energy.BackendEnergyEvaluator`) serve the point
+        from the ansatz template; others get the bound circuit.
+        """
+        point = getattr(self.evaluator, "evaluate_point", None)
+        if point is not None:
+            return float(point(self._template, parameters))
+        return self.evaluator(self._template.bind_parameters(list(parameters)))
 
     def energy_sweep(self, parameter_sets: Sequence[Sequence[float]]
                      ) -> List[float]:

@@ -303,6 +303,49 @@ class TestStructureMemo:
         assert copied.fingerprint() != original
         assert composed.fingerprint() not in (original, copied.fingerprint())
 
+    def test_stripping_nothing_keeps_the_memo(self, monkeypatch):
+        calls = []
+        original = QuantumCircuit._fingerprint
+
+        def counting(circuit):
+            calls.append(1)
+            return original(circuit)
+
+        monkeypatch.setattr(QuantumCircuit, "_fingerprint", counting)
+        qc = QuantumCircuit(2)
+        qc.rx(0.3, 0).cx(0, 1)
+        expected = qc.fingerprint()
+        stripped = qc.without_measurements()
+        assert stripped.fingerprint() == expected
+        assert len(calls) == 1
+        stripped.h(1)
+        assert stripped.fingerprint() != expected
+        assert qc.fingerprint() == expected
+        measured = qc.copy()
+        measured.measure_all()
+        measured.fingerprint()
+        calls.clear()
+        assert measured.without_measurements().fingerprint() == expected
+        assert len(calls) == 1
+
+    def test_statevector_evaluation_hashes_its_circuit_once(self,
+                                                            monkeypatch):
+        from repro.execution import Executor
+        from repro.operators import ising_hamiltonian
+        calls = []
+        original = QuantumCircuit._fingerprint
+
+        def counting(circuit):
+            calls.append(1)
+            return original(circuit)
+
+        monkeypatch.setattr(QuantumCircuit, "_fingerprint", counting)
+        qc = QuantumCircuit(3)
+        qc.h(0).cx(0, 1).ry(0.4, 2)
+        Executor().evaluate_observable(qc, ising_hamiltonian(3, 1.0),
+                                       backend="statevector")
+        assert len(calls) == 1
+
     def test_pickled_circuit_carries_no_memo(self):
         import pickle
         theta = Parameter("theta")

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from repro.circuits.gates import (CX_MATRIX, Gate, H_MATRIX, S_MATRIX,
                                   T_MATRIX, controlled_on_matrix, gate_arity,
-                                  gate_fidelity, is_clifford_angle, rx_matrix,
+                                  gate_fidelity, is_clifford_angle,
+                                  parametric_matrix, rx_matrix,
                                   ry_matrix, rz_matrix, rzz_matrix, u3_matrix,
                                   X_MATRIX, Z_MATRIX)
 from repro.circuits.parameters import Parameter
@@ -70,6 +71,20 @@ class TestRotations:
     def test_rotation_composition_adds_angles(self, theta):
         np.testing.assert_allclose(rz_matrix(theta) @ rz_matrix(-theta), np.eye(2),
                                    atol=1e-10)
+
+
+class TestParametricMatrixMemo:
+    @pytest.mark.parametrize("name", ["rx", "rz", "rzz"])
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_angles_keep_their_own_matrix(self, name, first):
+        """0.0 == -0.0, but the memo must not serve one zero's matrix for
+        the other: their zero parts differ in sign."""
+        build = {"rx": rx_matrix, "rz": rz_matrix, "rzz": rzz_matrix}[name]
+        second = -first
+        parametric_matrix(name, (first,))
+        for angle in (first, second):
+            assert parametric_matrix(name, (angle,)).tobytes() == \
+                build(angle).tobytes()
 
 
 class TestGateClassification:
