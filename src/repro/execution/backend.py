@@ -65,9 +65,9 @@ class Backend(abc.ABC):
     # -- pickling ------------------------------------------------------------
     # Backends travel to worker processes under ``parallel="process"`` — the
     # only unpicklable piece of the base state is the counter lock, which is
-    # dropped on the way out and recreated on the way in.  Worker-side
-    # invocation counts stay in the worker; the executor attributes
-    # invocations in the parent.
+    # dropped on the way out and recreated on the way in.  A worker's
+    # invocation counts come home through the fan-out counter fold
+    # (:class:`~repro.execution.sharding.BackendInvocations`).
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_invocation_lock", None)

@@ -11,11 +11,12 @@ Pipeline for one :meth:`Executor.run` call:
    the on-disk L2 (:mod:`repro.execution.disk_cache`).
 3. **Deduplicate** — remaining identical deterministic tasks collapse to a
    single simulator invocation per distinct key.
-4. **Dispatch** — unique tasks are grouped per backend and fanned out under
-   a :class:`~repro.execution.sharding.ShardPlanner` plan: worker
+4. **Dispatch** — unique tasks are grouped per backend and fanned out
+   through :func:`~repro.execution.sharding.fan_out` under a
+   :class:`~repro.execution.sharding.ShardPlanner` plan: worker
    **processes** for CPU-bound simulator batches (``parallel="process"``,
-   the auto default once a batch is big enough), the historical thread pool
-   for backends that hint it, or inline for small batches.
+   the auto default once a batch is big enough), a thread pool for
+   backends that hint it, or inline for small batches.
 5. **Assemble** — results come back in input order, each labelled with the
    backend that ran it and whether it was served from cache or dedup.
 """
@@ -41,9 +42,10 @@ from .observables import (_Slot, count_grouped_tasks, energies,
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_sweep, route_task
-from .sharding import (FaultReport, ShardPlanner, _clifford_sweep_shard,
-                       _run_batch_shard, _sweep_points_shard, resolve_workers,
-                       run_sharded, split_evenly)
+from .sharding import (BackendInvocations, FaultReport, ShardGroup,
+                       ShardPlan, ShardPlanner, _clifford_sweep_shard,
+                       _run_batch_shard, _sweep_points_shard, fan_out,
+                       resolve_workers)
 from .task import ExecutionResult, ExecutionTask
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
@@ -62,9 +64,9 @@ class ExecutionStats:
     layer (:mod:`repro.simulators.program`): how many circuits were lowered
     to :class:`~repro.simulators.program.CompiledProgram` objects during this
     executor's dispatches and how many lowerings were skipped because the
-    fingerprint-keyed program cache already held them.  ``process_shards``
-    counts shard payloads submitted to the worker-process pool (worker-side
-    program compiles are not visible to the parent's program counters).
+    fingerprint-keyed program cache already held them, in worker processes
+    too.  ``process_shards`` counts shard payloads handed to the
+    process broker (the fork pool or a spool).
 
     The fault counters aggregate the shard supervisor's
     :class:`~repro.execution.sharding.FaultReport`\\ s: ``shard_retries``
@@ -186,17 +188,6 @@ class Executor:
                 .merged_over(self.policy)
                 .merged_over(ExecutionPolicy.from_env()))
 
-    def _shard_kwargs(self, policy: ExecutionPolicy, plan) -> dict:
-        """Keyword arguments for one supervised ``run_sharded`` dispatch.
-
-        Built per call: broker instances hold per-dispatch state (shard-id
-        maps, spool bookkeeping) and must never be shared between
-        concurrent dispatches.
-        """
-        return {"policy": policy.retry,
-                "broker": make_broker(policy.broker, plan.workers),
-                "on_fault": self.note_fault_report}
-
     def _resolve_backend(self, task: ExecutionTask,
                          backend: Union[str, Backend]
                          ) -> Tuple[Backend, bool]:
@@ -311,8 +302,8 @@ class Executor:
                   max_workers: Optional[int],
                   parallel: Optional[str] = None,
                   policy: Optional[ExecutionPolicy] = None) -> None:
-        """Run the given task indices, grouped per backend, under the shard
-        plan (process shards / thread pool / inline)."""
+        """Run the given task indices, grouped per backend, in one
+        :func:`~repro.execution.sharding.fan_out` dispatch."""
         by_backend: Dict[int, Tuple[Backend, List[int]]] = {}
         for index in to_run:
             entry = by_backend.setdefault(id(backends[index]),
@@ -328,54 +319,22 @@ class Executor:
         plan = self.planner.plan(len(to_run), hints=hints,
                                  parallel=effective.parallel,
                                  max_workers=effective.max_workers)
-
-        if plan.mode == "process":
-            # Shard each backend's slice across worker processes.  Results
-            # round-trip through pickle, so re-attach the caller's task
-            # objects (value-equal copies otherwise).
-            payloads: List[Tuple[Backend, List[ExecutionTask]]] = []
-            owners: List[List[int]] = []
-            for backend, indices in by_backend.values():
-                for chunk in split_evenly(indices, plan.workers):
-                    payloads.append((backend, [tasks[i] for i in chunk]))
-                    owners.append(chunk)
-            shard_results = run_sharded(plan, _run_batch_shard, payloads,
-                                        **self._shard_kwargs(effective, plan))
-            for (backend, _), indices, batch in zip(payloads, owners,
-                                                    shard_results):
-                for i, result in zip(indices, batch):
-                    results[i] = dataclasses.replace(result, task=tasks[i])
-                # Workers bump their pickled copies' counters, which are
-                # discarded — restore the caller-side Backend.invocations
-                # parity with the inline/thread branches here.
-                backend._count_invocations(len(indices))
-                with self._lock:
-                    counters = self.stats.backend_invocations
-                    counters[backend.name] = counters.get(backend.name, 0) \
-                        + len(indices)
-            with self._lock:
-                self.stats.process_shards += len(payloads)
-            return
-
-        def run_chunk(backend: Backend, indices: List[int]) -> None:
-            batch = [tasks[i] for i in indices]
-            for i, result in zip(indices, backend.run_batch(batch)):
-                results[i] = result
+        run = fan_out(self, effective, plan, [
+            ShardGroup(_run_batch_shard, (backend,),
+                       [tasks[i] for i in indices], BackendInvocations)
+            for backend, indices in by_backend.values()])
+        for (backend, indices), batches in zip(by_backend.values(),
+                                               run.values):
+            # Pickled results carry value-equal copies of the tasks:
+            # re-attach the caller's objects.
+            batch = [result for chunk in batches for result in chunk]
+            for i, result in zip(indices, batch):
+                results[i] = (result if result.task is tasks[i] else
+                              dataclasses.replace(result, task=tasks[i]))
             with self._lock:
                 counters = self.stats.backend_invocations
                 counters[backend.name] = counters.get(backend.name, 0) \
                     + len(indices)
-
-        if plan.mode != "thread":
-            for backend, indices in by_backend.values():
-                run_chunk(backend, indices)
-            return
-
-        chunks: List[Tuple[Backend, List[int]]] = []
-        for backend, indices in by_backend.values():
-            chunks.extend((backend, chunk)
-                          for chunk in split_evenly(indices, plan.workers))
-        run_sharded(plan, run_chunk, chunks)
 
     # -- grouped observables -------------------------------------------------
     def term_expectations(self, circuit, observable, *,
@@ -642,12 +601,9 @@ class Executor:
 
     def _sweep_kernel(self, engine: str, template, fingerprint: str,
                       observable, points):
-        """``(shard function, payload builder, planner hint, block cap)``
-        of one compiled sweep engine over the sweep's uncached points.
-
-        ``payload(points, block)`` is the shard function's argument tuple
-        for a process-shard block (``block=True``) or the inline batch.
-        """
+        """``(shard function, head, planner hint, block cap)`` of one
+        compiled sweep engine over the sweep's uncached points; a chunk of
+        points runs as ``shard(*head, chunk)``."""
         if engine == "pauli_propagation":
             from ..simulators.pauli_propagation import compile_clifford
             try:
@@ -659,26 +615,20 @@ class Executor:
                     f"{error}") from error
             # One bit-sliced pass costs microseconds per point: never worth
             # a fork under "auto".
-            return (_clifford_sweep_shard,
-                    lambda block_points, block: (program, block_points,
-                                                 observable),
-                    "inline", 64)
+            return _clifford_sweep_shard, (program, observable), "inline", 64
         # A template with nothing to strip is used as is: a copy would
         # re-hash its fingerprint and miss its program-cache view.
         bare_template = (template.without_measurements()
                          if any(inst.name in ("measure", "reset", "barrier")
                                 for inst in template) else template)
-        num_qubits = int(bare_template.num_qubits)
-        # A block executes as one stacked batch (its amplitude budget is its
-        # size); the inline batch chunks under the global amplitude bound.
-        # Up to 8 concurrent workers each holding one stacked block stay
-        # inside the ~1 GB amplitude bound.
+        # A point block fits one stacked batch under the amplitude bound
+        # (it is capped at an eighth of it), and up to 8 concurrent
+        # workers each holding one block stay inside the ~1 GB bound; the
+        # inline batch chunks under the same bound.
         return (_sweep_points_shard,
-                lambda block_points, block: (
-                    bare_template, block_points, observable,
-                    len(block_points) << num_qubits if block
-                    else _SWEEP_BATCH_AMPLITUDES),
-                "process", _SWEEP_BATCH_AMPLITUDES // (8 << num_qubits))
+                (bare_template, observable, _SWEEP_BATCH_AMPLITUDES),
+                "process",
+                _SWEEP_BATCH_AMPLITUDES // (8 << int(bare_template.num_qubits)))
 
     def _sweep_compiled(self, template, parameter_sets, observable,
                         engine: str, use_cache: bool,
@@ -692,7 +642,7 @@ class Executor:
         parameter tuple, term, engine)`` — derived without binding a circuit
         per point, which keeps the repeat-query hot path at dictionary-lookup
         cost.  Identical uncached points share one evaluation (counted as
-        ``dedup_hits``).  Process-mode sweeps run their uncached points in
+        ``dedup_hits``).  Process sweeps run their uncached points in
         fixed-size **point blocks** whose size depends only on the engine,
         the qubit count and the unique-point count — never on the worker
         count or broker — so pooled and spool-brokered sweeps submit
@@ -701,9 +651,8 @@ class Executor:
         workers load-balance).  Each block's term values flush through the
         cache (and its disk tier) **as the block lands**, so a killed
         multi-worker sweep resumes warm: already-flushed points are served
-        from cache and recompute nothing.  Inline sweeps keep the single
-        compiled batch — the per-point values are identical either way, so
-        the two shapes can never diverge bitwise.
+        from cache and recompute nothing.  Inline and thread sweeps run the
+        same shard function over all their points as one compiled batch.
         """
         num_points = len(parameter_sets)
         count_grouped_tasks(self, num_points)
@@ -743,60 +692,35 @@ class Executor:
                         continue
                     leaders[point_keys[index]] = len(unique)
                     unique.append(index)
-                shard, payload, hint, block_cap = self._sweep_kernel(
+                points = [parameter_sets[index] for index in unique]
+                shard, head, hint, block_cap = self._sweep_kernel(
                     engine, template, template_fingerprint, observable,
-                    [parameter_sets[index] for index in unique])
+                    points)
                 effective = self._resolve_policy(policy, parallel=parallel,
                                                  max_workers=max_workers)
                 plan = self.planner.plan(len(unique), hints=(hint,),
                                          parallel=effective.parallel,
                                          max_workers=effective.max_workers)
-                if plan.mode == "process" and len(unique) > 1:
-                    # Point-block size: a function of the engine, the qubit
-                    # count and the unique-point count alone — never the
-                    # worker count or broker — so block composition (and
-                    # hence shard payload identity) is the same pooled or
-                    # brokered, and stable across a kill/resume with a
-                    # different worker census.  The /16 divisor keeps at
-                    # least ~16 blocks on big sweeps so elastic workers can
-                    # load-balance and checkpoints stay fine-grained.
-                    block_size = max(1, min(64, block_cap,
-                                            -(-len(unique) // 16)))
-                    blocks = [unique[start:start + block_size]
-                              for start in range(0, len(unique), block_size)]
-                    payloads = [payload([parameter_sets[index]
-                                         for index in block], True)
-                                for block in blocks]
+                if plan.mode != "process":
+                    # Only process sweeps cut point blocks; a thread plan
+                    # runs the one inline batch, like an inline plan.
+                    plan = ShardPlan("none", 1)
 
-                    def flush_block(position: int, block_values) -> None:
-                        """Checkpoint one landed block through the cache."""
-                        entries = []
-                        for row, index in enumerate(blocks[position]):
-                            entries.extend(zip(
-                                cache_keys(point_keys[index]),
-                                (float(v) for v in block_values[row])))
-                        self.cache.put_many(entries)
+                def flush_block(block: list, block_values) -> None:
+                    self.cache.put_many(
+                        entry for point, row in zip(block, block_values)
+                        for entry in zip(cache_keys(tuple(point)),
+                                         (float(v) for v in row)))
 
-                    row_blocks = run_sharded(
-                        plan, shard, payloads,
-                        on_result=flush_block if use_cache else None,
-                        **self._shard_kwargs(effective, plan))
-                    unique_values = (row_blocks[0] if len(row_blocks) == 1
-                                     else np.concatenate(row_blocks, axis=0))
-                    with self._lock:
-                        self.stats.process_shards += len(payloads)
-                else:
-                    # Same code path a worker shard runs, executed
-                    # in-process as one compiled batch — one implementation,
-                    # so inline and sharded sweeps can never diverge.
-                    unique_values = shard(*payload(
-                        [parameter_sets[index] for index in unique], False))
-                    if use_cache:
-                        self.cache.put_many(
-                            entry for row, index in enumerate(unique)
-                            for entry in zip(
-                                cache_keys(point_keys[index]),
-                                (float(v) for v in unique_values[row])))
+                # Each landed block checkpoints through the cache; the /16
+                # keeps ~16 blocks on big sweeps, so elastic workers can
+                # load-balance and checkpoints stay fine-grained.
+                blocks = fan_out(
+                    self, effective, plan, [ShardGroup(shard, head, points)],
+                    block=max(1, min(64, block_cap, -(-len(unique) // 16))),
+                    on_result=flush_block if use_cache else None).values[0]
+                unique_values = (blocks[0] if len(blocks) == 1
+                                 else np.concatenate(blocks, axis=0))
                 for index in missing:
                     values_per_point[index] = \
                         unique_values[leaders[point_keys[index]]]
@@ -840,9 +764,10 @@ class Executor:
     def note_fault_report(self, report: FaultReport) -> None:
         """Fold one shard-supervisor :class:`FaultReport` into the stats.
 
-        Wired as the ``on_fault`` callback of every ``run_sharded`` call
-        this executor plans (its own dispatches and executor-routed
-        pipelines like :mod:`repro.qec.sampling`), so recoveries are never
+        Wired as the ``on_fault`` callback of every
+        :func:`~repro.execution.sharding.fan_out` dispatch this executor
+        plans (its own dispatches and executor-routed pipelines like
+        :mod:`repro.qec.sampling`), so recoveries are never
         silent: counters land in :attr:`stats` and the report itself is
         kept on the bounded :attr:`fault_reports` deque for inspection.
         """
@@ -852,18 +777,6 @@ class Executor:
             self.stats.pool_respawns += report.respawns
             self.stats.degraded_shards += report.inline_shards
         self.fault_reports.append(report)
-
-    def note_process_shards(self, count: int) -> None:
-        """Record ``count`` externally submitted process-shard payloads.
-
-        Pipelines that plan with this executor's :class:`ShardPlanner` and
-        cache in its expectation cache but submit their own shard payloads
-        (the batched QEC sampler, :mod:`repro.qec.sampling`) report their
-        pool traffic here so ``stats.process_shards`` stays a complete
-        account of the executor's fan-out.
-        """
-        with self._lock:
-            self.stats.process_shards += int(count)
 
     def broker_workers(self) -> List[dict]:
         """The configured broker's current worker census (JSON-able dicts).

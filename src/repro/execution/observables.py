@@ -24,20 +24,21 @@ engine works at *term* granularity:
 4. **Assembly** — per-task term values are gathered back in each task's own
    ``observable.terms()`` order; energies are ``Σ Re(c_i)·⟨P_i⟩``.
 
-Slots that need an evolution fan out under the executor's
+Slots that need an evolution fan out in one
+:func:`~repro.execution.sharding.fan_out` dispatch under the executor's
 :class:`~repro.execution.sharding.ShardPlanner` plan: CPU-bound simulator
 slots shard across worker **processes** (a single stochastic Monte-Carlo
 slot additionally shards its *trajectory ensemble*, with per-trajectory
 seed spawning keeping results bitwise independent of the shard count),
-thread-hinting custom backends keep the historical thread pool, and small
-batches run inline.
+thread-hinting custom backends use a thread pool, and small batches run
+inline.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,8 +46,8 @@ from ..operators.pauli import PauliString, PauliSum
 from ..simulators.program import program_cache_counters
 from .backend import Backend
 from .errors import BackendCapabilityError, ExecutionError
-from .sharding import (plan_trajectory_shards, run_sharded, split_evenly,
-                       _term_expectations_shard)
+from .sharding import (BackendInvocations, ShardGroup, fan_out,
+                       plan_trajectory_shards, _term_expectations_shard)
 from .task import ExecutionTask, noise_token
 
 TermKey = Tuple[bytes, bytes]
@@ -241,14 +242,6 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
             pending.append((slot, missing))
 
     # 3. Evolve each slot with missing terms exactly once.
-    def record(slot: _Slot, missing: List[TermKey],
-               values: np.ndarray) -> None:
-        slot.record(executor, missing, values, use_cache)
-
-    def evolve(slot: _Slot, missing: List[TermKey]) -> None:
-        record(slot, missing, slot.backend.term_expectations(
-            slot.synthetic_task(missing)))
-
     hints = {slot.backend.capabilities().parallel_hint
              for slot, _ in pending}
     ensemble = max((getattr(slot.backend, "trajectory_count",
@@ -261,89 +254,54 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
                                  parallel=effective.parallel,
                                  max_workers=effective.max_workers)
     with track_program_cache(executor):
-        if plan.mode == "process":
-            _evolve_process_sharded(executor, pending, plan, record,
-                                    effective)
-        elif plan.mode == "thread":
-            run_sharded(plan, evolve, pending)
-        else:
-            for slot, missing in pending:
-                evolve(slot, missing)
+        _evolve(executor, pending, plan, effective, use_cache)
 
     # 4. Assemble per-task value arrays in each task's own term order.
     return [slot.term_values(task)
             for task, slot in zip(tasks, slot_of_task)]
 
 
-def _evolve_process_sharded(executor, pending, plan, record,
-                            policy=None) -> None:
-    """Evolve pending slots across worker processes.
+def _evolve(executor, pending, plan, policy, use_cache: bool) -> None:
+    """Evolve the pending slots in one :func:`fan_out` dispatch.
 
     Two shard shapes compose here:
 
-    * **Trajectory shards** — a stochastic Monte-Carlo slot whose ensemble
-      is big enough splits its per-trajectory seed list across the pool
-      (:func:`repro.execution.sharding.plan_trajectory_shards`); the
+    * **Trajectory shards** — under a process plan, a stochastic
+      Monte-Carlo slot whose ensemble is big enough splits its seed list
+      across the pool (:func:`~.sharding.plan_trajectory_shards`); the
       concatenated rows finalize to values bitwise identical to an inline
-      run.  All slots' trajectory payloads go to the pool in **one**
-      submission round — no per-slot barrier — and splitting is only used
-      at all while there are fewer slots than workers: once slot-level
-      parallelism saturates the pool, finer ensemble splitting adds payload
-      overhead without adding cores.
+      run.  Only while there are fewer slots than workers: past that,
+      finer splitting adds payload overhead without adding cores.
     * **Slot shards** — remaining slots are grouped per backend and their
       synthetic tasks fan out as contiguous chunks, one
-      ``term_expectations`` call per slot inside the worker.
+      ``term_expectations`` call per slot.
     """
-    trajectory_jobs: Dict[object, List[Tuple[_Slot, List[TermKey], list,
-                                             object]]] = {}
-    generic: List[Tuple[_Slot, List[TermKey], ExecutionTask]] = []
-    shard_count = 0
+    groups: List[ShardGroup] = []
+    owners: List[Tuple[Optional[Callable], list]] = []
+    by_backend: Dict[int, Tuple[Backend, list]] = {}
     for slot, missing in pending:
         synthetic = slot.synthetic_task(missing)
         trajectory = (plan_trajectory_shards(slot.backend, synthetic, plan)
                       if len(pending) < plan.workers else None)
         if trajectory is not None:
-            runner, payloads, finalize = trajectory
-            trajectory_jobs.setdefault(runner, []).append(
-                (slot, missing, payloads, finalize))
+            group, finalize = trajectory
+            groups.append(group)
+            owners.append((finalize, [(slot, missing)]))
         else:
-            generic.append((slot, missing, synthetic))
-
-    if policy is None:
-        policy = executor._resolve_policy()
-
-    # One submission round per distinct worker runner (normally one).
-    for runner, jobs in trajectory_jobs.items():
-        flat = [payload for _, _, payloads, _ in jobs
-                for payload in payloads]
-        blocks = run_sharded(plan, runner, flat,
-                             **executor._shard_kwargs(policy, plan))
-        shard_count += len(flat)
-        offset = 0
-        for slot, missing, payloads, finalize in jobs:
-            slot_blocks = blocks[offset:offset + len(payloads)]
-            offset += len(payloads)
-            slot.backend._count_invocations()
-            record(slot, missing, finalize(slot_blocks))
-
-    by_backend: Dict[int, List[Tuple[_Slot, List[TermKey], ExecutionTask]]] = {}
-    for entry in generic:
-        by_backend.setdefault(id(entry[0].backend), []).append(entry)
-    payloads = []
-    owners: List[List[Tuple[_Slot, List[TermKey], ExecutionTask]]] = []
-    for entries in by_backend.values():
-        for chunk in split_evenly(entries, plan.workers):
-            payloads.append((chunk[0][0].backend,
-                             [synthetic for _, _, synthetic in chunk]))
-            owners.append(chunk)
-    if payloads:
-        shard_count += len(payloads)
-        for chunk, value_arrays in zip(owners, run_sharded(
-                plan, _term_expectations_shard, payloads,
-                **executor._shard_kwargs(policy, plan))):
-            for (slot, missing, _), values in zip(chunk, value_arrays):
-                slot.backend._count_invocations()
-                record(slot, missing, values)
-    if shard_count:
-        with executor._lock:
-            executor.stats.process_shards += shard_count
+            by_backend.setdefault(id(slot.backend), (slot.backend, []))[1] \
+                .append((slot, missing, synthetic))
+    for backend, entries in by_backend.values():
+        groups.append(ShardGroup(_term_expectations_shard, (backend,),
+                                 [synthetic for _, _, synthetic in entries],
+                                 BackendInvocations))
+        owners.append((None, [entry[:2] for entry in entries]))
+    run = fan_out(executor, policy, plan, groups)
+    for (finalize, entries), chunk_values in zip(owners, run.values):
+        if finalize is not None:
+            # The runner never sees the backend: count its one evolution.
+            entries[0][0].backend._count_invocations()
+            rows = [finalize(chunk_values)]
+        else:
+            rows = [row for chunk in chunk_values for row in chunk]
+        for (slot, missing), row in zip(entries, rows):
+            slot.record(executor, missing, row, use_cache)

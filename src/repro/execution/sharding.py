@@ -1,18 +1,25 @@
 """Shard planning and multi-core fan-out for the execution layer.
 
-Python's GIL caps the historical thread-pooled dispatch for CPU-bound
-simulation: dense NumPy contractions and pure-Python tableau trajectories
-serialize on the interpreter, so threads add overhead without adding cores.
-This module is the multi-core rung of the ROADMAP:
-
 * :class:`ShardPlanner` decides **how** a batch fans out — ``"process"``
   (worker processes, the default for the in-repo CPU-bound backends once a
-  batch is big enough to amortize dispatch), ``"thread"`` (the historical
-  pool, kept for I/O-ish custom backends that hint it), or ``"none"``
-  (inline — small batches where any pool is pure overhead).  The decision
-  combines the caller's ``parallel=`` choice, the resolved worker count
-  (``max_workers`` argument, ``REPRO_WORKERS`` environment override, CPU
-  count) and the backends' :attr:`~repro.execution.backend.BackendCapabilities.parallel_hint`.
+  batch is big enough to amortize dispatch), ``"thread"`` (a thread pool,
+  the default for custom backends), or ``"none"`` (inline — small batches
+  where any pool is pure overhead).  The decision combines the caller's
+  ``parallel=`` choice, the resolved worker count (``max_workers``
+  argument, ``REPRO_WORKERS`` environment override, CPU count) and the
+  backends' :attr:`~repro.execution.backend.BackendCapabilities.parallel_hint`.
+  Whether threads help depends on how long the NumPy kernels hold the
+  GIL released: ``evaluate_observable`` over 8 distinct depth-1
+  ``FullyConnectedAnsatz`` circuits (Ising Hamiltonian, 2 workers, 2
+  vCPUs, numpy 2.4, median of 25 interleaved rounds) took (inline /
+  thread / process) 9.2 / 9.7 / 17.9 ms at 8 qubits, 18.4 / 23.6 / 19.6
+  ms at 12, 145 / 72 / 194 ms at 14 and 344 / 348 / 587 ms at 16, with
+  identical values in all three modes.
+* :func:`fan_out` is the one dispatch of every sharded pipeline (task,
+  grouped slot and trajectory shards, sweep point blocks, seeded QEC
+  blocks): the caller plans and hands over :class:`ShardGroup` units; the
+  helper chunks and runs them, keeps fault reports and shard counts, and
+  folds worker counters back exactly once.
 * :func:`run_sharded` executes shard payloads under a plan, reusing one
   persistent process pool across calls so fork/spawn cost is paid once per
   process, not once per batch.  Process dispatch is **supervised**: a
@@ -45,7 +52,8 @@ import time
 from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -62,8 +70,9 @@ _INLINE_THRESHOLD = 2
 _MAX_AUTO_WORKERS = 8
 
 #: Minimum CPU-bound batch size before auto mode shards across processes;
-#: below it, dense batches run inline (threads never helped them — the GIL
-#: serialized the work — and forking costs more than the batch).
+#: below it, dense batches run inline: small kernels gain nothing from a
+#: thread pool (see the module docstring) and a fork costs more than the
+#: batch.
 _PROCESS_TASK_THRESHOLD = 16
 
 #: Minimum Monte-Carlo trajectory count before an ensemble is worth
@@ -198,8 +207,8 @@ class ShardPlanner:
             if "inline" in hints:
                 return ShardPlan("none", 1)
             if all(hint == "process" for hint in hints):
-                # CPU-bound backends: threads only add GIL contention, so
-                # the choice is processes (big batches) or inline (small).
+                # CPU-bound backends: processes for big batches, inline for
+                # small ones, whose kernels are too short to win on threads.
                 if (num_items >= _PROCESS_TASK_THRESHOLD
                         or trajectories >= _TRAJECTORY_SHARD_THRESHOLD):
                     return ShardPlan("process", workers)
@@ -358,8 +367,7 @@ class FaultReport:
     respawns: int = 0
     lease_expiries: int = 0
     inline_shards: int = 0
-    #: Payload indices that ran inline (callers folding worker-side deltas
-    #: must skip these — their side effects already landed in-process).
+    #: Payload indices that fell back to inline execution.
     inline_indices: List[int] = field(default_factory=list)
 
     @property
@@ -611,6 +619,174 @@ def run_sharded(plan: ShardPlan, fn: Callable,
 
 
 # ---------------------------------------------------------------------------
+# The one fan-out path
+# ---------------------------------------------------------------------------
+
+
+class BackendInvocations:
+    """Shard counters: ``Backend.invocations`` of a ``(backend,)`` head."""
+
+    @staticmethod
+    def snapshot(backend, *rest) -> Dict[str, int]:
+        return {"invocations": backend.invocations}
+
+    @staticmethod
+    def fold(head: tuple, delta: Dict[str, int]) -> None:
+        head[0]._count_invocations(delta.get("invocations", 0))
+
+
+class ShardGroup(NamedTuple):
+    """Units that fan out through one module-level shard function: each
+    chunk of ``units`` runs as ``fn(*head, chunk)``.
+
+    ``counters`` (module-level too) reads the process-local counters ``fn``
+    moves: ``snapshot(*head)`` runs around each shard where it runs, and
+    ``fold(head, delta)`` adds a shard's movement onto the caller's
+    ``head`` objects, ignoring the ``programs_compiled`` and
+    ``program_cache_hits`` every shard reports.
+    """
+
+    fn: Callable
+    head: tuple
+    units: Sequence
+    counters: Optional[type] = None
+
+
+class FanOut(NamedTuple):
+    """Per group, each chunk's value in unit order; the supervisor's fault
+    reports; the payloads handed to the process broker."""
+
+    values: List[list]
+    reports: List[FaultReport]
+    process_shards: int
+
+
+def _read_counters(counters, head: tuple) -> Dict[str, int]:
+    from ..simulators.program import program_cache_counters
+    compiled, hits = program_cache_counters()
+    values = {"programs_compiled": compiled, "program_cache_hits": hits}
+    if counters is not None:
+        values.update(counters.snapshot(*head))
+    return values
+
+
+def counter_delta(before: Dict[str, int],
+                  after: Dict[str, int]) -> Dict[str, int]:
+    """Per-name counter movement between two snapshots (moved names only)."""
+    return {name: after.get(name, 0) - before.get(name, 0)
+            for name in after if after.get(name, 0) != before.get(name, 0)}
+
+
+#: Per dispatching process id, the tokens of the shards that ran in that
+#: process.  Keyed by pid: a forked worker inherits a copy of the dict and
+#: never files its own shards as the dispatcher's.
+_ran_here: Dict[int, set] = {}
+
+
+def _counted_shard(fn: Callable, counters, *args) -> tuple:
+    """Shard entry of :func:`fan_out`: ``(fresh token, fn(*args), counter
+    movement where it ran)``; a dispatching process files the token."""
+    before = _read_counters(counters, args[:-1])
+    value = fn(*args)
+    delta = counter_delta(before, _read_counters(counters, args[:-1]))
+    token = os.urandom(8)
+    tokens = _ran_here.get(os.getpid())
+    if tokens is not None:
+        tokens.add(token)
+    return token, value, delta
+
+
+def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
+            *, block: Optional[int] = None,
+            on_result: Optional[Callable[[list, object], None]] = None
+            ) -> FanOut:
+    """Run every :class:`ShardGroup` under ``plan`` — the one path from a
+    planned dispatch to :func:`run_sharded`.
+
+    An inline plan runs each group as one chunk; a parallel plan cuts it
+    into ``block``-unit blocks when given (payloads then do not depend on
+    the worker count or broker), else one chunk per worker.  ``policy``
+    (the resolved :class:`~repro.execution.policy.ExecutionPolicy`) gives
+    the broker and retry budget; ``on_result(chunk, value)`` fires as each
+    chunk lands.  Fault reports and ``process_shards`` land on
+    ``executor``, and the counters a shard moved (program cache compiles
+    and hits, the group's counters) are folded exactly once: not for a
+    shard that ran in this process during this dispatch, for any other.
+    """
+    chunks: List[Tuple[int, list]] = []
+    for position, group in enumerate(groups):
+        units = list(group.units)
+        if not plan.is_parallel:
+            pieces = [units]
+        elif block:
+            pieces = [units[start:start + block]
+                      for start in range(0, len(units), block)]
+        else:
+            pieces = split_evenly(units, plan.workers)
+        chunks.extend((position, piece) for piece in pieces)
+    payloads = [(groups[position].fn, groups[position].counters)
+                + groups[position].head + (piece,)
+                for position, piece in chunks]
+    # run_sharded hands payloads to the broker only under a parallel
+    # process plan with more than one of them.
+    brokered = (plan.mode == "process" and plan.is_parallel
+                and len(payloads) > 1)
+    reports: List[FaultReport] = []
+    kwargs: dict = {}
+    if brokered:
+        # Built per dispatch: a broker holds per-dispatch state (shard-id
+        # maps, spool bookkeeping) and is never shared.
+        from .broker import make_broker
+
+        def on_fault(report: FaultReport) -> None:
+            reports.append(report)
+            executor.note_fault_report(report)
+
+        kwargs = {"policy": policy.retry,
+                  "broker": make_broker(policy.broker, plan.workers),
+                  "on_fault": on_fault}
+    landed = None
+    if on_result is not None:
+        def landed(index: int, envelope: tuple) -> None:
+            on_result(chunks[index][1], envelope[1])
+    if plan.is_parallel:
+        tokens = _ran_here.setdefault(os.getpid(), set())
+        envelopes = run_sharded(plan, _counted_shard, payloads,
+                                on_result=landed, **kwargs)
+        # A shard that ran here (on a thread, degraded or stolen from a
+        # spool) already moved this process's counters.  A worker's shard,
+        # or a spool result file an earlier dispatch left, is folded.
+        local = {token for token, _, _ in envelopes if token in tokens}
+        tokens.difference_update(local)
+    else:
+        # Inline: nothing to supervise, no dispatch wait to account and no
+        # counters to fold.
+        local, envelopes = set(), []
+        for index, (fn, _, *args) in enumerate(payloads):
+            envelopes.append((None, fn(*args), {}))
+            if landed is not None:
+                landed(index, envelopes[-1])
+    values: List[list] = [[] for _ in groups]
+    for (position, _), (token, value, delta) in zip(chunks, envelopes):
+        values[position].append(value)
+        if token in local or not delta:
+            continue
+        group = groups[position]
+        with executor._lock:
+            executor.stats.programs_compiled += \
+                delta.get("programs_compiled", 0)
+            executor.stats.program_cache_hits += \
+                delta.get("program_cache_hits", 0)
+        if group.counters is not None:
+            group.counters.fold(group.head, delta)
+    shards = len(payloads) if brokered else 0
+    if shards:
+        with executor._lock:
+            executor.stats.process_shards += shards
+    return FanOut(values, reports, shards)
+
+
+# ---------------------------------------------------------------------------
 # Process-pool shard targets (top-level: they pickle by reference)
 # ---------------------------------------------------------------------------
 
@@ -621,14 +797,11 @@ def _run_batch_shard(backend, tasks) -> list:
 
 def _term_expectations_shard(backend, tasks) -> list:
     """Grouped-engine shard: per-task term-value arrays for one backend."""
-    return [backend.term_expectations_quiet(task)
-            if hasattr(backend, "term_expectations_quiet")
-            else backend.term_expectations(task)
-            for task in tasks]
+    return [backend.term_expectations(task) for task in tasks]
 
 
-def _sweep_points_shard(circuit, parameter_sets, observable,
-                        amplitude_budget: int) -> np.ndarray:
+def _sweep_points_shard(circuit, observable, amplitude_budget: int,
+                        parameter_sets) -> np.ndarray:
     """Batched-sweep shard: compile in-process, run a slice of the points.
 
     Each worker compiles the template once into its own process-wide program
@@ -650,7 +823,7 @@ def _sweep_points_shard(circuit, parameter_sets, observable,
     return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
 
 
-def _clifford_sweep_shard(program, parameter_sets, observable) -> np.ndarray:
+def _clifford_sweep_shard(program, observable, parameter_sets) -> np.ndarray:
     """Compiled Clifford sweep: ``(points, terms)`` values of one packed
     Pauli-propagation pass over a
     :class:`~repro.simulators.pauli_propagation.CliffordProgram`."""
@@ -660,20 +833,19 @@ def _clifford_sweep_shard(program, parameter_sets, observable) -> np.ndarray:
 
 
 def plan_trajectory_shards(backend, task, plan: ShardPlan
-                           ) -> Optional[Tuple[Callable, List[tuple],
-                                               Callable]]:
+                           ) -> Optional[Tuple[ShardGroup, Callable]]:
     """Shard one stochastic trajectory-ensemble task, if worth it.
 
-    Returns ``(runner, payloads, finalize)`` — the backend's
+    Returns ``(group, finalize)`` — a :class:`ShardGroup` whose units are
+    the task's per-trajectory seeds, run by the backend's
     ``trajectory_shard_runner`` (a module-level callable executed in the
     worker processes; the stabilizer backend's is
     :func:`repro.execution.adapters.run_stabilizer_trajectory_shard`, and a
     custom backend implementing the trajectory protocol must supply its
-    own), its per-shard payloads, and a closure folding the concatenated
-    rows into per-term values — or None when the backend/task pair is not a
-    shardable ensemble or the ensemble is too small to split.  Shards
-    partition the per-trajectory seed list, so the fold is bitwise
-    independent of the shard count.
+    own), and a closure folding the shards' rows into per-term values — or
+    None when the backend/task pair is not a shardable ensemble or the
+    ensemble is too small to split.  Shards partition the seed list, so the
+    fold is bitwise independent of the shard count.
     """
     spec = getattr(backend, "trajectory_spec", None)
     count = getattr(backend, "trajectory_count", None)
@@ -685,11 +857,10 @@ def plan_trajectory_shards(backend, task, plan: ShardPlan
     if trajectories is None or trajectories < _TRAJECTORY_SHARD_THRESHOLD:
         return None
     noise_model, circuit, observable, seeds = spec(task)
-    payloads = [(noise_model, circuit, observable, seed_chunk)
-                for seed_chunk in split_evenly(seeds, plan.workers)]
 
     def finalize(row_blocks: List[np.ndarray]) -> np.ndarray:
         rows = np.concatenate(row_blocks, axis=0)
         return backend.finalize_trajectory_rows(task, rows)
 
-    return runner, payloads, finalize
+    return (ShardGroup(runner, (noise_model, circuit, observable), seeds),
+            finalize)

@@ -82,15 +82,6 @@ def _record_batch(unique_syndromes: int, shots: int) -> None:
         _stats.syndromes_decoded += int(unique_syndromes)
 
 
-def batch_decode_delta(before: BatchDecodeStats,
-                       after: BatchDecodeStats) -> Dict[str, int]:
-    """The counter movement between two snapshots (shard return payload)."""
-    return {"batch_calls": after.batch_calls - before.batch_calls,
-            "shots_decoded": after.shots_decoded - before.shots_decoded,
-            "syndromes_decoded": (after.syndromes_decoded
-                                  - before.syndromes_decoded)}
-
-
 def absorb_batch_decode_delta(delta: Dict[str, int]) -> None:
     """Fold a worker process's counter delta into this process's totals."""
     with _stats_lock:
@@ -135,13 +126,6 @@ def decoder_counter_snapshot(decoder) -> Dict[str, int]:
     out: Dict[str, int] = {}
     _walk_counters(decoder, "", out, set())
     return out
-
-
-def decoder_counter_delta(before: Dict[str, int],
-                          after: Dict[str, int]) -> Dict[str, int]:
-    """Per-path counter movement between two snapshots."""
-    return {path: after.get(path, 0) - before.get(path, 0)
-            for path in after if after.get(path, 0) != before.get(path, 0)}
 
 
 def apply_decoder_counter_delta(decoder, delta: Dict[str, int]) -> None:

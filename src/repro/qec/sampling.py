@@ -32,9 +32,10 @@ by :class:`_SeededRun` for every entry point here and in
   identical** for any ``max_workers`` and for the inline/thread/process
   paths (workers only change how blocks are *grouped*).
 * Process shards are planned by the executor's
-  :class:`~repro.execution.sharding.ShardPlanner` and run through its shard
-  broker; decode and decoder diagnostic counters mutated in workers are
-  shipped home as deltas and folded into the caller's counters.
+  :class:`~repro.execution.sharding.ShardPlanner` and run through
+  :func:`~repro.execution.sharding.fan_out` and its shard broker; decode
+  and decoder diagnostic counters a shard moved in another process are
+  folded into the caller's counters exactly once.
 * Seeded experiments cache their results in the executor's expectation
   cache (in-memory LRU, plus the on-disk L2 when ``REPRO_CACHE_DIR`` /
   ``cache_dir=`` is configured), keyed on the graph's content
@@ -55,14 +56,13 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from ..execution.sharding import run_sharded, split_evenly
+from ..execution.sharding import ShardGroup, fan_out
 from .bitops import (Mod2GatherPlan, mod2_matvec_packed, pack_rows,
                      packed_words, popcount)
-from .decoders.base import (absorb_batch_decode_delta, batch_decode_delta,
-                            batch_decode_packed, batch_decode_stats,
-                            decoder_cache_token,
-                            apply_decoder_counter_delta,
-                            decoder_counter_delta, decoder_counter_snapshot,
+from .decoders.base import (absorb_batch_decode_delta,
+                            apply_decoder_counter_delta, batch_decode_packed,
+                            batch_decode_stats, decoder_cache_token,
+                            decoder_counter_snapshot,
                             reset_batch_decode_stats)
 from .decoders.graph import BOUNDARY, DecodingGraph
 
@@ -348,36 +348,37 @@ def _shot_blocks(seed_sequence: np.random.SeedSequence, shots: int
 # ---------------------------------------------------------------------------
 
 
-def _block_shard(body: Callable, graph: DecodingGraph, decoder, *args
-                 ) -> Dict:
-    """Run one shard's ``body(graph, decoder, *args)`` and report, next to
-    its value, the decode/decoder counter deltas it accumulated here.
+class _DecodeCounters:
+    """Shard counters: the batched-decode stats and the decoder diagnostic
+    counters of a ``(graph, decoder, ...)`` head."""
 
-    Module-level (with a module-level ``body``) so the payload pickles by
-    reference into pool workers and spool ``repro-worker`` processes.  The
-    parent folds the deltas back only for shards that really ran in
-    another process (:meth:`_SeededRun.dispatch`).
-    """
-    decode_before = batch_decode_stats()
-    counters_before = decoder_counter_snapshot(decoder)
-    value = body(graph, decoder, *args)
-    return {
-        "value": value,
-        "decode_delta": batch_decode_delta(decode_before,
-                                           batch_decode_stats()),
-        "decoder_delta": decoder_counter_delta(
-            counters_before, decoder_counter_snapshot(decoder)),
-    }
+    @staticmethod
+    def snapshot(graph, decoder, *rest) -> Dict[str, int]:
+        decode = batch_decode_stats()
+        counters = {"batch_calls": decode.batch_calls,
+                    "shots_decoded": decode.shots_decoded,
+                    "syndromes_decoded": decode.syndromes_decoded}
+        counters.update(("decoder:" + path, value) for path, value
+                        in decoder_counter_snapshot(decoder).items())
+        return counters
+
+    @staticmethod
+    def fold(head: tuple, delta: Dict[str, int]) -> None:
+        absorb_batch_decode_delta(delta)
+        apply_decoder_counter_delta(head[1], {
+            name[len("decoder:"):]: movement
+            for name, movement in delta.items()
+            if name.startswith("decoder:")})
 
 
 class _SeededRun:
     """The plumbing every QEC sampling entry point shares for one run.
 
     It owns the cacheability decision and the full-run cache probe/store,
-    the chunk-checkpoint loop of the streaming generators, the one
-    planner → :func:`~repro.execution.sharding.run_sharded` dispatch, and
-    the fold-back of worker-side counters.  Memory and rare-event sampling
-    supply only their spec, their per-block sampling body and their fold.
+    the chunk-checkpoint loop of the streaming generators, and the one
+    planner → :func:`~repro.execution.sharding.fan_out` dispatch.  Memory
+    and rare-event sampling supply only their spec, their per-block
+    sampling body and their fold.
 
     Cache keys are ``(tag, graph fingerprint, decoder token, *extra,
     shots, SHOT_BLOCK, seed key, name)`` for the full run and ``(tag +
@@ -483,52 +484,22 @@ class _SeededRun:
     # -- dispatch --------------------------------------------------------
     def dispatch(self, effective, body: Callable, units: Sequence,
                  extra: tuple = ()) -> List:
-        """Run ``body(graph, decoder, *extra, chunk)`` on each planner
-        chunk of ``units``; returns each shard's value in unit order.
-
-        ``effective`` is the call's resolved
-        :class:`~repro.execution.policy.ExecutionPolicy`.  Process dispatch
-        takes its broker, retry policy and fault callback from the
-        executor; fault reports are also kept for :attr:`fault_report`.
+        """Run ``body(graph, decoder, *extra, chunk)`` on each chunk of
+        ``units`` in one :func:`~repro.execution.sharding.fan_out` under
+        the resolved policy ``effective``; returns each shard's value in
+        unit order and keeps fault reports for :attr:`fault_report`.
         """
         if not units:
             return []
-        executor = self.executor
-        plan = executor.planner.plan(num_items=len(units), hints=("process",),
-                                     parallel=effective.parallel,
-                                     max_workers=effective.max_workers)
-        chunks = (split_evenly(list(units), plan.workers) if plan.is_parallel
-                  else [list(units)])
-        payloads = [(body, self.graph, self.decoder) + extra + (chunk,)
-                    for chunk in chunks]
-        reports: list = []
-        kwargs = {}
-        if plan.mode == "process":
-            kwargs = executor._shard_kwargs(effective, plan)
-            note = kwargs["on_fault"]
-
-            def on_fault(report) -> None:
-                reports.append(report)
-                note(report)
-
-            kwargs["on_fault"] = on_fault
-        results = run_sharded(plan, _block_shard, payloads, **kwargs)
-        self.fault_reports.extend(reports)
-        # run_sharded executes a single payload inline even under a process
-        # plan; then — and for shards the supervisor degraded to inline —
-        # this process's counters were mutated directly, and folding the
-        # deltas again would double-count them.
-        if plan.mode == "process" and plan.is_parallel and len(payloads) > 1:
-            inline = {index for report in reports
-                      for index in report.inline_indices}
-            for index, result in enumerate(results):
-                if index not in inline:
-                    absorb_batch_decode_delta(result["decode_delta"])
-                    apply_decoder_counter_delta(self.decoder,
-                                                result["decoder_delta"])
-            executor.note_process_shards(len(payloads))
-            self.process_shards += len(payloads)
-        return [result["value"] for result in results]
+        plan = self.executor.planner.plan(
+            num_items=len(units), hints=("process",),
+            parallel=effective.parallel, max_workers=effective.max_workers)
+        run = fan_out(self.executor, effective, plan, [
+            ShardGroup(body, (self.graph, self.decoder) + tuple(extra), units,
+                       _DecodeCounters)])
+        self.fault_reports.extend(run.reports)
+        self.process_shards += run.process_shards
+        return run.values[0]
 
 
 # ---------------------------------------------------------------------------

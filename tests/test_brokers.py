@@ -20,9 +20,8 @@ exact equality — the suite covers:
   (counted in the FaultReport), and a killed sweep resuming warm from the
   checkpoint cache with zero recomputation of flushed points.
 
-NOTE: spool-brokered QEC assertions elsewhere must check failure *counts*
-only — the parent steal path executes in-process, so decoder diagnostic
-counters can double-count for stolen shards.
+Stolen shards run in the parent, so their decoder and decode counters are
+counted once, like an inline shard's (``tests/test_qec_sampling.py``).
 """
 
 import json

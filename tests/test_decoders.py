@@ -15,8 +15,8 @@ from repro.qec.decoders.graph import (BOUNDARY, repetition_code_graph,
                                       rotated_surface_code_stabilizers)
 from repro.qec.decoders.lookup import LookupDecoder, syndrome_of_edges
 from repro.qec.decoders import mwpm as mwpm_module
+from repro.execution.sharding import counter_delta
 from repro.qec.decoders.base import (apply_decoder_counter_delta,
-                                     decoder_counter_delta,
                                      decoder_counter_snapshot)
 from repro.qec.decoders.mwpm import MWPMDecoder, clear_matching_tables
 from repro.qec.decoders.predecoder import CliquePredecoder
@@ -407,8 +407,7 @@ class TestMatchingTables:
         assert before == {"fallback_count": 0}
         worker_copy = pickle.loads(pickle.dumps(decoder))
         worker_copy.fallback_count += 3
-        delta = decoder_counter_delta(before,
-                                      decoder_counter_snapshot(worker_copy))
+        delta = counter_delta(before, decoder_counter_snapshot(worker_copy))
         apply_decoder_counter_delta(decoder, delta)
         assert decoder.fallback_count == 3
 

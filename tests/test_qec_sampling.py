@@ -15,16 +15,17 @@ Covers the four refactor layers:
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from repro.execution import ExpectationCache, Executor
+from repro.execution import ExecutionPolicy, ExpectationCache, Executor
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode_stats,
                                 decoder_cache_token)
+from repro.execution.sharding import counter_delta
 from repro.qec.decoders.base import (apply_decoder_counter_delta,
-                                     decoder_counter_delta,
                                      decoder_counter_snapshot)
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
@@ -285,6 +286,43 @@ class TestShardedDeterminism:
         # The workers' offload tallies came home across the pickle boundary.
         assert decoder.predecoded_defects + decoder.forwarded_defects > 0
 
+    def test_spool_stolen_shards_count_once(self, tmp_path):
+        """A spool with no live worker has the parent steal every shard;
+        the stolen shards' counters already moved here, so they must not be
+        folded again — the totals equal the 2-worker pool run's.  A rerun
+        over the same spool is served from the result files the first run
+        left, and folds them like a worker's results."""
+        graph = rotated_surface_code_graph(3, 3, 5e-3)
+        shots = 1024
+
+        def sample(policy):
+            decoder = CliquePredecoder(graph)
+            reset_sampling_stats()
+            run = run_memory_sampling(graph, decoder, shots, seed=3,
+                                      executor=Executor(use_cache=False),
+                                      policy=policy)
+            return (run.failures, sampling_stats(),
+                    (decoder.predecoded_defects, decoder.forwarded_defects))
+
+        # Sampling fills the graph's lazy caches, which shard payloads
+        # pickle: warm them so both spool runs submit the same payloads.
+        sample(ExecutionPolicy(parallel="none"))
+        pooled = sample(ExecutionPolicy(parallel="process", max_workers=2))
+        spool = ExecutionPolicy(parallel="process", max_workers=2,
+                                broker=str(tmp_path / "spool"))
+        results = tmp_path / "spool" / "results"
+        first = sample(spool)
+        written = sorted(os.listdir(results))
+        second = sample(spool)
+        assert sorted(os.listdir(results)) == written  # nothing recomputed
+        for stolen in (first, second):
+            assert stolen[1].shots_decoded == shots
+            assert stolen[1].process_shards == 2
+            assert stolen[0] == pooled[0]
+            assert stolen[1] == pooled[1]
+            assert sum(stolen[2]) > 0
+            assert stolen[2] == pooled[2]
+
     def test_counter_delta_roundtrip(self):
         graph = repetition_code_graph(3, 1, 1e-3)
         decoder = CliquePredecoder(
@@ -294,7 +332,7 @@ class TestShardedDeterminism:
         decoder.predecoded_defects += 4
         decoder._backing.fallback_count += 2
         after = decoder_counter_snapshot(decoder)
-        delta = decoder_counter_delta(before, after)
+        delta = counter_delta(before, after)
         assert delta == {"predecoded_defects": 4, "_backing.fallback_count": 2}
         apply_decoder_counter_delta(decoder, delta)
         assert decoder.predecoded_defects == 8

@@ -201,6 +201,24 @@ class TestDeterminismAcrossWorkersAndModes:
                 parallel="process", max_workers=workers)
             assert np.allclose(values, reference, atol=1e-12)
 
+    def test_thread_sweep_runs_the_inline_batch(self):
+        # Only process sweeps cut point blocks: a thread sweep is the one
+        # inline batch, bitwise, and hands nothing to a broker.
+        template = FullyConnectedAnsatz(8, depth=1).build()
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-3.0, 3.0,
+                             (16, len(template.ordered_parameters())))
+        hamiltonian = ising_hamiltonian(8)
+        inline = Executor(use_cache=False).evaluate_sweep(
+            template, points, hamiltonian, backend="statevector",
+            parallel="none")
+        executor = Executor(use_cache=False)
+        threaded = executor.evaluate_sweep(
+            template, points, hamiltonian, backend="statevector",
+            parallel="thread", max_workers=2)
+        assert np.array_equal(threaded, inline)
+        assert executor.stats.process_shards == 0
+
     def test_noisy_pauli_propagation_matches_across_modes(self):
         circuits = [clifford_circuit(5, flips=(i % 5,)) for i in range(20)]
         reference = Executor(use_cache=False).evaluate_observable(
@@ -221,6 +239,22 @@ class TestProcessDispatchBehaviour:
                                      parallel="process", max_workers=2)
         assert executor.stats.process_shards >= 2
         assert executor.stats.simulator_invocations == 4  # unique circuits
+
+    def test_worker_program_cache_counters_reach_stats(self):
+        # Every point block compiles the template or hits its worker's
+        # program cache; those counters come home with the shard.
+        template = FullyConnectedAnsatz(5, depth=1).build()
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-3.0, 3.0,
+                             (32, len(template.ordered_parameters())))
+        executor = Executor(use_cache=False)
+        executor.evaluate_sweep(template, points, ising_hamiltonian(5),
+                                backend="statevector", parallel="process",
+                                max_workers=2)
+        stats = executor.stats
+        assert stats.process_shards > 0
+        assert (stats.programs_compiled + stats.program_cache_hits
+                >= stats.process_shards)
 
     def test_auto_mode_runs_small_dense_batches_inline(self):
         executor = Executor(use_cache=False)
