@@ -12,13 +12,13 @@ implementing this interface and registering it.
 from __future__ import annotations
 
 import abc
-import threading
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import obs
 from .errors import BackendCapabilityError
 from .task import ExecutionResult, ExecutionTask
 
@@ -54,28 +54,15 @@ class BackendCapabilities:
 class Backend(abc.ABC):
     """Abstract execution backend with batch submission and task validation."""
 
+    #: :mod:`repro.obs` instance counters: a process shard's movement of
+    #: them comes home through the fan-out (:func:`repro.obs.absorb_instances`).
+    obs_counters = ("invocations",)
+
     def __init__(self):
         self.invocations = 0
-        self._invocation_lock = threading.Lock()
 
     def _count_invocations(self, count: int = 1) -> None:
-        with self._invocation_lock:
-            self.invocations += count
-
-    # -- pickling ------------------------------------------------------------
-    # Backends travel to worker processes under ``parallel="process"`` — the
-    # only unpicklable piece of the base state is the counter lock, which is
-    # dropped on the way out and recreated on the way in.  A worker's
-    # invocation counts come home through the fan-out counter fold
-    # (:class:`~repro.execution.sharding.BackendInvocations`).
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_invocation_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._invocation_lock = threading.Lock()
+        obs.bump(self, "invocations", count)
 
     @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities:

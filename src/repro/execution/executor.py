@@ -42,10 +42,9 @@ from .observables import (_Slot, count_grouped_tasks, energies,
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_sweep, route_task
-from .sharding import (BackendInvocations, FaultReport, ShardGroup,
-                       ShardPlan, ShardPlanner, _clifford_sweep_shard,
-                       _run_batch_shard, _sweep_points_shard, fan_out,
-                       resolve_workers)
+from .sharding import (FaultReport, ShardGroup, ShardPlan, ShardPlanner,
+                       _clifford_sweep_shard, _run_batch_shard,
+                       _sweep_points_shard, fan_out, resolve_workers)
 from .task import ExecutionResult, ExecutionTask
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
@@ -321,7 +320,7 @@ class Executor:
                                  max_workers=effective.max_workers)
         run = fan_out(self, effective, plan, [
             ShardGroup(_run_batch_shard, (backend,),
-                       [tasks[i] for i in indices], BackendInvocations)
+                       [tasks[i] for i in indices])
             for backend, indices in by_backend.values()])
         for (backend, indices), batches in zip(by_backend.values(),
                                                run.values):
@@ -487,8 +486,10 @@ class Executor:
                 backend=backend, trajectories=trajectories,
                 include_idle=include_idle, use_cache=use_cache,
                 max_workers=max_workers, parallel=parallel, policy=policy)
+        resolved = (backend if isinstance(backend, Backend)
+                    else self.registry.get(engine))
         return self._sweep_compiled(template, parameter_sets, observable,
-                                    engine, use_cache, parallel=parallel,
+                                    resolved, use_cache, parallel=parallel,
                                     max_workers=max_workers, policy=policy)
 
     def evaluate_point(self, template, values, observable, *,
@@ -631,12 +632,14 @@ class Executor:
                 _SWEEP_BATCH_AMPLITUDES // (8 << int(bare_template.num_qubits)))
 
     def _sweep_compiled(self, template, parameter_sets, observable,
-                        engine: str, use_cache: bool,
+                        backend: Backend, use_cache: bool,
                         parallel: Optional[str] = None,
                         max_workers: Optional[int] = None,
                         policy: Optional[ExecutionPolicy] = None
                         ) -> List[float]:
-        """One compiled batch over the uncached points of a noiseless sweep.
+        """One compiled batch over the uncached points of a noiseless sweep
+        on ``backend``, whose name is the engine and whose ``invocations``
+        count the unique points evaluated.
 
         Cached values are keyed per ``("sweep", template fingerprint,
         parameter tuple, term, engine)`` — derived without binding a circuit
@@ -654,6 +657,7 @@ class Executor:
         from cache and recompute nothing.  Inline and thread sweeps run the
         same shard function over all their points as one compiled batch.
         """
+        engine = backend.name
         num_points = len(parameter_sets)
         count_grouped_tasks(self, num_points)
         term_keys = [pauli.key() for pauli, _ in observable.terms()]
@@ -724,6 +728,8 @@ class Executor:
                 for index in missing:
                     values_per_point[index] = \
                         unique_values[leaders[point_keys[index]]]
+                # No shard sees the backend: count its evolutions here.
+                backend._count_invocations(len(unique))
                 with self._lock:
                     counters = self.stats.backend_invocations
                     counters[engine] = counters.get(engine, 0) + len(unique)

@@ -46,8 +46,8 @@ from ..operators.pauli import PauliString, PauliSum
 from ..simulators.program import program_cache_counters
 from .backend import Backend
 from .errors import BackendCapabilityError, ExecutionError
-from .sharding import (BackendInvocations, ShardGroup, fan_out,
-                       plan_trajectory_shards, _term_expectations_shard)
+from .sharding import (ShardGroup, fan_out, plan_trajectory_shards,
+                       _term_expectations_shard)
 from .task import ExecutionTask, noise_token
 
 TermKey = Tuple[bytes, bytes]
@@ -59,7 +59,10 @@ def track_program_cache(executor):
 
     The program cache (:mod:`repro.simulators.program`) is process-wide; this
     samples its counters around a dispatch phase and adds the deltas to the
-    executor's ``programs_compiled`` / ``program_cache_hits`` stats.
+    executor's ``programs_compiled`` / ``program_cache_hits`` stats.  A
+    process shard's compiles and hits land in those counters when
+    :func:`~.sharding.fan_out` folds its result home, so a dispatch inside
+    this window is attributed whole, wherever its shards ran.
     Concurrent executors may attribute each other's compiles — the counters
     are throughput telemetry, not an exact ledger.
     """
@@ -292,8 +295,7 @@ def _evolve(executor, pending, plan, policy, use_cache: bool) -> None:
                 .append((slot, missing, synthetic))
     for backend, entries in by_backend.values():
         groups.append(ShardGroup(_term_expectations_shard, (backend,),
-                                 [synthetic for _, _, synthetic in entries],
-                                 BackendInvocations))
+                                 [synthetic for _, _, synthetic in entries]))
         owners.append((None, [entry[:2] for entry in entries]))
     run = fan_out(executor, policy, plan, groups)
     for (finalize, entries), chunk_values in zip(owners, run.values):

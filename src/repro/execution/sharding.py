@@ -19,7 +19,7 @@
   grouped slot and trajectory shards, sweep point blocks, seeded QEC
   blocks): the caller plans and hands over :class:`ShardGroup` units; the
   helper chunks and runs them, keeps fault reports and shard counts, and
-  folds worker counters back exactly once.
+  folds worker counters (:mod:`repro.obs`) back exactly once.
 * :func:`run_sharded` executes shard payloads under a plan, reusing one
   persistent process pool across calls so fork/spawn cost is paid once per
   process, not once per batch.  Process dispatch is **supervised**: a
@@ -57,6 +57,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 import numpy as np
 
+from .. import obs
 from .errors import ExecutionError
 from .faults import FaultDirective, consult, execute_directive
 
@@ -623,33 +624,16 @@ def run_sharded(plan: ShardPlan, fn: Callable,
 # ---------------------------------------------------------------------------
 
 
-class BackendInvocations:
-    """Shard counters: ``Backend.invocations`` of a ``(backend,)`` head."""
-
-    @staticmethod
-    def snapshot(backend, *rest) -> Dict[str, int]:
-        return {"invocations": backend.invocations}
-
-    @staticmethod
-    def fold(head: tuple, delta: Dict[str, int]) -> None:
-        head[0]._count_invocations(delta.get("invocations", 0))
-
-
 class ShardGroup(NamedTuple):
     """Units that fan out through one module-level shard function: each
-    chunk of ``units`` runs as ``fn(*head, chunk)``.
-
-    ``counters`` (module-level too) reads the process-local counters ``fn``
-    moves: ``snapshot(*head)`` runs around each shard where it runs, and
-    ``fold(head, delta)`` adds a shard's movement onto the caller's
-    ``head`` objects, ignoring the ``programs_compiled`` and
-    ``program_cache_hits`` every shard reports.
-    """
+    chunk of ``units`` runs as ``fn(*head, chunk)``.  The :mod:`repro.obs`
+    instance counters of the ``head`` objects (a backend's
+    ``invocations``, a decoder's diagnostics) that a process shard moves
+    come home onto the caller's ``head``."""
 
     fn: Callable
     head: tuple
     units: Sequence
-    counters: Optional[type] = None
 
 
 class FanOut(NamedTuple):
@@ -661,39 +645,27 @@ class FanOut(NamedTuple):
     process_shards: int
 
 
-def _read_counters(counters, head: tuple) -> Dict[str, int]:
-    from ..simulators.program import program_cache_counters
-    compiled, hits = program_cache_counters()
-    values = {"programs_compiled": compiled, "program_cache_hits": hits}
-    if counters is not None:
-        values.update(counters.snapshot(*head))
-    return values
-
-
-def counter_delta(before: Dict[str, int],
-                  after: Dict[str, int]) -> Dict[str, int]:
-    """Per-name counter movement between two snapshots (moved names only)."""
-    return {name: after.get(name, 0) - before.get(name, 0)
-            for name in after if after.get(name, 0) != before.get(name, 0)}
-
-
 #: Per dispatching process id, the tokens of the shards that ran in that
 #: process.  Keyed by pid: a forked worker inherits a copy of the dict and
 #: never files its own shards as the dispatcher's.
 _ran_here: Dict[int, set] = {}
 
 
-def _counted_shard(fn: Callable, counters, *args) -> tuple:
+def _counted_shard(fn: Callable, *args) -> tuple:
     """Shard entry of :func:`fan_out`: ``(fresh token, fn(*args), counter
-    movement where it ran)``; a dispatching process files the token."""
-    before = _read_counters(counters, args[:-1])
+    movement where it ran)``, the movement being that of the process-wide
+    :mod:`repro.obs` counters and of the head objects' instance counters;
+    a dispatching process files the token."""
+    head = args[:-1]
+    counters, instances = obs.read(), obs.instance_counters(head)
     value = fn(*args)
-    delta = counter_delta(before, _read_counters(counters, args[:-1]))
+    moved = (obs.delta(counters, obs.read()),
+             obs.delta(instances, obs.instance_counters(head)))
     token = os.urandom(8)
     tokens = _ran_here.get(os.getpid())
     if tokens is not None:
         tokens.add(token)
-    return token, value, delta
+    return token, value, moved
 
 
 def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
@@ -709,9 +681,11 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
     (the resolved :class:`~repro.execution.policy.ExecutionPolicy`) gives
     the broker and retry budget; ``on_result(chunk, value)`` fires as each
     chunk lands.  Fault reports and ``process_shards`` land on
-    ``executor``, and the counters a shard moved (program cache compiles
-    and hits, the group's counters) are folded exactly once: not for a
-    shard that ran in this process during this dispatch, for any other.
+    ``executor``, and the :mod:`repro.obs` counters a shard moved (the
+    process-wide ones, the group head's instance counters) are folded
+    exactly once: not for a shard that ran in this process during this
+    dispatch, for any other.  A worker's program-cache movement reaches
+    ``ExecutionStats`` through the caller's ``track_program_cache`` window.
     """
     chunks: List[Tuple[int, list]] = []
     for position, group in enumerate(groups):
@@ -724,8 +698,7 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
         else:
             pieces = split_evenly(units, plan.workers)
         chunks.extend((position, piece) for piece in pieces)
-    payloads = [(groups[position].fn, groups[position].counters)
-                + groups[position].head + (piece,)
+    payloads = [(groups[position].fn,) + groups[position].head + (piece,)
                 for position, piece in chunks]
     # run_sharded hands payloads to the broker only under a parallel
     # process plan with more than one of them.
@@ -762,23 +735,16 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
         # Inline: nothing to supervise, no dispatch wait to account and no
         # counters to fold.
         local, envelopes = set(), []
-        for index, (fn, _, *args) in enumerate(payloads):
-            envelopes.append((None, fn(*args), {}))
+        for index, (fn, *args) in enumerate(payloads):
+            envelopes.append((None, fn(*args), None))
             if landed is not None:
                 landed(index, envelopes[-1])
     values: List[list] = [[] for _ in groups]
-    for (position, _), (token, value, delta) in zip(chunks, envelopes):
+    for (position, _), (token, value, moved) in zip(chunks, envelopes):
         values[position].append(value)
-        if token in local or not delta:
-            continue
-        group = groups[position]
-        with executor._lock:
-            executor.stats.programs_compiled += \
-                delta.get("programs_compiled", 0)
-            executor.stats.program_cache_hits += \
-                delta.get("program_cache_hits", 0)
-        if group.counters is not None:
-            group.counters.fold(group.head, delta)
+        if token is not None and token not in local:
+            obs.absorb(moved[0])
+            obs.absorb_instances(groups[position].head, moved[1])
     shards = len(payloads) if brokered else 0
     if shards:
         with executor._lock:

@@ -23,9 +23,11 @@ than asserted:
 Every decoder implements the per-shot ``decode(defects)`` contract plus the
 batched ``decode_batch(syndromes)`` protocol from
 :mod:`repro.qec.decoders.base` (unique-syndrome deduplication, decode
-accounting, process-shard counter fold-back).  The memory-experiment driver
-that exercises all of them lives in :mod:`repro.qec.surface_memory`, and the
-batched Monte-Carlo sampling pipeline in :mod:`repro.qec.sampling`.
+accounting).  Decode counts and the decoders' diagnostic counters live in
+:mod:`repro.obs`, which carries a process shard's movement of them home.
+The memory-experiment driver that exercises all of them lives in
+:mod:`repro.qec.surface_memory`, and the batched Monte-Carlo sampling
+pipeline in :mod:`repro.qec.sampling`.
 """
 
 from .base import (BatchDecodeStats, SyndromeBatchDecoder, batch_decode,

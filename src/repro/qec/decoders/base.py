@@ -12,32 +12,34 @@ decodes (see ``benchmarks/test_qec_throughput.py``).
 The module also carries the cross-cutting plumbing the batched pipeline
 needs:
 
-* **decode accounting** — module-level counters (:func:`batch_decode_stats`)
-  record how many unique syndromes were actually decoded; the sampling layer
-  uses them to *prove* that a warm-cache re-run decodes nothing.
+* **decode accounting** — process-wide :mod:`repro.obs` counters
+  (:func:`batch_decode_stats`) record how many unique syndromes were
+  actually decoded; the sampling layer uses them to *prove* that a
+  warm-cache re-run decodes nothing.
 * **decoder cache tokens** — :func:`decoder_cache_token` derives a stable,
   content-ish key component from a decoder (its name plus configuration),
   folded into the experiment cache key next to the graph fingerprint.
 * **counter fold-back** — decoders keep diagnostic counters
-  (``fallback_count``, ``predecoded_defects`` …).  When decoding happens in
-  worker *processes*, those counters mutate in a pickled copy; the
-  snapshot/delta helpers let the sampling layer ship the deltas home and
-  apply them to the caller's decoder instance.
+  (``fallback_count``, ``predecoded_defects`` …), declared in their
+  ``obs_counters`` class attribute and moved with :func:`repro.obs.bump`.
+  When decoding happens in worker *processes*, those counters mutate in a
+  pickled copy; the fan-out ships their movement home and replays it onto
+  the caller's decoder instance (:func:`repro.obs.absorb_instances`).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ... import obs
 from ..bitops import pack_rows, packed_words, unpack_rows
 from .graph import Detector
 
 # ---------------------------------------------------------------------------
-# Decode accounting (module-level so worker processes can report deltas)
+# Decode accounting (process-wide, so worker processes can report deltas)
 # ---------------------------------------------------------------------------
 
 
@@ -57,92 +59,26 @@ class BatchDecodeStats:
         return self.shots_decoded / self.syndromes_decoded
 
 
-_stats = BatchDecodeStats()
-_stats_lock = threading.Lock()
+#: :mod:`repro.obs` name prefix of the batched-decode counters (named
+#: after the :class:`BatchDecodeStats` fields).
+_COUNTERS = "qec.decode."
 
 
 def batch_decode_stats() -> BatchDecodeStats:
-    """A snapshot of the process-wide batched-decode counters."""
-    with _stats_lock:
-        return replace(_stats)
+    """A snapshot of the process-wide batched-decode counters (decodes
+    that process shards made for this process included)."""
+    return BatchDecodeStats(**obs.read(_COUNTERS))
 
 
 def reset_batch_decode_stats() -> None:
     """Zero the process-wide batched-decode counters (tests, benchmarks)."""
-    with _stats_lock:
-        _stats.batch_calls = 0
-        _stats.shots_decoded = 0
-        _stats.syndromes_decoded = 0
+    obs.reset(_COUNTERS)
 
 
 def _record_batch(unique_syndromes: int, shots: int) -> None:
-    with _stats_lock:
-        _stats.batch_calls += 1
-        _stats.shots_decoded += int(shots)
-        _stats.syndromes_decoded += int(unique_syndromes)
-
-
-def absorb_batch_decode_delta(delta: Dict[str, int]) -> None:
-    """Fold a worker process's counter delta into this process's totals."""
-    with _stats_lock:
-        _stats.batch_calls += int(delta.get("batch_calls", 0))
-        _stats.shots_decoded += int(delta.get("shots_decoded", 0))
-        _stats.syndromes_decoded += int(delta.get("syndromes_decoded", 0))
-
-
-# ---------------------------------------------------------------------------
-# Decoder diagnostic counters (fold-back across the pickle boundary)
-# ---------------------------------------------------------------------------
-
-#: Integer diagnostic attributes worth preserving across process shards.
-_COUNTER_ATTRS = ("fallback_count", "predecoded_defects", "forwarded_defects")
-
-#: Attributes holding a nested decoder whose counters also matter.
-_CHILD_ATTRS = ("_fallback", "_backing")
-
-
-def _walk_counters(decoder, prefix: str, out: Dict[str, int],
-                   seen: set) -> None:
-    if id(decoder) in seen:
-        return
-    seen.add(id(decoder))
-    for attr in _COUNTER_ATTRS:
-        value = getattr(decoder, attr, None)
-        if isinstance(value, int):
-            out[prefix + attr] = value
-    for child_attr in _CHILD_ATTRS:
-        child = getattr(decoder, child_attr, None)
-        if child is not None:
-            _walk_counters(child, prefix + child_attr + ".", out, seen)
-
-
-def decoder_counter_snapshot(decoder) -> Dict[str, int]:
-    """All diagnostic counters of ``decoder`` (and nested decoders), flat.
-
-    Keys are dotted attribute paths (``"fallback_count"``,
-    ``"_backing.predecoded_defects"`` …) so a delta computed in a worker
-    process can be replayed onto the caller's instance.
-    """
-    out: Dict[str, int] = {}
-    _walk_counters(decoder, "", out, set())
-    return out
-
-
-def apply_decoder_counter_delta(decoder, delta: Dict[str, int]) -> None:
-    """Add a worker's counter ``delta`` onto the caller-side decoder."""
-    for path, movement in delta.items():
-        parts = path.split(".")
-        target = decoder
-        for child_attr in parts[:-1]:
-            target = getattr(target, child_attr, None)
-            if target is None:
-                break
-        if target is None:
-            continue
-        attr = parts[-1]
-        current = getattr(target, attr, None)
-        if isinstance(current, int):
-            setattr(target, attr, current + int(movement))
+    obs.absorb({_COUNTERS + "batch_calls": 1,
+                _COUNTERS + "shots_decoded": int(shots),
+                _COUNTERS + "syndromes_decoded": int(unique_syndromes)})
 
 
 def decoder_cache_token(decoder) -> Optional[tuple]:

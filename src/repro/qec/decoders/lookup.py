@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ... import obs
 from ..bitops import pack_rows, unpack_rows
 from .base import SyndromeBatchDecoder, decoder_cache_token
 from .graph import BOUNDARY, DecodingEdge, DecodingGraph, Detector
@@ -49,6 +50,8 @@ class LookupDecoder(SyndromeBatchDecoder):
     """
 
     name = "lookup"
+    #: :mod:`repro.obs` instance counters, and the fallback decoder's.
+    obs_counters = ("fallback_count", "_fallback")
 
     def __init__(self, graph: DecodingGraph, max_error_weight: int = 2,
                  fallback: Optional[object] = None):
@@ -174,7 +177,7 @@ class LookupDecoder(SyndromeBatchDecoder):
         for row in np.flatnonzero(~hits):
             defects = [table_detectors[column]
                        for column in defect_columns(int(row))]
-            self.fallback_count += 1
+            obs.bump(self, "fallback_count")
             flips[row] = bool(self._fallback.decode(defects).flips_logical)
         return flips
 
@@ -186,7 +189,7 @@ class LookupDecoder(SyndromeBatchDecoder):
             raise ValueError(f"unknown detector {next(iter(unknown))!r}")
         entry = self._table.get(syndrome)
         if entry is None:
-            self.fallback_count += 1
+            obs.bump(self, "fallback_count")
             # Canonical (sorted) defect order: degenerate matchings then
             # tie-break identically however the syndrome was delivered,
             # keeping the per-shot and batched paths bitwise equal.

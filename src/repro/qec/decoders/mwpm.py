@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
+from ... import obs
 from ..bitops import pack_rows, unpack_rows
 from .base import SyndromeBatchDecoder
 from .graph import BOUNDARY, DecodingEdge, DecodingGraph, Detector
@@ -231,6 +232,8 @@ class MWPMDecoder(SyndromeBatchDecoder):
     """
 
     name = "mwpm"
+    #: :mod:`repro.obs` instance counters.
+    obs_counters = ("fallback_count",)
 
     def __init__(self, graph: DecodingGraph):
         self._graph = graph
@@ -375,7 +378,7 @@ class MWPMDecoder(SyndromeBatchDecoder):
                     flips[members[k]] = found == 2
                     undecided[members[k]] = False
         for row in np.flatnonzero(undecided):
-            self.fallback_count += 1
+            obs.bump(self, "fallback_count")
             defects = [detectors[column] for column in np.flatnonzero(rows[row])]
             flips[row] = bool(self.decode(defects).flips_logical)
         return flips

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
+from ... import obs
 from .base import SyndromeBatchDecoder, decoder_cache_token
 from .graph import BOUNDARY, DecodingEdge, DecodingGraph, Detector
 from .mwpm import DecodeOutcome, MWPMDecoder
@@ -21,6 +22,8 @@ class CliquePredecoder(SyndromeBatchDecoder):
     """Match isolated adjacent defect pairs, delegate the rest."""
 
     name = "clique_predecoder"
+    #: :mod:`repro.obs` instance counters, and the backing decoder's.
+    obs_counters = ("predecoded_defects", "forwarded_defects", "_backing")
 
     def __init__(self, graph: DecodingGraph, backing_decoder: Optional[object] = None):
         self._graph = graph
@@ -88,9 +91,9 @@ class CliquePredecoder(SyndromeBatchDecoder):
                     matched_pairs.append((defect, partner))
                     handled.update((defect, partner))
                     break
-        self.predecoded_defects += len(handled)
+        obs.bump(self, "predecoded_defects", len(handled))
         remaining = [defect for defect in defects if defect not in handled]
-        self.forwarded_defects += len(set(remaining))
+        obs.bump(self, "forwarded_defects", len(set(remaining)))
         total_weight = sum(edge.weight for edge in correction)
         if remaining:
             backing_outcome = self._backing.decode(remaining)

@@ -48,7 +48,6 @@ by :class:`_SeededRun` for every entry point here and in
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -56,14 +55,12 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
+from .. import obs
 from ..execution.sharding import ShardGroup, fan_out
 from .bitops import (Mod2GatherPlan, mod2_matvec_packed, pack_rows,
                      packed_words, popcount)
-from .decoders.base import (absorb_batch_decode_delta,
-                            apply_decoder_counter_delta, batch_decode_packed,
-                            batch_decode_stats, decoder_cache_token,
-                            decoder_counter_snapshot,
-                            reset_batch_decode_stats)
+from .decoders.base import (batch_decode_packed, batch_decode_stats,
+                            decoder_cache_token, reset_batch_decode_stats)
 from .decoders.graph import BOUNDARY, DecodingGraph
 
 #: Shots per deterministic sampling block.  Each block draws from its own
@@ -229,47 +226,21 @@ class QECSamplingStats:
     syndromes_decoded: int = 0
 
 
-_counters_lock = threading.Lock()
-_experiments = 0
-_cached_experiments = 0
-_shots_sampled = 0
-_process_shards = 0
+#: :mod:`repro.obs` name prefix of the experiment counters (named after
+#: the :class:`QECSamplingStats` fields).
+_COUNTERS = "qec.sampling."
 
 
 def sampling_stats() -> QECSamplingStats:
     """A snapshot of the process-wide QEC sampling counters."""
-    decode = batch_decode_stats()
-    with _counters_lock:
-        return QECSamplingStats(
-            experiments=_experiments,
-            cached_experiments=_cached_experiments,
-            shots_sampled=_shots_sampled,
-            process_shards=_process_shards,
-            batch_calls=decode.batch_calls,
-            shots_decoded=decode.shots_decoded,
-            syndromes_decoded=decode.syndromes_decoded)
+    return QECSamplingStats(**obs.read(_COUNTERS),
+                            **vars(batch_decode_stats()))
 
 
 def reset_sampling_stats() -> None:
     """Zero the QEC sampling counters (tests and benchmarks)."""
-    global _experiments, _cached_experiments, _shots_sampled, _process_shards
-    with _counters_lock:
-        _experiments = 0
-        _cached_experiments = 0
-        _shots_sampled = 0
-        _process_shards = 0
+    obs.reset(_COUNTERS)
     reset_batch_decode_stats()
-
-
-def _note_experiment(shots: int, cached: bool, process_shards: int) -> None:
-    global _experiments, _cached_experiments, _shots_sampled, _process_shards
-    with _counters_lock:
-        _experiments += 1
-        if cached:
-            _cached_experiments += 1
-        else:
-            _shots_sampled += int(shots)
-        _process_shards += int(process_shards)
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +319,6 @@ def _shot_blocks(seed_sequence: np.random.SeedSequence, shots: int
 # ---------------------------------------------------------------------------
 
 
-class _DecodeCounters:
-    """Shard counters: the batched-decode stats and the decoder diagnostic
-    counters of a ``(graph, decoder, ...)`` head."""
-
-    @staticmethod
-    def snapshot(graph, decoder, *rest) -> Dict[str, int]:
-        decode = batch_decode_stats()
-        counters = {"batch_calls": decode.batch_calls,
-                    "shots_decoded": decode.shots_decoded,
-                    "syndromes_decoded": decode.syndromes_decoded}
-        counters.update(("decoder:" + path, value) for path, value
-                        in decoder_counter_snapshot(decoder).items())
-        return counters
-
-    @staticmethod
-    def fold(head: tuple, delta: Dict[str, int]) -> None:
-        absorb_batch_decode_delta(delta)
-        apply_decoder_counter_delta(head[1], {
-            name[len("decoder:"):]: movement
-            for name, movement in delta.items()
-            if name.startswith("decoder:")})
-
-
 class _SeededRun:
     """The plumbing every QEC sampling entry point shares for one run.
 
@@ -445,13 +393,15 @@ class _SeededRun:
             return None
         values = self._lookup(self._keys(names))
         if values is not None:
-            _note_experiment(self.shots, cached=True, process_shards=0)
+            obs.absorb({_COUNTERS + "experiments": 1,
+                        _COUNTERS + "cached_experiments": 1})
         return values
 
     def finish(self, values: Dict) -> None:
         """Count the computed experiment and store its components."""
-        _note_experiment(self.shots, cached=False,
-                         process_shards=self.process_shards)
+        obs.absorb({_COUNTERS + "experiments": 1,
+                    _COUNTERS + "shots_sampled": self.shots,
+                    _COUNTERS + "process_shards": self.process_shards})
         if self.cacheable:
             self._store(self._keys(list(values)), values)
 
@@ -495,8 +445,8 @@ class _SeededRun:
             num_items=len(units), hints=("process",),
             parallel=effective.parallel, max_workers=effective.max_workers)
         run = fan_out(self.executor, effective, plan, [
-            ShardGroup(body, (self.graph, self.decoder) + tuple(extra), units,
-                       _DecodeCounters)])
+            ShardGroup(body, (self.graph, self.decoder) + tuple(extra),
+                       units)])
         self.fault_reports.extend(run.reports)
         self.process_shards += run.process_shards
         return run.values[0]

@@ -60,6 +60,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import (DIAGONAL_GATE_NAMES, _STATIC_MATRICES,
                               parametric_matrix)
@@ -1019,8 +1020,8 @@ _CACHE_LOCK = threading.Lock()
 #: Parameter-identity views kept per lowering (see ``CompiledProgram._view``).
 _MAX_VIEWS = 16
 _CACHE_BYTES = 0
-_COMPILED_COUNT = 0
-_HIT_COUNT = 0
+#: :mod:`repro.obs` name prefix of the compile and program-cache hit counters.
+_COUNTERS = "simulators.program_cache."
 
 
 def _program_nbytes(program: CompiledProgram) -> int:
@@ -1057,13 +1058,14 @@ def _array_bytes(data) -> int:
 
 
 def program_cache_counters() -> Tuple[int, int]:
-    """Process-wide ``(programs_compiled, program_cache_hits)`` counters.
+    """Process-wide ``(programs_compiled, program_cache_hits)`` counters,
+    including the compiles and hits process shards made for this process.
 
     The execution layer samples these around dispatch to attribute compile
     activity to its :class:`~repro.execution.executor.ExecutionStats`.
     """
-    with _CACHE_LOCK:
-        return _COMPILED_COUNT, _HIT_COUNT
+    counts = obs.read(_COUNTERS)
+    return counts.get("compiled", 0), counts.get("hits", 0)
 
 
 def clear_program_cache() -> None:
@@ -1071,12 +1073,11 @@ def clear_program_cache() -> None:
 
     Mainly for tests.
     """
-    global _COMPILED_COUNT, _HIT_COUNT, _CACHE_BYTES, _PERM_TABLE_BYTES
+    global _CACHE_BYTES, _PERM_TABLE_BYTES
     with _CACHE_LOCK:
         _PROGRAM_CACHE.clear()
         _CACHE_BYTES = 0
-        _COMPILED_COUNT = 0
-        _HIT_COUNT = 0
+    obs.reset(_COUNTERS)
     with _PERM_TABLE_LOCK:
         _PERM_TABLES.clear()
         _PERM_TABLE_BYTES = 0
@@ -1098,17 +1099,17 @@ def cached_program(key, build: Callable[[], object],
     by the ``nbytes`` payload estimate, LRU-evicted, and counted in
     :func:`program_cache_counters`.
     """
-    global _COMPILED_COUNT, _HIT_COUNT, _CACHE_BYTES
+    global _CACHE_BYTES
     with _CACHE_LOCK:
         cached = _PROGRAM_CACHE.get(key)
         if cached is not None:
             _PROGRAM_CACHE.move_to_end(key)
-            _HIT_COUNT += 1
+            obs.add(_COUNTERS + "hits")
             return cached[0]
     program = build()
     size = nbytes(program)
     with _CACHE_LOCK:
-        _COMPILED_COUNT += 1
+        obs.add(_COUNTERS + "compiled")
         previous = _PROGRAM_CACHE.get(key)
         if previous is not None:
             _CACHE_BYTES -= previous[1]
@@ -1147,7 +1148,6 @@ def compile_circuit(circuit: QuantumCircuit,
     lowering rather than in the shared cache, and a lowering skipped this
     way counts as a program-cache hit.
     """
-    global _COMPILED_COUNT
     parameters = circuit.ordered_parameters()
     fingerprint = circuit.fingerprint()
 
@@ -1167,8 +1167,7 @@ def compile_circuit(circuit: QuantumCircuit,
                                pregather=ops if parameters else None)
 
     if not use_cache:
-        with _CACHE_LOCK:
-            _COMPILED_COUNT += 1
+        obs.add(_COUNTERS + "compiled")
         return build()
     # The fingerprint fixes every linear form's terms but not the order an
     # expression lists them in, which sets the float sum a bind computes;

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.qec.decoders.graph import (BOUNDARY, repetition_code_graph,
                                       rotated_surface_code_graph,
                                       rotated_surface_code_stabilizers)
 from repro.qec.decoders.lookup import LookupDecoder, syndrome_of_edges
 from repro.qec.decoders import mwpm as mwpm_module
-from repro.execution.sharding import counter_delta
-from repro.qec.decoders.base import (apply_decoder_counter_delta,
-                                     decoder_counter_snapshot)
 from repro.qec.decoders.mwpm import MWPMDecoder, clear_matching_tables
 from repro.qec.decoders.predecoder import CliquePredecoder
 from repro.qec.decoders.union_find import UnionFindDecoder
@@ -403,12 +401,12 @@ class TestMatchingTables:
 
     def test_fallback_count_folds_back_across_processes(self):
         decoder = MWPMDecoder(rotated_surface_code_graph(3, 1, 1e-3))
-        before = decoder_counter_snapshot(decoder)
+        before = obs.instance_counters(decoder)
         assert before == {"fallback_count": 0}
         worker_copy = pickle.loads(pickle.dumps(decoder))
         worker_copy.fallback_count += 3
-        delta = counter_delta(before, decoder_counter_snapshot(worker_copy))
-        apply_decoder_counter_delta(decoder, delta)
+        delta = obs.delta(before, obs.instance_counters(worker_copy))
+        obs.absorb_instances(decoder, delta)
         assert decoder.fallback_count == 3
 
 

@@ -14,19 +14,19 @@ Covers the four refactor layers:
   collision-free sweep seeding, Wilson intervals on both result classes).
 """
 
+import dataclasses
 import hashlib
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.execution import ExecutionPolicy, ExpectationCache, Executor
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode_stats,
                                 decoder_cache_token)
-from repro.execution.sharding import counter_delta
-from repro.qec.decoders.base import (apply_decoder_counter_delta,
-                                     decoder_counter_snapshot)
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
 from repro.qec.memory_experiment import (MemoryExperimentResult,
@@ -286,14 +286,17 @@ class TestShardedDeterminism:
         # The workers' offload tallies came home across the pickle boundary.
         assert decoder.predecoded_defects + decoder.forwarded_defects > 0
 
-    def test_spool_stolen_shards_count_once(self, tmp_path):
+    @pytest.mark.parametrize("rate, shots, workers",
+                             [(5e-3, 1024, 2), (2e-2, 8192, 4)])
+    def test_spool_stolen_shards_count_once(self, tmp_path, rate, shots,
+                                            workers):
         """A spool with no live worker has the parent steal every shard;
         the stolen shards' counters already moved here, so they must not be
-        folded again — the totals equal the 2-worker pool run's.  A rerun
-        over the same spool is served from the result files the first run
-        left, and folds them like a worker's results."""
-        graph = rotated_surface_code_graph(3, 3, 5e-3)
-        shots = 1024
+        folded again — the totals equal the pool run's at the same worker
+        count, and so do a thread pool's.  A rerun over the same spool is
+        served from the result files the first run left, and folds them
+        like a worker's results."""
+        graph = rotated_surface_code_graph(3, 3, rate)
 
         def sample(policy):
             decoder = CliquePredecoder(graph)
@@ -307,8 +310,14 @@ class TestShardedDeterminism:
         # Sampling fills the graph's lazy caches, which shard payloads
         # pickle: warm them so both spool runs submit the same payloads.
         sample(ExecutionPolicy(parallel="none"))
-        pooled = sample(ExecutionPolicy(parallel="process", max_workers=2))
-        spool = ExecutionPolicy(parallel="process", max_workers=2,
+        pooled = sample(ExecutionPolicy(parallel="process",
+                                        max_workers=workers))
+        threaded = sample(ExecutionPolicy(parallel="thread",
+                                          max_workers=workers))
+        assert threaded[0] == pooled[0]
+        assert threaded[1] == dataclasses.replace(pooled[1], process_shards=0)
+        assert threaded[2] == pooled[2]
+        spool = ExecutionPolicy(parallel="process", max_workers=workers,
                                 broker=str(tmp_path / "spool"))
         results = tmp_path / "spool" / "results"
         first = sample(spool)
@@ -317,7 +326,7 @@ class TestShardedDeterminism:
         assert sorted(os.listdir(results)) == written  # nothing recomputed
         for stolen in (first, second):
             assert stolen[1].shots_decoded == shots
-            assert stolen[1].process_shards == 2
+            assert stolen[1].process_shards == workers
             assert stolen[0] == pooled[0]
             assert stolen[1] == pooled[1]
             assert sum(stolen[2]) > 0
@@ -327,14 +336,18 @@ class TestShardedDeterminism:
         graph = repetition_code_graph(3, 1, 1e-3)
         decoder = CliquePredecoder(
             graph, backing_decoder=LookupDecoder(graph, max_error_weight=1))
-        before = decoder_counter_snapshot(decoder)
-        assert "_backing.fallback_count" in before  # nested decoders walk too
         decoder.predecoded_defects += 4
         decoder._backing.fallback_count += 2
-        after = decoder_counter_snapshot(decoder)
-        delta = counter_delta(before, after)
+        before = obs.instance_counters(decoder)
+        assert "_backing.fallback_count" in before  # nested decoders walk too
+        # A worker process moves a pickled copy; the movement replays onto
+        # the caller's decoder, nested backing decoder included.
+        worker_copy = pickle.loads(pickle.dumps(decoder))
+        worker_copy.predecoded_defects += 4
+        worker_copy._backing.fallback_count += 2
+        delta = obs.delta(before, obs.instance_counters(worker_copy))
         assert delta == {"predecoded_defects": 4, "_backing.fallback_count": 2}
-        apply_decoder_counter_delta(decoder, delta)
+        obs.absorb_instances(decoder, delta)
         assert decoder.predecoded_defects == 8
         assert decoder._backing.fallback_count == 4
 

@@ -16,13 +16,15 @@ import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.circuits.circuit import QuantumCircuit
-from repro.execution import (Backend, BackendCapabilities, ExecutionTask,
-                             Executor, ShardPlanner, StabilizerBackend,
+from repro.execution import (Backend, BackendCapabilities, ExecutionPolicy,
+                             ExecutionTask, Executor, PauliPropagationBackend,
+                             ShardPlanner, StabilizerBackend,
                              StatevectorBackend, execute, get_backend)
 from repro.execution.sharding import (resolve_workers, split_evenly,
                                       _PROCESS_TASK_THRESHOLD)
 from repro.operators import ising_hamiltonian
 from repro.simulators.noise import NoiseModel, depolarizing_channel
+from repro.simulators.program import program_cache_counters
 
 
 def cx_noise():
@@ -256,6 +258,26 @@ class TestProcessDispatchBehaviour:
         assert (stats.programs_compiled + stats.program_cache_hits
                 >= stats.process_shards)
 
+    def test_program_cache_counters_include_worker_movement(self):
+        # Worker compiles and hits land in this process's counters when a
+        # shard folds home, so the process-wide pair moves exactly as far
+        # as the executor's stats do.
+        template = FullyConnectedAnsatz(5, depth=1).build()
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-3.0, 3.0,
+                             (32, len(template.ordered_parameters())))
+        executor = Executor(use_cache=False)
+        compiled, hits = program_cache_counters()
+        executor.evaluate_sweep(template, points, ising_hamiltonian(5),
+                                backend="statevector", parallel="process",
+                                max_workers=2)
+        stats = executor.stats
+        assert stats.process_shards > 0
+        assert stats.programs_compiled + stats.program_cache_hits > 0
+        assert program_cache_counters() == (
+            compiled + stats.programs_compiled,
+            hits + stats.program_cache_hits)
+
     def test_auto_mode_runs_small_dense_batches_inline(self):
         executor = Executor(use_cache=False)
         tasks = [ExecutionTask(clifford_circuit(3, flips=(i % 3,)),
@@ -264,17 +286,47 @@ class TestProcessDispatchBehaviour:
         executor.run(tasks, backend="statevector")
         assert executor.stats.process_shards == 0
 
-    def test_process_dispatch_counts_backend_invocations(self):
+    @pytest.mark.parametrize("parallel, spool", [
+        ("process", False), ("thread", False), ("process", True)])
+    def test_process_dispatch_counts_backend_invocations(self, tmp_path,
+                                                         parallel, spool):
         # Workers bump pickled backend copies; the parent must restore the
         # caller-side counter so monitoring code sees the same numbers as
-        # under inline/thread dispatch.
+        # under inline/thread dispatch.  A spool with no live worker has
+        # the parent steal every shard: counted where it ran, not again.
         backend = StatevectorBackend()
         tasks = [ExecutionTask(clifford_circuit(6, flips=(i,)),
                                observable=ising_hamiltonian(6, 1.0))
                  for i in range(6)]
-        Executor(use_cache=False).run(tasks, backend=backend,
-                                      parallel="process", max_workers=2)
+        policy = ExecutionPolicy(
+            parallel=parallel, max_workers=2,
+            broker=str(tmp_path / "spool") if spool else None)
+        Executor(use_cache=False).run(tasks, backend=backend, policy=policy)
         assert backend.invocations == 6
+
+    @pytest.mark.parametrize("parallel", ["none", "process"])
+    @pytest.mark.parametrize("engine", ["statevector", "pauli_propagation"])
+    def test_compiled_sweep_counts_backend_invocations(self, parallel,
+                                                       engine):
+        # A compiled sweep's shards never see the backend object: the
+        # sweep counts its unique points on it, like a bound-circuit batch.
+        template = FullyConnectedAnsatz(4, depth=1).build()
+        rng = np.random.default_rng(3)
+        width = len(template.ordered_parameters())
+        if engine == "statevector":
+            backend = StatevectorBackend()
+            points = rng.uniform(-3.0, 3.0, (40, width))
+        else:  # Clifford points, at multiples of pi/2
+            backend = PauliPropagationBackend()
+            points = rng.integers(0, 4, (8, width)) * (np.pi / 2)
+        executor = Executor(use_cache=False)
+        executor.evaluate_sweep(template, points, ising_hamiltonian(4, 1.0),
+                                backend=backend, parallel=parallel,
+                                max_workers=2)
+        assert backend.invocations == len(points)
+        assert executor.stats.backend_invocations == {engine: len(points)}
+        if parallel == "process":
+            assert executor.stats.process_shards > 0
 
     def test_results_keep_caller_task_objects(self):
         task = ExecutionTask(clifford_circuit(3),
