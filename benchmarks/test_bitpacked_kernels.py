@@ -30,7 +30,7 @@ import tracemalloc
 
 import numpy as np
 
-from repro.execution import Executor
+from repro.execution import ExecutionPolicy, Executor
 from repro.qec.bitops import popcount_impl
 from repro.qec.decoders import MWPMDecoder, UnionFindDecoder
 from repro.qec.decoders.base import _dedup_packed
@@ -116,7 +116,7 @@ def test_packed_kernel_speedup(benchmark):
             "packed": run_memory_sampling(graph, MWPMDecoder(graph), SHOTS,
                                           seed=SEED,
                                           executor=Executor(use_cache=False),
-                                          parallel="none"),
+                                          policy=ExecutionPolicy(parallel="none")),
             "streaming": streamed}
     counts = {mode: (run.failures, run.total_defects)
               for mode, run in runs.items()}
@@ -167,7 +167,7 @@ def test_streaming_d15_fits_memory_budget():
     start = time.perf_counter()
     run = run_memory_sampling(graph, decoder, STREAM_SHOTS, seed=SEED,
                               executor=Executor(use_cache=False),
-                              parallel="none")
+                              policy=ExecutionPolicy(parallel="none"))
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -100,11 +100,11 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
     start = time.perf_counter()
     inline = Executor(use_cache=False).evaluate_sweep(
         template, points, observable, backend="statevector",
-        parallel="none")
+        policy=ExecutionPolicy(parallel="none"))
     inline_seconds = time.perf_counter() - start
     pooled = Executor(use_cache=False).evaluate_sweep(
         template, points, observable, backend="statevector",
-        parallel="process", max_workers=2)
+        policy=ExecutionPolicy(parallel="process", max_workers=2))
 
     rows = []
     for count in WORKER_COUNTS:
@@ -145,9 +145,8 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
 def test_kill_recovery_wall_clock(tmp_path):
     payloads = [(3, exponent) for exponent in range(8)]
     expected = [pow(3, exponent) for exponent in range(8)]
-    plan = ShardPlanner(max_workers=2).plan(len(payloads),
-                                            hints=("process",),
-                                            parallel="process")
+    plan = ShardPlanner("process", max_workers=2).plan(len(payloads),
+                                                       hints=("process",))
     retry = ShardRetryPolicy(max_retries=3, backoff_base=0.0)
 
     def timed_run(spool, chaos):

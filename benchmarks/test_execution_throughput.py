@@ -39,7 +39,7 @@ import time
 import numpy as np
 
 from repro.ansatz import FullyConnectedAnsatz
-from repro.execution import ExecutionTask, Executor
+from repro.execution import ExecutionPolicy, ExecutionTask, Executor
 from repro.operators import ising_hamiltonian
 from repro.simulators.kernels import statevector_term_expectations
 from repro.simulators.program import run_interpreted
@@ -119,7 +119,7 @@ def run_grouped_comparison():
                       for subtask in task.split_terms()]
     start = time.perf_counter()
     results = executor.run(per_term_tasks, backend="statevector",
-                           max_workers=1)
+                           policy=ExecutionPolicy(max_workers=1))
     per_term_time = time.perf_counter() - start
     per_term_energies = [
         float(np.dot(coefficients,
@@ -134,7 +134,8 @@ def run_grouped_comparison():
     executor = Executor()
     start = time.perf_counter()
     grouped_energies = executor.evaluate_observable(
-        circuits, hamiltonian, backend="statevector", max_workers=1)
+        circuits, hamiltonian, backend="statevector",
+        policy=ExecutionPolicy(max_workers=1))
     grouped_time = time.perf_counter() - start
     rows.append(("grouped", term_tasks,
                  executor.stats.simulator_invocations,

@@ -27,7 +27,7 @@ import time
 
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.execution import Executor, StabilizerBackend
+from repro.execution import ExecutionPolicy, Executor, StabilizerBackend
 from repro.operators import heisenberg_hamiltonian
 from repro.simulators.noise import NoiseModel, depolarizing_channel
 
@@ -75,7 +75,7 @@ def run_ensemble(parallel, max_workers, cache_dir=None):
     [energy] = executor.evaluate_observable(
         circuit, hamiltonian, noise_model=noise,
         backend=StabilizerBackend(seed=SEED), trajectories=TRAJECTORIES,
-        parallel=parallel, max_workers=max_workers)
+        policy=ExecutionPolicy(parallel=parallel, max_workers=max_workers))
     return energy, time.perf_counter() - start, executor
 
 

@@ -21,7 +21,7 @@ import json
 import os
 import time
 
-from repro.execution import Executor
+from repro.execution import ExecutionPolicy, Executor
 from repro.qec import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                        UnionFindDecoder, logical_error_rate_sweep)
 from repro.qec.decoders.graph import rotated_surface_code_graph
@@ -62,7 +62,7 @@ def test_qec_batched_throughput(benchmark):
             batched_memory = SurfaceCodeMemory(graph, factory, seed=SEED)
             start = time.perf_counter()
             batched = batched_memory.run(SHOTS, use_cache=False,
-                                         parallel="none")
+                                         policy=ExecutionPolicy(parallel="none"))
             batched_seconds = time.perf_counter() - start
             reference_memory = SurfaceCodeMemory(graph, factory, seed=SEED)
             start = time.perf_counter()
@@ -114,7 +114,8 @@ def test_qec_worker_count_determinism():
     def failures(parallel, workers):
         memory = SurfaceCodeMemory(graph, MWPMDecoder, seed=SEED)
         outcome = memory.run(2600, executor=Executor(use_cache=False),
-                             parallel=parallel, max_workers=workers)
+                             policy=ExecutionPolicy(parallel=parallel,
+                                                    max_workers=workers))
         return outcome.failures
 
     counts = {

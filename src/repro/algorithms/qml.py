@@ -122,8 +122,7 @@ class VariationalClassifier:
     def __init__(self, num_qubits: int, num_layers: int = 2,
                  feature_repetitions: int = 1,
                  noise_model: Optional[NoiseModel] = None,
-                 parallel: Optional[str] = None,
-                 max_workers: Optional[int] = None):
+                 policy=None):
         if num_qubits < 2:
             raise ValueError("the classifier needs at least two qubits")
         if num_layers < 1:
@@ -132,11 +131,10 @@ class VariationalClassifier:
         self.num_layers = int(num_layers)
         self.feature_repetitions = int(feature_repetitions)
         self.noise_model = noise_model
-        # Fan-out policy for batch inference/training sweeps (None defers
-        # to the executor's ShardPlanner; "process" shards big batches
+        # Fan-out ExecutionPolicy for batch inference/training sweeps (None
+        # defers to the executor's; a "process" mode shards big batches
         # across worker processes with identical scores).
-        self.parallel = parallel
-        self.max_workers = max_workers
+        self.policy = policy
         # Noisy inference runs on the density-matrix backend, noiseless on
         # the statevector backend — both through the unified execute() API.
         self._backend = ("density_matrix" if noise_model is not None
@@ -255,8 +253,7 @@ class VariationalClassifier:
                                          self._observable,
                                          noise_model=self.noise_model,
                                          backend=self._backend,
-                                         parallel=self.parallel,
-                                         max_workers=self.max_workers))
+                                         policy=self.policy))
 
     def predict(self, features_batch: Sequence[Sequence[float]],
                 parameters: Optional[Sequence[float]] = None) -> np.ndarray:

@@ -140,8 +140,7 @@ class VQD:
 
     def evaluate_levels(self, result: VQDResult, noise_model=None,
                         backend: str = "auto",
-                        parallel: Optional[str] = None,
-                        max_workers: Optional[int] = None) -> List[float]:
+                        policy=None) -> List[float]:
         """Re-evaluate the converged levels through the unified execution API.
 
         One batched :func:`repro.execution.evaluate_sweep` call over the
@@ -151,11 +150,10 @@ class VQD:
         shared ansatz template is compiled once; noiseless statevector
         re-scoring executes all levels as one stacked batch, noisy regimes
         fall back to one grouped-observable batch (one evolution per level).
-        ``parallel="process"`` shards big re-scoring batches across worker
-        processes with identical results.
+        ``policy=ExecutionPolicy(parallel="process")`` shards big
+        re-scoring batches across worker processes with identical results.
         """
         parameter_sets = [list(theta) for theta in result.parameters]
         return evaluate_sweep(self._template, parameter_sets,
                               self.hamiltonian, noise_model=noise_model,
-                              backend=backend, parallel=parallel,
-                              max_workers=max_workers)
+                              backend=backend, policy=policy)

@@ -21,8 +21,8 @@ stabilizer tableau, Pauli propagation):
   and noiseless statevector sweeps execute as a single stacked NumPy pass
   (noiseless ``pauli_propagation`` sweeps as one bit-sliced Clifford pass);
 * :class:`ExecutionPolicy` — one frozen value for "how should this run"
-  (fan-out mode, worker count, shard broker, retry budget), accepted
-  everywhere the legacy ``parallel=`` / ``max_workers=`` keywords are;
+  (fan-out mode, worker count, shard broker, retry budget), the only
+  per-call fan-out argument (``policy=``) of every entry point;
 * :class:`ShardBroker` — the pluggable shard-dispatch seam:
   :class:`LocalProcessBroker` (the default supervised fork pool) and
   :class:`FilesystemBroker` (a spool-directory work queue served by

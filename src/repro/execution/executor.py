@@ -14,8 +14,9 @@ Pipeline for one :meth:`Executor.run` call:
 4. **Dispatch** — unique tasks are grouped per backend and fanned out
    through :func:`~repro.execution.sharding.fan_out` under a
    :class:`~repro.execution.sharding.ShardPlanner` plan: worker
-   **processes** for CPU-bound simulator batches (``parallel="process"``,
-   the auto default once a batch is big enough), a thread pool for
+   **processes** for CPU-bound simulator batches
+   (``ExecutionPolicy(parallel="process")``, the auto default once a batch
+   is big enough), a thread pool for
    backends that hint it, or inline for small batches.
 5. **Assemble** — results come back in input order, each labelled with the
    backend that ran it and whether it was served from cache or dedup.
@@ -107,6 +108,16 @@ class ExecutionStats:
                 f"invocations={dict(self.backend_invocations)})")
 
 
+def _checked_policy(policy) -> Optional[ExecutionPolicy]:
+    """``policy`` itself: an :class:`ExecutionPolicy` or None, anything
+    else (a payload dict, a mode string) is an :class:`ExecutionError`."""
+    if policy is not None and not isinstance(policy, ExecutionPolicy):
+        raise ExecutionError(
+            f"policy must be an ExecutionPolicy or None, got "
+            f"{type(policy).__name__}")
+    return policy
+
+
 class Executor:
     """Batches tasks onto backends with caching, dedup and threading.
 
@@ -118,17 +129,13 @@ class Executor:
     def __init__(self, registry: Optional[BackendRegistry] = None,
                  cache=None,
                  cache_size: int = 4096,
-                 max_workers: Optional[int] = None,
                  use_cache: bool = True,
-                 parallel: Optional[str] = None,
                  cache_dir=None,
                  policy: Optional[ExecutionPolicy] = None):
         """``policy`` is the executor-default
         :class:`~repro.execution.policy.ExecutionPolicy` — fan-out mode,
-        worker count, shard broker and retry budget in one value; the
-        legacy ``parallel`` (``"auto"``, ``"process"``, ``"thread"``,
-        ``"none"``) and ``max_workers`` keywords coerce into it and win
-        over its fields.  Unset fields defer to the environment
+        worker count, shard broker and retry budget in one value.  Unset
+        fields defer to the environment
         (:meth:`ExecutionPolicy.from_env` — ``REPRO_WORKERS``,
         ``REPRO_BROKER_SPOOL``, ``REPRO_SHARD_*``) at dispatch time, then
         to built-in defaults.
@@ -161,12 +168,8 @@ class Executor:
         elif disk is not None:
             memory = TieredExpectationCache(memory=memory, disk=disk)
         self.cache = memory
-        self.policy = ExecutionPolicy.coerce(policy, parallel=parallel,
-                                             max_workers=max_workers)
-        self.max_workers = self.policy.max_workers
+        self.policy = _checked_policy(policy) or ExecutionPolicy()
         self.use_cache = use_cache
-        self.planner = ShardPlanner(parallel=self.policy.parallel or "auto",
-                                    max_workers=self.policy.max_workers)
         self.stats = ExecutionStats()
         self.final_disk_stats: Optional[DiskCacheStats] = None
         #: Recent shard-supervisor FaultReports (bounded; newest last).
@@ -174,18 +177,24 @@ class Executor:
         self._lock = threading.Lock()
 
     # -- resolution ----------------------------------------------------------
-    def _resolve_policy(self, policy: Optional[ExecutionPolicy] = None, *,
-                        parallel: Optional[str] = None,
-                        max_workers: Optional[int] = None
+    def _resolve_policy(self, policy: Optional[ExecutionPolicy] = None
                         ) -> ExecutionPolicy:
         """The effective :class:`ExecutionPolicy` for one call: per-call
-        keywords > per-call policy > this executor's policy > environment.
-        Fields still ``None`` after the merge mean the built-in defaults
-        (auto mode, usable-CPU workers, local broker, env retry budget)."""
-        return (ExecutionPolicy.coerce(policy, parallel=parallel,
-                                       max_workers=max_workers)
-                .merged_over(self.policy)
-                .merged_over(ExecutionPolicy.from_env()))
+        policy > this executor's policy > environment.  Fields still
+        ``None`` after the merge mean the built-in defaults (auto mode,
+        usable-CPU workers, local broker, env retry budget)."""
+        return (_checked_policy(policy) or ExecutionPolicy()) \
+            .merged_over(self.policy).merged_over(ExecutionPolicy.from_env())
+
+    def _plan(self, policy: Optional[ExecutionPolicy], num_items: int,
+              hints: Sequence[str] = (), trajectories: int = 0
+              ) -> Tuple[ExecutionPolicy, ShardPlan]:
+        """The resolved policy and the :class:`ShardPlan` of one dispatch —
+        the one place every sharded pipeline plans."""
+        effective = self._resolve_policy(policy)
+        return effective, ShardPlanner(
+            effective.parallel or "auto", effective.max_workers).plan(
+                num_items, hints=hints, trajectories=trajectories)
 
     def _resolve_backend(self, task: ExecutionTask,
                          backend: Union[str, Backend]
@@ -208,18 +217,15 @@ class Executor:
     # -- execution -----------------------------------------------------------
     def run(self, tasks: Union[ExecutionTask, Sequence[ExecutionTask]],
             backend: Union[str, Backend] = "auto",
-            max_workers: Optional[int] = None,
             use_cache: Optional[bool] = None,
-            parallel: Optional[str] = None,
             policy: Optional[ExecutionPolicy] = None) -> List[ExecutionResult]:
         """Execute ``tasks``; returns results aligned with the input order.
 
         ``backend`` may be ``"auto"`` (route each task), a registry name, or
         a :class:`Backend` instance (used for every task, bypassing the
         registry).  A single task is accepted and still yields a list.
-        ``policy`` (or the legacy ``parallel`` / ``max_workers`` keywords,
-        which win over it) overrides the executor's fan-out policy for this
-        call; sharding never changes results — see
+        ``policy`` overrides the executor's fan-out policy for this call;
+        sharding never changes results — see
         :mod:`repro.execution.sharding`.
         """
         if isinstance(tasks, ExecutionTask):
@@ -276,8 +282,7 @@ class Executor:
             to_run.append(index)
 
         with track_program_cache(self):
-            self._dispatch(tasks, backends, to_run, results, max_workers,
-                           parallel, policy)
+            self._dispatch(tasks, backends, to_run, results, policy)
 
         # Fill cache and duplicate slots from the leaders that actually ran.
         for key, owners in pending.items():
@@ -298,8 +303,6 @@ class Executor:
     def _dispatch(self, tasks: Sequence[ExecutionTask],
                   backends: Sequence[Backend], to_run: Sequence[int],
                   results: List[Optional[ExecutionResult]],
-                  max_workers: Optional[int],
-                  parallel: Optional[str] = None,
                   policy: Optional[ExecutionPolicy] = None) -> None:
         """Run the given task indices, grouped per backend, in one
         :func:`~repro.execution.sharding.fan_out` dispatch."""
@@ -311,13 +314,10 @@ class Executor:
         if not by_backend:
             return
 
-        effective = self._resolve_policy(policy, parallel=parallel,
-                                         max_workers=max_workers)
-        hints = [backend.capabilities().parallel_hint
-                 for backend, _ in by_backend.values()]
-        plan = self.planner.plan(len(to_run), hints=hints,
-                                 parallel=effective.parallel,
-                                 max_workers=effective.max_workers)
+        effective, plan = self._plan(
+            policy, len(to_run), hints=[
+                backend.capabilities().parallel_hint
+                for backend, _ in by_backend.values()])
         run = fan_out(self, effective, plan, [
             ShardGroup(_run_batch_shard, (backend,),
                        [tasks[i] for i in indices])
@@ -342,8 +342,6 @@ class Executor:
                           trajectories: Optional[int] = None,
                           include_idle: bool = True,
                           use_cache: Optional[bool] = None,
-                          parallel: Optional[str] = None,
-                          max_workers: Optional[int] = None,
                           policy: Optional[ExecutionPolicy] = None
                           ) -> "np.ndarray":
         """Per-term ⟨P_i⟩ of ``observable``'s terms from **one** evolution.
@@ -364,8 +362,7 @@ class Executor:
                              trajectories=trajectories,
                              include_idle=include_idle)
         return run_grouped(self, [task], backend=backend,
-                           use_cache=use_cache, parallel=parallel,
-                           max_workers=max_workers, policy=policy)[0]
+                           use_cache=use_cache, policy=policy)[0]
 
     def evaluate_observable(self, circuits, observable, *,
                             noise_model=None,
@@ -373,8 +370,6 @@ class Executor:
                             trajectories: Optional[int] = None,
                             include_idle: bool = True,
                             use_cache: Optional[bool] = None,
-                            max_workers: Optional[int] = None,
-                            parallel: Optional[str] = None,
                             policy: Optional[ExecutionPolicy] = None
                             ) -> List[float]:
         """⟨H⟩ for one or many circuits, evolving each circuit **once**.
@@ -403,8 +398,7 @@ class Executor:
                                include_idle=include_idle)
                  for circuit in circuits]
         return energies(observable, run_grouped(
-            self, tasks, backend=backend, use_cache=use_cache,
-            max_workers=max_workers, parallel=parallel, policy=policy))
+            self, tasks, backend=backend, use_cache=use_cache, policy=policy))
 
     # -- batched parameter sweeps --------------------------------------------
     def evaluate_sweep(self, template, parameter_sets, observable, *,
@@ -413,8 +407,6 @@ class Executor:
                        trajectories: Optional[int] = None,
                        include_idle: bool = True,
                        use_cache: Optional[bool] = None,
-                       max_workers: Optional[int] = None,
-                       parallel: Optional[str] = None,
                        policy: Optional[ExecutionPolicy] = None
                        ) -> List[float]:
         """⟨H⟩ at every point of a parameter sweep over one circuit template.
@@ -484,13 +476,11 @@ class Executor:
             return self.evaluate_observable(
                 bound_circuits, observable, noise_model=noise_model,
                 backend=backend, trajectories=trajectories,
-                include_idle=include_idle, use_cache=use_cache,
-                max_workers=max_workers, parallel=parallel, policy=policy)
+                include_idle=include_idle, use_cache=use_cache, policy=policy)
         resolved = (backend if isinstance(backend, Backend)
                     else self.registry.get(engine))
         return self._sweep_compiled(template, parameter_sets, observable,
-                                    resolved, use_cache, parallel=parallel,
-                                    max_workers=max_workers, policy=policy)
+                                    resolved, use_cache, policy)
 
     def evaluate_point(self, template, values, observable, *,
                        noise_model=None,
@@ -498,8 +488,6 @@ class Executor:
                        trajectories: Optional[int] = None,
                        include_idle: bool = True,
                        use_cache: Optional[bool] = None,
-                       max_workers: Optional[int] = None,
-                       parallel: Optional[str] = None,
                        policy: Optional[ExecutionPolicy] = None) -> float:
         """⟨H⟩ at one parameter point of a circuit template: the per-step
         entry of point-by-point optimizers (COBYLA, Nelder–Mead).
@@ -516,8 +504,7 @@ class Executor:
         (:meth:`~repro.simulators.program.CompiledProgram.point_program`,
         op for op the bound circuit's lowering) and read out with the same
         single-state kernel, in-process (one evolution has nothing to
-        shard, so ``parallel``, ``max_workers`` and ``policy`` only reach
-        the fallback).  Noisy points, other backends and templates with
+        shard, so ``policy`` only reaches the fallback).  Noisy points, other backends and templates with
         measurements, resets or barriers bind the circuit and take
         :meth:`evaluate_observable`.  Example::
 
@@ -549,8 +536,7 @@ class Executor:
                 template.bind_parameters(values), observable,
                 noise_model=noise_model, backend=backend,
                 trajectories=trajectories, include_idle=include_idle,
-                use_cache=use_cache, max_workers=max_workers,
-                parallel=parallel, policy=policy)[0]
+                use_cache=use_cache, policy=policy)[0]
         resolved = (backend if isinstance(backend, Backend)
                     else self.registry.get("statevector" if backend == "auto"
                                            else backend))
@@ -633,8 +619,6 @@ class Executor:
 
     def _sweep_compiled(self, template, parameter_sets, observable,
                         backend: Backend, use_cache: bool,
-                        parallel: Optional[str] = None,
-                        max_workers: Optional[int] = None,
                         policy: Optional[ExecutionPolicy] = None
                         ) -> List[float]:
         """One compiled batch over the uncached points of a noiseless sweep
@@ -700,11 +684,8 @@ class Executor:
                 shard, head, hint, block_cap = self._sweep_kernel(
                     engine, template, template_fingerprint, observable,
                     points)
-                effective = self._resolve_policy(policy, parallel=parallel,
-                                                 max_workers=max_workers)
-                plan = self.planner.plan(len(unique), hints=(hint,),
-                                         parallel=effective.parallel,
-                                         max_workers=effective.max_workers)
+                effective, plan = self._plan(policy, len(unique),
+                                             hints=(hint,))
                 if plan.mode != "process":
                     # Only process sweeps cut point blocks; a thread plan
                     # runs the one inline batch, like an inline plan.
@@ -840,9 +821,7 @@ def reset_default_executor() -> None:
 
 def execute(tasks: Union[ExecutionTask, Sequence[ExecutionTask]],
             backend: Union[str, Backend] = "auto",
-            max_workers: Optional[int] = None,
             use_cache: Optional[bool] = None,
-            parallel: Optional[str] = None,
             policy: Optional[ExecutionPolicy] = None) -> List[ExecutionResult]:
     """Run tasks through the shared default executor (see :class:`Executor`).
 
@@ -851,15 +830,14 @@ def execute(tasks: Union[ExecutionTask, Sequence[ExecutionTask]],
         results = execute([ExecutionTask(circuit, observable=hamiltonian)])
         energy = results[0].value
 
-    ``parallel="process"`` fans a CPU-bound batch out across worker
-    processes (``max_workers``, or the ``REPRO_WORKERS`` environment
-    override); results are identical to an inline run — see
-    :mod:`repro.execution.sharding` for the determinism contract.
+    ``policy=ExecutionPolicy(parallel="process")`` fans a CPU-bound batch
+    out across worker processes (its ``max_workers``, or the
+    ``REPRO_WORKERS`` environment override); results are identical to an
+    inline run — see :mod:`repro.execution.sharding` for the determinism
+    contract.
     """
     return default_executor().run(tasks, backend=backend,
-                                  max_workers=max_workers,
-                                  use_cache=use_cache, parallel=parallel,
-                                  policy=policy)
+                                  use_cache=use_cache, policy=policy)
 
 
 def execute_one(task: ExecutionTask,
@@ -874,8 +852,6 @@ def evaluate_observable(circuits, observable, *, noise_model=None,
                         trajectories: Optional[int] = None,
                         include_idle: bool = True,
                         use_cache: Optional[bool] = None,
-                        max_workers: Optional[int] = None,
-                        parallel: Optional[str] = None,
                         policy: Optional[ExecutionPolicy] = None
                         ) -> List[float]:
     """⟨H⟩ for one or many circuits through the shared default executor.
@@ -892,8 +868,7 @@ def evaluate_observable(circuits, observable, *, noise_model=None,
     return default_executor().evaluate_observable(
         circuits, observable, noise_model=noise_model, backend=backend,
         trajectories=trajectories, include_idle=include_idle,
-        use_cache=use_cache, max_workers=max_workers, parallel=parallel,
-        policy=policy)
+        use_cache=use_cache, policy=policy)
 
 
 def evaluate_sweep(template, parameter_sets, observable, *, noise_model=None,
@@ -901,8 +876,6 @@ def evaluate_sweep(template, parameter_sets, observable, *, noise_model=None,
                    trajectories: Optional[int] = None,
                    include_idle: bool = True,
                    use_cache: Optional[bool] = None,
-                   max_workers: Optional[int] = None,
-                   parallel: Optional[str] = None,
                    policy: Optional[ExecutionPolicy] = None) -> List[float]:
     """⟨H⟩ over a whole parameter sweep through the shared default executor.
 
@@ -921,8 +894,7 @@ def evaluate_sweep(template, parameter_sets, observable, *, noise_model=None,
     return default_executor().evaluate_sweep(
         template, parameter_sets, observable, noise_model=noise_model,
         backend=backend, trajectories=trajectories, include_idle=include_idle,
-        use_cache=use_cache, max_workers=max_workers, parallel=parallel,
-        policy=policy)
+        use_cache=use_cache, policy=policy)
 
 
 def term_expectations(circuit, observable, *, noise_model=None,
@@ -930,8 +902,6 @@ def term_expectations(circuit, observable, *, noise_model=None,
                       trajectories: Optional[int] = None,
                       include_idle: bool = True,
                       use_cache: Optional[bool] = None,
-                      parallel: Optional[str] = None,
-                      max_workers: Optional[int] = None,
                       policy: Optional[ExecutionPolicy] = None
                       ) -> "np.ndarray":
     """Per-term ⟨P_i⟩ from one evolution, via the shared default executor.
@@ -942,5 +912,4 @@ def term_expectations(circuit, observable, *, noise_model=None,
     return default_executor().term_expectations(
         circuit, observable, noise_model=noise_model, backend=backend,
         trajectories=trajectories, include_idle=include_idle,
-        use_cache=use_cache, parallel=parallel, max_workers=max_workers,
-        policy=policy)
+        use_cache=use_cache, policy=policy)

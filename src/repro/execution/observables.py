@@ -188,8 +188,6 @@ def energies(observable: PauliSum, rows) -> List[float]:
 def run_grouped(executor, tasks: Sequence[ExecutionTask],
                 backend: Union[str, Backend] = "auto",
                 use_cache: Optional[bool] = None,
-                max_workers: Optional[int] = None,
-                parallel: Optional[str] = None,
                 policy=None) -> List[np.ndarray]:
     """Per-term expectation values for every task, one evolution per slot.
 
@@ -250,12 +248,9 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
     ensemble = max((getattr(slot.backend, "trajectory_count",
                             lambda task: None)(slot.task) or 0
                     for slot, _ in pending), default=0)
-    effective = executor._resolve_policy(policy, parallel=parallel,
-                                         max_workers=max_workers)
-    plan = executor.planner.plan(len(pending), hints=sorted(hints),
-                                 trajectories=ensemble,
-                                 parallel=effective.parallel,
-                                 max_workers=effective.max_workers)
+    effective, plan = executor._plan(policy, len(pending),
+                                     hints=sorted(hints),
+                                     trajectories=ensemble)
     with track_program_cache(executor):
         _evolve(executor, pending, plan, effective, use_cache)
 

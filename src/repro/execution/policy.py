@@ -1,24 +1,20 @@
 """One value that says how a batch should run: the ``ExecutionPolicy``.
 
-Historically "how should this run" was threaded through a dozen
-signatures as separate ``parallel=`` / ``max_workers=`` keywords, and the
-retry budget and worker count each read their own environment variables at
-their own call sites.  :class:`ExecutionPolicy` folds all of it — fan-out
-mode, worker count, shard broker, retry budget — into one frozen value
-accepted everywhere those keywords are today (``execute``,
-``evaluate_observable``, ``evaluate_sweep``, ``run_memory_sampling``,
-``BackendEnergyEvaluator``, service submit payloads).  The old keywords
-keep working through :meth:`ExecutionPolicy.coerce`, and
-:meth:`ExecutionPolicy.from_env` is the single reader for the scattered
-``REPRO_WORKERS`` / ``REPRO_SHARD_*`` / ``REPRO_BROKER_SPOOL`` knobs.
+:class:`ExecutionPolicy` folds fan-out mode, worker count, shard broker and
+retry budget into one frozen value, and it is the only per-call fan-out
+argument: every entry point that fans work out (``execute``,
+``evaluate_observable``, ``evaluate_sweep``, ``run_memory_sampling``, the
+QEC memory experiments, ``BackendEnergyEvaluator``, ``VQD``, service
+submit payloads) takes ``policy=``.  :meth:`ExecutionPolicy.from_env` is
+the single reader for the ``REPRO_WORKERS`` / ``REPRO_SHARD_*`` /
+``REPRO_BROKER_SPOOL`` knobs.
 
 Resolution order (most specific wins):
 
-1. per-call ``parallel=`` / ``max_workers=`` keywords (legacy coercion),
-2. the per-call ``policy=`` argument,
-3. the executor's constructor policy,
-4. the environment (:meth:`from_env`),
-5. built-in defaults (auto mode, usable-CPU workers, local broker).
+1. the per-call ``policy=`` argument,
+2. the executor's constructor policy,
+3. the environment (:meth:`from_env`),
+4. built-in defaults (auto mode, usable-CPU workers, local broker).
 
 None of these can change results: the determinism contract makes every
 value bitwise independent of fan-out mode, worker count and broker.
@@ -27,13 +23,14 @@ value bitwise independent of fan-out mode, worker count and broker.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .broker import BROKER_SPOOL_ENV
 from .errors import ExecutionError
 from .sharding import (_PARALLEL_MODES, SHARD_BACKOFF_ENV, SHARD_RETRIES_ENV,
-                       SHARD_TIMEOUT_ENV, WORKERS_ENV, ShardRetryPolicy)
+                       SHARD_TIMEOUT_ENV, WORKERS_ENV, ShardRetryPolicy,
+                       env_number)
 
 __all__ = ["BROKER_SPOOL_ENV", "ExecutionPolicy"]
 
@@ -78,43 +75,16 @@ class ExecutionPolicy:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def coerce(cls, policy: Optional["ExecutionPolicy"] = None, *,
-               parallel: Optional[str] = None,
-               max_workers: Optional[int] = None) -> "ExecutionPolicy":
-        """The thin legacy-keyword path: fold per-call ``parallel=`` /
-        ``max_workers=`` keywords over an optional policy (keywords win —
-        they are the most call-specific statement of intent).  Accepts a
-        payload dict (the service wire form) for ``policy``."""
-        if isinstance(policy, dict):
-            policy = cls.from_payload(policy)
-        if policy is None:
-            return cls(parallel=parallel, max_workers=max_workers)
-        if not isinstance(policy, cls):
-            raise ExecutionError(
-                f"policy must be an ExecutionPolicy (or payload dict), got "
-                f"{type(policy).__name__}")
-        if parallel is not None or max_workers is not None:
-            policy = replace(
-                policy,
-                parallel=policy.parallel if parallel is None else parallel,
-                max_workers=(policy.max_workers if max_workers is None
-                             else max_workers))
-        return policy
-
-    @classmethod
     def from_env(cls) -> "ExecutionPolicy":
         """The one environment reader: ``REPRO_WORKERS`` (worker count),
         ``REPRO_BROKER_SPOOL`` (filesystem-broker spool directory) and the
         ``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` /
         ``REPRO_SHARD_BACKOFF`` retry knobs, folded into one policy."""
-        workers_env = os.environ.get(WORKERS_ENV, "").strip()
-        max_workers = None
-        if workers_env:
-            max_workers = int(workers_env)
-            if max_workers < 1:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be >= 1, got {workers_env!r} "
-                    f"(unset it to use the usable-CPU count)")
+        max_workers = env_number(WORKERS_ENV)
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(
+                f"{WORKERS_ENV} must be >= 1, got {max_workers!r} (unset it "
+                f"to use the usable-CPU count)")
         spool = os.environ.get(BROKER_SPOOL_ENV, "").strip() or None
         retry = None
         if any(os.environ.get(name, "").strip()

@@ -4,9 +4,9 @@
   (worker processes, the default for the in-repo CPU-bound backends once a
   batch is big enough to amortize dispatch), ``"thread"`` (a thread pool,
   the default for custom backends), or ``"none"`` (inline — small batches
-  where any pool is pure overhead).  The decision combines the caller's
-  ``parallel=`` choice, the resolved worker count (``max_workers``
-  argument, ``REPRO_WORKERS`` environment override, CPU count) and the
+  where any pool is pure overhead).  The decision combines the resolved
+  :class:`~repro.execution.policy.ExecutionPolicy`'s mode and worker count
+  (``REPRO_WORKERS`` environment override, then CPU count) and the
   backends' :attr:`~repro.execution.backend.BackendCapabilities.parallel_hint`.
   Whether threads help depends on how long the NumPy kernels hold the
   GIL released: ``evaluate_observable`` over 8 distinct depth-1
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import numbers
 import os
 import threading
 import time
@@ -104,6 +105,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def env_number(name: str, kind: Callable = int):
+    """``kind`` of the environment variable ``name``, or None when it is
+    unset or blank; a malformed value is a ``ValueError`` naming ``name``."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
+
+
 def resolve_workers(max_workers: Optional[int] = None) -> int:
     """The worker count: explicit argument, ``REPRO_WORKERS``, or the
     usable-CPU count (affinity-aware — a container pinned to 2 of 8 host
@@ -121,13 +134,12 @@ def resolve_workers(max_workers: Optional[int] = None) -> int:
                 f"to fall back to the {WORKERS_ENV} environment override or "
                 f"the usable-CPU count)")
         return workers
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        workers = int(env)
+    workers = env_number(WORKERS_ENV)
+    if workers is not None:
         if workers < 1:
             raise ValueError(
-                f"{WORKERS_ENV} must be >= 1, got {env!r} (unset it to use "
-                f"the usable-CPU count)")
+                f"{WORKERS_ENV} must be >= 1, got {workers!r} (unset it to "
+                f"use the usable-CPU count)")
         return workers
     return min(_MAX_AUTO_WORKERS, usable_cpus())
 
@@ -161,11 +173,10 @@ class ShardPlan:
 class ShardPlanner:
     """Plans how execution batches fan out across cores.
 
-    ``parallel`` is the policy: ``"auto"`` (capability-driven — the
-    default), ``"process"``, ``"thread"`` or ``"none"``.  One planner is
-    owned by each :class:`~repro.execution.executor.Executor`; per-call
-    ``parallel=`` / ``max_workers=`` arguments override its defaults.
-    Example::
+    ``parallel`` is the mode: ``"auto"`` (capability-driven — the
+    default), ``"process"``, ``"thread"`` or ``"none"``.  The executor
+    builds one planner per dispatch from the resolved
+    :class:`~repro.execution.policy.ExecutionPolicy`.  Example::
 
         planner = ShardPlanner(parallel="auto")
         plan = planner.plan(num_items=64, hints=("process",))
@@ -174,20 +185,14 @@ class ShardPlanner:
 
     def __init__(self, parallel: str = "auto",
                  max_workers: Optional[int] = None):
-        self.parallel = self._validate(parallel)
-        self.max_workers = max_workers
-
-    @staticmethod
-    def _validate(parallel: str) -> str:
         if parallel not in _PARALLEL_MODES:
             raise ExecutionError(
                 f"parallel must be one of {_PARALLEL_MODES}, got {parallel!r}")
-        return parallel
+        self.parallel = parallel
+        self.max_workers = max_workers
 
     def plan(self, num_items: int, hints: Sequence[str] = (),
-             trajectories: int = 0,
-             parallel: Optional[str] = None,
-             max_workers: Optional[int] = None) -> ShardPlan:
+             trajectories: int = 0) -> ShardPlan:
         """The :class:`ShardPlan` for a batch.
 
         ``num_items`` counts independent work units (tasks, slots, sweep
@@ -195,9 +200,8 @@ class ShardPlanner:
         single stochastic unit is internally shardable; ``hints`` are the
         involved backends' ``parallel_hint`` capabilities.
         """
-        mode = self.parallel if parallel is None else self._validate(parallel)
-        workers = resolve_workers(self.max_workers if max_workers is None
-                                  else max_workers)
+        mode = self.parallel
+        workers = resolve_workers(self.max_workers)
         weight = max(int(num_items), int(trajectories))
         if in_worker_process() or workers <= 1 or weight < 2:
             return ShardPlan("none", 1)
@@ -331,17 +335,46 @@ class ShardRetryPolicy:
     backoff_cap: float = 2.0
     timeout: Optional[float] = None
 
+    def __post_init__(self):
+        # A bad budget must fail here, not mid-dispatch once a shard
+        # faults (a str retry count) or as silent degradation (timeout=0
+        # times out every shard).
+        retries = self.max_retries
+        if not (_is_number(retries, numbers.Integral) and retries >= 0):
+            raise ValueError(
+                f"max_retries must be an int >= 0, got {retries!r}")
+        for name in ("backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0):
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if self.timeout is not None and not (_is_number(self.timeout)
+                                             and self.timeout > 0):
+            raise ValueError(
+                f"timeout must be None or > 0, got {self.timeout!r}")
+
     @classmethod
     def from_env(cls) -> "ShardRetryPolicy":
         """Policy with ``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` /
-        ``REPRO_SHARD_BACKOFF`` environment overrides applied."""
-        retries = os.environ.get(SHARD_RETRIES_ENV, "").strip()
-        timeout = os.environ.get(SHARD_TIMEOUT_ENV, "").strip()
-        backoff = os.environ.get(SHARD_BACKOFF_ENV, "").strip()
-        return cls(
-            max_retries=int(retries) if retries else cls.max_retries,
-            backoff_base=float(backoff) if backoff else cls.backoff_base,
-            timeout=float(timeout) if timeout else None)
+        ``REPRO_SHARD_BACKOFF`` environment overrides applied; a bad value
+        is a ``ValueError`` naming its variable."""
+        fields = {"max_retries": (SHARD_RETRIES_ENV, int),
+                  "backoff_base": (SHARD_BACKOFF_ENV, float),
+                  "timeout": (SHARD_TIMEOUT_ENV, float)}
+        values = {}
+        for field_name, (name, kind) in fields.items():
+            value = env_number(name, kind)
+            if value is None:
+                continue
+            try:
+                cls(**{field_name: value})
+            except ValueError as error:
+                raise ValueError(f"{name}: {error}") from None
+            values[field_name] = value
+        return cls(**values)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass

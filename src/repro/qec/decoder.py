@@ -15,6 +15,7 @@ used by practical surface-code decoders.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -122,12 +123,18 @@ def repetition_code_decoder(distance: int,
     1 per step, time-like separation costs ``time_weight`` per round, and a
     defect may terminate on either chain end.
     """
+    # Partials of module-level functions, not closures: the decoder must
+    # pickle into process shards.
+    return MatchingDecoder(
+        distance_fn=functools.partial(_repetition_distance, time_weight),
+        boundary_fn=functools.partial(_repetition_boundary, distance))
 
-    def distance_fn(a: Coordinate, b: Coordinate) -> float:
-        return abs(a[0] - b[0]) + time_weight * abs(a[1] - b[1])
 
-    def boundary_fn(defect: Coordinate) -> float:
-        position = defect[0]
-        return float(min(position + 1, distance - 1 - position))
+def _repetition_distance(time_weight: float, a: Coordinate,
+                         b: Coordinate) -> float:
+    return abs(a[0] - b[0]) + time_weight * abs(a[1] - b[1])
 
-    return MatchingDecoder(distance_fn=distance_fn, boundary_fn=boundary_fn)
+
+def _repetition_boundary(distance: int, defect: Coordinate) -> float:
+    position = defect[0]
+    return float(min(position + 1, distance - 1 - position))

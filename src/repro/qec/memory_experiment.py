@@ -244,21 +244,19 @@ class RepetitionCodeMemory:
         )
 
     def run(self, shots: int = 200, *, executor=None,
-            parallel: Optional[str] = None,
-            max_workers: Optional[int] = None,
+            policy=None,
             use_cache: Optional[bool] = None) -> MemoryExperimentResult:
         """Run ``shots`` through the batched, executor-routed pipeline.
 
         Deterministic per construction seed: failure counts are bitwise
-        identical for any ``max_workers`` / ``parallel`` choice, and seeded
+        identical for any ``policy`` (mode, workers, broker), and seeded
         repeats are served from the executor's expectation cache.
         """
         if shots < 1:
             raise ValueError("need at least one shot")
         graph, decoder = self._graph_and_decoder()
         run = run_memory_sampling(graph, decoder, shots, seed=self._seed,
-                                  executor=executor, parallel=parallel,
-                                  max_workers=max_workers,
+                                  executor=executor, policy=policy,
                                   use_cache=use_cache)
         return self._result(shots, run.failures)
 
@@ -276,8 +274,7 @@ def logical_error_rate_sweep(distances: Sequence[int],
                              rounds: Optional[int] = None,
                              seed: int = 7,
                              executor=None,
-                             parallel: Optional[str] = None,
-                             max_workers: Optional[int] = None,
+                             policy=None,
                              use_cache: Optional[bool] = None
                              ) -> Dict[Tuple[int, float], float]:
     """Empirical logical error rates over a (distance, physical rate) grid.
@@ -299,8 +296,7 @@ def logical_error_rate_sweep(distances: Sequence[int],
             experiment = RepetitionCodeMemory(
                 distance, rounds=rounds, physical_error_rate=rate, seed=child)
             result = experiment.run(shots, executor=executor,
-                                    parallel=parallel,
-                                    max_workers=max_workers,
+                                    policy=policy,
                                     use_cache=use_cache)
             results[(distance, rate)] = result.logical_error_rate
     return results

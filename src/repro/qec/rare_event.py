@@ -692,8 +692,6 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
                             method: str = "stratified",
                             seed: SeedLike = None,
                             executor=None,
-                            parallel: Optional[str] = None,
-                            max_workers: Optional[int] = None,
                             use_cache: Optional[bool] = None,
                             policy=None,
                             tilt: TiltLike = None,
@@ -723,7 +721,7 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     :class:`~repro.execution.broker.ShardBroker`, and seeded runs cache
     their aggregates in the executor's expectation cache (memory + disk
     tiers) under keys that encode none of the fan-out choices.  Results
-    are **bitwise identical** for any ``max_workers``, any
+    are **bitwise identical** for any worker count, any
     inline/thread/process path and any broker: integer counts fold
     exactly, and floating-point aggregates fold with ``math.fsum`` over
     per-block partial sums, whose correctly-rounded total is independent
@@ -735,11 +733,8 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     hit = run.cached(_result_names(spec))
     if hit is not None:
         return _cached_result(hit, spec, run.shots)
-    effective = run.executor._resolve_policy(policy, parallel=parallel,
-                                             max_workers=max_workers)
-
     def sample(units) -> List[Dict]:
-        shards = run.dispatch(effective, _rare_event_blocks, units,
+        shards = run.dispatch(policy, _rare_event_blocks, units,
                               (spec.q,))
         return [block for blocks in shards for block in blocks]
 

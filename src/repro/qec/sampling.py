@@ -29,10 +29,10 @@ by :class:`_SeededRun` for every entry point here and in
 * Shots are partitioned into fixed-size **blocks** of :data:`SHOT_BLOCK`;
   each block is seeded by its own ``SeedSequence.spawn`` child.  Blocks — not
   workers — are the determinism unit, so failure counts are **bitwise
-  identical** for any ``max_workers`` and for the inline/thread/process
+  identical** for any worker count and for the inline/thread/process
   paths (workers only change how blocks are *grouped*).
-* Process shards are planned by the executor's
-  :class:`~repro.execution.sharding.ShardPlanner` and run through
+* Process shards are planned by the executor from the per-call policy
+  (a :class:`~repro.execution.sharding.ShardPlanner`) and run through
   :func:`~repro.execution.sharding.fan_out` and its shard broker; decode
   and decoder diagnostic counters a shard moved in another process are
   folded into the caller's counters exactly once.
@@ -432,18 +432,18 @@ class _SeededRun:
             yield chunk, values
 
     # -- dispatch --------------------------------------------------------
-    def dispatch(self, effective, body: Callable, units: Sequence,
+    def dispatch(self, policy, body: Callable, units: Sequence,
                  extra: tuple = ()) -> List:
         """Run ``body(graph, decoder, *extra, chunk)`` on each chunk of
         ``units`` in one :func:`~repro.execution.sharding.fan_out` under
-        the resolved policy ``effective``; returns each shard's value in
-        unit order and keeps fault reports for :attr:`fault_report`.
+        the per-call ``policy`` (resolved over the executor's); returns
+        each shard's value in unit order and keeps fault reports for
+        :attr:`fault_report`.
         """
         if not units:
             return []
-        plan = self.executor.planner.plan(
-            num_items=len(units), hints=("process",),
-            parallel=effective.parallel, max_workers=effective.max_workers)
+        effective, plan = self.executor._plan(policy, len(units),
+                                              hints=("process",))
         run = fan_out(self.executor, effective, plan, [
             ShardGroup(body, (self.graph, self.decoder) + tuple(extra),
                        units)])
@@ -527,8 +527,6 @@ def _cached_sampling_run(shots: int, hit: Dict[str, float]) -> SamplingRun:
 def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
                         seed: SeedLike = None,
                         executor=None,
-                        parallel: Optional[str] = None,
-                        max_workers: Optional[int] = None,
                         use_cache: Optional[bool] = None,
                         policy=None) -> SamplingRun:
     """Run a batched Monte-Carlo memory experiment over ``graph``.
@@ -541,9 +539,8 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     ``executor`` supplies the shard planner, the expectation cache and the
     stats block (default: the process-wide
     :func:`repro.execution.executor.default_executor`); ``policy`` (an
-    :class:`~repro.execution.policy.ExecutionPolicy`) or the legacy
-    ``parallel`` / ``max_workers`` keywords override its fan-out policy —
-    including the shard broker — for this call.
+    :class:`~repro.execution.policy.ExecutionPolicy`) overrides its
+    fan-out policy — including the shard broker — for this call.
 
     Each shard decodes its blocks in groups bounded by
     :data:`_DECODE_GROUP_BYTES` of packed syndrome rows, so memory stays
@@ -561,9 +558,7 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     hit = run.cached(_MEMORY_COMPONENTS)
     if hit is not None:
         return _cached_sampling_run(run.shots, hit)
-    effective = run.executor._resolve_policy(policy, parallel=parallel,
-                                             max_workers=max_workers)
-    counts = run.dispatch(effective, _memory_blocks,
+    counts = run.dispatch(policy, _memory_blocks,
                           _shot_blocks(run.seed_sequence, shots))
     totals = {name: sum(count[name] for count in counts)
               for name in _MEMORY_COMPONENTS}

@@ -202,8 +202,7 @@ class SurfaceCodeMemory:
             average_defects=total_defects / shots if shots else 0.0)
 
     def run(self, shots: int = 200, *, executor=None,
-            parallel: Optional[str] = None,
-            max_workers: Optional[int] = None,
+            policy=None,
             use_cache: Optional[bool] = None,
             method: str = "direct",
             **rare_event_options) -> MemoryExperimentOutcome:
@@ -228,8 +227,7 @@ class SurfaceCodeMemory:
                     f"{sorted(rare_event_options)}")
             sampled = run_memory_sampling(self._graph, self._decoder, shots,
                                           seed=self._seed, executor=executor,
-                                          parallel=parallel,
-                                          max_workers=max_workers,
+                                          policy=policy,
                                           use_cache=use_cache)
             return self._outcome(shots, sampled.failures,
                                  sampled.total_defects)
@@ -240,7 +238,7 @@ class SurfaceCodeMemory:
         rare = run_rare_event_sampling(
             self._graph, self._decoder, shots,
             method=_RARE_METHODS[method], seed=self._seed,
-            executor=executor, parallel=parallel, max_workers=max_workers,
+            executor=executor, policy=policy,
             use_cache=use_cache, **rare_event_options)
         plain = self._outcome(rare.shots, rare.raw_failures,
                               rare.total_defects)
@@ -275,8 +273,7 @@ def surface_code_memory_experiment(distance: int, physical_error_rate: float,
                                    decoder_factory: Optional[Callable] = None,
                                    seed: SeedLike = 7,
                                    executor=None,
-                                   parallel: Optional[str] = None,
-                                   max_workers: Optional[int] = None,
+                                   policy=None,
                                    use_cache: Optional[bool] = None,
                                    method: str = "direct",
                                    **rare_event_options
@@ -289,9 +286,8 @@ def surface_code_memory_experiment(distance: int, physical_error_rate: float,
     rounds = rounds if rounds is not None else distance
     graph = rotated_surface_code_graph(distance, rounds, physical_error_rate)
     memory = SurfaceCodeMemory(graph, decoder_factory, seed=seed)
-    return memory.run(shots, executor=executor, parallel=parallel,
-                      max_workers=max_workers, use_cache=use_cache,
-                      method=method, **rare_event_options)
+    return memory.run(shots, executor=executor, policy=policy,
+                      use_cache=use_cache, method=method, **rare_event_options)
 
 
 def repetition_code_memory_experiment(distance: int, physical_error_rate: float,
@@ -300,8 +296,7 @@ def repetition_code_memory_experiment(distance: int, physical_error_rate: float,
                                       decoder_factory: Optional[Callable] = None,
                                       seed: SeedLike = 7,
                                       executor=None,
-                                      parallel: Optional[str] = None,
-                                      max_workers: Optional[int] = None,
+                                      policy=None,
                                       use_cache: Optional[bool] = None,
                                       method: str = "direct",
                                       **rare_event_options
@@ -310,9 +305,8 @@ def repetition_code_memory_experiment(distance: int, physical_error_rate: float,
     rounds = rounds if rounds is not None else distance
     graph = repetition_code_graph(distance, rounds, physical_error_rate)
     memory = SurfaceCodeMemory(graph, decoder_factory, seed=seed)
-    return memory.run(shots, executor=executor, parallel=parallel,
-                      max_workers=max_workers, use_cache=use_cache,
-                      method=method, **rare_event_options)
+    return memory.run(shots, executor=executor, policy=policy,
+                      use_cache=use_cache, method=method, **rare_event_options)
 
 
 def decoder_comparison(distance: int, physical_error_rate: float,
@@ -321,8 +315,7 @@ def decoder_comparison(distance: int, physical_error_rate: float,
                        code: str = "rotated_surface",
                        seed: int = 11,
                        executor=None,
-                       parallel: Optional[str] = None,
-                       max_workers: Optional[int] = None,
+                       policy=None,
                        use_cache: Optional[bool] = None
                        ) -> Dict[str, MemoryExperimentOutcome]:
     """Run the same error realizations through several decoders.
@@ -339,8 +332,7 @@ def decoder_comparison(distance: int, physical_error_rate: float,
     for name, factory in decoder_factories.items():
         graph = builder(distance, rounds, physical_error_rate)
         memory = SurfaceCodeMemory(graph, factory, seed=seed)
-        results[name] = memory.run(shots, executor=executor, parallel=parallel,
-                                   max_workers=max_workers,
+        results[name] = memory.run(shots, executor=executor, policy=policy,
                                    use_cache=use_cache)
     return results
 
@@ -352,8 +344,7 @@ def logical_error_rate_curve(distances: Sequence[int],
                              decoder_factory: Optional[Callable] = None,
                              seed: int = 3,
                              executor=None,
-                             parallel: Optional[str] = None,
-                             max_workers: Optional[int] = None,
+                             policy=None,
                              use_cache: Optional[bool] = None,
                              method: str = "direct",
                              **rare_event_options
@@ -379,8 +370,8 @@ def logical_error_rate_curve(distances: Sequence[int],
             child = children[row * len(physical_error_rates) + column]
             graph = builder(distance, distance, error_rate)
             memory = SurfaceCodeMemory(graph, decoder_factory, seed=child)
-            outcome = memory.run(shots, executor=executor, parallel=parallel,
-                                 max_workers=max_workers, use_cache=use_cache,
+            outcome = memory.run(shots, executor=executor, policy=policy,
+                                 use_cache=use_cache,
                                  method=method, **rare_event_options)
             curve[(distance, float(error_rate))] = outcome.logical_error_rate
     return curve

@@ -90,8 +90,6 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                  executor: Optional[Executor] = None,
                  use_cache: bool = True,
                  grouped: bool = True,
-                 parallel: Optional[str] = None,
-                 max_workers: Optional[int] = None,
                  policy=None):
         super().__init__(hamiltonian)
         self.backend = backend
@@ -101,13 +99,9 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         self.trajectories = trajectories
         self.use_cache = use_cache
         self.grouped = grouped
-        # Fan-out policy forwarded to every executor call: ``policy`` is an
-        # ExecutionPolicy (mode, workers, broker, retry in one value); the
-        # legacy ``parallel`` / ``max_workers`` keywords still work and win
-        # over its fields.  None everywhere defers to the executor's own
-        # defaults.
-        self.parallel = parallel
-        self.max_workers = max_workers
+        # Fan-out policy forwarded to every executor call: an
+        # ExecutionPolicy (mode, workers, broker, retry in one value), or
+        # None to defer to the executor's own defaults.
         self.policy = policy
         self._executor = executor
 
@@ -131,12 +125,9 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                 noise_model=self.noise_model, backend=self.backend,
                 trajectories=self.trajectories,
                 include_idle=self.include_idle,
-                use_cache=self.use_cache, parallel=self.parallel,
-                max_workers=self.max_workers, policy=self.policy)[0]
+                use_cache=self.use_cache, policy=self.policy)[0]
         result = executor.run(self._make_task(circuit), backend=self.backend,
                               use_cache=self.use_cache,
-                              parallel=self.parallel,
-                              max_workers=self.max_workers,
                               policy=self.policy)[0]
         return float(result.value)
 
@@ -161,8 +152,7 @@ class BackendEnergyEvaluator(EnergyEvaluator):
             template, values, self.hamiltonian,
             noise_model=self.noise_model, backend=self.backend,
             trajectories=self.trajectories, include_idle=self.include_idle,
-            use_cache=self.use_cache, parallel=self.parallel,
-            max_workers=self.max_workers, policy=self.policy)
+            use_cache=self.use_cache, policy=self.policy)
 
     def evaluate_sweep(self, template: QuantumCircuit,
                        parameter_sets) -> list:
@@ -195,14 +185,12 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                 circuits, self.hamiltonian, noise_model=self.noise_model,
                 backend=self.backend, trajectories=self.trajectories,
                 include_idle=self.include_idle, use_cache=self.use_cache,
-                parallel=self.parallel, max_workers=self.max_workers,
                 policy=self.policy)
         return executor.evaluate_sweep(
             template, parameter_sets, self.hamiltonian,
             noise_model=self.noise_model, backend=self.backend,
             trajectories=self.trajectories, include_idle=self.include_idle,
-            use_cache=self.use_cache, parallel=self.parallel,
-            max_workers=self.max_workers, policy=self.policy)
+            use_cache=self.use_cache, policy=self.policy)
 
     # -- regime presets ------------------------------------------------------
     # Single source of truth for the historical evaluator configurations;

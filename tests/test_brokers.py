@@ -4,9 +4,10 @@ The broker seam keeps one invariant sacred: values are bitwise independent
 of *where* shards run.  That makes every distributed scenario testable by
 exact equality — the suite covers:
 
-* :class:`ExecutionPolicy` — legacy-keyword coercion, resolution order,
-  the single ``from_env`` reader, the wire (payload) form, and the
-  ``max_workers <= 0`` bugfix (ValueError, never a silent clamp);
+* :class:`ExecutionPolicy` — resolution order, the single ``from_env``
+  reader, the wire (payload) form, the ``max_workers <= 0`` bugfix
+  (ValueError, never a silent clamp) and retry-budget validation (a bad
+  value fails at construction, naming its field or variable);
 * :func:`make_broker` — spec resolution (None/"local"/path/"spool:PATH"/
   instance passthrough) and rejection of junk;
 * spool mechanics — atomic claim-by-rename under thread contention,
@@ -40,7 +41,8 @@ from repro.execution import (ExecutionError, ExecutionPolicy, Executor,
                              ShardRetryPolicy, ShardSpec, TransientFault,
                              inject_faults, make_broker, resolve_workers)
 from repro.execution.broker import BROKER_SPOOL_ENV, SpoolLayout
-from repro.execution.sharding import (SHARD_RETRIES_ENV, WORKERS_ENV,
+from repro.execution.sharding import (SHARD_BACKOFF_ENV, SHARD_RETRIES_ENV,
+                                      SHARD_TIMEOUT_ENV, WORKERS_ENV,
                                       ShardPlanner, run_sharded)
 from repro.operators import ising_hamiltonian
 from repro.worker import WorkerAgent
@@ -75,8 +77,8 @@ def _flaky_square(value):
 
 
 def _process_plan(workers, items):
-    return ShardPlanner(max_workers=workers).plan(items, hints=("process",),
-                                                  parallel="process")
+    return ShardPlanner("process", max_workers=workers).plan(
+        items, hints=("process",))
 
 
 def _fast_policy(**overrides):
@@ -152,17 +154,6 @@ def _census(spool):
 
 class TestExecutionPolicy:
 
-    def test_kwargs_win_over_policy(self):
-        base = ExecutionPolicy(parallel="none", max_workers=3)
-        coerced = ExecutionPolicy.coerce(base, parallel="process")
-        assert coerced.parallel == "process"
-        assert coerced.max_workers == 3
-
-    def test_coerce_accepts_payload_dict(self):
-        coerced = ExecutionPolicy.coerce({"parallel": "thread"},
-                                         max_workers=2)
-        assert coerced == ExecutionPolicy(parallel="thread", max_workers=2)
-
     def test_invalid_parallel_mode_rejected(self):
         with pytest.raises(ExecutionError, match="parallel"):
             ExecutionPolicy(parallel="bogus")
@@ -180,14 +171,14 @@ class TestExecutionPolicy:
 
     def test_zero_workers_rejected_everywhere(self):
         with pytest.raises(ValueError, match="max_workers"):
-            Executor(max_workers=0)
+            Executor(policy=ExecutionPolicy(max_workers=0))
         with pytest.raises(ValueError):
             resolve_workers(0)
         template, points, observable = _sweep_fixture(num_qubits=2, points=2)
         with pytest.raises(ValueError, match="max_workers"):
             Executor(use_cache=False).evaluate_sweep(
                 template, points, observable, backend="statevector",
-                max_workers=-1)
+                policy=ExecutionPolicy(max_workers=-1))
 
     def test_from_env_reads_all_knobs(self, monkeypatch, tmp_path):
         monkeypatch.setenv(WORKERS_ENV, "3")
@@ -202,6 +193,39 @@ class TestExecutionPolicy:
         monkeypatch.setenv(WORKERS_ENV, "0")
         with pytest.raises(ValueError, match=WORKERS_ENV):
             ExecutionPolicy.from_env()
+
+    @pytest.mark.parametrize("fields", [
+        {"max_retries": -1}, {"max_retries": "3"}, {"max_retries": 1.5},
+        {"max_retries": True}, {"backoff_base": -0.1}, {"backoff_cap": -1},
+        {"backoff_base": float("nan")}, {"timeout": 0}, {"timeout": -2.0},
+        {"timeout": "5"}])
+    def test_retry_policy_rejects_nonsense(self, fields):
+        # Each of these used to be accepted and then fail mid-dispatch (a
+        # str budget) or degrade every shard silently (timeout=0).
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            ShardRetryPolicy(**fields)
+
+    def test_retry_policy_accepts_boundary_values(self):
+        policy = ShardRetryPolicy(max_retries=0, backoff_base=0,
+                                  backoff_cap=0.0, timeout=0.5)
+        assert policy.max_retries == 0 and policy.timeout == 0.5
+
+    @pytest.mark.parametrize("name, value", [
+        (SHARD_RETRIES_ENV, "-5"), (SHARD_RETRIES_ENV, "two"),
+        (SHARD_BACKOFF_ENV, "-1"), (SHARD_TIMEOUT_ENV, "0"),
+        (WORKERS_ENV, "abc")])
+    def test_from_env_names_the_bad_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            ExecutionPolicy.from_env()
+        if name == WORKERS_ENV:
+            with pytest.raises(ValueError, match=name):
+                resolve_workers(None)
+
+    def test_from_payload_validates_retry(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            ExecutionPolicy.from_payload(
+                {"retry": {"max_retries": "3", "timeout": 0}})
 
     def test_merged_over_precedence(self):
         call = ExecutionPolicy(parallel="process")
@@ -411,10 +435,10 @@ class TestElasticWorkers:
         template, points, observable = _sweep_fixture()
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
-            parallel="none")
+            policy=ExecutionPolicy(parallel="none"))
         pooled = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
-            parallel="process", max_workers=2)
+            policy=ExecutionPolicy(parallel="process", max_workers=2))
         spool = tmp_path / "spool"
         procs = [_spawn_worker(spool, "--idle-exit", "30")
                  for _ in range(2)]
@@ -468,7 +492,7 @@ class TestElasticWorkers:
         template, points, observable = _sweep_fixture()
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
-            parallel="none")
+            policy=ExecutionPolicy(parallel="none"))
         cache_dir = tmp_path / "cache"
         spool = tmp_path / "spool"
         policy = ExecutionPolicy(parallel="process", max_workers=2,

@@ -17,7 +17,7 @@ import pytest
 from repro.ansatz import BlockedAllToAllAnsatz, FullyConnectedAnsatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.core import PQECRegime
-from repro.execution import BackendCapabilityError, Executor
+from repro.execution import BackendCapabilityError, ExecutionPolicy, Executor
 from repro.operators import heisenberg_hamiltonian, ising_hamiltonian
 from repro.simulators.program import program_cache_counters
 from repro.vqe import (BackendEnergyEvaluator, CliffordVQE, GeneticOptimizer,
@@ -88,15 +88,16 @@ def test_energies_identical_across_fanout_modes(template, hamiltonian,
                                                 parallel, workers):
     points = population(template, 40, seed=3)
     inline = sweep(Executor(use_cache=False), template, hamiltonian, points,
-                   parallel="none")
+                   policy=ExecutionPolicy(parallel="none"))
     assert sweep(Executor(use_cache=False), template, hamiltonian, points,
-                 parallel=parallel, max_workers=workers) == inline
+                 policy=ExecutionPolicy(parallel=parallel,
+                                        max_workers=workers)) == inline
 
 
 def test_auto_never_forks(template, hamiltonian):
     executor = Executor(use_cache=False)
     sweep(executor, template, hamiltonian, population(template, 64),
-          parallel="auto", max_workers=4)
+          policy=ExecutionPolicy(parallel="auto", max_workers=4))
     assert executor.stats.process_shards == 0
 
 

@@ -22,7 +22,7 @@ from repro.ansatz import FullyConnectedAnsatz, LinearAnsatz, UCCSDAnsatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.parameters import Parameter
-from repro.execution import Executor
+from repro.execution import ExecutionPolicy, Executor
 from repro.operators import heisenberg_hamiltonian, ising_hamiltonian
 from repro.simulators.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.simulators.kernels import (statevector_term_expectations,
@@ -525,7 +525,9 @@ class TestStackedSweepBind:
         executor = Executor(use_cache=False)
         energies = executor.evaluate_sweep(template, sweep, hamiltonian,
                                            backend="statevector",
-                                           parallel="process", max_workers=2)
+                                           policy=ExecutionPolicy(
+                                               parallel="process",
+                                               max_workers=2))
         assert executor.stats.process_shards == 16
         program = compile_circuit(template)
         coefficients = np.array([float(np.real(coeff))

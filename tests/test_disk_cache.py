@@ -15,7 +15,8 @@ import pickle
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.execution import (DiskExpectationCache, Executor, ExpectationCache,
+from repro.execution import (DiskExpectationCache, ExecutionPolicy, Executor,
+                             ExpectationCache,
                              StabilizerBackend, TieredExpectationCache,
                              noise_token)
 from repro.execution.disk_cache import key_digest
@@ -256,7 +257,7 @@ class TestNoiseTokens:
     def test_equal_content_models_share_cache_entries(self):
         hamiltonian = ising_hamiltonian(3, 1.0)
         circuit = clifford_circuit(3)
-        executor = Executor(parallel="none")
+        executor = Executor(policy=ExecutionPolicy(parallel="none"))
         first = executor.evaluate_observable(
             circuit, hamiltonian, noise_model=cx_noise(),
             backend="pauli_propagation")[0]

@@ -9,7 +9,8 @@ from repro.circuits import QuantumCircuit
 from repro.execution import (Backend, BackendCapabilities,
                              BackendCapabilityError, BackendRegistry,
                              DensityMatrixBackend, ExecutionError,
-                             ExecutionTask, Executor, ExpectationCache,
+                             ExecutionPolicy, ExecutionTask, Executor,
+                             ExpectationCache,
                              MAX_DENSITY_MATRIX_QUBITS,
                              PauliPropagationBackend, RoutingError,
                              StabilizerBackend, StatevectorBackend,
@@ -354,9 +355,9 @@ class TestExecutorDispatch:
             circuits.append(qc)
         tasks = [ExecutionTask(qc, observable=hamiltonian) for qc in circuits]
         sequential = fresh_executor().run(tasks, backend="statevector",
-                                          max_workers=1)
+                                          policy=ExecutionPolicy(max_workers=1))
         threaded = fresh_executor().run(tasks, backend="statevector",
-                                        max_workers=4)
+                                        policy=ExecutionPolicy(max_workers=4))
         assert [r.value for r in threaded] == \
             pytest.approx([r.value for r in sequential])
 

@@ -65,8 +65,8 @@ def _boom(value):
 
 
 def _process_plan(workers, items):
-    return ShardPlanner(max_workers=workers).plan(items, hints=("process",),
-                                                  parallel="process")
+    return ShardPlanner("process", max_workers=workers).plan(
+        items, hints=("process",))
 
 
 def _fast_policy(**overrides):
@@ -299,12 +299,12 @@ class TestExecutorChaos:
         hamiltonian = ising_hamiltonian(4, 1.0)
         clean = Executor(use_cache=False).evaluate_sweep(
             template, points, hamiltonian, backend="statevector",
-            parallel="process", max_workers=2)
+            policy=ExecutionPolicy(parallel="process", max_workers=2))
         executor = Executor(use_cache=False)
         with inject_faults("shard.kill=1/1"):
             chaotic = executor.evaluate_sweep(
                 template, points, hamiltonian, backend="statevector",
-                parallel="process", max_workers=2)
+                policy=ExecutionPolicy(parallel="process", max_workers=2))
         assert np.array_equal(chaotic, clean)
         assert executor.stats.pool_respawns >= 1
         assert executor.stats.shard_retries >= 1
@@ -317,12 +317,15 @@ class TestExecutorChaos:
         clean = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                     seed=321,
                                     executor=Executor(use_cache=False),
-                                    parallel="process", max_workers=2)
+                                    policy=ExecutionPolicy(parallel="process",
+                                                           max_workers=2))
         executor = Executor(use_cache=False)
         with inject_faults("shard.kill=1/1"):
             chaotic = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                           seed=321, executor=executor,
-                                          parallel="process", max_workers=2)
+                                          policy=ExecutionPolicy(
+                                              parallel="process",
+                                              max_workers=2))
         assert (chaotic.failures, chaotic.total_defects) \
             == (clean.failures, clean.total_defects)
         assert chaotic.fault_report is not None
@@ -337,7 +340,7 @@ class TestExecutorChaos:
         clean = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                     seed=321,
                                     executor=Executor(use_cache=False),
-                                    parallel="none")
+                                    policy=ExecutionPolicy(parallel="none"))
         executor = Executor(use_cache=False)
         policy = ExecutionPolicy(parallel="process", max_workers=2,
                                  retry=_fast_policy(max_retries=0))

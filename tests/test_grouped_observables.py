@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.execution import (Backend, BackendCapabilities, ExecutionTask,
-                             Executor, evaluate_observable, term_expectations)
+from repro.execution import (Backend, BackendCapabilities, ExecutionPolicy,
+                             ExecutionTask, Executor, evaluate_observable,
+                             term_expectations)
 from repro.operators.grouping import group_commuting
 from repro.operators.pauli import PauliString, PauliSum
 from repro.simulators.kernels import (density_matrix_term_expectations,
@@ -310,9 +311,11 @@ class TestSingleEvolutionAndCaching:
         circuits = [random_rotation_circuit(4, seed=s)
                     for s in range(10)]
         sequential = Executor().evaluate_observable(
-            circuits, hamiltonian, backend="statevector", max_workers=1)
+            circuits, hamiltonian, backend="statevector",
+            policy=ExecutionPolicy(max_workers=1))
         threaded = Executor().evaluate_observable(
-            circuits, hamiltonian, backend="statevector", max_workers=4)
+            circuits, hamiltonian, backend="statevector",
+            policy=ExecutionPolicy(max_workers=4))
         assert np.allclose(sequential, threaded, atol=1e-12)
 
 

@@ -269,7 +269,8 @@ class TestDeterminism:
             run_rare_event_sampling(graph, MWPMDecoder(graph), 2048,
                                     method=method, seed=71,
                                     executor=_executor(),
-                                    parallel=mode, max_workers=workers)
+                                    policy=ExecutionPolicy(parallel=mode,
+                                                           max_workers=workers))
             for mode, workers in (("none", None), ("thread", 2),
                                   ("process", 2), ("process", 4))]
         first = results[0]

@@ -265,7 +265,8 @@ class TestShardedDeterminism:
         decoder = MWPMDecoder(graph)
         run = run_memory_sampling(graph, decoder, self.SHOTS, seed=321,
                                   executor=Executor(use_cache=False),
-                                  parallel=parallel, max_workers=workers)
+                                  policy=ExecutionPolicy(parallel=parallel,
+                                                         max_workers=workers))
         return run.failures, run.total_defects
 
     def test_failure_counts_identical_across_modes_and_workers(self):
@@ -280,8 +281,9 @@ class TestShardedDeterminism:
         decoder = CliquePredecoder(graph)
         executor = Executor(use_cache=False)
         run_memory_sampling(graph, decoder, self.SHOTS, seed=55,
-                            executor=executor, parallel="process",
-                            max_workers=2)
+                            executor=executor,
+                            policy=ExecutionPolicy(parallel="process",
+                                                   max_workers=2))
         assert executor.stats.process_shards == 2
         # The workers' offload tallies came home across the pickle boundary.
         assert decoder.predecoded_defects + decoder.forwarded_defects > 0
@@ -615,7 +617,8 @@ class TestPackedKernel:
             run = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                       seed=321,
                                       executor=Executor(use_cache=False),
-                                      parallel=parallel, max_workers=workers)
+                                      policy=ExecutionPolicy(parallel=parallel,
+                                                             max_workers=workers))
             return run.failures, run.total_defects
 
         inline = failures("none", 1)
@@ -642,7 +645,7 @@ class TestPackedKernel:
             run = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                       seed=99,
                                       executor=Executor(use_cache=False),
-                                      parallel="none")
+                                      policy=ExecutionPolicy(parallel="none"))
             return (run.failures, run.total_defects), sampling_stats()
 
         one_group, one_stats = sample()
@@ -700,7 +703,8 @@ class TestCacheKeys:
 
     @staticmethod
     def _executor():
-        return Executor(cache=ExpectationCache(), parallel="none")
+        return Executor(cache=ExpectationCache(),
+                        policy=ExecutionPolicy(parallel="none"))
 
     @staticmethod
     def _assert_holds_exactly(executor, keys):

@@ -42,7 +42,7 @@ from repro.service import (JobFailedError, JobRunner, ProtocolError,
                            sweep_payload)
 from repro.service import protocol as protocol_module
 from repro.service import runner as runner_module
-from repro.service.jobs import PreparedJob
+from repro.service.jobs import PreparedJob, prepare_job
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +598,21 @@ class TestServiceEndToEnd:
                 with pytest.raises(ServiceError) as caught:
                     client.submit("qec_memory", {"distance": 3})
                 assert caught.value.status == 400
+                assert client.list_jobs() == []  # nothing persisted
+
+    def test_malformed_retry_policy_rejected_at_submit(self):
+        template, points, observable = sweep_fixture()
+        payload = sweep_payload(
+            template, points, observable,
+            policy={"retry": {"max_retries": "3", "timeout": 0}})
+        with pytest.raises(ProtocolError, match="malformed policy"):
+            prepare_job("sweep", payload)
+        with service() as handle:
+            with ServiceClient(handle.socket_path) as client:
+                with pytest.raises(ServiceError) as caught:
+                    client.submit("sweep", payload)
+                assert caught.value.status == 400
+                assert "max_retries" in str(caught.value)
                 assert client.list_jobs() == []  # nothing persisted
 
     def test_registry_survives_server_restart(self):

@@ -75,21 +75,21 @@ class TestShardPlanner:
         assert plan.mode == "none"
 
     def test_explicit_modes_override_hints(self):
-        assert ShardPlanner(max_workers=4).plan(
-            4, hints=("process",), parallel="process").mode == "process"
-        assert ShardPlanner(max_workers=4).plan(
-            64, hints=("process",), parallel="thread").mode == "thread"
-        assert ShardPlanner(max_workers=4).plan(
-            64, hints=("process",), parallel="none").mode == "none"
+        assert ShardPlanner("process", max_workers=4).plan(
+            4, hints=("process",)).mode == "process"
+        assert ShardPlanner("thread", max_workers=4).plan(
+            64, hints=("process",)).mode == "thread"
+        assert ShardPlanner("none", max_workers=4).plan(
+            64, hints=("process",)).mode == "none"
 
     def test_single_item_never_parallel(self):
-        plan = ShardPlanner(max_workers=4).plan(1, hints=("process",),
-                                                parallel="process")
+        plan = ShardPlanner("process", max_workers=4).plan(
+            1, hints=("process",))
         assert plan.mode == "none"
 
     def test_one_worker_never_parallel(self):
-        plan = ShardPlanner(max_workers=1).plan(64, hints=("process",),
-                                                parallel="process")
+        plan = ShardPlanner("process", max_workers=1).plan(
+            64, hints=("process",))
         assert plan.mode == "none"
 
     def test_invalid_mode_rejected(self):
@@ -150,7 +150,8 @@ class TestDeterminismAcrossWorkersAndModes:
         return executor.evaluate_observable(
             self.circuit, self.hamiltonian, noise_model=self.noise,
             backend=StabilizerBackend(seed=42), trajectories=48,
-            parallel=parallel, max_workers=max_workers)[0]
+            policy=ExecutionPolicy(parallel=parallel,
+                                   max_workers=max_workers))[0]
 
     def test_monte_carlo_bitwise_identical_across_worker_counts(self):
         values = [self._monte_carlo("process", w) for w in (1, 2, 4)]
@@ -168,25 +169,27 @@ class TestDeterminismAcrossWorkersAndModes:
                  for i in range(20)]
         reference = [r.value for r in
                      Executor(use_cache=False).run(
-                         tasks, backend="statevector", parallel="none")]
+                         tasks, backend="statevector",
+                         policy=ExecutionPolicy(parallel="none"))]
         for parallel, workers in (("thread", 4), ("process", 2),
                                   ("process", 4)):
             values = [r.value for r in
                       Executor(use_cache=False).run(
-                          tasks, backend="statevector", parallel=parallel,
-                          max_workers=workers)]
+                          tasks, backend="statevector",
+                          policy=ExecutionPolicy(parallel=parallel,
+                                                 max_workers=workers))]
             assert np.allclose(values, reference, atol=1e-12)
 
     def test_grouped_observable_matches_across_modes(self):
         circuits = [clifford_circuit(5, flips=(i % 5,)) for i in range(20)]
         reference = Executor(use_cache=False).evaluate_observable(
             circuits, self.hamiltonian, backend="statevector",
-            parallel="none")
+            policy=ExecutionPolicy(parallel="none"))
         for parallel, workers in (("thread", 4), ("process", 2),
                                   ("process", 4)):
             values = Executor(use_cache=False).evaluate_observable(
                 circuits, self.hamiltonian, backend="statevector",
-                parallel=parallel, max_workers=workers)
+                policy=ExecutionPolicy(parallel=parallel, max_workers=workers))
             assert np.allclose(values, reference, atol=1e-12)
 
     def test_sweep_matches_across_modes(self):
@@ -196,11 +199,12 @@ class TestDeterminismAcrossWorkersAndModes:
             (24, len(template.ordered_parameters()))).tolist()
         reference = Executor(use_cache=False).evaluate_sweep(
             template, points, self.hamiltonian, backend="statevector",
-            parallel="none")
+            policy=ExecutionPolicy(parallel="none"))
         for workers in (2, 4):
             values = Executor(use_cache=False).evaluate_sweep(
                 template, points, self.hamiltonian, backend="statevector",
-                parallel="process", max_workers=workers)
+                policy=ExecutionPolicy(parallel="process",
+                                       max_workers=workers))
             assert np.allclose(values, reference, atol=1e-12)
 
     def test_thread_sweep_runs_the_inline_batch(self):
@@ -213,11 +217,11 @@ class TestDeterminismAcrossWorkersAndModes:
         hamiltonian = ising_hamiltonian(8)
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, hamiltonian, backend="statevector",
-            parallel="none")
+            policy=ExecutionPolicy(parallel="none"))
         executor = Executor(use_cache=False)
         threaded = executor.evaluate_sweep(
             template, points, hamiltonian, backend="statevector",
-            parallel="thread", max_workers=2)
+            policy=ExecutionPolicy(parallel="thread", max_workers=2))
         assert np.array_equal(threaded, inline)
         assert executor.stats.process_shards == 0
 
@@ -225,10 +229,12 @@ class TestDeterminismAcrossWorkersAndModes:
         circuits = [clifford_circuit(5, flips=(i % 5,)) for i in range(20)]
         reference = Executor(use_cache=False).evaluate_observable(
             circuits, self.hamiltonian, noise_model=self.noise,
-            backend="pauli_propagation", parallel="none")
+            backend="pauli_propagation",
+            policy=ExecutionPolicy(parallel="none"))
         values = Executor(use_cache=False).evaluate_observable(
             circuits, self.hamiltonian, noise_model=self.noise,
-            backend="pauli_propagation", parallel="process", max_workers=4)
+            backend="pauli_propagation",
+            policy=ExecutionPolicy(parallel="process", max_workers=4))
         assert np.allclose(values, reference, atol=1e-12)
 
 
@@ -238,7 +244,8 @@ class TestProcessDispatchBehaviour:
         circuits = [clifford_circuit(4, flips=(i % 4,)) for i in range(8)]
         executor.evaluate_observable(circuits, ising_hamiltonian(4, 1.0),
                                      backend="statevector",
-                                     parallel="process", max_workers=2)
+                                     policy=ExecutionPolicy(parallel="process",
+                                                            max_workers=2))
         assert executor.stats.process_shards >= 2
         assert executor.stats.simulator_invocations == 4  # unique circuits
 
@@ -251,8 +258,9 @@ class TestProcessDispatchBehaviour:
                              (32, len(template.ordered_parameters())))
         executor = Executor(use_cache=False)
         executor.evaluate_sweep(template, points, ising_hamiltonian(5),
-                                backend="statevector", parallel="process",
-                                max_workers=2)
+                                backend="statevector",
+                                policy=ExecutionPolicy(parallel="process",
+                                                       max_workers=2))
         stats = executor.stats
         assert stats.process_shards > 0
         assert (stats.programs_compiled + stats.program_cache_hits
@@ -269,8 +277,9 @@ class TestProcessDispatchBehaviour:
         executor = Executor(use_cache=False)
         compiled, hits = program_cache_counters()
         executor.evaluate_sweep(template, points, ising_hamiltonian(5),
-                                backend="statevector", parallel="process",
-                                max_workers=2)
+                                backend="statevector",
+                                policy=ExecutionPolicy(parallel="process",
+                                                       max_workers=2))
         stats = executor.stats
         assert stats.process_shards > 0
         assert stats.programs_compiled + stats.program_cache_hits > 0
@@ -321,8 +330,9 @@ class TestProcessDispatchBehaviour:
             points = rng.integers(0, 4, (8, width)) * (np.pi / 2)
         executor = Executor(use_cache=False)
         executor.evaluate_sweep(template, points, ising_hamiltonian(4, 1.0),
-                                backend=backend, parallel=parallel,
-                                max_workers=2)
+                                backend=backend,
+                                policy=ExecutionPolicy(parallel=parallel,
+                                                       max_workers=2))
         assert backend.invocations == len(points)
         assert executor.stats.backend_invocations == {engine: len(points)}
         if parallel == "process":
@@ -334,16 +344,17 @@ class TestProcessDispatchBehaviour:
         other = ExecutionTask(clifford_circuit(3, flips=(0,)),
                               observable=ising_hamiltonian(3, 1.0))
         results = Executor(use_cache=False).run(
-            [task, other], backend="statevector", parallel="process",
-            max_workers=2)
+            [task, other], backend="statevector",
+            policy=ExecutionPolicy(parallel="process", max_workers=2))
         assert results[0].task is task  # not a pickled copy
         assert results[1].task is other
 
     def test_sampling_tasks_ride_process_shards(self):
         tasks = [ExecutionTask(clifford_circuit(3), shots=64)
                  for _ in range(4)]
-        results = execute(tasks, backend="statevector", parallel="process",
-                          max_workers=2)
+        results = execute(tasks, backend="statevector",
+                          policy=ExecutionPolicy(parallel="process",
+                                                 max_workers=2))
         for result in results:
             assert sum(result.counts.values()) == 64
 
@@ -370,8 +381,9 @@ class TestProcessDispatchBehaviour:
         tasks = [ExecutionTask(clifford_circuit(4, flips=(i % 4,)), shots=32)
                  for i in range(6)]
         inline = Executor(use_cache=False).run(
-            tasks, backend=StatevectorBackend(seed=5), parallel="none")
+            tasks, backend=StatevectorBackend(seed=5),
+            policy=ExecutionPolicy(parallel="none"))
         sharded = Executor(use_cache=False).run(
-            tasks, backend=StatevectorBackend(seed=5), parallel="process",
-            max_workers=3)
+            tasks, backend=StatevectorBackend(seed=5),
+            policy=ExecutionPolicy(parallel="process", max_workers=3))
         assert [r.counts for r in inline] == [r.counts for r in sharded]
