@@ -3,19 +3,28 @@
 Every benchmark regenerates one table or figure of the paper and prints the
 paper-reported values next to the measured ones.  Set ``REPRO_FULL=1`` to run
 the full-size sweeps (the defaults are trimmed so the whole harness completes
-in a few minutes on a laptop); EXPERIMENTS.md records a full run.
+in a few minutes on a laptop).
 
 Set ``REPRO_RECORD_FIGURES=1`` (the scheduled CI ``figures`` job does) to
 write ``FIGURES_RUN.json`` — one outcome/duration record per figure, table
 and ablation test — which the workflow uploads as the paper-reproduction
 regression artifact.
+
+The speed gates time optimized paths against the reference implementations
+in ``tests/reference/``; ``tests/`` goes on ``sys.path`` here so
+``reference.*`` imports resolve whether pytest runs from the repository
+root or from ``benchmarks/``.
 """
 
 import json
 import os
+import sys
 import time
 
 import pytest
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
 
 FIGURES_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "FIGURES_RUN.json")

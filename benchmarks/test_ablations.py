@@ -14,7 +14,8 @@ from repro.core import (CircuitProfile, NISQRegime, PQECRegime, nisq_fidelity,
                         pqec_fidelity)
 from repro.mitigation import cafqa_initialization
 from repro.operators import ising_hamiltonian
-from repro.qec import (RepetitionCodeMemory, logical_error_rate,
+from repro.qec import (RepetitionMatchingDecoder, logical_error_rate,
+                       repetition_code_memory_experiment,
                        surface_code_memory_experiment)
 from repro.vqe import (VQE, BackendEnergyEvaluator, CobylaOptimizer,
                        NelderMeadOptimizer, SPSAOptimizer)
@@ -64,9 +65,9 @@ def test_ablation_surface_code_model_vs_monte_carlo(benchmark):
         repetition = {}
         surface = {}
         for distance in (3, 5, 7):
-            experiment = RepetitionCodeMemory(distance, physical_error_rate=0.03,
-                                              seed=17)
-            repetition[distance] = experiment.run(shots)
+            repetition[distance] = repetition_code_memory_experiment(
+                distance, 0.03, shots=shots,
+                decoder_factory=RepetitionMatchingDecoder, seed=17)
         for distance in (3, 5):
             surface[distance] = surface_code_memory_experiment(
                 distance, 0.02, rounds=distance, shots=surface_shots, seed=23)

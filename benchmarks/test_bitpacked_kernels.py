@@ -36,12 +36,11 @@ from repro.qec.decoders import MWPMDecoder, UnionFindDecoder
 from repro.qec.decoders.base import _dedup_packed
 from repro.qec.decoders.graph import rotated_surface_code_graph
 from repro.qec.sampling import (packed_syndromes_and_flips,
-                                run_memory_sampling,
-                                run_memory_sampling_reference, sample_errors,
-                                sampling_arrays, stream_memory_sampling,
-                                syndromes_and_flips)
+                                run_memory_sampling, sample_errors,
+                                sampling_arrays, stream_memory_sampling)
 
 from conftest import full_mode, print_table
+from reference.qec import run_memory_sampling_reference, syndromes_and_flips
 
 DISTANCE = 9
 ROUNDS = 9

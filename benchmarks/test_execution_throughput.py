@@ -42,10 +42,10 @@ from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import ExecutionPolicy, ExecutionTask, Executor
 from repro.operators import ising_hamiltonian
 from repro.simulators.kernels import statevector_term_expectations
-from repro.simulators.program import run_interpreted
 from repro.simulators.statevector import StatevectorSimulator
 
 from conftest import full_mode, print_table
+from reference.statevector import run_interpreted
 
 NUM_QUBITS = 12
 SWEEP_POINTS = 24 if full_mode() else 8

@@ -12,9 +12,10 @@ recorded to ``BENCH_pr5.json``:
 * **Worker-count determinism** — a harder workload with plentiful failures
   must produce identical failure counts for inline, thread and process
   execution at 1/2/4 workers.
-* **Warm-cache sweep** — re-running a seeded ``logical_error_rate_sweep``
-  against a fresh executor sharing the persistent cache directory must
-  decode **zero** syndromes (counter-proven via ``sampling_stats``).
+* **Warm-cache sweep** — re-running a seeded repetition-code
+  ``logical_error_rate_curve`` against a fresh executor sharing the
+  persistent cache directory must decode **zero** syndromes
+  (counter-proven via ``sampling_stats``).
 """
 
 import json
@@ -23,12 +24,14 @@ import time
 
 from repro.execution import ExecutionPolicy, Executor
 from repro.qec import (CliquePredecoder, LookupDecoder, MWPMDecoder,
-                       UnionFindDecoder, logical_error_rate_sweep)
+                       RepetitionMatchingDecoder, UnionFindDecoder,
+                       logical_error_rate_curve)
 from repro.qec.decoders.graph import rotated_surface_code_graph
 from repro.qec.sampling import reset_sampling_stats, sampling_stats
 from repro.qec.surface_memory import SurfaceCodeMemory
 
 from conftest import full_mode, print_table
+from reference.qec import run_memory_sampling_reference
 
 DISTANCE = 5
 ROUNDS = 5
@@ -64,9 +67,10 @@ def test_qec_batched_throughput(benchmark):
             batched = batched_memory.run(SHOTS, use_cache=False,
                                          policy=ExecutionPolicy(parallel="none"))
             batched_seconds = time.perf_counter() - start
-            reference_memory = SurfaceCodeMemory(graph, factory, seed=SEED)
+            reference_decoder = factory(graph)
             start = time.perf_counter()
-            reference = reference_memory.run_reference(SHOTS)
+            reference = run_memory_sampling_reference(
+                graph, reference_decoder, SHOTS, seed=SEED)
             reference_seconds = time.perf_counter() - start
             rows[name] = (batched, batched_seconds, reference,
                           reference_seconds)
@@ -92,7 +96,7 @@ def test_qec_batched_throughput(benchmark):
     for name, (batched, _, reference, _) in rows.items():
         assert batched.failures == reference.failures, \
             f"{name}: batched and per-shot reference disagree"
-        assert batched.average_defects == reference.average_defects
+        assert batched.average_defects == reference.total_defects / SHOTS
     assert speedup >= 3.0, f"batched speedup {speedup:.2f}x below the 3x gate"
 
     _RECORD["throughput"] = {
@@ -137,25 +141,26 @@ def test_qec_worker_count_determinism():
 def test_qec_warm_cache_sweep_decodes_nothing(tmp_path):
     """A warm re-run of a seeded sweep performs zero decoder calls."""
     grid = dict(distances=[3, 5], physical_error_rates=[1e-3, 3e-3],
-                shots=1500, seed=SEED)
+                shots=1500, seed=SEED, code="repetition",
+                decoder_factory=RepetitionMatchingDecoder)
     cache_dir = tmp_path / "pr5-cache"
 
     reset_sampling_stats()
     start = time.perf_counter()
-    cold = logical_error_rate_sweep(
+    cold = logical_error_rate_curve(
         executor=Executor(cache_dir=cache_dir), **grid)
     cold_seconds = time.perf_counter() - start
     cold_stats = sampling_stats()
 
     reset_sampling_stats()
     start = time.perf_counter()
-    warm = logical_error_rate_sweep(
+    warm = logical_error_rate_curve(
         executor=Executor(cache_dir=cache_dir), **grid)
     warm_seconds = time.perf_counter() - start
     warm_stats = sampling_stats()
 
     print_table(
-        "warm-cache logical_error_rate_sweep (2 distances x 2 rates, "
+        "warm-cache logical_error_rate_curve (2 distances x 2 rates, "
         "1500 shots/cell)",
         ["pass", "seconds", "syndromes decoded", "shots sampled",
          "cached experiments"],

@@ -9,8 +9,8 @@ on:
 * :mod:`repro.io.qasm` — OpenQASM 2.0 export/import for the circuit IR;
 * :mod:`repro.io.serialization` — JSON round-tripping of circuits, Pauli
   operators and result records;
-* :mod:`repro.io.reports` — markdown experiment tables (the generator behind
-  ``EXPERIMENTS.md``).
+* :mod:`repro.io.reports` — markdown experiment tables comparing paper and
+  measured values.
 """
 
 from .qasm import from_qasm, to_qasm

@@ -1,4 +1,4 @@
-"""Experiment report generation (the machinery behind ``EXPERIMENTS.md``).
+"""Experiment report generation: paper-vs-measured markdown tables.
 
 Every benchmark regenerates one of the paper's tables or figures; an
 :class:`ExperimentRecord` captures what the paper reports, what this

@@ -1,11 +1,13 @@
 """Minimum-weight matching decoding of detector defects.
 
 The paper extracts error-corrected operation fidelities from Stim simulations
-decoded with matching-based decoders.  This module provides the matching
-machinery used by :mod:`repro.qec.memory_experiment`: defects (flipped
-detectors) living on a space–time lattice are paired up with minimum total
-weight, where each defect may alternatively be matched to its nearest code
-boundary.
+decoded with matching-based decoders.  This module provides coordinate
+matching: defects (flipped detectors) living on a space–time lattice are
+paired up with minimum total weight, where each defect may alternatively be
+matched to its nearest code boundary.  :class:`RepetitionMatchingDecoder`
+puts the repetition-code matcher behind the decoding-graph protocol, so
+:class:`~repro.qec.surface_memory.SurfaceCodeMemory` runs it like any other
+decoder.
 
 The implementation reduces minimum-weight perfect matching with boundaries to
 ``networkx.min_weight_matching`` by adding one virtual boundary node per
@@ -20,6 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
+
+from .decoders.base import SyndromeBatchDecoder
+from .decoders.graph import DecodingGraph
 
 Coordinate = Tuple[float, ...]
 
@@ -138,3 +144,74 @@ def _repetition_distance(time_weight: float, a: Coordinate,
 def _repetition_boundary(distance: int, defect: Coordinate) -> float:
     position = defect[0]
     return float(min(position + 1, distance - 1 - position))
+
+
+def matching_correction(distance: int, pairs) -> np.ndarray:
+    """Convert matched defect pairs into per-data-qubit flips.
+
+    ``pairs`` are :class:`MatchedPair` objects whose coordinates are
+    ``(check position, round)``; a boundary match flips the shorter chain to
+    the nearest end, a pair match flips the chain between the two checks.
+    """
+    correction = np.zeros(distance, dtype=np.uint8)
+    for pair in pairs:
+        position_a = int(pair.first[0])
+        if pair.to_boundary:
+            if position_a + 1 <= distance - 1 - position_a:
+                correction[:position_a + 1] ^= 1
+            else:
+                correction[position_a + 1:] ^= 1
+        else:
+            position_b = int(pair.second[0])
+            low, high = sorted((position_a, position_b))
+            correction[low + 1:high + 1] ^= 1
+    return correction
+
+
+@dataclass(frozen=True)
+class MatchingOutcome:
+    """Decode outcome of the repetition matching adapter."""
+
+    flips_logical: bool
+    correction: np.ndarray
+    pairs: tuple
+
+
+class RepetitionMatchingDecoder(SyndromeBatchDecoder):
+    """The classic coordinate matching decoder behind the graph protocol.
+
+    Adapts :func:`repetition_code_decoder` (Manhattan matching on
+    ``(position, round)`` defect coordinates) to the decoding-graph
+    interface, so it plugs into ``decode_batch`` and the batched sampling
+    pipeline next to MWPM, Union-Find, lookup and the clique predecoder.
+    Its verdicts differ from MWPM's on the same repetition graph, so it is
+    a decoder of its own, not a spelling of MWPM.
+    """
+
+    name = "repetition_matching"
+
+    def __init__(self, graph: DecodingGraph, time_weight: float = 1.0):
+        if graph.logical_support != frozenset({0}):
+            raise ValueError("RepetitionMatchingDecoder requires a repetition"
+                             " decoding graph (logical support {0})")
+        self._graph = graph
+        self._time_weight = float(time_weight)
+        self._decoder: MatchingDecoder = repetition_code_decoder(
+            graph.distance, time_weight=self._time_weight)
+
+    @property
+    def decoding_graph(self) -> DecodingGraph:
+        return self._graph
+
+    def cache_token(self) -> tuple:
+        return (self.name, self._time_weight)
+
+    def decode(self, defects: Sequence) -> MatchingOutcome:
+        """Match graph detectors ``(check, round)`` and derive the flips."""
+        coordinates = [(float(check), float(round_index))
+                       for check, round_index in defects]
+        pairs = tuple(self._decoder.decode(coordinates))
+        correction = matching_correction(self._graph.distance, pairs)
+        # Logical support of the repetition graph is data qubit 0.
+        return MatchingOutcome(flips_logical=bool(correction[0]),
+                               correction=correction, pairs=pairs)

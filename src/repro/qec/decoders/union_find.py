@@ -12,6 +12,12 @@ follows the textbook structure:
    the leaves inwards; a leaf carrying a defect adds its edge to the
    correction and hands the defect to its parent.
 
+Every container whose iteration order reaches the spanning forest is
+insertion-ordered, and an odd cluster without a boundary is rooted at its
+first defect in :meth:`DecodingGraph.detector_order`, so a verdict never
+depends on ``PYTHONHASHSEED`` (the boundary node is a string, whose hash
+is salted per process) — spool workers do not inherit the parent's seed.
+
 The output interface matches :class:`repro.qec.decoders.mwpm.MWPMDecoder` so
 the two can be swapped inside the memory experiment and benchmarked head to
 head.
@@ -79,7 +85,9 @@ class UnionFindDecoder(SyndromeBatchDecoder):
                                   else graph.graph.number_of_nodes())
 
     def cache_token(self) -> tuple:
-        return (self.name, int(self._max_growth_steps))
+        # The trailing revision retires cache entries written while verdicts
+        # still depended on the process's string-hash seed.
+        return (self.name, int(self._max_growth_steps), 2)
 
     @property
     def decoding_graph(self) -> DecodingGraph:
@@ -87,7 +95,8 @@ class UnionFindDecoder(SyndromeBatchDecoder):
 
     # -- cluster growth --------------------------------------------------------
     def _grow_clusters(self, defects: Sequence[Detector]
-                       ) -> Tuple[Set[Tuple[object, object]], _DisjointSet]:
+                       ) -> Tuple[Dict[Tuple[object, object], None],
+                                  _DisjointSet]:
         """Grow clusters until each is even-parity or touches the boundary.
 
         The virtual boundary node never joins a cluster (it would incorrectly
@@ -99,7 +108,8 @@ class UnionFindDecoder(SyndromeBatchDecoder):
         defect_set = set(defects)
         for defect in defects:
             clusters.add(defect, is_defect=True, is_boundary=False)
-        erasure: Set[Tuple[object, object]] = set()
+        # Insertion-ordered set: its order fixes the peeling forest.
+        erasure: Dict[Tuple[object, object], None] = {}
 
         for _ in range(self._max_growth_steps):
             active = [node for node in graph.nodes
@@ -114,7 +124,7 @@ class UnionFindDecoder(SyndromeBatchDecoder):
                         continue
                     newly_added.append((node, neighbor))
             for node, neighbor in newly_added:
-                erasure.add((node, neighbor))
+                erasure[(node, neighbor)] = None
                 if neighbor == BOUNDARY:
                     clusters.touches_boundary[clusters.find(node)] = True
                     continue
@@ -124,28 +134,34 @@ class UnionFindDecoder(SyndromeBatchDecoder):
         return erasure, clusters
 
     # -- peeling ----------------------------------------------------------------
-    def _peel_cluster(self, cluster_nodes: Set[object],
+    def _peel_cluster(self, cluster_nodes: Dict[object, None],
                       erasure_graph: nx.Graph,
                       defects: Set[Detector],
                       use_boundary: bool) -> List[DecodingEdge]:
         """Peel one cluster's spanning tree into correction edges."""
-        nodes = set(cluster_nodes)
-        if use_boundary and BOUNDARY in erasure_graph:
-            nodes.add(BOUNDARY)
-        subgraph = erasure_graph.subgraph(
-            node for node in nodes if node in erasure_graph)
-        cluster_defects = cluster_nodes & defects
+        cluster_defects = [node for node in cluster_nodes if node in defects]
         if not cluster_defects:
             return []
+        nodes = dict(cluster_nodes)
+        if use_boundary and BOUNDARY in erasure_graph:
+            nodes[BOUNDARY] = None
+        # An explicit subgraph, not a networkx view: a view iterates its
+        # node filter, a hash-ordered set.
+        subgraph = nx.Graph()
+        subgraph.add_nodes_from(node for node in nodes
+                                if node in erasure_graph)
+        for node in subgraph.nodes:
+            for neighbor, data in erasure_graph.adj[node].items():
+                if neighbor in subgraph:
+                    subgraph.add_edge(node, neighbor, **data)
         if use_boundary and BOUNDARY in subgraph:
             root = BOUNDARY
         else:
-            root = next(iter(cluster_defects))
-        component = nx.node_connected_component(subgraph, root)
-        subgraph = subgraph.subgraph(component)
+            # detector_order() is sorted: its first cluster defect is min().
+            root = min(cluster_defects)
         tree = nx.bfs_tree(subgraph, root)
         order = list(nx.topological_sort(tree))
-        carries_defect = {node: node in cluster_defects for node in subgraph}
+        carries_defect = {node: node in defects for node in tree}
         correction: List[DecodingEdge] = []
         for node in reversed(order):
             if node == root:
@@ -159,7 +175,7 @@ class UnionFindDecoder(SyndromeBatchDecoder):
                     carries_defect[parent] = not carries_defect[parent]
         return correction
 
-    def _peel(self, erasure: Set[Tuple[object, object]],
+    def _peel(self, erasure: Dict[Tuple[object, object], None],
               clusters: _DisjointSet,
               defects: Sequence[Detector]) -> List[DecodingEdge]:
         if not erasure:
@@ -172,11 +188,11 @@ class UnionFindDecoder(SyndromeBatchDecoder):
             erasure_graph.add_edge(node_a, node_b, edge_ref=edge)
         defect_set = set(defects)
         # Group cluster members by their union-find root.
-        members: Dict[object, Set[object]] = {}
+        members: Dict[object, Dict[object, None]] = {}
         for node in list(clusters.defect_parity):
             if not clusters.contains(node):
                 continue
-            members.setdefault(clusters.find(node), set()).add(node)
+            members.setdefault(clusters.find(node), {})[node] = None
         correction: List[DecodingEdge] = []
         for root, nodes in members.items():
             parity_odd = clusters.defect_parity[root] == 1

@@ -13,9 +13,9 @@ experiment is three NumPy operations plus one batched decode:
    logical-mask vector yields every shot's true logical flip the same way.
    :func:`packed_syndromes_and_flips` does this in bit-packed uint64 words
    via a precompiled gather-table plan (:mod:`repro.qec.bitops`) — exact
-   integer mod-2 math at any size.  The float32-GEMM
-   :func:`syndromes_and_flips` is kept only as the dense reference that
-   :func:`run_memory_sampling_reference` and the equivalence tests use.
+   integer mod-2 math at any size.  The dense float32-GEMM kernel it
+   replaced, and a per-shot decode loop over the same samples, are the test
+   suite's references (``tests/reference/qec.py``).
 3. **Batched decode** — the decoder's ``decode_batch``
    (:mod:`repro.qec.decoders.base`) deduplicates shots to unique syndromes
    and decodes each once.  A shard decodes its blocks in groups whose
@@ -99,12 +99,6 @@ class SamplingArrays:
     probabilities: np.ndarray
     incidence: np.ndarray
     logical_mask: np.ndarray
-    # float32 copies drive the dense reference kernel: integer matmuls
-    # bypass BLAS, so its mod-2 reductions run over small-count float32
-    # GEMMs (exact only while detector degrees stay below float32's 2^24
-    # integer ceiling — the limit the packed kernel removes).
-    incidence_f32: np.ndarray
-    logical_mask_f32: np.ndarray
     # Bit-packed kernel state (repro.qec.bitops): the gather-table matmul
     # plan for the fixed incidence matrix and the packed logical mask.
     incidence_plan: Mod2GatherPlan
@@ -145,8 +139,6 @@ def sampling_arrays(graph: DecodingGraph) -> SamplingArrays:
                 incidence[position, index[node]] ^= 1
     arrays = SamplingArrays(probabilities=probabilities, incidence=incidence,
                             logical_mask=logical_mask,
-                            incidence_f32=incidence.astype(np.float32),
-                            logical_mask_f32=logical_mask.astype(np.float32),
                             incidence_plan=Mod2GatherPlan(incidence),
                             logical_mask_words=pack_rows(logical_mask))
     _arrays_cache[graph] = (token, arrays)
@@ -159,25 +151,11 @@ def sample_errors(arrays: SamplingArrays, shots: int,
 
     Row ``i`` of the returned ``(shots, n_edges)`` uint8 matrix is bitwise
     identical to what ``i`` sequential ``rng.random(n_edges)`` draws against
-    the same probabilities would produce — the legacy per-shot sampler and
-    this kernel consume the generator identically.
+    the same probabilities would produce — a per-shot sampler and this
+    kernel consume the generator identically.
     """
     draws = rng.random((int(shots), arrays.num_edges))
     return (draws < arrays.probabilities).view(np.uint8)
-
-
-def syndromes_and_flips(arrays: SamplingArrays, errors: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(syndromes, logical flips)`` of the dense reference kernel.
-
-    The count matmuls run in float32 (BLAS; exact — per-detector counts are
-    bounded by the detector degree) and the ``& 1`` recovers the XOR of
-    incident error edges per detector (and along the logical mask).
-    """
-    errors_f32 = errors.astype(np.float32)
-    syndromes = (errors_f32 @ arrays.incidence_f32).astype(np.uint8) & 1
-    flips = (errors_f32 @ arrays.logical_mask_f32).astype(np.uint8) & 1
-    return syndromes, flips
 
 
 def packed_syndromes_and_flips(arrays: SamplingArrays, errors: np.ndarray
@@ -190,7 +168,7 @@ def packed_syndromes_and_flips(arrays: SamplingArrays, errors: np.ndarray
     ``(shots, packed_words(n_detectors))`` uint64 words, and the logical
     flips from one packed mod-2 matvec against the logical mask.  Exact
     mod-2 arithmetic at any size — no float32 ceiling — and bit-for-bit
-    equal to :func:`syndromes_and_flips` after
+    equal to the dense reference kernel after
     :func:`~repro.qec.bitops.unpack_rows`.
     """
     error_words = pack_rows(errors, arrays.num_edges)
@@ -621,36 +599,3 @@ def stream_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
         yield SamplingRun(shots=done_shots, failures=totals["failures"],
                           total_defects=totals["defects"], from_cache=False)
     run.finish(totals)
-
-
-def run_memory_sampling_reference(graph: DecodingGraph, decoder,
-                                  shots: int, *,
-                                  seed: SeedLike = None) -> SamplingRun:
-    """Per-shot reference implementation of :func:`run_memory_sampling`.
-
-    Draws the *identical* per-block error samples (same ``SeedSequence``
-    children, same Bernoulli matrix) but decodes every shot individually
-    through the decoder's ``decode`` — no deduplication, no batching, no
-    caching.  Failure counts are therefore bitwise identical to the batched
-    path; the throughput benchmark gates the batched speedup against this.
-    """
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    seed_sequence, _ = as_seed_sequence(seed)
-    arrays = sampling_arrays(graph)
-    detectors = graph.detector_order()
-    failures = 0
-    total_defects = 0
-    for seed_child, block_shots in _shot_blocks(seed_sequence, shots):
-        rng = np.random.default_rng(seed_child)
-        errors = sample_errors(arrays, block_shots, rng)
-        syndromes, error_flips = syndromes_and_flips(arrays, errors)
-        for row in range(block_shots):
-            defects = [detectors[column]
-                       for column in np.flatnonzero(syndromes[row])]
-            outcome = decoder.decode(defects)
-            failures += int(bool(outcome.flips_logical)
-                            != bool(error_flips[row]))
-            total_defects += len(defects)
-    return SamplingRun(shots=int(shots), failures=failures,
-                       total_defects=total_defects, from_cache=False)

@@ -9,8 +9,8 @@ provided:
 * an analytic scaling model ``p_L(d, p) = A · (p / p_th)^((d+1)/2)`` per
   logical operation (A and p_th calibrated so that d=11, p=1e-3 gives the
   ≈1e-7 per-operation rates quoted in Sec. 4.4 of the paper), and
-* the empirical Monte-Carlo memory experiment in
-  :mod:`repro.qec.memory_experiment`, which the ablation benchmark compares
+* the empirical Monte-Carlo memory experiments in
+  :mod:`repro.qec.surface_memory`, which the ablation benchmark compares
   against the analytic model.
 """
 

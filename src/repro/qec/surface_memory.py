@@ -17,43 +17,29 @@ experiment routed through the execution layer's shard planner and
 expectation cache.  Because errors, syndromes and corrections are all
 expressed on the same :class:`~repro.qec.decoders.graph.DecodingGraph`, any
 decoder implementing the batch protocol can be plugged in and compared —
-which is what the decoder-ablation benchmark does.  The one-shot-at-a-time
-path survives as :meth:`SurfaceCodeMemory.run_trial` (legacy RNG) and
-:meth:`SurfaceCodeMemory.run_reference` (same seeds and samples as
-:meth:`SurfaceCodeMemory.run`, per-shot decoding — bitwise-identical
-failure counts, used by the equivalence tests and the throughput gate).
+which is what the decoder-ablation benchmark does.  The repetition code is
+one more graph: ``SurfaceCodeMemory(repetition_code_graph(d, rounds, p, q),
+RepetitionMatchingDecoder, seed)`` is the phenomenological repetition-code
+memory experiment with the coordinate matching decoder.  The per-shot
+decode loop over the same samples — bitwise-identical failure counts — is
+the test suite's reference (``tests/reference/qec.py``), used by the
+equivalence tests and the throughput gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decoders.graph import (BOUNDARY, DecodingEdge, DecodingGraph,
-                             repetition_code_graph,
+from .decoders.graph import (DecodingGraph, repetition_code_graph,
                              rotated_surface_code_graph)
 from .decoders.mwpm import MWPMDecoder
 from .rare_event import RareEventResult, run_rare_event_sampling
 from .sampling import (SeedLike, binomial_standard_error,
-                       run_memory_sampling, run_memory_sampling_reference,
-                       wilson_interval)
-
-
-@dataclass(frozen=True)
-class MemoryTrialResult:
-    """One Monte-Carlo shot of the memory experiment."""
-
-    num_error_edges: int
-    num_defects: int
-    decoder_flips_logical: bool
-    error_flips_logical: bool
-
-    @property
-    def logical_failure(self) -> bool:
-        return self.decoder_flips_logical != self.error_flips_logical
+                       run_memory_sampling, wilson_interval)
 
 
 @dataclass
@@ -133,8 +119,6 @@ class SurfaceCodeMemory:
     :meth:`run` executes the batched, executor-routed pipeline and is
     deterministic per construction ``seed`` — identical failure counts for
     any worker count, with seeded runs cached in the execution layer.
-    :meth:`run_reference` replays the *same* samples through per-shot
-    decoding, and :meth:`run_trial` keeps the historical one-off sampler.
     """
 
     def __init__(self, graph: DecodingGraph,
@@ -144,11 +128,10 @@ class SurfaceCodeMemory:
         factory = decoder_factory if decoder_factory is not None else MWPMDecoder
         self._decoder = factory(graph)
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
-        # Pre-compute the sampling probability of every elementary mechanism.
-        self._edges = graph.edges
-        self._probabilities = np.array(
-            [1.0 / (1.0 + math.exp(edge.weight)) for edge in self._edges])
+        # Outcomes report the largest elementary-mechanism probability.
+        self._physical_error_rate = max(
+            (1.0 / (1.0 + math.exp(edge.weight)) for edge in graph.edges),
+            default=0.0)
 
     @property
     def decoder(self):
@@ -158,44 +141,12 @@ class SurfaceCodeMemory:
     def decoding_graph(self) -> DecodingGraph:
         return self._graph
 
-    # -- sampling (legacy per-shot path) ------------------------------------------
-    def sample_error(self) -> List[DecodingEdge]:
-        """Draw one independent-error sample over all elementary mechanisms."""
-        draws = self._rng.random(len(self._edges))
-        return [edge for edge, draw, probability
-                in zip(self._edges, draws, self._probabilities)
-                if draw < probability]
-
-    @staticmethod
-    def syndrome_of(error_edges: Sequence[DecodingEdge]) -> List:
-        """Detectors flipped an odd number of times by the error edges."""
-        counts: Dict[object, int] = {}
-        for edge in error_edges:
-            for node in (edge.node_a, edge.node_b):
-                if node == BOUNDARY:
-                    continue
-                counts[node] = counts.get(node, 0) + 1
-        return [node for node, count in counts.items() if count % 2]
-
-    # -- running -----------------------------------------------------------------
-    def run_trial(self) -> MemoryTrialResult:
-        """One shot through the legacy sampler (consumes this RNG)."""
-        error_edges = self.sample_error()
-        defects = self.syndrome_of(error_edges)
-        outcome = self._decoder.decode(defects)
-        error_flips = self._graph.correction_flips_logical(error_edges)
-        return MemoryTrialResult(
-            num_error_edges=len(error_edges),
-            num_defects=len(defects),
-            decoder_flips_logical=outcome.flips_logical,
-            error_flips_logical=error_flips)
-
     def _outcome(self, shots: int, failures: int,
                  total_defects: int) -> MemoryExperimentOutcome:
         return MemoryExperimentOutcome(
             code=self._graph.name, distance=self._graph.distance,
             rounds=self._graph.rounds,
-            physical_error_rate=float(self._probabilities.max(initial=0.0)),
+            physical_error_rate=self._physical_error_rate,
             shots=shots, failures=failures,
             decoder_name=getattr(self._decoder, "name",
                                  type(self._decoder).__name__),
@@ -248,19 +199,6 @@ class SurfaceCodeMemory:
             shots=plain.shots, failures=plain.failures,
             decoder_name=plain.decoder_name,
             average_defects=plain.average_defects, rare=rare)
-
-    def run_reference(self, shots: int = 200) -> MemoryExperimentOutcome:
-        """Per-shot decoding of the identical samples :meth:`run` draws.
-
-        Bitwise-identical failure counts to :meth:`run`; linear decoder
-        cost.  The throughput benchmark gates the batched speedup against
-        this path.
-        """
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        sampled = run_memory_sampling_reference(self._graph, self._decoder,
-                                                shots, seed=self._seed)
-        return self._outcome(shots, sampled.failures, sampled.total_defects)
 
 
 # ---------------------------------------------------------------------------

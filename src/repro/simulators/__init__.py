@@ -18,9 +18,8 @@ from .noise import (ErrorLocation, NoiseModel, PauliChannel, QuantumChannel,
 from .pauli_propagation import (CliffordProgram, PauliPropagationSimulator,
                                 compile_clifford, expectation_value)
 from .program import (CompiledProgram, compile_circuit, program_cache_counters,
-                      run_batch, run_interpreted)
-from .stabilizer import (DenseStabilizerState, StabilizerSimulator,
-                         StabilizerState)
+                      run_batch)
+from .stabilizer import StabilizerSimulator, StabilizerState
 from .statevector import Statevector, StatevectorSimulator, circuit_unitary
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "PauliChannel",
     "PauliPropagationSimulator",
     "QuantumChannel",
-    "DenseStabilizerState",
     "StabilizerSimulator",
     "StabilizerState",
     "Statevector",
@@ -49,7 +47,6 @@ __all__ = [
     "observable_bit_matrices",
     "program_cache_counters",
     "run_batch",
-    "run_interpreted",
     "statevector_term_expectations",
     "pauli_error_channel",
     "pauli_twirl",

@@ -7,7 +7,9 @@ queries, parameter-shift pairs, genetic populations, VQD levels, classifier
 batches) re-simulates near-identical circuits one at a time.  This module
 lowers a :class:`~repro.circuits.circuit.QuantumCircuit` **once** into a flat
 :class:`CompiledProgram` and executes it — alone or across a whole parameter
-sweep in one NumPy pass:
+sweep in one NumPy pass.  The gate-by-gate loop it replaced is the test
+suite's reference (``tests/reference/statevector.py``), not a second
+execution path:
 
 * **compile** — :func:`compile_circuit` resolves every gate matrix, derives
   tensor axes, fuses adjacent same-qubit unitaries (2×2/4×4 matmuls at
@@ -73,7 +75,6 @@ __all__ = [
     "CompiledProgram",
     "compile_circuit",
     "run_batch",
-    "run_interpreted",
     "clear_program_cache",
     "program_cache_counters",
     "OP_UNITARY",
@@ -1287,39 +1288,3 @@ def _run_stacked(program: CompiledProgram, rows: List[Optional[object]],
             states = _batch_apply_unitary(
                 states, lead.data if data is None else data, lead.qubits, n)
     return states.reshape(batch, dim)
-
-
-# ---------------------------------------------------------------------------
-# Interpreted reference
-# ---------------------------------------------------------------------------
-
-def run_interpreted(circuit: QuantumCircuit,
-                    initial_state: Optional[np.ndarray] = None,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Gate-by-gate statevector execution without compilation.
-
-    The pre-compile hot loop, kept as the correctness reference for the
-    compile layer's equality tests and as the baseline for the
-    compiled-vs-interpreted benchmarks: per instruction it re-resolves the
-    gate matrix and re-derives tensor axes, then applies one generic
-    ``tensordot`` — exactly what :func:`compile_circuit` amortizes away.
-    """
-    n = circuit.num_qubits
-    dim = 1 << n
-    if initial_state is None:
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-    else:
-        state = np.array(initial_state, dtype=complex).ravel()
-    for inst in circuit:
-        if inst.name in ("barrier", "measure"):
-            continue
-        if inst.name == "reset":
-            state = _reset_ket(state, inst.qubits[0],
-                               rng or np.random.default_rng())
-            continue
-        tensor = state.reshape([2] * n)
-        tensor = _apply_unitary_tensor(tensor, inst.gate.matrix(),
-                                       inst.qubits, n)
-        state = tensor.reshape(-1)
-    return state

@@ -5,7 +5,7 @@ This is the from-scratch substitute for Stim used by the paper for
 * Clifford-state ("stabilizer proxy") evaluation of 16–100 qubit VQAs
   (Sec. 5.2.2), and
 * deriving error-corrected operation error rates by simulating surface-code
-  circuits (Sec. 5.2.1) — see :mod:`repro.qec.memory_experiment`.
+  circuits (Sec. 5.2.1) — see :mod:`repro.qec.surface_memory`.
 
 The tableau stores ``2n`` rows (n destabilizers followed by n stabilizers)
 with X/Z bit matrices and a sign bit per row.  Since PR 7 the row bits live
@@ -14,9 +14,9 @@ with X/Z bit matrices and a sign bit per row.  Since PR 7 the row bits live
 column-mask updates, and the rowsum — the measurement hot loop that was a
 per-qubit Python loop — is a handful of word-wise boolean identities whose
 ±i phase tallies come from two popcounts.  The byte-per-bit implementation
-survives as :class:`DenseStabilizerState`, the differential-testing
-reference (``tests/test_properties.py`` holds the two bit-for-bit equal,
-including the measurement draw stream).
+it replaced is the test suite's differential reference
+(``tests/reference/stabilizer.py``; ``tests/test_properties.py`` holds the
+two bit-for-bit equal, including the measurement draw stream).
 
 Supported Clifford gates: H, S, Sdg, SX, SXdg, X, Y, Z, CX, CZ, SWAP, plus
 ``rz``/``rx``/``ry`` at multiples of π/2.  Pauli errors can be injected
@@ -40,11 +40,12 @@ from .noise import NoiseModel, PauliChannel, pauli_twirl
 
 
 class _StabilizerOps:
-    """Clifford conveniences shared by both tableau implementations.
+    """Clifford conveniences derived from a tableau's primitive gates.
 
     Everything here is defined in terms of the primitive gate/measure
-    methods the concrete classes provide, so the packed state and the dense
-    reference cannot drift apart on derived operations.
+    methods a concrete tableau provides, so the packed state and the dense
+    test reference built on this mixin cannot drift apart on derived
+    operations.
     """
 
     def apply_sdg(self, qubit: int) -> None:
@@ -125,7 +126,7 @@ class StabilizerState(_StabilizerOps):
     as the read-only :attr:`x`/:attr:`z` properties (unpacked snapshots) so
     existing row-level callers keep working; mutation goes through the gate
     methods.  Bitwise-identical in behaviour — including every measurement
-    RNG draw — to :class:`DenseStabilizerState`.
+    RNG draw — to the byte-per-bit test reference.
     """
 
     def __init__(self, num_qubits: int):
@@ -343,185 +344,6 @@ class StabilizerState(_StabilizerOps):
         return strings
 
 
-class DenseStabilizerState(_StabilizerOps):
-    """Byte-per-bit CHP tableau: the differential reference implementation.
-
-    The pre-PR-7 implementation, kept verbatim as the oracle the packed
-    :class:`StabilizerState` is property-tested against: same public API,
-    same results, same RNG draw stream (one ``rng.integers(0, 2)`` per
-    random-outcome measurement, nothing on deterministic ones) — only the
-    storage (one byte per tableau bit) and the per-qubit Python rowsum loop
-    differ.
-    """
-
-    def __init__(self, num_qubits: int):
-        if num_qubits < 1:
-            raise ValueError("need at least one qubit")
-        self.num_qubits = int(num_qubits)
-        n = self.num_qubits
-        # Rows 0..n-1: destabilizers (initially X_i); rows n..2n-1: stabilizers (Z_i).
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1
-            self.z[n + i, i] = 1
-
-    # -- helpers ------------------------------------------------------------
-    def copy(self) -> "DenseStabilizerState":
-        new = DenseStabilizerState(self.num_qubits)
-        new.x = self.x.copy()
-        new.z = self.z.copy()
-        new.r = self.r.copy()
-        return new
-
-    @staticmethod
-    def _g(x1, z1, x2, z2) -> int:
-        """Phase exponent contributed when multiplying single-qubit Paulis."""
-        if x1 == 0 and z1 == 0:
-            return 0
-        if x1 == 1 and z1 == 1:  # Y
-            return int(z2) - int(x2)
-        if x1 == 1 and z1 == 0:  # X
-            return int(z2) * (2 * int(x2) - 1)
-        # Z
-        return int(x2) * (1 - 2 * int(z2))
-
-    def _rowsum_into(self, target_x, target_z, target_phase: int,
-                     row: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Multiply an external Pauli row by tableau ``row`` (phase in units of i^2)."""
-        n = self.num_qubits
-        phase = 2 * int(self.r[row]) + target_phase
-        for j in range(n):
-            phase += self._g(int(self.x[row, j]), int(self.z[row, j]),
-                             int(target_x[j]), int(target_z[j]))
-        new_x = target_x ^ self.x[row]
-        new_z = target_z ^ self.z[row]
-        return new_x, new_z, phase % 4
-
-    def _rowsum(self, h: int, i: int) -> None:
-        """Tableau rowsum: row h ← row h · row i (Aaronson–Gottesman)."""
-        new_x, new_z, phase = self._rowsum_into(self.x[h].copy(), self.z[h].copy(),
-                                                2 * int(self.r[h]), i)
-        if phase not in (0, 2):
-            raise RuntimeError("rowsum produced imaginary phase; tableau corrupted")
-        self.r[h] = phase // 2
-        self.x[h] = new_x
-        self.z[h] = new_z
-
-    # -- gate application -----------------------------------------------------
-    def apply_h(self, qubit: int) -> None:
-        xq = self.x[:, qubit].copy()
-        zq = self.z[:, qubit].copy()
-        self.r ^= xq & zq
-        self.x[:, qubit] = zq
-        self.z[:, qubit] = xq
-
-    def apply_s(self, qubit: int) -> None:
-        xq = self.x[:, qubit]
-        zq = self.z[:, qubit]
-        self.r ^= xq & zq
-        self.z[:, qubit] = zq ^ xq
-
-    def apply_x(self, qubit: int) -> None:
-        self.r ^= self.z[:, qubit]
-
-    def apply_z(self, qubit: int) -> None:
-        self.r ^= self.x[:, qubit]
-
-    def apply_y(self, qubit: int) -> None:
-        self.r ^= self.x[:, qubit] ^ self.z[:, qubit]
-
-    def apply_cx(self, control: int, target: int) -> None:
-        xa = self.x[:, control].copy()
-        za = self.z[:, control].copy()
-        xb = self.x[:, target].copy()
-        zb = self.z[:, target].copy()
-        self.r ^= xa & zb & (xb ^ za ^ 1)
-        self.x[:, target] = xb ^ xa
-        self.z[:, control] = za ^ zb
-
-    def apply_swap(self, qubit_a: int, qubit_b: int) -> None:
-        for array in (self.x, self.z):
-            array[:, [qubit_a, qubit_b]] = array[:, [qubit_b, qubit_a]]
-
-    # -- measurement -------------------------------------------------------------
-    def measure(self, qubit: int, rng: Optional[np.random.Generator] = None) -> int:
-        """Measure a qubit in the Z basis, collapsing the state."""
-        rng = rng or np.random.default_rng()
-        n = self.num_qubits
-        # Random outcome iff some stabilizer anticommutes with Z_qubit,
-        # i.e. has an X component on the qubit.
-        candidates = [p for p in range(n, 2 * n) if self.x[p, qubit]]
-        if candidates:
-            p = candidates[0]
-            # Skip row p−n as well as p (it anticommutes with row p, so the
-            # rowsum phase would be imaginary; the row is overwritten with
-            # old row p below).  The pre-PR-7 code rowsummed it and crashed
-            # on valid states — the property harness caught this.
-            for i in range(2 * n):
-                if i != p and i != p - n and self.x[i, qubit]:
-                    self._rowsum(i, p)
-            # Destabilizer p-n ← old stabilizer p; stabilizer p ← ±Z_qubit.
-            self.x[p - n] = self.x[p].copy()
-            self.z[p - n] = self.z[p].copy()
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, qubit] = 1
-            outcome = int(rng.integers(0, 2))
-            self.r[p] = outcome
-            return outcome
-        # Deterministic outcome.
-        scratch_x = np.zeros(n, dtype=np.uint8)
-        scratch_z = np.zeros(n, dtype=np.uint8)
-        phase = 0
-        for i in range(n):
-            if self.x[i, qubit]:
-                scratch_x, scratch_z, phase = self._rowsum_into(
-                    scratch_x, scratch_z, phase, i + n)
-        return int(phase // 2)
-
-    # -- expectation values ---------------------------------------------------------
-    def expectation_pauli(self, pauli: PauliString) -> float:
-        """⟨P⟩ for a Hermitian Pauli operator: exactly -1, 0 or +1."""
-        if pauli.num_qubits != self.num_qubits:
-            raise ValueError("Pauli string size mismatch")
-        if pauli.is_identity():
-            return float(pauli.phase.real)
-        n = self.num_qubits
-        px = pauli.x.astype(np.uint8)
-        pz = pauli.z.astype(np.uint8)
-        # Anticommutes with some stabilizer → expectation 0.
-        anti_stab = ((self.x[n:] & pz[None, :]) ^ (self.z[n:] & px[None, :])).sum(axis=1) % 2
-        if np.any(anti_stab):
-            return 0.0
-        # P equals ± the product of stabilizers indexed by destabilizers that
-        # anticommute with P.
-        anti_destab = ((self.x[:n] & pz[None, :]) ^ (self.z[:n] & px[None, :])).sum(axis=1) % 2
-        scratch_x = np.zeros(n, dtype=np.uint8)
-        scratch_z = np.zeros(n, dtype=np.uint8)
-        phase = 0
-        for i in np.nonzero(anti_destab)[0]:
-            scratch_x, scratch_z, phase = self._rowsum_into(
-                scratch_x, scratch_z, phase, int(i) + n)
-        if not (np.array_equal(scratch_x, px) and np.array_equal(scratch_z, pz)):
-            raise RuntimeError("stabilizer decomposition failed; tableau corrupted")
-        sign = 1.0 if phase == 0 else -1.0
-        # Account for the observable's own phase (must be ±1 for Hermitian P).
-        return sign * float(pauli.phase.real)
-
-    def stabilizer_strings(self) -> List[PauliString]:
-        """The n stabilizer generators as PauliString objects."""
-        n = self.num_qubits
-        strings = []
-        for row in range(n, 2 * n):
-            phase_power = 2 if self.r[row] else 0
-            strings.append(PauliString(self.x[row].copy(), self.z[row].copy(),
-                                       phase_power))
-        return strings
-
-
 class StabilizerSimulator:
     """Executes Clifford circuits on stabilizer states, optionally with Pauli noise.
 
@@ -530,11 +352,6 @@ class StabilizerSimulator:
     :mod:`repro.simulators.pauli_propagation`, which is
     exact for the same noise class and is what the evaluation pipeline uses.
     """
-
-    #: Tableau implementation trajectories run on; the differential test
-    #: harness swaps in :class:`DenseStabilizerState` to replay identical
-    #: instruction+noise streams through the reference implementation.
-    state_class = StabilizerState
 
     def __init__(self, noise_model: Optional[NoiseModel] = None,
                  seed: Optional[int] = None):
@@ -608,7 +425,7 @@ class StabilizerSimulator:
         ensemble's results independent of how trajectories are sharded
         across worker processes.
         """
-        state = self.state_class(circuit.num_qubits)
+        state = StabilizerState(circuit.num_qubits)
         noise = self.noise_model if inject_noise else None
         idle_channel = noise.idle_channel if noise is not None else None
         for layer in circuit.layers():

@@ -21,12 +21,6 @@ classmethod presets pin the paper's historical regimes:
 * pass ``backend="auto"`` to the constructor to route per circuit, or any
   registry name.
 
-The historical classes (:class:`ExactEnergyEvaluator`,
-:class:`DensityMatrixEnergyEvaluator`, :class:`CliffordEnergyEvaluator`,
-:class:`MonteCarloStabilizerEvaluator`) remain as deprecated shims over
-those presets — they emit :class:`DeprecationWarning` and carry migration
-tables in their docstrings.
-
 All evaluators share the ``evaluate(circuit) -> float`` interface and count
 their invocations, which the optimizers report.
 """
@@ -35,12 +29,10 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.transpile import decompose_to_clifford_rz, merge_rz_runs
 from ..execution.backend import Backend
 from ..execution.executor import Executor, default_executor
-from ..execution.task import ExecutionTask
 from ..operators.pauli import PauliSum
 from ..simulators.noise import NoiseModel
 
@@ -69,13 +61,11 @@ class BackendEnergyEvaluator(EnergyEvaluator):
     ``canonicalize`` rewrites the circuit over Clifford+Rz before execution
     (the gate set the regimes' noise models are calibrated against).
 
-    By default (``grouped=True``) each evaluation takes the
-    grouped-observable fast path: the circuit is evolved **once** and every
-    Pauli term of the Hamiltonian is read off the final state, with
-    per-(circuit, term) caching so overlapping Hamiltonians and repeated
-    optimizer queries skip the evolution entirely.  ``grouped=False`` falls
-    back to submitting one whole-observable :class:`ExecutionTask` through
-    :func:`repro.execution.execute`.  Example::
+    Each evaluation takes the grouped-observable path: the circuit is
+    evolved **once** and every Pauli term of the Hamiltonian is read off the
+    final state, with per-(circuit, term) caching so overlapping
+    Hamiltonians and repeated optimizer queries skip the evolution
+    entirely.  Example::
 
         evaluator = BackendEnergyEvaluator(hamiltonian, backend="auto")
         energy = evaluator(ansatz.build().bind_parameters(theta))
@@ -89,7 +79,6 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                  trajectories: Optional[int] = None,
                  executor: Optional[Executor] = None,
                  use_cache: bool = True,
-                 grouped: bool = True,
                  policy=None):
         super().__init__(hamiltonian)
         self.backend = backend
@@ -98,7 +87,6 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         self.include_idle = include_idle
         self.trajectories = trajectories
         self.use_cache = use_cache
-        self.grouped = grouped
         # Fan-out policy forwarded to every executor call: an
         # ExecutionPolicy (mode, workers, broker, retry in one value), or
         # None to defer to the executor's own defaults.
@@ -110,26 +98,14 @@ class BackendEnergyEvaluator(EnergyEvaluator):
             circuit = merge_rz_runs(decompose_to_clifford_rz(circuit))
         return circuit
 
-    def _make_task(self, circuit: QuantumCircuit) -> ExecutionTask:
-        return ExecutionTask(circuit=self._prepare_circuit(circuit),
-                             observable=self.hamiltonian,
-                             noise_model=self.noise_model,
-                             trajectories=self.trajectories,
-                             include_idle=self.include_idle)
-
     def evaluate(self, circuit: QuantumCircuit) -> float:
         executor = self._executor or default_executor()
-        if self.grouped:
-            return executor.evaluate_observable(
-                self._prepare_circuit(circuit), self.hamiltonian,
-                noise_model=self.noise_model, backend=self.backend,
-                trajectories=self.trajectories,
-                include_idle=self.include_idle,
-                use_cache=self.use_cache, policy=self.policy)[0]
-        result = executor.run(self._make_task(circuit), backend=self.backend,
-                              use_cache=self.use_cache,
-                              policy=self.policy)[0]
-        return float(result.value)
+        return executor.evaluate_observable(
+            self._prepare_circuit(circuit), self.hamiltonian,
+            noise_model=self.noise_model, backend=self.backend,
+            trajectories=self.trajectories,
+            include_idle=self.include_idle,
+            use_cache=self.use_cache, policy=self.policy)[0]
 
     def evaluate_point(self, template: QuantumCircuit, values) -> float:
         """⟨H⟩ of ``template`` bound at ``values``: exactly what
@@ -140,10 +116,10 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         statevector evaluation goes through
         :meth:`repro.execution.Executor.evaluate_point`, which serves the
         point from the cached template program with no circuit bound,
-        hashed or compiled; canonicalizing, ungrouped and subclassed
-        evaluators bind the circuit as :meth:`evaluate` expects.
+        hashed or compiled; canonicalizing and subclassed evaluators bind
+        the circuit as :meth:`evaluate` expects.
         """
-        if (self.canonicalize or not self.grouped
+        if (self.canonicalize
                 or type(self).evaluate is not BackendEnergyEvaluator.evaluate):
             return self(template.bind_parameters(list(values)))
         self.num_evaluations += 1
@@ -193,56 +169,18 @@ class BackendEnergyEvaluator(EnergyEvaluator):
             use_cache=self.use_cache, policy=self.policy)
 
     # -- regime presets ------------------------------------------------------
-    # Single source of truth for the historical evaluator configurations;
-    # the legacy classes below are pure shims over these kwargs.
-    @staticmethod
-    def _exact_config(hamiltonian: PauliSum) -> dict:
-        return dict(hamiltonian=hamiltonian, backend="statevector")
-
-    @staticmethod
-    def _density_matrix_config(hamiltonian: PauliSum,
-                               noise_model: Optional[NoiseModel] = None,
-                               canonicalize: bool = True) -> dict:
-        return dict(hamiltonian=hamiltonian, backend="density_matrix",
-                    noise_model=noise_model, canonicalize=canonicalize)
-
-    @staticmethod
-    def _clifford_config(hamiltonian: PauliSum,
-                         noise_model: Optional[NoiseModel] = None,
-                         canonicalize: bool = True,
-                         include_idle: bool = True) -> dict:
-        return dict(hamiltonian=hamiltonian, backend="pauli_propagation",
-                    noise_model=noise_model, canonicalize=canonicalize,
-                    include_idle=include_idle)
-
-    @staticmethod
-    def _stabilizer_config(hamiltonian: PauliSum,
-                           noise_model: Optional[NoiseModel] = None,
-                           trajectories: int = 200,
-                           seed: Optional[int] = None) -> dict:
-        from ..execution.adapters import StabilizerBackend
-        # A seeded ensemble is a deterministic function of the task (per-
-        # trajectory SeedSequence spawning), so its values are cacheable —
-        # including into the persistent disk cache, which is what lets a
-        # warm re-run of a Monte-Carlo workload do zero evolutions.
-        # Unseeded ensembles stay uncached (fresh randomness every call).
-        return dict(hamiltonian=hamiltonian,
-                    backend=StabilizerBackend(seed=seed),
-                    noise_model=noise_model, canonicalize=True,
-                    trajectories=trajectories, use_cache=seed is not None)
-
     @classmethod
     def exact(cls, hamiltonian: PauliSum) -> "BackendEnergyEvaluator":
-        """Noiseless statevector preset (what ``ExactEnergyEvaluator`` pins)."""
-        return cls(**cls._exact_config(hamiltonian))
+        """Noiseless statevector preset."""
+        return cls(hamiltonian, backend="statevector")
 
     @classmethod
     def density_matrix(cls, hamiltonian: PauliSum,
                        noise_model: Optional[NoiseModel] = None,
                        canonicalize: bool = True) -> "BackendEnergyEvaluator":
         """Exact-noisy density-matrix preset (the 8–12 qubit flow)."""
-        return cls(**cls._density_matrix_config(hamiltonian, noise_model,
-                                                canonicalize))
+        return cls(hamiltonian, backend="density_matrix",
+                   noise_model=noise_model, canonicalize=canonicalize)
 
     @classmethod
     def clifford(cls, hamiltonian: PauliSum,
@@ -250,8 +188,9 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                  canonicalize: bool = True,
                  include_idle: bool = True) -> "BackendEnergyEvaluator":
         """Pauli-propagation preset (the 16–100 qubit stabilizer proxy)."""
-        return cls(**cls._clifford_config(hamiltonian, noise_model,
-                                          canonicalize, include_idle))
+        return cls(hamiltonian, backend="pauli_propagation",
+                   noise_model=noise_model, canonicalize=canonicalize,
+                   include_idle=include_idle)
 
     @classmethod
     def monte_carlo_stabilizer(cls, hamiltonian: PauliSum,
@@ -260,5 +199,12 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                                seed: Optional[int] = None
                                ) -> "BackendEnergyEvaluator":
         """Seeded Monte-Carlo stabilizer preset (cross-validation backend)."""
-        return cls(**cls._stabilizer_config(hamiltonian, noise_model,
-                                            trajectories, seed))
+        from ..execution.adapters import StabilizerBackend
+        # A seeded ensemble is a deterministic function of the task (per-
+        # trajectory SeedSequence spawning), so its values are cacheable —
+        # including into the persistent disk cache, which is what lets a
+        # warm re-run of a Monte-Carlo workload do zero evolutions.
+        # Unseeded ensembles stay uncached (fresh randomness every call).
+        return cls(hamiltonian, backend=StabilizerBackend(seed=seed),
+                   noise_model=noise_model, canonicalize=True,
+                   trajectories=trajectories, use_cache=seed is not None)

@@ -34,7 +34,7 @@ from repro.simulators import program as program_module
 from repro.simulators.program import (OP_CHANNEL, OP_DIAG, OP_PERM, OP_RESET,
                                       OP_UNITARY, clear_program_cache,
                                       compile_circuit, program_cache_counters,
-                                      run_batch, run_interpreted)
+                                      run_batch)
 from repro.simulators.statevector import (StatevectorSimulator, Statevector,
                                           circuit_unitary,
                                           counts_from_outcomes)
@@ -44,6 +44,7 @@ from repro.vqe.optimizers import GeneticOptimizer, SPSAOptimizer
 from repro.vqe.runner import VQE
 
 from reference.density_matrix import naive_density_matrix_run
+from reference.statevector import run_interpreted
 
 
 # ---------------------------------------------------------------------------

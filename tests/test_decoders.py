@@ -1,6 +1,8 @@
 """Tests for decoding graphs, decoders and surface-code memory experiments."""
 
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -19,11 +21,13 @@ from repro.qec.decoders import mwpm as mwpm_module
 from repro.qec.decoders.mwpm import MWPMDecoder, clear_matching_tables
 from repro.qec.decoders.predecoder import CliquePredecoder
 from repro.qec.decoders.union_find import UnionFindDecoder
-from repro.qec.sampling import sampling_arrays, syndromes_and_flips
+from repro.qec.sampling import sampling_arrays
 from repro.qec.surface_memory import (SurfaceCodeMemory, decoder_comparison,
                                       logical_error_rate_curve,
                                       repetition_code_memory_experiment,
                                       surface_code_memory_experiment)
+
+from reference.qec import syndromes_and_flips
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +517,32 @@ class TestSurfaceCodeMemory:
         curve = logical_error_rate_curve([3], [1e-3, 5e-2], shots=120,
                                          code="repetition")
         assert curve[(3, 1e-3)] <= curve[(3, 5e-2)] + 0.02
+
+
+_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+_UNION_FIND_CELL = """
+from repro.qec import UnionFindDecoder, surface_code_memory_experiment
+print(surface_code_memory_experiment(
+    5, 0.02, rounds=5, shots=512, seed=5,
+    decoder_factory=UnionFindDecoder, use_cache=False).failures)
+"""
+
+
+def test_union_find_verdicts_ignore_hash_seed():
+    """Spool workers do not inherit the parent's PYTHONHASHSEED, so a
+    union-find verdict must not depend on it: the same seeded cell gives
+    the same failure count at two string-hash seeds (46 against 42 when
+    set iteration order steered the peel)."""
+    env = dict(os.environ, REPRO_WORKERS="1")
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    counts = [subprocess.run([sys.executable, "-c", _UNION_FIND_CELL],
+                             env=dict(env, PYTHONHASHSEED=str(hash_seed)),
+                             capture_output=True, text=True, timeout=300,
+                             check=True).stdout.strip()
+              for hash_seed in (0, 1)]
+    assert len(set(counts)) == 1, counts
 
 
 @settings(max_examples=10, deadline=None)

@@ -14,8 +14,9 @@ import pytest
 
 from repro.execution import (ExecutionError, ExecutionPolicy, Executor,
                              ShardPlanner, resolve_workers)
-from repro.qec.decoders.graph import rotated_surface_code_graph
-from repro.qec.memory_experiment import RepetitionCodeMemory
+from repro.qec.decoder import RepetitionMatchingDecoder
+from repro.qec.decoders.graph import (repetition_code_graph,
+                                      rotated_surface_code_graph)
 from repro.qec.sampling import reset_sampling_stats, sampling_stats
 from repro.qec.surface_memory import SurfaceCodeMemory
 
@@ -42,8 +43,6 @@ FAN_OUT_ENTRY_POINTS = [
     ("repro.qec.sampling", "run_memory_sampling"),
     ("repro.qec.rare_event", "run_rare_event_sampling"),
     ("repro.vqe.energy", "BackendEnergyEvaluator.__init__"),
-    ("repro.qec.memory_experiment", "RepetitionCodeMemory.run"),
-    ("repro.qec.memory_experiment", "logical_error_rate_sweep"),
     ("repro.qec.surface_memory", "SurfaceCodeMemory.run"),
     ("repro.qec.surface_memory", "surface_code_memory_experiment"),
     ("repro.qec.surface_memory", "repetition_code_memory_experiment"),
@@ -126,22 +125,21 @@ class TestMemoryExperimentsHonourPerCallBroker:
                              policy=policy)
         return outcome, sampling_stats()
 
-    def _check(self, make, failures, tmp_path):
+    def _check(self, make, tmp_path):
         inline, _ = self._run(make, ExecutionPolicy(parallel="none"))
         spool = ExecutionPolicy(parallel="process", max_workers=2,
                                 broker=str(tmp_path / "spool"))
         stolen, stats = self._run(make, spool)
-        assert failures(stolen) == failures(inline)
+        assert stolen.failures == inline.failures
         assert stats.shots_decoded == self.SHOTS
         assert stats.process_shards == 2
         assert (tmp_path / "spool" / "results").is_dir()
 
     def test_surface_code_memory(self, tmp_path):
         graph = rotated_surface_code_graph(3, 3, 2e-2)
-        self._check(lambda: SurfaceCodeMemory(graph, seed=5),
-                    lambda outcome: outcome.failures, tmp_path)
+        self._check(lambda: SurfaceCodeMemory(graph, seed=5), tmp_path)
 
     def test_repetition_code_memory(self, tmp_path):
-        self._check(lambda: RepetitionCodeMemory(
-            3, physical_error_rate=5e-2, seed=9),
-            lambda outcome: outcome.logical_failures, tmp_path)
+        graph = repetition_code_graph(3, 3, 5e-2)
+        self._check(lambda: SurfaceCodeMemory(
+            graph, RepetitionMatchingDecoder, seed=9), tmp_path)

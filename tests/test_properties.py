@@ -12,7 +12,7 @@ Contracts covered, one test class per contract family:
   (:mod:`repro.qec.bitops`)
 * packed mod-2 matmul / matvec / gather-plan vs dense integer matmul
 * packed-vs-byte stabilizer tableau evolution, including the measurement
-  RNG draw stream (:class:`StabilizerState` vs :class:`DenseStabilizerState`)
+  RNG draw stream (:class:`StabilizerState` vs the dense reference tableau)
 * ``decode_batch`` vs per-shot ``decode`` — and ``decode_batch_packed`` vs
   ``decode_batch`` — for all five decoder configurations
 * packed vs dense vs streaming Monte-Carlo memory sampling
@@ -53,7 +53,7 @@ from repro.qec.rare_event import (_conditional_include_table,
                                   stratum_probabilities,
                                   tilted_probabilities)
 from repro.qec.sampling import (packed_syndromes_and_flips, sample_errors,
-                                sampling_arrays, syndromes_and_flips)
+                                sampling_arrays)
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.circuits.parameters import ParameterVector
 from repro.circuits.transpile import decompose_to_clifford_rz, merge_rz_runs
@@ -64,14 +64,15 @@ from repro.simulators.noise import (NoiseModel, PauliChannel, QuantumChannel,
                                     two_qubit_tensor_channel)
 from repro.simulators.pauli_propagation import (compile_clifford,
                                                 expectation_value, propagate)
-from repro.simulators.program import (_dm_apply_channel, compile_circuit,
-                                      run_interpreted)
-from repro.simulators.stabilizer import (DenseStabilizerState,
-                                         StabilizerSimulator, StabilizerState)
+from repro.simulators.program import _dm_apply_channel, compile_circuit
+from repro.simulators.stabilizer import StabilizerSimulator, StabilizerState
 from repro.simulators.statevector import StatevectorSimulator
 
 from reference.density_matrix import apply_channel, naive_density_matrix_run
 from reference.pauli_propagation import reference_propagate
+from reference.qec import run_memory_sampling_reference, syndromes_and_flips
+from reference.stabilizer import DenseStabilizerState
+from reference.statevector import run_interpreted
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +586,6 @@ class TestSamplingKernelProperties:
     def test_run_memory_sampling_kernel_equivalence(self, seed, shots):
         from repro.execution.executor import Executor
         from repro.qec.sampling import (run_memory_sampling,
-                                        run_memory_sampling_reference,
                                         stream_memory_sampling)
         graph = repetition_code_graph(3, 2, 0.05)
         executor = Executor(use_cache=False)

@@ -8,12 +8,14 @@ import pytest
 
 from repro.qec import (CultivationFarm, CultivationUnit, FactoryFarm,
                        LogicalOperationErrorModel, MatchingDecoder,
-                       RepetitionCodeMemory, SurfaceCodePatch,
+                       RepetitionMatchingDecoder, SurfaceCodePatch,
                        best_factory_for_budget, get_factory, list_factories,
                        logical_error_rate, manhattan_distance,
                        max_factories_fitting, max_units_fitting,
                        minimum_distance_for_target, patches_fitting_budget,
-                       repetition_code_decoder, sequence_length_for_precision,
+                       repetition_code_decoder,
+                       repetition_code_memory_experiment,
+                       sequence_length_for_precision,
                        synthesis_overhead, synthesize_rz, synthesized_circuit,
                        t_count_for_precision)
 from repro.circuits.gates import rz_matrix
@@ -191,18 +193,23 @@ class TestDecoderAndMemory:
         assert all(pair.to_boundary for pair in pairs)
 
     def test_memory_experiment_logical_rate_decreases_with_distance(self):
-        rate_small = RepetitionCodeMemory(3, physical_error_rate=0.02,
-                                          seed=5).run(300).logical_error_rate
-        rate_large = RepetitionCodeMemory(9, physical_error_rate=0.02,
-                                          seed=5).run(300).logical_error_rate
+        rate_small = repetition_code_memory_experiment(
+            3, 0.02, shots=300, decoder_factory=RepetitionMatchingDecoder,
+            seed=5).logical_error_rate
+        rate_large = repetition_code_memory_experiment(
+            9, 0.02, shots=300, decoder_factory=RepetitionMatchingDecoder,
+            seed=5).logical_error_rate
         assert rate_large <= rate_small
 
     def test_memory_experiment_zero_noise_never_fails(self):
-        result = RepetitionCodeMemory(5, physical_error_rate=0.0,
-                                      measurement_error_rate=0.0, seed=1).run(50)
-        assert result.logical_failures == 0
+        result = repetition_code_memory_experiment(
+            5, 0.0, shots=50, decoder_factory=RepetitionMatchingDecoder,
+            seed=1)
+        assert result.failures == 0
         assert result.logical_error_per_round == 0.0
 
     def test_memory_experiment_heavy_noise_fails_often(self):
-        result = RepetitionCodeMemory(3, physical_error_rate=0.4, seed=2).run(200)
+        result = repetition_code_memory_experiment(
+            3, 0.4, shots=200, decoder_factory=RepetitionMatchingDecoder,
+            seed=2)
         assert result.logical_error_rate > 0.2

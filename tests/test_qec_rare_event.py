@@ -47,8 +47,9 @@ from repro.qec.rare_event import (_allocate_main_shots,
                                   tilt_for_mean_weight,
                                   tilted_probabilities)
 from repro.qec.sampling import (packed_syndromes_and_flips,
-                                run_memory_sampling, sampling_arrays,
-                                syndromes_and_flips)
+                                run_memory_sampling, sampling_arrays)
+
+from reference.qec import syndromes_and_flips
 
 
 def _executor():

@@ -11,7 +11,7 @@ Covers the four refactor layers:
   of failure counts, process-shard counter fold-back, expectation-cache
   keying with warm-cache zero-decode accounting);
 * the consumers (memory experiments batched-vs-reference equality, the
-  collision-free sweep seeding, Wilson intervals on both result classes).
+  collision-free sweep seeding, Wilson intervals on the outcome class).
 """
 
 import dataclasses
@@ -27,12 +27,9 @@ from repro.execution import ExecutionPolicy, ExpectationCache, Executor
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode_stats,
                                 decoder_cache_token)
+from repro.qec.decoder import RepetitionMatchingDecoder
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
-from repro.qec.memory_experiment import (MemoryExperimentResult,
-                                         RepetitionCodeMemory,
-                                         RepetitionMatchingDecoder,
-                                         logical_error_rate_sweep)
 from repro.qec import (run_rare_event_sampling, sampling as sampling_module,
                        stream_rare_event_sampling)
 from repro.qec.bitops import packed_words, unpack_rows
@@ -40,12 +37,15 @@ from repro.qec.sampling import (SHOT_BLOCK, as_seed_sequence,
                                 binomial_standard_error,
                                 packed_syndromes_and_flips,
                                 reset_sampling_stats, run_memory_sampling,
-                                run_memory_sampling_reference, sample_errors,
-                                sampling_arrays, sampling_stats,
-                                stream_memory_sampling,
-                                syndromes_and_flips, wilson_interval)
+                                sample_errors, sampling_arrays,
+                                sampling_stats, stream_memory_sampling,
+                                wilson_interval)
 from repro.qec.surface_memory import (SurfaceCodeMemory,
+                                      logical_error_rate_curve,
                                       surface_code_memory_experiment)
+
+from reference.qec import (run_memory_sampling_reference, sample_error,
+                           syndrome_of, syndromes_and_flips)
 
 
 def _graph_decoder_factories():
@@ -104,10 +104,10 @@ class TestSamplingKernel:
         graph = rotated_surface_code_graph(3, 2, 0.03)
         arrays = sampling_arrays(graph)
         errors = sample_errors(arrays, 20, np.random.default_rng(11))
-        legacy = SurfaceCodeMemory(graph, seed=11)
+        legacy_rng = np.random.default_rng(11)
         for shot in range(20):
             edge_ids = sorted(edge.identifier
-                              for edge in legacy.sample_error())
+                              for edge in sample_error(graph, legacy_rng))
             assert edge_ids == np.flatnonzero(errors[shot]).tolist()
 
     def test_syndrome_matmul_matches_legacy_syndromes(self):
@@ -119,7 +119,7 @@ class TestSamplingKernel:
         edges = graph.edges
         for shot in range(40):
             sample = [edges[e] for e in np.flatnonzero(errors[shot])]
-            expected = set(SurfaceCodeMemory.syndrome_of(sample))
+            expected = set(syndrome_of(sample))
             got = {detectors[c] for c in np.flatnonzero(syndromes[shot])}
             assert got == expected
 
@@ -419,10 +419,10 @@ class TestBatchedMemoryExperiments:
         for name, factory in common.items():
             batched = SurfaceCodeMemory(graph, factory, seed=31).run(
                 300, use_cache=False)
-            reference = SurfaceCodeMemory(graph, factory,
-                                          seed=31).run_reference(300)
+            reference = run_memory_sampling_reference(graph, factory(graph),
+                                                      300, seed=31)
             assert batched.failures == reference.failures, name
-            assert batched.average_defects == reference.average_defects
+            assert batched.average_defects == reference.total_defects / 300
 
     def test_repetition_run_matches_reference_bitwise(self):
         graph = repetition_code_graph(5, 3, 0.03)
@@ -434,24 +434,19 @@ class TestBatchedMemoryExperiments:
         assert batched.failures == reference.failures
 
     def test_repetition_memory_statistics_sane(self):
-        heavy = RepetitionCodeMemory(3, physical_error_rate=0.4,
-                                     seed=2).run(150, use_cache=False)
+        heavy = SurfaceCodeMemory(repetition_code_graph(3, 3, 0.4),
+                                  RepetitionMatchingDecoder,
+                                  seed=2).run(150, use_cache=False)
         assert heavy.logical_error_rate > 0.2
-        clean = RepetitionCodeMemory(5, physical_error_rate=0.0,
-                                     measurement_error_rate=0.0,
-                                     seed=1).run(50, use_cache=False)
-        assert clean.logical_failures == 0
+        clean = SurfaceCodeMemory(repetition_code_graph(5, 5, 0.0, 0.0),
+                                  RepetitionMatchingDecoder,
+                                  seed=1).run(50, use_cache=False)
+        assert clean.failures == 0
 
     def test_repetition_matching_requires_repetition_graph(self):
         graph = rotated_surface_code_graph(3, 1, 1e-3)
         with pytest.raises(ValueError):
             RepetitionMatchingDecoder(graph)
-
-    def test_run_reference_keeps_legacy_per_shot_loop(self):
-        memory = RepetitionCodeMemory(3, physical_error_rate=0.1, seed=3)
-        result = memory.run_reference(40)
-        assert result.shots == 40
-        assert 0 <= result.logical_failures <= 40
 
     def test_plain_decode_only_decoder_still_supported(self):
         """The historical 'any decoder with a decode(defects) method'
@@ -491,24 +486,40 @@ class TestSweepSeeding:
         assert children[0].spawn_key != children[1].spawn_key
 
     def test_sweep_deterministic_and_complete(self):
-        kwargs = dict(shots=120, seed=42, use_cache=False)
-        first = logical_error_rate_sweep([3, 5], [0.003, 0.001], **kwargs)
-        second = logical_error_rate_sweep([3, 5], [0.003, 0.001], **kwargs)
+        kwargs = dict(shots=120, seed=42, use_cache=False, code="repetition",
+                      decoder_factory=RepetitionMatchingDecoder)
+        first = logical_error_rate_curve([3, 5], [0.003, 0.001], **kwargs)
+        second = logical_error_rate_curve([3, 5], [0.003, 0.001], **kwargs)
         assert first == second
         assert set(first) == {(3, 0.003), (3, 0.001), (5, 0.003), (5, 0.001)}
 
     def test_warm_sweep_decodes_nothing(self, tmp_path):
         grid = dict(distances=[3, 5], physical_error_rates=[0.005, 0.02],
-                    shots=150, seed=9)
-        cold = logical_error_rate_sweep(
+                    shots=150, seed=9, code="repetition",
+                    decoder_factory=RepetitionMatchingDecoder)
+        cold = logical_error_rate_curve(
             executor=Executor(cache_dir=tmp_path), **grid)
         reset_sampling_stats()
-        warm = logical_error_rate_sweep(
+        warm = logical_error_rate_curve(
             executor=Executor(cache_dir=tmp_path), **grid)
         stats = sampling_stats()
         assert warm == cold
         assert stats.syndromes_decoded == 0
         assert stats.cached_experiments == 4
+
+    def test_repetition_curve_and_memory_pinned(self):
+        """The repetition-code memory experiment is SurfaceCodeMemory on
+        repetition_code_graph with the coordinate matching decoder: these
+        values were recorded from the dedicated repetition driver and sweep
+        it replaced, which gave the same counts."""
+        curve = logical_error_rate_curve(
+            [3, 5], [0.003, 0.03], shots=500, seed=7, code="repetition",
+            decoder_factory=RepetitionMatchingDecoder, use_cache=False)
+        assert curve == {(3, 0.003): 0.0, (3, 0.03): 0.018,
+                         (5, 0.003): 0.0, (5, 0.03): 0.004}
+        memory = SurfaceCodeMemory(repetition_code_graph(5, 5, 0.06, 0.03),
+                                   RepetitionMatchingDecoder, seed=11)
+        assert memory.run(700, use_cache=False).failures == 23
 
     def test_seed_key_encodings(self):
         _, none_key = as_seed_sequence(None)
@@ -521,7 +532,7 @@ class TestSweepSeeding:
 
     def test_seed_sequence_reuse_is_deterministic(self):
         """A caller's SeedSequence is rebuilt, never spawned from: repeat
-        runs on the same instance (and run vs run_reference) stay bitwise
+        runs on the same instance (and the per-shot reference) stay bitwise
         identical, and a pre-spawned sequence equals a fresh one."""
         graph = rotated_surface_code_graph(3, 2, 0.02)
         shared = np.random.SeedSequence(7)
@@ -529,7 +540,8 @@ class TestSweepSeeding:
         memory = SurfaceCodeMemory(graph, MWPMDecoder, seed=shared)
         first = memory.run(200, use_cache=False)
         second = memory.run(200, use_cache=False)
-        reference = memory.run_reference(200)
+        reference = run_memory_sampling_reference(graph, memory.decoder, 200,
+                                                  seed=shared)
         fresh = SurfaceCodeMemory(
             graph, MWPMDecoder, seed=np.random.SeedSequence(7)).run(
                 200, use_cache=False)
@@ -552,16 +564,12 @@ class TestUncertainty:
             (0.25 * 0.75 / 200) ** 0.5)
         assert binomial_standard_error(0, 0) == 0.0
 
-    def test_both_result_classes_expose_uncertainty(self):
-        result = MemoryExperimentResult(
-            distance=3, rounds=3, physical_error_rate=1e-3,
-            measurement_error_rate=1e-3, shots=200, logical_failures=8)
+    def test_memory_outcome_exposes_uncertainty(self):
         outcome = surface_code_memory_experiment(3, 0.02, rounds=2, shots=80,
                                                  seed=5, use_cache=False)
-        for stats in (result, outcome):
-            assert stats.standard_error > 0
-            low, high = stats.wilson_interval()
-            assert 0.0 <= low <= stats.logical_error_rate <= high <= 1.0
+        assert outcome.standard_error > 0
+        low, high = outcome.wilson_interval()
+        assert 0.0 <= low <= outcome.logical_error_rate <= high <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.operators import PauliString, PauliSum, ising_hamiltonian
-from repro.simulators import (DenseStabilizerState, DensityMatrix,
+from repro.simulators import (DensityMatrix,
                               DensityMatrixSimulator, NoiseModel,
                               PauliChannel, StabilizerSimulator,
                               StabilizerState,
                               Statevector, StatevectorSimulator,
                               depolarizing_channel, expectation_value)
 from repro.simulators.statevector import circuit_unitary
+
+from reference.stabilizer import DenseStabilizerState
 
 
 def bell_circuit():
