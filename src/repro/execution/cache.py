@@ -1,8 +1,12 @@
 """LRU cache for deterministic expectation values.
 
-Keys come from :meth:`repro.execution.task.ExecutionTask.cache_key` — the
-circuit fingerprint, observable fingerprint, noise-model **content**
-fingerprint and backend options.  Every component is content-derived (see
+Keys come in three shapes: whole-observable task keys
+(:meth:`repro.execution.task.ExecutionTask.cache_key` — the circuit
+fingerprint, observable fingerprint, noise-model **content** fingerprint and
+backend options), per-(circuit, Pauli term) keys from the grouped-observable
+engine, and one ``("sweep", template fingerprint, parameter tuple,
+observable fingerprint, engine)`` key per compiled-sweep point holding that
+point's energy.  Every component is content-derived (see
 :func:`repro.execution.task.noise_token`), so equal keys mean equal values
 no matter which objects — or which process — produced them; this is also
 what lets the persistent :mod:`repro.execution.disk_cache` tier reuse the
@@ -82,9 +86,10 @@ class ExpectationCache:
     def get_many(self, keys: Sequence[Tuple]) -> List[Optional[float]]:
         """Cached values for ``keys`` (None per miss), one lock acquisition.
 
-        This is the grouped-observable lookup shape: one key per
-        (circuit, Pauli term) pair, so a Hamiltonian that merely overlaps a
-        previously evaluated one hits term-by-term.
+        The grouped-observable engine asks one key per (circuit, Pauli
+        term) pair, so a Hamiltonian that merely overlaps a previously
+        evaluated one hits term-by-term; a compiled sweep asks one key per
+        point.
         """
         values: List[Optional[float]] = []
         with self._lock:

@@ -46,7 +46,7 @@ from .router import route_sweep, route_task
 from .sharding import (FaultReport, ShardGroup, ShardPlan, ShardPlanner,
                        _clifford_sweep_shard, _run_batch_shard,
                        _sweep_points_shard, fan_out, resolve_workers)
-from .task import ExecutionResult, ExecutionTask
+from .task import ExecutionResult, ExecutionTask, observable_fingerprint
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
 #: (batch size × 2^n).  64M amplitudes ≈ 1 GB per live temporary.
@@ -58,7 +58,8 @@ class ExecutionStats:
     """Aggregate counters for one :class:`Executor` across all calls.
 
     ``grouped_tasks`` counts tasks served by the grouped-observable engine
-    and ``term_cache_hits`` the per-(circuit, term) cache hits it scored;
+    and ``term_cache_hits`` the per-(circuit, term) cache hits it scored
+    (a compiled sweep's cached point counts one per term);
     ``backend_invocations`` counts circuit evolutions either pipeline spent.
     ``programs_compiled`` / ``program_cache_hits`` track the circuit-compile
     layer (:mod:`repro.simulators.program`): how many circuits were lowered
@@ -428,10 +429,11 @@ class Executor:
           point that puts a rotation off a multiple of π/2 raises
           :class:`BackendCapabilityError`.
 
-        Values are cached per ``(template, parameter tuple, term, engine)``
-        — a sweep-specific key space, separate from the grouped engine's
-        per-circuit keys — so repeated points (SPSA ± re-queries, genetic
-        elites) cost a dictionary lookup across sweep calls.  ``"auto"``
+        Energies are cached per ``(template, parameter tuple, observable,
+        engine)`` — one entry per point, in a sweep-specific key space
+        separate from the grouped engine's per-(circuit, term) keys — so
+        repeated points (SPSA ± re-queries, genetic elites) cost a
+        dictionary lookup across sweep calls.  ``"auto"``
         routes every point from the template alone
         (:func:`~repro.execution.router.route_sweep`: the verdict
         :func:`~repro.execution.router.route_task` would give the bound
@@ -579,13 +581,6 @@ class Executor:
                 return engine
         return None
 
-    @staticmethod
-    def _sweep_cache_keys(template_fingerprint: str, point_key: Tuple,
-                          term_keys, engine: str) -> List[Tuple]:
-        """Value-cache keys of one sweep point — no circuit binding needed."""
-        return [("sweep", template_fingerprint, point_key, term_key, engine)
-                for term_key in term_keys]
-
     def _sweep_kernel(self, engine: str, template, fingerprint: str,
                       observable, points):
         """``(shard function, head, planner hint, block cap)`` of one
@@ -625,17 +620,18 @@ class Executor:
         on ``backend``, whose name is the engine and whose ``invocations``
         count the unique points evaluated.
 
-        Cached values are keyed per ``("sweep", template fingerprint,
-        parameter tuple, term, engine)`` — derived without binding a circuit
-        per point, which keeps the repeat-query hot path at dictionary-lookup
-        cost.  Identical uncached points share one evaluation (counted as
-        ``dedup_hits``).  Process sweeps run their uncached points in
-        fixed-size **point blocks** whose size depends only on the engine,
-        the qubit count and the unique-point count — never on the worker
-        count or broker — so pooled and spool-brokered sweeps submit
-        byte-identical shard payloads (a spool's content-named result files
-        stay valid across run shapes, and fine-grained blocks let elastic
-        workers load-balance).  Each block's term values flush through the
+        Each point's energy is cached under one ``("sweep", template
+        fingerprint, parameter tuple, observable fingerprint, engine)`` key —
+        derived without binding a circuit, so a repeat query costs one
+        dictionary lookup per point; ``term_cache_hits`` still counts the
+        terms a hit point covers.  Identical uncached points share one
+        evaluation (counted as ``dedup_hits``).  Process sweeps run their
+        uncached points in fixed-size **point blocks** whose size depends
+        only on the engine, the qubit count and the unique-point count —
+        never on the worker count or broker — so pooled and spool-brokered
+        sweeps submit byte-identical shard payloads (a spool's content-named
+        result files stay valid across run shapes, and fine-grained blocks
+        let elastic workers load-balance).  Each block's energies flush through the
         cache (and its disk tier) **as the block lands**, so a killed
         multi-worker sweep resumes warm: already-flushed points are served
         from cache and recompute nothing.  Inline and thread sweeps run the
@@ -644,78 +640,66 @@ class Executor:
         engine = backend.name
         num_points = len(parameter_sets)
         count_grouped_tasks(self, num_points)
-        term_keys = [pauli.key() for pauli, _ in observable.terms()]
-        values_per_point: List[Optional[np.ndarray]] = [None] * num_points
         point_keys = [tuple(values) for values in parameter_sets]
+        observable_key = observable_fingerprint(observable)
         with track_program_cache(self):
             template_fingerprint = template.fingerprint()
 
-            def cache_keys(point_key: Tuple) -> List[Tuple]:
-                return self._sweep_cache_keys(template_fingerprint,
-                                              point_key, term_keys, engine)
+            def cache_key(point_key: Tuple) -> Tuple:
+                return ("sweep", template_fingerprint, point_key,
+                        observable_key, engine)
 
-            missing: List[int] = []
-            if use_cache:
-                width = len(term_keys)
-                cached = self.cache.get_many([
-                    key for point_key in point_keys
-                    for key in cache_keys(point_key)])
-                for index in range(num_points):
-                    row = cached[index * width:(index + 1) * width]
-                    if all(value is not None for value in row):
-                        values_per_point[index] = np.array(row)
-                    else:
-                        missing.append(index)
-                with self._lock:
-                    self.stats.term_cache_hits += \
-                        (num_points - len(missing)) * width
-            else:
-                missing = list(range(num_points))
+            point_energies: List[Optional[float]] = (
+                self.cache.get_many([cache_key(point_key)
+                                     for point_key in point_keys])
+                if use_cache else [None] * num_points)
+            missing = [index for index, energy in enumerate(point_energies)
+                       if energy is None]
+            with self._lock:
+                self.stats.term_cache_hits += \
+                    (num_points - len(missing)) * observable.num_terms
             if missing:
                 # In-batch dedup: identical sweep points share one evolution.
-                leaders: Dict[Tuple, int] = {}
-                unique: List[int] = []
-                for index in missing:
-                    if point_keys[index] in leaders:
-                        continue
-                    leaders[point_keys[index]] = len(unique)
-                    unique.append(index)
-                points = [parameter_sets[index] for index in unique]
+                points = [list(point) for point in dict.fromkeys(
+                    point_keys[index] for index in missing)]
                 shard, head, hint, block_cap = self._sweep_kernel(
                     engine, template, template_fingerprint, observable,
                     points)
-                effective, plan = self._plan(policy, len(unique),
+                effective, plan = self._plan(policy, len(points),
                                              hints=(hint,))
                 if plan.mode != "process":
                     # Only process sweeps cut point blocks; a thread plan
                     # runs the one inline batch, like an inline plan.
                     plan = ShardPlan("none", 1)
 
+                landed: Dict[Tuple, float] = {}
+
                 def flush_block(block: list, block_values) -> None:
-                    self.cache.put_many(
-                        entry for point, row in zip(block, block_values)
-                        for entry in zip(cache_keys(tuple(point)),
-                                         (float(v) for v in row)))
+                    keys = [tuple(point) for point in block]
+                    values = energies(observable, block_values)
+                    landed.update(zip(keys, values))
+                    if use_cache:
+                        self.cache.put_many(
+                            (cache_key(key), value)
+                            for key, value in zip(keys, values))
 
                 # Each landed block checkpoints through the cache; the /16
                 # keeps ~16 blocks on big sweeps, so elastic workers can
                 # load-balance and checkpoints stay fine-grained.
-                blocks = fan_out(
-                    self, effective, plan, [ShardGroup(shard, head, points)],
-                    block=max(1, min(64, block_cap, -(-len(unique) // 16))),
-                    on_result=flush_block if use_cache else None).values[0]
-                unique_values = (blocks[0] if len(blocks) == 1
-                                 else np.concatenate(blocks, axis=0))
+                fan_out(self, effective, plan,
+                        [ShardGroup(shard, head, points)],
+                        block=max(1, min(64, block_cap,
+                                         -(-len(points) // 16))),
+                        on_result=flush_block)
                 for index in missing:
-                    values_per_point[index] = \
-                        unique_values[leaders[point_keys[index]]]
+                    point_energies[index] = landed[point_keys[index]]
                 # No shard sees the backend: count its evolutions here.
-                backend._count_invocations(len(unique))
+                backend._count_invocations(len(points))
                 with self._lock:
                     counters = self.stats.backend_invocations
-                    counters[engine] = counters.get(engine, 0) + len(unique)
-                    self.stats.dedup_hits += len(missing) - len(unique)
-        return energies(observable, values_per_point)
+                    counters[engine] = counters.get(engine, 0) + len(points)
+                    self.stats.dedup_hits += len(missing) - len(points)
+        return point_energies
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self, wait: bool = True) -> Optional[DiskCacheStats]:

@@ -22,18 +22,18 @@ from .errors import ExecutionError
 def observable_fingerprint(observable: PauliSum) -> str:
     """Stable content hash of a Pauli-sum observable (hex digest).
 
-    Terms are hashed in sorted symplectic-key order, so two observables built
-    term-by-term in different orders still share a fingerprint.
+    Terms are hashed in ``terms()`` order, coefficients included: an energy
+    sums its terms in that order, so a permuted observable can differ in
+    the last ulp and must not share cached energies.  ``PauliSum`` is
+    mutable, so the hash is recomputed on every call.
     """
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(str(observable.num_qubits).encode())
-    entries = sorted(((pauli.key(), complex(coeff))
-                      for pauli, coeff in observable.terms()),
-                     key=lambda entry: entry[0])
-    for (x_bytes, z_bytes), coeff in entries:
+    for pauli, coeff in observable.terms():
+        x_bytes, z_bytes = pauli.key()
         hasher.update(x_bytes)
         hasher.update(z_bytes)
-        hasher.update(repr(coeff).encode())
+        hasher.update(repr(complex(coeff)).encode())
     return hasher.hexdigest()
 
 

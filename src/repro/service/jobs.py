@@ -140,7 +140,8 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
 
     # chunk is part of the key: the engine's batched evaluation is
     # ulp-sensitive to batch shape, so differently-chunked submissions are
-    # different jobs.  policy is NOT: fan-out cannot change values.
+    # different jobs; the observable's term order is too (its fingerprint
+    # follows terms()).  policy is NOT: fan-out cannot change values.
     from ..execution.task import observable_fingerprint
     key = _digest("expectation",
                   tuple(circuit.fingerprint() for circuit in circuits),
@@ -197,7 +198,8 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
 
     # chunk is part of the key: batched sweep evaluation is ulp-sensitive
     # to batch shape, so differently-chunked submissions are different
-    # jobs.  policy is NOT: fan-out cannot change values.
+    # jobs; the observable's term order is too (its fingerprint follows
+    # terms()).  policy is NOT: fan-out cannot change values.
     from ..execution.task import observable_fingerprint
     key = _digest("sweep", template.fingerprint(),
                   tuple(tuple(values) for values in parameter_sets),

@@ -60,6 +60,31 @@ def test_repeated_population_is_served_from_cache(template, hamiltonian):
         == 12 * hamiltonian.num_terms
 
 
+def test_cache_holds_one_energy_per_point(template, hamiltonian):
+    """A sweep caches one energy per point, not one value per term: a
+    repeat scores every term of every point as a hit, and a half-warm sweep
+    evolves only its cold half.  The engine is exact, so values match a
+    cold sweep bitwise."""
+    points = population(template, 16, seed=4)
+    assert len({tuple(point) for point in points}) == len(points)
+    reference = sweep(Executor(use_cache=False), template, hamiltonian,
+                      points)
+    executor = Executor()
+    assert sweep(executor, template, hamiltonian, points[:8]) \
+        == reference[:8]
+    assert len(executor.cache) == 8
+    assert sweep(executor, template, hamiltonian, points) == reference
+    assert executor.stats.backend_invocations == {"pauli_propagation": 16}
+    assert len(executor.cache) == 16
+    hits = executor.stats.term_cache_hits
+    assert hits == 8 * hamiltonian.num_terms
+    assert sweep(executor, template, hamiltonian, points) == reference
+    assert executor.stats.simulator_invocations == 16
+    assert executor.stats.term_cache_hits \
+        == hits + 16 * hamiltonian.num_terms
+    assert len(executor.cache) == 16
+
+
 def test_duplicate_chromosomes_count_as_dedup_hits(template, hamiltonian):
     executor = Executor()
     points = population(template, 5)

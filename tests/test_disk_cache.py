@@ -342,6 +342,8 @@ class TestExecutorDiskCache:
         cold = Executor(cache_dir=tmp_path)
         energies = cold.evaluate_sweep(template, points, hamiltonian,
                                        backend="statevector")
+        # One entry per point, holding its energy.
+        assert cold.disk_cache_stats.writes == len(points)
         warm = Executor(cache_dir=tmp_path)
         assert warm.evaluate_sweep(template, points, hamiltonian,
                                    backend="statevector") == energies

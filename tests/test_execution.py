@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.ansatz import FullyConnectedAnsatz
 from repro.circuits import QuantumCircuit
 from repro.execution import (Backend, BackendCapabilities,
                              BackendCapabilityError, BackendRegistry,
@@ -75,12 +76,16 @@ class TestTask:
         assert task.cache_key("statevector") != task.cache_key("stabilizer")
         assert task.cache_key("stabilizer") != noisy.cache_key("stabilizer")
 
-    def test_observable_fingerprint_order_independent(self):
+    def test_observable_fingerprint_follows_term_order(self):
+        # Energies sum terms in terms() order, so a permutation can move
+        # the last ulp: it is a different observable to every cache key.
         a = PauliSum.from_label_dict({"ZZ": 1.0, "XI": 0.5})
         b = PauliSum.from_label_dict({"XI": 0.5, "ZZ": 1.0})
-        c = PauliSum.from_label_dict({"XI": 0.5, "ZZ": 1.1})
-        assert observable_fingerprint(a) == observable_fingerprint(b)
+        c = PauliSum.from_label_dict({"ZZ": 1.0, "XI": 0.6})
+        assert observable_fingerprint(a) != observable_fingerprint(b)
         assert observable_fingerprint(a) != observable_fingerprint(c)
+        assert observable_fingerprint(a) == observable_fingerprint(
+            PauliSum.from_label_dict({"ZZ": 1.0, "XI": 0.5}))
 
 
 class TestRegistry:
@@ -332,6 +337,26 @@ class TestDedupAndCache:
             circuit, observable=PauliSum.from_label_dict({"XX": 1.0})),
             backend="statevector")[0]
         assert za.value != pytest.approx(xa.value)
+
+    def test_permuted_observable_sweeps_keep_their_own_energies(self):
+        hamiltonian = ising_hamiltonian(4, 1.0)
+        reversed_terms = PauliSum(4, reversed(list(hamiltonian.terms())))
+        template = FullyConnectedAnsatz(4, 1).build()
+        rng = np.random.default_rng(0)
+        points = rng.uniform(-math.pi, math.pi, size=(
+            32, len(template.ordered_parameters()))).tolist()
+
+        def cold(observable):
+            return fresh_executor(use_cache=False).evaluate_sweep(
+                template, points, observable, backend="statevector")
+
+        forward, backward = cold(hamiltonian), cold(reversed_terms)
+        assert forward != backward  # the orders differ in the last ulp
+        shared = fresh_executor()
+        for observable, expected in ((hamiltonian, forward),
+                                     (reversed_terms, backward)):
+            assert shared.evaluate_sweep(template, points, observable,
+                                         backend="statevector") == expected
 
     def test_lru_eviction(self):
         cache = ExpectationCache(max_size=2)

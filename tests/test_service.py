@@ -25,11 +25,14 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.ansatz import FullyConnectedAnsatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.execution import Executor
+from repro.operators import ising_hamiltonian
 from repro.operators.pauli import PauliSum
 from repro.qec import MWPMDecoder, repetition_code_graph
 from repro.qec.sampling import (reset_sampling_stats, run_memory_sampling,
@@ -319,6 +322,53 @@ class TestJobRunner:
         assert not new_deduped and new_id != job_id
         release["c"].set()
         runner.wait_result(new_id, timeout=10)
+
+    def test_permuted_observable_is_not_deduped(self, monkeypatch):
+        """Energies sum terms in order, so the same terms in another order
+        are a different job: each returns its own cold energies."""
+        hamiltonian = ising_hamiltonian(4, 1.0)
+        permuted = PauliSum(4, reversed(list(hamiltonian.terms())))
+        template = FullyConnectedAnsatz(4, 1).build()
+        points = np.random.default_rng(0).uniform(-3, 3, size=(
+            16, len(template.ordered_parameters()))).tolist()
+        with Executor(use_cache=False) as cold:
+            cases = [(observable, cold.evaluate_sweep(template, points,
+                                                      observable))
+                     for observable in (hamiltonian, permuted)]
+        assert cases[0][1] != cases[1][1]
+        release = threading.Event()
+
+        def blocker_or_job(kind, payload):
+            if "block" not in payload:
+                return prepare_job(kind, payload)
+
+            def run(ctx):
+                while not release.wait(0.02):
+                    ctx.checkpoint()
+                return {}
+            return PreparedJob(kind=kind, key=None, units=1, run=run)
+
+        monkeypatch.setattr(runner_module, "prepare_job", blocker_or_job)
+        runner = JobRunner(Executor(), RunRegistry(":memory:"),
+                           TenantQueues(), workers=1)
+        try:
+            # The one worker holds the blocker: the sweeps stay in flight.
+            runner.submit("sweep", {"block": True})
+            jobs = {}
+            for observable, energies in cases:
+                payload = sweep_payload(template, points, observable)
+                job_id, deduped, _ = runner.submit("sweep", payload)
+                assert not deduped
+                assert runner.submit("sweep", payload)[:2] == (job_id, True)
+                jobs[job_id] = energies
+            assert len(jobs) == 2
+            release.set()
+            for job_id, energies in jobs.items():
+                entry = runner.wait_result(job_id, timeout=30)
+                assert entry["result"]["energies"] == energies
+        finally:
+            release.set()
+            runner.shutdown(drain=True, timeout=10)
 
     def test_cancel_running_job(self, stub_runner):
         runner, started, release = stub_runner
