@@ -16,14 +16,21 @@ The cache is what makes optimizer-driven workloads cheap: COBYLA and SPSA
 re-evaluate repeated parameter vectors, VQD re-evaluates each level's best
 circuit, and VarSaw evaluates the same circuit against many observables —
 all of which collapse onto prior entries here.
+
+:func:`cache_tally` counts the lookups made in one context (thread or
+task) apart from the cache-wide counters, so a caller that shares one cache
+with concurrent work — a job server's runner threads — can tell its own
+hits and misses from its neighbours'.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -50,6 +57,34 @@ class CacheStats:
                 f"{self.max_size}, evictions={self.evictions})")
 
 
+_TALLY: "contextvars.ContextVar[Optional[CacheStats]]" = \
+    contextvars.ContextVar("repro_cache_tally", default=None)
+
+
+@contextlib.contextmanager
+def cache_tally() -> Iterator[CacheStats]:
+    """Count the hits and misses of the lookups made in this context.
+
+    Yields a :class:`CacheStats` whose ``hits``/``misses`` grow with every
+    :meth:`ExpectationCache.get`/:meth:`~ExpectationCache.get_many` the
+    current context makes inside the block, on any cache; lookups made by
+    other threads are not counted.
+    """
+    tally = CacheStats()
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
+
+
+def _count(hits: int, misses: int) -> None:
+    tally = _TALLY.get()
+    if tally is not None:
+        tally.hits += hits
+        tally.misses += misses
+
+
 class ExpectationCache:
     """Thread-safe LRU mapping of task cache keys to expectation values."""
 
@@ -69,10 +104,11 @@ class ExpectationCache:
             value = self._entries.get(key)
             if value is None:
                 self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
+            else:
+                self._entries.move_to_end(key)
+                self._hits += 1
+        _count(int(value is not None), int(value is None))
+        return value
 
     def put(self, key: Tuple, value: float) -> None:
         """Store ``value`` under ``key``; refreshes LRU order, may evict."""
@@ -92,16 +128,17 @@ class ExpectationCache:
         point.
         """
         values: List[Optional[float]] = []
+        hits = 0
         with self._lock:
             for key in keys:
                 value = self._entries.get(key)
-                if value is None:
-                    self._misses += 1
-                    values.append(None)
-                else:
+                if value is not None:
                     self._entries.move_to_end(key)
-                    self._hits += 1
-                    values.append(value)
+                    hits += 1
+                values.append(value)
+            self._hits += hits
+            self._misses += len(values) - hits
+        _count(hits, len(values) - hits)
         return values
 
     def put_many(self, items: Iterable[Tuple[Tuple, float]]) -> None:

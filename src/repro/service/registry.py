@@ -12,6 +12,14 @@ Design points:
 * **WAL mode** — writers (worker threads recording partials) never block the
   readers serving status/attach requests, and a crash can only lose the tail
   of the log, never corrupt committed rows.
+* **One transaction per lifecycle step** — :meth:`~RunRegistry.transaction`
+  groups a step's row change and its events into one commit (submit: the
+  row and its ``queued`` event; claim: the claim and its ``running`` event;
+  success: result, ``cache`` event, ``done`` row and event).  Every write
+  method runs inside one, so a call made outside any block still commits
+  on its own; nested blocks join the outermost.
+* **Narrow reads** — :meth:`~RunRegistry.get_job` reads only the columns a
+  caller names, so a state or result read never decodes the payload.
 * **Atomic state transitions** — ``transition()`` is one guarded
   ``UPDATE … WHERE state IN (…)``; the returned row count decides who won a
   race (e.g. a cancel racing the worker that just claimed the job), so
@@ -26,7 +34,7 @@ Design points:
   calls :meth:`~RunRegistry.requeue` (attempts < max_attempts) or
   dead-letters it as ``failed``.  Attempt counts live on the row, so retry
   budgets survive server restarts.
-* **Cache accounting** — per-job expectation-cache hit/miss deltas
+* **Cache accounting** — each job's own expectation-cache hits and misses
   (in-memory L1 + persistent L2) recorded by the runner land on the job row
   and in a ``cache`` event, making the shared
   :class:`~repro.execution.disk_cache.DiskExpectationCache`'s contribution
@@ -35,11 +43,12 @@ Design points:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .protocol import JOB_STATES, TERMINAL_STATES
 
@@ -105,14 +114,17 @@ class RunRegistry:
 
     One connection is shared across the server's threads under a lock —
     SQLite serializes writers anyway, and a single WAL connection keeps the
-    registry free of cross-connection visibility windows.  ``path`` may be
+    registry free of cross-connection visibility windows.  The lock is held
+    for a whole :meth:`transaction`, so no other thread's statement can
+    join (or commit) a half-written step.  ``path`` may be
     ``":memory:"`` (tests) or a filesystem path (production, reattach across
     server restarts).
     """
 
     def __init__(self, path: str = ":memory:"):
         self.path = str(path)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._depth = 0  # open transaction() blocks, under the lock
         self._connection = sqlite3.connect(self.path,
                                            check_same_thread=False)
         self._connection.row_factory = sqlite3.Row
@@ -129,12 +141,34 @@ class RunRegistry:
                         f"ALTER TABLE jobs ADD COLUMN {column} {ddl}")
             self._connection.commit()
 
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run the block's registry writes as one SQLite transaction.
+
+        Re-entrant: the outermost block commits once when it exits and rolls
+        back if it raises; an inner block joins it.  The registry lock is
+        held throughout.
+        """
+        with self._lock:
+            self._depth += 1
+            try:
+                yield
+            except BaseException:
+                if self._depth == 1:
+                    self._connection.rollback()
+                raise
+            else:
+                if self._depth == 1:
+                    self._connection.commit()
+            finally:
+                self._depth -= 1
+
     # -- jobs ---------------------------------------------------------------
     def create_job(self, job_id: str, tenant: str, kind: str,
                    job_key: Optional[str], priority: int,
                    payload: Dict[str, Any], *, max_attempts: int = 1,
                    deadline_seconds: Optional[float] = None) -> None:
-        with self._lock:
+        with self.transaction():
             self._connection.execute(
                 "INSERT INTO jobs (id, tenant, kind, job_key, priority, "
                 "state, payload, created_at, max_attempts, deadline_seconds) "
@@ -144,12 +178,25 @@ class RunRegistry:
                  max(1, int(max_attempts)),
                  None if deadline_seconds is None else
                  float(deadline_seconds)))
-            self._connection.commit()
 
-    def get_job(self, job_id: str) -> Optional[Dict[str, Any]]:
+    def get_job(self, job_id: str, columns: Optional[Sequence[str]] = None
+                ) -> Optional[Dict[str, Any]]:
+        """The job's row (only ``columns``, when given), or None.
+
+        The JSON ``payload`` and ``result`` columns are decoded only when
+        read, so a caller that wants the state never pays for the payload.
+        """
+        if columns is None:
+            selected = "*"
+        else:
+            unknown = set(columns).difference(_JOB_COLUMNS)
+            if unknown:
+                raise RegistryError(f"unknown job columns {sorted(unknown)}")
+            selected = ", ".join(columns)
         with self._lock:
             row = self._connection.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
+                f"SELECT {selected} FROM jobs WHERE id = ?",
+                (job_id,)).fetchone()
         return self._job_dict(row) if row is not None else None
 
     def list_jobs(self, tenant: Optional[str] = None,
@@ -194,11 +241,10 @@ class RunRegistry:
             args.append(time.time())
         args.append(job_id)
         args.extend(from_states)
-        with self._lock:
+        with self.transaction():
             cursor = self._connection.execute(
                 f"UPDATE jobs SET state = ?{stamp} WHERE id = ? AND state "
                 f"IN ({placeholders})", args)
-            self._connection.commit()
         return cursor.rowcount > 0
 
     # -- leases & retries ---------------------------------------------------
@@ -212,30 +258,27 @@ class RunRegistry:
         queued (cancelled, already claimed, …).
         """
         now = time.time()
-        with self._lock:
+        with self.transaction():
             cursor = self._connection.execute(
                 "UPDATE jobs SET state = 'running', attempts = attempts + 1, "
                 "started_at = ?, lease_owner = ?, lease_expires_at = ?, "
                 "next_eligible_at = NULL WHERE id = ? AND state = 'queued'",
                 (now, str(lease_owner), now + float(lease_seconds), job_id))
             if cursor.rowcount == 0:
-                self._connection.commit()
                 return None
             row = self._connection.execute(
                 "SELECT attempts FROM jobs WHERE id = ?", (job_id,)).fetchone()
-            self._connection.commit()
         return int(row["attempts"]) if row is not None else None
 
     def heartbeat(self, job_id: str, lease_owner: str,
                   lease_seconds: float) -> bool:
         """Extend the lease on a running job this owner holds."""
-        with self._lock:
+        with self.transaction():
             cursor = self._connection.execute(
                 "UPDATE jobs SET lease_expires_at = ? WHERE id = ? AND "
                 "state = 'running' AND lease_owner = ?",
                 (time.time() + float(lease_seconds), job_id,
                  str(lease_owner)))
-            self._connection.commit()
         return cursor.rowcount > 0
 
     def requeue(self, job_id: str, next_eligible_at: Optional[float] = None,
@@ -251,13 +294,12 @@ class RunRegistry:
         if not from_states:
             return False
         placeholders = ",".join("?" for _ in from_states)
-        with self._lock:
+        with self.transaction():
             cursor = self._connection.execute(
                 f"UPDATE jobs SET state = 'queued', lease_owner = NULL, "
                 f"lease_expires_at = NULL, next_eligible_at = ? "
                 f"WHERE id = ? AND state IN ({placeholders})",
                 [next_eligible_at, job_id] + list(from_states))
-            self._connection.commit()
         return cursor.rowcount > 0
 
     def expired_running(self, now: Optional[float] = None
@@ -286,26 +328,24 @@ class RunRegistry:
 
     def record_result(self, job_id: str, result: Dict[str, Any],
                       cache_hits: int = 0, cache_misses: int = 0) -> None:
-        with self._lock:
+        with self.transaction():
             self._connection.execute(
                 "UPDATE jobs SET result = ?, cache_hits = ?, "
                 "cache_misses = ? WHERE id = ?",
                 (json.dumps(result, sort_keys=True), int(cache_hits),
                  int(cache_misses), job_id))
-            self._connection.commit()
 
     def record_error(self, job_id: str, error: str) -> None:
-        with self._lock:
+        with self.transaction():
             self._connection.execute(
                 "UPDATE jobs SET error = ? WHERE id = ?",
                 (str(error), job_id))
-            self._connection.commit()
 
     # -- events -------------------------------------------------------------
     def append_event(self, job_id: str, kind: str,
                      data: Dict[str, Any]) -> int:
         """Persist one event; returns its per-job ``seq`` (1-based)."""
-        with self._lock:
+        with self.transaction():
             row = self._connection.execute(
                 "SELECT COALESCE(MAX(seq), 0) AS top FROM events "
                 "WHERE job_id = ?", (job_id,)).fetchone()
@@ -315,7 +355,6 @@ class RunRegistry:
                 "VALUES (?,?,?,?,?)",
                 (job_id, seq, time.time(), kind,
                  json.dumps(data, sort_keys=True)))
-            self._connection.commit()
         return seq
 
     def events_since(self, job_id: str,
@@ -346,8 +385,8 @@ class RunRegistry:
     # -- helpers ------------------------------------------------------------
     @staticmethod
     def _job_dict(row: sqlite3.Row) -> Dict[str, Any]:
-        entry = {column: row[column] for column in _JOB_COLUMNS}
-        entry["payload"] = json.loads(entry["payload"])
-        if entry["result"] is not None:
-            entry["result"] = json.loads(entry["result"])
+        entry = dict(zip(row.keys(), row))
+        for column in ("payload", "result"):
+            if entry.get(column) is not None:
+                entry[column] = json.loads(entry[column])
         return entry

@@ -12,14 +12,27 @@ scheduler and the execution engine:
   submission — from any client, any tenant — returns the *same* job id with
   ``deduped=True`` instead of a second execution; the registry records a
   ``dedup`` event on the surviving job.
+* **One transaction per lifecycle step.**  Submit (row + ``queued``
+  event), claim (claim + ``running`` event), each partial, and the end of a
+  job (result or error, ``cache`` event, terminal row and event) each
+  commit as one :meth:`~repro.service.registry.RunRegistry.transaction`.
+  Failed, cancelled and retried attempts follow the same rule.
 * **Streaming partials.**  A running job's ``emit`` callback persists each
   partial to the registry's event log (crash-proof) and fans it out to live
-  subscribers (low latency).  Attach = replay-then-follow with ``seq``
-  dedup, so a reattaching client sees every event exactly once.
-* **Per-job cache accounting.**  Expectation-cache hit/miss deltas are
-  measured around each job and stored on its row plus a ``cache`` event.
-  With concurrent workers the attribution is approximate (deltas of shared
-  counters); totals across jobs remain exact.
+  subscribers (low latency).  Subscribers see an event only after its
+  commit, so anything a client was sent is already replayable.  Attach =
+  replay-then-follow with ``seq`` dedup, so a reattaching client sees every
+  event exactly once.
+* **Per-job cache accounting.**  Each job's own expectation-cache hits and
+  misses are tallied around its run
+  (:func:`~repro.execution.cache.cache_tally`, scoped to the worker
+  thread) and stored on its row plus a ``cache`` event in the success
+  transaction.  The counts are exact with concurrent workers: a job never
+  counts the lookups of the job running beside it.
+* **Waiting.**  :meth:`JobRunner.wait_result` waits for a job of this
+  runner on its in-memory in-flight set and reads the registry once, when
+  the job is terminal; a job another runner sharing the registry owns is
+  re-read every monitor tick instead.
 * **Leases, retries & recovery.**  Claiming a job spends one attempt from
   its budget and grants a time-bounded lease the monitor thread heartbeats.
   A failed attempt with budget left is requeued after exponential backoff
@@ -41,13 +54,15 @@ scheduler and the execution engine:
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import queue as queue_module
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
+from ..execution.cache import cache_tally
 from .jobs import JobCancelled, JobContext, PreparedJob, prepare_job
 from .protocol import TERMINAL_STATES
 from .queue import QueueFullError, QuotaExceededError, TenantQueues
@@ -62,9 +77,40 @@ MAX_RETRY_BACKOFF = 30.0
 #: Monitor tick: delayed-job release and deadline enforcement granularity.
 _MONITOR_TICK = 0.05
 
+#: The registry columns a result read returns.
+RESULT_COLUMNS = ("id", "state", "result", "error")
+
+#: The scalar columns a worker needs to run a job whose PreparedJob it has.
+_RUN_COLUMNS = ("id", "tenant", "priority", "job_key", "max_attempts",
+                "deadline_seconds")
+
 
 class UnknownJobError(KeyError):
     """No job with that id exists in the registry."""
+
+
+class Submission(tuple):
+    """An accepted submission: unpacks as ``(job_id, deduped, position)``;
+    ``state`` is the job's state when :meth:`JobRunner.submit` returned."""
+
+    def __new__(cls, job_id: str, deduped: bool, position: Optional[int],
+                state: str):
+        submission = super().__new__(cls, (job_id, deduped, position))
+        submission.state = state
+        return submission
+
+
+class _Step:
+    """The events one lifecycle step persisted, in order."""
+
+    def __init__(self, registry: RunRegistry):
+        self.registry = registry
+        self.events: List[Dict[str, Any]] = []
+
+    def emit(self, job_id: str, kind: str, data: Dict[str, Any]) -> None:
+        seq = self.registry.append_event(job_id, kind, data)
+        self.events.append({"job_id": job_id, "seq": seq, "kind": kind,
+                            "data": data})
 
 
 class JobRunner:
@@ -130,16 +176,16 @@ class JobRunner:
     def submit(self, kind: str, payload: Dict[str, Any],
                tenant: str = "default", priority: int = 0,
                deadline: Optional[float] = None,
-               max_attempts: Optional[int] = None
-               ) -> Tuple[str, bool, Optional[int]]:
+               max_attempts: Optional[int] = None) -> Submission:
         """Validate, dedup and enqueue a job.
 
-        Returns ``(job_id, deduped, position)``.  Raises
+        Returns a :class:`Submission` — ``(job_id, deduped, position)``
+        plus the job's ``state``.  Raises
         :class:`~repro.service.protocol.ProtocolError` on a malformed
         payload and :class:`QueueFullError` / :class:`QuotaExceededError`
-        on backpressure — nothing is persisted for a rejected submission.
-        ``deadline`` / ``max_attempts`` override the runner defaults for
-        this job only.
+        on backpressure; a rejected submission leaves a ``cancelled`` row
+        with no events.  ``deadline`` / ``max_attempts`` override the runner
+        defaults for this job only.
         """
         prepared = prepare_job(kind, payload)
         attempts_budget = self._max_attempts if max_attempts is None \
@@ -150,45 +196,78 @@ class JobRunner:
             if prepared.key is not None:
                 existing = self._inflight.get(prepared.key)
                 if existing is not None:
-                    self._emit(existing, "dedup", {"tenant": tenant})
-                    return existing, True, None
+                    with self._step() as step:
+                        step.emit(existing, "dedup", {"tenant": tenant})
+                        state = self.registry.get_job(
+                            existing, ("state",))["state"]
+                    return Submission(existing, True, None, state)
             job_id = uuid.uuid4().hex[:12]
-            self.registry.create_job(job_id, tenant, kind, prepared.key,
-                                     priority, payload,
-                                     max_attempts=attempts_budget,
-                                     deadline_seconds=deadline)
             self._prepared[job_id] = prepared
             self._cancel_flags[job_id] = threading.Event()
             if prepared.key is not None:
                 self._inflight[prepared.key] = job_id
-            try:
-                position = self.queues.submit(tenant, priority, job_id)
-            except (QueueFullError, QuotaExceededError):
+            # The queue push happens inside the transaction: a worker that
+            # pops the job blocks on the registry until the row is there.
+            rejected = None
+            with self._step() as step:
+                self.registry.create_job(job_id, tenant, kind, prepared.key,
+                                         priority, payload,
+                                         max_attempts=attempts_budget,
+                                         deadline_seconds=deadline)
+                try:
+                    position = self.queues.submit(tenant, priority, job_id)
+                except (QueueFullError, QuotaExceededError) as error:
+                    rejected = error
+                    self.registry.transition(job_id, ("queued",),
+                                             "cancelled")
+                    self.registry.record_error(
+                        job_id, "rejected: queue full or quota exceeded")
+                else:
+                    step.emit(job_id, "state", {"state": "queued"})
+            if rejected is not None:
                 self._forget(job_id, prepared.key)
-                self.registry.transition(job_id, ("queued",), "cancelled")
-                self.registry.record_error(
-                    job_id, "rejected: queue full or quota exceeded")
-                raise
-        self._emit(job_id, "state", {"state": "queued"})
-        return job_id, False, position
+                raise rejected
+        return Submission(job_id, False, position, "queued")
 
     # -- queries ------------------------------------------------------------
-    def job(self, job_id: str) -> Dict[str, Any]:
-        entry = self.registry.get_job(job_id)
+    def job(self, job_id: str,
+            columns: Optional[Tuple[str, ...]] = None) -> Dict[str, Any]:
+        """The job's registry row (only ``columns``, when given)."""
+        entry = self.registry.get_job(job_id, columns)
         if entry is None:
             raise UnknownJobError(job_id)
         return entry
 
     def wait_result(self, job_id: str,
                     timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Block until the job is terminal; returns its registry row."""
-        entry = self.job(job_id)
-        with self._done:
-            while entry["state"] not in TERMINAL_STATES:
-                if not self._done.wait(timeout=timeout):
-                    break
-                entry = self.job(job_id)
-        return entry
+        """Block until the job is terminal or ``timeout`` expires; returns
+        its :data:`RESULT_COLUMNS`.
+
+        A job in this runner's in-flight set is waited for on the runner's
+        condition, notified after its terminal step commits, and read once.
+        A job another runner sharing the registry owns is re-read every
+        monitor tick.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def remaining() -> Optional[float]:
+            return None if deadline is None else deadline - time.monotonic()
+
+        while True:
+            with self._done:
+                while job_id in self._cancel_flags:
+                    left = remaining()
+                    if left is not None and left <= 0:
+                        break
+                    self._done.wait(left)
+            entry = self.job(job_id, RESULT_COLUMNS)
+            left = remaining()
+            if entry["state"] in TERMINAL_STATES or (
+                    left is not None and left <= 0):
+                return entry
+            if job_id not in self._cancel_flags:
+                time.sleep(_MONITOR_TICK if left is None
+                           else min(_MONITOR_TICK, left))
 
     def stats(self) -> Dict[str, Any]:
         cache = self.executor.cache_stats
@@ -247,21 +326,16 @@ class JobRunner:
     # -- cancellation -------------------------------------------------------
     def cancel(self, job_id: str) -> str:
         """Request cancellation; returns the job's (possibly new) state."""
-        entry = self.job(job_id)
-        tenant = entry["tenant"]
+        entry = self.job(job_id, ("tenant", "state", "job_key"))
         if entry["state"] == "queued" and (
-                self.queues.remove(tenant, job_id)
-                or self._remove_delayed(job_id)):
-            if self.registry.transition(job_id, ("queued",), "cancelled"):
-                with self._submit_lock:
-                    self._forget(job_id, entry["job_key"])
-                self._emit(job_id, "state", {"state": "cancelled"})
-                self._notify_done()
-                return "cancelled"
+                self.queues.remove(entry["tenant"], job_id)
+                or self._remove_delayed(job_id)) \
+                and self._cancel_queued(job_id, entry["job_key"]):
+            return "cancelled"
         flag = self._cancel_flags.get(job_id)
         if flag is not None:
             flag.set()
-        return self.job(job_id)["state"]
+        return self.job(job_id, ("state",))["state"]
 
     # -- shutdown -----------------------------------------------------------
     def shutdown(self, drain: bool = True,
@@ -273,21 +347,13 @@ class JobRunner:
                 return
             self._stopping = True
         self._stop_event.set()
-        for tenant, job_id in self.queues.drain():
-            if self.registry.transition(job_id, ("queued",), "cancelled"):
-                entry = self.registry.get_job(job_id)
-                with self._submit_lock:
-                    self._forget(job_id, entry["job_key"] if entry else None)
-                self._emit(job_id, "state", {"state": "cancelled"})
+        queued = [job_id for _, job_id in self.queues.drain()]
         with self._delayed_lock:
-            delayed = list(self._delayed)
+            queued.extend(job_id for _, _, _, job_id in self._delayed)
             self._delayed.clear()
-        for _, _, _, job_id in delayed:
-            if self.registry.transition(job_id, ("queued",), "cancelled"):
-                entry = self.registry.get_job(job_id)
-                with self._submit_lock:
-                    self._forget(job_id, entry["job_key"] if entry else None)
-                self._emit(job_id, "state", {"state": "cancelled"})
+        for job_id in queued:
+            entry = self.registry.get_job(job_id, ("job_key",))
+            self._cancel_queued(job_id, entry["job_key"] if entry else None)
         if not drain:
             for flag in list(self._cancel_flags.values()):
                 flag.set()
@@ -312,45 +378,56 @@ class JobRunner:
                 self.queues.task_done(tenant)
 
     def _run_job(self, job_id: str) -> None:
-        entry = self.registry.get_job(job_id)
         flag = self._cancel_flags.get(job_id)
-        if entry is None or flag is None:
+        if flag is None:
             return  # cancelled between pop and claim
         prepared = self._prepared.get(job_id)
         if prepared is None:
             # A job recovered from a dead server process: its PreparedJob
             # died with that process, so re-decode the persisted payload.
+            entry = self.registry.get_job(job_id)
+            if entry is None:
+                return
             try:
                 prepared = prepare_job(entry["kind"], entry["payload"])
             except Exception as error:  # noqa: BLE001 - isolation boundary
-                self.registry.record_error(
-                    job_id, f"recovered payload failed to prepare: {error}")
-                self.registry.transition(job_id, ("queued", "running"),
-                                         "failed")
-                self._finish(job_id, entry["job_key"], "failed",
-                             {"error": str(error)})
+                with self._finish(job_id, entry["job_key"]) as step:
+                    self.registry.record_error(
+                        job_id,
+                        f"recovered payload failed to prepare: {error}")
+                    self.registry.transition(job_id, ("queued", "running"),
+                                             "failed")
+                    step.emit(job_id, "state",
+                              {"state": "failed", "error": str(error)})
                 return
             with self._submit_lock:
                 self._prepared[job_id] = prepared
-        attempt = self.registry.claim(job_id, self.instance_id,
-                                      self._lease_seconds)
+        with self._step() as step:
+            attempt = self.registry.claim(job_id, self.instance_id,
+                                          self._lease_seconds)
+            if attempt is not None:
+                entry = self.registry.get_job(job_id, _RUN_COLUMNS)
+                running: Dict[str, Any] = {"state": "running"}
+                if attempt > 1:
+                    running["attempt"] = attempt
+                step.emit(job_id, "state", running)
         if attempt is None:
-            return  # a racing cancel won
-        running: Dict[str, Any] = {"state": "running"}
-        if attempt > 1:
-            running["attempt"] = attempt
-        self._emit(job_id, "state", running)
+            # A racing cancel won, or a runner sharing the registry claimed
+            # the job: either way it is no longer this runner's to wait on.
+            with self._submit_lock:
+                self._forget(job_id, prepared.key)
+            self._notify_done()
+            return
         deadline = entry["deadline_seconds"]
         self._local_running[job_id] = (
             time.time(), float(deadline) if deadline is not None else None)
-        cache = self.executor.cache_stats
-        hits_before, misses_before = cache.hits, cache.misses
         context = JobContext(
             executor=self.executor,
             emit=lambda kind, data: self._emit(job_id, kind, data),
             cancelled=flag)
         try:
-            result = prepared.run(context)
+            with cache_tally() as tally:
+                result = prepared.run(context)
         except JobCancelled:
             with self._submit_lock:
                 deadline_hit = job_id in self._deadline_hit
@@ -359,20 +436,22 @@ class JobRunner:
                     entry, attempt, "deadline",
                     f"deadline exceeded ({deadline}s)")
             else:
-                self.registry.transition(job_id, ("running",), "cancelled")
-                self._finish(job_id, prepared.key, "cancelled")
+                with self._finish(job_id, prepared.key) as step:
+                    self.registry.transition(job_id, ("running",),
+                                             "cancelled")
+                    step.emit(job_id, "state", {"state": "cancelled"})
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             self._retry_or_fail(entry, attempt, type(error).__name__,
                                 f"{type(error).__name__}: {error}",
                                 event_error=str(error))
         else:
-            cache = self.executor.cache_stats
-            hits = cache.hits - hits_before
-            misses = cache.misses - misses_before
-            self.registry.record_result(job_id, result, hits, misses)
-            self._emit(job_id, "cache", {"hits": hits, "misses": misses})
-            self.registry.transition(job_id, ("running",), "done")
-            self._finish(job_id, prepared.key, "done")
+            with self._finish(job_id, prepared.key) as step:
+                self.registry.record_result(job_id, result, tally.hits,
+                                            tally.misses)
+                step.emit(job_id, "cache",
+                          {"hits": tally.hits, "misses": tally.misses})
+                self.registry.transition(job_id, ("running",), "done")
+                step.emit(job_id, "state", {"state": "done"})
         finally:
             self._local_running.pop(job_id, None)
             with self._submit_lock:
@@ -385,37 +464,58 @@ class JobRunner:
         job_id = entry["id"]
         limit = max(1, int(entry["max_attempts"] or 1))
         if attempt >= limit:
-            self.registry.record_error(job_id, error_text)
-            self.registry.transition(job_id, ("running",), "failed")
-            self._finish(job_id, entry["job_key"], "failed",
-                         {"error": event_error if event_error is not None
-                          else error_text})
+            with self._finish(job_id, entry["job_key"]) as step:
+                self.registry.record_error(job_id, error_text)
+                self.registry.transition(job_id, ("running",), "failed")
+                step.emit(job_id, "state", {
+                    "state": "failed",
+                    "error": event_error if event_error is not None
+                    else error_text})
             return
         delay = min(MAX_RETRY_BACKOFF,
                     self._retry_backoff * (2.0 ** (attempt - 1)))
         eligible_at = time.time() + delay
-        self.registry.requeue(job_id, next_eligible_at=eligible_at)
         with self._submit_lock:
             # A fresh flag: a deadline cancellation must not poison the
             # next attempt.
             self._cancel_flags[job_id] = threading.Event()
-        self._emit(job_id, "state", {"state": "queued", "retry": attempt,
-                                     "cause": cause,
-                                     "backoff": round(delay, 4)})
+        with self._step() as step:
+            self.registry.requeue(job_id, next_eligible_at=eligible_at)
+            step.emit(job_id, "state", {"state": "queued", "retry": attempt,
+                                        "cause": cause,
+                                        "backoff": round(delay, 4)})
         with self._delayed_lock:
             heapq.heappush(self._delayed,
                            (eligible_at, entry["tenant"],
                             int(entry["priority"]), job_id))
 
-    def _finish(self, job_id: str, key: Optional[str], state: str,
-                extra: Optional[Dict[str, Any]] = None) -> None:
-        data = {"state": state}
-        if extra:
-            data.update(extra)
-        with self._submit_lock:
-            self._forget(job_id, key)
-        self._emit(job_id, "state", data)
-        self._notify_done()
+    @contextlib.contextmanager
+    def _step(self) -> Iterator[_Step]:
+        """One lifecycle step: the block's registry writes and the events
+        it emits commit as one transaction; subscribers get the events only
+        after that commit."""
+        step = _Step(self.registry)
+        with self.registry.transaction():
+            yield step
+        self._publish(step.events)
+
+    @contextlib.contextmanager
+    def _finish(self, job_id: str, key: Optional[str]) -> Iterator[_Step]:
+        """A step that may end a job: if it emitted an event, the job then
+        leaves the in-flight set and waiters wake."""
+        with self._step() as step:
+            yield step
+        if step.events:
+            with self._submit_lock:
+                self._forget(job_id, key)
+            self._notify_done()
+
+    def _cancel_queued(self, job_id: str, key: Optional[str]) -> bool:
+        """Cancel a job no worker holds; False if it was no longer queued."""
+        with self._finish(job_id, key) as step:
+            if self.registry.transition(job_id, ("queued",), "cancelled"):
+                step.emit(job_id, "state", {"state": "cancelled"})
+        return bool(step.events)
 
     def _forget(self, job_id: str, key: Optional[str]) -> None:
         """Drop in-memory tracking for a job (submit lock must be held)."""
@@ -425,16 +525,22 @@ class JobRunner:
             del self._inflight[key]
 
     def _emit(self, job_id: str, kind: str, data: Dict[str, Any]) -> None:
-        """Persist one event, then fan it out to live subscribers."""
-        seq = self.registry.append_event(job_id, kind, data)
-        event = {"job_id": job_id, "seq": seq, "kind": kind, "data": data}
-        terminal = kind == "state" and data.get("state") in TERMINAL_STATES
-        with self._subscriber_lock:
-            feeds = list(self._subscribers.get(job_id, ()))
-        for feed in feeds:
-            feed.put(event)
-            if terminal:
-                feed.put(STREAM_END)
+        """Persist one event in its own step, then fan it out."""
+        with self._step() as step:
+            step.emit(job_id, kind, data)
+
+    def _publish(self, events: List[Dict[str, Any]]) -> None:
+        """Fan committed events out to live subscribers."""
+        for event in events:
+            data = event["data"]
+            terminal = event["kind"] == "state" and \
+                data.get("state") in TERMINAL_STATES
+            with self._subscriber_lock:
+                feeds = list(self._subscribers.get(event["job_id"], ()))
+            for feed in feeds:
+                feed.put(event)
+                if terminal:
+                    feed.put(STREAM_END)
 
     def _notify_done(self) -> None:
         with self._done:
@@ -543,28 +649,34 @@ class JobRunner:
         attempts = int(entry["attempts"] or 0)
         limit = max(1, int(entry["max_attempts"] or 1))
         if attempts >= limit:
-            if self.registry.transition(job_id, ("running",), "failed"):
-                self.registry.record_error(
-                    job_id, "orphaned: lease expired with no attempts left")
-                with self._submit_lock:
-                    self._forget(job_id, entry["job_key"])
-                self._emit(job_id, "state",
-                           {"state": "failed", "error": "lease-expired"})
-                self._notify_done()
-        elif self.registry.requeue(job_id, from_states=("running",)):
-            self._readmit(entry, {"state": "queued", "retry": attempts,
-                                  "cause": "lease-expired"})
+            with self._finish(job_id, entry["job_key"]) as step:
+                if self.registry.transition(job_id, ("running",), "failed"):
+                    self.registry.record_error(
+                        job_id,
+                        "orphaned: lease expired with no attempts left")
+                    step.emit(job_id, "state",
+                              {"state": "failed", "error": "lease-expired"})
+            return
+        with self._step() as step:
+            if self.registry.requeue(job_id, from_states=("running",)):
+                step.emit(job_id, "state", {"state": "queued",
+                                            "retry": attempts,
+                                            "cause": "lease-expired"})
+        if step.events:
+            self._readmit(entry)
 
     def _readmit(self, entry: Dict[str, Any],
-                 data: Dict[str, Any]) -> None:
+                 data: Optional[Dict[str, Any]] = None) -> None:
         """Put a recovered/reclaimed job back into the in-memory scheduler
-        (its PreparedJob is rebuilt lazily by the worker that claims it)."""
+        (its PreparedJob is rebuilt lazily by the worker that claims it),
+        emitting ``data`` as its state event when given."""
         job_id = entry["id"]
         with self._submit_lock:
             self._cancel_flags[job_id] = threading.Event()
             if entry["job_key"] is not None:
                 self._inflight[entry["job_key"]] = job_id
-        self._emit(job_id, "state", data)
+        if data is not None:
+            self._emit(job_id, "state", data)
         now = time.time()
         eligible_at = entry.get("next_eligible_at")
         if eligible_at is not None and float(eligible_at) > now:

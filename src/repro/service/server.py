@@ -53,7 +53,7 @@ from .protocol import (PROTOCOL_VERSION, TERMINAL_STATES, AttachRequest,
                        encode_line)
 from .queue import QueueFullError, QuotaExceededError, TenantQueues
 from .registry import RunRegistry
-from .runner import STREAM_END, JobRunner, UnknownJobError
+from .runner import RESULT_COLUMNS, STREAM_END, JobRunner, UnknownJobError
 
 _HTTP_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
                  404: "Not Found", 405: "Method Not Allowed",
@@ -188,7 +188,7 @@ class ServiceServer:
                     entry = await asyncio.to_thread(
                         self.runner.wait_result, request.job_id)
                 else:
-                    entry = self.runner.job(request.job_id)
+                    entry = self.runner.job(request.job_id, RESULT_COLUMNS)
             except UnknownJobError:
                 await self._write(writer, ErrorResponse(
                     "unknown-job", f"no job {request.job_id!r}", 404))
@@ -196,7 +196,7 @@ class ServiceServer:
                 await self._write(writer, _result_response(entry))
         elif isinstance(request, AttachRequest):
             try:
-                self.runner.job(request.job_id)
+                self.runner.job(request.job_id, ("state",))
             except UnknownJobError:
                 await self._write(writer, ErrorResponse(
                     "unknown-job", f"no job {request.job_id!r}", 404))
@@ -229,7 +229,7 @@ class ServiceServer:
                                writer: asyncio.StreamWriter) -> None:
         try:
             request.validate()
-            job_id, deduped, position = await asyncio.to_thread(
+            submission = await asyncio.to_thread(
                 self.runner.submit, request.kind, request.payload,
                 request.tenant, request.priority, request.deadline,
                 request.max_attempts)
@@ -245,9 +245,10 @@ class ServiceServer:
             await self._write(writer, ErrorResponse(
                 "queue-full", str(error), 429))
             return
-        state = self.runner.job(job_id)["state"]
+        job_id, deduped, position = submission
         await self._write(writer, SubmittedResponse(
-            job_id=job_id, state=state, deduped=deduped, position=position))
+            job_id=job_id, state=submission.state, deduped=deduped,
+            position=position))
         if request.stream:
             entry = await self._pump_events(
                 job_id, 0,
@@ -261,7 +262,8 @@ class ServiceServer:
             send: Callable[[Dict[str, Any]], Awaitable[None]],
             writer: asyncio.StreamWriter) -> Dict[str, Any]:
         """Replay persisted events after ``after_seq``, then follow live
-        ones until the job is terminal; returns the final registry row.
+        ones until the job is terminal; returns the job's
+        :data:`~repro.service.runner.RESULT_COLUMNS`.
 
         Subscribes *before* replaying and drops live events at or below the
         replay horizon, so a reattaching client sees every event exactly
@@ -273,7 +275,7 @@ class ServiceServer:
             for event in self.registry.events_since(job_id, horizon):
                 horizon = max(horizon, event["seq"])
                 await send(event)
-            entry = self.runner.job(job_id)
+            entry = self.runner.job(job_id, RESULT_COLUMNS)
             if entry["state"] in TERMINAL_STATES:
                 return entry
             while True:
@@ -287,7 +289,7 @@ class ServiceServer:
                 if event["seq"] <= horizon:
                     continue
                 await send(event)
-            return self.runner.job(job_id)
+            return self.runner.job(job_id, RESULT_COLUMNS)
         finally:
             self.runner.unsubscribe(job_id, feed)
 
@@ -354,7 +356,7 @@ class ServiceServer:
                 priority=int(document.get("priority", 0)),
                 deadline=document.get("deadline"),
                 max_attempts=document.get("max_attempts")).validate()
-            job_id, deduped, position = await asyncio.to_thread(
+            submission = await asyncio.to_thread(
                 self.runner.submit, request.kind, request.payload,
                 request.tenant, request.priority, request.deadline,
                 request.max_attempts)
@@ -370,9 +372,10 @@ class ServiceServer:
             await self._http_json(writer, 429, {
                 "code": "queue-full", "message": str(error)})
             return
+        job_id, deduped, position = submission
         await self._http_json(writer, 202, {
             "job_id": job_id, "deduped": deduped, "position": position,
-            "state": self.runner.job(job_id)["state"]})
+            "state": submission.state})
 
     async def _http_job(self, method: str, rest: str, query,
                         writer: asyncio.StreamWriter) -> None:
@@ -390,7 +393,7 @@ class ServiceServer:
                 wait = query.get("wait", ["1"])[0] not in ("0", "false")
                 entry = await asyncio.to_thread(
                     self.runner.wait_result, job_id) if wait else \
-                    self.runner.job(job_id)
+                    self.runner.job(job_id, RESULT_COLUMNS)
                 await self._http_json(writer, 200, {
                     "job_id": job_id, "state": entry["state"],
                     "result": entry["result"], "error": entry["error"]})
@@ -412,7 +415,7 @@ class ServiceServer:
     async def _http_events(self, job_id: str, after_seq: int,
                            writer: asyncio.StreamWriter) -> None:
         """Stream a job's events as server-sent events until terminal."""
-        self.runner.job(job_id)  # 404 via caller if unknown
+        self.runner.job(job_id, ("state",))  # 404 via caller if unknown
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: text/event-stream\r\n"
                      b"Cache-Control: no-cache\r\n"

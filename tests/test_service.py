@@ -826,3 +826,281 @@ class TestStreamMemorySampling:
                                                executor=executor))
         assert len(partials) == 1
         assert partials[0].from_cache is True
+
+
+# ---------------------------------------------------------------------------
+# one registry transaction per lifecycle step
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def counting_commits(registry):
+    """Count the COMMIT statements the registry's connection runs."""
+    commits = []
+
+    def trace(statement):
+        if statement.strip().upper() == "COMMIT":
+            commits.append(statement)
+
+    registry._connection.set_trace_callback(trace)
+    try:
+        yield commits
+    finally:
+        registry._connection.set_trace_callback(None)
+
+
+def stub_or_job(gates):
+    """A ``prepare_job`` that runs real payloads and, for ``{"stub": ...}``
+    payloads, a job that holds until its gate opens (``hold``), holds until
+    cancelled (``cancel``), fails its first attempt (``flaky``) or sleeps
+    (``sleep``)."""
+    attempts = {}
+
+    def prepare(kind, payload):
+        if "stub" not in payload:
+            return prepare_job(kind, payload)
+        mode, name = payload["stub"], payload["name"]
+
+        def run(ctx):
+            attempts[name] = attempts.get(name, 0) + 1
+            if mode == "hold":
+                while not gates[name].wait(0.01):
+                    ctx.checkpoint()
+            elif mode == "cancel":
+                gates[name].set()
+                while True:
+                    ctx.checkpoint()
+                    time.sleep(0.01)
+            elif mode == "flaky" and attempts[name] == 1:
+                raise RuntimeError("transient")
+            elif mode == "sleep":
+                time.sleep(0.3)
+            ctx.emit("partial", {"name": name})
+            return {"name": name}
+        return PreparedJob(kind=kind, key=None, units=1, run=run)
+    return prepare
+
+
+class TestRegistryTransactions:
+    def test_job_steps_commit_once_each(self, tmp_path):
+        """Submit, claim, each partial and success are one commit each: a
+        one-chunk sweep commits 4 times, a 2-partial QEC job 5 times."""
+        template, points, observable = sweep_fixture(points=8)
+        registry = RunRegistry(str(tmp_path / "registry.db"))
+        # A long lease keeps monitor heartbeats out of the counted window.
+        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1,
+                           lease_seconds=600.0)
+        time.sleep(2 * runner_module._MONITOR_TICK)
+        try:
+            jobs = [(sweep_payload(template, points, observable), 1, 4),
+                    (qec_memory_payload(distance=3, rounds=2,
+                                        error_rate=0.02, shots=1024,
+                                        seed=7, chunk_blocks=2), 2, 5)]
+            kind_of = ("sweep", "qec_memory")
+            for (payload, partials, budget), kind in zip(jobs, kind_of):
+                with counting_commits(registry) as commits:
+                    job_id, _, _ = runner.submit(kind, payload)
+                    entry = runner.wait_result(job_id, timeout=30)
+                assert entry["state"] == "done"
+                kinds = [event["kind"]
+                         for event in registry.events_since(job_id)]
+                assert kinds.count("partial") == partials
+                assert len(commits) <= budget, (kind, len(commits))
+        finally:
+            runner.shutdown(timeout=10)
+            registry.close()
+
+    def test_subscribers_see_only_committed_events(self, monkeypatch,
+                                                   tmp_path):
+        """Every event a live subscriber receives is already readable from a
+        second connection; seqs run from 1 with no gap, kinds and states
+        keep their order, and a replay after reopening equals the stream."""
+        import queue
+        import sqlite3
+        import types
+
+        path = str(tmp_path / "registry.db")
+        observer = sqlite3.connect(path, check_same_thread=False)
+        observer_lock = threading.Lock()
+        uncommitted = []
+
+        class CommittedFeed(queue.SimpleQueue):
+            def put(self, item, *args, **kwargs):
+                if item is not None:
+                    with observer_lock:
+                        row = observer.execute(
+                            "SELECT kind FROM events WHERE job_id = ? AND "
+                            "seq = ?", (item["job_id"], item["seq"])
+                        ).fetchone()
+                    if row is None or row[0] != item["kind"]:
+                        uncommitted.append(item)
+                super().put(item, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "queue_module",
+                            types.SimpleNamespace(SimpleQueue=CommittedFeed))
+        gates = {}
+        monkeypatch.setattr(runner_module, "prepare_job", stub_or_job(gates))
+        template, points, observable = sweep_fixture(points=8)
+        registry = RunRegistry(path)
+        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1,
+                           retry_backoff=0.01)
+        cases = {
+            "sweep": (("sweep", sweep_payload(template, points, observable),
+                       {}),
+                      ["queued", "running", "partial", "cache", "done"]),
+            "qec": (("qec_memory",
+                     qec_memory_payload(distance=3, rounds=2,
+                                        error_rate=0.02, shots=1024, seed=7,
+                                        chunk_blocks=2), {}),
+                    ["queued", "running", "partial", "partial", "cache",
+                     "done"]),
+            "cancel": (("sweep", {"stub": "cancel", "name": "cancel"}, {}),
+                       ["queued", "running", "cancelled"]),
+            "flaky": (("sweep", {"stub": "flaky", "name": "flaky"},
+                       {"max_attempts": 2}),
+                      ["queued", "running", "queued", "running", "partial",
+                       "cache", "done"]),
+        }
+        try:
+            for name, ((kind, payload, options), expected) in cases.items():
+                gates["hold"] = threading.Event()
+                gates[name] = threading.Event()
+                # The one worker holds a blocker, so the job under test is
+                # still queued when the subscriber arrives.
+                blocker, _, _ = runner.submit(
+                    "sweep", {"stub": "hold", "name": "hold"})
+                job_id, _, _ = runner.submit(kind, payload, **options)
+                feed = runner.subscribe(job_id)
+                replayed = registry.events_since(job_id)
+                gates["hold"].set()
+                if name == "cancel":
+                    assert gates["cancel"].wait(10)
+                    runner.cancel(job_id)
+                live = []
+                while True:
+                    event = feed.get(timeout=30)
+                    if event is runner_module.STREAM_END:
+                        break
+                    live.append(event)
+                runner.unsubscribe(job_id, feed)
+                assert runner.wait_result(blocker, timeout=10)["state"] == \
+                    "done"
+                stream = replayed + live
+                assert [event["seq"] for event in stream] == \
+                    list(range(1, len(stream) + 1)), name
+                labels = [event["data"]["state"] if event["kind"] == "state"
+                          else event["kind"] for event in stream]
+                assert labels == expected, name
+                reopened = RunRegistry(path)
+                try:
+                    assert reopened.events_since(job_id) == \
+                        json.loads(json.dumps(stream)), name
+                finally:
+                    reopened.close()
+            assert uncommitted == []
+        finally:
+            for gate in gates.values():
+                gate.set()
+            runner.shutdown(timeout=10)
+            registry.close()
+            observer.close()
+
+    def test_wait_result_for_a_job_another_runner_owns(self, monkeypatch,
+                                                       tmp_path):
+        """Two runners share one registry file: B waits out a job A runs."""
+        monkeypatch.setattr(runner_module, "prepare_job", stub_or_job({}))
+        path = str(tmp_path / "registry.db")
+        registry_a, registry_b = RunRegistry(path), RunRegistry(path)
+        runner_a = JobRunner(Executor(), registry_a, TenantQueues(),
+                             workers=1)
+        runner_b = JobRunner(Executor(), registry_b, TenantQueues(),
+                             workers=1)
+        try:
+            job_id, _, _ = runner_a.submit("sweep",
+                                           {"stub": "sleep", "name": "a"})
+            start = time.monotonic()
+            entry = runner_b.wait_result(job_id, timeout=10)
+            assert entry["state"] == "done"
+            assert entry["result"] == {"name": "a"}
+            assert time.monotonic() - start < 5
+            assert runner_a.wait_result(job_id, timeout=10) == entry
+        finally:
+            runner_a.shutdown(timeout=10)
+            runner_b.shutdown(timeout=10)
+            registry_a.close()
+            registry_b.close()
+
+    def test_concurrent_steps_keep_seqs_and_states(self, monkeypatch,
+                                                   tmp_path):
+        """More workers than cores and a short switch interval: every job
+        ends done with its events numbered 1..n in lifecycle order."""
+        import sys
+
+        def prepare(kind, payload):
+            def run(ctx):
+                for index in range(3):
+                    ctx.emit("partial", {"index": index})
+                return {"name": payload["name"]}
+            return PreparedJob(kind=kind, key=None, units=1, run=run)
+
+        monkeypatch.setattr(runner_module, "prepare_job", prepare)
+        registry = RunRegistry(str(tmp_path / "registry.db"))
+        runner = JobRunner(Executor(), registry,
+                           TenantQueues(max_pending_per_tenant=64,
+                                        max_running_per_tenant=6),
+                           workers=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [runner.submit("sweep", {"name": str(n)})[0]
+                    for n in range(60)]
+            for job_id in jobs:
+                assert runner.wait_result(job_id, timeout=60)["state"] == \
+                    "done"
+        finally:
+            sys.setswitchinterval(interval)
+            runner.shutdown(timeout=10)
+        for job_id in jobs:
+            events = registry.events_since(job_id)
+            assert [event["seq"] for event in events] == list(range(1, 8))
+            assert [event["data"].get("state", event["kind"])
+                    for event in events] == [
+                "queued", "running", "partial", "partial", "partial",
+                "cache", "done"]
+        assert registry.counts() == {"done": 60}
+        registry.close()
+
+
+class TestPerJobCacheCounts:
+    def test_concurrent_sweeps_count_only_their_own_lookups(self):
+        """20 concurrent 8-point sweeps on 2 workers: each job's row counts
+        its own 8 point lookups, 160 in all, however the jobs overlap."""
+        hamiltonian = ising_hamiltonian(6, 1.0)
+        template = FullyConnectedAnsatz(6, 1).build()
+        rng = np.random.default_rng(23)
+        payloads = [sweep_payload(
+            template, rng.uniform(-3, 3, size=(
+                8, len(template.ordered_parameters()))).tolist(),
+            hamiltonian, backend="statevector") for _ in range(20)]
+        executor = Executor()
+        registry = RunRegistry(":memory:")
+        runner = JobRunner(executor, registry, TenantQueues(), workers=2)
+        try:
+            jobs = [runner.submit("sweep", payload)[0]
+                    for payload in payloads]
+            for job_id in jobs:
+                assert runner.wait_result(job_id, timeout=60)["state"] == \
+                    "done"
+            rows = [registry.get_job(job_id) for job_id in jobs]
+            counts = [row["cache_hits"] + row["cache_misses"]
+                      for row in rows]
+            assert counts == [8] * 20
+            assert sum(counts) == executor.cache_stats.lookups == 160
+            for job_id, row in zip(jobs, rows):
+                cache = [event["data"] for event in
+                         registry.events_since(job_id)
+                         if event["kind"] == "cache"]
+                assert cache == [{"hits": row["cache_hits"],
+                                  "misses": row["cache_misses"]}]
+        finally:
+            runner.shutdown(timeout=10)
