@@ -12,12 +12,25 @@ Design points:
 * **WAL mode** — writers (worker threads recording partials) never block the
   readers serving status/attach requests, and a crash can only lose the tail
   of the log, never corrupt committed rows.
-* **One transaction per lifecycle step** — :meth:`~RunRegistry.transaction`
-  groups a step's row change and its events into one commit (submit: the
-  row and its ``queued`` event; claim: the claim and its ``running`` event;
-  success: result, ``cache`` event, ``done`` row and event).  Every write
-  method runs inside one, so a call made outside any block still commits
-  on its own; nested blocks join the outermost.
+* **Group commit** — :meth:`~RunRegistry.transaction` runs one lifecycle
+  step's writes (submit: the row and its ``queued`` event; claim: the claim
+  and its ``running`` event; success: result, ``cache`` event, ``done`` row
+  and event) inside a ``SAVEPOINT`` of the one open SQLite transaction, the
+  *batch*, then releases the registry lock without committing.  One
+  ``COMMIT`` — one WAL fsync — covers every step that joined the batch; a
+  step that raises rolls back to its own savepoint only.  Whoever commits
+  first lets in the steps already queued on the lock, so steps that arrive
+  while a ``COMMIT`` is in flight share the next one.  A step made with
+  ``wait=True`` (the default) returns only once its batch is committed,
+  committing it itself when no other commit is in flight; a ``wait=False``
+  step returns at once and a committer thread commits its batch as soon as
+  the previous ``COMMIT`` returns.  A step's ``on_commit`` callback runs
+  after the ``COMMIT`` that covers it, outside the registry lock, in batch
+  order and then step order; a failed ``COMMIT`` rolls the whole batch
+  back, runs none of its callbacks and raises :class:`CommitError` in every
+  step that waits on it.  A nested block joins the step around it.
+* **Committed reads** — a read made outside a step first commits the open
+  batch, so no read returns a row that a later failure could take back.
 * **Narrow reads** — :meth:`~RunRegistry.get_job` reads only the columns a
   caller names, so a state or result read never decodes the payload.
 * **Atomic state transitions** — ``transition()`` is one guarded
@@ -48,7 +61,8 @@ import json
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence)
 
 from .protocol import JOB_STATES, TERMINAL_STATES
 
@@ -109,24 +123,66 @@ class RegistryError(RuntimeError):
     """An illegal registry operation (unknown job, bad state)."""
 
 
+class CommitError(RegistryError):
+    """A ``COMMIT`` failed: every step of its batch was rolled back."""
+
+
+class Batch:
+    """The steps one ``COMMIT`` covers.
+
+    ``steps`` counts the steps that joined and ``waiters`` those that wait
+    for the commit; ``callbacks`` are their ``on_commit`` hooks in step
+    order.  ``error`` is set, under the registry lock, when the ``COMMIT``
+    fails; ``settled`` is set once the batch is committed and its callbacks
+    have run, or once it failed.
+    """
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.waiters = 0
+        self.callbacks: List[Callable[[], None]] = []
+        self.error: Optional[BaseException] = None
+        self.settled = threading.Event()
+
+    def check(self) -> None:
+        """Raise :class:`CommitError` if this batch's ``COMMIT`` failed."""
+        if self.error is not None:
+            raise CommitError(
+                f"registry commit failed: {self.error}") from self.error
+
+
 class RunRegistry:
     """Thread-safe job/event store over one SQLite database.
 
-    One connection is shared across the server's threads under a lock —
-    SQLite serializes writers anyway, and a single WAL connection keeps the
-    registry free of cross-connection visibility windows.  The lock is held
-    for a whole :meth:`transaction`, so no other thread's statement can
-    join (or commit) a half-written step.  ``path`` may be
-    ``":memory:"`` (tests) or a filesystem path (production, reattach across
-    server restarts).
+    One connection is shared across the server's threads — SQLite serializes
+    writers anyway, and a single WAL connection keeps the registry free of
+    cross-connection visibility windows.  The registry lock is held for a
+    whole step and for a ``COMMIT``, so no other thread's statement can join
+    a half-written step; the commit lock admits one committer at a time, so
+    batches commit and publish in order.  ``path`` may be ``":memory:"``
+    (tests) or a filesystem path (production, reattach across server
+    restarts).
     """
 
     def __init__(self, path: str = ":memory:"):
         self.path = str(path)
         self._lock = threading.RLock()
-        self._depth = 0  # open transaction() blocks, under the lock
+        # Notified whenever a step leaves: wakes a commit that waits for the
+        # steps queued ahead of it.
+        self._step_left = threading.Condition(self._lock)
+        # Notified when a step that does not wait joins: wakes the committer.
+        self._unwaited = threading.Condition(self._lock)
+        self._commit_lock = threading.Lock()
+        self._count_lock = threading.Lock()
+        self._arrived = 0  # outermost steps that asked for the lock
+        self._left = 0  # ... and released it (under the registry lock)
+        self._owner: Optional[int] = None  # the thread inside a step
+        self._batch = Batch()
+        self._committer: Optional[threading.Thread] = None
+        self._closing = False
         self._connection = sqlite3.connect(self.path,
-                                           check_same_thread=False)
+                                           check_same_thread=False,
+                                           isolation_level=None)
         self._connection.row_factory = sqlite3.Row
         with self._lock:
             if self.path != ":memory:":
@@ -139,29 +195,148 @@ class RunRegistry:
                 if column not in present:
                     self._connection.execute(
                         f"ALTER TABLE jobs ADD COLUMN {column} {ddl}")
-            self._connection.commit()
 
     @contextlib.contextmanager
-    def transaction(self) -> Iterator[None]:
-        """Run the block's registry writes as one SQLite transaction.
+    def transaction(self, *, wait: bool = True,
+                    on_commit: Optional[Callable[[], None]] = None
+                    ) -> Iterator[Batch]:
+        """Run the block's registry writes as one step of the open batch.
 
-        Re-entrant: the outermost block commits once when it exits and rolls
-        back if it raises; an inner block joins it.  The registry lock is
-        held throughout.
+        Yields the :class:`Batch` the step joined.  With ``wait`` the call
+        returns once that batch is committed, raising :class:`CommitError`
+        if its ``COMMIT`` failed; without, it returns as soon as the step's
+        writes are in, and the committer thread commits them.  ``on_commit``
+        runs after the covering ``COMMIT`` and must not use the registry.
+        A block that raises rolls back to its own savepoint; a block nested
+        in a step joins it.
         """
+        if self._owner == threading.get_ident():
+            yield self._batch
+            return
+        with self._count_lock:
+            self._arrived += 1
         with self._lock:
-            self._depth += 1
+            batch = self._batch
             try:
-                yield
-            except BaseException:
-                if self._depth == 1:
-                    self._connection.rollback()
-                raise
-            else:
-                if self._depth == 1:
-                    self._connection.commit()
+                self._owner = threading.get_ident()
+                # The batch's first step opens the transaction, and a failure
+                # rolls all of it back; a later step opens a savepoint, which
+                # COMMIT releases with the rest.
+                joined = self._connection.in_transaction
+                self._connection.execute(
+                    "SAVEPOINT step" if joined else "BEGIN IMMEDIATE")
+                try:
+                    yield batch
+                except BaseException:
+                    if joined:
+                        self._connection.execute("ROLLBACK TO step")
+                    raise
+                batch.steps += 1
+                batch.waiters += wait
+                if on_commit is not None:
+                    batch.callbacks.append(on_commit)
+                if not wait:
+                    self._start_committer()
+                    self._unwaited.notify()
             finally:
-                self._depth -= 1
+                self._owner = None
+                if not batch.steps:
+                    self._rollback()  # a transaction no step joined
+                self._left += 1
+                self._step_left.notify_all()
+        if wait:
+            self.await_commit(batch)
+
+    def await_commit(self, batch: Batch) -> None:
+        """Block until ``batch`` is committed, committing it here when no
+        other commit is in flight; raises :class:`CommitError` if its
+        ``COMMIT`` failed."""
+        if not batch.settled.is_set():
+            with self._commit_lock:
+                # Under the commit lock an unsettled batch is the open one.
+                if not batch.settled.is_set():
+                    self._commit()
+        batch.check()
+
+    def _commit(self) -> None:
+        """Commit the open batch, then publish it (commit lock held)."""
+        with self._lock:
+            batch = self._commit_locked()
+        self._settle(batch)
+
+    def _commit_locked(self) -> Optional[Batch]:
+        """``COMMIT`` the open batch once the steps queued on the registry
+        lock ahead of this commit have joined it (commit lock and registry
+        lock held); returns the batch to settle, None if it was empty."""
+        with self._count_lock:
+            queued = self._arrived
+        while self._left < queued:
+            self._step_left.wait()
+        batch = self._batch
+        if not batch.steps:
+            return None
+        self._batch = Batch()
+        try:
+            self._connection.execute("COMMIT")
+        except sqlite3.Error as error:
+            batch.error = error
+            self._rollback()
+        return batch
+
+    @staticmethod
+    def _settle(batch: Optional[Batch]) -> None:
+        """Run a committed batch's callbacks, in step order, then release
+        its waiters (commit lock held, registry lock not)."""
+        if batch is None:
+            return
+        try:
+            if batch.error is None:
+                for callback in batch.callbacks:
+                    callback()
+        finally:
+            batch.settled.set()
+
+    def _rollback(self) -> None:
+        with contextlib.suppress(sqlite3.Error):
+            if self._connection.in_transaction:
+                self._connection.execute("ROLLBACK")
+
+    def _start_committer(self) -> None:
+        """Start the committer thread on the first step that does not wait
+        (registry lock held)."""
+        if self._committer is None and not self._closing:
+            self._committer = threading.Thread(
+                target=self._commit_loop, name="repro-registry-committer",
+                daemon=True)
+            self._committer.start()
+
+    def _commit_loop(self) -> None:
+        """The committer thread: commit each batch no step waits on as soon
+        as the previous ``COMMIT`` returns (a batch with a waiter is
+        committed by that waiter); exit on close once nothing is pending."""
+        while True:
+            with self._lock:
+                while not self._closing and (
+                        not self._batch.steps or self._batch.waiters):
+                    self._unwaited.wait()
+                if not self._batch.steps:
+                    return
+            with self._commit_lock:
+                self._commit()
+
+    def _read(self, query: str, args: Sequence[Any] = ()
+              ) -> List[sqlite3.Row]:
+        """Rows of one ``SELECT`` that sees only committed data: inside a
+        step it reads the step's transaction, elsewhere it first commits the
+        open batch."""
+        if self._owner == threading.get_ident():
+            return self._connection.execute(query, args).fetchall()
+        with self._commit_lock:
+            with self._lock:
+                batch = self._commit_locked()
+                rows = self._connection.execute(query, args).fetchall()
+            self._settle(batch)
+        return rows
 
     # -- jobs ---------------------------------------------------------------
     def create_job(self, job_id: str, tenant: str, kind: str,
@@ -193,11 +368,9 @@ class RunRegistry:
             if unknown:
                 raise RegistryError(f"unknown job columns {sorted(unknown)}")
             selected = ", ".join(columns)
-        with self._lock:
-            row = self._connection.execute(
-                f"SELECT {selected} FROM jobs WHERE id = ?",
-                (job_id,)).fetchone()
-        return self._job_dict(row) if row is not None else None
+        rows = self._read(f"SELECT {selected} FROM jobs WHERE id = ?",
+                          (job_id,))
+        return self._job_dict(rows[0]) if rows else None
 
     def list_jobs(self, tenant: Optional[str] = None,
                   limit: int = 50) -> List[Dict[str, Any]]:
@@ -207,19 +380,15 @@ class RunRegistry:
             query += " WHERE tenant = ?"
             args = (tenant,)
         query += " ORDER BY created_at DESC LIMIT ?"
-        with self._lock:
-            rows = self._connection.execute(query,
-                                            args + (int(limit),)).fetchall()
-        return [self._job_dict(row) for row in rows]
+        return [self._job_dict(row)
+                for row in self._read(query, args + (int(limit),))]
 
     def find_inflight(self, job_key: str) -> Optional[str]:
         """The id of a queued/running job with this content key, if any."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT id FROM jobs WHERE job_key = ? AND state IN "
-                "('queued', 'running') ORDER BY created_at LIMIT 1",
-                (job_key,)).fetchone()
-        return row["id"] if row is not None else None
+        rows = self._read(
+            "SELECT id FROM jobs WHERE job_key = ? AND state IN "
+            "('queued', 'running') ORDER BY created_at LIMIT 1", (job_key,))
+        return rows[0]["id"] if rows else None
 
     def transition(self, job_id: str, from_states: Sequence[str],
                    to_state: str) -> bool:
@@ -259,16 +428,14 @@ class RunRegistry:
         """
         now = time.time()
         with self.transaction():
-            cursor = self._connection.execute(
+            rows = self._connection.execute(
                 "UPDATE jobs SET state = 'running', attempts = attempts + 1, "
                 "started_at = ?, lease_owner = ?, lease_expires_at = ?, "
-                "next_eligible_at = NULL WHERE id = ? AND state = 'queued'",
-                (now, str(lease_owner), now + float(lease_seconds), job_id))
-            if cursor.rowcount == 0:
-                return None
-            row = self._connection.execute(
-                "SELECT attempts FROM jobs WHERE id = ?", (job_id,)).fetchone()
-        return int(row["attempts"]) if row is not None else None
+                "next_eligible_at = NULL WHERE id = ? AND state = 'queued' "
+                "RETURNING attempts",
+                (now, str(lease_owner), now + float(lease_seconds), job_id)
+            ).fetchall()
+        return int(rows[0]["attempts"]) if rows else None
 
     def heartbeat(self, job_id: str, lease_owner: str,
                   lease_seconds: float) -> bool:
@@ -307,11 +474,10 @@ class RunRegistry:
         """Running jobs whose lease is missing or expired at ``now``."""
         if now is None:
             now = time.time()
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT * FROM jobs WHERE state = 'running' AND "
-                "(lease_expires_at IS NULL OR lease_expires_at < ?)",
-                (float(now),)).fetchall()
+        rows = self._read(
+            "SELECT * FROM jobs WHERE state = 'running' AND "
+            "(lease_expires_at IS NULL OR lease_expires_at < ?)",
+            (float(now),))
         return [self._job_dict(row) for row in rows]
 
     def running_jobs(self, lease_owner: Optional[str] = None
@@ -322,9 +488,7 @@ class RunRegistry:
         if lease_owner is not None:
             query += " AND lease_owner = ?"
             args = (str(lease_owner),)
-        with self._lock:
-            rows = self._connection.execute(query, args).fetchall()
-        return [self._job_dict(row) for row in rows]
+        return [self._job_dict(row) for row in self._read(query, args)]
 
     def record_result(self, job_id: str, result: Dict[str, Any],
                       cache_hits: int = 0, cache_misses: int = 0) -> None:
@@ -344,27 +508,27 @@ class RunRegistry:
     # -- events -------------------------------------------------------------
     def append_event(self, job_id: str, kind: str,
                      data: Dict[str, Any]) -> int:
-        """Persist one event; returns its per-job ``seq`` (1-based)."""
+        """Persist one event; returns its per-job ``seq`` (1-based).
+
+        The ``seq`` is numbered by the ``INSERT`` itself, so processes
+        sharing the registry file never hand out the same one.
+        """
         with self.transaction():
-            row = self._connection.execute(
-                "SELECT COALESCE(MAX(seq), 0) AS top FROM events "
-                "WHERE job_id = ?", (job_id,)).fetchone()
-            seq = int(row["top"]) + 1
-            self._connection.execute(
+            rows = self._connection.execute(
                 "INSERT INTO events (job_id, seq, created_at, kind, data) "
-                "VALUES (?,?,?,?,?)",
-                (job_id, seq, time.time(), kind,
-                 json.dumps(data, sort_keys=True)))
-        return seq
+                "VALUES (?, (SELECT COALESCE(MAX(seq), 0) + 1 FROM events "
+                "WHERE job_id = ?), ?, ?, ?) RETURNING seq",
+                (job_id, job_id, time.time(), kind,
+                 json.dumps(data, sort_keys=True))).fetchall()
+        return int(rows[0]["seq"])
 
     def events_since(self, job_id: str,
                      after_seq: int = 0) -> List[Dict[str, Any]]:
         """All persisted events with ``seq > after_seq``, in order."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT seq, created_at, kind, data FROM events "
-                "WHERE job_id = ? AND seq > ? ORDER BY seq",
-                (job_id, int(after_seq))).fetchall()
+        rows = self._read(
+            "SELECT seq, created_at, kind, data FROM events "
+            "WHERE job_id = ? AND seq > ? ORDER BY seq",
+            (job_id, int(after_seq)))
         return [{"job_id": job_id, "seq": int(row["seq"]),
                  "kind": row["kind"], "data": json.loads(row["data"])}
                 for row in rows]
@@ -372,13 +536,20 @@ class RunRegistry:
     # -- introspection ------------------------------------------------------
     def counts(self) -> Dict[str, int]:
         """Job counts per state (states with no jobs are omitted)."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
-            ).fetchall()
+        rows = self._read(
+            "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state")
         return {row["state"]: int(row["n"]) for row in rows}
 
     def close(self) -> None:
+        """Commit what is pending, stop the committer thread and close the
+        connection."""
+        with self._lock:
+            self._closing = True
+            self._unwaited.notify()
+        if self._committer is not None:
+            self._committer.join()
+        with self._commit_lock:
+            self._commit()
         with self._lock:
             self._connection.close()
 

@@ -12,17 +12,24 @@ scheduler and the execution engine:
   submission — from any client, any tenant — returns the *same* job id with
   ``deduped=True`` instead of a second execution; the registry records a
   ``dedup`` event on the surviving job.
-* **One transaction per lifecycle step.**  Submit (row + ``queued``
-  event), claim (claim + ``running`` event), each partial, and the end of a
-  job (result or error, ``cache`` event, terminal row and event) each
-  commit as one :meth:`~repro.service.registry.RunRegistry.transaction`.
-  Failed, cancelled and retried attempts follow the same rule.
+* **One registry step per lifecycle step, group-committed.**  Submit (row
+  + ``queued`` event), claim (claim + ``running`` event), each partial, and
+  the end of a job (result or error, ``cache`` event, terminal row and
+  event) are each one
+  :meth:`~repro.service.registry.RunRegistry.transaction` step; concurrent
+  steps share one ``COMMIT``.  Only a step that answers a client or ends a
+  job waits for its commit: submit and the dedup event (awaited outside the
+  submit lock, so concurrent submissions share a commit) and every terminal
+  step.  Claim, partial, retry-requeue and heartbeat steps do not: the
+  worker keeps computing while their fsync runs.  A job whose claim or
+  partial failed to commit is noticed by its next step and goes down the
+  failed-attempt path (retry or dead-letter).
 * **Streaming partials.**  A running job's ``emit`` callback persists each
   partial to the registry's event log (crash-proof) and fans it out to live
-  subscribers (low latency).  Subscribers see an event only after its
-  commit, so anything a client was sent is already replayable.  Attach =
-  replay-then-follow with ``seq`` dedup, so a reattaching client sees every
-  event exactly once.
+  subscribers (low latency).  Subscribers see an event only after the
+  commit that covers it, in commit order, so anything a client was sent is
+  already replayable.  Attach = replay-then-follow with ``seq`` dedup, so a
+  reattaching client sees every event exactly once.
 * **Per-job cache accounting.**  Each job's own expectation-cache hits and
   misses are tallied around its run
   (:func:`~repro.execution.cache.cache_tally`, scoped to the worker
@@ -66,7 +73,7 @@ from ..execution.cache import cache_tally
 from .jobs import JobCancelled, JobContext, PreparedJob, prepare_job
 from .protocol import TERMINAL_STATES
 from .queue import QueueFullError, QuotaExceededError, TenantQueues
-from .registry import RunRegistry
+from .registry import Batch, CommitError, RunRegistry
 
 #: Sentinel pushed to subscribers when a job reaches a terminal state.
 STREAM_END = None
@@ -101,11 +108,13 @@ class Submission(tuple):
 
 
 class _Step:
-    """The events one lifecycle step persisted, in order."""
+    """The events one lifecycle step persisted, in order, and the registry
+    batch whose commit covers them."""
 
     def __init__(self, registry: RunRegistry):
         self.registry = registry
         self.events: List[Dict[str, Any]] = []
+        self.batch: Optional[Batch] = None
 
     def emit(self, job_id: str, kind: str, data: Dict[str, Any]) -> None:
         seq = self.registry.append_event(job_id, kind, data)
@@ -190,44 +199,58 @@ class JobRunner:
         prepared = prepare_job(kind, payload)
         attempts_budget = self._max_attempts if max_attempts is None \
             else max(1, int(max_attempts))
+        rejected = None
         with self._submit_lock:
             if self._stopping:
                 raise QueueFullError("the server is shutting down")
-            if prepared.key is not None:
-                existing = self._inflight.get(prepared.key)
-                if existing is not None:
-                    with self._step() as step:
-                        step.emit(existing, "dedup", {"tenant": tenant})
-                        state = self.registry.get_job(
-                            existing, ("state",))["state"]
-                    return Submission(existing, True, None, state)
-            job_id = uuid.uuid4().hex[:12]
-            self._prepared[job_id] = prepared
-            self._cancel_flags[job_id] = threading.Event()
-            if prepared.key is not None:
-                self._inflight[prepared.key] = job_id
-            # The queue push happens inside the transaction: a worker that
-            # pops the job blocks on the registry until the row is there.
-            rejected = None
-            with self._step() as step:
-                self.registry.create_job(job_id, tenant, kind, prepared.key,
-                                         priority, payload,
-                                         max_attempts=attempts_budget,
-                                         deadline_seconds=deadline)
-                try:
-                    position = self.queues.submit(tenant, priority, job_id)
-                except (QueueFullError, QuotaExceededError) as error:
-                    rejected = error
-                    self.registry.transition(job_id, ("queued",),
-                                             "cancelled")
-                    self.registry.record_error(
-                        job_id, "rejected: queue full or quota exceeded")
-                else:
-                    step.emit(job_id, "state", {"state": "queued"})
-            if rejected is not None:
-                self._forget(job_id, prepared.key)
-                raise rejected
-        return Submission(job_id, False, position, "queued")
+            existing = None if prepared.key is None \
+                else self._inflight.get(prepared.key)
+            if existing is not None:
+                with self._step(wait=False) as step:
+                    step.emit(existing, "dedup", {"tenant": tenant})
+                    state = self.registry.get_job(
+                        existing, ("state",))["state"]
+                submission = Submission(existing, True, None, state)
+            else:
+                job_id = uuid.uuid4().hex[:12]
+                self._prepared[job_id] = prepared
+                self._cancel_flags[job_id] = threading.Event()
+                if prepared.key is not None:
+                    self._inflight[prepared.key] = job_id
+                # The queue push happens inside the step: a worker that
+                # pops the job blocks on the registry until the row is there.
+                position = None
+                with self._step(wait=False) as step:
+                    self.registry.create_job(
+                        job_id, tenant, kind, prepared.key, priority,
+                        payload, max_attempts=attempts_budget,
+                        deadline_seconds=deadline)
+                    try:
+                        position = self.queues.submit(tenant, priority,
+                                                      job_id)
+                    except (QueueFullError, QuotaExceededError) as error:
+                        rejected = error
+                        self.registry.transition(job_id, ("queued",),
+                                                 "cancelled")
+                        self.registry.record_error(
+                            job_id, "rejected: queue full or quota exceeded")
+                    else:
+                        step.emit(job_id, "state", {"state": "queued"})
+                if rejected is not None:
+                    self._forget(job_id, prepared.key)
+                submission = Submission(job_id, False, position, "queued")
+        # Waiting for durability outside the submit lock lets submissions
+        # that arrive meanwhile share the commit.
+        try:
+            self.registry.await_commit(step.batch)
+        except CommitError:
+            if existing is None and rejected is None:
+                self.queues.remove(tenant, job_id)
+                self._release(job_id, prepared.key)
+            raise
+        if rejected is not None:
+            raise rejected
+        return submission
 
     # -- queries ------------------------------------------------------------
     def job(self, job_id: str,
@@ -402,7 +425,7 @@ class JobRunner:
                 return
             with self._submit_lock:
                 self._prepared[job_id] = prepared
-        with self._step() as step:
+        with self._step(wait=False) as step:
             attempt = self.registry.claim(job_id, self.instance_id,
                                           self._lease_seconds)
             if attempt is not None:
@@ -414,44 +437,56 @@ class JobRunner:
         if attempt is None:
             # A racing cancel won, or a runner sharing the registry claimed
             # the job: either way it is no longer this runner's to wait on.
-            with self._submit_lock:
-                self._forget(job_id, prepared.key)
-            self._notify_done()
+            self._release(job_id, prepared.key)
             return
+        # The batches of this attempt's claim and partials, none of which
+        # waits for its commit: a lost one fails the attempt.
+        pending = [step.batch]
+
+        def emit(kind: str, data: Dict[str, Any]) -> None:
+            self._check_committed(pending)
+            pending.append(self._emit(job_id, kind, data))
+
         deadline = entry["deadline_seconds"]
         self._local_running[job_id] = (
             time.time(), float(deadline) if deadline is not None else None)
-        context = JobContext(
-            executor=self.executor,
-            emit=lambda kind, data: self._emit(job_id, kind, data),
-            cancelled=flag)
+        context = JobContext(executor=self.executor, emit=emit,
+                             cancelled=flag)
         try:
-            with cache_tally() as tally:
-                result = prepared.run(context)
-        except JobCancelled:
-            with self._submit_lock:
-                deadline_hit = job_id in self._deadline_hit
-            if deadline_hit:
-                self._retry_or_fail(
-                    entry, attempt, "deadline",
-                    f"deadline exceeded ({deadline}s)")
+            try:
+                with cache_tally() as tally:
+                    result = prepared.run(context)
+            except JobCancelled:
+                with self._submit_lock:
+                    deadline_hit = job_id in self._deadline_hit
+                if deadline_hit:
+                    self._retry_or_fail(
+                        entry, attempt, "deadline",
+                        f"deadline exceeded ({deadline}s)")
+                else:
+                    with self._finish(job_id, prepared.key) as step:
+                        if self.registry.transition(
+                                job_id, ("queued", "running"), "cancelled"):
+                            step.emit(job_id, "state",
+                                      {"state": "cancelled"})
+            except Exception as error:  # noqa: BLE001 - isolation boundary
+                self._retry_or_fail(entry, attempt, type(error).__name__,
+                                    f"{type(error).__name__}: {error}",
+                                    event_error=str(error))
             else:
                 with self._finish(job_id, prepared.key) as step:
-                    self.registry.transition(job_id, ("running",),
-                                             "cancelled")
-                    step.emit(job_id, "state", {"state": "cancelled"})
-        except Exception as error:  # noqa: BLE001 - job isolation boundary
-            self._retry_or_fail(entry, attempt, type(error).__name__,
-                                f"{type(error).__name__}: {error}",
-                                event_error=str(error))
-        else:
-            with self._finish(job_id, prepared.key) as step:
-                self.registry.record_result(job_id, result, tally.hits,
-                                            tally.misses)
-                step.emit(job_id, "cache",
-                          {"hits": tally.hits, "misses": tally.misses})
-                self.registry.transition(job_id, ("running",), "done")
-                step.emit(job_id, "state", {"state": "done"})
+                    # Under the registry lock every earlier batch has
+                    # committed or failed, or is this step's own.
+                    self._check_committed(pending)
+                    self.registry.record_result(job_id, result, tally.hits,
+                                                tally.misses)
+                    step.emit(job_id, "cache",
+                              {"hits": tally.hits, "misses": tally.misses})
+                    self.registry.transition(job_id, ("running",), "done")
+                    step.emit(job_id, "state", {"state": "done"})
+        except CommitError as error:
+            # The attempt's outcome did not reach the registry.
+            self._retry_or_fail(entry, attempt, "CommitError", str(error))
         finally:
             self._local_running.pop(job_id, None)
             with self._submit_lock:
@@ -460,17 +495,27 @@ class JobRunner:
     def _retry_or_fail(self, entry: Dict[str, Any], attempt: int,
                        cause: str, error_text: str,
                        event_error: Optional[str] = None) -> None:
-        """After a failed attempt: requeue with backoff, or dead-letter."""
-        job_id = entry["id"]
+        """After a failed attempt: requeue with backoff, or dead-letter.
+
+        The row is ``running``, or still ``queued`` when the attempt's claim
+        failed to commit.  If the registry cannot record the outcome at all,
+        the job is released so nothing waits on it; a restarted server
+        recovers its row.
+        """
+        job_id, key = entry["id"], entry["job_key"]
         limit = max(1, int(entry["max_attempts"] or 1))
         if attempt >= limit:
-            with self._finish(job_id, entry["job_key"]) as step:
-                self.registry.record_error(job_id, error_text)
-                self.registry.transition(job_id, ("running",), "failed")
-                step.emit(job_id, "state", {
-                    "state": "failed",
-                    "error": event_error if event_error is not None
-                    else error_text})
+            try:
+                with self._finish(job_id, key) as step:
+                    if self.registry.transition(
+                            job_id, ("queued", "running"), "failed"):
+                        self.registry.record_error(job_id, error_text)
+                        step.emit(job_id, "state", {
+                            "state": "failed",
+                            "error": event_error if event_error is not None
+                            else error_text})
+            except CommitError:
+                self._release(job_id, key)
             return
         delay = min(MAX_RETRY_BACKOFF,
                     self._retry_backoff * (2.0 ** (attempt - 1)))
@@ -479,36 +524,40 @@ class JobRunner:
             # A fresh flag: a deadline cancellation must not poison the
             # next attempt.
             self._cancel_flags[job_id] = threading.Event()
-        with self._step() as step:
-            self.registry.requeue(job_id, next_eligible_at=eligible_at)
-            step.emit(job_id, "state", {"state": "queued", "retry": attempt,
-                                        "cause": cause,
-                                        "backoff": round(delay, 4)})
+        with self._step(wait=False) as step:
+            if self.registry.requeue(job_id, next_eligible_at=eligible_at,
+                                     from_states=("queued", "running")):
+                step.emit(job_id, "state", {
+                    "state": "queued", "retry": attempt, "cause": cause,
+                    "backoff": round(delay, 4)})
+        if not step.events:  # the row is gone, or no longer this runner's
+            self._release(job_id, key)
+            return
         with self._delayed_lock:
             heapq.heappush(self._delayed,
                            (eligible_at, entry["tenant"],
                             int(entry["priority"]), job_id))
 
     @contextlib.contextmanager
-    def _step(self) -> Iterator[_Step]:
-        """One lifecycle step: the block's registry writes and the events
-        it emits commit as one transaction; subscribers get the events only
-        after that commit."""
+    def _step(self, wait: bool = True) -> Iterator[_Step]:
+        """One lifecycle step: the block's registry writes and the events it
+        emits join the registry's open batch, and subscribers get the events
+        once the ``COMMIT`` covering them returns.  With ``wait`` the step
+        returns only after that commit."""
         step = _Step(self.registry)
-        with self.registry.transaction():
+        with self.registry.transaction(
+                wait=wait,
+                on_commit=lambda: self._publish(step.events)) as batch:
+            step.batch = batch
             yield step
-        self._publish(step.events)
 
     @contextlib.contextmanager
     def _finish(self, job_id: str, key: Optional[str]) -> Iterator[_Step]:
-        """A step that may end a job: if it emitted an event, the job then
-        leaves the in-flight set and waiters wake."""
+        """A step that ends a job: once it has committed, the job leaves the
+        in-flight set and waiters wake."""
         with self._step() as step:
             yield step
-        if step.events:
-            with self._submit_lock:
-                self._forget(job_id, key)
-            self._notify_done()
+        self._release(job_id, key)
 
     def _cancel_queued(self, job_id: str, key: Optional[str]) -> bool:
         """Cancel a job no worker holds; False if it was no longer queued."""
@@ -524,10 +573,27 @@ class JobRunner:
         if key is not None and self._inflight.get(key) == job_id:
             del self._inflight[key]
 
-    def _emit(self, job_id: str, kind: str, data: Dict[str, Any]) -> None:
-        """Persist one event in its own step, then fan it out."""
-        with self._step() as step:
+    def _release(self, job_id: str, key: Optional[str]) -> None:
+        """Forget a job and wake whoever waits on it."""
+        with self._submit_lock:
+            self._forget(job_id, key)
+        self._notify_done()
+
+    def _emit(self, job_id: str, kind: str, data: Dict[str, Any]) -> Batch:
+        """Persist one event in its own step, not waiting for its commit;
+        returns the batch that commits it."""
+        with self._step(wait=False) as step:
             step.emit(job_id, kind, data)
+        return step.batch
+
+    @staticmethod
+    def _check_committed(batches: List[Batch]) -> None:
+        """Raise :class:`CommitError` if one of ``batches`` failed to
+        commit; drop the ones already committed."""
+        for batch in batches:
+            batch.check()
+        batches[:] = [batch for batch in batches
+                      if not batch.settled.is_set()]
 
     def _publish(self, events: List[Dict[str, Any]]) -> None:
         """Fan committed events out to live subscribers."""
@@ -595,9 +661,13 @@ class JobRunner:
                     flag.set()
 
     def _heartbeat_running(self) -> None:
-        for job_id in list(self._local_running):
-            self.registry.heartbeat(job_id, self.instance_id,
-                                    self._lease_seconds)
+        running = list(self._local_running)
+        if not running:
+            return
+        with self.registry.transaction(wait=False):
+            for job_id in running:
+                self.registry.heartbeat(job_id, self.instance_id,
+                                        self._lease_seconds)
 
     def _reclaim_foreign(self, now: float) -> None:
         """Retry/dead-letter running jobs whose owner stopped heartbeating
@@ -657,7 +727,7 @@ class JobRunner:
                     step.emit(job_id, "state",
                               {"state": "failed", "error": "lease-expired"})
             return
-        with self._step() as step:
+        with self._step(wait=False) as step:
             if self.registry.requeue(job_id, from_states=("running",)):
                 step.emit(job_id, "state", {"state": "queued",
                                             "retry": attempts,

@@ -267,15 +267,17 @@ class ServiceServer:
 
         Subscribes *before* replaying and drops live events at or below the
         replay horizon, so a reattaching client sees every event exactly
-        once regardless of timing.
+        once regardless of timing.  The state is read before the replay: a
+        job that was terminal then has every event in the replay, and one
+        that was not will still publish its terminal event to the feed.
         """
         feed = self.runner.subscribe(job_id)
         try:
+            entry = self.runner.job(job_id, RESULT_COLUMNS)
             horizon = int(after_seq)
             for event in self.registry.events_since(job_id, horizon):
                 horizon = max(horizon, event["seq"])
                 await send(event)
-            entry = self.runner.job(job_id, RESULT_COLUMNS)
             if entry["state"] in TERMINAL_STATES:
                 return entry
             while True:

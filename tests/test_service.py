@@ -19,6 +19,10 @@ import contextlib
 import json
 import os
 import shutil
+import socket
+import sqlite3
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -46,6 +50,7 @@ from repro.service import (JobFailedError, JobRunner, ProtocolError,
 from repro.service import protocol as protocol_module
 from repro.service import runner as runner_module
 from repro.service.jobs import PreparedJob, prepare_job
+from repro.service.registry import CommitError
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +245,21 @@ class TestRunRegistry:
         tail = registry.events_since("j1", after_seq=3)
         assert [event["seq"] for event in tail] == [4, 5]
         assert tail[0]["data"] == {"n": 3}
+
+    def test_append_event_numbers_its_seq_in_the_insert(self):
+        """The seq comes from the INSERT itself: no SELECT per event."""
+        registry = RunRegistry(":memory:")
+        registry.create_job("j1", "t", "sweep", None, 0, {})
+        statements = []
+        registry._connection.set_trace_callback(statements.append)
+        seqs = [registry.append_event("j1", "partial", {"n": n})
+                for n in range(3)]
+        registry._connection.set_trace_callback(None)
+        assert seqs == [1, 2, 3]
+        assert [s for s in statements
+                if s.lstrip().upper().startswith("SELECT")] == []
+        assert sum(s.lstrip().upper().startswith("INSERT")
+                   for s in statements) == 3
 
     def test_find_inflight_and_counts(self):
         registry = RunRegistry(":memory:")
@@ -504,6 +524,32 @@ class TestServiceEndToEnd:
         assert result.result["total_defects"] == reference.total_defects
         assert result.result["logical_error_rate"] == \
             reference.logical_error_rate
+
+    def test_stream_keeps_events_committed_after_its_replay(self):
+        """A job that ends between the stream's replay and its state check
+        still streams every event: nothing is dropped from the feed."""
+        payload = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
+                                     shots=1024, seed=12, chunk_blocks=1)
+        with service(workers=1) as handle:
+            server = handle.server
+            replay = server.registry.events_since
+
+            def replay_then_finish(job_id, after_seq=0):
+                events = replay(job_id, after_seq)
+                server.runner.wait_result(job_id, timeout=10)
+                return events
+
+            server.registry.events_since = replay_then_finish
+            with ServiceClient(handle.socket_path) as client:
+                events = []
+                _, result = client.submit_and_stream(
+                    "qec_memory", payload, on_event=events.append)
+        assert result.state == "done"
+        assert [event["seq"] for event in events] == list(
+            range(1, len(events) + 1))
+        assert [e["data"]["shots"] for e in events
+                if e["kind"] == "partial"] == [256, 512, 768, 1024]
+        assert events[-1]["data"] == {"state": "done"}
 
     def test_cross_client_dedup_single_engine_execution(self):
         template, points, observable = sweep_fixture(points=8)
@@ -881,6 +927,42 @@ def stub_or_job(gates):
     return prepare
 
 
+class FailingCommits:
+    """A registry connection whose next ``failures`` COMMITs raise, the way
+    a full or failing disk makes SQLite's COMMIT raise."""
+
+    def __init__(self, connection):
+        self._connection = connection
+        self.failures = 0
+        self.failed = 0
+
+    def execute(self, statement, *args):
+        if statement == "COMMIT" and self.failures:
+            self.failures -= 1
+            self.failed += 1
+            raise sqlite3.OperationalError("disk I/O error")
+        return self._connection.execute(statement, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def committed_rows(path, query, args=()):
+    """Rows a second connection to the registry file reads."""
+    observer = sqlite3.connect(path)
+    try:
+        return observer.execute(query, args).fetchall()
+    finally:
+        observer.close()
+
+
 class TestRegistryTransactions:
     def test_job_steps_commit_once_each(self, tmp_path):
         """Submit, claim, each partial and success are one commit each: a
@@ -916,7 +998,6 @@ class TestRegistryTransactions:
         second connection; seqs run from 1 with no gap, kinds and states
         keep their order, and a replay after reopening equals the stream."""
         import queue
-        import sqlite3
         import types
 
         path = str(tmp_path / "registry.db")
@@ -1034,8 +1115,6 @@ class TestRegistryTransactions:
                                                    tmp_path):
         """More workers than cores and a short switch interval: every job
         ends done with its events numbered 1..n in lifecycle order."""
-        import sys
-
         def prepare(kind, payload):
             def run(ctx):
                 for index in range(3):
@@ -1069,6 +1148,275 @@ class TestRegistryTransactions:
                 "cache", "done"]
         assert registry.counts() == {"done": 60}
         registry.close()
+
+    def test_steps_queued_on_the_lock_share_one_commit(self, tmp_path):
+        registry = RunRegistry(str(tmp_path / "registry.db"))
+        registry.create_job("j", "t", "sweep", None, 0, {})
+        steps, errors = 6, []
+
+        def step(n):
+            try:
+                with registry.transaction():
+                    registry.append_event("j", "partial", {"n": n})
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=step, args=(n,))
+                   for n in range(steps)]
+        with counting_commits(registry) as commits:
+            with registry._lock:
+                for thread in threads:
+                    thread.start()
+                wait_until(lambda: registry._arrived - registry._left ==
+                           steps)
+            for thread in threads:
+                thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 1 <= len(commits) <= 2
+        events = registry.events_since("j")
+        assert [event["seq"] for event in events] == list(
+            range(1, steps + 1))
+        assert sorted(event["data"]["n"] for event in events) == list(
+            range(steps))
+        registry.close()
+
+    def test_a_raising_step_rolls_back_only_its_own_writes(self, tmp_path):
+        path = str(tmp_path / "registry.db")
+        registry = RunRegistry(path)
+        registry.create_job("j", "t", "sweep", None, 0, {})
+        published = []
+        # Holding the commit lock keeps all three steps in one batch.
+        with registry._commit_lock:
+            with registry.transaction(
+                    wait=False, on_commit=lambda: published.append("a")
+            ) as batch:
+                registry.append_event("j", "partial", {"n": "a"})
+            with pytest.raises(RuntimeError, match="step fails"):
+                with registry.transaction(
+                        wait=False, on_commit=lambda: published.append("b")):
+                    registry.append_event("j", "partial", {"n": "b"})
+                    raise RuntimeError("step fails")
+            with registry.transaction(
+                    wait=False, on_commit=lambda: published.append("c")
+            ) as mate:
+                registry.append_event("j", "partial", {"n": "c"})
+            assert mate is batch and batch.steps == 2
+        registry.await_commit(batch)
+        assert published == ["a", "c"]
+        rows = committed_rows(path, "SELECT seq, data FROM events WHERE "
+                                    "job_id = 'j' ORDER BY seq")
+        assert [(seq, json.loads(data)["n"]) for seq, data in rows] == [
+            (1, "a"), (2, "c")]
+        registry.close()
+
+    def test_failed_commit_raises_in_every_waiter_and_publishes_nothing(
+            self, tmp_path):
+        path = str(tmp_path / "registry.db")
+        registry = RunRegistry(path)
+        registry.create_job("j", "t", "sweep", None, 0, {})
+        connection = FailingCommits(registry._connection)
+        registry._connection = connection
+        steps, published, raised = 4, [], []
+        left = registry._left
+
+        def step(n):
+            try:
+                with registry.transaction(
+                        on_commit=lambda: published.append(n)):
+                    registry.append_event("j", "partial", {"n": n})
+            except CommitError:
+                raised.append(n)
+
+        threads = [threading.Thread(target=step, args=(n,))
+                   for n in range(steps)]
+        with registry._commit_lock:
+            for thread in threads:
+                thread.start()
+            # Every step has written into the open batch; none committed.
+            wait_until(lambda: registry._left - left == steps)
+            connection.failures = 1
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(raised) == list(range(steps))
+        assert published == []
+        assert connection.failed == 1
+        assert committed_rows(path, "SELECT * FROM events") == []
+        assert registry.events_since("j") == []
+        # The registry keeps working after the failed batch.
+        assert registry.append_event("j", "partial", {"n": "next"}) == 1
+        assert committed_rows(path, "SELECT seq FROM events") == [(1,)]
+        registry.close()
+
+    def test_runner_fails_the_attempt_whose_steps_were_lost(
+            self, monkeypatch, tmp_path):
+        """A lost submission raises in the submitter and leaves no row; a
+        running job whose partial or end failed to commit ends failed with
+        none of the lost events published; the next job completes."""
+        gates = {"held": threading.Event()}
+        monkeypatch.setattr(runner_module, "prepare_job", stub_or_job(gates))
+        registry = RunRegistry(str(tmp_path / "registry.db"))
+        connection = FailingCommits(registry._connection)
+        registry._connection = connection
+        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1,
+                           lease_seconds=600.0)
+        try:
+            connection.failures = 1
+            with pytest.raises(CommitError):
+                runner.submit("sweep", {"stub": "quick", "name": "lost"})
+            assert registry.list_jobs() == []
+
+            job_id, _, _ = runner.submit("sweep",
+                                         {"stub": "hold", "name": "held"})
+            feed = runner.subscribe(job_id)
+            wait_until(lambda: runner.job(job_id, ("state",))["state"] ==
+                       "running")
+            connection.failures = 1
+            gates["held"].set()
+            entry = runner.wait_result(job_id, timeout=10)
+            assert entry["state"] == "failed"
+            assert "commit failed" in entry["error"]
+            assert connection.failed == 2
+            events = registry.events_since(job_id)
+            assert [event["seq"] for event in events] == [1, 2, 3]
+            assert [event["data"]["state"] for event in events] == [
+                "queued", "running", "failed"]
+            live = []
+            while True:
+                event = feed.get(timeout=10)
+                if event is runner_module.STREAM_END:
+                    break
+                live.append(event)
+            runner.unsubscribe(job_id, feed)
+            assert live == events[-len(live):]
+            assert live[-1]["data"]["state"] == "failed"
+
+            next_id, _, _ = runner.submit("sweep",
+                                          {"stub": "quick", "name": "next"})
+            assert runner.wait_result(next_id, timeout=10)["state"] == "done"
+        finally:
+            gates["held"].set()
+            runner.shutdown(timeout=10)
+            registry.close()
+
+    def test_reads_return_only_committed_rows(self, tmp_path):
+        path = str(tmp_path / "registry.db")
+        registry = RunRegistry(path)
+        # No committer thread: a non-waiting step stays pending until
+        # something commits it.
+        registry._commit_loop = lambda: None
+        with registry.transaction(wait=False):
+            registry.create_job("j", "t", "sweep", None, 0, {"x": 1})
+            registry.append_event("j", "state", {"state": "queued"})
+            # Inside a step a read sees the step's own writes.
+            assert registry.get_job("j", ("state",)) == {"state": "queued"}
+        assert committed_rows(path, "SELECT id FROM jobs") == []
+        entry = registry.get_job("j", ("id", "state"))
+        assert committed_rows(path, "SELECT id, state FROM jobs") == [
+            (entry["id"], entry["state"])]
+        with registry.transaction(wait=False):
+            registry.append_event("j", "partial", {"n": 0})
+        assert len(committed_rows(path, "SELECT seq FROM events")) == 1
+        events = registry.events_since("j")
+        assert [(event["seq"], event["kind"]) for event in events] == \
+            committed_rows(path, "SELECT seq, kind FROM events ORDER BY seq")
+        registry.close()
+
+    def test_close_persists_pending_steps_and_stops_the_committer(
+            self, tmp_path):
+        path = str(tmp_path / "registry.db")
+        registry = RunRegistry(path)
+        for n in range(3):
+            with registry.transaction(wait=False):
+                registry.create_job(f"j{n}", "t", "sweep", None, 0, {})
+        committer = registry._committer
+        assert committer is not None
+        registry.close()
+        assert not committer.is_alive()
+        pending = RunRegistry(path)
+        pending._commit_loop = lambda: None
+        with pending.transaction(wait=False):
+            pending.append_event("j0", "partial", {"n": 0})
+        assert committed_rows(path, "SELECT seq FROM events") == []
+        pending.close()
+        reopened = RunRegistry(path)
+        assert [row["id"] for row in reopened.list_jobs()] == [
+            "j2", "j1", "j0"]
+        assert [event["seq"] for event in reopened.events_since("j0")] == [1]
+        reopened.close()
+
+
+class TestServerKill:
+    def test_sigkilled_server_loses_no_event_a_client_saw(self, tmp_path):
+        """SIGKILL the server after a streaming client saw ``running`` and
+        one of four partials; a server restarted on the same registry file
+        replays every event that client saw, with seqs contiguous from 1,
+        and finishes the job."""
+        import repro
+
+        tmp = tempfile.mkdtemp(dir="/tmp", prefix="rsvc")
+        socket_path = os.path.join(tmp, "s.sock")
+        db_path = str(tmp_path / "registry.db")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       os.path.abspath(repro.__file__))),
+                   # The dead server's lease lapses within a second, and
+                   # its attempt leaves one for the restarted server.
+                   REPRO_SERVICE_LEASE_SECONDS="1",
+                   REPRO_SERVICE_MAX_ATTEMPTS="2")
+
+        def serve():
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro.service", "serve", "--socket",
+                 socket_path, "--db", db_path, "--workers", "1"],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL)
+            deadline = time.monotonic() + 60
+            while True:
+                assert server.poll() is None, "server exited"
+                with socket.socket(socket.AF_UNIX) as probe:
+                    try:
+                        probe.connect(socket_path)
+                        return server
+                    except OSError:
+                        pass
+                assert time.monotonic() < deadline, "server never up"
+                time.sleep(0.05)
+
+        # Four partials of about 0.4 s each: the kill lands mid-job.
+        payload = qec_memory_payload(distance=5, rounds=5, error_rate=0.05,
+                                     shots=16384, seed=3, chunk_blocks=16)
+        server = serve()
+        try:
+            victim = ServiceClient(socket_path, timeout=60)
+            job_id = victim.submit("qec_memory", payload).job_id
+            seen = []
+            for event in victim.iter_events(job_id):
+                seen.append(event)
+                if event["kind"] == "partial":
+                    break
+            server.kill()
+            server.wait()
+            victim.close()
+            assert {"state": "running"} in [e["data"] for e in seen]
+
+            server = serve()
+            replay = []
+            with ServiceClient(socket_path, timeout=60) as rescuer:
+                final = rescuer.attach(job_id, on_event=replay.append)
+            triples = [(e["seq"], e["kind"], e["data"]) for e in replay]
+            for event in seen:
+                assert (event["seq"], event["kind"], event["data"]) in triples
+            seqs = [event["seq"] for event in replay]
+            assert seqs == list(range(1, len(seqs) + 1))
+            assert final.state == "done"
+            assert replay[-1]["kind"] == "state"
+            assert replay[-1]["data"]["state"] == "done"
+        finally:
+            server.kill()
+            server.wait()
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 class TestPerJobCacheCounts:
