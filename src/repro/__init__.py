@@ -11,7 +11,8 @@ organised bottom-up:
   :class:`~repro.simulators.program.CompiledProgram` objects with gate
   fusion, diagonal/permutation fast paths and pre-merged noise channels;
 * :mod:`repro.qec` — surface-code error models, magic-state distillation and
-  cultivation, Clifford+T synthesis, matching decoder, memory experiments;
+  cultivation, the Clifford+T cost model, matching decoders, memory
+  experiments;
 * :mod:`repro.architecture` — logical-qubit layouts, lattice-surgery costs
   and the spacetime-volume scheduler;
 * :mod:`repro.ansatz` — linear / fully-connected / blocked_all_to_all / UCCSD
@@ -30,7 +31,8 @@ organised bottom-up:
   parameter sweeps ride :func:`evaluate_sweep`: the template compiles once
   and every point executes in one stacked, batched NumPy pass;
 * :mod:`repro.vqe` / :mod:`repro.mitigation` — the VQE engine (continuous and
-  Clifford-restricted) and NISQ-inherited mitigation (VarSaw, ZNE).
+  Clifford-restricted) and NISQ-inherited mitigation (VarSaw, CAFQA,
+  dynamical decoupling, QISMET).
 
 Quick start — evaluate one Hamiltonian through every execution path with a
 single batched, cached call::
@@ -62,7 +64,7 @@ Regime comparison (the paper's headline experiment) sits one layer up::
     print(outcome["comparison"].gamma)
 """
 
-from .algorithms import QAOA, QAOAAnsatz, VQD, VariationalClassifier
+from .algorithms import QAOA, QAOAAnsatz
 from .ansatz import (Ansatz, BlockedAllToAllAnsatz, FCHEAnsatz,
                      FullyConnectedAnsatz, LinearAnsatz, UCCSDAnsatz,
                      make_ansatz)
@@ -87,7 +89,6 @@ from .qec import (FactoryConfig, MWPMDecoder, SurfaceCodePatch,
                   surface_code_memory_experiment, t_count_for_precision)
 from .simulators import (DensityMatrixSimulator, NoiseModel,
                          StabilizerSimulator, StatevectorSimulator)
-from .synthesis import approximate_rz
 from .vqe import (VQE, BackendEnergyEvaluator, CliffordVQE, CobylaOptimizer,
                   GeneticOptimizer, SPSAOptimizer, compare_regimes,
                   compare_regimes_clifford, compare_regimes_opr)
@@ -137,11 +138,8 @@ __all__ = [
     "SurfaceCodePatch",
     "UCCSDAnsatz",
     "UnionFindDecoder",
-    "VQD",
     "VQE",
-    "VariationalClassifier",
     "__version__",
-    "approximate_rz",
     "available_backends",
     "compare_regimes",
     "compare_regimes_clifford",

@@ -1,32 +1,19 @@
 """Variational algorithms beyond ground-state VQE.
 
 The paper focuses on VQE but states (Sec. 2.1) that its EFT-VQA analysis
-"extends to other VQAs like QAOA and QML".  This package provides those
-extensions on top of the same regime / evaluator / optimizer infrastructure,
+"extends to other VQAs like QAOA and QML".  This package provides the QAOA
+extension on top of the same regime / evaluator / optimizer infrastructure,
 so the pQEC-versus-NISQ comparison can be reproduced for combinatorial
-optimization and classification workloads as well:
+optimization as well:
 
 * :mod:`repro.algorithms.qaoa` — the Quantum Approximate Optimization
-  Algorithm on MaxCut instances (:mod:`repro.operators.graphs`);
-* :mod:`repro.algorithms.vqd` — Variational Quantum Deflation for excited
-  states (an optional-extension workload sharing the VQE machinery);
-* :mod:`repro.algorithms.qml` — a variational quantum classifier with angle
-  encoding trained on synthetic datasets.
+  Algorithm on MaxCut instances (:mod:`repro.operators.graphs`).
 """
 
 from .qaoa import QAOA, QAOAAnsatz, QAOAResult
-from .qml import (ClassificationDataset, VariationalClassifier,
-                  make_blobs_dataset, make_circles_dataset)
-from .vqd import VQD, VQDResult
 
 __all__ = [
-    "ClassificationDataset",
     "QAOA",
     "QAOAAnsatz",
     "QAOAResult",
-    "VQD",
-    "VQDResult",
-    "VariationalClassifier",
-    "make_blobs_dataset",
-    "make_circles_dataset",
 ]

@@ -22,10 +22,11 @@ ANSATZ_FAMILIES = {
 def make_ansatz(family: str, num_qubits: int, depth: int = 1) -> Ansatz:
     """Construct an ansatz by family name.
 
-    ``family`` is one of the registered families in ``ANSATZ_FAMILIES``
-    (``"linear"``, ``"fully_connected"``, ``"blocked_all_to_all"``,
-    ``"fche"``, ``"uccsd"`` — the set the paper's Table 2 compares); unknown
-    names raise ``ValueError`` listing the supported ones.  Example::
+    ``family`` is a key of ``ANSATZ_FAMILIES``: ``"linear"``,
+    ``"fully_connected"`` (the paper's FCHE), ``"blocked_all_to_all"`` or
+    ``"uccsd"``.  The paper's Table 2 compares ``"blocked_all_to_all"``
+    against ``"fully_connected"``.  Unknown names raise ``ValueError``
+    listing the supported ones.  Example::
 
         ansatz = make_ansatz("blocked_all_to_all", num_qubits=12, depth=2)
     """

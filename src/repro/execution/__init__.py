@@ -1,7 +1,7 @@
 """Unified execution-backend API.
 
 One stable seam between every consumer of simulation (VQE energy evaluators,
-QAOA, VQD, the variational classifier, VarSaw, twirling) and the four
+QAOA, VarSaw, CAFQA) and the four
 execution paths the paper evaluates with (statevector, density matrix,
 stabilizer tableau, Pauli propagation):
 

@@ -13,8 +13,7 @@ what lets the persistent :mod:`repro.execution.disk_cache` tier reuse the
 same keys on disk.
 
 The cache is what makes optimizer-driven workloads cheap: COBYLA and SPSA
-re-evaluate repeated parameter vectors, VQD re-evaluates each level's best
-circuit, and VarSaw evaluates the same circuit against many observables —
+re-evaluate repeated parameter vectors, and VarSaw evaluates the same circuit against many observables —
 all of which collapse onto prior entries here.
 
 :func:`cache_tally` counts the lookups made in one context (thread or

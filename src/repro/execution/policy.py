@@ -4,8 +4,8 @@
 retry budget into one frozen value, and it is the only per-call fan-out
 argument: every entry point that fans work out (``execute``,
 ``evaluate_observable``, ``evaluate_sweep``, ``run_memory_sampling``, the
-QEC memory experiments, ``BackendEnergyEvaluator``, ``VQD``, service
-submit payloads) takes ``policy=``.  :meth:`ExecutionPolicy.from_env` is
+QEC memory experiments, ``BackendEnergyEvaluator``, service submit
+payloads) takes ``policy=``.  :meth:`ExecutionPolicy.from_env` is
 the single reader for the ``REPRO_WORKERS`` / ``REPRO_SHARD_*`` /
 ``REPRO_BROKER_SPOOL`` knobs.
 

@@ -1,19 +1,16 @@
-"""Interchange formats: OpenQASM 2.0, JSON serialization and report writing.
+"""Interchange formats: JSON serialization and report writing.
 
 Downstream users of an EFT-VQA compiler need to move circuits and results in
-and out of the toolchain — exporting ansatz circuits to other simulators,
-checkpointing optimized parameters, and recording experiment tables.  This
-package provides the three formats the examples and benchmark harness rely
-on:
+and out of the toolchain — checkpointing circuits and optimized
+parameters, and recording experiment tables.  This package provides the two
+formats the examples and benchmark harness rely on:
 
-* :mod:`repro.io.qasm` — OpenQASM 2.0 export/import for the circuit IR;
 * :mod:`repro.io.serialization` — JSON round-tripping of circuits, Pauli
   operators and result records;
 * :mod:`repro.io.reports` — markdown experiment tables comparing paper and
   measured values.
 """
 
-from .qasm import from_qasm, to_qasm
 from .reports import ExperimentRecord, ExperimentReport, markdown_table
 from .serialization import (channel_from_dict, channel_to_dict,
                             circuit_from_dict, circuit_to_dict,
@@ -29,7 +26,6 @@ __all__ = [
     "channel_to_dict",
     "circuit_from_dict",
     "circuit_to_dict",
-    "from_qasm",
     "load_json",
     "markdown_table",
     "noise_model_from_dict",
@@ -40,5 +36,4 @@ __all__ = [
     "save_json",
     "template_from_dict",
     "template_to_dict",
-    "to_qasm",
 ]

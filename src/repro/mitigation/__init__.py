@@ -5,14 +5,10 @@ useful alongside partial QEC.  This package implements the ones it names:
 
 * **VarSaw** (:mod:`.varsaw`) — application-tailored measurement-error
   mitigation per commuting Pauli group (demonstrated in the paper's Fig. 15);
-* **ZNE** (:mod:`.zne`) — zero-noise extrapolation via gate folding;
-* **Readout calibration** (:mod:`.readout`) — tensored confusion-matrix
-  inversion at the counts level;
 * **Dynamical decoupling** (:mod:`.dynamical_decoupling`) — idle-window pulse
   insertion plus VAQEM-style per-circuit sequence selection;
 * **CAFQA** (:mod:`.cafqa`) — Clifford bootstrap initialization;
-* **QISMET** (:mod:`.qismet`) — transient-error detection and retry;
-* **Pauli twirling** (:mod:`.twirling`) — randomized compiling of CNOTs.
+* **QISMET** (:mod:`.qismet`) — transient-error detection and retry.
 """
 
 from .cafqa import (CAFQABootstrappedVQE, CAFQAInitialization,
@@ -22,14 +18,8 @@ from .dynamical_decoupling import (DD_SEQUENCES, DDSelectionResult,
                                    idle_windows, insert_dd_sequences,
                                    schedule_with_idle_drift, total_idle_slots)
 from .qismet import QISMETController, QISMETStatistics, TransientNoiseInjector
-from .readout import QubitConfusion, ReadoutCalibrationMatrix
-from .twirling import (TwirledExpectation, pauli_twirl_circuit,
-                       propagate_pauli_through_cnot,
-                       twirled_ensemble_expectation)
 from .varsaw import (MitigatedEnergyEvaluator, ReadoutCalibration,
                      VarSawMitigator)
-from .zne import (ZNEEnergyEvaluator, ZNEResult, fold_circuit,
-                  richardson_extrapolate, zero_noise_extrapolation)
 
 __all__ = [
     "CAFQABootstrappedVQE",
@@ -40,25 +30,14 @@ __all__ = [
     "MitigatedEnergyEvaluator",
     "QISMETController",
     "QISMETStatistics",
-    "QubitConfusion",
     "ReadoutCalibration",
-    "ReadoutCalibrationMatrix",
     "TransientNoiseInjector",
-    "TwirledExpectation",
     "VarSawMitigator",
-    "ZNEEnergyEvaluator",
-    "ZNEResult",
     "cafqa_initialization",
     "compare_initializations",
     "dd_pulse_count",
-    "fold_circuit",
     "idle_windows",
     "insert_dd_sequences",
-    "pauli_twirl_circuit",
-    "propagate_pauli_through_cnot",
-    "richardson_extrapolate",
     "schedule_with_idle_drift",
     "total_idle_slots",
-    "twirled_ensemble_expectation",
-    "zero_noise_extrapolation",
 ]

@@ -65,8 +65,12 @@ class ServiceClient:
                  timeout: Optional[float] = None):
         self.socket_path = str(socket_path)
         self._socket = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._socket.settimeout(timeout)
-        self._socket.connect(self.socket_path)
+        try:
+            self._socket.settimeout(timeout)
+            self._socket.connect(self.socket_path)
+        except BaseException:
+            self._socket.close()
+            raise
         self._reader = self._socket.makefile("rb")
 
     # -- plumbing -----------------------------------------------------------

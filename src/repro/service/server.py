@@ -38,7 +38,7 @@ import os
 import queue as queue_module
 import threading
 import urllib.parse
-from typing import Any, Awaitable, Callable, Dict, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from ..execution.executor import Executor
 from ..execution.policy import ExecutionPolicy
@@ -52,12 +52,23 @@ from .protocol import (PROTOCOL_VERSION, TERMINAL_STATES, AttachRequest,
                        SubmitRequest, SubmittedResponse, decode_line,
                        encode_line)
 from .queue import QueueFullError, QuotaExceededError, TenantQueues
-from .registry import RunRegistry
+from .registry import CommitError, RunRegistry
 from .runner import RESULT_COLUMNS, STREAM_END, JobRunner, UnknownJobError
 
 _HTTP_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
                  404: "Not Found", 405: "Method Not Allowed",
                  429: "Too Many Requests", 503: "Service Unavailable"}
+
+#: How both transports answer a failed submission: the first entry whose
+#: type matches gives the error code and status.  ``ValueError`` covers
+#: :class:`ProtocolError` and a malformed HTTP body.
+_SUBMIT_ERRORS = (
+    (QuotaExceededError, "quota-exceeded", 429),
+    (QueueFullError, "queue-full", 429),
+    (CommitError, "commit-failed", 503),
+    (ValueError, "bad-request", 400),
+)
+_SUBMIT_ERROR_TYPES = tuple(kind for kind, _, _ in _SUBMIT_ERRORS)
 
 #: Poll interval for live event feeds — bounds how long a dead connection
 #: can pin a feeder thread.
@@ -233,17 +244,9 @@ class ServiceServer:
                 self.runner.submit, request.kind, request.payload,
                 request.tenant, request.priority, request.deadline,
                 request.max_attempts)
-        except ProtocolError as error:
-            await self._write(writer, ErrorResponse(
-                "bad-request", str(error), 400))
-            return
-        except QuotaExceededError as error:
-            await self._write(writer, ErrorResponse(
-                "quota-exceeded", str(error), 429))
-            return
-        except QueueFullError as error:
-            await self._write(writer, ErrorResponse(
-                "queue-full", str(error), 429))
+        except _SUBMIT_ERROR_TYPES as error:
+            code, status = _submit_error(error)
+            await self._write(writer, ErrorResponse(code, str(error), status))
             return
         job_id, deduped, position = submission
         await self._write(writer, SubmittedResponse(
@@ -362,17 +365,10 @@ class ServiceServer:
                 self.runner.submit, request.kind, request.payload,
                 request.tenant, request.priority, request.deadline,
                 request.max_attempts)
-        except (json.JSONDecodeError, ProtocolError, ValueError) as error:
-            await self._http_json(writer, 400, {
-                "code": "bad-request", "message": str(error)})
-            return
-        except QuotaExceededError as error:
-            await self._http_json(writer, 429, {
-                "code": "quota-exceeded", "message": str(error)})
-            return
-        except QueueFullError as error:
-            await self._http_json(writer, 429, {
-                "code": "queue-full", "message": str(error)})
+        except _SUBMIT_ERROR_TYPES as error:
+            code, status = _submit_error(error)
+            await self._http_json(writer, status, {
+                "code": code, "message": str(error)})
             return
         job_id, deduped, position = submission
         await self._http_json(writer, 202, {
@@ -449,6 +445,12 @@ class ServiceServer:
                       f"Connection: close\r\n\r\n").encode("latin-1"))
         writer.write(body)
         await writer.drain()
+
+
+def _submit_error(error: Exception) -> Tuple[str, int]:
+    """The ``(code, status)`` :data:`_SUBMIT_ERRORS` gives ``error``."""
+    return next((code, status) for kind, code, status in _SUBMIT_ERRORS
+                if isinstance(error, kind))
 
 
 def _poll_feed(feed: "queue_module.SimpleQueue"):

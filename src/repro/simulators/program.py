@@ -3,8 +3,7 @@
 The interpreted simulator loops pay Python-level costs per gate per run:
 ``Gate.matrix()`` resolution, tensor-axis derivation, one generic
 ``tensordot`` per instruction — and every optimizer step (COBYLA/SPSA
-queries, parameter-shift pairs, genetic populations, VQD levels, classifier
-batches) re-simulates near-identical circuits one at a time.  This module
+queries, parameter-shift pairs, genetic populations) re-simulates near-identical circuits one at a time.  This module
 lowers a :class:`~repro.circuits.circuit.QuantumCircuit` **once** into a flat
 :class:`CompiledProgram` and executes it — alone or across a whole parameter
 sweep in one NumPy pass.  The gate-by-gate loop it replaced is the test

@@ -139,8 +139,8 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         :meth:`repro.execution.Executor.evaluate_sweep` — the template is
         compiled once, each point only rebinds the parametric gate matrices,
         and noiseless statevector sweeps execute as a single stacked NumPy
-        pass.  SPSA ± pairs, parameter-shift pairs, genetic populations and
-        classifier batches all ride this.  A noiseless Pauli-propagation
+        pass.  SPSA ± pairs, parameter-shift pairs and genetic populations
+        all ride this.  A noiseless Pauli-propagation
         sweep compiles the canonicalized template once and scores every
         point in one bit-sliced pass, so ``canonicalize`` costs nothing per
         point there.  Counts ``len(parameter_sets)`` evaluations; returns

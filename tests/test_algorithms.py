@@ -1,18 +1,12 @@
-"""Tests for QAOA, VQD and the variational quantum classifier."""
+"""Tests for QAOA."""
 
 
-import numpy as np
 import pytest
 
 from repro.algorithms.qaoa import QAOA, QAOAAnsatz
-from repro.algorithms.qml import (ClassificationDataset, VariationalClassifier,
-                                  make_blobs_dataset, make_circles_dataset)
-from repro.algorithms.vqd import VQD
-from repro.ansatz import FullyConnectedAnsatz
 from repro.core.regimes import NISQRegime
 from repro.operators.graphs import (cut_value, maxcut_cost_hamiltonian,
                                     ring_graph)
-from repro.operators.hamiltonians import ising_hamiltonian
 from repro.operators.pauli import PauliString, PauliSum
 from repro.simulators.statevector import StatevectorSimulator
 from repro.vqe.energy import BackendEnergyEvaluator
@@ -119,125 +113,3 @@ class TestQAOA:
         result = qaoa.run(seed=2)
         assert result.best_energy >= hamiltonian.ground_state_energy() - 1e-9
         assert evaluator.num_evaluations > 0
-
-
-# ---------------------------------------------------------------------------
-# VQD
-# ---------------------------------------------------------------------------
-
-class TestVQD:
-    def test_input_validation(self):
-        hamiltonian = ising_hamiltonian(4)
-        with pytest.raises(ValueError):
-            VQD(hamiltonian, FullyConnectedAnsatz(4, 1), num_states=0)
-        with pytest.raises(ValueError):
-            VQD(ising_hamiltonian(4), FullyConnectedAnsatz(6, 1))
-
-    def test_ground_state_matches_vqe_quality(self):
-        hamiltonian = ising_hamiltonian(4, coupling=1.0)
-        vqd = VQD(hamiltonian, FullyConnectedAnsatz(4, 2), num_states=1,
-                  optimizer_factory=lambda: CobylaOptimizer(max_iterations=300))
-        result = vqd.run(seed=2)
-        exact = hamiltonian.ground_state_energy()
-        assert result.energies[0] == pytest.approx(exact, abs=0.3)
-
-    def test_excited_states_are_ordered_and_separated(self):
-        hamiltonian = ising_hamiltonian(4, coupling=0.5)
-        vqd = VQD(hamiltonian, FullyConnectedAnsatz(4, 2), num_states=2,
-                  optimizer_factory=lambda: CobylaOptimizer(max_iterations=300))
-        result = vqd.run(seed=4)
-        assert result.num_states == 2
-        # Deflation must keep level 1 at or above level 0.
-        assert result.energies[1] >= result.energies[0] - 0.1
-        # Both levels respect the variational principle for their index.
-        assert result.energies[0] >= result.reference_energies[0] - 1e-6
-
-    def test_reference_spectrum_is_exact_eigenvalues(self):
-        hamiltonian = ising_hamiltonian(4)
-        vqd = VQD(hamiltonian, FullyConnectedAnsatz(4, 1), num_states=3)
-        eigenvalues = np.sort(np.linalg.eigvalsh(hamiltonian.to_matrix()))
-        assert vqd.reference_energies == pytest.approx(list(eigenvalues[:3]))
-
-    def test_gaps_relative_to_ground(self):
-        hamiltonian = ising_hamiltonian(4)
-        vqd = VQD(hamiltonian, FullyConnectedAnsatz(4, 1), num_states=2,
-                  optimizer_factory=lambda: CobylaOptimizer(max_iterations=120))
-        result = vqd.run(seed=0)
-        assert result.gaps[0] == 0.0
-        assert result.errors() is not None
-
-
-# ---------------------------------------------------------------------------
-# Variational classifier
-# ---------------------------------------------------------------------------
-
-class TestDatasets:
-    def test_blobs_shape_and_labels(self):
-        dataset = make_blobs_dataset(num_samples=30, num_features=3)
-        assert dataset.features.shape == (30, 3)
-        assert set(np.unique(dataset.labels)) == {-1, 1}
-
-    def test_circles_not_linearly_separable_structure(self):
-        dataset = make_circles_dataset(num_samples=24)
-        radii = np.linalg.norm(dataset.features, axis=1)
-        inner_mean = radii[dataset.labels == 1].mean()
-        outer_mean = radii[dataset.labels == -1].mean()
-        assert inner_mean < outer_mean
-
-    def test_dataset_validation(self):
-        with pytest.raises(ValueError):
-            ClassificationDataset("bad", np.zeros((3, 2)), np.array([0, 1, 1]))
-        with pytest.raises(ValueError):
-            ClassificationDataset("bad", np.zeros(3), np.array([1, -1, 1]))
-        with pytest.raises(ValueError):
-            make_blobs_dataset(num_samples=2)
-
-    def test_split_is_disjoint_and_complete(self):
-        dataset = make_blobs_dataset(num_samples=20)
-        train, test = dataset.split(train_fraction=0.7, seed=1)
-        assert train.num_samples + test.num_samples == 20
-        with pytest.raises(ValueError):
-            dataset.split(train_fraction=1.5)
-
-
-class TestVariationalClassifier:
-    def test_parameter_count(self):
-        classifier = VariationalClassifier(num_qubits=3, num_layers=2)
-        assert classifier.num_parameters() == 12
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            VariationalClassifier(num_qubits=1)
-        with pytest.raises(ValueError):
-            VariationalClassifier(num_qubits=2, num_layers=0)
-
-    def test_decision_function_bounded(self):
-        classifier = VariationalClassifier(num_qubits=2, num_layers=1)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            score = classifier.decision_function(rng.normal(size=2),
-                                                 rng.normal(size=4))
-            assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
-
-    def test_variational_block_parameter_validation(self):
-        classifier = VariationalClassifier(num_qubits=2, num_layers=1)
-        with pytest.raises(ValueError):
-            classifier.variational_block([0.1, 0.2])
-
-    def test_training_reduces_loss_and_learns_blobs(self):
-        dataset = make_blobs_dataset(num_samples=16, num_features=2, seed=3)
-        classifier = VariationalClassifier(num_qubits=2, num_layers=2)
-        initial_loss = classifier.loss(classifier.parameters, dataset)
-        final_loss = classifier.fit(dataset,
-                                    optimizer=CobylaOptimizer(max_iterations=120),
-                                    seed=1)
-        assert final_loss <= initial_loss + 1e-9
-        assert classifier.accuracy(dataset) >= 0.75
-
-    def test_noisy_inference_runs(self):
-        dataset = make_blobs_dataset(num_samples=6, num_features=2, seed=5)
-        classifier = VariationalClassifier(num_qubits=2, num_layers=1,
-                                           noise_model=NISQRegime().noise_model())
-        predictions = classifier.predict(dataset.features)
-        assert predictions.shape == (6,)
-        assert set(np.unique(predictions)) <= {-1, 1}

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ansatz import (BlockedAllToAllAnsatz, FullyConnectedAnsatz,
-                          LinearAnsatz, UCCSDAnsatz, blocked_cnot_count,
-                          blocked_ratio_formula, cnot_to_rz_ratio,
+from repro.ansatz import (ANSATZ_FAMILIES, BlockedAllToAllAnsatz,
+                          FullyConnectedAnsatz, LinearAnsatz, UCCSDAnsatz,
+                          blocked_cnot_count, blocked_ratio_formula,
+                          cnot_to_rz_ratio,
                           fche_cnot_count, k_for_qubits, linear_cnot_count,
                           make_ansatz, pqec_crossover_qubits,
                           regime_preference, rotation_count)
@@ -147,6 +148,10 @@ class TestDesignRules:
 
     def test_make_ansatz_factory(self):
         assert isinstance(make_ansatz("linear", 6), LinearAnsatz)
+        for family, cls in ANSATZ_FAMILIES.items():
+            ansatz = make_ansatz(family, 8)  # 8 = 4k + 4 suits every family
+            assert type(ansatz) is cls
+            assert ansatz.build().num_qubits == 8
         with pytest.raises(ValueError):
             make_ansatz("unknown", 6)
 

@@ -16,8 +16,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.algorithms.qml import VariationalClassifier, make_blobs_dataset
-from repro.algorithms.vqd import VQD
 from repro.ansatz import FullyConnectedAnsatz, LinearAnsatz, UCCSDAnsatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
@@ -923,32 +921,6 @@ class TestOptimizerBatching:
         assert abs(rescored - result.best_energy) < 1e-9
         batch = vqe.energy_from_population([result.parameter_indices] * 2)
         np.testing.assert_allclose(batch, [rescored, rescored], atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Algorithm consumers
-# ---------------------------------------------------------------------------
-
-class TestAlgorithmConsumers:
-    def test_classifier_batch_matches_per_sample_circuits(self):
-        from repro.execution import evaluate_observable
-        dataset = make_blobs_dataset(num_samples=10, seed=3)
-        classifier = VariationalClassifier(num_qubits=3, num_layers=1)
-        rng = np.random.default_rng(6)
-        weights = 0.3 * rng.standard_normal(classifier.num_parameters())
-        scores = classifier.decision_scores(dataset.features, weights)
-        circuits = [classifier.model_circuit(sample, weights)
-                    for sample in dataset.features]
-        reference = evaluate_observable(circuits, classifier._observable,
-                                        backend="statevector")
-        np.testing.assert_allclose(scores, reference, atol=1e-10)
-
-    def test_vqd_evaluate_levels_batched(self):
-        hamiltonian = ising_hamiltonian(3, coupling=1.0)
-        vqd = VQD(hamiltonian, LinearAnsatz(3, depth=1), num_states=2)
-        result = vqd.run(seed=11)
-        rescored = vqd.evaluate_levels(result, backend="statevector")
-        np.testing.assert_allclose(rescored, result.energies, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,15 @@ Three gates keep the docs truthful as the code evolves:
   (some intentionally reference user-defined placeholder classes);
 * every relative link in README/docs must point at a file that exists, and
   every exported name in ``repro.__all__`` must carry a real docstring.
+
+A fourth guard imports every module under ``repro``, so a dangling import
+left by a deleted module fails here even in modules that only run in
+subprocesses (``repro.worker``, ``repro.service.__main__``).
 """
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -84,3 +90,16 @@ def test_every_public_export_has_a_docstring():
             missing.append(name)
     assert not missing, \
         f"public exports lack substantial docstrings: {missing}"
+
+
+def test_every_module_imports():
+    import repro
+
+    def fail(name):
+        raise ImportError(f"cannot import package {name}")
+
+    names = [module.name for module in pkgutil.walk_packages(
+        repro.__path__, "repro.", onerror=fail)]
+    assert {"repro.worker", "repro.service.__main__"} <= set(names)
+    for name in names:
+        importlib.import_module(name)

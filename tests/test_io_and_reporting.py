@@ -1,13 +1,11 @@
-"""Tests for QASM export/import, JSON serialization, reports, ASCII plots and
-the resource estimator."""
+"""Tests for JSON serialization, reports, ASCII plots and the resource
+estimator."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ansatz import BlockedAllToAllAnsatz, FullyConnectedAnsatz
 from repro.architecture.routing import ProposedLayoutGeometry
@@ -17,7 +15,6 @@ from repro.core.regimes import (NISQRegime, PQECRegime, QECConventionalRegime,
 from repro.core.resources import EFTDevice
 from repro.estimation import (ResourceEstimator, device_capacity_table,
                               format_estimate_table)
-from repro.io.qasm import from_qasm, to_qasm
 from repro.io.reports import ExperimentRecord, ExperimentReport, markdown_table
 from repro.io.serialization import (circuit_from_dict, circuit_to_dict,
                                     load_json, pauli_sum_from_dict,
@@ -25,8 +22,6 @@ from repro.io.serialization import (circuit_from_dict, circuit_to_dict,
                                     save_json)
 from repro.operators.hamiltonians import heisenberg_hamiltonian, ising_hamiltonian
 from repro.operators.molecules import molecular_hamiltonian
-from repro.simulators.statevector import circuit_unitary
-from repro.synthesis.verification import operator_distance
 from repro.visualization import (ascii_bar_chart, ascii_heatmap,
                                  ascii_line_plot, draw_circuit, render_layout)
 
@@ -43,70 +38,6 @@ def _sample_circuit() -> QuantumCircuit:
     circuit.barrier()
     circuit.measure_all()
     return circuit
-
-
-# ---------------------------------------------------------------------------
-# OpenQASM
-# ---------------------------------------------------------------------------
-
-class TestQASM:
-    def test_export_contains_header_and_registers(self):
-        text = to_qasm(_sample_circuit())
-        assert text.startswith("OPENQASM 2.0;")
-        assert "qreg q[3];" in text
-        assert "creg c[3];" in text
-        assert "measure q[0] -> c[0];" in text
-
-    def test_export_uses_pi_fractions(self):
-        text = to_qasm(_sample_circuit())
-        assert "rz(pi/4) q[0];" in text
-
-    def test_rzz_is_decomposed(self):
-        text = to_qasm(_sample_circuit())
-        assert "rzz" not in text
-        assert text.count("cx q[1],q[2];") == 2
-
-    def test_unbound_parameters_rejected(self):
-        circuit = FullyConnectedAnsatz(4, 1).build()
-        with pytest.raises(ValueError):
-            to_qasm(circuit)
-
-    def test_roundtrip_preserves_unitary(self):
-        circuit = _sample_circuit().without_measurements()
-        recovered = from_qasm(to_qasm(circuit))
-        assert recovered.num_qubits == circuit.num_qubits
-        assert operator_distance(circuit_unitary(recovered),
-                                 circuit_unitary(circuit)) < 1e-9
-
-    def test_roundtrip_preserves_measurements(self):
-        recovered = from_qasm(to_qasm(_sample_circuit()))
-        assert recovered.count_ops().get("measure", 0) == 3
-
-    def test_import_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            from_qasm("OPENQASM 2.0;\nqreg q[2];\nthis is not qasm\n")
-        with pytest.raises(ValueError):
-            from_qasm("h q[0];")
-
-    def test_import_parses_angles(self):
-        text = ("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n"
-                "rz(-3*pi/4) q[0];\nrx(0.25) q[0];\n")
-        circuit = from_qasm(text)
-        params = [inst.gate.bound_params()[0] for inst in circuit.instructions]
-        assert params[0] == pytest.approx(-3 * math.pi / 4)
-        assert params[1] == pytest.approx(0.25)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.floats(min_value=-math.pi, max_value=math.pi),
-                    min_size=2, max_size=6))
-    def test_property_rotation_circuits_roundtrip(self, angles):
-        circuit = QuantumCircuit(2)
-        for index, angle in enumerate(angles):
-            circuit.rz(angle, index % 2)
-            circuit.cx(0, 1)
-        recovered = from_qasm(to_qasm(circuit))
-        assert operator_distance(circuit_unitary(recovered),
-                                 circuit_unitary(circuit)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for VarSaw-style readout mitigation and zero-noise extrapolation."""
+"""Tests for VarSaw-style readout mitigation."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from repro.ansatz import LinearAnsatz
 from repro.core import PQECRegime
 from repro.mitigation import (MitigatedEnergyEvaluator, ReadoutCalibration,
-                              VarSawMitigator, ZNEEnergyEvaluator, fold_circuit,
-                              richardson_extrapolate,
-                              zero_noise_extrapolation)
+                              VarSawMitigator)
 from repro.operators import PauliString, ising_hamiltonian
 from repro.simulators import NoiseModel, depolarizing_channel
 from repro.vqe import BackendEnergyEvaluator, indices_to_angles
@@ -102,43 +100,3 @@ class TestMitigatedEvaluator:
         base = BackendEnergyEvaluator.clifford(hamiltonian, noise)
         mitigated = MitigatedEnergyEvaluator(base)
         assert isinstance(mitigated(circuit), float)
-
-
-class TestZNE:
-    def test_fold_circuit_scales_gate_count(self):
-        circuit = LinearAnsatz(3).bound_circuit([0.1] * 6)
-        folded = fold_circuit(circuit, 3)
-        assert folded.size() == 3 * circuit.size()
-
-    def test_fold_requires_odd_scale(self):
-        circuit = LinearAnsatz(3).bound_circuit([0.1] * 6)
-        with pytest.raises(ValueError):
-            fold_circuit(circuit, 2)
-
-    def test_folding_preserves_ideal_energy(self):
-        hamiltonian = ising_hamiltonian(3, 0.5)
-        circuit = LinearAnsatz(3).bound_circuit([0.3] * 6)
-        evaluator = BackendEnergyEvaluator.exact(hamiltonian)
-        assert evaluator(fold_circuit(circuit, 3)) == pytest.approx(
-            evaluator(circuit), abs=1e-8)
-
-    def test_richardson_extrapolation_linear_exact(self):
-        value, _ = richardson_extrapolate([1, 3, 5], [1.0, 3.0, 5.0], order=1)
-        assert value == pytest.approx(0.0, abs=1e-10)
-
-    def test_zne_improves_noisy_estimate(self):
-        hamiltonian = ising_hamiltonian(3, 1.0)
-        circuit = LinearAnsatz(3).bound_circuit([0.4, 0.1, -0.3, 0.7, 0.2, -0.5])
-        noise = NoiseModel().add_gate_error(depolarizing_channel(0.02, 2), ["cx"])
-        noisy = BackendEnergyEvaluator.density_matrix(hamiltonian, noise)
-        ideal = BackendEnergyEvaluator.exact(hamiltonian)(circuit)
-        raw_error = abs(noisy(circuit) - ideal)
-        zne = zero_noise_extrapolation(circuit, noisy, scale_factors=(1, 3, 5))
-        assert abs(zne.extrapolated_value - ideal) < raw_error
-
-    def test_zne_evaluator_wrapper(self):
-        hamiltonian = ising_hamiltonian(3, 1.0)
-        circuit = LinearAnsatz(3).bound_circuit([0.2] * 6)
-        noise = NoiseModel().add_gate_error(depolarizing_channel(0.01, 2), ["cx"])
-        evaluator = ZNEEnergyEvaluator(BackendEnergyEvaluator.density_matrix(hamiltonian, noise))
-        assert isinstance(evaluator(circuit), float)

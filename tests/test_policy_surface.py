@@ -48,8 +48,6 @@ FAN_OUT_ENTRY_POINTS = [
     ("repro.qec.surface_memory", "repetition_code_memory_experiment"),
     ("repro.qec.surface_memory", "decoder_comparison"),
     ("repro.qec.surface_memory", "logical_error_rate_curve"),
-    ("repro.algorithms.vqd", "VQD.evaluate_levels"),
-    ("repro.algorithms.qml", "VariationalClassifier.__init__"),
 ]
 
 

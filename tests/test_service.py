@@ -16,6 +16,7 @@ The PR-6 acceptance surface:
 """
 
 import contextlib
+import gc
 import json
 import os
 import shutil
@@ -28,6 +29,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -801,6 +803,7 @@ class TestServiceEndToEnd:
             assert result["result"]["failures"] == reference.failures
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(base + "/v1/jobs/nope")
+            caught.value.close()
             assert caught.value.code == 404
 
     def test_graceful_shutdown_drains_running_jobs(self):
@@ -1345,6 +1348,50 @@ class TestRegistryTransactions:
             "j2", "j1", "j0"]
         assert [event["seq"] for event in reopened.events_since("j0")] == [1]
         reopened.close()
+
+    def test_failed_submit_commit_is_answered_on_both_transports(self):
+        """A submit whose COMMIT fails gets a ``commit-failed`` answer: an
+        error line on NDJSON, whose connection keeps serving, and a 503
+        over HTTP."""
+        payload = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
+                                     shots=64, seed=1, chunk_blocks=1)
+        with service(http_port=0) as handle:
+            registry = handle.server.registry
+            connection = FailingCommits(registry._connection)
+            registry._connection = connection
+            with ServiceClient(handle.socket_path, timeout=30) as client:
+                connection.failures = 1
+                with pytest.raises(ServiceError) as caught:
+                    client.submit("qec_memory", payload)
+                assert caught.value.code == "commit-failed"
+                assert caught.value.status == 503
+                assert client.ping().server == "repro.service"
+                assert client.list_jobs() == []
+            connection.failures = 1
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{handle.http_port}/v1/jobs",
+                method="POST",
+                data=json.dumps({"kind": "qec_memory",
+                                 "payload": payload}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request)
+            with caught.value as response:
+                assert response.code == 503
+                assert json.load(response)["code"] == "commit-failed"
+            assert connection.failed == 2
+
+
+class TestServiceClient:
+    def test_failed_connect_closes_the_socket(self, tmp_path):
+        missing = str(tmp_path / "missing.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FileNotFoundError):
+                ServiceClient(missing)
+            gc.collect()
+        assert [warning for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
 
 
 class TestServerKill:
