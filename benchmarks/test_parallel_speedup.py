@@ -2,18 +2,18 @@
 
 Two workloads, both recorded to ``BENCH_pr4.json``:
 
-* **Parallel trajectory ensemble** — a 16-qubit, depth-4 Clifford circuit
-  under NISQ-style Pauli noise, evaluated as a seeded Monte-Carlo stabilizer
-  ensemble (200 trajectories).  Per-trajectory ``SeedSequence.spawn``
-  seeding makes the result **bitwise identical** for ``max_workers`` in
-  {1, 2, 4}; on a machine with ≥ 4 usable cores the 4-worker process-sharded
-  run must be ≥ 2x faster than the single-worker run (the speedup assertion
-  is skipped — but still measured and recorded — on smaller boxes, where no
-  sharding layer could manufacture cores).
-* **Warm disk cache** — the same seeded ensemble re-run against a fresh
-  executor sharing the persistent cache directory: zero simulator
-  invocations, proven by the executor's invocation counters and the disk
-  cache's hit counters.
+* **Parallel QEC memory sampling** — a d=5 rotated-surface-code memory
+  experiment (5 rounds, p=0.01) decoded by union-find, 8192 shots in
+  seeded blocks of :data:`repro.qec.sampling.SHOT_BLOCK`.  Every block
+  draws from its own seed, so the failure count is **bitwise identical**
+  for ``max_workers`` in {1, 2, 4}; on a machine with ≥ 4 usable cores the
+  4-worker process-sharded run must be ≥ 2x faster than the single-worker
+  run (the speedup assertion is skipped — but still measured and recorded
+  — on smaller boxes, where no sharding layer could manufacture cores).
+* **Warm disk cache** — the same seeded experiment re-run against a fresh
+  executor sharing the persistent cache directory: nothing sampled or
+  decoded, proven by the QEC sampling counters and the disk cache's hit
+  counters.
 
 A second test runs one trimmed **figure workload** (the Fig. 12 Clifford-
 scale γ comparison at 16 qubits) cold vs warm through the default executor:
@@ -21,21 +21,21 @@ the warm pass re-derives every GA generation from the disk cache without a
 single circuit evolution.
 """
 
+import functools
 import json
 import os
 import time
 
-
-from repro.circuits.circuit import QuantumCircuit
-from repro.execution import ExecutionPolicy, Executor, StabilizerBackend
-from repro.operators import heisenberg_hamiltonian
-from repro.simulators.noise import NoiseModel, depolarizing_channel
+from repro.execution import ExecutionPolicy, Executor
+from repro.qec import UnionFindDecoder, rotated_surface_code_graph
+from repro.qec.sampling import (reset_sampling_stats, run_memory_sampling,
+                                sampling_stats)
 
 from conftest import full_mode, print_table
 
-NUM_QUBITS = 16
-DEPTH = 4
-TRAJECTORIES = 400 if full_mode() else 200
+DISTANCE = 5
+ERROR_RATE = 0.01
+SHOTS = 16384 if full_mode() else 8192
 SEED = 20250704
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "BENCH_pr4.json")
@@ -48,68 +48,58 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def trajectory_workload():
-    hamiltonian = heisenberg_hamiltonian(NUM_QUBITS, 1.0)
-    noise = (NoiseModel("nisq-like")
-             .add_gate_error(depolarizing_channel(0.01, 1), ["h", "s"])
-             .add_gate_error(depolarizing_channel(0.02, 2), ["cx"])
-             .add_readout_error(0.01))
-    circuit = QuantumCircuit(NUM_QUBITS)
-    for qubit in range(NUM_QUBITS):
-        circuit.h(qubit)
-    for _ in range(DEPTH):
-        for qubit in range(NUM_QUBITS - 1):
-            circuit.cx(qubit, qubit + 1)
-        for qubit in range(NUM_QUBITS):
-            circuit.s(qubit)
-    return circuit, hamiltonian, noise
+@functools.lru_cache(maxsize=None)
+def qec_workload():
+    """The decoding graph and decoder, built once so every timed run finds
+    the same warm graph caches."""
+    graph = rotated_surface_code_graph(DISTANCE, DISTANCE, ERROR_RATE)
+    return graph, UnionFindDecoder(graph)
 
 
-def run_ensemble(parallel, max_workers, cache_dir=None):
-    """One seeded ensemble evaluation on a fresh executor; returns
-    (energy, elapsed seconds, executor)."""
-    circuit, hamiltonian, noise = trajectory_workload()
+def run_sampling(parallel, max_workers, cache_dir=None):
+    """One seeded memory experiment on a fresh executor; returns
+    (result, elapsed seconds, executor)."""
+    graph, decoder = qec_workload()
     executor = Executor(cache_dir=cache_dir) if cache_dir \
         else Executor(use_cache=False)
     start = time.perf_counter()
-    [energy] = executor.evaluate_observable(
-        circuit, hamiltonian, noise_model=noise,
-        backend=StabilizerBackend(seed=SEED), trajectories=TRAJECTORIES,
+    result = run_memory_sampling(
+        graph, decoder, SHOTS, seed=SEED, executor=executor,
         policy=ExecutionPolicy(parallel=parallel, max_workers=max_workers))
-    return energy, time.perf_counter() - start, executor
+    return result, time.perf_counter() - start, executor
 
 
 def run_comparison():
     # Warm the persistent pool so fork cost is not billed to the 4-worker
     # timing (the pool is process-wide and amortized in real workloads).
-    run_ensemble("process", 4)
-    serial_energy, serial_time, _ = run_ensemble("none", 1)
-    two_energy, _, _ = run_ensemble("process", 2)
-    quad_energy, quad_time, quad_executor = run_ensemble("process", 4)
-    return (serial_energy, serial_time, two_energy, quad_energy, quad_time,
-            quad_executor.stats)
+    run_sampling("process", 4)
+    serial, serial_time, _ = run_sampling("none", 1)
+    two, _, _ = run_sampling("process", 2)
+    quad, quad_time, quad_executor = run_sampling("process", 4)
+    return serial, serial_time, two, quad, quad_time, quad_executor.stats
 
 
-def test_parallel_trajectory_speedup(benchmark, tmp_path):
-    (serial_energy, serial_time, two_energy, quad_energy, quad_time,
-     quad_stats) = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_parallel_qec_sampling_speedup(benchmark, tmp_path):
+    serial, serial_time, two, quad, quad_time, quad_stats = \
+        benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     speedup = serial_time / quad_time
     cpus = usable_cpus()
     rows = [
-        ("max_workers=1 (inline)", TRAJECTORIES, f"{serial_time:.2f}",
-         f"{TRAJECTORIES / serial_time:.1f}"),
-        ("max_workers=4 (process)", TRAJECTORIES, f"{quad_time:.2f}",
-         f"{TRAJECTORIES / quad_time:.1f}"),
+        ("max_workers=1 (inline)", SHOTS, f"{serial_time:.2f}",
+         f"{SHOTS / serial_time:.0f}"),
+        ("max_workers=4 (process)", SHOTS, f"{quad_time:.2f}",
+         f"{SHOTS / quad_time:.0f}"),
     ]
     print_table(
-        f"process-sharded Monte-Carlo ensemble ({NUM_QUBITS}-qubit depth-"
-        f"{DEPTH} Clifford, {TRAJECTORIES} trajectories, speedup "
-        f"{speedup:.2f}x on {cpus} cpus)",
-        ["configuration", "trajectories", "seconds", "traj/sec"], rows)
+        f"process-sharded QEC memory sampling (d={DISTANCE} surface code, "
+        f"union-find, {SHOTS} shots, speedup {speedup:.2f}x on {cpus} cpus)",
+        ["configuration", "shots", "seconds", "shots/sec"], rows)
 
-    # Determinism is unconditional: per-trajectory seed spawning makes the
-    # ensemble bitwise identical no matter how it is sharded.
-    assert serial_energy == two_energy == quad_energy
+    # Determinism is unconditional: per-block seeding makes the experiment
+    # bitwise identical no matter how it is sharded.
+    assert (serial.failures, serial.total_defects) \
+        == (two.failures, two.total_defects) \
+        == (quad.failures, quad.total_defects)
     assert quad_stats.process_shards >= 2
 
     # The ≥2x gate needs real cores; CI's ubuntu runners have 4.  On
@@ -117,27 +107,29 @@ def test_parallel_trajectory_speedup(benchmark, tmp_path):
     if cpus >= 4:
         assert speedup >= 2.0
 
-    # Warm-disk-cache rerun: zero evolutions, proven by counters.
+    # Warm-disk-cache rerun: nothing sampled or decoded, proven by counters.
     cache_dir = tmp_path / "pr4-cache"
-    cold_energy, _, cold_executor = run_ensemble("process", 4,
-                                                 cache_dir=cache_dir)
-    assert cold_executor.stats.simulator_invocations == 1
-    warm_energy, _, warm_executor = run_ensemble("process", 4,
-                                                 cache_dir=cache_dir)
-    assert warm_energy == cold_energy == serial_energy
-    assert warm_executor.stats.simulator_invocations == 0
-    assert warm_executor.stats.term_cache_hits > 0
+    cold, _, _ = run_sampling("process", 4, cache_dir=cache_dir)
+    assert not cold.from_cache
+    reset_sampling_stats()
+    warm, _, warm_executor = run_sampling("process", 4, cache_dir=cache_dir)
+    warm_stats = sampling_stats()
+    assert warm.from_cache
+    assert warm.failures == cold.failures == serial.failures
+    assert warm_stats.shots_sampled == warm_stats.shots_decoded == 0
+    assert warm_stats.cached_experiments == 1
     assert warm_executor.disk_cache_stats.hits > 0
 
     record = {
         "pr": 4,
-        "benchmark": "process-sharded Monte-Carlo ensemble + warm disk cache",
+        "benchmark": "process-sharded QEC memory sampling + warm disk cache",
         "workload": {
-            "num_qubits": NUM_QUBITS,
-            "circuit_depth": DEPTH,
-            "trajectories": TRAJECTORIES,
-            "hamiltonian_terms":
-                heisenberg_hamiltonian(NUM_QUBITS, 1.0).num_terms,
+            "code": "rotated_surface",
+            "distance": DISTANCE,
+            "rounds": DISTANCE,
+            "error_rate": ERROR_RATE,
+            "decoder": "union_find",
+            "shots": SHOTS,
             "seed": SEED,
         },
         "cpus": cpus,
@@ -145,9 +137,8 @@ def test_parallel_trajectory_speedup(benchmark, tmp_path):
         "speedup_4_workers": speedup,
         "bitwise_identical_across_workers": True,
         "warm_cache": {
-            "cold_invocations": cold_executor.stats.simulator_invocations,
-            "warm_invocations": warm_executor.stats.simulator_invocations,
-            "warm_term_cache_hits": warm_executor.stats.term_cache_hits,
+            "warm_from_cache": warm.from_cache,
+            "warm_shots_decoded": warm_stats.shots_decoded,
             "warm_disk_hits": warm_executor.disk_cache_stats.hits,
         },
     }

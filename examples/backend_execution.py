@@ -1,4 +1,4 @@
-"""The unified execution API: one execute() call, four simulators.
+"""The unified execution API: one execute() call, three simulators.
 
 Builds a mixed batch of tasks — noiseless and noisy, Clifford and
 continuous-angle — and submits them through a single regime-aware

@@ -5,7 +5,7 @@ organised bottom-up:
 
 * :mod:`repro.circuits` / :mod:`repro.operators` / :mod:`repro.simulators` —
   circuit IR, Pauli algebra / Hamiltonians, and the statevector /
-  density-matrix / stabilizer / Pauli-propagation simulators; the dense
+  density-matrix / Pauli-propagation simulators; the dense
   engines execute circuits through the compile layer
   (:mod:`repro.simulators.program`): fingerprint-cached
   :class:`~repro.simulators.program.CompiledProgram` objects with gate
@@ -24,7 +24,7 @@ organised bottom-up:
 * :mod:`repro.execution` — the unified execution-backend API: every consumer
   dispatches :class:`ExecutionTask` objects through :func:`execute`, which
   batches, deduplicates, LRU-caches and regime-aware-routes them onto the
-  four simulators behind a common :class:`Backend` protocol; many-term
+  three simulators behind a common :class:`Backend` protocol; many-term
   Hamiltonians ride the grouped-observable engine
   (:func:`evaluate_observable` / :func:`term_expectations`): one circuit
   evolution serves every Pauli term, with per-(circuit, term) caching;
@@ -44,8 +44,8 @@ single batched, cached call::
     circuit = FullyConnectedAnsatz(8, depth=1).build().bind_parameters(
         [0.0] * 32)
 
-    # "auto" routes per task: Clifford circuits go to the stabilizer /
-    # Pauli-propagation paths, small noisy circuits to the density matrix.
+    # "auto" routes per task: Clifford circuits go to Pauli propagation,
+    # small noisy circuits to the density matrix.
     results = execute([ExecutionTask(circuit, observable=hamiltonian)],
                       backend="auto")
     print(results[0].value, results[0].backend_name)
@@ -88,7 +88,7 @@ from .qec import (FactoryConfig, MWPMDecoder, SurfaceCodePatch,
                   UnionFindDecoder, get_factory, logical_error_rate,
                   surface_code_memory_experiment, t_count_for_precision)
 from .simulators import (DensityMatrixSimulator, NoiseModel,
-                         StabilizerSimulator, StatevectorSimulator)
+                         StatevectorSimulator)
 from .vqe import (VQE, BackendEnergyEvaluator, CliffordVQE, CobylaOptimizer,
                   GeneticOptimizer, SPSAOptimizer, compare_regimes,
                   compare_regimes_clifford, compare_regimes_opr)
@@ -133,7 +133,6 @@ __all__ = [
     "QuantumCircuit",
     "ResourceEstimator",
     "SPSAOptimizer",
-    "StabilizerSimulator",
     "StatevectorSimulator",
     "SurfaceCodePatch",
     "UCCSDAnsatz",

@@ -1,16 +1,14 @@
-"""Bit-packed mod-2 (GF(2)) kernels shared by the QEC and simulator hot paths.
+"""Bit-packed mod-2 (GF(2)) kernels behind the QEC hot paths.
 
-This is a dependency-free leaf module (numpy only); QEC code imports it
-through the canonical public face :mod:`repro.qec.bitops`, while
-:mod:`repro.simulators.stabilizer` imports it directly to stay out of the
-``qec → sampling → execution → simulators`` import cycle.
+This is a dependency-free leaf module (numpy only), so importing the
+kernels costs no more than numpy; QEC code and tests import them through
+the canonical public face :mod:`repro.qec.bitops`.
 
 Every QEC hot path in this repository ultimately does arithmetic over
 GF(2): syndrome extraction is a mod-2 matmul of error rows against the
-incidence matrix, decoder dedup compares 0/1 rows for equality, and the
-CHP stabilizer tableau evolves by XORing Pauli rows.  Until PR 7 those all
-ran on byte-wide ``uint8`` arrays — 8× the memory they need — and syndrome
-extraction rode a float32 GEMM whose exactness argument caps out at
+incidence matrix, and decoder dedup compares 0/1 rows for equality.  Both
+once ran on byte-wide ``uint8`` arrays — 8× the memory they need — and
+syndrome extraction rode a float32 GEMM whose exactness argument caps out at
 detector degrees below 2**24 (float32's contiguous-integer range).
 
 This module removes both limits by packing 0/1 rows into ``uint64`` words:
@@ -25,7 +23,7 @@ This module removes both limits by packing 0/1 rows into ``uint64`` words:
   (numpy ≥ 2.0) with a byte-LUT fallback for older numpys; the
   ``REPRO_NO_BITWISE_COUNT`` environment knob forces the fallback so CI
   can exercise both implementations.
-* :func:`parity` / :func:`row_parity` — GF(2) sums.  The XOR-fold
+* :func:`parity` — GF(2) sums along an axis.  The XOR-fold
   identity ``popcount(a ^ b) ≡ popcount(a) + popcount(b) (mod 2)`` lets a
   whole row reduce to **one** word before the single popcount.
 * :func:`mod2_matmul_packed` — the general word-wise AND + popcount
@@ -56,7 +54,6 @@ __all__ = [
     "popcount",
     "popcount_impl",
     "parity",
-    "row_parity",
     "mod2_matmul_packed",
     "mod2_matvec_packed",
     "Mod2GatherPlan",
@@ -184,11 +181,6 @@ def parity(words: np.ndarray, axis: int = -1) -> np.ndarray:
     folded = np.bitwise_xor.reduce(np.asarray(words, dtype=np.uint64),
                                    axis=axis)
     return (popcount_words(folded) & np.uint8(1)).astype(np.uint8)
-
-
-def row_parity(words: np.ndarray) -> np.ndarray:
-    """Per-row GF(2) bit sum of packed rows ``(..., W)`` → ``(...,)`` uint8."""
-    return parity(words, axis=-1)
 
 
 # ---------------------------------------------------------------------------

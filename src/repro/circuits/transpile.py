@@ -147,7 +147,7 @@ def snap_to_clifford(circuit: QuantumCircuit) -> QuantumCircuit:
     """Round every rotation angle to the nearest multiple of π/2.
 
     The result contains only Clifford gates and can be evaluated exactly with
-    the stabilizer simulator.  This implements the Clifford-state proxy used
+    Pauli propagation.  This implements the Clifford-state proxy used
     for large-qubit evaluation in the paper (Sec. 5.2.2); the discrete VQE of
     :mod:`repro.vqe.clifford_vqe` optimizes directly over these snapped
     angles.

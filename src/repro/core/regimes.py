@@ -4,7 +4,7 @@ A regime bundles
 
 * the per-operation error rates the paper assumes for it (Sec. 4.4, 5.2.1),
 * a :class:`~repro.simulators.noise.NoiseModel` for circuit-level simulation
-  (density-matrix for ≤12 qubits, Pauli-propagation / stabilizer for more) —
+  (density-matrix for ≤12 qubits, Pauli propagation for more) —
   available for the NISQ and pQEC regimes, which is what the paper simulates,
   and
 * the inputs the analytic fidelity estimator (:mod:`repro.core.fidelity`)

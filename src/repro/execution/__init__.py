@@ -1,9 +1,9 @@
 """Unified execution-backend API.
 
 One stable seam between every consumer of simulation (VQE energy evaluators,
-QAOA, VarSaw, CAFQA) and the four
+QAOA, VarSaw, CAFQA) and the three
 execution paths the paper evaluates with (statevector, density matrix,
-stabilizer tableau, Pauli propagation):
+Pauli propagation):
 
 * :class:`ExecutionTask` / :class:`ExecutionResult` — typed work units;
 * :class:`Backend` + :func:`get_backend` — the batch protocol and the
@@ -13,7 +13,7 @@ stabilizer tableau, Pauli propagation):
 * :func:`evaluate_observable` / :func:`term_expectations` — the
   grouped-observable engine: each unique circuit is evolved **once** and
   every Pauli term of a many-term Hamiltonian is read off the final state
-  (vectorized kernels / QWC measurement groups), with per-(circuit, term)
+  (vectorized kernels / one propagation pass), with per-(circuit, term)
   caching;
 * :func:`evaluate_sweep` — the batched parameter-sweep pipeline over the
   circuit-compile layer (:mod:`repro.simulators.program`): the parametric
@@ -46,7 +46,7 @@ Quick start::
 
 from .adapters import (DensityMatrixBackend, MAX_DENSITY_MATRIX_QUBITS,
                        MAX_STATEVECTOR_QUBITS, PauliPropagationBackend,
-                       StabilizerBackend, StatevectorBackend)
+                       StatevectorBackend)
 from .backend import Backend, BackendCapabilities
 from .cache import CacheStats, ExpectationCache
 from .disk_cache import (CACHE_DIR_ENV, DiskCacheStats, DiskExpectationCache,
@@ -110,7 +110,6 @@ __all__ = [
     "ShardRetryPolicy",
     "ShardSpec",
     "SpoolLayout",
-    "StabilizerBackend",
     "SweepShapeError",
     "StatevectorBackend",
     "TieredExpectationCache",

@@ -27,9 +27,10 @@ from .task import ExecutionResult, ExecutionTask
 class BackendCapabilities:
     """What a backend can run, used by routing and validation.
 
-    ``max_qubits`` is an advisory ceiling (dense simulators blow up past it);
-    ``deterministic`` means equal tasks always produce equal results, which
-    is the precondition for caching and deduplication.  ``parallel_hint``
+    ``max_qubits`` is an advisory ceiling (dense simulators blow up past it).
+    Expectation values are assumed to be pure functions of the task: the
+    executor caches and deduplicates them on the task's content key, with
+    the backend name standing for the backend.  ``parallel_hint``
     tells the shard planner how this backend's work scales out:
     ``"process"`` for CPU-bound simulation (the GIL serializes threads, so
     batches shard across worker processes — or run inline below the batch
@@ -46,7 +47,6 @@ class BackendCapabilities:
     supports_expectation: bool = True
     supports_sampling: bool = True
     clifford_only: bool = False
-    deterministic: bool = True
     max_qubits: Optional[int] = None
     parallel_hint: str = "thread"
 
@@ -108,23 +108,6 @@ class Backend(abc.ABC):
     def supports(self, task: ExecutionTask) -> bool:
         return self.unsupported_reason(task) is None
 
-    def is_deterministic_for(self, task: ExecutionTask) -> bool:
-        """Whether equal copies of ``task`` would yield identical results."""
-        return self.capabilities().deterministic
-
-    def cache_token(self, task: ExecutionTask):
-        """The backend component of ``task``'s cache key.
-
-        Defaults to the backend name.  Backends whose results depend on
-        private configuration beyond the task fields — e.g. a seeded
-        Monte-Carlo backend, where the value is reproducible but a function
-        of the seed — must fold that configuration in here so differently
-        configured instances never share cache entries.  The token must be
-        built from stable content (names, numbers), never object identities:
-        it is part of the persistent disk-cache key.
-        """
-        return self.name
-
     # -- execution -----------------------------------------------------------
     def run_batch(self, tasks: Sequence[ExecutionTask]) -> List[ExecutionResult]:
         """Execute every task, in order; raises on the first unsupported one."""
@@ -152,9 +135,8 @@ class Backend(abc.ABC):
 
         This is the grouped-observable entry point: adapters override it to
         evolve the circuit **once** and read every term off the final state
-        (vectorized kernels on the dense simulators, one QWC basis rotation
-        per group on the tableau, one propagation pass for Pauli
-        propagation).  The base implementation is the correctness fallback
+        (vectorized kernels on the dense simulators, one propagation pass
+        for Pauli propagation).  The base implementation is the correctness fallback
         for custom backends — it runs one single-term task per term, which
         is exactly the per-term cost the overrides avoid.
         """

@@ -75,7 +75,7 @@ def _encode_key(key: Any, out: bytearray) -> None:
 
     Supports exactly the types task/term/sweep keys are built from: tuples,
     ``str``, ``bytes``, ``bool``, ``int``, ``float`` and ``None`` — plus
-    their NumPy scalar equivalents (``np.int64`` trajectory counts from an
+    their NumPy scalar equivalents (``np.int64`` counts from an
     ``np.arange`` sweep config, ``np.float32`` parameter values), which
     encode exactly like the matching Python scalar so the key means the
     same thing however it was built.  Every atom is length- and type-tagged
@@ -297,9 +297,9 @@ class DiskExpectationCache:
                     pass
                 raise
         except (OSError, TypeError):
-            # TypeError: a custom backend's cache_token produced content the
-            # canonical encoder does not cover — the value simply is not
-            # persisted (the in-memory tier still serves it).
+            # TypeError: a key carries content the canonical encoder does
+            # not cover — the value simply is not persisted (the in-memory
+            # tier still serves it).
             with self._lock:
                 self._stats.write_errors += 1
             return

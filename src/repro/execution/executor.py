@@ -5,11 +5,11 @@ Pipeline for one :meth:`Executor.run` call:
 1. **Resolve** — every task is assigned a backend: its own ``backend`` field,
    the call-level ``backend=`` argument, or regime-aware auto-routing
    (:func:`repro.execution.router.route_task`).
-2. **Cache lookup** — deterministic expectation tasks are looked up in the
+2. **Cache lookup** — expectation tasks are looked up in the
    expectation cache: the in-memory LRU first, then (when a persistent
    cache directory is configured — ``cache_dir=`` or ``REPRO_CACHE_DIR``)
    the on-disk L2 (:mod:`repro.execution.disk_cache`).
-3. **Deduplicate** — remaining identical deterministic tasks collapse to a
+3. **Deduplicate** — remaining identical expectation tasks collapse to a
    single simulator invocation per distinct key.
 4. **Dispatch** — unique tasks are grouped per backend and fanned out
    through :func:`~repro.execution.sharding.fan_out` under a
@@ -188,14 +188,14 @@ class Executor:
             .merged_over(self.policy).merged_over(ExecutionPolicy.from_env())
 
     def _plan(self, policy: Optional[ExecutionPolicy], num_items: int,
-              hints: Sequence[str] = (), trajectories: int = 0
+              hints: Sequence[str] = ()
               ) -> Tuple[ExecutionPolicy, ShardPlan]:
         """The resolved policy and the :class:`ShardPlan` of one dispatch —
         the one place every sharded pipeline plans."""
         effective = self._resolve_policy(policy)
         return effective, ShardPlanner(
             effective.parallel or "auto", effective.max_workers).plan(
-                num_items, hints=hints, trajectories=trajectories)
+                num_items, hints=hints)
 
     def _resolve_backend(self, task: ExecutionTask,
                          backend: Union[str, Backend]
@@ -254,13 +254,9 @@ class Executor:
             if reason is not None:
                 raise BackendCapabilityError(f"{reason} (task: {task!r})")
             backends.append(resolved)
-            # Only deterministic expectation values are safe to share; the
-            # backend's cache token folds in configuration (e.g. a Monte-
-            # Carlo seed) that the task fields alone do not carry.
-            cacheable = (task.is_expectation
-                         and resolved.is_deterministic_for(task))
-            keys.append(task.cache_key(resolved.cache_token(task))
-                        if cacheable else None)
+            # Expectation values are shared; sampled counts never are.
+            keys.append(task.cache_key(resolved.name)
+                        if task.is_expectation else None)
 
         # Cache lookup + in-batch dedup bookkeeping.
         pending: Dict[Tuple, List[int]] = {}
@@ -340,7 +336,6 @@ class Executor:
     def term_expectations(self, circuit, observable, *,
                           noise_model=None,
                           backend: Union[str, Backend] = "auto",
-                          trajectories: Optional[int] = None,
                           include_idle: bool = True,
                           use_cache: Optional[bool] = None,
                           policy: Optional[ExecutionPolicy] = None
@@ -360,7 +355,6 @@ class Executor:
         """
         task = ExecutionTask(circuit=circuit, observable=observable,
                              noise_model=noise_model,
-                             trajectories=trajectories,
                              include_idle=include_idle)
         return run_grouped(self, [task], backend=backend,
                            use_cache=use_cache, policy=policy)[0]
@@ -368,7 +362,6 @@ class Executor:
     def evaluate_observable(self, circuits, observable, *,
                             noise_model=None,
                             backend: Union[str, Backend] = "auto",
-                            trajectories: Optional[int] = None,
                             include_idle: bool = True,
                             use_cache: Optional[bool] = None,
                             policy: Optional[ExecutionPolicy] = None
@@ -379,8 +372,7 @@ class Executor:
         simulator run per Pauli term, every unique circuit is evolved a
         single time per backend and all term expectations are read off the
         final state (vectorized bitmask kernels on the dense simulators, one
-        QWC basis rotation per commuting group on the stabilizer tableau,
-        one pass for Pauli propagation).  Accepts a single circuit or a
+        pass for Pauli propagation).  Accepts a single circuit or a
         sequence; always returns a list of energies aligned with the input.
         Example::
 
@@ -395,7 +387,6 @@ class Executor:
             circuits = list(circuits)
         tasks = [ExecutionTask(circuit=circuit, observable=observable,
                                noise_model=noise_model,
-                               trajectories=trajectories,
                                include_idle=include_idle)
                  for circuit in circuits]
         return energies(observable, run_grouped(
@@ -405,7 +396,6 @@ class Executor:
     def evaluate_sweep(self, template, parameter_sets, observable, *,
                        noise_model=None,
                        backend: Union[str, Backend] = "auto",
-                       trajectories: Optional[int] = None,
                        include_idle: bool = True,
                        use_cache: Optional[bool] = None,
                        policy: Optional[ExecutionPolicy] = None
@@ -468,7 +458,7 @@ class Executor:
                 noise_model is not None and noise_model.has_noise()):
             # The template task validates like every bound point's would.
             ExecutionTask(circuit=template, observable=observable,
-                          trajectories=trajectories, include_idle=include_idle)
+                          include_idle=include_idle)
             if all(name == "statevector"
                    for name in route_sweep(template, parameter_sets)):
                 engine = self.compiled_sweep_engine("statevector")
@@ -477,7 +467,7 @@ class Executor:
                               for values in parameter_sets]
             return self.evaluate_observable(
                 bound_circuits, observable, noise_model=noise_model,
-                backend=backend, trajectories=trajectories,
+                backend=backend,
                 include_idle=include_idle, use_cache=use_cache, policy=policy)
         resolved = (backend if isinstance(backend, Backend)
                     else self.registry.get(engine))
@@ -487,7 +477,6 @@ class Executor:
     def evaluate_point(self, template, values, observable, *,
                        noise_model=None,
                        backend: Union[str, Backend] = "auto",
-                       trajectories: Optional[int] = None,
                        include_idle: bool = True,
                        use_cache: Optional[bool] = None,
                        policy: Optional[ExecutionPolicy] = None) -> float:
@@ -524,7 +513,6 @@ class Executor:
                 f"{len(values)} values")
         task = ExecutionTask(circuit=template, observable=observable,
                              noise_model=noise_model,
-                             trajectories=trajectories,
                              include_idle=include_idle)
         engine = None
         if not task.has_noise and not any(
@@ -537,7 +525,7 @@ class Executor:
             return self.evaluate_observable(
                 template.bind_parameters(values), observable,
                 noise_model=noise_model, backend=backend,
-                trajectories=trajectories, include_idle=include_idle,
+                include_idle=include_idle,
                 use_cache=use_cache, policy=policy)[0]
         resolved = (backend if isinstance(backend, Backend)
                     else self.registry.get("statevector" if backend == "auto"
@@ -546,8 +534,7 @@ class Executor:
         count_grouped_tasks(self, 1)
         # run_grouped's slot for the bound circuit, keyed by its fingerprint
         # derived from the template: same keys, stats and cache fill.
-        slot = _Slot(task, resolved, resolved.is_deterministic_for(task),
-                     template.bound_fingerprint(values))
+        slot = _Slot(task, resolved, template.bound_fingerprint(values))
         slot.absorb(0, task)
         missing = slot.probe(self, use_cache)
         if missing:
@@ -833,7 +820,6 @@ def execute_one(task: ExecutionTask,
 
 def evaluate_observable(circuits, observable, *, noise_model=None,
                         backend: Union[str, Backend] = "auto",
-                        trajectories: Optional[int] = None,
                         include_idle: bool = True,
                         use_cache: Optional[bool] = None,
                         policy: Optional[ExecutionPolicy] = None
@@ -851,13 +837,12 @@ def evaluate_observable(circuits, observable, *, noise_model=None,
     """
     return default_executor().evaluate_observable(
         circuits, observable, noise_model=noise_model, backend=backend,
-        trajectories=trajectories, include_idle=include_idle,
+        include_idle=include_idle,
         use_cache=use_cache, policy=policy)
 
 
 def evaluate_sweep(template, parameter_sets, observable, *, noise_model=None,
                    backend: Union[str, Backend] = "auto",
-                   trajectories: Optional[int] = None,
                    include_idle: bool = True,
                    use_cache: Optional[bool] = None,
                    policy: Optional[ExecutionPolicy] = None) -> List[float]:
@@ -877,13 +862,12 @@ def evaluate_sweep(template, parameter_sets, observable, *, noise_model=None,
     """
     return default_executor().evaluate_sweep(
         template, parameter_sets, observable, noise_model=noise_model,
-        backend=backend, trajectories=trajectories, include_idle=include_idle,
+        backend=backend, include_idle=include_idle,
         use_cache=use_cache, policy=policy)
 
 
 def term_expectations(circuit, observable, *, noise_model=None,
                       backend: Union[str, Backend] = "auto",
-                      trajectories: Optional[int] = None,
                       include_idle: bool = True,
                       use_cache: Optional[bool] = None,
                       policy: Optional[ExecutionPolicy] = None
@@ -895,5 +879,5 @@ def term_expectations(circuit, observable, *, noise_model=None,
     """
     return default_executor().term_expectations(
         circuit, observable, noise_model=noise_model, backend=backend,
-        trajectories=trajectories, include_idle=include_idle,
+        include_idle=include_idle,
         use_cache=use_cache, policy=policy)

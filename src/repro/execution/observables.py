@@ -18,8 +18,7 @@ engine works at *term* granularity:
 3. **Single evolution** — the missing terms are bundled into one synthetic
    observable and handed to :meth:`repro.execution.backend.Backend.term_expectations`,
    which evolves the circuit once and reads every term off the final state
-   (vectorized bitmask kernels on the dense simulators, one QWC basis
-   rotation per commuting group on the stabilizer tableau, one propagation
+   (vectorized bitmask kernels on the dense simulators, one propagation
    pass for Pauli propagation).
 4. **Assembly** — per-task term values are gathered back in each task's own
    ``observable.terms()`` order; energies are ``Σ Re(c_i)·⟨P_i⟩``.
@@ -27,18 +26,15 @@ engine works at *term* granularity:
 Slots that need an evolution fan out in one
 :func:`~repro.execution.sharding.fan_out` dispatch under the executor's
 :class:`~repro.execution.sharding.ShardPlanner` plan: CPU-bound simulator
-slots shard across worker **processes** (a single stochastic Monte-Carlo
-slot additionally shards its *trajectory ensemble*, with per-trajectory
-seed spawning keeping results bitwise independent of the shard count),
-thread-hinting custom backends use a thread pool, and small batches run
-inline.
+slots shard across worker **processes**, thread-hinting custom backends use
+a thread pool, and small batches run inline.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +42,7 @@ from ..operators.pauli import PauliString, PauliSum
 from ..simulators.program import program_cache_counters
 from .backend import Backend
 from .errors import BackendCapabilityError, ExecutionError
-from .sharding import (ShardGroup, fan_out, plan_trajectory_shards,
-                       _term_expectations_shard)
+from .sharding import ShardGroup, fan_out, _term_expectations_shard
 from .task import ExecutionTask, noise_token
 
 TermKey = Tuple[bytes, bytes]
@@ -89,19 +84,15 @@ def pauli_from_key(num_qubits: int, key: TermKey) -> PauliString:
 class _Slot:
     """All tasks that share one circuit evolution on one backend."""
 
-    __slots__ = ("task", "backend", "cacheable", "fingerprint",
-                 "cache_token", "task_indices", "term_keys", "values")
+    __slots__ = ("task", "backend", "fingerprint", "task_indices",
+                 "term_keys", "values")
 
     def __init__(self, task: ExecutionTask, backend: Backend,
-                 cacheable: bool, fingerprint: Optional[str] = None):
+                 fingerprint: str):
         self.task = task
         self.backend = backend
-        self.cacheable = cacheable
-        # Hash the circuit once per slot; term keys reuse it.  The cache
-        # token is the backend's key component (name, plus e.g. a Monte-
-        # Carlo seed for seeded stochastic backends).
+        # Hash the circuit once per slot; term keys reuse it.
         self.fingerprint = fingerprint
-        self.cache_token = backend.cache_token(task)
         self.task_indices: List[int] = []
         # Ordered union of the member tasks' term keys.
         self.term_keys: Dict[TermKey, None] = {}
@@ -116,13 +107,13 @@ class _Slot:
         return [key for key in self.term_keys if key not in self.values]
 
     def cache_keys(self, keys: Sequence[TermKey]) -> List[Tuple]:
-        return [self.task.term_cache_key(self.cache_token, key,
+        return [self.task.term_cache_key(self.backend.name, key,
                                          circuit_fingerprint=self.fingerprint)
                 for key in keys]
 
     def probe(self, executor, use_cache: bool) -> List[TermKey]:
         """Fill this slot's cached term values; return the missing keys."""
-        if self.cacheable and use_cache:
+        if use_cache:
             keys = list(self.term_keys)
             hits = 0
             for key, value in zip(keys, executor.cache.get_many(
@@ -149,7 +140,7 @@ class _Slot:
             counters = executor.stats.backend_invocations
             counters[self.backend.name] = \
                 counters.get(self.backend.name, 0) + spent
-        if self.cacheable and use_cache:
+        if use_cache:
             executor.cache.put_many(list(zip(
                 self.cache_keys(missing),
                 (self.values[key] for key in missing))))
@@ -219,19 +210,12 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
             task, enforce_qubit_limit=not explicit)
         if reason is not None:
             raise BackendCapabilityError(f"{reason} (task: {task!r})")
-        cacheable = resolved.is_deterministic_for(task)
-        if cacheable:
-            fingerprint = task.circuit.fingerprint()
-            key = (id(resolved), fingerprint,
-                   noise_token(task.noise_model), task.trajectories,
-                   task.include_idle)
-        else:
-            # Stochastic results must not be shared between tasks.
-            fingerprint = None
-            key = ("stochastic", index)
+        fingerprint = task.circuit.fingerprint()
+        key = (id(resolved), fingerprint, noise_token(task.noise_model),
+               task.include_idle)
         slot = slots.get(key)
         if slot is None:
-            slot = slots[key] = _Slot(task, resolved, cacheable, fingerprint)
+            slot = slots[key] = _Slot(task, resolved, fingerprint)
         slot.absorb(index, task)
         slot_of_task.append(slot)
 
@@ -245,12 +229,8 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
     # 3. Evolve each slot with missing terms exactly once.
     hints = {slot.backend.capabilities().parallel_hint
              for slot, _ in pending}
-    ensemble = max((getattr(slot.backend, "trajectory_count",
-                            lambda task: None)(slot.task) or 0
-                    for slot, _ in pending), default=0)
     effective, plan = executor._plan(policy, len(pending),
-                                     hints=sorted(hints),
-                                     trajectories=ensemble)
+                                     hints=sorted(hints))
     with track_program_cache(executor):
         _evolve(executor, pending, plan, effective, use_cache)
 
@@ -260,45 +240,18 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
 
 
 def _evolve(executor, pending, plan, policy, use_cache: bool) -> None:
-    """Evolve the pending slots in one :func:`fan_out` dispatch.
-
-    Two shard shapes compose here:
-
-    * **Trajectory shards** — under a process plan, a stochastic
-      Monte-Carlo slot whose ensemble is big enough splits its seed list
-      across the pool (:func:`~.sharding.plan_trajectory_shards`); the
-      concatenated rows finalize to values bitwise identical to an inline
-      run.  Only while there are fewer slots than workers: past that,
-      finer splitting adds payload overhead without adding cores.
-    * **Slot shards** — remaining slots are grouped per backend and their
-      synthetic tasks fan out as contiguous chunks, one
-      ``term_expectations`` call per slot.
-    """
-    groups: List[ShardGroup] = []
-    owners: List[Tuple[Optional[Callable], list]] = []
+    """Evolve the pending slots in one :func:`fan_out` dispatch: slots are
+    grouped per backend and their synthetic tasks fan out as contiguous
+    chunks, one ``term_expectations`` call per slot."""
     by_backend: Dict[int, Tuple[Backend, list]] = {}
     for slot, missing in pending:
-        synthetic = slot.synthetic_task(missing)
-        trajectory = (plan_trajectory_shards(slot.backend, synthetic, plan)
-                      if len(pending) < plan.workers else None)
-        if trajectory is not None:
-            group, finalize = trajectory
-            groups.append(group)
-            owners.append((finalize, [(slot, missing)]))
-        else:
-            by_backend.setdefault(id(slot.backend), (slot.backend, []))[1] \
-                .append((slot, missing, synthetic))
-    for backend, entries in by_backend.values():
-        groups.append(ShardGroup(_term_expectations_shard, (backend,),
-                                 [synthetic for _, _, synthetic in entries]))
-        owners.append((None, [entry[:2] for entry in entries]))
+        by_backend.setdefault(id(slot.backend), (slot.backend, []))[1] \
+            .append((slot, missing, slot.synthetic_task(missing)))
+    groups = [ShardGroup(_term_expectations_shard, (backend,),
+                         [synthetic for _, _, synthetic in entries])
+              for backend, entries in by_backend.values()]
     run = fan_out(executor, policy, plan, groups)
-    for (finalize, entries), chunk_values in zip(owners, run.values):
-        if finalize is not None:
-            # The runner never sees the backend: count its one evolution.
-            entries[0][0].backend._count_invocations()
-            rows = [finalize(chunk_values)]
-        else:
-            rows = [row for chunk in chunk_values for row in chunk]
-        for (slot, missing), row in zip(entries, rows):
+    for (_, entries), chunk_values in zip(by_backend.values(), run.values):
+        rows = [row for chunk in chunk_values for row in chunk]
+        for (slot, missing, _), row in zip(entries, rows):
             slot.record(executor, missing, row, use_cache)

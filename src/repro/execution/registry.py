@@ -1,8 +1,8 @@
 """Name-based lookup of execution backends.
 
-The default registry exposes the four in-repo simulators as
-``"statevector"``, ``"density_matrix"``, ``"stabilizer"`` and
-``"pauli_propagation"`` (with short aliases).  Shared instances are created
+The default registry exposes the three in-repo simulators as
+``"statevector"``, ``"density_matrix"`` and ``"pauli_propagation"`` (with
+short aliases).  Shared instances are created
 lazily by :meth:`BackendRegistry.get`; :meth:`BackendRegistry.create` builds
 a fresh, independently-seeded instance when isolation is needed.
 """
@@ -13,7 +13,7 @@ import threading
 from typing import Callable, Dict, List, Optional
 
 from .adapters import (DensityMatrixBackend, PauliPropagationBackend,
-                       StabilizerBackend, StatevectorBackend)
+                       StatevectorBackend)
 from .backend import Backend, BackendCapabilities
 from .errors import ExecutionError, UnknownBackendError
 
@@ -80,7 +80,6 @@ def _make_default_registry() -> BackendRegistry:
     registry = BackendRegistry()
     registry.register("statevector", StatevectorBackend, aliases=("sv",))
     registry.register("density_matrix", DensityMatrixBackend, aliases=("dm",))
-    registry.register("stabilizer", StabilizerBackend, aliases=("chp",))
     registry.register("pauli_propagation", PauliPropagationBackend,
                       aliases=("pauli_prop", "pp"))
     return registry
@@ -115,8 +114,8 @@ def register_backend(name: str, factory: Callable[..., Backend],
 def available_backends() -> List[str]:
     """Canonical names of every backend in the default registry.
 
-    The four built-ins are ``"statevector"``, ``"density_matrix"``,
-    ``"stabilizer"`` and ``"pauli_propagation"``; any name returned here is
+    The three built-ins are ``"statevector"``, ``"density_matrix"`` and
+    ``"pauli_propagation"``; any name returned here is
     valid for ``execute(..., backend=name)``, task-level ``backend=`` pins
     and :func:`get_backend`.  Example::
 

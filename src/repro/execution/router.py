@@ -1,11 +1,13 @@
 """Regime-aware routing of tasks onto backends.
 
 Mirrors the paper's evaluation methodology (Sec. 5.2): Clifford
-("stabilizer-proxy") circuits go to the stabilizer tableau when noiseless and
-to exact Pauli propagation when noisy; small noisy non-Clifford circuits go
-to the dense density-matrix simulator; everything noiseless and non-Clifford
-goes to the statevector reference.  Routing never picks a backend that
-rejects the task — when nothing fits, a :class:`RoutingError` explains why.
+("stabilizer-proxy") expectation values go to exact Pauli propagation, noisy
+or not; small noisy non-Clifford circuits go to the dense density-matrix
+simulator; everything noiseless and non-Clifford goes to the statevector
+reference.  Sampling needs a state, so it goes to the statevector when
+noiseless and to the density matrix when noisy, Clifford or not.  Routing
+never picks a backend that rejects the task — when nothing fits, a
+:class:`RoutingError` explains why.
 """
 
 from __future__ import annotations
@@ -31,36 +33,31 @@ def route_task(task: ExecutionTask,
     if task.backend is not None:
         return registry.canonical_name(task.backend)
 
-    clifford = task.is_clifford()
     noisy = task.has_noise
-
     if task.is_sampling:
-        if clifford and (noisy or task.num_qubits > MAX_STATEVECTOR_QUBITS):
-            return "stabilizer"
         if not noisy:
             if task.num_qubits > MAX_STATEVECTOR_QUBITS:
                 raise RoutingError(
-                    f"no backend can sample a noiseless non-Clifford "
-                    f"{task.num_qubits}-qubit circuit (statevector tops out "
-                    f"at {MAX_STATEVECTOR_QUBITS} qubits)")
+                    f"no backend can sample a noiseless {task.num_qubits}-"
+                    f"qubit circuit (statevector tops out at "
+                    f"{MAX_STATEVECTOR_QUBITS} qubits)")
             return "statevector"
         if task.num_qubits <= MAX_DENSITY_MATRIX_QUBITS:
             return "density_matrix"
         raise RoutingError(
-            f"no backend can sample a noisy non-Clifford "
-            f"{task.num_qubits}-qubit circuit (density matrix tops out at "
-            f"{MAX_DENSITY_MATRIX_QUBITS} qubits)")
+            f"no backend can sample a noisy {task.num_qubits}-qubit circuit "
+            f"(density matrix tops out at {MAX_DENSITY_MATRIX_QUBITS} "
+            f"qubits)")
 
-    return _route_expectation(clifford, noisy, task.num_qubits)
+    return _route_expectation(task.is_clifford(), noisy, task.num_qubits)
 
 
 def _route_expectation(clifford: bool, noisy: bool, num_qubits: int) -> str:
     """Backend name for an expectation-value task of this regime."""
     if clifford:
-        # Noisy Clifford work is exactly what Pauli propagation solves
-        # deterministically; noiseless Clifford states are exact on the
-        # tableau at any size.
-        return "pauli_propagation" if noisy else "stabilizer"
+        # Pauli propagation is exact for Clifford circuits under Pauli
+        # noise, noiseless included, at any size.
+        return "pauli_propagation"
     if not noisy:
         if num_qubits > MAX_STATEVECTOR_QUBITS:
             raise RoutingError(
@@ -74,8 +71,8 @@ def _route_expectation(clifford: bool, noisy: bool, num_qubits: int) -> str:
     raise RoutingError(
         f"no backend can evaluate a noisy non-Clifford {num_qubits}-"
         f"qubit circuit: density matrix tops out at "
-        f"{MAX_DENSITY_MATRIX_QUBITS} qubits and the Clifford backends "
-        f"require rotations at multiples of pi/2")
+        f"{MAX_DENSITY_MATRIX_QUBITS} qubits and Pauli propagation "
+        f"requires rotations at multiples of pi/2")
 
 
 def route_sweep(template, parameter_sets: Sequence[Sequence[float]]

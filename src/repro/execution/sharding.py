@@ -15,11 +15,11 @@
   thread / process) 9.2 / 9.7 / 17.9 ms at 8 qubits, 18.4 / 23.6 / 19.6
   ms at 12, 145 / 72 / 194 ms at 14 and 344 / 348 / 587 ms at 16, with
   identical values in all three modes.
-* :func:`fan_out` is the one dispatch of every sharded pipeline (task,
-  grouped slot and trajectory shards, sweep point blocks, seeded QEC
-  blocks): the caller plans and hands over :class:`ShardGroup` units; the
-  helper chunks and runs them, keeps fault reports and shard counts, and
-  folds worker counters (:mod:`repro.obs`) back exactly once.
+* :func:`fan_out` is the one dispatch of every sharded pipeline (task and
+  grouped slot shards, sweep point blocks, seeded QEC blocks): the caller
+  plans and hands over :class:`ShardGroup` units; the helper chunks and
+  runs them, keeps fault reports and shard counts, and folds worker
+  counters (:mod:`repro.obs`) back exactly once.
 * :func:`run_sharded` executes shard payloads under a plan, reusing one
   persistent process pool across calls so fork/spawn cost is paid once per
   process, not once per batch.  Process dispatch is **supervised**: a
@@ -35,11 +35,11 @@
   :class:`~repro.execution.task.ExecutionTask` / circuit / observable specs
   and return plain arrays or result lists.
 
-Determinism contract: sharding never changes results.  Deterministic tasks
-are pure functions of the task; stochastic stabilizer ensembles seed **per
-trajectory** via ``numpy.random.SeedSequence.spawn``, so shard boundaries
-cannot move any draw — ``max_workers`` of 1, 2 and 4 produce bitwise
-identical values (see ``benchmarks/test_parallel_speedup.py``).
+Determinism contract: sharding never changes results.  Expectation values
+are pure functions of the task and seeded QEC blocks draw from per-block
+seeds, so shard boundaries cannot move any value — ``max_workers`` of 1, 2
+and 4 produce bitwise identical values (see
+``benchmarks/test_parallel_speedup.py``).
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ _MAX_AUTO_WORKERS = 8
 #: thread pool (see the module docstring) and a fork costs more than the
 #: batch.
 _PROCESS_TASK_THRESHOLD = 16
-
-#: Minimum Monte-Carlo trajectory count before an ensemble is worth
-#: splitting into per-worker trajectory shards.
-_TRAJECTORY_SHARD_THRESHOLD = 32
 
 #: Set in worker processes so nested dispatches always run inline.
 _WORKER_ENV = "REPRO_IN_WORKER"
@@ -191,19 +187,16 @@ class ShardPlanner:
         self.parallel = parallel
         self.max_workers = max_workers
 
-    def plan(self, num_items: int, hints: Sequence[str] = (),
-             trajectories: int = 0) -> ShardPlan:
+    def plan(self, num_items: int, hints: Sequence[str] = ()) -> ShardPlan:
         """The :class:`ShardPlan` for a batch.
 
         ``num_items`` counts independent work units (tasks, slots, sweep
-        points); ``trajectories`` counts Monte-Carlo trajectories when a
-        single stochastic unit is internally shardable; ``hints`` are the
-        involved backends' ``parallel_hint`` capabilities.
+        points, QEC blocks); ``hints`` are the involved backends'
+        ``parallel_hint`` capabilities.
         """
         mode = self.parallel
         workers = resolve_workers(self.max_workers)
-        weight = max(int(num_items), int(trajectories))
-        if in_worker_process() or workers <= 1 or weight < 2:
+        if in_worker_process() or workers <= 1 or num_items < 2:
             return ShardPlan("none", 1)
         if mode == "none":
             return ShardPlan("none", 1)
@@ -214,8 +207,7 @@ class ShardPlanner:
             if all(hint == "process" for hint in hints):
                 # CPU-bound backends: processes for big batches, inline for
                 # small ones, whose kernels are too short to win on threads.
-                if (num_items >= _PROCESS_TASK_THRESHOLD
-                        or trajectories >= _TRAJECTORY_SHARD_THRESHOLD):
+                if num_items >= _PROCESS_TASK_THRESHOLD:
                     return ShardPlan("process", workers)
                 return ShardPlan("none", 1)
             if num_items > _INLINE_THRESHOLD:
@@ -829,37 +821,3 @@ def _clifford_sweep_shard(program, observable, parameter_sets) -> np.ndarray:
     from ..simulators import pauli_propagation
     return pauli_propagation.propagate(program, observable,
                                        points=parameter_sets)
-
-
-def plan_trajectory_shards(backend, task, plan: ShardPlan
-                           ) -> Optional[Tuple[ShardGroup, Callable]]:
-    """Shard one stochastic trajectory-ensemble task, if worth it.
-
-    Returns ``(group, finalize)`` — a :class:`ShardGroup` whose units are
-    the task's per-trajectory seeds, run by the backend's
-    ``trajectory_shard_runner`` (a module-level callable executed in the
-    worker processes; the stabilizer backend's is
-    :func:`repro.execution.adapters.run_stabilizer_trajectory_shard`, and a
-    custom backend implementing the trajectory protocol must supply its
-    own), and a closure folding the shards' rows into per-term values — or
-    None when the backend/task pair is not a shardable ensemble or the
-    ensemble is too small to split.  Shards partition the seed list, so the
-    fold is bitwise independent of the shard count.
-    """
-    spec = getattr(backend, "trajectory_spec", None)
-    count = getattr(backend, "trajectory_count", None)
-    runner = getattr(backend, "trajectory_shard_runner", None)
-    if spec is None or count is None or runner is None \
-            or not plan.is_parallel or plan.mode != "process":
-        return None
-    trajectories = count(task)
-    if trajectories is None or trajectories < _TRAJECTORY_SHARD_THRESHOLD:
-        return None
-    noise_model, circuit, observable, seeds = spec(task)
-
-    def finalize(row_blocks: List[np.ndarray]) -> np.ndarray:
-        rows = np.concatenate(row_blocks, axis=0)
-        return backend.finalize_trajectory_rows(task, rows)
-
-    return (ShardGroup(runner, (noise_model, circuit, observable), seeds),
-            finalize)

@@ -80,7 +80,6 @@ class ExecutionTask:
     shots: Optional[int] = None
     noise_model: Optional[NoiseModel] = None
     backend: Optional[str] = None
-    trajectories: Optional[int] = None
     include_idle: bool = True
     metadata: Dict[str, Any] = field(default_factory=dict, compare=False)
 
@@ -89,12 +88,10 @@ class ExecutionTask:
             raise ExecutionError(
                 "an ExecutionTask needs exactly one of `observable` "
                 "(expectation task) or `shots` (sampling task)")
-        # Normalize counts to plain ints (callers often pass numpy scalars
-        # from sweep configs) so cache keys are canonical and disk-stable.
+        # Normalize shot counts to plain ints (callers often pass numpy
+        # scalars from sweep configs) so keys are canonical and disk-stable.
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
-        if self.trajectories is not None:
-            object.__setattr__(self, "trajectories", int(self.trajectories))
         if self.shots is not None and self.shots < 1:
             raise ExecutionError("shots must be a positive integer")
         if (self.observable is not None
@@ -146,7 +143,6 @@ class ExecutionTask:
             subtasks.append(ExecutionTask(
                 circuit=self.circuit, observable=observable,
                 noise_model=self.noise_model, backend=self.backend,
-                trajectories=self.trajectories,
                 include_idle=self.include_idle,
                 metadata=dict(self.metadata)))
         return subtasks
@@ -157,11 +153,8 @@ class ExecutionTask:
 
         Two tasks with equal keys are interchangeable: same circuit
         structure, observable/shots, noise model and backend options, bound
-        for the same backend.  ``backend_name`` is normally the backend's
-        :meth:`~repro.execution.backend.Backend.cache_token` — the plain
-        name, or a tuple folding in result-affecting backend configuration
-        (e.g. a Monte-Carlo seed).  Every component is content-derived, so
-        keys are stable across processes and feed the persistent disk cache
+        for the same backend.  Every component is content-derived, so keys
+        are stable across processes and feed the persistent disk cache
         unchanged.
         """
         if self.is_expectation:
@@ -170,7 +163,7 @@ class ExecutionTask:
             payload = ("sample", int(self.shots))
         return (self.circuit.fingerprint(), payload,
                 noise_token(self.noise_model), backend_name,
-                self.trajectories, self.include_idle)
+                self.include_idle)
 
     def term_cache_key(self, backend_name,
                       term_key: Tuple[bytes, bytes],
@@ -189,7 +182,7 @@ class ExecutionTask:
             circuit_fingerprint = self.circuit.fingerprint()
         return (circuit_fingerprint, ("term",) + tuple(term_key),
                 noise_token(self.noise_model), backend_name,
-                self.trajectories, self.include_idle)
+                self.include_idle)
 
     def __repr__(self):
         kind = "expval" if self.is_expectation else f"sample[{self.shots}]"

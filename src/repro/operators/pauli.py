@@ -9,9 +9,8 @@ of Pauli strings.  This module provides
   container), with arithmetic, matrix export, expectation values and
   qubit-wise-commuting grouping (used by measurement scheduling and VarSaw).
 
-The symplectic representation is what both the stabilizer simulator and the
-Pauli-propagation noisy expectation engine operate on, so conversions are
-essentially free.
+The symplectic representation is what the Pauli-propagation expectation
+engine operates on, so conversions are essentially free.
 """
 
 from __future__ import annotations

@@ -98,6 +98,23 @@ def _noise_fingerprint(noise_model) -> Optional[str]:
     return noise_model.fingerprint()
 
 
+def _decode_backend(payload: Dict[str, Any]) -> str:
+    """The payload's ``backend``, checked against the backend registry at
+    submit time, so a misspelt name is rejected instead of failing in a
+    worker."""
+    from ..execution.errors import UnknownBackendError
+    from ..execution.registry import DEFAULT_REGISTRY
+    backend = payload.get("backend", "auto")
+    if not isinstance(backend, str):
+        raise ProtocolError(f"backend must be a string, got {backend!r}")
+    if backend != "auto":
+        try:
+            DEFAULT_REGISTRY.canonical_name(backend)
+        except UnknownBackendError as error:
+            raise ProtocolError(error.args[0]) from None
+    return backend
+
+
 def _decode_policy(payload: Dict[str, Any]):
     """An optional :class:`~repro.execution.policy.ExecutionPolicy` from
     the submission's ``policy`` key.
@@ -130,8 +147,7 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
         raise ProtocolError("an expectation job needs at least one circuit")
     observable = pauli_sum_from_dict(payload["observable"])
     noise_model = _decode_noise(payload)
-    backend = payload.get("backend", "auto")
-    trajectories = payload.get("trajectories")
+    backend = _decode_backend(payload)
     include_idle = bool(payload.get("include_idle", True))
     chunk = int(payload.get("chunk", DEFAULT_CHUNK))
     if chunk < 1:
@@ -146,8 +162,8 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
     key = _digest("expectation",
                   tuple(circuit.fingerprint() for circuit in circuits),
                   observable_fingerprint(observable),
-                  _noise_fingerprint(noise_model), backend, trajectories,
-                  include_idle, chunk)
+                  _noise_fingerprint(noise_model), backend, include_idle,
+                  chunk)
 
     def run(ctx: JobContext) -> Dict[str, Any]:
         energies = []
@@ -156,7 +172,7 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
             values = ctx.executor.evaluate_observable(
                 circuits[start:start + chunk], observable,
                 noise_model=noise_model, backend=backend,
-                trajectories=trajectories, include_idle=include_idle,
+                include_idle=include_idle,
                 policy=policy)
             energies.extend(values)
             ctx.emit("partial", {"start": start, "values": values,
@@ -188,8 +204,7 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
                 f"sweep point with {len(values)}")
     observable = pauli_sum_from_dict(payload["observable"])
     noise_model = _decode_noise(payload)
-    backend = payload.get("backend", "auto")
-    trajectories = payload.get("trajectories")
+    backend = _decode_backend(payload)
     include_idle = bool(payload.get("include_idle", True))
     chunk = int(payload.get("chunk", DEFAULT_CHUNK))
     if chunk < 1:
@@ -204,8 +219,8 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
     key = _digest("sweep", template.fingerprint(),
                   tuple(tuple(values) for values in parameter_sets),
                   observable_fingerprint(observable),
-                  _noise_fingerprint(noise_model), backend, trajectories,
-                  include_idle, chunk)
+                  _noise_fingerprint(noise_model), backend, include_idle,
+                  chunk)
 
     def run(ctx: JobContext) -> Dict[str, Any]:
         energies = []
@@ -214,7 +229,7 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
             values = ctx.executor.evaluate_sweep(
                 template, parameter_sets[start:start + chunk], observable,
                 noise_model=noise_model, backend=backend,
-                trajectories=trajectories, include_idle=include_idle,
+                include_idle=include_idle,
                 policy=policy)
             energies.extend(values)
             ctx.emit("partial", {"start": start, "values": values,
@@ -432,17 +447,43 @@ _PREPARERS = {
     "qec_rare_event": _prepare_qec_rare_event,
 }
 
+_QEC_KEYS = frozenset({"code", "distance", "rounds", "error_rate",
+                       "measurement_error_rate", "decoder", "shots", "seed",
+                       "chunk_blocks"})
+
+#: Every key the :mod:`~repro.service.protocol` payload builder of each
+#: kind can emit; anything else is rejected at submit time.
+_PAYLOAD_KEYS = {
+    "expectation": frozenset({"circuits", "observable", "noise_model",
+                              "backend", "include_idle", "chunk",
+                              "policy"}),
+    "sweep": frozenset({"template", "parameter_sets", "observable",
+                        "noise_model", "backend", "include_idle", "chunk",
+                        "policy"}),
+    "qec_memory": _QEC_KEYS,
+    "qec_rare_event": _QEC_KEYS | {"method", "tilt", "min_fault_weight",
+                                   "max_weight", "pilot_shots",
+                                   "tail_rtol"},
+}
+
 
 def prepare_job(kind: str, payload: Dict[str, Any]) -> PreparedJob:
     """Decode and validate a submission payload into a :class:`PreparedJob`.
 
     Raises :class:`~repro.service.protocol.ProtocolError` on any malformed
-    payload — validation happens at submit time, so a bad job is rejected on
-    the submitting connection instead of failing later in a worker.
+    payload — a key the kind's payload builder never emits, an unknown
+    backend name, a missing or mistyped field.  Validation happens at
+    submit time, so a bad job is rejected on the submitting connection
+    instead of failing later in a worker.
     """
     preparer = _PREPARERS.get(kind)
     if preparer is None:
         raise ProtocolError(f"unknown job kind {kind!r}")
+    unknown = sorted(set(payload) - _PAYLOAD_KEYS[kind])
+    if unknown:
+        raise ProtocolError(
+            f"unknown {kind} payload keys {unknown}; expected a subset of "
+            f"{sorted(_PAYLOAD_KEYS[kind])}")
     try:
         return preparer(payload)
     except ProtocolError:

@@ -305,7 +305,6 @@ class OkResponse:
 
 def expectation_payload(circuits, observable, *, noise_model=None,
                         backend: Optional[str] = None,
-                        trajectories: Optional[int] = None,
                         include_idle: bool = True,
                         chunk: Optional[int] = None,
                         policy=None) -> Dict[str, Any]:
@@ -330,8 +329,6 @@ def expectation_payload(circuits, observable, *, noise_model=None,
         payload["noise_model"] = noise_model_to_dict(noise_model)
     if backend is not None:
         payload["backend"] = str(backend)
-    if trajectories is not None:
-        payload["trajectories"] = int(trajectories)
     if chunk is not None:
         payload["chunk"] = int(chunk)
     if policy is not None:
@@ -341,7 +338,6 @@ def expectation_payload(circuits, observable, *, noise_model=None,
 
 def sweep_payload(template, parameter_sets, observable, *, noise_model=None,
                   backend: str = "auto",
-                  trajectories: Optional[int] = None,
                   include_idle: bool = True,
                   chunk: Optional[int] = None,
                   policy=None) -> Dict[str, Any]:
@@ -364,8 +360,6 @@ def sweep_payload(template, parameter_sets, observable, *, noise_model=None,
     }
     if noise_model is not None and noise_model.has_noise():
         payload["noise_model"] = noise_model_to_dict(noise_model)
-    if trajectories is not None:
-        payload["trajectories"] = int(trajectories)
     if chunk is not None:
         payload["chunk"] = int(chunk)
     if policy is not None:

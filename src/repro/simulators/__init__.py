@@ -1,7 +1,7 @@
 """Quantum state simulators and noise models.
 
-All four engines share the keyword surface
-``expectation(circuit, observable, *, initial_state=None, trajectories=None)``
+The three engines (statevector, density matrix, Pauli propagation) share the
+keyword surface ``expectation(circuit, observable, *, initial_state=None)``
 and its grouped counterpart ``expectation_many(...) -> np.ndarray`` (per-term
 values from a single evolution), which is what lets the execution layer treat
 them interchangeably behind the :class:`repro.execution.Backend` protocol.
@@ -19,7 +19,6 @@ from .pauli_propagation import (CliffordProgram, PauliPropagationSimulator,
                                 compile_clifford, expectation_value)
 from .program import (CompiledProgram, compile_circuit, program_cache_counters,
                       run_batch)
-from .stabilizer import StabilizerSimulator, StabilizerState
 from .statevector import Statevector, StatevectorSimulator, circuit_unitary
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "PauliChannel",
     "PauliPropagationSimulator",
     "QuantumChannel",
-    "StabilizerSimulator",
-    "StabilizerState",
     "Statevector",
     "StatevectorSimulator",
     "amplitude_damping_channel",

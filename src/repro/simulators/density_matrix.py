@@ -152,14 +152,8 @@ class DensityMatrixSimulator:
         return DensityMatrix(rho)
 
     def expectation(self, circuit: QuantumCircuit, observable: PauliSum, *,
-                    initial_state: Optional[DensityMatrix] = None,
-                    trajectories: Optional[int] = None) -> float:
-        """Noisy expectation value Tr(ρ H) of the prepared state.
-
-        ``trajectories`` is accepted for signature parity with
-        :class:`~repro.simulators.stabilizer.StabilizerSimulator` and ignored:
-        the density-matrix expectation is exact.
-        """
+                    initial_state: Optional[DensityMatrix] = None) -> float:
+        """Noisy expectation value Tr(ρ H) of the prepared state."""
         values = self.expectation_many(circuit, observable,
                                        initial_state=initial_state)
         coefficients = np.array([float(np.real(c))
@@ -167,16 +161,15 @@ class DensityMatrixSimulator:
         return float(np.dot(coefficients, values))
 
     def expectation_many(self, circuit: QuantumCircuit, observable: PauliSum, *,
-                         initial_state: Optional[DensityMatrix] = None,
-                         trajectories: Optional[int] = None) -> np.ndarray:
+                         initial_state: Optional[DensityMatrix] = None
+                         ) -> np.ndarray:
         """Per-term noisy ⟨P_i⟩ from a **single** density-matrix evolution.
 
         The grouped-observable fast path: the circuit runs once and every
         term is read off the final ρ with the vectorized bitmask kernel.
         Symmetric readout bit flips damp each term by ``(1 − 2·p_meas)^w``
         (``w`` the term's weight), exactly as in :meth:`expectation`.  Values
-        align with ``observable.terms()`` (coefficients are not applied);
-        ``trajectories`` is accepted for signature parity and ignored.
+        align with ``observable.terms()`` (coefficients are not applied).
         """
         state = self.run(circuit.without_measurements(), initial_state)
         values = state.expectation_many(observable)

@@ -12,7 +12,7 @@ The paper's two simulation flows use the following error channels
 
 This module provides the Kraus-operator channels consumed by the
 density-matrix simulator, their Pauli-twirled approximations consumed by the
-stabilizer / Pauli-propagation evaluators, and :class:`NoiseModel`, which maps
+Pauli-propagation evaluator, and :class:`NoiseModel`, which maps
 gate names to channels and knows how to annotate a circuit with error
 locations.
 """

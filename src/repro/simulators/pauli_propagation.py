@@ -9,9 +9,8 @@ where the Heisenberg-picture observable stays a single Pauli (with sign) under
 Clifford conjugation, and every Pauli noise location contributes a
 multiplicative damping factor ``f_loc = Σ_a p_a · (±1)`` depending on whether
 the *intermediate* observable commutes with each error Pauli ``P_a``.  This is
-exact — not sampled — which is why the large-qubit evaluation pipeline uses it
-instead of Monte-Carlo stabilizer trajectories; the two agree (see the test
-suite) but this one is deterministic and fast.
+exact — not sampled — which is why every Clifford expectation value, noisy or
+noiseless, at any qubit count, goes through it.
 
 **Packed layout.**  One backward pass carries every Hamiltonian term — and,
 for a compiled sweep, every sweep point — at once.  Bit ``p·T + t`` stands
@@ -449,10 +448,9 @@ class PauliPropagationSimulator:
 
     Gives the Pauli-propagation engine the same
     ``expectation(circuit, observable, ...)`` surface as
-    :class:`~repro.simulators.statevector.StatevectorSimulator`,
-    :class:`~repro.simulators.density_matrix.DensityMatrixSimulator` and
-    :class:`~repro.simulators.stabilizer.StabilizerSimulator`, so all four
-    execution paths are interchangeable behind
+    :class:`~repro.simulators.statevector.StatevectorSimulator` and
+    :class:`~repro.simulators.density_matrix.DensityMatrixSimulator`, so
+    all three execution paths are interchangeable behind
     :mod:`repro.execution`'s backend adapters.
     """
 
@@ -462,14 +460,13 @@ class PauliPropagationSimulator:
         self.include_idle = include_idle
 
     def expectation(self, circuit: QuantumCircuit, observable: PauliSum, *,
-                    initial_state=None, trajectories: Optional[int] = None,
+                    initial_state=None,
                     include_idle: Optional[bool] = None) -> float:
         """Exact noisy ⟨H⟩ of a Clifford circuit (deterministic, no sampling).
 
-        ``initial_state`` and ``trajectories`` are accepted for signature
-        parity with the other simulators; propagation starts from |0…0⟩ and
-        is exact, so a non-default ``initial_state`` raises and
-        ``trajectories`` is ignored.
+        ``initial_state`` is accepted for signature parity with the other
+        simulators; propagation starts from |0…0⟩, so a non-default
+        ``initial_state`` raises.
         """
         if initial_state is not None:
             raise ValueError("PauliPropagationSimulator only supports the "
@@ -479,7 +476,7 @@ class PauliPropagationSimulator:
                                  include_idle=include_idle)
 
     def expectation_many(self, circuit: QuantumCircuit, observable: PauliSum, *,
-                         initial_state=None, trajectories: Optional[int] = None,
+                         initial_state=None,
                          include_idle: Optional[bool] = None) -> np.ndarray:
         """Per-term noisy ⟨P_i⟩ from a **single** propagation pass.
 
@@ -488,8 +485,7 @@ class PauliPropagationSimulator:
         evolution as the summed energy.  Values align with
         ``observable.terms()`` (coefficients are not applied); identity terms
         report their accumulated damping (1.0 without noise).
-        ``initial_state`` must be None and ``trajectories`` is ignored, as in
-        :meth:`expectation`.
+        ``initial_state`` must be None, as in :meth:`expectation`.
         """
         if initial_state is not None:
             raise ValueError("PauliPropagationSimulator only supports the "

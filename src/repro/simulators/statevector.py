@@ -117,10 +117,10 @@ class StatevectorSimulator:
     fused adjacent gates, diagonal gates as phase vectors — and the compiled
     program is cached by circuit fingerprint, so optimizer re-queries skip
     straight to execution; memory is O(2^n).  Shares the package-wide
-    ``expectation(circuit, observable, *, initial_state=None,
-    trajectories=None)`` and ``expectation_many(...)`` keyword surface with
-    the other three simulators, which is what lets the execution layer swap
-    them behind one :class:`~repro.execution.Backend` protocol.  Example::
+    ``expectation(circuit, observable, *, initial_state=None)`` and
+    ``expectation_many(...)`` keyword surface with the other two simulators,
+    which is what lets the execution layer swap them behind one
+    :class:`~repro.execution.Backend` protocol.  Example::
 
         simulator = StatevectorSimulator()
         energy = simulator.expectation(circuit, hamiltonian)
@@ -144,26 +144,20 @@ class StatevectorSimulator:
         return Statevector(state)
 
     def expectation(self, circuit: QuantumCircuit, observable: PauliSum, *,
-                    initial_state: Optional[Statevector] = None,
-                    trajectories: Optional[int] = None) -> float:
-        """⟨H⟩ of the state prepared by ``circuit`` (noiseless).
-
-        ``trajectories`` is accepted for signature parity with the other
-        simulators and ignored: the statevector expectation is exact.
-        """
+                    initial_state: Optional[Statevector] = None) -> float:
+        """⟨H⟩ of the state prepared by ``circuit`` (noiseless)."""
         state = self.run(circuit.without_measurements(), initial_state)
         return state.expectation(observable)
 
     def expectation_many(self, circuit: QuantumCircuit, observable: PauliSum, *,
-                         initial_state: Optional[Statevector] = None,
-                         trajectories: Optional[int] = None) -> np.ndarray:
+                         initial_state: Optional[Statevector] = None
+                         ) -> np.ndarray:
         """Per-term ⟨P_i⟩ of the prepared state from a **single** evolution.
 
         The grouped-observable fast path: the circuit is simulated once and
         every term of ``observable`` is evaluated from the final state with
         the vectorized bitmask kernel.  Values align with
-        ``observable.terms()`` (coefficients are not applied);
-        ``trajectories`` is accepted for signature parity and ignored.
+        ``observable.terms()`` (coefficients are not applied).
         """
         state = self.run(circuit.without_measurements(), initial_state)
         return state.expectation_many(observable)

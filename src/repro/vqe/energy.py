@@ -2,7 +2,7 @@
 
 Since the execution-API redesign every evaluator dispatches through the
 unified execution layer, which adds fingerprint-keyed LRU caching, in-batch
-deduplication and regime-aware routing on top of the paper's four execution
+deduplication and regime-aware routing on top of the paper's three execution
 paths (Sec. 5.2).  Evaluations ride the grouped-observable engine
 (:meth:`repro.execution.Executor.evaluate_observable`): one circuit
 evolution serves every Pauli term of the Hamiltonian, with per-(circuit,
@@ -16,8 +16,6 @@ classmethod presets pin the paper's historical regimes:
 * :meth:`BackendEnergyEvaluator.clifford` — exact noisy expectation of
   Clifford (stabilizer-proxy) circuits under Pauli noise via Pauli
   propagation (the 16–100 qubit flow);
-* :meth:`BackendEnergyEvaluator.monte_carlo_stabilizer` — Monte-Carlo
-  stabilizer trajectories (cross-validation backend);
 * pass ``backend="auto"`` to the constructor to route per circuit, or any
   registry name.
 
@@ -56,7 +54,7 @@ class BackendEnergyEvaluator(EnergyEvaluator):
     """Evaluates ⟨H⟩ through the unified execution API.
 
     ``backend`` is a registry name (``"statevector"``, ``"density_matrix"``,
-    ``"stabilizer"``, ``"pauli_propagation"``), ``"auto"`` for regime-aware
+    ``"pauli_propagation"``), ``"auto"`` for regime-aware
     routing, or a :class:`~repro.execution.backend.Backend` instance.
     ``canonicalize`` rewrites the circuit over Clifford+Rz before execution
     (the gate set the regimes' noise models are calibrated against).
@@ -76,7 +74,6 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                  noise_model: Optional[NoiseModel] = None,
                  canonicalize: bool = False,
                  include_idle: bool = True,
-                 trajectories: Optional[int] = None,
                  executor: Optional[Executor] = None,
                  use_cache: bool = True,
                  policy=None):
@@ -85,7 +82,6 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         self.noise_model = noise_model
         self.canonicalize = canonicalize
         self.include_idle = include_idle
-        self.trajectories = trajectories
         self.use_cache = use_cache
         # Fan-out policy forwarded to every executor call: an
         # ExecutionPolicy (mode, workers, broker, retry in one value), or
@@ -103,7 +99,6 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         return executor.evaluate_observable(
             self._prepare_circuit(circuit), self.hamiltonian,
             noise_model=self.noise_model, backend=self.backend,
-            trajectories=self.trajectories,
             include_idle=self.include_idle,
             use_cache=self.use_cache, policy=self.policy)[0]
 
@@ -127,7 +122,7 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         return executor.evaluate_point(
             template, values, self.hamiltonian,
             noise_model=self.noise_model, backend=self.backend,
-            trajectories=self.trajectories, include_idle=self.include_idle,
+            include_idle=self.include_idle,
             use_cache=self.use_cache, policy=self.policy)
 
     def evaluate_sweep(self, template: QuantumCircuit,
@@ -159,13 +154,12 @@ class BackendEnergyEvaluator(EnergyEvaluator):
                         for values in parameter_sets]
             return executor.evaluate_observable(
                 circuits, self.hamiltonian, noise_model=self.noise_model,
-                backend=self.backend, trajectories=self.trajectories,
-                include_idle=self.include_idle, use_cache=self.use_cache,
-                policy=self.policy)
+                backend=self.backend, include_idle=self.include_idle,
+                use_cache=self.use_cache, policy=self.policy)
         return executor.evaluate_sweep(
             template, parameter_sets, self.hamiltonian,
             noise_model=self.noise_model, backend=self.backend,
-            trajectories=self.trajectories, include_idle=self.include_idle,
+            include_idle=self.include_idle,
             use_cache=self.use_cache, policy=self.policy)
 
     # -- regime presets ------------------------------------------------------
@@ -191,20 +185,3 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         return cls(hamiltonian, backend="pauli_propagation",
                    noise_model=noise_model, canonicalize=canonicalize,
                    include_idle=include_idle)
-
-    @classmethod
-    def monte_carlo_stabilizer(cls, hamiltonian: PauliSum,
-                               noise_model: Optional[NoiseModel] = None,
-                               trajectories: int = 200,
-                               seed: Optional[int] = None
-                               ) -> "BackendEnergyEvaluator":
-        """Seeded Monte-Carlo stabilizer preset (cross-validation backend)."""
-        from ..execution.adapters import StabilizerBackend
-        # A seeded ensemble is a deterministic function of the task (per-
-        # trajectory SeedSequence spawning), so its values are cacheable —
-        # including into the persistent disk cache, which is what lets a
-        # warm re-run of a Monte-Carlo workload do zero evolutions.
-        # Unseeded ensembles stay uncached (fresh randomness every call).
-        return cls(hamiltonian, backend=StabilizerBackend(seed=seed),
-                   noise_model=noise_model, canonicalize=True,
-                   trajectories=trajectories, use_cache=seed is not None)

@@ -1,31 +1,28 @@
-"""Byte-per-bit CHP tableau: the correctness reference.
+"""Byte-per-bit CHP tableau (Aaronson & Gottesman, quant-ph/0406196).
 
-:class:`repro.simulators.stabilizer.StabilizerState` packs every tableau
-row into ``uint64`` words and computes rowsum phases with popcounts.  This
-is the implementation it replaced: one byte per tableau bit and a per-qubit
-Python rowsum loop.  It shares the derived Clifford operations
-(``_StabilizerOps``) with the packed state and exists only for the
-differential tests, which hold the two bit-for-bit equal — including the
-measurement RNG draw stream.
+The one stabilizer tableau in the repository.  Every Clifford expectation
+value in ``src/`` comes from Pauli propagation; this tableau stays as an
+independent reference for the stabilizer formalism, with one byte per
+tableau bit and a per-qubit Python rowsum loop.
 """
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.operators.pauli import PauliString
-from repro.simulators.stabilizer import _StabilizerOps
+from repro.circuits.gates import is_clifford_angle
+from repro.operators.pauli import PauliString, PauliSum
 
 
-class DenseStabilizerState(_StabilizerOps):
-    """Byte-per-bit CHP tableau: the differential reference implementation.
+class DenseStabilizerState:
+    """Byte-per-bit CHP tableau over ``num_qubits`` qubits, starting in
+    |0…0⟩.
 
-    The pre-bit-packing implementation, kept verbatim as the oracle the packed
-    :class:`StabilizerState` is property-tested against: same public API,
-    same results, same RNG draw stream (one ``rng.integers(0, 2)`` per
-    random-outcome measurement, nothing on deterministic ones) — only the
-    storage (one byte per tableau bit) and the per-qubit Python rowsum loop
-    differ.
+    Primitive gates (H, S, X, Y, Z, CX, SWAP) update the tableau columns;
+    the other Clifford gates, Pauli injection and reset are derived from
+    them.  Measurement draws one ``rng.integers(0, 2)`` per random outcome
+    and nothing on deterministic ones.
     """
 
     def __init__(self, num_qubits: int):
@@ -118,6 +115,65 @@ class DenseStabilizerState(_StabilizerOps):
     def apply_swap(self, qubit_a: int, qubit_b: int) -> None:
         for array in (self.x, self.z):
             array[:, [qubit_a, qubit_b]] = array[:, [qubit_b, qubit_a]]
+
+    # -- derived Clifford operations -------------------------------------------
+    def apply_sdg(self, qubit: int) -> None:
+        # Sdg = Z · S
+        self.apply_z(qubit)
+        self.apply_s(qubit)
+
+    def apply_sx(self, qubit: int) -> None:
+        # SX = H · S · H (up to global phase)
+        self.apply_h(qubit)
+        self.apply_s(qubit)
+        self.apply_h(qubit)
+
+    def apply_sxdg(self, qubit: int) -> None:
+        self.apply_h(qubit)
+        self.apply_sdg(qubit)
+        self.apply_h(qubit)
+
+    def apply_cz(self, qubit_a: int, qubit_b: int) -> None:
+        self.apply_h(qubit_b)
+        self.apply_cx(qubit_a, qubit_b)
+        self.apply_h(qubit_b)
+
+    def apply_rz_clifford(self, theta: float, qubit: int) -> None:
+        """Apply Rz at a multiple of π/2 (up to global phase)."""
+        if not is_clifford_angle(theta):
+            raise ValueError(f"Rz angle {theta} is not a Clifford angle")
+        quarter_turns = int(round(theta / (math.pi / 2.0))) % 4
+        if quarter_turns == 1:
+            self.apply_s(qubit)
+        elif quarter_turns == 2:
+            self.apply_z(qubit)
+        elif quarter_turns == 3:
+            self.apply_sdg(qubit)
+
+    def apply_pauli(self, pauli: PauliString) -> None:
+        """Apply a Pauli operator (e.g. an injected error) to the state."""
+        if pauli.num_qubits != self.num_qubits:
+            raise ValueError("Pauli string size mismatch")
+        for qubit in pauli.support():
+            label = pauli.pauli_on(qubit)
+            if label == "X":
+                self.apply_x(qubit)
+            elif label == "Y":
+                self.apply_y(qubit)
+            elif label == "Z":
+                self.apply_z(qubit)
+
+    def reset(self, qubit: int,
+              rng: Optional[np.random.Generator] = None) -> None:
+        outcome = self.measure(qubit, rng)
+        if outcome == 1:
+            self.apply_x(qubit)
+
+    def expectation(self, observable: PauliSum) -> float:
+        total = 0.0
+        for pauli, coeff in observable.terms():
+            total += float(np.real(coeff)) * self.expectation_pauli(pauli)
+        return total
 
     # -- measurement -------------------------------------------------------------
     def measure(self, qubit: int, rng: Optional[np.random.Generator] = None) -> int:

@@ -835,15 +835,6 @@ class TestEvaluateSweep:
         assert density.canonicalize and density.noise_model is noise
         clifford = BackendEnergyEvaluator.clifford(self.hamiltonian)
         assert clifford.backend == "pauli_propagation"
-        monte_carlo = BackendEnergyEvaluator.monte_carlo_stabilizer(
-            self.hamiltonian, trajectories=64, seed=3)
-        # Seeded ensembles are deterministic (per-trajectory seed spawning),
-        # so the seeded preset caches; the unseeded one draws fresh
-        # randomness every call and must not.
-        assert monte_carlo.trajectories == 64 and monte_carlo.use_cache
-        unseeded = BackendEnergyEvaluator.monte_carlo_stabilizer(
-            self.hamiltonian, trajectories=64)
-        assert not unseeded.use_cache
 
 
 # ---------------------------------------------------------------------------

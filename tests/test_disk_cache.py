@@ -16,8 +16,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.execution import (DiskExpectationCache, ExecutionPolicy, Executor,
-                             ExpectationCache,
-                             StabilizerBackend, TieredExpectationCache,
+                             ExpectationCache, TieredExpectationCache,
                              noise_token)
 from repro.execution.disk_cache import key_digest
 from repro.operators import ising_hamiltonian
@@ -304,10 +303,9 @@ class TestExecutorDiskCache:
             == len(circuits) * hamiltonian.num_terms
         assert warm.disk_cache_stats.hits >= hamiltonian.num_terms
 
-    def test_warm_rerun_monte_carlo_seeded(self, tmp_path):
-        """Seeded Monte-Carlo ensembles are disk-cacheable: a warm re-run of
-        the trajectory workload does zero evolutions and returns the exact
-        same value."""
+    def test_warm_rerun_noisy_clifford(self, tmp_path):
+        """Noisy Pauli-propagation energies are disk-cacheable: a warm
+        re-run does zero evolutions and returns the exact same value."""
         hamiltonian = ising_hamiltonian(3, 1.0)
         circuit = clifford_circuit(3)
         noise = cx_noise()
@@ -315,20 +313,21 @@ class TestExecutorDiskCache:
         cold = Executor(cache_dir=tmp_path, use_cache=True)
         value = cold.evaluate_observable(
             circuit, hamiltonian, noise_model=noise,
-            backend=StabilizerBackend(seed=11), trajectories=40)[0]
+            backend="pauli_propagation")[0]
         assert cold.stats.simulator_invocations == 1
 
         warm = Executor(cache_dir=tmp_path, use_cache=True)
         warm_value = warm.evaluate_observable(
             circuit, hamiltonian, noise_model=noise,
-            backend=StabilizerBackend(seed=11), trajectories=40)[0]
+            backend="pauli_propagation")[0]
         assert warm_value == value
         assert warm.stats.simulator_invocations == 0
-        # A different seed misses (its token differs) and re-evolves.
+        # A different noise model misses (its token differs) and re-evolves.
         other = Executor(cache_dir=tmp_path, use_cache=True)
         other.evaluate_observable(
-            circuit, hamiltonian, noise_model=noise,
-            backend=StabilizerBackend(seed=12), trajectories=40)
+            circuit, hamiltonian,
+            noise_model=cx_noise().add_readout_error(0.05),
+            backend="pauli_propagation")
         assert other.stats.simulator_invocations == 1
 
     def test_sweep_values_persist(self, tmp_path):

@@ -13,8 +13,9 @@ from repro.execution import (Backend, BackendCapabilities,
                              ExecutionPolicy, ExecutionTask, Executor,
                              ExpectationCache,
                              MAX_DENSITY_MATRIX_QUBITS,
+                             MAX_STATEVECTOR_QUBITS,
                              PauliPropagationBackend, RoutingError,
-                             StabilizerBackend, StatevectorBackend,
+                             StatevectorBackend,
                              UnknownBackendError, available_backends, execute,
                              get_backend, observable_fingerprint, route_task)
 from repro.operators import PauliSum, ising_hamiltonian
@@ -73,8 +74,10 @@ class TestTask:
         task = ExecutionTask(clifford_circuit(2), observable=hamiltonian)
         noisy = ExecutionTask(clifford_circuit(2), observable=hamiltonian,
                               noise_model=cx_noise())
-        assert task.cache_key("statevector") != task.cache_key("stabilizer")
-        assert task.cache_key("stabilizer") != noisy.cache_key("stabilizer")
+        assert task.cache_key("statevector") \
+            != task.cache_key("pauli_propagation")
+        assert task.cache_key("pauli_propagation") \
+            != noisy.cache_key("pauli_propagation")
 
     def test_observable_fingerprint_follows_term_order(self):
         # Energies sum terms in terms() order, so a permutation can move
@@ -89,9 +92,9 @@ class TestTask:
 
 
 class TestRegistry:
-    def test_all_four_simulators_reachable(self):
+    def test_all_three_simulators_reachable(self):
         assert set(available_backends()) >= {"statevector", "density_matrix",
-                                             "stabilizer", "pauli_propagation"}
+                                             "pauli_propagation"}
         for name in available_backends():
             backend = get_backend(name)
             assert isinstance(backend, Backend)
@@ -109,6 +112,13 @@ class TestRegistry:
         assert "quantum_teleporter" in message
         assert "statevector" in message
 
+    @pytest.mark.parametrize("name", ["stabilizer", "chp"])
+    def test_retired_tableau_names_are_unknown(self, name):
+        with pytest.raises(UnknownBackendError) as excinfo:
+            get_backend(name)
+        assert excinfo.value.available == (
+            "density_matrix", "pauli_propagation", "statevector")
+
     def test_duplicate_registration_rejected(self):
         registry = BackendRegistry()
         registry.register("custom", StatevectorBackend)
@@ -124,10 +134,11 @@ class TestRegistry:
 
 
 class TestRouting:
-    def test_clifford_noiseless_goes_to_stabilizer(self):
-        task = ExecutionTask(clifford_circuit(4),
-                             observable=ising_hamiltonian(4, 1.0))
-        assert route_task(task) == "stabilizer"
+    @pytest.mark.parametrize("num_qubits", [4, 60])
+    def test_clifford_noiseless_goes_to_pauli_propagation(self, num_qubits):
+        task = ExecutionTask(clifford_circuit(num_qubits),
+                             observable=ising_hamiltonian(num_qubits, 1.0))
+        assert route_task(task) == "pauli_propagation"
 
     def test_clifford_noisy_goes_to_pauli_propagation(self):
         task = ExecutionTask(clifford_circuit(4),
@@ -160,16 +171,32 @@ class TestRouting:
                              backend="sv")
         assert route_task(task) == "statevector"
 
-    def test_noisy_clifford_sampling_goes_to_stabilizer(self):
-        task = ExecutionTask(clifford_circuit(3), shots=10,
-                             noise_model=cx_noise())
-        assert route_task(task) == "stabilizer"
+    @pytest.mark.parametrize("num_qubits,noise,expected", [
+        (20, None, "statevector"),
+        (6, cx_noise(), "density_matrix"),
+    ], ids=["noiseless-20", "noisy-6"])
+    def test_clifford_sampling_routes_like_any_sampling(self, num_qubits,
+                                                        noise, expected):
+        task = ExecutionTask(clifford_circuit(num_qubits), shots=10,
+                             noise_model=noise)
+        assert route_task(task) == expected
+
+    @pytest.mark.parametrize("num_qubits,noise,limit", [
+        (30, None, MAX_STATEVECTOR_QUBITS),
+        (20, cx_noise(), MAX_DENSITY_MATRIX_QUBITS),
+    ], ids=["noiseless-30", "noisy-20"])
+    def test_wide_clifford_sampling_is_unroutable(self, num_qubits, noise,
+                                                  limit):
+        task = ExecutionTask(clifford_circuit(num_qubits), shots=10,
+                             noise_model=noise)
+        with pytest.raises(RoutingError, match=f"tops out at {limit} qubits"):
+            route_task(task)
 
     def test_trivial_noise_model_counts_as_noiseless(self):
-        task = ExecutionTask(clifford_circuit(3),
+        task = ExecutionTask(nonclifford_circuit(3),
                              observable=ising_hamiltonian(3, 1.0),
                              noise_model=NoiseModel())
-        assert route_task(task) == "stabilizer"
+        assert route_task(task) == "statevector"
 
 
 class TestBackendCapabilities:
@@ -185,8 +212,7 @@ class TestBackendCapabilities:
     def test_clifford_backends_reject_nonclifford_circuits(self):
         task = ExecutionTask(nonclifford_circuit(2),
                              observable=ising_hamiltonian(2, 1.0))
-        for backend in (StabilizerBackend(), PauliPropagationBackend()):
-            assert not backend.supports(task)
+        assert not PauliPropagationBackend().supports(task)
 
     def test_pauli_propagation_cannot_sample(self):
         task = ExecutionTask(clifford_circuit(2), shots=16)
@@ -224,9 +250,10 @@ class TestCorrectness:
         assert pp.value == pytest.approx(
             expectation_value(clifford, hamiltonian, noise))
 
-        stab = executor.run(ExecutionTask(clifford, observable=hamiltonian),
-                            backend="stabilizer")[0]
-        assert stab.value == pytest.approx(
+        noiseless = executor.run(ExecutionTask(clifford,
+                                               observable=hamiltonian),
+                                 backend="pauli_propagation")[0]
+        assert noiseless.value == pytest.approx(
             StatevectorSimulator().expectation(clifford, hamiltonian))
 
     def test_auto_routing_executes_end_to_end(self):
@@ -238,7 +265,7 @@ class TestCorrectness:
             ExecutionTask(nonclifford_circuit(3), observable=hamiltonian),
         ])
         assert [r.backend_name for r in results] == \
-            ["stabilizer", "pauli_propagation", "statevector"]
+            ["pauli_propagation", "pauli_propagation", "statevector"]
         for result in results:
             assert math.isfinite(result.value)
 
@@ -294,38 +321,14 @@ class TestDedupAndCache:
         assert backend.invocations == 2
 
     def test_stochastic_tasks_are_never_shared(self):
+        # Sampling draws fresh shots: identical sampling tasks each run.
         executor = fresh_executor()
-        backend = StabilizerBackend()  # unseeded: genuinely stochastic
-        noisy = cx_noise()
-        hamiltonian = ising_hamiltonian(3, 1.0)
-        tasks = [ExecutionTask(clifford_circuit(3), observable=hamiltonian,
-                               noise_model=noisy, trajectories=20)
+        backend = StatevectorBackend()
+        tasks = [ExecutionTask(clifford_circuit(3), shots=16)
                  for _ in range(3)]
         results = executor.run(tasks, backend=backend)
         assert backend.invocations == 3
         assert all(r.source == "backend" for r in results)
-
-    def test_seeded_monte_carlo_tasks_dedup_and_cache(self):
-        # A *seeded* stabilizer backend derives every trajectory's generator
-        # from the task + seed (SeedSequence spawning), so equal noisy tasks
-        # are reproducible — and therefore shareable and cacheable.
-        executor = fresh_executor()
-        backend = StabilizerBackend(seed=7)
-        noisy = cx_noise()
-        hamiltonian = ising_hamiltonian(3, 1.0)
-        tasks = [ExecutionTask(clifford_circuit(3), observable=hamiltonian,
-                               noise_model=noisy, trajectories=20)
-                 for _ in range(3)]
-        results = executor.run(tasks, backend=backend)
-        assert backend.invocations == 1
-        assert [r.source for r in results] == ["backend", "dedup", "dedup"]
-        assert len({r.value for r in results}) == 1
-        repeat = executor.run(tasks[0], backend=backend)[0]
-        assert repeat.source == "cache"
-        assert repeat.value == results[0].value
-        # A differently seeded backend must not share those entries.
-        other = executor.run(tasks[0], backend=StabilizerBackend(seed=8))[0]
-        assert other.source == "backend"
 
     def test_different_observables_do_not_collide(self):
         executor = fresh_executor()
@@ -396,7 +399,7 @@ class TestExecutorDispatch:
         ]
         results = fresh_executor().run(tasks)
         assert [r.backend_name for r in results] == \
-            ["statevector", "pauli_propagation", "stabilizer"]
+            ["statevector", "pauli_propagation", "pauli_propagation"]
         assert results[0].task is tasks[0]
 
     def test_empty_task_list(self):
@@ -453,17 +456,6 @@ class TestEvaluatorIntegration:
         clifford = BackendEnergyEvaluator.clifford(hamiltonian, noise)
         assert clifford(circuit) == pytest.approx(
             expectation_value(canonical, hamiltonian, noise))
-
-    def test_monte_carlo_evaluator_is_reproducible(self):
-        from repro.vqe.energy import BackendEnergyEvaluator
-        hamiltonian = ising_hamiltonian(3, 1.0)
-        noise = cx_noise()
-        circuit = clifford_circuit(3)
-        a = BackendEnergyEvaluator.monte_carlo_stabilizer(
-            hamiltonian, noise, trajectories=50, seed=3)(circuit)
-        b = BackendEnergyEvaluator.monte_carlo_stabilizer(
-            hamiltonian, noise, trajectories=50, seed=3)(circuit)
-        assert a == pytest.approx(b)
 
     def test_legacy_evaluator_shims_are_gone(self):
         """The deprecated constructor shims were removed after their one

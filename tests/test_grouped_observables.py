@@ -3,7 +3,7 @@
 The contract under test: for any many-term Hamiltonian,
 ``Executor.evaluate_observable`` / ``term_expectations`` must reproduce the
 legacy per-term submission path (one single-term ``ExecutionTask`` per Pauli
-term through ``execute()``) to 1e-10 on every deterministic backend, while
+term through ``execute()``) to 1e-10 on every backend, while
 evolving each unique circuit exactly once and serving overlapping
 Hamiltonians from the per-(circuit, term) cache.
 """
@@ -22,7 +22,6 @@ from repro.simulators.kernels import (density_matrix_term_expectations,
                                       statevector_term_expectations)
 from repro.simulators.noise import (NoiseModel, depolarizing_channel)
 from repro.simulators.statevector import StatevectorSimulator
-from repro.simulators.stabilizer import StabilizerSimulator
 
 
 def random_hamiltonian(num_qubits, num_terms, seed, include_identity=True):
@@ -158,14 +157,14 @@ class TestGroupedVersusPerTerm:
         assert abs(grouped - reference) < 1e-10
 
     @pytest.mark.parametrize("seed", [31, 32])
-    def test_stabilizer_noiseless(self, seed):
+    def test_pauli_propagation_noiseless(self, seed):
         hamiltonian = random_hamiltonian(4, 10, seed=seed)
         circuit = random_clifford_circuit(4, seed=seed + 100)
         executor = Executor()
-        grouped = executor.evaluate_observable(circuit, hamiltonian,
-                                               backend="stabilizer")[0]
+        grouped = executor.evaluate_observable(
+            circuit, hamiltonian, backend="pauli_propagation")[0]
         reference = per_term_energy(executor, circuit, hamiltonian,
-                                    "stabilizer")
+                                    "pauli_propagation")
         assert abs(grouped - reference) < 1e-10
 
     @pytest.mark.parametrize("seed", [41, 42])
@@ -200,18 +199,7 @@ class TestGroupedVersusPerTerm:
         assert abs(grouped - whole) < 1e-10
 
 
-class TestStabilizerGroupedMeasurement:
-    def test_qwc_basis_rotation_matches_direct_tableau(self):
-        hamiltonian = random_hamiltonian(5, 14, seed=71,
-                                         include_identity=False)
-        circuit = random_clifford_circuit(5, seed=171)
-        simulator = StabilizerSimulator()
-        state = simulator.run(circuit, inject_noise=False)
-        direct = np.array([state.expectation_pauli(pauli)
-                           for pauli, _ in hamiltonian.terms()])
-        grouped = simulator.expectation_many(circuit, hamiltonian)
-        assert np.allclose(grouped, direct, atol=1e-12)
-
+class TestQubitwiseGrouping:
     def test_groups_cover_all_terms_once(self):
         hamiltonian = random_hamiltonian(4, 12, seed=81,
                                          include_identity=False)
@@ -219,15 +207,6 @@ class TestStabilizerGroupedMeasurement:
         seen = [pauli.key() for group in groups for pauli, _ in group.terms]
         expected = [pauli.key() for pauli, _ in hamiltonian.terms()]
         assert sorted(seen) == sorted(expected)
-
-    def test_noisy_stabilizer_grouped_runs_and_is_bounded(self):
-        hamiltonian = random_hamiltonian(3, 6, seed=91)
-        circuit = random_clifford_circuit(3, seed=191)
-        simulator = StabilizerSimulator(pauli_noise_model(), seed=5)
-        values = simulator.expectation_many(circuit, hamiltonian,
-                                            trajectories=20)
-        assert values.shape == (hamiltonian.num_terms,)
-        assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
 
 class TestSingleEvolutionAndCaching:
@@ -294,18 +273,6 @@ class TestSingleEvolutionAndCaching:
         assert executor.stats.simulator_invocations == 2
         assert executor.stats.term_cache_hits == 0
 
-    def test_stochastic_tasks_are_not_shared_or_cached(self):
-        hamiltonian = random_hamiltonian(3, 6, seed=151)
-        circuit = random_clifford_circuit(3, seed=251)
-        noise = pauli_noise_model()
-        executor = Executor()
-        executor.evaluate_observable([circuit, circuit], hamiltonian,
-                                     noise_model=noise, backend="stabilizer",
-                                     trajectories=10)
-        # Monte-Carlo estimates must never collapse across tasks.
-        assert executor.stats.simulator_invocations == 2
-        assert executor.stats.term_cache_hits == 0
-
     def test_threaded_matches_sequential(self):
         hamiltonian = random_hamiltonian(4, 10, seed=161)
         circuits = [random_rotation_circuit(4, seed=s)
@@ -336,7 +303,7 @@ class TestTermExpectations:
         hamiltonian.add_term(PauliString.identity(3), 2.5)
         hamiltonian.add_label("ZZI", 1.0)
         circuit = random_clifford_circuit(3, seed=281)
-        for backend in ("statevector", "stabilizer", "pauli_propagation"):
+        for backend in ("statevector", "pauli_propagation"):
             values = term_expectations(circuit, hamiltonian, backend=backend)
             assert abs(values[0] - 1.0) < 1e-12
 

@@ -285,7 +285,7 @@ class TestEvaluatePoint:
         energy = executor.evaluate_point(self.template, values,
                                          self.hamiltonian, backend="auto")
         assert binds == [1]
-        assert "stabilizer" in executor.stats.backend_invocations
+        assert "pauli_propagation" in executor.stats.backend_invocations
         assert energy == Executor().evaluate_observable(
             self.template.bind_parameters(values), self.hamiltonian)[0]
 

@@ -11,8 +11,8 @@ Contracts covered, one test class per contract family:
 * pack/unpack round-trips and popcount native-vs-LUT
   (:mod:`repro.qec.bitops`)
 * packed mod-2 matmul / matvec / gather-plan vs dense integer matmul
-* packed-vs-byte stabilizer tableau evolution, including the measurement
-  RNG draw stream (:class:`StabilizerState` vs the dense reference tableau)
+* auto-routed noiseless Clifford expectations (Pauli propagation) vs the
+  statevector (≤ 1e-12)
 * ``decode_batch`` vs per-shot ``decode`` — and ``decode_batch_packed`` vs
   ``decode_batch`` — for all five decoder configurations
 * packed vs dense vs streaming Monte-Carlo memory sampling
@@ -38,11 +38,10 @@ from hypothesis import strategies as st
 
 from repro._bitops import _POPCOUNT_LUT, _WORD_BYTES
 from repro.circuits.circuit import QuantumCircuit
-from repro.operators.pauli import PauliString, PauliSum
+from repro.operators.pauli import PauliSum
 from repro.qec.bitops import (Mod2GatherPlan, mod2_matmul_packed,
                               mod2_matvec_packed, pack_rows, packed_words,
-                              parity, popcount, popcount_words, row_parity,
-                              unpack_rows)
+                              parity, popcount, popcount_words, unpack_rows)
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode,
                                 batch_decode_packed)
@@ -57,7 +56,8 @@ from repro.qec.sampling import (packed_syndromes_and_flips, sample_errors,
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.circuits.parameters import ParameterVector
 from repro.circuits.transpile import decompose_to_clifford_rz, merge_rz_runs
-from repro.execution import BackendCapabilityError, Executor
+from repro.execution import (BackendCapabilityError, ExecutionTask, Executor,
+                             route_task)
 from repro.simulators.noise import (NoiseModel, PauliChannel, QuantumChannel,
                                     depolarizing_channel,
                                     thermal_relaxation_channel,
@@ -65,7 +65,6 @@ from repro.simulators.noise import (NoiseModel, PauliChannel, QuantumChannel,
 from repro.simulators.pauli_propagation import (compile_clifford,
                                                 expectation_value, propagate)
 from repro.simulators.program import _dm_apply_channel, compile_circuit
-from repro.simulators.stabilizer import StabilizerSimulator, StabilizerState
 from repro.simulators.statevector import StatevectorSimulator
 
 from reference.density_matrix import apply_channel, naive_density_matrix_run
@@ -88,35 +87,6 @@ def bit_matrices(max_rows: int = 12, max_cols: int = 200):
     return st.tuples(st.integers(1, max_rows), cols, st.integers(0, 2**31)) \
         .map(lambda args: np.random.default_rng(args[2])
              .integers(0, 2, size=(args[0], args[1]), dtype=np.uint8))
-
-
-@st.composite
-def clifford_programs(draw, max_qubits: int = 6, max_ops: int = 30):
-    """``(num_qubits, [op codes])`` describing a random Clifford+measure run."""
-    n = draw(st.integers(1, max_qubits))
-    ops = draw(st.lists(
-        st.tuples(st.sampled_from(["h", "s", "sdg", "x", "y", "z", "cx",
-                                   "cz", "swap", "measure", "reset"]),
-                  st.integers(0, n - 1), st.integers(0, n - 1)),
-        max_size=max_ops))
-    return n, ops
-
-
-def _apply_ops(state, ops, rng):
-    """Replay a clifford_programs op list onto either tableau implementation."""
-    outcomes = []
-    for name, q, q2 in ops:
-        if name == "cx" or name == "cz" or name == "swap":
-            if q == q2:
-                continue
-            getattr(state, f"apply_{name}")(q, q2)
-        elif name == "measure":
-            outcomes.append(state.measure(q, rng))
-        elif name == "reset":
-            state.reset(q, rng)
-        else:
-            getattr(state, f"apply_{name}")(q)
-    return outcomes
 
 
 @st.composite
@@ -401,7 +371,7 @@ class TestBitopsProperties:
     @given(rows=bit_matrices())
     def test_parity_matches_mod2_sum(self, rows):
         words = pack_rows(rows)
-        assert np.array_equal(row_parity(words),
+        assert np.array_equal(parity(words),
                               (rows.sum(axis=1) % 2).astype(np.uint8))
         # axis=0 folds the shot rows first: word w's parity is the mod-2
         # sum of ALL bits landing in columns [64w, 64w+64).
@@ -456,44 +426,35 @@ class TestMod2MatmulProperties:
 
 
 # ---------------------------------------------------------------------------
-# Tableau: packed vs byte reference
+# Tableau: the reference tableau's fresh state
 # ---------------------------------------------------------------------------
 
 class TestTableauProperties:
-    @given(program=clifford_programs(), seed=st.integers(0, 2**31))
-    def test_packed_vs_dense_evolution(self, program, seed):
-        n, ops = program
-        packed = StabilizerState(n)
-        dense = DenseStabilizerState(n)
-        packed_outcomes = _apply_ops(packed, ops, np.random.default_rng(seed))
-        dense_outcomes = _apply_ops(dense, ops, np.random.default_rng(seed))
-        # Identical measurement outcomes (same draw stream) and identical
-        # final tableaus, bit for bit, sign for sign.
-        assert packed_outcomes == dense_outcomes
-        assert np.array_equal(packed.x, dense.x)
-        assert np.array_equal(packed.z, dense.z)
-        assert np.array_equal(packed.r, dense.r)
-
-    @given(program=clifford_programs(max_qubits=5), seed=st.integers(0, 2**31),
-           data=st.data())
-    def test_packed_vs_dense_expectations(self, program, seed, data):
-        n, ops = program
-        packed = StabilizerState(n)
-        dense = DenseStabilizerState(n)
-        _apply_ops(packed, ops, np.random.default_rng(seed))
-        _apply_ops(dense, ops, np.random.default_rng(seed))
-        label = "".join(data.draw(st.sampled_from("IXYZ")) for _ in range(n))
-        pauli = PauliString(label)
-        assert packed.expectation_pauli(pauli) == dense.expectation_pauli(pauli)
-        assert [str(s) for s in packed.stabilizer_strings()] \
-            == [str(s) for s in dense.stabilizer_strings()]
-
     @given(st.integers(1, 80))
     def test_fresh_tableau_matches(self, n):
-        packed = StabilizerState(n)
-        dense = DenseStabilizerState(n)
-        assert np.array_equal(packed.x, dense.x)
-        assert np.array_equal(packed.z, dense.z)
+        # |0…0⟩: destabilizers X_i, stabilizers +Z_i.
+        tableau = DenseStabilizerState(n)
+        identity = np.eye(n, dtype=np.uint8)
+        zeros = np.zeros((n, n), dtype=np.uint8)
+        assert np.array_equal(tableau.x, np.vstack([identity, zeros]))
+        assert np.array_equal(tableau.z, np.vstack([zeros, identity]))
+        assert not tableau.r.any()
+
+
+# ---------------------------------------------------------------------------
+# Routing: auto-routed Clifford expectations vs the statevector
+# ---------------------------------------------------------------------------
+
+class TestAutoRoutingProperties:
+    @given(setup=noisy_clifford_setups(max_qubits=8, max_ops=30))
+    def test_auto_clifford_expectation_matches_statevector(self, setup):
+        circuit, _, observable, _ = setup
+        task = ExecutionTask(circuit, observable=observable)
+        assert route_task(task) == "pauli_propagation"
+        [value] = Executor(use_cache=False).evaluate_observable(
+            circuit, observable, backend="auto")
+        exact = StatevectorSimulator().expectation(circuit, observable)
+        assert abs(value - exact) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -670,27 +631,6 @@ class TestGroupedReadoutProperties:
         for index, (pauli, _) in enumerate(observable.terms()):
             single = PauliSum(observable.num_qubits).add_term(pauli, 1.0)
             assert abs(grouped[index] - state.expectation(single)) <= 1e-12
-
-    @given(program=clifford_programs(max_qubits=4, max_ops=15),
-           data=st.data())
-    def test_stabilizer_grouped_vs_per_term(self, program, data):
-        n, ops = program
-        circuit = QuantumCircuit(n)
-        for name, q, q2 in ops:
-            if name in ("cx", "cz", "swap"):
-                if q != q2:
-                    getattr(circuit, name)(q, q2)
-            elif name not in ("measure", "reset"):
-                getattr(circuit, name)(q)
-        observable = data.draw(pauli_sums(max_qubits=n))
-        assume(observable.num_qubits == n)
-        simulator = StabilizerSimulator()
-        grouped = simulator.expectation_many(circuit, observable)
-        state = simulator.run(circuit, inject_noise=False)
-        for index, (pauli, _) in enumerate(observable.terms()):
-            expected = (1.0 if pauli.is_identity()
-                        else state.expectation_pauli(pauli))
-            assert abs(grouped[index] - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

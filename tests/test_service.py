@@ -17,6 +17,7 @@ The PR-6 acceptance surface:
 
 import contextlib
 import gc
+import importlib.util
 import json
 import os
 import shutil
@@ -47,12 +48,14 @@ from repro.service import (JobFailedError, JobRunner, ProtocolError,
                            QueueFullError, QuotaExceededError, RunRegistry,
                            ServiceClient, ServiceConfig, ServiceError,
                            TenantQueues, decode_line, encode_line,
-                           qec_memory_payload, start_in_thread,
+                           expectation_payload, qec_memory_payload,
+                           qec_rare_event_payload, start_in_thread,
                            sweep_payload)
 from repro.service import protocol as protocol_module
 from repro.service import runner as runner_module
 from repro.service.jobs import PreparedJob, prepare_job
 from repro.service.registry import CommitError
+from repro.simulators.noise import NoiseModel, depolarizing_channel
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +164,82 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 # scheduler
 # ---------------------------------------------------------------------------
+
+
+def builder_payloads():
+    """One payload per job kind from its protocol builder, every optional
+    argument set."""
+    template, points, observable = sweep_fixture()
+    noise = NoiseModel().add_gate_error(depolarizing_channel(0.01, 2),
+                                        ["cx"])
+    policy = {"parallel": "none"}
+    qec = dict(code="repetition", distance=3, rounds=2, error_rate=0.02,
+               measurement_error_rate=0.01, decoder="mwpm", shots=512,
+               seed=3, chunk_blocks=1)
+    return {
+        "expectation": expectation_payload(
+            template.bind_parameters([0.3]), observable, noise_model=noise,
+            backend="density_matrix", include_idle=False, chunk=2,
+            policy=policy),
+        "sweep": sweep_payload(
+            template, points, observable, noise_model=noise,
+            backend="dm", include_idle=False, chunk=2, policy=policy),
+        "qec_memory": qec_memory_payload(**qec),
+        "qec_rare_event": qec_rare_event_payload(
+            **qec, method="stratified", tilt=0.5, min_fault_weight=1,
+            max_weight=3, pilot_shots=64, tail_rtol=0.1),
+    }
+
+
+def perfbench_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPayloadValidation:
+    """Each job kind accepts exactly the keys its payload builder emits,
+    and ``expectation``/``sweep`` name a registered backend."""
+
+    def test_builder_payloads_are_accepted(self):
+        for kind, payload in builder_payloads().items():
+            assert prepare_job(kind, payload).kind == kind
+        workloads = perfbench_workloads()
+        assert prepare_job("sweep", workloads.sweep_job(0)).kind == "sweep"
+        assert prepare_job("qec_memory",
+                           workloads.qec_job(0)).kind == "qec_memory"
+
+    @pytest.mark.parametrize("kind", ["expectation", "sweep", "qec_memory",
+                                      "qec_rare_event"])
+    def test_unknown_key_rejected(self, kind):
+        payload = dict(builder_payloads()[kind], trajectories=64)
+        with pytest.raises(ProtocolError, match="'trajectories'"):
+            prepare_job(kind, payload)
+
+    @pytest.mark.parametrize("kind", ["expectation", "sweep"])
+    def test_unknown_backend_rejected(self, kind):
+        payload = dict(builder_payloads()[kind], backend="stabilizer")
+        with pytest.raises(ProtocolError,
+                           match="unknown backend 'stabilizer'"):
+            prepare_job(kind, payload)
+
+    def test_rejected_at_submit_with_no_job_row(self):
+        payloads = builder_payloads()
+        bad = [(kind, dict(payload, backnd="auto"))
+               for kind, payload in payloads.items()]
+        bad += [(kind, dict(payloads[kind], backend="no_such_backend"))
+                for kind in ("expectation", "sweep")]
+        with service() as handle:
+            with ServiceClient(handle.socket_path) as client:
+                for kind, payload in bad:
+                    with pytest.raises(ServiceError) as caught:
+                        client.submit(kind, payload)
+                    assert caught.value.status == 400
+                assert client.list_jobs() == []  # nothing persisted
 
 
 class TestTenantQueues:

@@ -1,5 +1,5 @@
-"""Cross-validation tests for the statevector, density-matrix, stabilizer and
-Pauli-propagation simulators."""
+"""Cross-validation tests for the statevector, density-matrix and
+Pauli-propagation simulators, and for the reference stabilizer tableau."""
 
 import math
 
@@ -11,9 +11,7 @@ from repro.circuits import QuantumCircuit
 from repro.operators import PauliString, PauliSum, ising_hamiltonian
 from repro.simulators import (DensityMatrix,
                               DensityMatrixSimulator, NoiseModel,
-                              PauliChannel, StabilizerSimulator,
-                              StabilizerState,
-                              Statevector, StatevectorSimulator,
+                              PauliChannel, Statevector, StatevectorSimulator,
                               depolarizing_channel, expectation_value)
 from repro.simulators.statevector import circuit_unitary
 
@@ -131,42 +129,49 @@ class TestDensityMatrix:
 
 
 class TestStabilizer:
+    """The reference tableau against states with known stabilizers."""
+
+    @staticmethod
+    def bell_state():
+        state = DenseStabilizerState(2)
+        state.apply_h(0)
+        state.apply_cx(0, 1)
+        return state
+
     def test_bell_state_stabilizer_expectations(self):
-        state = StabilizerSimulator().run(bell_circuit())
+        state = self.bell_state()
         assert state.expectation_pauli(PauliString("XX")) == pytest.approx(1.0)
         assert state.expectation_pauli(PauliString("ZZ")) == pytest.approx(1.0)
         assert state.expectation_pauli(PauliString("YY")) == pytest.approx(-1.0)
         assert state.expectation_pauli(PauliString("ZI")) == pytest.approx(0.0)
 
     def test_deterministic_measurement(self):
-        state = StabilizerState(2)
+        state = DenseStabilizerState(2)
         state.apply_x(0)
         assert state.measure(0) == 1
         assert state.measure(1) == 0
 
     def test_random_measurement_collapses(self):
         rng = np.random.default_rng(0)
-        state = StabilizerState(1)
+        state = DenseStabilizerState(1)
         state.apply_h(0)
         outcome = state.measure(0, rng)
         assert state.measure(0, rng) == outcome
 
     def test_pauli_error_flips_expectation(self):
-        state = StabilizerSimulator().run(bell_circuit())
+        state = self.bell_state()
         state.apply_pauli(PauliString("IZ"))
         assert state.expectation_pauli(PauliString("XX")) == pytest.approx(-1.0)
 
     def test_clifford_rz_angles(self):
-        qc = QuantumCircuit(1)
-        qc.h(0).rz(math.pi / 2, 0)
-        state = StabilizerSimulator().run(qc)
+        state = DenseStabilizerState(1)
+        state.apply_h(0)
+        state.apply_rz_clifford(math.pi / 2, 0)
         assert state.expectation_pauli(PauliString("Y")) == pytest.approx(1.0)
 
     def test_non_clifford_angle_rejected(self):
-        qc = QuantumCircuit(1)
-        qc.rz(0.3, 0)
         with pytest.raises(ValueError):
-            StabilizerSimulator().run(qc)
+            DenseStabilizerState(1).apply_rz_clifford(0.3, 0)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=20, deadline=None)
@@ -174,31 +179,30 @@ class TestStabilizer:
         rng = np.random.default_rng(seed)
         num_qubits = 3
         qc = QuantumCircuit(num_qubits)
+        state = DenseStabilizerState(num_qubits)
         gates = ["h", "s", "sdg", "x", "y", "z", "cx", "cz"]
         for _ in range(12):
             name = gates[rng.integers(0, len(gates))]
             if name in ("cx", "cz"):
-                a, b = rng.choice(num_qubits, size=2, replace=False)
-                getattr(qc, name)(int(a), int(b))
+                a, b = (int(q) for q in
+                        rng.choice(num_qubits, size=2, replace=False))
+                getattr(qc, name)(a, b)
+                getattr(state, f"apply_{name}")(a, b)
             else:
-                getattr(qc, name)(int(rng.integers(0, num_qubits)))
+                qubit = int(rng.integers(0, num_qubits))
+                getattr(qc, name)(qubit)
+                getattr(state, f"apply_{name}")(qubit)
         observable = ising_hamiltonian(num_qubits, 1.0)
         sv = StatevectorSimulator().expectation(qc, observable)
-        stab = StabilizerSimulator().run(qc).expectation(observable)
-        assert stab == pytest.approx(sv, abs=1e-8)
-
-    def test_sampling_with_readout_error(self):
-        noise = NoiseModel().add_readout_error(1.0)
-        counts = StabilizerSimulator(noise, seed=0).sample(QuantumCircuit(2), shots=10)
-        assert counts == {"11": 10}
+        assert state.expectation(observable) == pytest.approx(sv, abs=1e-8)
 
 
 class TestPauliPropagation:
-    def test_matches_stabilizer_noiseless(self):
+    def test_matches_statevector_noiseless(self):
         qc = ghz_circuit(4)
         observable = ising_hamiltonian(4, 0.5)
-        stab = StabilizerSimulator().run(qc).expectation(observable)
-        assert expectation_value(qc, observable) == pytest.approx(stab, abs=1e-10)
+        exact = StatevectorSimulator().expectation(qc, observable)
+        assert expectation_value(qc, observable) == pytest.approx(exact, abs=1e-10)
 
     def test_matches_density_matrix_with_pauli_noise(self):
         qc = ghz_circuit(3)
@@ -235,20 +239,11 @@ class TestPauliPropagation:
         with pytest.raises(ValueError):
             expectation_value(qc, PauliSum.from_label_dict({"Z": 1.0}))
 
-    def test_monte_carlo_stabilizer_agrees_statistically(self):
-        qc = ghz_circuit(3)
-        observable = PauliSum.from_label_dict({"ZZI": 1.0})
-        noise = NoiseModel().add_gate_error(depolarizing_channel(0.1, 2), ["cx"])
-        exact = expectation_value(qc, observable, noise)
-        sampled = StabilizerSimulator(noise, seed=11).expectation(
-            qc, observable, trajectories=600)
-        assert sampled == pytest.approx(exact, abs=0.1)
-
 
 class TestSqrtXGates:
-    """``sx``/``sxdg`` are Clifford, so auto-routing sends them to the
-    Clifford engines; both must run them natively, with one noise location
-    per gate."""
+    """``sx``/``sxdg`` are Clifford, so auto-routing sends them to Pauli
+    propagation, which must run them natively, with one noise location per
+    gate."""
 
     LABELS = ("ZI", "XI", "YI", "IZ", "ZZ", "XY", "YZ")
 
@@ -266,13 +261,10 @@ class TestSqrtXGates:
                                        ("sxdg", "sxdg", "sxdg")])
     def test_noiseless_engines_match_statevector(self, gates):
         qc = self.circuit(gates)
-        state = StabilizerSimulator().run(qc)
         for label in self.LABELS:
             observable = PauliSum.from_label_dict({label: 1.0})
             exact = StatevectorSimulator().expectation(qc, observable)
             assert expectation_value(qc, observable) \
-                == pytest.approx(exact, abs=1e-12)
-            assert state.expectation(observable) \
                 == pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("gates", [("sx",), ("sxdg", "sx"),
@@ -290,10 +282,10 @@ class TestSqrtXGates:
         assert expectation_value(qc, observable, noise) \
             == pytest.approx(exact, abs=1e-10)
 
-    def test_stabilizer_keeps_one_noise_location_per_gate(self):
-        # An X error with probability 1 after every sx: trajectories are
-        # deterministic, so one location per gate reproduces the density
-        # matrix exactly (an expansion into h·s·h would change the count).
+    def test_pauli_propagation_keeps_one_noise_location_per_gate(self):
+        # An X error with probability 1 after every sx: one location per
+        # gate reproduces the density matrix exactly (an expansion into
+        # h·s·h would change the count).
         qc = QuantumCircuit(1)
         qc.sx(0).sx(0).sxdg(0)
         noise = NoiseModel().add_gate_error(
@@ -301,12 +293,10 @@ class TestSqrtXGates:
         for label in ("Z", "Y", "X"):
             observable = PauliSum.from_label_dict({label: 1.0})
             exact = DensityMatrixSimulator(noise).expectation(qc, observable)
-            sampled = StabilizerSimulator(noise, seed=3).expectation(
-                qc, observable, trajectories=4)
-            assert sampled == pytest.approx(exact, abs=1e-12)
+            assert expectation_value(qc, observable, noise) \
+                == pytest.approx(exact, abs=1e-12)
 
-    @pytest.mark.parametrize("backend", ["pauli_propagation", "stabilizer",
-                                         "auto"])
+    @pytest.mark.parametrize("backend", ["pauli_propagation", "auto"])
     def test_execution_backends_run_sx(self, backend):
         from repro.execution import Executor
         qc = QuantumCircuit(1)
@@ -329,7 +319,7 @@ class TestStabilizerMeasureRegression:
     phase".  The Aaronson–Gottesman update must skip row p−n (it always
     anticommutes with stabilizer row p and is overwritten right after)."""
 
-    @pytest.mark.parametrize("cls", [StabilizerState, DenseStabilizerState])
+    @pytest.mark.parametrize("cls", [DenseStabilizerState])
     def test_s_h_measure_does_not_crash(self, cls):
         state = cls(1)
         state.apply_s(0)
@@ -340,15 +330,3 @@ class TestStabilizerMeasureRegression:
         assert outcome in (0, 1)
         assert [str(s) for s in state.stabilizer_strings()] \
             == [("-Z" if outcome else "+Z")]
-
-    def test_packed_and_dense_agree_through_the_fixed_path(self):
-        for seed in range(8):
-            packed, dense = StabilizerState(1), DenseStabilizerState(1)
-            for state in (packed, dense):
-                state.apply_s(0)
-                state.apply_h(0)
-            assert packed.measure(0, np.random.default_rng(seed)) \
-                == dense.measure(0, np.random.default_rng(seed))
-            assert np.array_equal(packed.x, dense.x)
-            assert np.array_equal(packed.z, dense.z)
-            assert np.array_equal(packed.r, dense.r)

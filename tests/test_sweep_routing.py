@@ -115,7 +115,7 @@ def test_lattice_points_cover_both_verdicts():
         template = random_template(rng, with_t=seed % 3 != 0,
                                    with_u3=seed % 5 == 0)
         seen.update(route_sweep(template, random_points(rng, template)))
-    assert seen == {"stabilizer", "statevector"}
+    assert seen == {"pauli_propagation", "statevector"}
 
 
 def test_parametric_u3_is_non_clifford_at_every_angle():
@@ -168,7 +168,7 @@ def test_clifford_points_take_the_bound_circuit_path(monkeypatch, points,
     assert energies == reference
     assert counter.calls == len(points)
     invocations = executor.stats.backend_invocations
-    assert invocations.get("stabilizer", 0) >= 1
+    assert invocations.get("pauli_propagation", 0) >= 1
     if engine == "clifford":
         assert "statevector" not in invocations
 
@@ -226,15 +226,16 @@ def test_wide_non_clifford_points_raise_the_same_routing_error(points):
     assert str(raised.value) == expected
 
 
-def test_wide_clifford_sweep_routes_to_the_tableau():
+def test_wide_clifford_sweep_routes_to_pauli_propagation():
     template = _wide_template()
     observable = ising_hamiltonian(template.num_qubits)
     points = [[math.pi / 2], [math.pi]]
-    assert list(route_sweep(template, points)) == ["stabilizer"] * 2
+    assert list(route_sweep(template, points)) \
+        == ["pauli_propagation"] * 2
     executor = Executor()
     energies = executor.evaluate_sweep(template, points, observable,
                                        backend="auto")
     reference = Executor().evaluate_observable(
         [template.bind_parameters(point) for point in points], observable,
-        backend="stabilizer")
+        backend="pauli_propagation")
     assert energies == reference
