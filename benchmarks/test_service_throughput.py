@@ -204,7 +204,7 @@ def test_cross_client_dedup_scales(table_printer):
     }
 
     record = {"pr": 6,
-              "benchmark": "multi-tenant execution job server"}
+              "benchmark": "execution job server"}
     record.update(_RECORD)
     if os.environ.get("REPRO_RECORD_BENCH") or not os.path.exists(BENCH_JSON):
         with open(BENCH_JSON, "w") as handle_file:

@@ -1,11 +1,10 @@
-"""repro.service — a long-running multi-tenant execution job server.
+"""repro.service — a long-running execution job server.
 
 The service layer turns the in-process execution engine into shared
 infrastructure: an asyncio server (:mod:`repro.service.server`) accepts
-pickle-free JSON jobs over a unix socket and HTTP, schedules them through
-per-tenant priority queues with quotas and backpressure
-(:mod:`repro.service.queue`), runs them on worker threads against one
-shared :class:`~repro.execution.Executor`
+pickle-free JSON jobs over a unix socket, queues them in one bounded FIFO
+with backpressure (:mod:`repro.service.queue`), runs them on worker
+threads against one shared :class:`~repro.execution.Executor`
 (:mod:`repro.service.runner`), records every state change and streamed
 partial result in a SQLite run registry
 (:mod:`repro.service.registry`), and coalesces duplicate in-flight jobs
@@ -35,7 +34,7 @@ from .protocol import (JOB_KINDS, JOB_STATES, PROTOCOL_VERSION,
                        TERMINAL_STATES, ProtocolError, decode_line,
                        encode_line, expectation_payload, qec_memory_payload,
                        qec_rare_event_payload, sweep_payload)
-from .queue import QueueFullError, QuotaExceededError, TenantQueues
+from .queue import JobQueue, QueueFullError
 from .registry import RegistryError, RunRegistry
 from .runner import JobRunner, UnknownJobError
 from .server import ServiceHandle, ServiceServer, start_in_thread
@@ -58,9 +57,8 @@ __all__ = [
     "qec_memory_payload",
     "qec_rare_event_payload",
     "sweep_payload",
+    "JobQueue",
     "QueueFullError",
-    "QuotaExceededError",
-    "TenantQueues",
     "RegistryError",
     "RunRegistry",
     "JobRunner",

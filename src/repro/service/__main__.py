@@ -24,22 +24,18 @@ from .server import ServiceServer
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-service",
-        description="Long-running multi-tenant execution job server")
+        description="Long-running execution job server")
     commands = parser.add_subparsers(dest="command", required=True)
 
     serve = commands.add_parser(
         "serve", help="run the job server in the foreground")
     serve.add_argument("--socket", default=None,
                        help="unix-socket path of the NDJSON front door")
-    serve.add_argument("--http-port", type=int, default=None,
-                       help="TCP port of the HTTP front door (0 = any)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind host for HTTP (default 127.0.0.1)")
     serve.add_argument("--db", default=None,
                        help="SQLite run-registry path (default :memory:)")
     serve.add_argument("--cache-dir", default=None,
                        help="persistent expectation-cache directory shared "
-                            "by every tenant job")
+                            "by every job")
     serve.add_argument("--spool", default=None,
                        help="filesystem-broker spool directory: hand "
                             "process shards to elastic repro-worker "
@@ -47,11 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="worker threads (default 2)")
     serve.add_argument("--max-pending", type=int, default=None,
-                       help="server-wide queued-job bound")
-    serve.add_argument("--max-pending-per-tenant", type=int, default=None,
-                       help="per-tenant queued-job quota")
-    serve.add_argument("--max-running-per-tenant", type=int, default=None,
-                       help="per-tenant concurrent-job quota")
+                       help="queued-job bound")
 
     for name, help_text in (
             ("ping", "health-check a running server"),
@@ -60,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--socket", required=True)
         if name == "jobs":
-            sub.add_argument("--tenant", default=None)
             sub.add_argument("--limit", type=int, default=50)
 
     for name, help_text in (
@@ -83,10 +74,6 @@ def _serve_config(options: argparse.Namespace) -> ServiceConfig:
     overrides = {}
     if options.socket is not None:
         overrides["socket_path"] = options.socket
-    if options.http_port is not None:
-        overrides["http_port"] = options.http_port
-    if options.host != "127.0.0.1":
-        overrides["host"] = options.host
     if options.db is not None:
         overrides["db_path"] = options.db
     if options.cache_dir is not None:
@@ -97,12 +84,6 @@ def _serve_config(options: argparse.Namespace) -> ServiceConfig:
         overrides["workers"] = options.workers
     if options.max_pending is not None:
         overrides["max_pending"] = options.max_pending
-    if options.max_pending_per_tenant is not None:
-        overrides["max_pending_per_tenant"] = \
-            options.max_pending_per_tenant
-    if options.max_running_per_tenant is not None:
-        overrides["max_running_per_tenant"] = \
-            options.max_running_per_tenant
     return ServiceConfig.from_env(**overrides)
 
 
@@ -113,12 +94,7 @@ async def _serve(config: ServiceConfig) -> None:
     for signal_number in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(signal_number, server.request_shutdown)
-    where = []
-    if config.socket_path:
-        where.append(f"socket {config.socket_path}")
-    if server.http_port is not None:
-        where.append(f"http://{config.host}:{server.http_port}")
-    print(f"repro.service listening on {' and '.join(where)} "
+    print(f"repro.service listening on socket {config.socket_path} "
           f"(registry {config.db_path})", flush=True)
     await server.serve_until_shutdown()
     print("repro.service stopped", flush=True)
@@ -138,7 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(json.dumps(client.stats(), indent=2, sort_keys=True))
             elif options.command == "jobs":
                 print(json.dumps(
-                    client.list_jobs(options.tenant, options.limit),
+                    client.list_jobs(options.limit),
                     indent=2, sort_keys=True))
             elif options.command == "status":
                 print(json.dumps(client.status(options.job_id), indent=2,

@@ -32,7 +32,8 @@ EventCallback = Callable[[Dict[str, Any]], None]
 
 
 class ServiceError(RuntimeError):
-    """An error response from the server (``status`` mirrors HTTP)."""
+    """An error response from the server (``status`` borrows HTTP's
+    codes)."""
 
     def __init__(self, code: str, message: str, status: int = 400):
         super().__init__(f"[{code}] {message}")
@@ -133,7 +134,6 @@ class ServiceClient:
         return self._round_trip(StatsRequest(), StatsResponse).stats
 
     def submit(self, kind: str, payload: Dict[str, Any],
-               tenant: str = "default", priority: int = 0,
                deadline: Optional[float] = None,
                max_attempts: Optional[int] = None) -> SubmittedResponse:
         """Submit a job and return immediately (no streaming).
@@ -145,13 +145,11 @@ class ServiceClient:
         defaults for this job.
         """
         return self._round_trip(
-            SubmitRequest(kind=kind, payload=payload, tenant=tenant,
-                          priority=priority, deadline=deadline,
+            SubmitRequest(kind=kind, payload=payload, deadline=deadline,
                           max_attempts=max_attempts), SubmittedResponse)
 
     def submit_and_stream(
             self, kind: str, payload: Dict[str, Any],
-            tenant: str = "default", priority: int = 0,
             on_event: Optional[EventCallback] = None,
             deadline: Optional[float] = None,
             max_attempts: Optional[int] = None
@@ -159,9 +157,8 @@ class ServiceClient:
         """Submit with streaming: block until the job is terminal, invoking
         ``on_event`` for every persisted event along the way."""
         submitted = self._round_trip(
-            SubmitRequest(kind=kind, payload=payload, tenant=tenant,
-                          priority=priority, stream=True, deadline=deadline,
-                          max_attempts=max_attempts),
+            SubmitRequest(kind=kind, payload=payload, stream=True,
+                          deadline=deadline, max_attempts=max_attempts),
             SubmittedResponse)
         return submitted, self._read_stream(on_event)
 
@@ -201,9 +198,8 @@ class ServiceClient:
     def cancel(self, job_id: str) -> str:
         return self._round_trip(CancelRequest(job_id), OkResponse).detail
 
-    def list_jobs(self, tenant: Optional[str] = None,
-                  limit: int = 50) -> List[Dict[str, Any]]:
-        return self._round_trip(ListJobsRequest(tenant=tenant, limit=limit),
+    def list_jobs(self, limit: int = 50) -> List[Dict[str, Any]]:
+        return self._round_trip(ListJobsRequest(limit=limit),
                                 JobListResponse).jobs
 
     def shutdown_server(self, drain: bool = True) -> str:
@@ -211,38 +207,31 @@ class ServiceClient:
                                 OkResponse).detail
 
     # -- job sugar ----------------------------------------------------------
-    def submit_expectation(self, circuits, observable, *, tenant="default",
-                           priority=0, **options) -> str:
+    def submit_expectation(self, circuits, observable, **options) -> str:
         """Submit an ``expectation`` job from in-memory objects; returns the
         job id.  Options mirror :func:`expectation_payload`."""
         payload = expectation_payload(circuits, observable, **options)
-        return self.submit("expectation", payload, tenant=tenant,
-                           priority=priority).job_id
+        return self.submit("expectation", payload).job_id
 
-    def submit_sweep(self, template, parameter_sets, observable, *,
-                     tenant="default", priority=0, **options) -> str:
+    def submit_sweep(self, template, parameter_sets, observable,
+                     **options) -> str:
         """Submit a ``sweep`` job; options mirror :func:`sweep_payload`."""
         payload = sweep_payload(template, parameter_sets, observable,
                                 **options)
-        return self.submit("sweep", payload, tenant=tenant,
-                           priority=priority).job_id
+        return self.submit("sweep", payload).job_id
 
-    def submit_qec_memory(self, *, tenant="default", priority=0,
-                          **options) -> str:
+    def submit_qec_memory(self, **options) -> str:
         """Submit a ``qec_memory`` job; options mirror
         :func:`qec_memory_payload`."""
-        payload = qec_memory_payload(**options)
-        return self.submit("qec_memory", payload, tenant=tenant,
-                           priority=priority).job_id
+        return self.submit("qec_memory",
+                           qec_memory_payload(**options)).job_id
 
-    def submit_qec_rare_event(self, *, tenant="default", priority=0,
-                              **options) -> str:
+    def submit_qec_rare_event(self, **options) -> str:
         """Submit a ``qec_rare_event`` job (variance-reduced low-``p``
         logical-error-rate estimation); options mirror
         :func:`qec_rare_event_payload`."""
-        payload = qec_rare_event_payload(**options)
-        return self.submit("qec_rare_event", payload, tenant=tenant,
-                           priority=priority).job_id
+        return self.submit("qec_rare_event",
+                           qec_rare_event_payload(**options)).job_id
 
     def fetch(self, job_id: str) -> Dict[str, Any]:
         """Wait for a job and return its result payload, raising

@@ -2,8 +2,9 @@
 
 Everything the server needs to stand up — where to listen, where the SQLite
 run registry lives, which directory backs the shared
-:class:`~repro.execution.disk_cache.DiskExpectationCache`, queue bounds and
-per-tenant quotas — is collected in one :class:`ServiceConfig` value object.
+:class:`~repro.execution.disk_cache.DiskExpectationCache`, the queue bound
+and the retry policy — is collected in one :class:`ServiceConfig` value
+object.
 ``ServiceConfig.from_env()`` reads the ``REPRO_SERVICE_*`` environment
 variables so ``python -m repro.service serve`` works with zero flags in a
 configured container.
@@ -15,7 +16,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
-#: Directory of the persistent expectation cache every tenant job rides.
+#: Directory of the persistent expectation cache every job rides.
 #: The server opens ONE ``Executor(cache_dir=...)`` from this knob, so all
 #: clients share a single warm L1/L2 result store.
 CACHE_DIR_ENV = "REPRO_SERVICE_CACHE_DIR"
@@ -25,9 +26,6 @@ DB_ENV = "REPRO_SERVICE_DB"
 
 #: Unix-socket path of the newline-delimited-JSON front door.
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
-
-#: TCP port of the HTTP front door (unset/0 = HTTP disabled).
-HTTP_PORT_ENV = "REPRO_SERVICE_HTTP_PORT"
 
 #: Worker threads mapping jobs onto the executor.
 WORKERS_ENV = "REPRO_SERVICE_WORKERS"
@@ -63,18 +61,16 @@ def _env_float(name: str, default: float) -> float:
 class ServiceConfig:
     """Immutable server configuration.
 
-    ``socket_path`` enables the NDJSON front door, ``http_port`` the HTTP
-    one (``host`` is only used with HTTP); at least one must be set when the
-    server starts.  ``db_path`` defaults to ``:memory:`` — fine for tests,
-    but a registry that should survive the process (crashed-client reattach
-    across server restarts) needs a real file.  ``cache_dir`` (or the
-    ``REPRO_SERVICE_CACHE_DIR`` environment variable) attaches the
-    persistent disk cache tier under the shared executor.
+    ``socket_path`` is where the NDJSON front door listens; it must be set
+    when the server starts.  ``db_path`` defaults to ``:memory:`` — fine
+    for tests, but a registry that should survive the process
+    (crashed-client reattach across server restarts) needs a real file.
+    ``cache_dir`` (or the ``REPRO_SERVICE_CACHE_DIR`` environment variable)
+    attaches the persistent disk cache tier under the shared executor.
 
-    Backpressure: ``max_pending`` bounds the total queued-job count and
-    ``max_pending_per_tenant`` / ``max_running_per_tenant`` are the
-    per-tenant quotas; submissions beyond a bound are rejected with a
-    429-style error instead of queueing unboundedly.
+    Backpressure: ``max_pending`` bounds the queued-job count; submissions
+    beyond it are rejected with a 429-style error instead of queueing
+    unboundedly.
 
     Resilience: ``max_attempts`` is the default per-job attempt budget
     (clients may request more per submission, ``1`` keeps the historical
@@ -90,15 +86,10 @@ class ServiceConfig:
     """
 
     socket_path: Optional[str] = None
-    host: str = "127.0.0.1"
-    http_port: Optional[int] = None
     db_path: str = ":memory:"
     cache_dir: Optional[str] = None
     workers: int = 2
     max_pending: int = 256
-    max_pending_per_tenant: int = 64
-    max_running_per_tenant: int = 2
-    default_tenant: str = "default"
     max_attempts: int = 1
     lease_seconds: float = 15.0
     retry_backoff: float = 0.2
@@ -108,10 +99,8 @@ class ServiceConfig:
     def from_env(cls, **overrides) -> "ServiceConfig":
         """A config from the ``REPRO_SERVICE_*`` environment, with keyword
         overrides applied on top."""
-        http_port = _env_int(HTTP_PORT_ENV, 0)
         config = cls(
             socket_path=os.environ.get(SOCKET_ENV) or None,
-            http_port=http_port or None,
             db_path=os.environ.get(DB_ENV) or ":memory:",
             cache_dir=os.environ.get(CACHE_DIR_ENV) or None,
             workers=_env_int(WORKERS_ENV, 2),

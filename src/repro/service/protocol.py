@@ -2,11 +2,12 @@
 
 Versioned request/response **dataclasses** with a pure-JSON round trip —
 every message is one JSON object on one line (newline-delimited JSON over
-the local socket; the same objects travel as HTTP bodies and server-sent
-event lines).  Nothing on the wire is ever pickled: circuits, observables
-and noise models ride the :mod:`repro.io.serialization` dict formats, so a
-shared service socket can never be made to execute code by a malicious
-payload.
+the server's unix socket).  :func:`decode_line` checks each field's JSON
+type against its dataclass annotation, so a malformed request is a
+:class:`ProtocolError` (a 400), never an exception inside the server.
+Nothing on the wire is ever pickled: circuits, observables and noise models
+ride the :mod:`repro.io.serialization` dict formats, so a shared service
+socket can never be made to execute code by a malicious payload.
 
 Four job kinds are accepted (``JOB_KINDS``):
 
@@ -36,11 +37,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Type
+from typing import (Any, Dict, List, Optional, Tuple, Type, Union,
+                    get_args, get_origin, get_type_hints)
 
-#: Protocol version stamped into (and required on) every message.
-PROTOCOL_VERSION = 1
+#: Protocol version stamped into (and required on) every message.  v2
+#: removed two submit fields, so a v1 line is refused for its version.
+PROTOCOL_VERSION = 2
 
 #: The job kinds the server schedules.
 JOB_KINDS = ("expectation", "sweep", "qec_memory", "qec_rare_event")
@@ -67,9 +71,43 @@ def message(type_name: str):
     """Class decorator registering a dataclass under a wire ``type`` tag."""
     def register(cls):
         cls.TYPE = type_name
+        cls.FIELD_TYPES = {name: _json_types(annotation) for name, annotation
+                           in get_type_hints(cls).items()}
         _MESSAGE_TYPES[type_name] = cls
         return cls
     return register
+
+
+def _json_types(annotation) -> Optional[Tuple[type, ...]]:
+    """The Python types of the JSON values a field annotation (``X`` or
+    ``Optional[X]``) admits; None admits any value."""
+    if annotation is Any:
+        return None
+    arguments = get_args(annotation) if get_origin(annotation) is Union \
+        else (annotation,)
+    kinds = tuple(get_origin(argument) or argument for argument in arguments)
+    return kinds + (int,) if float in kinds else kinds
+
+
+def _has_type(value, types: Optional[Tuple[type, ...]]) -> bool:
+    """Whether ``value`` is of ``types`` (a JSON bool is no number)."""
+    if types is None:
+        return True
+    if isinstance(value, bool) and bool not in types:
+        return False
+    return isinstance(value, types)
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _storable(value) -> bool:
+    """Whether SQLite can bind ``value``: an integer must fit 64 bits, and a
+    string must hold no lone surrogate (JSON can escape one, UTF-8 cannot
+    encode it)."""
+    if isinstance(value, int):
+        return -2 ** 63 <= value < 2 ** 63
+    return not (isinstance(value, str) and _SURROGATE.search(value))
 
 
 def encode_line(msg) -> str:
@@ -103,6 +141,16 @@ def decode_line(line: str):
     if unknown:
         raise ProtocolError(
             f"unknown fields for {type_name!r}: {sorted(unknown)}")
+    for name, value in payload.items():
+        if not _has_type(value, cls.FIELD_TYPES[name]):
+            annotation = cls.__dataclass_fields__[name].type
+            raise ProtocolError(
+                f"field {name!r} of {type_name!r} must be {annotation}, "
+                f"not {type(value).__name__}")
+        if not _storable(value):
+            raise ProtocolError(
+                f"field {name!r} of {type_name!r} does not fit SQLite "
+                f"(a 64-bit integer or a UTF-8 string)")
     try:
         return cls(**payload)
     except TypeError as error:
@@ -124,34 +172,24 @@ class SubmitRequest:
     ``deadline`` is a per-job wall-clock budget in seconds (attempts that
     outlive it are cancelled and retried); ``max_attempts`` overrides the
     server's default retry budget (``1`` = fail on first error).  Both are
-    optional and default to the server's configuration, so v1 clients that
-    never send them keep their exact historical behavior.
+    optional and default to the server's configuration.
     """
 
     kind: str
     payload: Dict[str, Any]
-    tenant: str = "default"
-    priority: int = 0
     stream: bool = False
     deadline: Optional[float] = None
     max_attempts: Optional[int] = None
 
     def validate(self) -> "SubmitRequest":
+        """Check the field values (:func:`decode_line` checked the types)."""
         if self.kind not in JOB_KINDS:
             raise ProtocolError(
                 f"unknown job kind {self.kind!r} (expected one of "
                 f"{JOB_KINDS})")
-        if not isinstance(self.payload, dict):
-            raise ProtocolError("payload must be a JSON object")
-        if not self.tenant or not isinstance(self.tenant, str):
-            raise ProtocolError("tenant must be a non-empty string")
-        if self.deadline is not None and not (
-                isinstance(self.deadline, (int, float))
-                and float(self.deadline) > 0):
+        if self.deadline is not None and self.deadline <= 0:
             raise ProtocolError("deadline must be a positive number")
-        if self.max_attempts is not None and not (
-                isinstance(self.max_attempts, int)
-                and self.max_attempts >= 1):
+        if self.max_attempts is not None and self.max_attempts < 1:
             raise ProtocolError("max_attempts must be an integer >= 1")
         return self
 
@@ -193,7 +231,6 @@ class CancelRequest:
 @message("jobs")
 @dataclass(frozen=True)
 class ListJobsRequest:
-    tenant: Optional[str] = None
     limit: int = 50
 
 
@@ -251,7 +288,7 @@ class JobListResponse:
 @message("event")
 @dataclass(frozen=True)
 class EventResponse:
-    """One streamed partial-result / lifecycle event (also the SSE body)."""
+    """One streamed partial-result / lifecycle event."""
 
     job_id: str
     seq: int
@@ -271,8 +308,8 @@ class ResultResponse:
 @message("error")
 @dataclass(frozen=True)
 class ErrorResponse:
-    """``status`` mirrors HTTP semantics: 400 bad request, 404 unknown job,
-    429 backpressure/quota rejection, 503 shutting down."""
+    """``status`` borrows HTTP's codes: 400 bad request, 404 unknown job,
+    429 queue full (backpressure), 503 registry commit failed."""
 
     code: str
     message: str

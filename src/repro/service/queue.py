@@ -1,142 +1,72 @@
-"""Per-tenant priority scheduling with quotas and backpressure.
+"""The bounded FIFO between the front door and the worker threads.
 
-The scheduler sits between the front door and the worker threads.  Each
-tenant owns a priority heap; workers pull the next job with
-:meth:`TenantQueues.next_job`, which picks among *eligible* tenants (those
-under their running-job quota) the one whose head job has the highest
-priority — ties broken toward the tenant with the fewest running jobs, then
-global submission order.  That gives strict priority within a tenant, and
-approximate fairness plus quota isolation between tenants: one tenant
-flooding the queue can neither starve another tenant's quota nor occupy
-every worker.
-
-Backpressure is a *bounded* queue: when the global queue or a tenant's
-pending quota is full, :meth:`TenantQueues.submit` raises
-:class:`QueueFullError` / :class:`QuotaExceededError` — surfaced to clients
-as a 429-style protocol error — instead of buffering unboundedly.  Callers
-are expected to retry with backoff; jobs already accepted are never dropped.
+Workers pull jobs in submission order with :meth:`JobQueue.next_job`.
+Backpressure is the bound: once ``max_pending`` jobs wait,
+:meth:`JobQueue.submit` raises :class:`QueueFullError` — surfaced to
+clients as a 429 ``queue-full`` error — instead of buffering unboundedly.
+Callers are expected to retry with backoff; jobs already accepted are never
+dropped.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import collections
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 
 class QueueFullError(Exception):
-    """The server-wide pending-job bound is reached (retry later)."""
+    """The pending-job bound is reached, or the queue is closed (retry
+    later)."""
 
 
-class QuotaExceededError(Exception):
-    """The submitting tenant's pending-job quota is reached (retry later)."""
+class JobQueue:
+    """A bounded, thread-safe FIFO of job ids."""
 
-
-class TenantQueues:
-    """Bounded, quota-aware, priority job queues (thread-safe).
-
-    ``max_pending`` bounds the total queued jobs across tenants;
-    ``max_pending_per_tenant`` bounds one tenant's queued jobs;
-    ``max_running_per_tenant`` caps how many of a tenant's jobs may hold
-    worker threads simultaneously (its queued jobs simply wait while other
-    tenants run).  Higher ``priority`` values run first within a tenant.
-    """
-
-    def __init__(self, max_pending: int = 256,
-                 max_pending_per_tenant: int = 64,
-                 max_running_per_tenant: int = 2):
+    def __init__(self, max_pending: int = 256):
         self.max_pending = int(max_pending)
-        self.max_pending_per_tenant = int(max_pending_per_tenant)
-        self.max_running_per_tenant = int(max_running_per_tenant)
-        self._heaps: Dict[str, List[Tuple[int, int, str]]] = {}
-        self._running: Dict[str, int] = {}
-        self._pending_total = 0
-        self._sequence = itertools.count()
+        self._jobs: collections.deque = collections.deque()
         self._condition = threading.Condition()
         self._closed = False
 
-    # -- producer side ------------------------------------------------------
-    def submit(self, tenant: str, priority: int, job_id: str) -> int:
-        """Enqueue a job; returns its 0-based position across all queues.
-
-        Raises :class:`QueueFullError` / :class:`QuotaExceededError` when a
-        bound is hit — the caller maps these to 429-style rejections.
-        """
+    def submit(self, job_id: str) -> int:
+        """Enqueue a job and return its 0-based position; raises
+        :class:`QueueFullError` at ``max_pending`` or once closed."""
         with self._condition:
             if self._closed:
-                raise QueueFullError("the scheduler is shutting down")
-            if self._pending_total >= self.max_pending:
+                raise QueueFullError("the queue is closed")
+            if len(self._jobs) >= self.max_pending:
                 raise QueueFullError(
                     f"queue full ({self.max_pending} jobs pending)")
-            heap = self._heaps.setdefault(tenant, [])
-            if len(heap) >= self.max_pending_per_tenant:
-                raise QuotaExceededError(
-                    f"tenant {tenant!r} already has {len(heap)} jobs "
-                    f"pending (quota {self.max_pending_per_tenant})")
-            heapq.heappush(heap, (-int(priority), next(self._sequence),
-                                  job_id))
-            self._pending_total += 1
-            position = self._pending_total - 1
+            self._jobs.append(job_id)
             self._condition.notify()
-            return position
+            return len(self._jobs) - 1
 
-    # -- worker side --------------------------------------------------------
-    def next_job(self, timeout: Optional[float] = None
-                 ) -> Optional[Tuple[str, str]]:
-        """Block until a job from an under-quota tenant is available.
-
-        Returns ``(tenant, job_id)`` and counts the tenant as running one
-        more job; the worker must pair every successful pop with
-        :meth:`task_done`.  Returns None on timeout or when the scheduler is
-        closed and drained.
-        """
+    def next_job(self) -> Optional[str]:
+        """Block until a job is queued; None once the queue is closed and
+        empty."""
         with self._condition:
-            while True:
-                choice = self._pick()
-                if choice is not None:
-                    tenant, job_id = choice
-                    self._running[tenant] = self._running.get(tenant, 0) + 1
-                    self._pending_total -= 1
-                    return tenant, job_id
+            while not self._jobs:
                 if self._closed:
                     return None
-                if not self._condition.wait(timeout=timeout):
-                    return None
+                self._condition.wait()
+            return self._jobs.popleft()
 
-    def task_done(self, tenant: str) -> None:
-        """Release the running-quota slot a ``next_job`` pop acquired."""
-        with self._condition:
-            count = self._running.get(tenant, 0) - 1
-            if count > 0:
-                self._running[tenant] = count
-            else:
-                self._running.pop(tenant, None)
-            # A freed quota slot may make a blocked tenant eligible.
-            self._condition.notify_all()
-
-    def remove(self, tenant: str, job_id: str) -> bool:
+    def remove(self, job_id: str) -> bool:
         """Drop a queued job (cancellation); False if it was not queued."""
         with self._condition:
-            heap = self._heaps.get(tenant, [])
-            for index, entry in enumerate(heap):
-                if entry[2] == job_id:
-                    heap[index] = heap[-1]
-                    heap.pop()
-                    heapq.heapify(heap)
-                    self._pending_total -= 1
-                    return True
-            return False
+            try:
+                self._jobs.remove(job_id)
+            except ValueError:
+                return False
+            return True
 
-    def drain(self) -> List[Tuple[str, str]]:
-        """Close the queue and return every still-pending ``(tenant, id)``."""
+    def drain(self) -> List[str]:
+        """Close the queue and return every still-pending job id."""
         with self._condition:
             self._closed = True
-            drained = []
-            for tenant, heap in self._heaps.items():
-                drained.extend((tenant, job_id) for _, _, job_id in heap)
-                heap.clear()
-            self._pending_total = 0
+            drained = list(self._jobs)
+            self._jobs.clear()
             self._condition.notify_all()
             return drained
 
@@ -146,42 +76,7 @@ class TenantQueues:
             self._closed = True
             self._condition.notify_all()
 
-    # -- introspection ------------------------------------------------------
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Pending/running counts per tenant (for the stats endpoint)."""
-        with self._condition:
-            tenants = set(self._heaps) | set(self._running)
-            return {tenant: {
-                "pending": len(self._heaps.get(tenant, [])),
-                "running": self._running.get(tenant, 0),
-            } for tenant in sorted(tenants)}
-
     @property
     def pending(self) -> int:
         with self._condition:
-            return self._pending_total
-
-    # -- internals ----------------------------------------------------------
-    def _pick(self) -> Optional[Tuple[str, str]]:
-        """The best ``(tenant, job_id)`` among under-quota tenants, or None.
-
-        Preference order: highest head priority, then fewest running jobs
-        (fairness), then earliest submission.
-        """
-        best = None
-        best_rank = None
-        for tenant, heap in self._heaps.items():
-            if not heap:
-                continue
-            running = self._running.get(tenant, 0)
-            if running >= self.max_running_per_tenant:
-                continue
-            neg_priority, sequence, _ = heap[0]
-            rank = (neg_priority, running, sequence)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = tenant
-        if best is None:
-            return None
-        _, _, job_id = heapq.heappop(self._heaps[best])
-        return best, job_id
+            return len(self._jobs)

@@ -51,7 +51,9 @@ Design points:
   (in-memory L1 + persistent L2) recorded by the runner land on the job row
   and in a ``cache`` event, making the shared
   :class:`~repro.execution.disk_cache.DiskExpectationCache`'s contribution
-  to each tenant's job visible.
+  to each job visible.
+* **Old files keep working** — opening an older server's registry file
+  adds the columns it lacks and drops retired ones (SQLite 3.35+).
 """
 
 from __future__ import annotations
@@ -69,10 +71,8 @@ from .protocol import JOB_STATES, TERMINAL_STATES
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
     id               TEXT PRIMARY KEY,
-    tenant           TEXT NOT NULL,
     kind             TEXT NOT NULL,
     job_key          TEXT,
-    priority         INTEGER NOT NULL DEFAULT 0,
     state            TEXT NOT NULL,
     payload          TEXT NOT NULL,
     result           TEXT,
@@ -90,7 +90,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     lease_expires_at REAL
 );
 CREATE INDEX IF NOT EXISTS jobs_by_key    ON jobs (job_key, state);
-CREATE INDEX IF NOT EXISTS jobs_by_tenant ON jobs (tenant, created_at);
 CREATE TABLE IF NOT EXISTS events (
     job_id      TEXT NOT NULL,
     seq         INTEGER NOT NULL,
@@ -101,11 +100,11 @@ CREATE TABLE IF NOT EXISTS events (
 );
 """
 
-_JOB_COLUMNS = ("id", "tenant", "kind", "job_key", "priority", "state",
-                "payload", "result", "error", "created_at", "started_at",
-                "finished_at", "cache_hits", "cache_misses", "attempts",
-                "max_attempts", "deadline_seconds", "next_eligible_at",
-                "lease_owner", "lease_expires_at")
+_JOB_COLUMNS = ("id", "kind", "job_key", "state", "payload", "result",
+                "error", "created_at", "started_at", "finished_at",
+                "cache_hits", "cache_misses", "attempts", "max_attempts",
+                "deadline_seconds", "next_eligible_at", "lease_owner",
+                "lease_expires_at")
 
 #: Columns added after the PR-6 schema, with the DDL used to backfill a
 #: registry file created by an older server (ALTER TABLE migration).
@@ -195,6 +194,20 @@ class RunRegistry:
                 if column not in present:
                     self._connection.execute(
                         f"ALTER TABLE jobs ADD COLUMN {column} {ddl}")
+            # Drop the columns of an older schema that this one lacks (an
+            # old NOT NULL column without a default fails every insert),
+            # each index on one first: SQLite cannot drop an indexed column.
+            retired = present.difference(_JOB_COLUMNS)
+            for index in self._connection.execute(
+                    "PRAGMA index_list(jobs)").fetchall():
+                covered = {row["name"] for row in self._connection.execute(
+                    f"PRAGMA index_info(\"{index['name']}\")")}
+                if covered & retired:
+                    self._connection.execute(
+                        f"DROP INDEX \"{index['name']}\"")
+            for column in sorted(retired):
+                self._connection.execute(
+                    f"ALTER TABLE jobs DROP COLUMN \"{column}\"")
 
     @contextlib.contextmanager
     def transaction(self, *, wait: bool = True,
@@ -339,16 +352,15 @@ class RunRegistry:
         return rows
 
     # -- jobs ---------------------------------------------------------------
-    def create_job(self, job_id: str, tenant: str, kind: str,
-                   job_key: Optional[str], priority: int,
+    def create_job(self, job_id: str, kind: str, job_key: Optional[str],
                    payload: Dict[str, Any], *, max_attempts: int = 1,
                    deadline_seconds: Optional[float] = None) -> None:
         with self.transaction():
             self._connection.execute(
-                "INSERT INTO jobs (id, tenant, kind, job_key, priority, "
-                "state, payload, created_at, max_attempts, deadline_seconds) "
-                "VALUES (?,?,?,?,?,?,?,?,?,?)",
-                (job_id, tenant, kind, job_key, int(priority), "queued",
+                "INSERT INTO jobs (id, kind, job_key, state, payload, "
+                "created_at, max_attempts, deadline_seconds) "
+                "VALUES (?,?,?,?,?,?,?,?)",
+                (job_id, kind, job_key, "queued",
                  json.dumps(payload, sort_keys=True), time.time(),
                  max(1, int(max_attempts)),
                  None if deadline_seconds is None else
@@ -372,16 +384,10 @@ class RunRegistry:
                           (job_id,))
         return self._job_dict(rows[0]) if rows else None
 
-    def list_jobs(self, tenant: Optional[str] = None,
-                  limit: int = 50) -> List[Dict[str, Any]]:
-        query = "SELECT * FROM jobs"
-        args: tuple = ()
-        if tenant is not None:
-            query += " WHERE tenant = ?"
-            args = (tenant,)
-        query += " ORDER BY created_at DESC LIMIT ?"
-        return [self._job_dict(row)
-                for row in self._read(query, args + (int(limit),))]
+    def list_jobs(self, limit: int = 50) -> List[Dict[str, Any]]:
+        return [self._job_dict(row) for row in self._read(
+            "SELECT * FROM jobs ORDER BY created_at DESC LIMIT ?",
+            (int(limit),))]
 
     def find_inflight(self, job_key: str) -> Optional[str]:
         """The id of a queued/running job with this content key, if any."""
@@ -479,16 +485,6 @@ class RunRegistry:
             "(lease_expires_at IS NULL OR lease_expires_at < ?)",
             (float(now),))
         return [self._job_dict(row) for row in rows]
-
-    def running_jobs(self, lease_owner: Optional[str] = None
-                     ) -> List[Dict[str, Any]]:
-        """Running jobs, optionally only those leased to ``lease_owner``."""
-        query = "SELECT * FROM jobs WHERE state = 'running'"
-        args: tuple = ()
-        if lease_owner is not None:
-            query += " AND lease_owner = ?"
-            args = (str(lease_owner),)
-        return [self._job_dict(row) for row in self._read(query, args)]
 
     def record_result(self, job_id: str, result: Dict[str, Any],
                       cache_hits: int = 0, cache_misses: int = 0) -> None:

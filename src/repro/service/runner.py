@@ -1,15 +1,15 @@
 """The job runner: worker threads mapping queued jobs onto one Executor.
 
-The runner owns the glue between the durable registry, the in-memory
-scheduler and the execution engine:
+The runner owns the glue between the durable registry, the in-memory job
+queue and the execution engine:
 
-* **One shared executor.**  Every tenant's jobs run against a single
+* **One shared executor.**  Every job runs against a single
   :class:`~repro.execution.Executor` (opened with the configured
   ``cache_dir``), so the in-memory expectation cache and the persistent disk
   tier are warm across jobs *and* across clients.
 * **Cross-client dedup.**  Submissions carry a content job key
   (:mod:`repro.service.jobs`).  While a keyed job is in flight, an identical
-  submission — from any client, any tenant — returns the *same* job id with
+  submission — from any client — returns the *same* job id with
   ``deduped=True`` instead of a second execution; the registry records a
   ``dedup`` event on the surviving job.
 * **One registry step per lifecycle step, group-committed.**  Submit (row
@@ -72,7 +72,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from ..execution.cache import cache_tally
 from .jobs import JobCancelled, JobContext, PreparedJob, prepare_job
 from .protocol import TERMINAL_STATES
-from .queue import QueueFullError, QuotaExceededError, TenantQueues
+from .queue import JobQueue, QueueFullError
 from .registry import Batch, CommitError, RunRegistry
 
 #: Sentinel pushed to subscribers when a job reaches a terminal state.
@@ -88,8 +88,7 @@ _MONITOR_TICK = 0.05
 RESULT_COLUMNS = ("id", "state", "result", "error")
 
 #: The scalar columns a worker needs to run a job whose PreparedJob it has.
-_RUN_COLUMNS = ("id", "tenant", "priority", "job_key", "max_attempts",
-                "deadline_seconds")
+_RUN_COLUMNS = ("id", "job_key", "max_attempts", "deadline_seconds")
 
 
 class UnknownJobError(KeyError):
@@ -125,7 +124,7 @@ class _Step:
 class JobRunner:
     """Schedules, executes and streams jobs (thread-safe).
 
-    The runner is transport-agnostic: the socket/HTTP front door calls
+    The runner is transport-agnostic: the socket front door calls
     :meth:`submit`, :meth:`subscribe`/:meth:`unsubscribe`,
     :meth:`wait_result` and :meth:`cancel`; tests may drive it directly
     without any server at all.
@@ -138,12 +137,12 @@ class JobRunner:
     """
 
     def __init__(self, executor, registry: RunRegistry,
-                 queues: TenantQueues, workers: int = 2, *,
+                 queue: JobQueue, workers: int = 2, *,
                  max_attempts: int = 1, lease_seconds: float = 15.0,
                  retry_backoff: float = 0.2):
         self.executor = executor
         self.registry = registry
-        self.queues = queues
+        self.queue = queue
         self.instance_id = uuid.uuid4().hex[:8]
         self._max_attempts = max(1, int(max_attempts))
         self._lease_seconds = float(lease_seconds)
@@ -156,9 +155,9 @@ class JobRunner:
         self._subscriber_lock = threading.Lock()
         self._done = threading.Condition()
         self._stopping = False
-        # Jobs waiting out a retry backoff: (eligible_at, tenant, priority,
-        # job_id) min-heap, released into the tenant queues by the monitor.
-        self._delayed: List[Tuple[float, str, int, str]] = []
+        # Jobs waiting out a retry backoff: (eligible_at, job_id) min-heap,
+        # released into the queue by the monitor.
+        self._delayed: List[Tuple[float, str]] = []
         self._delayed_lock = threading.Lock()
         # job id -> (claimed_at, deadline_seconds) for attempts running in
         # THIS process; drives heartbeats and deadline enforcement.
@@ -183,7 +182,6 @@ class JobRunner:
 
     # -- submission ---------------------------------------------------------
     def submit(self, kind: str, payload: Dict[str, Any],
-               tenant: str = "default", priority: int = 0,
                deadline: Optional[float] = None,
                max_attempts: Optional[int] = None) -> Submission:
         """Validate, dedup and enqueue a job.
@@ -191,10 +189,9 @@ class JobRunner:
         Returns a :class:`Submission` — ``(job_id, deduped, position)``
         plus the job's ``state``.  Raises
         :class:`~repro.service.protocol.ProtocolError` on a malformed
-        payload and :class:`QueueFullError` / :class:`QuotaExceededError`
-        on backpressure; a rejected submission leaves a ``cancelled`` row
-        with no events.  ``deadline`` / ``max_attempts`` override the runner
-        defaults for this job only.
+        payload and :class:`QueueFullError` on backpressure; a rejected
+        submission leaves a ``cancelled`` row with no events.  ``deadline``
+        / ``max_attempts`` override the runner defaults for this job only.
         """
         prepared = prepare_job(kind, payload)
         attempts_budget = self._max_attempts if max_attempts is None \
@@ -207,7 +204,7 @@ class JobRunner:
                 else self._inflight.get(prepared.key)
             if existing is not None:
                 with self._step(wait=False) as step:
-                    step.emit(existing, "dedup", {"tenant": tenant})
+                    step.emit(existing, "dedup", {})
                     state = self.registry.get_job(
                         existing, ("state",))["state"]
                 submission = Submission(existing, True, None, state)
@@ -222,18 +219,17 @@ class JobRunner:
                 position = None
                 with self._step(wait=False) as step:
                     self.registry.create_job(
-                        job_id, tenant, kind, prepared.key, priority,
-                        payload, max_attempts=attempts_budget,
+                        job_id, kind, prepared.key, payload,
+                        max_attempts=attempts_budget,
                         deadline_seconds=deadline)
                     try:
-                        position = self.queues.submit(tenant, priority,
-                                                      job_id)
-                    except (QueueFullError, QuotaExceededError) as error:
+                        position = self.queue.submit(job_id)
+                    except QueueFullError as error:
                         rejected = error
                         self.registry.transition(job_id, ("queued",),
                                                  "cancelled")
-                        self.registry.record_error(
-                            job_id, "rejected: queue full or quota exceeded")
+                        self.registry.record_error(job_id,
+                                                   "rejected: queue full")
                     else:
                         step.emit(job_id, "state", {"state": "queued"})
                 if rejected is not None:
@@ -245,7 +241,7 @@ class JobRunner:
             self.registry.await_commit(step.batch)
         except CommitError:
             if existing is None and rejected is None:
-                self.queues.remove(tenant, job_id)
+                self.queue.remove(job_id)
                 self._release(job_id, prepared.key)
             raise
         if rejected is not None:
@@ -296,7 +292,8 @@ class JobRunner:
         cache = self.executor.cache_stats
         stats = {
             "jobs": self.registry.counts(),
-            "queue": self.queues.snapshot(),
+            "queue": {"pending": self.queue.pending,
+                      "running": len(self._local_running)},
             "cache": {"hits": cache.hits, "misses": cache.misses},
             "workers": len(self._workers),
             "instance": self.instance_id,
@@ -349,9 +346,9 @@ class JobRunner:
     # -- cancellation -------------------------------------------------------
     def cancel(self, job_id: str) -> str:
         """Request cancellation; returns the job's (possibly new) state."""
-        entry = self.job(job_id, ("tenant", "state", "job_key"))
+        entry = self.job(job_id, ("state", "job_key"))
         if entry["state"] == "queued" and (
-                self.queues.remove(entry["tenant"], job_id)
+                self.queue.remove(job_id)
                 or self._remove_delayed(job_id)) \
                 and self._cancel_queued(job_id, entry["job_key"]):
             return "cancelled"
@@ -370,9 +367,9 @@ class JobRunner:
                 return
             self._stopping = True
         self._stop_event.set()
-        queued = [job_id for _, job_id in self.queues.drain()]
+        queued = self.queue.drain()
         with self._delayed_lock:
-            queued.extend(job_id for _, _, _, job_id in self._delayed)
+            queued.extend(job_id for _, job_id in self._delayed)
             self._delayed.clear()
         for job_id in queued:
             entry = self.registry.get_job(job_id, ("job_key",))
@@ -389,16 +386,10 @@ class JobRunner:
     # -- internals ----------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            item = self.queues.next_job(timeout=0.2)
-            if item is None:
-                if self._stopping:
-                    return
-                continue
-            tenant, job_id = item
-            try:
-                self._run_job(job_id)
-            finally:
-                self.queues.task_done(tenant)
+            job_id = self.queue.next_job()
+            if job_id is None:
+                return
+            self._run_job(job_id)
 
     def _run_job(self, job_id: str) -> None:
         flag = self._cancel_flags.get(job_id)
@@ -534,9 +525,7 @@ class JobRunner:
             self._release(job_id, key)
             return
         with self._delayed_lock:
-            heapq.heappush(self._delayed,
-                           (eligible_at, entry["tenant"],
-                            int(entry["priority"]), job_id))
+            heapq.heappush(self._delayed, (eligible_at, job_id))
 
     @contextlib.contextmanager
     def _step(self, wait: bool = True) -> Iterator[_Step]:
@@ -636,16 +625,15 @@ class JobRunner:
         with self._delayed_lock:
             while self._delayed and self._delayed[0][0] <= now:
                 ready.append(heapq.heappop(self._delayed))
-        for _, tenant, priority, job_id in ready:
+        for _, job_id in ready:
             with self._submit_lock:
                 if job_id not in self._cancel_flags:
                     continue  # cancelled/forgotten while waiting
             try:
-                self.queues.submit(tenant, priority, job_id)
-            except (QueueFullError, QuotaExceededError):
+                self.queue.submit(job_id)
+            except QueueFullError:
                 with self._delayed_lock:
-                    heapq.heappush(self._delayed,
-                                   (now + 1.0, tenant, priority, job_id))
+                    heapq.heappush(self._delayed, (now + 1.0, job_id))
 
     def _enforce_deadlines(self, now: float) -> None:
         for job_id, (claimed_at, deadline) in list(
@@ -681,7 +669,7 @@ class JobRunner:
     def _remove_delayed(self, job_id: str) -> bool:
         with self._delayed_lock:
             for index, item in enumerate(self._delayed):
-                if item[3] == job_id:
+                if item[1] == job_id:
                     self._delayed[index] = self._delayed[-1]
                     self._delayed.pop()
                     heapq.heapify(self._delayed)
@@ -737,7 +725,7 @@ class JobRunner:
 
     def _readmit(self, entry: Dict[str, Any],
                  data: Optional[Dict[str, Any]] = None) -> None:
-        """Put a recovered/reclaimed job back into the in-memory scheduler
+        """Put a recovered/reclaimed job back into the in-memory queue
         (its PreparedJob is rebuilt lazily by the worker that claims it),
         emitting ``data`` as its state event when given."""
         job_id = entry["id"]
@@ -751,16 +739,11 @@ class JobRunner:
         eligible_at = entry.get("next_eligible_at")
         if eligible_at is not None and float(eligible_at) > now:
             with self._delayed_lock:
-                heapq.heappush(self._delayed,
-                               (float(eligible_at), entry["tenant"],
-                                int(entry["priority"]), job_id))
+                heapq.heappush(self._delayed, (float(eligible_at), job_id))
             return
         try:
-            self.queues.submit(entry["tenant"], int(entry["priority"]),
-                               job_id)
-        except (QueueFullError, QuotaExceededError):
+            self.queue.submit(job_id)
+        except QueueFullError:
             # No capacity right now — the monitor retries shortly.
             with self._delayed_lock:
-                heapq.heappush(self._delayed,
-                               (now + 1.0, entry["tenant"],
-                                int(entry["priority"]), job_id))
+                heapq.heappush(self._delayed, (now + 1.0, job_id))

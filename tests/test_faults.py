@@ -443,10 +443,10 @@ class TestServiceChaos:
             db_path = os.path.join(tmp, "registry.db")
             seeded = RunRegistry(db_path)
             # Queued when the old server died: it never ran.
-            seeded.create_job("q1", "default", "sweep", None, 0, payload,
+            seeded.create_job("q1", "sweep", None, payload,
                               max_attempts=1)
             # Mid-run when the old server died: its lease has expired.
-            seeded.create_job("r1", "default", "sweep", None, 0, payload,
+            seeded.create_job("r1", "sweep", None, payload,
                               max_attempts=3)
             assert seeded.claim("r1", "dead-server", lease_seconds=0.0) == 1
             seeded.close()

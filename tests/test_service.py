@@ -11,8 +11,8 @@ The PR-6 acceptance surface:
 * a streaming QEC job delivers at least two partial Wilson-interval
   updates before the final result, and every value returned over the wire
   is bitwise identical to the equivalent in-process ``Executor`` call;
-* bounded queues and per-tenant quotas reject excess submissions with
-  429-style errors instead of buffering unboundedly.
+* the bounded queue rejects excess submissions with 429-style errors
+  instead of buffering unboundedly.
 """
 
 import contextlib
@@ -28,8 +28,6 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 import warnings
 
 import numpy as np
@@ -44,10 +42,10 @@ from repro.operators.pauli import PauliSum
 from repro.qec import MWPMDecoder, repetition_code_graph
 from repro.qec.sampling import (reset_sampling_stats, run_memory_sampling,
                                 sampling_stats, stream_memory_sampling)
-from repro.service import (JobFailedError, JobRunner, ProtocolError,
-                           QueueFullError, QuotaExceededError, RunRegistry,
-                           ServiceClient, ServiceConfig, ServiceError,
-                           TenantQueues, decode_line, encode_line,
+from repro.service import (PROTOCOL_VERSION, JobFailedError, JobQueue,
+                           JobRunner, ProtocolError, QueueFullError,
+                           RunRegistry, ServiceClient, ServiceConfig,
+                           ServiceError, decode_line, encode_line,
                            expectation_payload, qec_memory_payload,
                            qec_rare_event_payload, start_in_thread,
                            sweep_payload)
@@ -98,6 +96,25 @@ def wait_for_state(client, job_id, state, timeout=10.0):
     raise AssertionError(f"job {job_id} never reached {state!r}")
 
 
+PING = {"v": PROTOCOL_VERSION, "type": "ping"}
+
+
+def exchange(socket_path, requests):
+    """Send each request (a dict, or raw bytes for one line) on one
+    connection and read one reply line per request, as dicts."""
+    replies = []
+    with socket.socket(socket.AF_UNIX) as connection:
+        connection.settimeout(30)
+        connection.connect(socket_path)
+        with connection.makefile("rb") as reader:
+            for request in requests:
+                line = request if isinstance(request, bytes) else \
+                    json.dumps(request).encode() + b"\n"
+                connection.sendall(line)
+                replies.append(json.loads(reader.readline()))
+    return replies
+
+
 BLOCKER = dict(distance=3, rounds=2, error_rate=0.02, shots=262144,
                chunk_blocks=4)  # unseeded: never deduped, never cached
 
@@ -110,8 +127,7 @@ BLOCKER = dict(distance=3, rounds=2, error_rate=0.02, shots=262144,
 class TestProtocol:
     def test_round_trip(self):
         request = protocol_module.SubmitRequest(
-            kind="sweep", payload={"a": 1}, tenant="alice", priority=3,
-            stream=True)
+            kind="sweep", payload={"a": 1}, stream=True)
         line = encode_line(request)
         assert line.endswith("\n") and "\n" not in line[:-1]
         decoded = decode_line(line)
@@ -129,14 +145,27 @@ class TestProtocol:
         line = json.dumps({"v": 99, "type": "ping"})
         with pytest.raises(ProtocolError, match="version"):
             decode_line(line)
+        # A v1 client's submit line (it always sent the two fields v2
+        # removed) is refused for its version, and the connection serves on.
+        v1_submit = {"v": 1, "type": "submit", "kind": "qec_memory",
+                     "payload": {}, "tenant": "default", "priority": 0,
+                     "stream": False, "deadline": None,
+                     "max_attempts": None}
+        with service() as handle:
+            replies = exchange(handle.socket_path, [v1_submit, PING])
+        assert replies[0]["type"] == "error"
+        assert replies[0]["status"] == 400
+        assert "version 1" in replies[0]["message"]
+        assert replies[1]["type"] == "pong"
 
     def test_rejects_unknown_type(self):
-        line = json.dumps({"v": 1, "type": "teleport"})
+        line = json.dumps({"v": PROTOCOL_VERSION, "type": "teleport"})
         with pytest.raises(ProtocolError, match="unknown message type"):
             decode_line(line)
 
     def test_rejects_unknown_fields(self):
-        line = json.dumps({"v": 1, "type": "ping", "extra": 1})
+        line = json.dumps({"v": PROTOCOL_VERSION, "type": "ping",
+                           "extra": 1})
         with pytest.raises(ProtocolError, match="unknown fields"):
             decode_line(line)
 
@@ -150,9 +179,6 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="unknown job kind"):
             protocol_module.SubmitRequest(kind="bogus",
                                           payload={}).validate()
-        with pytest.raises(ProtocolError, match="tenant"):
-            protocol_module.SubmitRequest(kind="sweep", payload={},
-                                          tenant="").validate()
 
     def test_no_pickle_on_the_wire(self):
         template, points, observable = sweep_fixture()
@@ -242,52 +268,43 @@ class TestPayloadValidation:
                 assert client.list_jobs() == []  # nothing persisted
 
 
-class TestTenantQueues:
-    def test_priority_order_within_tenant(self):
-        queues = TenantQueues(max_running_per_tenant=8)
-        queues.submit("a", 0, "low")
-        queues.submit("a", 5, "high")
-        queues.submit("a", 5, "high2")
-        popped = [queues.next_job(timeout=0.1)[1] for _ in range(3)]
-        assert popped == ["high", "high2", "low"]
+class TestJobQueue:
+    def test_fifo_order(self):
+        queue = JobQueue()
+        for job_id in ("j1", "j2", "j3"):
+            queue.submit(job_id)
+        assert [queue.next_job() for _ in range(3)] == ["j1", "j2", "j3"]
 
     def test_global_bound_rejects(self):
-        queues = TenantQueues(max_pending=2, max_pending_per_tenant=10)
-        queues.submit("a", 0, "j1")
-        queues.submit("b", 0, "j2")
+        queue = JobQueue(max_pending=2)
+        assert queue.submit("j1") == 0
+        assert queue.submit("j2") == 1
         with pytest.raises(QueueFullError):
-            queues.submit("c", 0, "j3")
-
-    def test_tenant_quota_rejects(self):
-        queues = TenantQueues(max_pending=100, max_pending_per_tenant=1)
-        queues.submit("a", 0, "j1")
-        with pytest.raises(QuotaExceededError):
-            queues.submit("a", 0, "j2")
-        queues.submit("b", 0, "j3")  # other tenants unaffected
-
-    def test_running_quota_parks_tenant(self):
-        queues = TenantQueues(max_running_per_tenant=1)
-        queues.submit("a", 0, "a1")
-        queues.submit("a", 0, "a2")
-        queues.submit("b", 0, "b1")
-        first = queues.next_job(timeout=0.1)
-        assert first == ("a", "a1")
-        # Tenant a is at its running quota: b runs next, then nothing.
-        assert queues.next_job(timeout=0.1) == ("b", "b1")
-        assert queues.next_job(timeout=0.05) is None
-        queues.task_done("a")
-        assert queues.next_job(timeout=0.1) == ("a", "a2")
+            queue.submit("j3")
 
     def test_remove_and_drain(self):
-        queues = TenantQueues()
-        queues.submit("a", 0, "j1")
-        queues.submit("a", 1, "j2")
-        assert queues.remove("a", "j1") is True
-        assert queues.remove("a", "j1") is False
-        assert queues.drain() == [("a", "j2")]
-        assert queues.pending == 0
+        queue = JobQueue()
+        queue.submit("j1")
+        queue.submit("j2")
+        assert queue.remove("j1") is True
+        assert queue.remove("j1") is False
+        assert queue.drain() == ["j2"]
+        assert queue.pending == 0
         with pytest.raises(QueueFullError):
-            queues.submit("a", 0, "j3")
+            queue.submit("j3")
+
+    def test_blocked_next_job_wakes_on_drain(self):
+        queue = JobQueue()
+        popped = []
+        worker = threading.Thread(target=lambda: popped.append(
+            queue.next_job()))
+        worker.start()
+        time.sleep(0.05)  # the worker is blocked on the empty queue
+        assert worker.is_alive()
+        assert queue.drain() == []
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert popped == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +315,7 @@ class TestTenantQueues:
 class TestRunRegistry:
     def test_job_lifecycle_and_guarded_transitions(self):
         registry = RunRegistry(":memory:")
-        registry.create_job("j1", "alice", "sweep", "key1", 2, {"x": 1})
+        registry.create_job("j1", "sweep", "key1", {"x": 1})
         entry = registry.get_job("j1")
         assert entry["state"] == "queued"
         assert entry["payload"] == {"x": 1}
@@ -319,7 +336,7 @@ class TestRunRegistry:
 
     def test_event_log_is_append_only_and_ordered(self):
         registry = RunRegistry(":memory:")
-        registry.create_job("j1", "t", "sweep", None, 0, {})
+        registry.create_job("j1", "sweep", None, {})
         seqs = [registry.append_event("j1", "partial", {"n": n})
                 for n in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
@@ -330,7 +347,7 @@ class TestRunRegistry:
     def test_append_event_numbers_its_seq_in_the_insert(self):
         """The seq comes from the INSERT itself: no SELECT per event."""
         registry = RunRegistry(":memory:")
-        registry.create_job("j1", "t", "sweep", None, 0, {})
+        registry.create_job("j1", "sweep", None, {})
         statements = []
         registry._connection.set_trace_callback(statements.append)
         seqs = [registry.append_event("j1", "partial", {"n": n})
@@ -344,8 +361,8 @@ class TestRunRegistry:
 
     def test_find_inflight_and_counts(self):
         registry = RunRegistry(":memory:")
-        registry.create_job("j1", "t", "sweep", "K", 0, {})
-        registry.create_job("j2", "t", "sweep", "K2", 0, {})
+        registry.create_job("j1", "sweep", "K", {})
+        registry.create_job("j2", "sweep", "K2", {})
         assert registry.find_inflight("K") == "j1"
         registry.transition("j1", ("queued",), "cancelled")
         assert registry.find_inflight("K") is None
@@ -354,13 +371,92 @@ class TestRunRegistry:
     def test_persistence_across_reopen(self, tmp_path):
         path = str(tmp_path / "registry.db")
         registry = RunRegistry(path)
-        registry.create_job("j1", "t", "sweep", None, 0, {"x": 2})
+        registry.create_job("j1", "sweep", None, {"x": 2})
         registry.append_event("j1", "partial", {"n": 0})
         registry.close()
         reopened = RunRegistry(path)
         assert reopened.get_job("j1")["payload"] == {"x": 2}
         assert len(reopened.events_since("j1")) == 1
         reopened.close()
+
+
+#: The ``jobs``/``events`` DDL of a protocol-v1 server, whose ``tenant``
+#: column is NOT NULL with no default.
+V1_REGISTRY_DDL = """
+CREATE TABLE jobs (
+    id               TEXT PRIMARY KEY,
+    tenant           TEXT NOT NULL,
+    kind             TEXT NOT NULL,
+    job_key          TEXT,
+    priority         INTEGER NOT NULL DEFAULT 0,
+    state            TEXT NOT NULL,
+    payload          TEXT NOT NULL,
+    result           TEXT,
+    error            TEXT,
+    created_at       REAL NOT NULL,
+    started_at       REAL,
+    finished_at      REAL,
+    cache_hits       INTEGER NOT NULL DEFAULT 0,
+    cache_misses     INTEGER NOT NULL DEFAULT 0,
+    attempts         INTEGER NOT NULL DEFAULT 0,
+    max_attempts     INTEGER NOT NULL DEFAULT 1,
+    deadline_seconds REAL,
+    next_eligible_at REAL,
+    lease_owner      TEXT,
+    lease_expires_at REAL
+);
+CREATE INDEX jobs_by_key    ON jobs (job_key, state);
+CREATE INDEX jobs_by_tenant ON jobs (tenant, created_at);
+CREATE TABLE events (
+    job_id      TEXT NOT NULL,
+    seq         INTEGER NOT NULL,
+    created_at  REAL NOT NULL,
+    kind        TEXT NOT NULL,
+    data        TEXT NOT NULL,
+    PRIMARY KEY (job_id, seq)
+);
+"""
+
+
+class TestOldRegistryFile:
+    def test_v1_registry_file_keeps_working(self):
+        """A registry file a v1 server wrote, holding one finished job,
+        reopens: the old job attach-replays, a new submit runs, and
+        ``list_jobs`` returns both."""
+        tmp = tempfile.mkdtemp(dir="/tmp", prefix="rsvc")
+        db_path = os.path.join(tmp, "registry.db")
+        old = sqlite3.connect(db_path)
+        old.executescript(V1_REGISTRY_DDL)
+        old.execute(
+            "INSERT INTO jobs (id, tenant, kind, job_key, priority, state, "
+            "payload, result, created_at, started_at, finished_at, "
+            "attempts) VALUES ('old', 'alice', 'qec_memory', NULL, 3, "
+            "'done', '{}', '{\"failures\": 7}', 1.0, 2.0, 3.0, 1)")
+        for seq, data in enumerate(({"state": "queued"},
+                                    {"state": "running"},
+                                    {"state": "done"}), start=1):
+            old.execute("INSERT INTO events VALUES ('old', ?, ?, 'state', ?)",
+                        (seq, float(seq), json.dumps(data)))
+        old.commit()
+        old.close()
+        payload = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
+                                     shots=256, seed=4)
+        try:
+            with service(db_path=db_path) as handle:
+                with ServiceClient(handle.socket_path, timeout=30) as client:
+                    replayed = []
+                    final = client.attach("old", on_event=replayed.append)
+                    assert final.state == "done"
+                    assert final.result == {"failures": 7}
+                    assert [(e["seq"], e["data"]["state"])
+                            for e in replayed] == [
+                        (1, "queued"), (2, "running"), (3, "done")]
+                    new_id = client.submit("qec_memory", payload).job_id
+                    assert client.fetch(new_id)["shots"] == 256
+                    assert [row["id"] for row in client.list_jobs()] == [
+                        new_id, "old"]
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +489,7 @@ def stub_runner(monkeypatch):
 
     monkeypatch.setattr(runner_module, "prepare_job", fake_prepare)
     registry = RunRegistry(":memory:")
-    runner = JobRunner(Executor(), registry, TenantQueues(), workers=2)
+    runner = JobRunner(Executor(), registry, JobQueue(), workers=2)
     try:
         yield runner, started, release
     finally:
@@ -451,7 +547,7 @@ class TestJobRunner:
 
         monkeypatch.setattr(runner_module, "prepare_job", blocker_or_job)
         runner = JobRunner(Executor(), RunRegistry(":memory:"),
-                           TenantQueues(), workers=1)
+                           JobQueue(), workers=1)
         try:
             # The one worker holds the blocker: the sweeps stay in flight.
             runner.submit("sweep", {"block": True})
@@ -516,18 +612,18 @@ class TestJobRunner:
         monkeypatch.setattr(runner_module, "prepare_job", fake_prepare)
         registry = RunRegistry(":memory:")
         # Queued when the old server died: it never ran.
-        registry.create_job("q1", "t", "sweep", None, 0, {"name": "q1"},
+        registry.create_job("q1", "sweep", None, {"name": "q1"},
                             max_attempts=1)
         # Running with an expired lease and budget left: retried.
-        registry.create_job("r1", "t", "sweep", None, 0, {"name": "r1"},
+        registry.create_job("r1", "sweep", None, {"name": "r1"},
                             max_attempts=2)
         assert registry.claim("r1", "dead-server", lease_seconds=0.0) == 1
         # Running with an expired lease and no budget left: dead-lettered.
-        registry.create_job("r2", "t", "sweep", None, 0, {"name": "r2"},
+        registry.create_job("r2", "sweep", None, {"name": "r2"},
                             max_attempts=1)
         assert registry.claim("r2", "dead-server", lease_seconds=0.0) == 1
         time.sleep(0.01)  # both leases are now strictly in the past
-        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1)
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1)
         try:
             assert runner.wait_result("q1", timeout=10)["state"] == "done"
             assert runner.wait_result("r1", timeout=10)["state"] == "done"
@@ -697,8 +793,7 @@ class TestServiceEndToEnd:
             # Client A submits with streaming, reads two events, then dies
             # without closing the stream properly.
             victim = ServiceClient(handle.socket_path)
-            submitted = victim.submit(
-                "qec_memory", dict(payload), tenant="victim")
+            submitted = victim.submit("qec_memory", dict(payload))
             job_id = submitted.job_id
             seen = []
             for event in victim.iter_events(job_id):
@@ -736,21 +831,27 @@ class TestServiceEndToEnd:
                 assert caught.value.status == 429
                 assert caught.value.code == "queue-full"
 
-    def test_tenant_quota_rejects_with_429(self):
-        with service(workers=1, max_pending_per_tenant=1) as handle:
-            with ServiceClient(handle.socket_path) as client:
-                blocker = client.submit("qec_memory", BLOCKER,
-                                        tenant="greedy").job_id
-                wait_for_state(client, blocker, "running")
-                client.submit("qec_memory", BLOCKER, tenant="greedy")
-                with pytest.raises(ServiceError) as caught:
-                    client.submit("qec_memory", BLOCKER, tenant="greedy")
-                assert caught.value.status == 429
-                assert caught.value.code == "quota-exceeded"
-                # Another tenant is not affected by the greedy one.
-                other = client.submit("qec_memory", BLOCKER,
-                                      tenant="modest")
-                assert other.state == "queued"
+    def test_wrong_field_types_get_400_on_the_same_connection(self):
+        """A request field of the wrong JSON type is a ``bad-request`` 400,
+        never a dropped connection: the same connection still answers."""
+        v = PROTOCOL_VERSION
+        bad = [{"v": v, "type": "status", "job_id": ["x"]},
+               {"v": v, "type": "result", "job_id": {"a": 1}},
+               {"v": v, "type": "jobs", "limit": "abc"},
+               {"v": v, "type": "jobs", "limit": True},
+               {"v": v, "type": "attach", "job_id": "x", "after_seq": 1.5},
+               {"v": v, "type": "submit", "kind": "sweep", "payload": [],
+                "deadline": "soon"},
+               # Well-typed but unstorable: SQLite binds neither.
+               {"v": v, "type": "jobs", "limit": 2 ** 64},
+               {"v": v, "type": "status", "job_id": "\ud800"},
+               b"\xff\xfe\n"]
+        with service() as handle:
+            replies = exchange(handle.socket_path, bad + [PING])
+        for reply in replies[:-1]:
+            assert (reply["type"], reply["code"], reply["status"]) == (
+                "error", "bad-request", 400), reply
+        assert replies[-1]["type"] == "pong"
 
     def test_cancel_queued_job(self):
         with service(workers=1) as handle:
@@ -857,33 +958,6 @@ class TestServiceEndToEnd:
                         second["cache_hits"]
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-
-    def test_http_transport(self):
-        payload = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
-                                     shots=512, seed=9, chunk_blocks=1)
-        graph = repetition_code_graph(3, 2, 0.02)
-        reference = run_memory_sampling(graph, MWPMDecoder(graph), 512,
-                                        seed=9)
-        with service(http_port=0) as handle:
-            base = f"http://127.0.0.1:{handle.http_port}"
-            pong = json.load(urllib.request.urlopen(base + "/v1/ping"))
-            assert pong["server"] == "repro.service"
-            request = urllib.request.Request(
-                base + "/v1/jobs", method="POST",
-                data=json.dumps({"kind": "qec_memory",
-                                 "payload": payload}).encode(),
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(request) as response:
-                assert response.status == 202
-                job_id = json.load(response)["job_id"]
-            result = json.load(urllib.request.urlopen(
-                base + f"/v1/jobs/{job_id}/result"))
-            assert result["state"] == "done"
-            assert result["result"]["failures"] == reference.failures
-            with pytest.raises(urllib.error.HTTPError) as caught:
-                urllib.request.urlopen(base + "/v1/jobs/nope")
-            caught.value.close()
-            assert caught.value.code == 404
 
     def test_graceful_shutdown_drains_running_jobs(self):
         with service(workers=1) as handle:
@@ -1052,7 +1126,7 @@ class TestRegistryTransactions:
         template, points, observable = sweep_fixture(points=8)
         registry = RunRegistry(str(tmp_path / "registry.db"))
         # A long lease keeps monitor heartbeats out of the counted window.
-        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1,
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1,
                            lease_seconds=600.0)
         time.sleep(2 * runner_module._MONITOR_TICK)
         try:
@@ -1105,7 +1179,7 @@ class TestRegistryTransactions:
         monkeypatch.setattr(runner_module, "prepare_job", stub_or_job(gates))
         template, points, observable = sweep_fixture(points=8)
         registry = RunRegistry(path)
-        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1,
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1,
                            retry_backoff=0.01)
         cases = {
             "sweep": (("sweep", sweep_payload(template, points, observable),
@@ -1174,9 +1248,9 @@ class TestRegistryTransactions:
         monkeypatch.setattr(runner_module, "prepare_job", stub_or_job({}))
         path = str(tmp_path / "registry.db")
         registry_a, registry_b = RunRegistry(path), RunRegistry(path)
-        runner_a = JobRunner(Executor(), registry_a, TenantQueues(),
+        runner_a = JobRunner(Executor(), registry_a, JobQueue(),
                              workers=1)
-        runner_b = JobRunner(Executor(), registry_b, TenantQueues(),
+        runner_b = JobRunner(Executor(), registry_b, JobQueue(),
                              workers=1)
         try:
             job_id, _, _ = runner_a.submit("sweep",
@@ -1207,9 +1281,7 @@ class TestRegistryTransactions:
         monkeypatch.setattr(runner_module, "prepare_job", prepare)
         registry = RunRegistry(str(tmp_path / "registry.db"))
         runner = JobRunner(Executor(), registry,
-                           TenantQueues(max_pending_per_tenant=64,
-                                        max_running_per_tenant=6),
-                           workers=6)
+                           JobQueue(), workers=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1233,7 +1305,7 @@ class TestRegistryTransactions:
 
     def test_steps_queued_on_the_lock_share_one_commit(self, tmp_path):
         registry = RunRegistry(str(tmp_path / "registry.db"))
-        registry.create_job("j", "t", "sweep", None, 0, {})
+        registry.create_job("j", "sweep", None, {})
         steps, errors = 6, []
 
         def step(n):
@@ -1266,7 +1338,7 @@ class TestRegistryTransactions:
     def test_a_raising_step_rolls_back_only_its_own_writes(self, tmp_path):
         path = str(tmp_path / "registry.db")
         registry = RunRegistry(path)
-        registry.create_job("j", "t", "sweep", None, 0, {})
+        registry.create_job("j", "sweep", None, {})
         published = []
         # Holding the commit lock keeps all three steps in one batch.
         with registry._commit_lock:
@@ -1296,7 +1368,7 @@ class TestRegistryTransactions:
             self, tmp_path):
         path = str(tmp_path / "registry.db")
         registry = RunRegistry(path)
-        registry.create_job("j", "t", "sweep", None, 0, {})
+        registry.create_job("j", "sweep", None, {})
         connection = FailingCommits(registry._connection)
         registry._connection = connection
         steps, published, raised = 4, [], []
@@ -1341,7 +1413,7 @@ class TestRegistryTransactions:
         registry = RunRegistry(str(tmp_path / "registry.db"))
         connection = FailingCommits(registry._connection)
         registry._connection = connection
-        runner = JobRunner(Executor(), registry, TenantQueues(), workers=1,
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1,
                            lease_seconds=600.0)
         try:
             connection.failures = 1
@@ -1389,7 +1461,7 @@ class TestRegistryTransactions:
         # something commits it.
         registry._commit_loop = lambda: None
         with registry.transaction(wait=False):
-            registry.create_job("j", "t", "sweep", None, 0, {"x": 1})
+            registry.create_job("j", "sweep", None, {"x": 1})
             registry.append_event("j", "state", {"state": "queued"})
             # Inside a step a read sees the step's own writes.
             assert registry.get_job("j", ("state",)) == {"state": "queued"}
@@ -1411,7 +1483,7 @@ class TestRegistryTransactions:
         registry = RunRegistry(path)
         for n in range(3):
             with registry.transaction(wait=False):
-                registry.create_job(f"j{n}", "t", "sweep", None, 0, {})
+                registry.create_job(f"j{n}", "sweep", None, {})
         committer = registry._committer
         assert committer is not None
         registry.close()
@@ -1429,12 +1501,11 @@ class TestRegistryTransactions:
         reopened.close()
 
     def test_failed_submit_commit_is_answered_on_both_transports(self):
-        """A submit whose COMMIT fails gets a ``commit-failed`` answer: an
-        error line on NDJSON, whose connection keeps serving, and a 503
-        over HTTP."""
+        """A submit whose COMMIT fails gets a ``commit-failed`` 503 error
+        line, and the connection keeps serving."""
         payload = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
                                      shots=64, seed=1, chunk_blocks=1)
-        with service(http_port=0) as handle:
+        with service() as handle:
             registry = handle.server.registry
             connection = FailingCommits(registry._connection)
             registry._connection = connection
@@ -1446,19 +1517,7 @@ class TestRegistryTransactions:
                 assert caught.value.status == 503
                 assert client.ping().server == "repro.service"
                 assert client.list_jobs() == []
-            connection.failures = 1
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{handle.http_port}/v1/jobs",
-                method="POST",
-                data=json.dumps({"kind": "qec_memory",
-                                 "payload": payload}).encode(),
-                headers={"Content-Type": "application/json"})
-            with pytest.raises(urllib.error.HTTPError) as caught:
-                urllib.request.urlopen(request)
-            with caught.value as response:
-                assert response.code == 503
-                assert json.load(response)["code"] == "commit-failed"
-            assert connection.failed == 2
+            assert connection.failed == 1
 
 
 class TestServiceClient:
@@ -1558,7 +1617,7 @@ class TestPerJobCacheCounts:
             hamiltonian, backend="statevector") for _ in range(20)]
         executor = Executor()
         registry = RunRegistry(":memory:")
-        runner = JobRunner(executor, registry, TenantQueues(), workers=2)
+        runner = JobRunner(executor, registry, JobQueue(), workers=2)
         try:
             jobs = [runner.submit("sweep", payload)[0]
                     for payload in payloads]
