@@ -197,7 +197,7 @@ def test_warm_resume_wall_clock(tmp_path):
 
     # Cold: the whole sweep, nothing checkpointed (parent steal path —
     # wall-clocks here compare cache states, not worker elasticity).
-    cold = Executor(cache_dir=str(tmp_path / "cache-cold"))
+    cold = Executor()
     start = time.perf_counter()
     cold_values = cold.evaluate_sweep(
         template, points, observable, backend="statevector",
@@ -205,13 +205,13 @@ def test_warm_resume_wall_clock(tmp_path):
     cold_seconds = time.perf_counter() - start
 
     # "Killed" run: half the point blocks landed and were flushed through
-    # the checkpoint cache before the run died.
-    cache_dir = str(tmp_path / "cache-resume")
-    Executor(cache_dir=cache_dir).evaluate_sweep(
+    # the checkpoint cache before the run died.  The resume reuses the
+    # executor, so its cache holds them.
+    resumed = Executor()
+    resumed.evaluate_sweep(
         template, points[:half], observable, backend="statevector",
         policy=policy_for(tmp_path / "spool-resume"))
-
-    resumed = Executor(cache_dir=cache_dir)
+    resumed.reset_stats()  # count only the resumed run's evolutions
     start = time.perf_counter()
     resumed_values = resumed.evaluate_sweep(
         template, points, observable, backend="statevector",

@@ -1,4 +1,4 @@
-"""PR-4 acceptance gate: process-sharded speedup + warm-disk-cache re-runs.
+"""PR-4 acceptance gate: process-sharded speedup + warm-cache re-runs.
 
 Two workloads, both recorded to ``BENCH_pr4.json``:
 
@@ -10,14 +10,13 @@ Two workloads, both recorded to ``BENCH_pr4.json``:
   4-worker process-sharded run must be ≥ 2x faster than the single-worker
   run (the speedup assertion is skipped — but still measured and recorded
   — on smaller boxes, where no sharding layer could manufacture cores).
-* **Warm disk cache** — the same seeded experiment re-run against a fresh
-  executor sharing the persistent cache directory: nothing sampled or
-  decoded, proven by the QEC sampling counters and the disk cache's hit
-  counters.
+* **Warm cache** — the same seeded experiment re-run on the executor that
+  ran it cold: nothing sampled or decoded, proven by the QEC sampling
+  counters and the expectation cache's hit counters.
 
 A second test runs one trimmed **figure workload** (the Fig. 12 Clifford-
 scale γ comparison at 16 qubits) cold vs warm through the default executor:
-the warm pass re-derives every GA generation from the disk cache without a
+the warm pass re-derives every GA generation from its cache without a
 single circuit evolution.
 """
 
@@ -56,12 +55,11 @@ def qec_workload():
     return graph, UnionFindDecoder(graph)
 
 
-def run_sampling(parallel, max_workers, cache_dir=None):
-    """One seeded memory experiment on a fresh executor; returns
-    (result, elapsed seconds, executor)."""
+def run_sampling(parallel, max_workers, executor=None):
+    """One seeded memory experiment on ``executor`` (default: a fresh
+    uncached one); returns (result, elapsed seconds, executor)."""
     graph, decoder = qec_workload()
-    executor = Executor(cache_dir=cache_dir) if cache_dir \
-        else Executor(use_cache=False)
+    executor = executor or Executor(use_cache=False)
     start = time.perf_counter()
     result = run_memory_sampling(
         graph, decoder, SHOTS, seed=SEED, executor=executor,
@@ -79,7 +77,7 @@ def run_comparison():
     return serial, serial_time, two, quad, quad_time, quad_executor.stats
 
 
-def test_parallel_qec_sampling_speedup(benchmark, tmp_path):
+def test_parallel_qec_sampling_speedup(benchmark):
     serial, serial_time, two, quad, quad_time, quad_stats = \
         benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     speedup = serial_time / quad_time
@@ -107,22 +105,24 @@ def test_parallel_qec_sampling_speedup(benchmark, tmp_path):
     if cpus >= 4:
         assert speedup >= 2.0
 
-    # Warm-disk-cache rerun: nothing sampled or decoded, proven by counters.
-    cache_dir = tmp_path / "pr4-cache"
-    cold, _, _ = run_sampling("process", 4, cache_dir=cache_dir)
+    # Warm-cache rerun on one executor: nothing sampled or decoded, proven
+    # by counters.
+    cached = Executor()
+    cold, _, _ = run_sampling("process", 4, executor=cached)
     assert not cold.from_cache
+    hits = cached.cache_stats.hits
     reset_sampling_stats()
-    warm, _, warm_executor = run_sampling("process", 4, cache_dir=cache_dir)
+    warm, _, _ = run_sampling("process", 4, executor=cached)
     warm_stats = sampling_stats()
     assert warm.from_cache
     assert warm.failures == cold.failures == serial.failures
     assert warm_stats.shots_sampled == warm_stats.shots_decoded == 0
     assert warm_stats.cached_experiments == 1
-    assert warm_executor.disk_cache_stats.hits > 0
+    assert cached.cache_stats.hits > hits
 
     record = {
         "pr": 4,
-        "benchmark": "process-sharded QEC memory sampling + warm disk cache",
+        "benchmark": "process-sharded QEC memory sampling + warm cache",
         "workload": {
             "code": "rotated_surface",
             "distance": DISTANCE,
@@ -139,7 +139,6 @@ def test_parallel_qec_sampling_speedup(benchmark, tmp_path):
         "warm_cache": {
             "warm_from_cache": warm.from_cache,
             "warm_shots_decoded": warm_stats.shots_decoded,
-            "warm_disk_hits": warm_executor.disk_cache_stats.hits,
         },
     }
     if os.environ.get("REPRO_RECORD_BENCH") or not os.path.exists(BENCH_JSON):
@@ -148,13 +147,12 @@ def test_parallel_qec_sampling_speedup(benchmark, tmp_path):
             handle.write("\n")
 
 
-def test_figure_workload_cold_vs_warm(tmp_path, monkeypatch):
+def test_figure_workload_cold_vs_warm():
     """One trimmed Fig.-12 instance twice: the warm pass is all cache hits.
 
     The workload (γ(pQEC/NISQ) for a 16-qubit Ising model, GA-optimized
     Clifford VQE) runs through the *default* executor, exactly like the
-    figure suites — so this also proves ``REPRO_CACHE_DIR`` is honoured
-    end-to-end without any test-side plumbing.
+    figure suites, so both passes share its one cache.
     """
     from repro.ansatz import FullyConnectedAnsatz
     from repro.core import NISQRegime, PQECRegime
@@ -162,10 +160,10 @@ def test_figure_workload_cold_vs_warm(tmp_path, monkeypatch):
     from repro.operators import ising_hamiltonian
     from repro.vqe import GeneticOptimizer, compare_regimes_clifford
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "figure-cache"))
+    reset_default_executor()  # a cold cache for the first pass
 
     def one_instance():
-        reset_default_executor()  # fresh memory cache, same disk dir
+        default_executor().reset_stats()  # per-pass counters, same cache
         hamiltonian = ising_hamiltonian(16, 1.0)
         ansatz = FullyConnectedAnsatz(16, 1)
         outcome = compare_regimes_clifford(
@@ -185,16 +183,16 @@ def test_figure_workload_cold_vs_warm(tmp_path, monkeypatch):
     start = time.perf_counter()
     warm, warm_stats = one_instance()
     warm_time = time.perf_counter() - start
-    reset_default_executor()  # do not leak the cache dir to other tests
+    reset_default_executor()  # do not leak the warm cache to other tests
 
     print_table(
-        "fig-12 instance, cold vs warm DiskExpectationCache",
+        "fig-12 instance, cold vs warm expectation cache",
         ["pass", "seconds", "sim invocations", "term cache hits"],
         [("cold", f"{cold_time:.2f}", cold_stats.simulator_invocations,
           cold_stats.term_cache_hits),
          ("warm", f"{warm_time:.2f}", warm_stats.simulator_invocations,
           warm_stats.term_cache_hits)])
-    # The warm pass replays the identical GA trajectory purely from disk.
+    # The warm pass replays the identical GA trajectory purely from cache.
     assert warm.gamma == cold.gamma
     assert warm.energy_a == cold.energy_a
     assert warm.energy_b == cold.energy_b

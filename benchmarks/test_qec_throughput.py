@@ -138,24 +138,23 @@ def test_qec_worker_count_determinism():
         "failures": counts, "bitwise_identical": True}
 
 
-def test_qec_warm_cache_sweep_decodes_nothing(tmp_path):
-    """A warm re-run of a seeded sweep performs zero decoder calls."""
+def test_qec_warm_cache_sweep_decodes_nothing():
+    """A warm re-run of a seeded sweep on the same executor performs zero
+    decoder calls."""
     grid = dict(distances=[3, 5], physical_error_rates=[1e-3, 3e-3],
                 shots=1500, seed=SEED, code="repetition",
                 decoder_factory=RepetitionMatchingDecoder)
-    cache_dir = tmp_path / "pr5-cache"
+    executor = Executor()
 
     reset_sampling_stats()
     start = time.perf_counter()
-    cold = logical_error_rate_curve(
-        executor=Executor(cache_dir=cache_dir), **grid)
+    cold = logical_error_rate_curve(executor=executor, **grid)
     cold_seconds = time.perf_counter() - start
     cold_stats = sampling_stats()
 
     reset_sampling_stats()
     start = time.perf_counter()
-    warm = logical_error_rate_curve(
-        executor=Executor(cache_dir=cache_dir), **grid)
+    warm = logical_error_rate_curve(executor=executor, **grid)
     warm_seconds = time.perf_counter() - start
     warm_stats = sampling_stats()
 

@@ -49,8 +49,6 @@ from .adapters import (DensityMatrixBackend, MAX_DENSITY_MATRIX_QUBITS,
                        StatevectorBackend)
 from .backend import Backend, BackendCapabilities
 from .cache import CacheStats, ExpectationCache
-from .disk_cache import (CACHE_DIR_ENV, DiskCacheStats, DiskExpectationCache,
-                         TieredExpectationCache, disk_cache_from_env)
 from .broker import (BROKER_SPOOL_ENV, FilesystemBroker,
                      LocalProcessBroker, ShardBroker, SpoolLayout,
                      make_broker)
@@ -79,12 +77,9 @@ __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
     "BackendRegistry",
-    "CACHE_DIR_ENV",
     "CacheStats",
     "DEFAULT_REGISTRY",
     "DensityMatrixBackend",
-    "DiskCacheStats",
-    "DiskExpectationCache",
     "ExecutionError",
     "ExecutionPolicy",
     "ExecutionResult",
@@ -112,14 +107,12 @@ __all__ = [
     "SpoolLayout",
     "SweepShapeError",
     "StatevectorBackend",
-    "TieredExpectationCache",
     "TransientFault",
     "UnknownBackendError",
     "WORKERS_ENV",
     "available_backends",
     "clear_injector",
     "default_executor",
-    "disk_cache_from_env",
     "inject_faults",
     "install_injector",
     "make_broker",

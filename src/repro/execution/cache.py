@@ -8,9 +8,7 @@ engine, and one ``("sweep", template fingerprint, parameter tuple,
 observable fingerprint, engine)`` key per compiled-sweep point holding that
 point's energy.  Every component is content-derived (see
 :func:`repro.execution.task.noise_token`), so equal keys mean equal values
-no matter which objects — or which process — produced them; this is also
-what lets the persistent :mod:`repro.execution.disk_cache` tier reuse the
-same keys on disk.
+no matter which objects — or which process — produced them.
 
 The cache is what makes optimizer-driven workloads cheap: COBYLA and SPSA
 re-evaluate repeated parameter vectors, and VarSaw evaluates the same circuit against many observables —

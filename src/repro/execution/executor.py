@@ -5,10 +5,8 @@ Pipeline for one :meth:`Executor.run` call:
 1. **Resolve** — every task is assigned a backend: its own ``backend`` field,
    the call-level ``backend=`` argument, or regime-aware auto-routing
    (:func:`repro.execution.router.route_task`).
-2. **Cache lookup** — expectation tasks are looked up in the
-   expectation cache: the in-memory LRU first, then (when a persistent
-   cache directory is configured — ``cache_dir=`` or ``REPRO_CACHE_DIR``)
-   the on-disk L2 (:mod:`repro.execution.disk_cache`).
+2. **Cache lookup** — expectation tasks are looked up in the executor's
+   one in-memory expectation cache.
 3. **Deduplicate** — remaining identical expectation tasks collapse to a
    single simulator invocation per distinct key.
 4. **Dispatch** — unique tasks are grouped per backend and fanned out
@@ -35,8 +33,6 @@ import numpy as np
 from .backend import Backend
 from .broker import make_broker
 from .cache import CacheStats, ExpectationCache
-from .disk_cache import (DiskCacheStats, DiskExpectationCache,
-                         TieredExpectationCache, disk_cache_from_env)
 from .errors import BackendCapabilityError, ExecutionError, SweepShapeError
 from .observables import (_Slot, count_grouped_tasks, energies,
                           run_grouped, track_program_cache)
@@ -131,7 +127,6 @@ class Executor:
                  cache=None,
                  cache_size: int = 4096,
                  use_cache: bool = True,
-                 cache_dir=None,
                  policy: Optional[ExecutionPolicy] = None):
         """``policy`` is the executor-default
         :class:`~repro.execution.policy.ExecutionPolicy` — fan-out mode,
@@ -140,39 +135,13 @@ class Executor:
         (:meth:`ExecutionPolicy.from_env` — ``REPRO_WORKERS``,
         ``REPRO_BROKER_SPOOL``, ``REPRO_SHARD_*``) at dispatch time, then
         to built-in defaults.
-
-        ``cache_dir`` (or, when no explicit ``cache``/``cache_dir`` is given,
-        the ``REPRO_CACHE_DIR`` environment variable — read once, here)
-        attaches a persistent on-disk L2
-        (:class:`~repro.execution.disk_cache.DiskExpectationCache`) under
-        the in-memory LRU, so deterministic expectation values survive the
-        process and are shared across runs.
         """
         self.registry = registry or DEFAULT_REGISTRY
-        memory = cache if cache is not None \
+        self.cache = cache if cache is not None \
             else ExpectationCache(max_size=cache_size)
-        disk = None
-        if cache_dir is not None:
-            disk = (cache_dir if isinstance(cache_dir, DiskExpectationCache)
-                    else DiskExpectationCache(cache_dir))
-        elif cache is None:
-            disk = disk_cache_from_env()
-        if isinstance(memory, TieredExpectationCache):
-            if disk is not None:
-                if memory.disk is None:
-                    memory.disk = disk
-                else:
-                    raise ExecutionError(
-                        "conflicting persistent caches: the provided "
-                        "TieredExpectationCache already has a disk tier and "
-                        "cache_dir= names another one")
-        elif disk is not None:
-            memory = TieredExpectationCache(memory=memory, disk=disk)
-        self.cache = memory
         self.policy = _checked_policy(policy) or ExecutionPolicy()
         self.use_cache = use_cache
         self.stats = ExecutionStats()
-        self.final_disk_stats: Optional[DiskCacheStats] = None
         #: Recent shard-supervisor FaultReports (bounded; newest last).
         self.fault_reports: Deque = collections.deque(maxlen=32)
         self._lock = threading.Lock()
@@ -488,8 +457,8 @@ class Executor:
         entries: values are keyed under the bound circuit's own per-term
         keys, its fingerprint derived from the template
         (:meth:`~repro.circuits.circuit.QuantumCircuit.bound_fingerprint`),
-        so either path — and the disk tier — serves the other.  A point
-        that runs on ``statevector`` (named, or routed there by ``"auto"``
+        so either path serves the other.  A point that runs on
+        ``statevector`` (named, or routed there by ``"auto"``
         through :func:`~repro.execution.router.route_sweep`) binds no
         circuit: the cached template program is bound at ``values``
         (:meth:`~repro.simulators.program.CompiledProgram.point_program`,
@@ -619,8 +588,8 @@ class Executor:
         sweeps submit byte-identical shard payloads (a spool's content-named
         result files stay valid across run shapes, and fine-grained blocks
         let elastic workers load-balance).  Each block's energies flush through the
-        cache (and its disk tier) **as the block lands**, so a killed
-        multi-worker sweep resumes warm: already-flushed points are served
+        cache **as the block lands**, so a killed multi-worker sweep
+        resumes warm: already-flushed points are served
         from cache and recompute nothing.  Inline and thread sweeps run the
         same shard function over all their points as one compiled batch.
         """
@@ -689,17 +658,13 @@ class Executor:
         return point_energies
 
     # -- lifecycle -----------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> Optional[DiskCacheStats]:
-        """Retire the worker-process pool and flush disk-cache accounting.
+    def shutdown(self, wait: bool = True) -> None:
+        """Retire the worker-process pool.
 
         Long-running hosts (the :mod:`repro.service` job server) need a
         clean lifecycle: before this method the persistent
         ``ProcessPoolExecutor`` only died with the interpreter.  ``wait=True``
         lets in-flight shard payloads finish; ``wait=False`` abandons them.
-        The final :class:`~repro.execution.disk_cache.DiskCacheStats`
-        snapshot is captured on :attr:`final_disk_stats` and returned (None
-        when no persistent cache is configured), so a server's shutdown path
-        can log lifetime hit/miss/eviction counts after the pool is gone.
 
         Shutdown is idempotent and deliberately non-poisoning: the pool is
         process-global (shared by every executor), so a later dispatch from
@@ -709,8 +674,6 @@ class Executor:
         """
         from .sharding import shutdown_process_pool
         shutdown_process_pool(wait=wait)
-        self.final_disk_stats = self.disk_cache_stats
-        return self.final_disk_stats
 
     def __enter__(self) -> "Executor":
         return self
@@ -752,19 +715,6 @@ class Executor:
     @property
     def cache_stats(self) -> CacheStats:
         return self.cache.stats
-
-    @property
-    def disk_cache(self) -> Optional[DiskExpectationCache]:
-        """The persistent L2 store, or None when not configured."""
-        if isinstance(self.cache, TieredExpectationCache):
-            return self.cache.disk
-        return None
-
-    @property
-    def disk_cache_stats(self) -> Optional[DiskCacheStats]:
-        """Hit/miss/write/eviction counters of the L2 store, or None."""
-        disk = self.disk_cache
-        return disk.stats if disk is not None else None
 
     def reset_stats(self) -> None:
         self.stats = ExecutionStats()

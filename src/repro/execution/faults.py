@@ -1,28 +1,27 @@
 """Deterministic, seeded fault injection for chaos-testing recovery paths.
 
-The fault-tolerance layer (shard supervisor, job retry/lease machinery,
-disk-cache quarantine) is only trustworthy if its recovery paths are
-exercised continuously — and the repo's bitwise-deterministic seeding makes
-that cheap: a recovered run must equal the unfaulted run *exactly*, so a
-chaos test is an equality assertion, not a statistical one.  This module
-supplies the controlled failures:
+The fault-tolerance layer (shard supervisor, job retry/lease machinery)
+is only trustworthy if its recovery paths are exercised continuously — and
+the repo's bitwise-deterministic seeding makes that cheap: a recovered run
+must equal the unfaulted run *exactly*, so a chaos test is an equality
+assertion, not a statistical one.  This module supplies the controlled
+failures:
 
 * :class:`FaultInjector` holds :class:`FaultRule` entries and is consulted
   at named **sites** (``"shard"`` — one process-pool shard dispatch,
-  ``"job"`` — a service job checkpoint, ``"disk-cache"`` — one disk-cache
-  entry write).  Each consultation deterministically decides, from the
-  injector seed and the per-rule consultation counter alone, whether a
-  fault fires — the same schedule replays exactly across runs, regardless
-  of thread interleaving at *other* sites.
+  ``"job"`` — a service job checkpoint).  Each consultation
+  deterministically decides, from the injector seed and the per-rule
+  consultation counter alone, whether a fault fires — the same schedule
+  replays exactly across runs, regardless of thread interleaving at *other*
+  sites.
 * Fired faults become picklable :class:`FaultDirective` values.  The shard
   supervisor consults the injector **in the parent** and ships directives
   inside shard payloads, so injection works with the persistent
   forked worker pool without any cross-process injector state.
 * Directive kinds: ``"kill"`` (``SIGKILL`` the executing worker process —
   a hard crash mid-shard), ``"delay"`` (sleep ``seconds`` — drive a shard
-  past its wall-clock timeout), ``"raise"`` (raise
-  :class:`~repro.execution.errors.TransientFault`), and ``"corrupt"``
-  (truncate the just-written disk-cache entry).
+  past its wall-clock timeout) and ``"raise"`` (raise
+  :class:`~repro.execution.errors.TransientFault`).
 
 Configuration is by constructor (tests) or the ``REPRO_FAULTS``
 environment variable (CI chaos passes)::
@@ -59,10 +58,10 @@ __all__ = [
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: Consultation sites the harness knows about.
-FAULT_SITES = ("shard", "job", "disk-cache")
+FAULT_SITES = ("shard", "job")
 
 #: Supported directive kinds.
-FAULT_KINDS = ("kill", "delay", "raise", "corrupt")
+FAULT_KINDS = ("kill", "delay", "raise")
 
 
 @dataclass(frozen=True)
@@ -281,8 +280,7 @@ def execute_directive(directive: FaultDirective) -> None:
     ``"kill"`` SIGKILLs the **current process** — only execute directives
     in a context prepared to die (a pool worker); the shard supervisor
     never forwards directives to its inline-degraded path for exactly this
-    reason.  ``"corrupt"`` is a no-op here — it is applied by the disk
-    cache to the entry file it just wrote.
+    reason.
     """
     if directive.kind == "kill":
         os.kill(os.getpid(), signal.SIGKILL)

@@ -47,9 +47,7 @@ def noise_token(noise_model: Optional[NoiseModel]):
     ``add_*`` edit changes the content and invalidates prior entries, two
     independently built but bit-identical models share entries, and —
     because the token is a pure content hash rather than an object identity —
-    keys are stable across processes and interpreter runs, which is what the
-    persistent :class:`~repro.execution.disk_cache.DiskExpectationCache`
-    relies on.
+    keys are stable across processes and interpreter runs.
     """
     if noise_model is None or not noise_model.has_noise():
         return None
@@ -89,7 +87,7 @@ class ExecutionTask:
                 "an ExecutionTask needs exactly one of `observable` "
                 "(expectation task) or `shots` (sampling task)")
         # Normalize shot counts to plain ints (callers often pass numpy
-        # scalars from sweep configs) so keys are canonical and disk-stable.
+        # scalars from sweep configs) so keys are canonical.
         if self.shots is not None:
             object.__setattr__(self, "shots", int(self.shots))
         if self.shots is not None and self.shots < 1:
@@ -154,8 +152,7 @@ class ExecutionTask:
         Two tasks with equal keys are interchangeable: same circuit
         structure, observable/shots, noise model and backend options, bound
         for the same backend.  Every component is content-derived, so keys
-        are stable across processes and feed the persistent disk cache
-        unchanged.
+        are stable across processes.
         """
         if self.is_expectation:
             payload = ("expval", observable_fingerprint(self.observable))

@@ -719,9 +719,9 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     ``SeedSequence.spawn`` children are the determinism unit, shards run
     through the executor's planner and any configured
     :class:`~repro.execution.broker.ShardBroker`, and seeded runs cache
-    their aggregates in the executor's expectation cache (memory + disk
-    tiers) under keys that encode none of the fan-out choices.  Results
-    are **bitwise identical** for any worker count, any
+    their aggregates in the executor's expectation cache under keys that
+    encode none of the fan-out choices.  Results are **bitwise
+    identical** for any worker count, any
     inline/thread/process path and any broker: integer counts fold
     exactly, and floating-point aggregates fold with ``math.fsum`` over
     per-block partial sums, whose correctly-rounded total is independent
@@ -777,9 +777,9 @@ def stream_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     these.  Sampling happens inline (streaming is about latency, not
     throughput), and seeded runs **checkpoint every chunk** through the
     executor's expectation cache exactly like
-    :func:`~repro.qec.sampling.stream_memory_sampling`: a resumed run — a
-    retried service job, a restarted server, a new process over the same
-    cache directory — replays flushed chunks without sampling or decoding
+    :func:`~repro.qec.sampling.stream_memory_sampling`: a resumed run on
+    the same executor — a retried service job, a re-run after an
+    interrupted stream — replays flushed chunks without sampling or decoding
     and produces snapshots bitwise identical to an uninterrupted run
     (chunk sums are folded the same way whether they come from the cache
     or from fresh decoding).

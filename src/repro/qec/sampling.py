@@ -37,8 +37,7 @@ by :class:`_SeededRun` for every entry point here and in
   and decoder diagnostic counters a shard moved in another process are
   folded into the caller's counters exactly once.
 * Seeded experiments cache their results in the executor's expectation
-  cache (in-memory LRU, plus the on-disk L2 when ``REPRO_CACHE_DIR`` /
-  ``cache_dir=`` is configured), keyed on the graph's content
+  cache, keyed on the graph's content
   :meth:`~repro.qec.decoders.graph.DecodingGraph.fingerprint`, the
   decoder's cache token, shots, block size and seed — so a warm figure-suite
   re-run decodes nothing (provable via :func:`sampling_stats`).  Streamed
@@ -570,14 +569,14 @@ def stream_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     latency, not throughput.
 
     Seeded streamed runs additionally **checkpoint each chunk** through the
-    same cache (and its persistent disk tier when configured): after every
-    ``chunk_blocks`` chunk, its failure/defect counts are flushed under a
-    chunk-position key.  A resumed run — a retried service job, a restarted
-    server, a new process over the same cache directory — replays cached
-    chunks without sampling or decoding them and only computes from where
-    the previous attempt died.  Chunk checkpoints are exact partial sums of
-    the same per-block stream, so a resumed run's snapshots and final
-    counts stay bitwise identical to an uninterrupted one.
+    same cache: after every ``chunk_blocks`` chunk, its failure/defect
+    counts are flushed under a chunk-position key.  A resumed run on the
+    same executor — a retried service job, a re-run after an interrupted
+    stream — replays cached chunks without sampling or decoding them and
+    only computes from where the previous attempt died.  Chunk checkpoints
+    are exact partial sums of the same per-block stream, so a resumed run's
+    snapshots and final counts stay bitwise identical to an uninterrupted
+    one.
     """
     run = _SeededRun("qec-memory", graph, decoder, shots, seed, executor,
                      use_cache)

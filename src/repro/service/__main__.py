@@ -33,9 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="unix-socket path of the NDJSON front door")
     serve.add_argument("--db", default=None,
                        help="SQLite run-registry path (default :memory:)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="persistent expectation-cache directory shared "
-                            "by every job")
     serve.add_argument("--spool", default=None,
                        help="filesystem-broker spool directory: hand "
                             "process shards to elastic repro-worker "
@@ -76,8 +73,6 @@ def _serve_config(options: argparse.Namespace) -> ServiceConfig:
         overrides["socket_path"] = options.socket
     if options.db is not None:
         overrides["db_path"] = options.db
-    if options.cache_dir is not None:
-        overrides["cache_dir"] = options.cache_dir
     if options.spool is not None:
         overrides["spool"] = options.spool
     if options.workers is not None:

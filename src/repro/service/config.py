@@ -1,10 +1,8 @@
 """Configuration knobs for the execution job server.
 
 Everything the server needs to stand up — where to listen, where the SQLite
-run registry lives, which directory backs the shared
-:class:`~repro.execution.disk_cache.DiskExpectationCache`, the queue bound
-and the retry policy — is collected in one :class:`ServiceConfig` value
-object.
+run registry lives, the queue bound and the retry policy — is collected in
+one :class:`ServiceConfig` value object.
 ``ServiceConfig.from_env()`` reads the ``REPRO_SERVICE_*`` environment
 variables so ``python -m repro.service serve`` works with zero flags in a
 configured container.
@@ -15,11 +13,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
-
-#: Directory of the persistent expectation cache every job rides.
-#: The server opens ONE ``Executor(cache_dir=...)`` from this knob, so all
-#: clients share a single warm L1/L2 result store.
-CACHE_DIR_ENV = "REPRO_SERVICE_CACHE_DIR"
 
 #: Path of the SQLite run registry (jobs + events tables).
 DB_ENV = "REPRO_SERVICE_DB"
@@ -65,8 +58,6 @@ class ServiceConfig:
     when the server starts.  ``db_path`` defaults to ``:memory:`` — fine
     for tests, but a registry that should survive the process
     (crashed-client reattach across server restarts) needs a real file.
-    ``cache_dir`` (or the ``REPRO_SERVICE_CACHE_DIR`` environment variable)
-    attaches the persistent disk cache tier under the shared executor.
 
     Backpressure: ``max_pending`` bounds the queued-job count; submissions
     beyond it are rejected with a 429-style error instead of queueing
@@ -87,7 +78,6 @@ class ServiceConfig:
 
     socket_path: Optional[str] = None
     db_path: str = ":memory:"
-    cache_dir: Optional[str] = None
     workers: int = 2
     max_pending: int = 256
     max_attempts: int = 1
@@ -102,7 +92,6 @@ class ServiceConfig:
         config = cls(
             socket_path=os.environ.get(SOCKET_ENV) or None,
             db_path=os.environ.get(DB_ENV) or ":memory:",
-            cache_dir=os.environ.get(CACHE_DIR_ENV) or None,
             workers=_env_int(WORKERS_ENV, 2),
             max_attempts=_env_int(MAX_ATTEMPTS_ENV, 1),
             lease_seconds=_env_float(LEASE_SECONDS_ENV, 15.0),

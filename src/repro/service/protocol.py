@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import (Any, Dict, List, Optional, Tuple, Type, Union,
@@ -187,8 +188,8 @@ class SubmitRequest:
             raise ProtocolError(
                 f"unknown job kind {self.kind!r} (expected one of "
                 f"{JOB_KINDS})")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ProtocolError("deadline must be a positive number")
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise ProtocolError("deadline must be a positive finite number")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ProtocolError("max_attempts must be an integer >= 1")
         return self
@@ -232,6 +233,11 @@ class CancelRequest:
 @dataclass(frozen=True)
 class ListJobsRequest:
     limit: int = 50
+
+    def validate(self) -> "ListJobsRequest":
+        if self.limit < 0:  # SQLite reads a negative LIMIT as no limit
+            raise ProtocolError("limit must be an integer >= 0")
+        return self
 
 
 @message("stats")

@@ -48,10 +48,8 @@ Design points:
   dead-letters it as ``failed``.  Attempt counts live on the row, so retry
   budgets survive server restarts.
 * **Cache accounting** — each job's own expectation-cache hits and misses
-  (in-memory L1 + persistent L2) recorded by the runner land on the job row
-  and in a ``cache`` event, making the shared
-  :class:`~repro.execution.disk_cache.DiskExpectationCache`'s contribution
-  to each job visible.
+  recorded by the runner land on the job row and in a ``cache`` event,
+  making the shared executor cache's contribution to each job visible.
 * **Old files keep working** — opening an older server's registry file
   adds the columns it lacks and drops retired ones (SQLite 3.35+).
 """
@@ -388,6 +386,11 @@ class RunRegistry:
         return [self._job_dict(row) for row in self._read(
             "SELECT * FROM jobs ORDER BY created_at DESC LIMIT ?",
             (int(limit),))]
+
+    def queued_jobs(self) -> List[Dict[str, Any]]:
+        """Every queued job, oldest first."""
+        return [self._job_dict(row) for row in self._read(
+            "SELECT * FROM jobs WHERE state = 'queued' ORDER BY created_at")]
 
     def find_inflight(self, job_key: str) -> Optional[str]:
         """The id of a queued/running job with this content key, if any."""

@@ -4,9 +4,8 @@ The runner owns the glue between the durable registry, the in-memory job
 queue and the execution engine:
 
 * **One shared executor.**  Every job runs against a single
-  :class:`~repro.execution.Executor` (opened with the configured
-  ``cache_dir``), so the in-memory expectation cache and the persistent disk
-  tier are warm across jobs *and* across clients.
+  :class:`~repro.execution.Executor`, so its in-memory expectation cache is
+  warm across jobs *and* across clients for the life of the server.
 * **Cross-client dedup.**  Submissions carry a content job key
   (:mod:`repro.service.jobs`).  While a keyed job is in flight, an identical
   submission — from any client — returns the *same* job id with
@@ -51,8 +50,10 @@ queue and the execution engine:
   (consuming no attempt — they never ran) and reclaims ``running`` rows
   whose lease is missing or expired; rows with a live lease belong to
   another healthy server sharing the registry and are left alone.  Work
-  recovered this way re-decodes its persisted payload lazily in the worker;
-  checkpointed partials (disk-cache chunk entries) make the re-run cheap.
+  recovered this way re-decodes its persisted payload lazily in the worker
+  and recomputes from the start: the expectation cache, chunk checkpoints
+  included, died with the old process.  A retry within one server replays
+  the checkpointed chunks of its earlier attempt instead.
 * **Graceful shutdown.**  ``shutdown(drain=True)`` stops intake, cancels
   queued jobs, lets running jobs finish, then retires the executor's
   process pool.  ``drain=False`` additionally sets every running job's
@@ -314,10 +315,6 @@ class JobRunner:
                 "pool_respawns": executor_stats.pool_respawns,
                 "degraded_shards": executor_stats.degraded_shards,
             }
-        disk = self.executor.disk_cache_stats
-        if disk is not None:
-            stats["disk_cache"] = {"hits": disk.hits, "misses": disk.misses,
-                                   "writes": disk.writes}
         return stats
 
     # -- event streaming ----------------------------------------------------
@@ -686,20 +683,15 @@ class JobRunner:
         has room, dead-lettered as ``failed`` otherwise.  Rows holding a
         live lease belong to another healthy server sharing the registry
         and are left untouched.  Event logs are append-only throughout, so
-        reattaching clients replay one consistent history.
+        reattaching clients replay one consistent history.  Queued rows
+        are read before any running row is requeued, so none is re-admitted
+        twice.
         """
         now = time.time()
-        for entry in self.registry.list_jobs(limit=10_000):
-            state = entry["state"]
-            if state in TERMINAL_STATES:
-                continue
-            if state == "queued":
-                self._readmit(entry, {"state": "queued",
-                                      "cause": "recovered"})
-            elif state == "running":
-                lease = entry["lease_expires_at"]
-                if lease is None or float(lease) < now:
-                    self._reclaim_expired(entry)
+        for entry in self.registry.queued_jobs():
+            self._readmit(entry, {"state": "queued", "cause": "recovered"})
+        for entry in self.registry.expired_running(now):
+            self._reclaim_expired(entry)
 
     def _reclaim_expired(self, entry: Dict[str, Any]) -> None:
         """A running job whose lease lapsed: retry or dead-letter."""

@@ -62,8 +62,7 @@ class ServiceServer:
         self.registry = RunRegistry(self.config.db_path)
         policy = ExecutionPolicy(broker=self.config.spool) \
             if self.config.spool else None
-        self.executor = Executor(cache_dir=self.config.cache_dir,
-                                 policy=policy)
+        self.executor = Executor(policy=policy)
         self.runner = JobRunner(self.executor, self.registry,
                                 JobQueue(max_pending=self.config.max_pending),
                                 workers=self.config.workers,
@@ -167,7 +166,7 @@ class ServiceServer:
                     detail=self.runner.cancel(request.job_id))
             elif isinstance(request, ListJobsRequest):
                 response = JobListResponse(
-                    self.registry.list_jobs(request.limit))
+                    self.registry.list_jobs(request.validate().limit))
             else:  # a response type sent as a request
                 response = ErrorResponse(
                     "bad-request",
@@ -175,6 +174,8 @@ class ServiceServer:
         except UnknownJobError:
             response = ErrorResponse(
                 "unknown-job", f"no job {request.job_id!r}", 404)
+        except ProtocolError as error:
+            response = ErrorResponse("bad-request", str(error), 400)
         await self._write(writer, response)
 
     async def _dispatch_submit(self, request: SubmitRequest,

@@ -420,9 +420,8 @@ class NoiseModel:
         idle channel and the readout-error probability; the model ``name``
         does not contribute.  Two models with bit-identical channels share a
         fingerprint across processes and runs, which is what the execution
-        layer's persistent :class:`~repro.execution.disk_cache.DiskExpectationCache`
-        keys entries on; an in-place ``add_*`` edit changes the content and
-        therefore the fingerprint.  The digest is memoized per
+        layer's expectation-cache keys rely on; an in-place ``add_*`` edit
+        changes the content and therefore the fingerprint.  The digest is memoized per
         :attr:`version`, so hot cache-key paths do not rehash Kraus arrays.
         """
         cached = self._fingerprint_cache

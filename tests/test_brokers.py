@@ -493,27 +493,27 @@ class TestElasticWorkers:
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
             policy=ExecutionPolicy(parallel="none"))
-        cache_dir = tmp_path / "cache"
         spool = tmp_path / "spool"
         policy = ExecutionPolicy(parallel="process", max_workers=2,
                                  broker=str(spool))
         # A "killed" multi-worker run: only half the sweep's blocks landed
-        # (and were flushed through the disk cache) before it died.
-        Executor(cache_dir=str(cache_dir)).evaluate_sweep(
-            template, points[:12], observable, backend="statevector",
-            policy=policy)
-        # Resume against the same spool + cache: the flushed points are
+        # (and were flushed through the executor's cache) before it died.
+        executor = Executor()
+        executor.evaluate_sweep(template, points[:12], observable,
+                                backend="statevector", policy=policy)
+        assert executor.stats.backend_invocations == {"statevector": 12}
+        # Resume on the same spool + executor: the flushed points are
         # served from the checkpoint cache, only the rest is computed.
-        resumed = Executor(cache_dir=str(cache_dir))
-        values = resumed.evaluate_sweep(template, points, observable,
-                                        backend="statevector", policy=policy)
+        values = executor.evaluate_sweep(template, points, observable,
+                                         backend="statevector",
+                                         policy=policy)
         assert np.allclose(values, inline, atol=1e-12)
-        assert resumed.stats.backend_invocations.get("statevector", 0) == 12
-        assert resumed.stats.term_cache_hits > 0
+        assert executor.stats.backend_invocations == {"statevector": 24}
+        assert executor.stats.term_cache_hits > 0
         # A full re-run recomputes nothing at all.
-        rerun = Executor(cache_dir=str(cache_dir))
-        again = rerun.evaluate_sweep(template, points, observable,
-                                     backend="statevector", policy=policy)
+        shards = executor.stats.process_shards
+        again = executor.evaluate_sweep(template, points, observable,
+                                        backend="statevector", policy=policy)
         assert np.array_equal(again, values)
-        assert rerun.stats.backend_invocations == {}
-        assert rerun.stats.process_shards == 0
+        assert executor.stats.backend_invocations == {"statevector": 24}
+        assert executor.stats.process_shards == shards

@@ -4,8 +4,8 @@ A noiseless ``pauli_propagation`` sweep compiles its template once
 (:func:`repro.simulators.pauli_propagation.compile_clifford`) and scores
 every uncached point in one bit-sliced pass.  It shares the sweep cache,
 dedup and stats scaffolding of the statevector sweep, so the same
-contracts hold: repeats are cache hits, duplicates are dedup hits, warm
-disk caches do zero evolutions, the fan-out mode never changes a value,
+contracts hold: repeats are cache hits that do zero evolutions, duplicates
+are dedup hits, the fan-out mode never changes a value,
 and ``auto`` never forks for it.
 """
 
@@ -93,17 +93,6 @@ def test_duplicate_chromosomes_count_as_dedup_hits(template, hamiltonian):
     assert executor.stats.dedup_hits == 4
     assert executor.stats.simulator_invocations == 5
     assert energies[5:] == energies[:3] + [energies[0]]
-
-
-def test_warm_disk_cache_does_zero_evolutions(template, hamiltonian,
-                                              tmp_path):
-    points = population(template, 8)
-    cold = Executor(cache_dir=tmp_path)
-    energies = sweep(cold, template, hamiltonian, points)
-    assert cold.stats.simulator_invocations == 8
-    warm = Executor(cache_dir=tmp_path)
-    assert sweep(warm, template, hamiltonian, points) == energies
-    assert warm.stats.simulator_invocations == 0
 
 
 @pytest.mark.parametrize("parallel,workers", [("auto", None),

@@ -17,7 +17,8 @@ from repro.execution import (Backend, BackendCapabilities,
                              PauliPropagationBackend, RoutingError,
                              StatevectorBackend,
                              UnknownBackendError, available_backends, execute,
-                             get_backend, observable_fingerprint, route_task)
+                             get_backend, noise_token, observable_fingerprint,
+                             route_task)
 from repro.operators import PauliSum, ising_hamiltonian
 from repro.simulators import (DensityMatrixSimulator, NoiseModel,
                               StatevectorSimulator, depolarizing_channel,
@@ -42,6 +43,11 @@ def nonclifford_circuit(num_qubits=3):
 
 def cx_noise():
     return NoiseModel().add_gate_error(depolarizing_channel(0.02, 2), ["cx"])
+
+
+def cx_readout_noise():
+    return NoiseModel().add_gate_error(depolarizing_channel(0.05, 2),
+                                       ["cx", "cnot"]).add_readout_error(0.01)
 
 
 def fresh_executor(**kwargs):
@@ -370,6 +376,38 @@ class TestDedupAndCache:
         assert cache.get(("b",)) is None
         assert cache.get(("a",)) == 1.0
         assert cache.stats.evictions == 1
+
+
+class TestNoiseTokens:
+    def test_token_is_content_addressed(self):
+        a = cx_readout_noise()
+        b = cx_readout_noise()
+        assert a is not b
+        assert noise_token(a) == noise_token(b)  # equal content, equal token
+        b.add_readout_error(0.2)
+        assert noise_token(a) != noise_token(b)
+
+    def test_token_stable_under_equal_readdition(self):
+        model = cx_readout_noise()
+        before = noise_token(model)
+        version_before = model.version
+        model.add_readout_error(0.01)  # same value re-set: content unchanged
+        assert model.version > version_before  # version still bumps
+        assert noise_token(model) == before  # but entries remain valid
+
+    def test_equal_content_models_share_cache_entries(self):
+        hamiltonian = ising_hamiltonian(3, 1.0)
+        circuit = clifford_circuit(3)
+        executor = Executor(policy=ExecutionPolicy(parallel="none"))
+        first = executor.evaluate_observable(
+            circuit, hamiltonian, noise_model=cx_readout_noise(),
+            backend="pauli_propagation")[0]
+        invocations = executor.stats.simulator_invocations
+        second = executor.evaluate_observable(
+            circuit, hamiltonian, noise_model=cx_readout_noise(),  # a fresh object
+            backend="pauli_propagation")[0]
+        assert second == first
+        assert executor.stats.simulator_invocations == invocations
 
 
 class TestExecutorDispatch:

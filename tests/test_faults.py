@@ -13,9 +13,7 @@ by *exact equality* instead of statistics.  The suite covers:
 * the executor surfaces — a killed worker during an expectation sweep and
   during QEC sampling recovers bitwise and is visible in ``Executor.stats``;
 * streamed QEC chunk checkpoints — a run that dies mid-stream resumes from
-  the disk cache and decodes only the remaining chunks;
-* disk-cache corruption injection — a truncated entry is quarantined and
-  recomputed, never served;
+  the executor's cache and decodes only the remaining chunks;
 * the service layer end-to-end over the unix socket — a restarted server
   requeues queued jobs and retries a lease-expired running job with the
   attempt count recorded, a transient job fault is retried with zero
@@ -33,7 +31,6 @@ import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import ExecutionPolicy, Executor
-from repro.execution.disk_cache import DiskExpectationCache
 from repro.execution.faults import (FAULTS_ENV, FaultInjector, FaultRule,
                                     active_injector, clear_injector,
                                     inject_faults, parse_fault_spec)
@@ -354,73 +351,33 @@ class TestExecutorChaos:
         assert sorted(degraded.fault_report.inline_indices) == [0, 1]
         assert sampling_stats().shots_decoded == shots
 
-    def test_stream_checkpoints_resume_with_partial_decodes(self, tmp_path):
+    def test_stream_checkpoints_resume_with_partial_decodes(self):
         graph = rotated_surface_code_graph(3, 2, 0.01)
         shots = 6 * SHOT_BLOCK + 13
         reference = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                         seed=101,
                                         executor=Executor(use_cache=False))
         # First attempt dies after two chunks — both already flushed to the
-        # disk tier as chunk checkpoints.
+        # executor's cache as chunk checkpoints.
+        executor = Executor()
         stream = stream_memory_sampling(graph, MWPMDecoder(graph), shots,
-                                        seed=101,
-                                        executor=Executor(cache_dir=tmp_path),
+                                        seed=101, executor=executor,
                                         chunk_blocks=2)
         next(stream)
         next(stream)
         stream.close()
-        # The resumed attempt (fresh executor, cold memory tier) folds the
-        # checkpointed chunks from disk and decodes only the remainder.
+        # The resumed attempt on the same executor folds the checkpointed
+        # chunks from its cache and decodes only the remainder.
         reset_sampling_stats()
         resumed = list(stream_memory_sampling(
             graph, MWPMDecoder(graph), shots, seed=101,
-            executor=Executor(cache_dir=tmp_path), chunk_blocks=2))
+            executor=executor, chunk_blocks=2))
         final = resumed[-1]
         assert final.shots == shots
         assert (final.failures, final.total_defects) \
             == (reference.failures, reference.total_defects)
         checkpointed = 2 * 2 * SHOT_BLOCK  # two chunks of two blocks
         assert sampling_stats().shots_decoded == shots - checkpointed
-
-
-# ---------------------------------------------------------------------------
-# disk-cache corruption injection
-# ---------------------------------------------------------------------------
-
-
-class TestDiskCacheChaos:
-    def test_injected_corruption_quarantined_and_recomputed(self, tmp_path):
-        cache = DiskExpectationCache(tmp_path)
-        key = ("chaos", "entry", 1)
-        with inject_faults("disk-cache.corrupt=1/1"):
-            cache.put(key, 0.75)
-        # The truncated entry reads as a miss and is quarantined, never
-        # served.
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
-        assert len(list(tmp_path.glob("*/.corrupt-*"))) == 1
-        cache.put(key, 0.75)  # the recompute path repopulates cleanly
-        assert cache.get(key) == 0.75
-
-    def test_seeded_run_survives_corrupted_checkpoint(self, tmp_path):
-        graph = repetition_code_graph(3, 2, 0.02)
-        shots = 2 * SHOT_BLOCK
-        reference = run_memory_sampling(graph, MWPMDecoder(graph), shots,
-                                        seed=23,
-                                        executor=Executor(use_cache=False))
-        with inject_faults("disk-cache.corrupt=1/1"):
-            first = run_memory_sampling(graph, MWPMDecoder(graph), shots,
-                                        seed=23,
-                                        executor=Executor(cache_dir=tmp_path))
-        # One of the two result entries on disk is torn; a fresh process
-        # over the same cache directory must recompute, not mis-serve.
-        second = run_memory_sampling(graph, MWPMDecoder(graph), shots,
-                                     seed=23,
-                                     executor=Executor(cache_dir=tmp_path))
-        assert (first.failures, first.total_defects) \
-            == (reference.failures, reference.total_defects)
-        assert (second.failures, second.total_defects) \
-            == (reference.failures, reference.total_defects)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ def count_binds(monkeypatch):
     return calls
 
 
-def _fresh_default_executor(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+def _fresh_default_executor():
     reset_default_executor()
     clear_program_cache()
 
@@ -266,18 +265,6 @@ class TestEvaluatePoint:
         assert executor.stats.backend_invocations == {"statevector": 2}
         assert evaluator.num_evaluations == 4
 
-    def test_point_and_bound_paths_share_the_disk_tier(self, tmp_path):
-        writer = Executor(cache_dir=tmp_path)
-        energy = writer.evaluate_point(self.template, self.values,
-                                       self.hamiltonian,
-                                       backend="statevector")
-        writer.shutdown()
-        reader = Executor(cache_dir=tmp_path)
-        assert reader.evaluate_observable(
-            self.template.bind_parameters(self.values), self.hamiltonian,
-            backend="statevector")[0] == energy
-        assert reader.stats.backend_invocations == {}
-
     def test_clifford_point_under_auto_binds_and_routes(self, monkeypatch):
         binds = count_binds(monkeypatch)
         executor = Executor()
@@ -379,7 +366,7 @@ class TestOptimizerSteps:
         reference = hamiltonian.ground_state_energy()
 
         def flow():
-            _fresh_default_executor(monkeypatch)
+            _fresh_default_executor()
             outcome = compare_regimes_opr(
                 hamiltonian, FullyConnectedAnsatz(4, 1), PQECRegime(),
                 NISQRegime(), reference,
@@ -392,5 +379,5 @@ class TestOptimizerSteps:
         point = flow()
         monkeypatch.setattr(BackendEnergyEvaluator, "evaluate_point", None)
         bound = flow()
-        _fresh_default_executor(monkeypatch)
+        _fresh_default_executor()
         assert point == bound

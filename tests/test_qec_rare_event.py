@@ -333,9 +333,9 @@ class TestDeterminism:
 
 class TestCaching:
     @pytest.mark.parametrize("method", ["importance", "stratified"])
-    def test_warm_run_decodes_nothing(self, method, tmp_path):
+    def test_warm_run_decodes_nothing(self, method):
         graph = small_graph()
-        executor = Executor(cache_dir=tmp_path / "cache")
+        executor = Executor()
         cold = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
                                        method=method, seed=81,
                                        executor=executor)
@@ -350,18 +350,6 @@ class TestCaching:
         assert warm.ess == cold.ess
         assert warm.strata == cold.strata
 
-    def test_disk_tier_warms_new_executor(self, tmp_path):
-        graph = small_graph()
-        cold = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                       method="stratified", seed=82,
-                                       executor=Executor(
-                                           cache_dir=tmp_path / "c"))
-        warm = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                       method="stratified", seed=82,
-                                       executor=Executor(
-                                           cache_dir=tmp_path / "c"))
-        assert warm.from_cache and warm.estimate == cold.estimate
-
     def test_unseeded_runs_never_cache(self):
         graph = small_graph()
         a = run_rare_event_sampling(graph, MWPMDecoder(graph), 512,
@@ -369,9 +357,9 @@ class TestCaching:
                                     executor=Executor())
         assert not a.from_cache
 
-    def test_method_knobs_key_separately(self, tmp_path):
+    def test_method_knobs_key_separately(self):
         graph = small_graph()
-        executor = Executor(cache_dir=tmp_path / "cache")
+        executor = Executor()
         base = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
                                        method="stratified", seed=83,
                                        executor=executor)
@@ -382,22 +370,23 @@ class TestCaching:
         assert widened.strata != base.strata
 
     @pytest.mark.parametrize("method", ["importance", "stratified"])
-    def test_killed_stream_resumes_bitwise(self, method, tmp_path):
+    def test_killed_stream_resumes_bitwise(self, method):
         graph = small_graph()
         clean = list(stream_rare_event_sampling(
             graph, MWPMDecoder(graph), 2048, method=method, seed=84,
-            chunk_blocks=1, executor=Executor(cache_dir=tmp_path / "a")))
-        # take a few chunks, then "die"
+            chunk_blocks=1, executor=Executor()))
+        # take a few chunks, then "die"; the resume reuses the executor
+        executor = Executor()
         interrupted = stream_rare_event_sampling(
             graph, MWPMDecoder(graph), 2048, method=method, seed=84,
-            chunk_blocks=1, executor=Executor(cache_dir=tmp_path / "b"))
+            chunk_blocks=1, executor=executor)
         for _ in range(3):
             next(interrupted)
         interrupted.close()
         before = batch_decode_stats().shots_decoded
         resumed = list(stream_rare_event_sampling(
             graph, MWPMDecoder(graph), 2048, method=method, seed=84,
-            chunk_blocks=1, executor=Executor(cache_dir=tmp_path / "b")))
+            chunk_blocks=1, executor=executor))
         redecoded = batch_decode_stats().shots_decoded - before
         assert redecoded < 2048  # flushed chunks replay from the cache
         assert [(s.shots, s.estimate, s.variance, s.ess, s.strata)
@@ -523,23 +512,23 @@ class TestConsumers:
 
 
 class TestServiceJobKind:
-    def _run_prepared(self, payload, tmp_path):
+    def _run_prepared(self, payload):
         import threading
         from repro.service.jobs import JobContext, prepare_job
         prepared = prepare_job("qec_rare_event", payload)
         events = []
         context = JobContext(
-            executor=Executor(cache_dir=tmp_path / "cache"),
+            executor=Executor(),
             emit=lambda kind, data: events.append((kind, data)),
             cancelled=threading.Event())
         return prepared, prepared.run(context), events
 
-    def test_prepare_run_and_partials(self, tmp_path):
+    def test_prepare_run_and_partials(self):
         from repro.service import qec_rare_event_payload
         payload = qec_rare_event_payload(
             code="surface", distance=3, rounds=3, error_rate=1e-3,
             shots=1024, seed=21)
-        prepared, result, events = self._run_prepared(payload, tmp_path)
+        prepared, result, events = self._run_prepared(payload)
         assert prepared.kind == "qec_rare_event"
         assert prepared.key is not None  # seeded + mwpm: coalesceable
         assert result["method"] == "stratified"
@@ -554,12 +543,12 @@ class TestServiceJobKind:
         assert all("strata" in partial for partial in partials)
         assert partials[-1]["shots"] == 1024
 
-    def test_importance_job(self, tmp_path):
+    def test_importance_job(self):
         from repro.service import qec_rare_event_payload
         payload = qec_rare_event_payload(
             distance=3, rounds=2, error_rate=0.02, shots=1024, seed=22,
             method="importance")
-        _, result, _ = self._run_prepared(payload, tmp_path)
+        _, result, _ = self._run_prepared(payload)
         assert result["method"] == "importance"
         assert result["strata"] == []
         assert result["ess"] > 0

@@ -390,15 +390,6 @@ class TestExperimentCache:
                                     seed=5, executor=executor)
         assert not other.from_cache
 
-    def test_warm_disk_cache_across_executors(self, tmp_path):
-        graph = rotated_surface_code_graph(3, 2, 0.01)
-        cold = run_memory_sampling(graph, MWPMDecoder(graph), 120, seed=19,
-                                   executor=Executor(cache_dir=tmp_path))
-        warm = run_memory_sampling(graph, MWPMDecoder(graph), 120, seed=19,
-                                   executor=Executor(cache_dir=tmp_path))
-        assert warm.from_cache
-        assert warm.failures == cold.failures
-
     def test_shots_validation(self):
         graph = repetition_code_graph(3, 1, 1e-3)
         with pytest.raises(ValueError):
@@ -493,15 +484,14 @@ class TestSweepSeeding:
         assert first == second
         assert set(first) == {(3, 0.003), (3, 0.001), (5, 0.003), (5, 0.001)}
 
-    def test_warm_sweep_decodes_nothing(self, tmp_path):
+    def test_warm_sweep_decodes_nothing(self):
         grid = dict(distances=[3, 5], physical_error_rates=[0.005, 0.02],
                     shots=150, seed=9, code="repetition",
                     decoder_factory=RepetitionMatchingDecoder)
-        cold = logical_error_rate_curve(
-            executor=Executor(cache_dir=tmp_path), **grid)
+        executor = Executor()
+        cold = logical_error_rate_curve(executor=executor, **grid)
         reset_sampling_stats()
-        warm = logical_error_rate_curve(
-            executor=Executor(cache_dir=tmp_path), **grid)
+        warm = logical_error_rate_curve(executor=executor, **grid)
         stats = sampling_stats()
         assert warm == cold
         assert stats.syndromes_decoded == 0
@@ -672,24 +662,22 @@ class TestPackedKernel:
         assert (one_stats.syndromes_decoded <= grouped_stats.syndromes_decoded
                 <= shots)
 
-    def test_batch_and_stream_share_one_cache_entry(self, tmp_path):
+    def test_batch_and_stream_share_one_cache_entry(self):
         """A batch run and a streamed run of the same seeded experiment are
         bitwise identical, so they share one cache entry: either re-run of
         a cached experiment is served without decoding a single
         syndrome."""
         graph = rotated_surface_code_graph(3, 2, 0.03)
         kwargs = dict(shots=200, seed=9)
+        executor = Executor()
         cold = run_memory_sampling(graph, MWPMDecoder(graph),
-                                   executor=Executor(cache_dir=tmp_path),
-                                   **kwargs)
+                                   executor=executor, **kwargs)
         reset_sampling_stats()
         warm_runs = [
             run_memory_sampling(graph, MWPMDecoder(graph),
-                                executor=Executor(cache_dir=tmp_path),
-                                **kwargs),
+                                executor=executor, **kwargs),
             *stream_memory_sampling(graph, MWPMDecoder(graph),
-                                    executor=Executor(cache_dir=tmp_path),
-                                    **kwargs),
+                                    executor=executor, **kwargs),
         ]
         assert len(warm_runs) == 2   # a warm stream yields one snapshot
         for warm in warm_runs:
@@ -703,9 +691,10 @@ class TestPackedKernel:
 
 
 class TestCacheKeys:
-    """The exact cache key tuples every entry point writes.  Existing disk
-    caches keep serving only while these stay put, so each test reads the
-    full key set of one small seeded run back from ``executor.cache``."""
+    """The exact cache key tuples every entry point writes.  Batch runs,
+    streamed runs and resumed streams find each other's entries only
+    through these keys, so each test reads the full key set of one small
+    seeded run back from ``executor.cache``."""
 
     SHOTS = 2 * SHOT_BLOCK + 17   # three blocks, uneven tail
 

@@ -645,6 +645,31 @@ class TestJobRunner:
         finally:
             runner.shutdown(timeout=10)
 
+    def test_recovers_queued_job_older_than_ten_thousand_rows(
+            self, monkeypatch):
+        """Recovery selects non-terminal rows by state, not from a window
+        of the newest rows: a queued row behind 10,000 newer finished ones
+        is still re-admitted, with its ``recovered`` event."""
+        def fake_prepare(kind, payload):
+            return PreparedJob(kind=kind, key=None, units=1,
+                               run=lambda ctx: {"name": payload["name"]})
+
+        monkeypatch.setattr(runner_module, "prepare_job", fake_prepare)
+        registry = RunRegistry(":memory:")
+        registry.create_job("old", "sweep", None, {"name": "old"})
+        time.sleep(0.01)  # every later row is strictly newer
+        with registry.transaction():
+            for index in range(10_000):
+                registry.create_job(f"done-{index}", "sweep", None, {})
+                registry.transition(f"done-{index}", ("queued",), "done")
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1)
+        try:
+            assert runner.wait_result("old", timeout=10)["state"] == "done"
+            assert registry.events_since("old")[0]["data"] == {
+                "state": "queued", "cause": "recovered"}
+        finally:
+            runner.shutdown(timeout=10)
+
 
 # ---------------------------------------------------------------------------
 # end-to-end over the unix socket
@@ -835,6 +860,7 @@ class TestServiceEndToEnd:
         """A request field of the wrong JSON type is a ``bad-request`` 400,
         never a dropped connection: the same connection still answers."""
         v = PROTOCOL_VERSION
+        sweep = sweep_payload(*sweep_fixture())
         bad = [{"v": v, "type": "status", "job_id": ["x"]},
                {"v": v, "type": "result", "job_id": {"a": 1}},
                {"v": v, "type": "jobs", "limit": "abc"},
@@ -845,6 +871,13 @@ class TestServiceEndToEnd:
                # Well-typed but unstorable: SQLite binds neither.
                {"v": v, "type": "jobs", "limit": 2 ** 64},
                {"v": v, "type": "status", "job_id": "\ud800"},
+               # Well-typed but out of range: SQLite would store a NaN
+               # deadline as NULL (no deadline) and read LIMIT -1 as all.
+               {"v": v, "type": "submit", "kind": "sweep", "payload": sweep,
+                "deadline": float("nan")},
+               {"v": v, "type": "submit", "kind": "sweep", "payload": sweep,
+                "deadline": float("inf")},
+               {"v": v, "type": "jobs", "limit": -1},
                b"\xff\xfe\n"]
         with service() as handle:
             replies = exchange(handle.socket_path, bad + [PING])
@@ -920,44 +953,29 @@ class TestServiceEndToEnd:
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
-    def test_service_cache_dir_env_shares_one_disk_cache(self, monkeypatch):
+    def test_resubmitted_job_is_served_by_the_shared_cache(self):
         template, points, observable = sweep_fixture()
         payload = sweep_payload(template, points, observable)
-        tmp = tempfile.mkdtemp(dir="/tmp", prefix="rsvc")
-        monkeypatch.setenv("REPRO_SERVICE_CACHE_DIR",
-                           os.path.join(tmp, "cache"))
-        try:
-            config = ServiceConfig.from_env(
-                socket_path=os.path.join(tmp, "s.sock"),
-                db_path=":memory:", workers=1)
-            assert config.cache_dir == os.path.join(tmp, "cache")
-            with start_in_thread(config) as handle:
-                with ServiceClient(handle.socket_path) as client:
-                    first_id = client.submit("sweep", payload).job_id
-                    client.fetch(first_id)
-                    # Sequential resubmission: not in flight, so not
-                    # deduped — served by the shared cache instead.
-                    second_id = client.submit("sweep", payload).job_id
-                    assert second_id != first_id
-                    client.fetch(second_id)
-                    first = client.status(first_id)
-                    second = client.status(second_id)
-                    assert first["cache_misses"] > 0
-                    assert second["cache_hits"] > 0
-                    assert second["cache_misses"] < \
-                        first["cache_misses"]
-                    stats = client.stats()
-                    assert "disk_cache" in stats
-                    # The per-job accounting also lands in the event log.
-                    cache_events = [
-                        e for e in
-                        handle.server.registry.events_since(second_id)
-                        if e["kind"] == "cache"]
-                    assert cache_events and \
-                        cache_events[0]["data"]["hits"] == \
-                        second["cache_hits"]
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
+        with service(workers=1) as handle:
+            with ServiceClient(handle.socket_path) as client:
+                first_id = client.submit("sweep", payload).job_id
+                client.fetch(first_id)
+                # Sequential resubmission: not in flight, so not
+                # deduped — served by the shared cache instead.
+                second_id = client.submit("sweep", payload).job_id
+                assert second_id != first_id
+                client.fetch(second_id)
+                first = client.status(first_id)
+                second = client.status(second_id)
+                assert first["cache_misses"] > 0
+                assert second["cache_hits"] > 0
+                assert second["cache_misses"] < first["cache_misses"]
+                # The per-job accounting also lands in the event log.
+                cache_events = [
+                    e for e in handle.server.registry.events_since(second_id)
+                    if e["kind"] == "cache"]
+                assert cache_events and \
+                    cache_events[0]["data"]["hits"] == second["cache_hits"]
 
     def test_graceful_shutdown_drains_running_jobs(self):
         with service(workers=1) as handle:
@@ -984,14 +1002,6 @@ class TestServiceEndToEnd:
 
 
 class TestExecutorShutdown:
-    def test_context_manager_flushes_disk_stats(self, tmp_path):
-        template, points, observable = sweep_fixture(points=3)
-        with Executor(cache_dir=str(tmp_path / "cache")) as executor:
-            executor.evaluate_sweep(template, points, observable)
-            assert executor.final_disk_stats is None
-        assert executor.final_disk_stats is not None
-        assert executor.final_disk_stats.writes > 0
-
     def test_engine_usable_after_shutdown(self):
         template, points, observable = sweep_fixture(points=2)
         executor = Executor()
