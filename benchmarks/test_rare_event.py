@@ -16,8 +16,7 @@ Three checks on the low-``p`` tail workload, all recorded to
   (tilted importance sampling and weight-stratified) must agree with a
   high-shot direct reference within its CI.
 * **Fan-out determinism** — the d=5 low-``p`` results must be bitwise
-  identical across ``max_workers`` 1/2/4 and across the local fork pool
-  vs. a ``FilesystemBroker`` spool.
+  identical across ``max_workers`` 1/2/4 on the fork pool.
 """
 
 import json
@@ -170,7 +169,7 @@ def test_rare_event_agrees_with_direct_reference():
     }
 
 
-def test_rare_event_bitwise_across_workers_and_brokers(tmp_path):
+def test_rare_event_bitwise_across_workers():
     """d=5 low-p results are bitwise identical for any fan-out."""
     graph = _graph()
     shots = SHOTS // 2
@@ -186,9 +185,6 @@ def test_rare_event_bitwise_across_workers_and_brokers(tmp_path):
         "workers_1": ExecutionPolicy(parallel="process", max_workers=1),
         "workers_2": ExecutionPolicy(parallel="process", max_workers=2),
         "workers_4": ExecutionPolicy(parallel="process", max_workers=4),
-        "spool_broker": ExecutionPolicy(
-            parallel="process", max_workers=2,
-            broker=str(tmp_path / "pr10-spool")),
     }
     record, rows = {}, []
     for method in ("importance", "stratified"):

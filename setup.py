@@ -21,8 +21,6 @@ setup(
         "console_scripts": [
             # The job server is stdlib-only (asyncio + sqlite3 + json).
             "repro-service=repro.service.__main__:main",
-            # Elastic shard worker for the filesystem (spool) broker.
-            "repro-worker=repro.worker:main",
         ],
     },
 )

@@ -21,12 +21,9 @@ Pauli propagation):
   and noiseless statevector sweeps execute as a single stacked NumPy pass
   (noiseless ``pauli_propagation`` sweeps as one bit-sliced Clifford pass);
 * :class:`ExecutionPolicy` — one frozen value for "how should this run"
-  (fan-out mode, worker count, shard broker, retry budget), the only
-  per-call fan-out argument (``policy=``) of every entry point;
-* :class:`ShardBroker` — the pluggable shard-dispatch seam:
-  :class:`LocalProcessBroker` (the default supervised fork pool) and
-  :class:`FilesystemBroker` (a spool-directory work queue served by
-  elastic ``repro-worker`` processes, possibly on other machines).
+  (fan-out mode, worker count, retry budget), the only per-call fan-out
+  argument (``policy=``) of every entry point; process shards run
+  supervised on one shared fork pool.
 
 Quick start::
 
@@ -49,9 +46,6 @@ from .adapters import (DensityMatrixBackend, MAX_DENSITY_MATRIX_QUBITS,
                        StatevectorBackend)
 from .backend import Backend, BackendCapabilities
 from .cache import CacheStats, ExpectationCache
-from .broker import (BROKER_SPOOL_ENV, FilesystemBroker,
-                     LocalProcessBroker, ShardBroker, SpoolLayout,
-                     make_broker)
 from .errors import (BackendCapabilityError, ExecutionError, RoutingError,
                      SweepShapeError, TransientFault, UnknownBackendError)
 from .executor import (ExecutionStats, Executor, default_executor,
@@ -65,14 +59,13 @@ from .policy import ExecutionPolicy
 from .registry import (BackendRegistry, DEFAULT_REGISTRY, available_backends,
                        get_backend, register_backend)
 from .router import route_task
-from .sharding import (FaultReport, ShardOutcome, ShardPlan,
-                       ShardPlanner, ShardRetryPolicy, ShardSpec,
-                       WORKERS_ENV, resolve_workers, shutdown_process_pool)
+from .sharding import (FaultReport, ShardPlan, ShardPlanner,
+                       ShardRetryPolicy, WORKERS_ENV, resolve_workers,
+                       shutdown_process_pool)
 from .task import (ExecutionResult, ExecutionTask, noise_token,
                    observable_fingerprint)
 
 __all__ = [
-    "BROKER_SPOOL_ENV",
     "Backend",
     "BackendCapabilities",
     "BackendCapabilityError",
@@ -92,19 +85,13 @@ __all__ = [
     "FaultInjector",
     "FaultReport",
     "FaultRule",
-    "FilesystemBroker",
-    "LocalProcessBroker",
     "MAX_DENSITY_MATRIX_QUBITS",
     "MAX_STATEVECTOR_QUBITS",
     "PauliPropagationBackend",
     "RoutingError",
-    "ShardBroker",
-    "ShardOutcome",
     "ShardPlan",
     "ShardPlanner",
     "ShardRetryPolicy",
-    "ShardSpec",
-    "SpoolLayout",
     "SweepShapeError",
     "StatevectorBackend",
     "TransientFault",
@@ -115,7 +102,6 @@ __all__ = [
     "default_executor",
     "inject_faults",
     "install_injector",
-    "make_broker",
     "parse_fault_spec",
     "evaluate_observable",
     "evaluate_sweep",

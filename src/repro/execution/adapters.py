@@ -134,7 +134,10 @@ class PauliPropagationBackend(Backend):
                         "(deterministic, scales to 100+ qubits)",
             supports_sampling=False,
             clifford_only=True,
-            parallel_hint="process")
+            # Pickling a noisy Clifford circuit costs about as much as
+            # propagating it: 16 noisy depth-4 circuits at n=40 and n=100
+            # ran at 0.45-0.86x of inline on process shards.
+            parallel_hint="inline")
 
     def _run_task(self, task: ExecutionTask):
         simulator = PauliPropagationSimulator(task.noise_model,

@@ -35,10 +35,12 @@ class BackendCapabilities:
     ``"process"`` for CPU-bound simulation (the GIL serializes threads, so
     batches shard across worker processes — or run inline below the batch
     threshold), ``"thread"`` for backends that release the GIL or wait on
-    I/O (remote services), ``"inline"`` for backends that must never be
-    fanned out.  The in-repo simulators are all CPU-bound NumPy/Python and
-    hint ``"process"``; the default is ``"thread"`` so custom backends keep
-    the historical thread-pool behaviour.
+    I/O (remote services), ``"inline"`` for backends whose work is never
+    worth fanning out under ``"auto"`` (an explicit ``"process"`` or
+    ``"thread"`` policy still shards it).  The dense in-repo simulators
+    hint ``"process"`` and Pauli propagation ``"inline"``; the default is
+    ``"thread"`` so custom backends keep the historical thread-pool
+    behaviour.
     """
 
     name: str

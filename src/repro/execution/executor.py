@@ -31,7 +31,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .backend import Backend
-from .broker import make_broker
 from .cache import CacheStats, ExpectationCache
 from .errors import BackendCapabilityError, ExecutionError, SweepShapeError
 from .observables import (_Slot, count_grouped_tasks, energies,
@@ -41,7 +40,7 @@ from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_sweep, route_task
 from .sharding import (FaultReport, ShardGroup, ShardPlan, ShardPlanner,
                        _clifford_sweep_shard, _run_batch_shard,
-                       _sweep_points_shard, fan_out, resolve_workers)
+                       _sweep_points_shard, fan_out)
 from .task import ExecutionResult, ExecutionTask, observable_fingerprint
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
@@ -63,7 +62,7 @@ class ExecutionStats:
     executor's dispatches and how many lowerings were skipped because the
     fingerprint-keyed program cache already held them, in worker processes
     too.  ``process_shards`` counts shard payloads handed to the
-    process broker (the fork pool or a spool).
+    fork pool.
 
     The fault counters aggregate the shard supervisor's
     :class:`~repro.execution.sharding.FaultReport`\\ s: ``shard_retries``
@@ -130,11 +129,10 @@ class Executor:
                  policy: Optional[ExecutionPolicy] = None):
         """``policy`` is the executor-default
         :class:`~repro.execution.policy.ExecutionPolicy` — fan-out mode,
-        worker count, shard broker and retry budget in one value.  Unset
-        fields defer to the environment
-        (:meth:`ExecutionPolicy.from_env` — ``REPRO_WORKERS``,
-        ``REPRO_BROKER_SPOOL``, ``REPRO_SHARD_*``) at dispatch time, then
-        to built-in defaults.
+        worker count and retry budget in one value.  Unset fields defer to
+        the environment (:meth:`ExecutionPolicy.from_env` —
+        ``REPRO_WORKERS``, ``REPRO_SHARD_*``) at dispatch time, then to
+        built-in defaults.
         """
         self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None \
@@ -152,7 +150,7 @@ class Executor:
         """The effective :class:`ExecutionPolicy` for one call: per-call
         policy > this executor's policy > environment.  Fields still
         ``None`` after the merge mean the built-in defaults (auto mode,
-        usable-CPU workers, local broker, env retry budget)."""
+        usable-CPU workers, env retry budget)."""
         return (_checked_policy(policy) or ExecutionPolicy()) \
             .merged_over(self.policy).merged_over(ExecutionPolicy.from_env())
 
@@ -584,10 +582,9 @@ class Executor:
         evaluation (counted as ``dedup_hits``).  Process sweeps run their
         uncached points in fixed-size **point blocks** whose size depends
         only on the engine, the qubit count and the unique-point count —
-        never on the worker count or broker — so pooled and spool-brokered
-        sweeps submit byte-identical shard payloads (a spool's content-named
-        result files stay valid across run shapes, and fine-grained blocks
-        let elastic workers load-balance).  Each block's energies flush through the
+        never on the worker count — so a sweep submits byte-identical shard
+        payloads at every worker count, and fine-grained blocks let pool
+        workers load-balance.  Each block's energies flush through the
         cache **as the block lands**, so a killed multi-worker sweep
         resumes warm: already-flushed points are served
         from cache and recompute nothing.  Inline and thread sweeps run the
@@ -640,7 +637,7 @@ class Executor:
                             for key, value in zip(keys, values))
 
                 # Each landed block checkpoints through the cache; the /16
-                # keeps ~16 blocks on big sweeps, so elastic workers can
+                # keeps ~16 blocks on big sweeps, so pool workers can
                 # load-balance and checkpoints stay fine-grained.
                 fan_out(self, effective, plan,
                         [ShardGroup(shard, head, points)],
@@ -698,19 +695,6 @@ class Executor:
             self.stats.pool_respawns += report.respawns
             self.stats.degraded_shards += report.inline_shards
         self.fault_reports.append(report)
-
-    def broker_workers(self) -> List[dict]:
-        """The configured broker's current worker census (JSON-able dicts).
-
-        For the default local broker this is the fork pool's live worker
-        processes; for a filesystem broker it is the spool's worker census
-        files — what a service's ``stats()`` endpoint reports as
-        ``workers``.
-        """
-        effective = self._resolve_policy()
-        broker = make_broker(effective.broker,
-                             resolve_workers(effective.max_workers))
-        return broker.workers()
 
     @property
     def cache_stats(self) -> CacheStats:

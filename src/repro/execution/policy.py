@@ -1,23 +1,22 @@
 """One value that says how a batch should run: the ``ExecutionPolicy``.
 
-:class:`ExecutionPolicy` folds fan-out mode, worker count, shard broker and
-retry budget into one frozen value, and it is the only per-call fan-out
+:class:`ExecutionPolicy` folds fan-out mode, worker count and retry budget
+into one frozen value, and it is the only per-call fan-out
 argument: every entry point that fans work out (``execute``,
 ``evaluate_observable``, ``evaluate_sweep``, ``run_memory_sampling``, the
 QEC memory experiments, ``BackendEnergyEvaluator``, service submit
 payloads) takes ``policy=``.  :meth:`ExecutionPolicy.from_env` is
-the single reader for the ``REPRO_WORKERS`` / ``REPRO_SHARD_*`` /
-``REPRO_BROKER_SPOOL`` knobs.
+the single reader for the ``REPRO_WORKERS`` / ``REPRO_SHARD_*`` knobs.
 
 Resolution order (most specific wins):
 
 1. the per-call ``policy=`` argument,
 2. the executor's constructor policy,
 3. the environment (:meth:`from_env`),
-4. built-in defaults (auto mode, usable-CPU workers, local broker).
+4. built-in defaults (auto mode, usable-CPU workers, env retry budget).
 
 None of these can change results: the determinism contract makes every
-value bitwise independent of fan-out mode, worker count and broker.
+value bitwise independent of fan-out mode and worker count.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from .broker import BROKER_SPOOL_ENV
 from .errors import ExecutionError
 from .sharding import (_PARALLEL_MODES, SHARD_BACKOFF_ENV, SHARD_RETRIES_ENV,
                        SHARD_TIMEOUT_ENV, WORKERS_ENV, ShardRetryPolicy,
                        env_number)
 
-__all__ = ["BROKER_SPOOL_ENV", "ExecutionPolicy"]
+__all__ = ["ExecutionPolicy"]
 
 _RETRY_FIELDS = ("max_retries", "backoff_base", "backoff_cap", "timeout")
 
@@ -45,15 +43,13 @@ class ExecutionPolicy:
     ``parallel`` is a :class:`~repro.execution.sharding.ShardPlanner` mode
     (``"auto"`` / ``"process"`` / ``"thread"`` / ``"none"``);
     ``max_workers`` the worker count (must be >= 1 — zero/negative is a
-    ``ValueError``, not a silent clamp); ``broker`` is ``None``/``"local"``
-    for the shared fork pool, a spool path or ``"spool:PATH"`` string for a
-    :class:`~repro.execution.broker.FilesystemBroker`, or a broker
-    instance; ``retry`` overrides the supervised retry budget.
+    ``ValueError``, not a silent clamp); ``retry`` overrides the
+    supervised retry budget.  Process shards always run on the shared fork
+    pool.
     """
 
     parallel: Optional[str] = None
     max_workers: Optional[int] = None
-    broker: Optional[Any] = None
     retry: Optional[ShardRetryPolicy] = None
 
     def __post_init__(self):
@@ -72,26 +68,32 @@ class ExecutionPolicy:
                 f"retry must be a ShardRetryPolicy, got "
                 f"{type(self.retry).__name__}")
 
+    @property
+    def broker(self) -> None:
+        """Always ``None``: process shards have one placement, the fork
+        pool.  Kept read-only for ``perfbench/child.py``'s ``profile()``,
+        which reports ``"local"`` from it; it is not a field, argument,
+        wire key or environment variable."""
+        return None
+
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_env(cls) -> "ExecutionPolicy":
-        """The one environment reader: ``REPRO_WORKERS`` (worker count),
-        ``REPRO_BROKER_SPOOL`` (filesystem-broker spool directory) and the
-        ``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` /
+        """The one environment reader: ``REPRO_WORKERS`` (worker count)
+        and the ``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` /
         ``REPRO_SHARD_BACKOFF`` retry knobs, folded into one policy."""
         max_workers = env_number(WORKERS_ENV)
         if max_workers is not None and max_workers < 1:
             raise ValueError(
                 f"{WORKERS_ENV} must be >= 1, got {max_workers!r} (unset it "
                 f"to use the usable-CPU count)")
-        spool = os.environ.get(BROKER_SPOOL_ENV, "").strip() or None
         retry = None
         if any(os.environ.get(name, "").strip()
                for name in (SHARD_RETRIES_ENV, SHARD_TIMEOUT_ENV,
                             SHARD_BACKOFF_ENV)):
             retry = ShardRetryPolicy.from_env()
-        return cls(max_workers=max_workers, broker=spool, retry=retry)
+        return cls(max_workers=max_workers, retry=retry)
 
     # -- merging -----------------------------------------------------------
 
@@ -106,21 +108,17 @@ class ExecutionPolicy:
             else base.parallel,
             max_workers=self.max_workers if self.max_workers is not None
             else base.max_workers,
-            broker=self.broker if self.broker is not None else base.broker,
             retry=self.retry if self.retry is not None else base.retry)
 
     # -- wire form (service submit payloads) -------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
-        """The JSON-able wire form.  Only a string broker spec survives —
-        a live broker instance cannot cross the wire."""
+        """The JSON-able wire form."""
         payload: Dict[str, Any] = {}
         if self.parallel is not None:
             payload["parallel"] = self.parallel
         if self.max_workers is not None:
             payload["max_workers"] = int(self.max_workers)
-        if isinstance(self.broker, (str, os.PathLike)):
-            payload["broker"] = os.fspath(self.broker)
         if self.retry is not None:
             payload["retry"] = {name: getattr(self.retry, name)
                                 for name in _RETRY_FIELDS}
@@ -128,8 +126,7 @@ class ExecutionPolicy:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "ExecutionPolicy":
-        unknown = set(payload) - {"parallel", "max_workers", "broker",
-                                  "retry"}
+        unknown = set(payload) - {"parallel", "max_workers", "retry"}
         if unknown:
             raise ExecutionError(
                 f"unknown ExecutionPolicy payload keys: {sorted(unknown)}")
@@ -144,4 +141,4 @@ class ExecutionPolicy:
         return cls(parallel=payload.get("parallel"),
                    max_workers=None if max_workers is None
                    else int(max_workers),
-                   broker=payload.get("broker"), retry=retry)
+                   retry=retry)

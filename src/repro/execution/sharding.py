@@ -50,8 +50,9 @@ import numbers
 import os
 import threading
 import time
-from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+                                ProcessPoolExecutor, ThreadPoolExecutor)
+from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -59,7 +60,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .. import obs
-from .errors import ExecutionError
+from .errors import ExecutionError, TransientFault
 from .faults import FaultDirective, consult, execute_directive
 
 #: Environment override for the worker count (argument > env > cpu count).
@@ -371,43 +372,36 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 @dataclass
 class FaultReport:
-    """What the supervisor did to finish one brokered dispatch.
+    """What the supervisor did to finish one supervised dispatch.
 
     ``attempts`` counts dispatch rounds (1 = no retries), ``retried`` the
     shard indices re-dispatched (in round order, repeats possible),
     ``causes`` one human-readable cause per failed shard observation,
     ``backoff`` the inter-round sleeps taken, ``respawns`` how often the
-    pool was invalidated, ``lease_expiries`` how many worker leases
-    expired and were requeued by the broker (a dead remote worker is just
-    another lease expiry), and ``inline_shards`` how many shards fell
-    back to inline execution after the budget was exhausted.
+    pool was invalidated, and ``inline_shards`` how many shards fell back
+    to inline execution after the budget was exhausted.
     """
 
     shards: int = 0
     attempts: int = 1
-    broker: str = "local"
     retried: List[int] = field(default_factory=list)
     causes: List[str] = field(default_factory=list)
     backoff: List[float] = field(default_factory=list)
     timeouts: int = 0
     respawns: int = 0
-    lease_expiries: int = 0
     inline_shards: int = 0
     #: Payload indices that fell back to inline execution.
     inline_indices: List[int] = field(default_factory=list)
 
     @property
     def faulted(self) -> bool:
-        return bool(self.causes or self.respawns or self.lease_expiries
-                    or self.inline_shards)
+        return bool(self.causes or self.respawns or self.inline_shards)
 
     def as_dict(self) -> dict:
         return {"shards": self.shards, "attempts": self.attempts,
-                "broker": self.broker,
                 "retried": list(self.retried), "causes": list(self.causes),
                 "backoff": list(self.backoff), "timeouts": self.timeouts,
                 "respawns": self.respawns,
-                "lease_expiries": self.lease_expiries,
                 "inline_shards": self.inline_shards,
                 "inline_indices": list(self.inline_indices)}
 
@@ -425,145 +419,90 @@ def _shard_entry(directive: Optional[FaultDirective], fn: Callable,
     return fn(*payload)
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """One unit of brokered work: the supervisor hands these to
-    :meth:`~repro.execution.broker.ShardBroker.submit`.  ``index`` is the
-    shard's position in the caller's payload list; ``directive`` is a
-    parent-consulted fault-injection directive (worker-executed, so the
-    schedule is independent of shard placement)."""
-
-    index: int
-    fn: Callable
-    payload: tuple
-    directive: Optional[FaultDirective] = None
-
-
-@dataclass
-class ShardOutcome:
-    """One completed (or failed) shard as reported by a broker's ``poll``.
-
-    ``retryable`` distinguishes transient failures (a dead worker, a
-    :class:`~repro.execution.errors.TransientFault`) from deterministic
-    errors, which carry the original exception in ``error`` and propagate;
-    ``respawned`` marks outcomes whose failure also retired the local
-    process pool (so the supervisor counts one respawn per round).
-    """
-
-    shard_id: str
-    ok: bool
-    value: object = None
-    cause: str = ""
-    retryable: bool = False
-    error: Optional[BaseException] = None
-    respawned: bool = False
-
-
-def _run_supervised(broker, fn: Callable, payloads: Sequence[tuple],
+def _run_supervised(workers: int, fn: Callable, payloads: Sequence[tuple],
                     policy: ShardRetryPolicy, report: FaultReport,
                     on_result: Optional[Callable[[int, object], None]] = None
                     ) -> List:
-    """Brokered dispatch with failure detection and shard retry.
+    """Pooled dispatch with failure detection and shard retry.
 
     Per-shard seeds mean a retried shard reproduces its result bitwise, so
-    retrying is always safe.  The supervisor speaks only the
-    :class:`~repro.execution.broker.ShardBroker` protocol: it submits
-    :class:`ShardSpec` batches, polls for :class:`ShardOutcome` events,
-    acks successes and nacks failures.  Retryable causes are dead workers
-    (``BrokenExecutor`` on the local pool, a lease expiring past its
-    per-shard budget on a distributed broker), wall-clock timeouts, and
+    retrying is always safe.  Each round submits the pending shards to the
+    shared pool and waits on their futures.  Retryable causes are dead
+    workers (``BrokenExecutor``, which also retires the pool), wall-clock
+    timeouts (the wedged pool is retired too), and
     :class:`~repro.execution.errors.TransientFault`; any other exception
     propagates immediately — a deterministic error would fail every retry
-    identically.  Broker-requeued lease expiries are accounted but stay
-    outstanding (another worker finishes them).  After
-    ``policy.max_retries`` extra rounds the remaining shards run inline
-    with their **raw** payloads (never through :func:`_shard_entry` — an
-    injected ``kill`` must not execute in the caller's process).
+    identically.  After ``policy.max_retries`` extra rounds the remaining
+    shards run inline with their **raw** payloads (never through
+    :func:`_shard_entry` — an injected ``kill`` must not execute in the
+    caller's process).
     """
     results: List = [None] * len(payloads)
     pending = list(range(len(payloads)))
-    expiries: dict = {}
     retries_used = 0
     while pending:
-        specs = [ShardSpec(index=index, fn=fn,
-                           payload=tuple(payloads[index]),
-                           directive=consult("shard"))
-                 for index in pending]
+        wrapped = [(consult("shard"), fn, tuple(payloads[index]))
+                   for index in pending]
         failed: List[int] = []
         causes: List[str] = []
         round_respawn = False
         try:
-            shard_ids = broker.submit(specs)
+            futures = _submit_to_pool(workers, _shard_entry, wrapped)
         except BrokenExecutor as error:
+            _invalidate_pool()
             failed = list(pending)
             causes = [type(error).__name__] * len(pending)
             round_respawn = True
-            shard_ids = []
-        index_of = {shard_id: spec.index
-                    for shard_id, spec in zip(shard_ids, specs)}
-        outstanding = dict(index_of)
+            futures = []
+        outstanding = dict(zip(futures, pending))
         deadline = None if policy.timeout is None \
             else time.monotonic() + policy.timeout
         while outstanding:
             remaining = None if deadline is None \
                 else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
-                # The round's wall clock is spent: reclaim every
-                # still-outstanding shard and retry it next round.
-                for shard_id, index in outstanding.items():
-                    broker.nack(shard_id, "timeout")
+                # The round's wall clock is spent: every still-outstanding
+                # shard is retried next round, against a fresh pool (a
+                # timed-out round means a wedged worker).
+                for future, index in outstanding.items():
+                    future.cancel()
                     failed.append(index)
                     causes.append("timeout")
                     report.timeouts += 1
+                _invalidate_pool()
                 round_respawn = True
-                outstanding.clear()
                 break
-            for outcome in broker.poll(remaining):
-                index = outstanding.pop(outcome.shard_id, None)
-                if index is None:
-                    continue
-                if outcome.ok:
-                    results[index] = outcome.value
-                    broker.ack(outcome.shard_id)
-                    if on_result is not None:
-                        on_result(index, outcome.value)
-                elif outcome.retryable:
-                    broker.nack(outcome.shard_id, outcome.cause)
-                    failed.append(index)
-                    causes.append(outcome.cause)
-                    if outcome.respawned:
+            done, _ = _futures_wait(outstanding, timeout=remaining,
+                                    return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=outstanding.__getitem__):
+                index = outstanding.pop(future)
+                try:
+                    value = future.result()
+                except BrokenExecutor as error:
+                    if not round_respawn:
+                        # A broken pool poisons every later submit: retire
+                        # it so the next round lazily rebuilds a healthy one.
+                        _invalidate_pool()
                         round_respawn = True
-                else:
-                    for shard_id in outstanding:
-                        broker.nack(shard_id, "abandoned")
-                    raise outcome.error
-            for shard_id in broker.heartbeat():
-                # The broker already requeued the expired shard; it stays
-                # outstanding unless its per-shard expiry budget is spent
-                # (a shard that kills every worker must not loop forever).
-                # Expiries are attributed via the round's submission map,
-                # not ``outstanding`` — the requeued shard often completes
-                # (and is acked) within the same poll that reclaimed its
-                # lease, and the dead worker must be accounted regardless.
-                index = index_of.get(shard_id)
-                if index is None:
-                    continue
-                report.lease_expiries += 1
-                report.causes.append("lease-expired")
-                if shard_id not in outstanding:
-                    continue  # already finished by another worker
-                expiries[index] = expiries.get(index, 0) + 1
-                if expiries[index] > policy.max_retries:
-                    broker.nack(shard_id, "abandoned")
-                    del outstanding[shard_id]
                     failed.append(index)
-                    causes.append("lease-budget")
+                    causes.append(type(error).__name__)
+                except TransientFault as error:
+                    failed.append(index)
+                    causes.append(f"TransientFault: {error}")
+                except BaseException:  # deterministic: propagates
+                    for other in outstanding:
+                        other.cancel()
+                    raise
+                else:
+                    results[index] = value
+                    if on_result is not None:
+                        on_result(index, value)
         if round_respawn:
             report.respawns += 1
         if not failed:
             break
-        # Poll returns completion-ordered events; report in index order so
-        # recovery accounting is deterministic.
+        # Futures complete in any order; report in index order so recovery
+        # accounting is deterministic.
         order = sorted(range(len(failed)), key=failed.__getitem__)
         pending = [failed[i] for i in order]
         report.causes.extend(causes[i] for i in order)
@@ -590,20 +529,14 @@ def run_sharded(plan: ShardPlan, fn: Callable,
                 payloads: Sequence[tuple],
                 policy: Optional[ShardRetryPolicy] = None,
                 on_fault: Optional[Callable[[FaultReport], None]] = None,
-                broker=None,
                 on_result: Optional[Callable[[int, object], None]] = None
                 ) -> List:
     """Run ``fn(*payload)`` for every payload under ``plan``; results align
     with the payload order.  ``fn`` must be a module-level callable when the
     plan is ``"process"`` (it crosses the pickle boundary).
 
-    Process dispatch runs supervised (see :func:`_run_supervised`) through
-    a :class:`~repro.execution.broker.ShardBroker` — the default
-    :class:`~repro.execution.broker.LocalProcessBroker` wraps the shared
-    fork pool; pass ``broker`` (an instance, exclusive to this dispatch)
-    to fan out elsewhere, e.g. a
-    :class:`~repro.execution.broker.FilesystemBroker` spool shared with
-    ``repro-worker`` processes.  ``policy`` overrides the retry budget
+    Process dispatch runs supervised on the shared fork pool (see
+    :func:`_run_supervised`).  ``policy`` overrides the retry budget
     (default :meth:`ShardRetryPolicy.from_env`), ``on_fault`` receives the
     :class:`FaultReport` — only when something actually faulted, so the
     happy path stays callback-free — and ``on_result(index, value)`` fires
@@ -623,12 +556,8 @@ def run_sharded(plan: ShardPlan, fn: Callable,
     if plan.mode == "process":
         if policy is None:
             policy = ShardRetryPolicy.from_env()
-        if broker is None:
-            from .broker import LocalProcessBroker
-            broker = LocalProcessBroker(plan.workers)
-        report = FaultReport(shards=len(payloads),
-                             broker=getattr(broker, "name", "local"))
-        results = _run_supervised(broker, fn, payloads, policy, report,
+        report = FaultReport(shards=len(payloads))
+        results = _run_supervised(plan.workers, fn, payloads, policy, report,
                                   on_result=on_result)
         if report.faulted and on_fault is not None:
             on_fault(report)
@@ -663,7 +592,7 @@ class ShardGroup(NamedTuple):
 
 class FanOut(NamedTuple):
     """Per group, each chunk's value in unit order; the supervisor's fault
-    reports; the payloads handed to the process broker."""
+    reports; the payloads handed to the process pool."""
 
     values: List[list]
     reports: List[FaultReport]
@@ -702,9 +631,9 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
 
     An inline plan runs each group as one chunk; a parallel plan cuts it
     into ``block``-unit blocks when given (payloads then do not depend on
-    the worker count or broker), else one chunk per worker.  ``policy``
-    (the resolved :class:`~repro.execution.policy.ExecutionPolicy`) gives
-    the broker and retry budget; ``on_result(chunk, value)`` fires as each
+    the worker count), else one chunk per worker.  ``policy`` (the
+    resolved :class:`~repro.execution.policy.ExecutionPolicy`) gives the
+    retry budget; ``on_result(chunk, value)`` fires as each
     chunk lands.  Fault reports and ``process_shards`` land on
     ``executor``, and the :mod:`repro.obs` counters a shard moved (the
     process-wide ones, the group head's instance counters) are folded
@@ -725,24 +654,18 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
         chunks.extend((position, piece) for piece in pieces)
     payloads = [(groups[position].fn,) + groups[position].head + (piece,)
                 for position, piece in chunks]
-    # run_sharded hands payloads to the broker only under a parallel
+    # run_sharded hands payloads to the pool only under a parallel
     # process plan with more than one of them.
-    brokered = (plan.mode == "process" and plan.is_parallel
-                and len(payloads) > 1)
+    pooled = (plan.mode == "process" and plan.is_parallel
+              and len(payloads) > 1)
     reports: List[FaultReport] = []
     kwargs: dict = {}
-    if brokered:
-        # Built per dispatch: a broker holds per-dispatch state (shard-id
-        # maps, spool bookkeeping) and is never shared.
-        from .broker import make_broker
-
+    if pooled:
         def on_fault(report: FaultReport) -> None:
             reports.append(report)
             executor.note_fault_report(report)
 
-        kwargs = {"policy": policy.retry,
-                  "broker": make_broker(policy.broker, plan.workers),
-                  "on_fault": on_fault}
+        kwargs = {"policy": policy.retry, "on_fault": on_fault}
     landed = None
     if on_result is not None:
         def landed(index: int, envelope: tuple) -> None:
@@ -751,9 +674,9 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
         tokens = _ran_here.setdefault(os.getpid(), set())
         envelopes = run_sharded(plan, _counted_shard, payloads,
                                 on_result=landed, **kwargs)
-        # A shard that ran here (on a thread, degraded or stolen from a
-        # spool) already moved this process's counters.  A worker's shard,
-        # or a spool result file an earlier dispatch left, is folded.
+        # A shard that ran here (on a thread, or degraded to inline)
+        # already moved this process's counters.  A worker's shard is
+        # folded.
         local = {token for token, _, _ in envelopes if token in tokens}
         tokens.difference_update(local)
     else:
@@ -770,7 +693,7 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
         if token is not None and token not in local:
             obs.absorb(moved[0])
             obs.absorb_instances(groups[position].head, moved[1])
-    shards = len(payloads) if brokered else 0
+    shards = len(payloads) if pooled else 0
     if shards:
         with executor._lock:
             executor.stats.process_shards += shards

@@ -16,7 +16,8 @@ Every container whose iteration order reaches the spanning forest is
 insertion-ordered, and an odd cluster without a boundary is rooted at its
 first defect in :meth:`DecodingGraph.detector_order`, so a verdict never
 depends on ``PYTHONHASHSEED`` (the boundary node is a string, whose hash
-is salted per process) — spool workers do not inherit the parent's seed.
+is salted per process) — a process started outside the parent (a
+spawned worker, a separate run) does not inherit the parent's seed.
 
 The output interface matches :class:`repro.qec.decoders.mwpm.MWPMDecoder` so
 the two can be swapped inside the memory experiment and benchmarked head to

@@ -45,14 +45,14 @@ Both estimators ride the direct sampler's engine end to end: the per-graph
 :class:`~repro.qec.sampling.SamplingArrays`, the bit-packed syndrome
 kernel, per-block ``SeedSequence.spawn`` seeding (blocks — never workers —
 are the determinism unit), and the seeded-block run
-(:class:`~repro.qec.sampling._SeededRun`) that owns shard dispatch through
-any :class:`~repro.execution.broker.ShardBroker`, worker-counter fold-back
-and expectation-cache checkpointing (full-run keys, plus per-chunk keys in
-:func:`stream_rare_event_sampling`).  This module supplies only the spec,
-the per-block sampling body and the folds.  Floating-point aggregates are
-folded with :func:`math.fsum` over *per-block* partial sums — ``fsum`` is
-correctly rounded regardless of summand order, so how blocks are grouped
-onto workers or brokers can never move a bit of the estimate.
+(:class:`~repro.qec.sampling._SeededRun`) that owns shard dispatch,
+worker-counter fold-back and expectation-cache checkpointing (full-run
+keys, plus per-chunk keys in :func:`stream_rare_event_sampling`).  This
+module supplies only the spec, the per-block sampling body and the folds.
+Floating-point aggregates are folded with :func:`math.fsum` over
+*per-block* partial sums — ``fsum`` is correctly rounded regardless of
+summand order, so how blocks are grouped onto workers can never move a
+bit of the estimate.
 """
 
 from __future__ import annotations
@@ -717,12 +717,11 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     Execution mirrors :func:`~repro.qec.sampling.run_memory_sampling`:
     blocks of :data:`~repro.qec.sampling.SHOT_BLOCK` shots seeded by
     ``SeedSequence.spawn`` children are the determinism unit, shards run
-    through the executor's planner and any configured
-    :class:`~repro.execution.broker.ShardBroker`, and seeded runs cache
+    through the executor's planner and fork pool, and seeded runs cache
     their aggregates in the executor's expectation cache under keys that
     encode none of the fan-out choices.  Results are **bitwise
-    identical** for any worker count, any
-    inline/thread/process path and any broker: integer counts fold
+    identical** for any worker count and any inline/thread/process
+    path: integer counts fold
     exactly, and floating-point aggregates fold with ``math.fsum`` over
     per-block partial sums, whose correctly-rounded total is independent
     of how blocks were grouped.

@@ -33,7 +33,7 @@ by :class:`_SeededRun` for every entry point here and in
   paths (workers only change how blocks are *grouped*).
 * Process shards are planned by the executor from the per-call policy
   (a :class:`~repro.execution.sharding.ShardPlanner`) and run through
-  :func:`~repro.execution.sharding.fan_out` and its shard broker; decode
+  :func:`~repro.execution.sharding.fan_out` on the fork pool; decode
   and decoder diagnostic counters a shard moved in another process are
   folded into the caller's counters exactly once.
 * Seeded experiments cache their results in the executor's expectation
@@ -517,7 +517,7 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     stats block (default: the process-wide
     :func:`repro.execution.executor.default_executor`); ``policy`` (an
     :class:`~repro.execution.policy.ExecutionPolicy`) overrides its
-    fan-out policy — including the shard broker — for this call.
+    fan-out policy for this call.
 
     Each shard decodes its blocks in groups bounded by
     :data:`_DECODE_GROUP_BYTES` of packed syndrome rows, so memory stays

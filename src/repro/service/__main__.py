@@ -33,10 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="unix-socket path of the NDJSON front door")
     serve.add_argument("--db", default=None,
                        help="SQLite run-registry path (default :memory:)")
-    serve.add_argument("--spool", default=None,
-                       help="filesystem-broker spool directory: hand "
-                            "process shards to elastic repro-worker "
-                            "processes instead of the local fork pool")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker threads (default 2)")
     serve.add_argument("--max-pending", type=int, default=None,
@@ -73,8 +69,6 @@ def _serve_config(options: argparse.Namespace) -> ServiceConfig:
         overrides["socket_path"] = options.socket
     if options.db is not None:
         overrides["db_path"] = options.db
-    if options.spool is not None:
-        overrides["spool"] = options.spool
     if options.workers is not None:
         overrides["workers"] = options.workers
     if options.max_pending is not None:

@@ -32,13 +32,6 @@ LEASE_SECONDS_ENV = "REPRO_SERVICE_LEASE_SECONDS"
 #: Base of the exponential retry backoff applied between job attempts.
 RETRY_BACKOFF_ENV = "REPRO_SERVICE_RETRY_BACKOFF"
 
-#: Spool directory of the filesystem shard broker.  When set the server's
-#: executor dispatches process shards through a
-#: :class:`~repro.execution.broker.FilesystemBroker` on this directory, so
-#: elastic ``repro-worker`` processes (possibly on other machines sharing
-#: the filesystem) execute the shards instead of the local fork pool.
-SPOOL_ENV = "REPRO_SERVICE_SPOOL"
-
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
@@ -69,11 +62,6 @@ class ServiceConfig:
     job's lease lasts between heartbeats before a restarted/peer server may
     reclaim it, and ``retry_backoff`` seeds the exponential delay between
     attempts.
-
-    Distribution: ``spool`` (or ``REPRO_SERVICE_SPOOL``) points the shared
-    executor's shard broker at a filesystem spool directory, handing
-    process shards to elastic ``repro-worker`` processes instead of the
-    local fork pool.  Values are bitwise identical either way.
     """
 
     socket_path: Optional[str] = None
@@ -83,7 +71,6 @@ class ServiceConfig:
     max_attempts: int = 1
     lease_seconds: float = 15.0
     retry_backoff: float = 0.2
-    spool: Optional[str] = None
 
     @classmethod
     def from_env(cls, **overrides) -> "ServiceConfig":
@@ -96,6 +83,5 @@ class ServiceConfig:
             max_attempts=_env_int(MAX_ATTEMPTS_ENV, 1),
             lease_seconds=_env_float(LEASE_SECONDS_ENV, 15.0),
             retry_backoff=_env_float(RETRY_BACKOFF_ENV, 0.2),
-            spool=os.environ.get(SPOOL_ENV) or None,
         )
         return replace(config, **overrides) if overrides else config

@@ -119,20 +119,29 @@ def _decode_policy(payload: Dict[str, Any]):
     """An optional :class:`~repro.execution.policy.ExecutionPolicy` from
     the submission's ``policy`` key.
 
-    The policy steers *how* the job fans out (mode, workers, broker,
-    retries) and is deliberately **not** part of the job key: the
-    determinism contract makes results bitwise independent of it, so two
-    submissions differing only in policy are the same job.
+    The policy steers *how* the job fans out (mode, workers, retries) and
+    is deliberately **not** part of the job key: the determinism contract
+    makes results bitwise independent of it, so two submissions differing
+    only in policy are the same job.  ``max_workers`` is outside input that
+    sizes the server's fork pool (a process pool starts all its workers at
+    the first submit), so it may not exceed the server's usable CPUs.
     """
     from ..execution.errors import ExecutionError
     from ..execution.policy import ExecutionPolicy
+    from ..execution.sharding import usable_cpus
     entry = payload.get("policy")
     if entry is None:
         return None
     try:
-        return ExecutionPolicy.from_payload(entry)
+        policy = ExecutionPolicy.from_payload(entry)
     except (ExecutionError, KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed policy: {error}") from None
+    cpus = usable_cpus()
+    if policy.max_workers is not None and policy.max_workers > cpus:
+        raise ProtocolError(
+            f"malformed policy: max_workers {policy.max_workers} exceeds "
+            f"the server's {cpus} usable CPUs")
+    return policy
 
 
 # ---------------------------------------------------------------------------

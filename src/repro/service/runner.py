@@ -301,12 +301,6 @@ class JobRunner:
         }
         with self._delayed_lock:
             stats["delayed"] = len(self._delayed)
-        census = getattr(self.executor, "broker_workers", None)
-        if census is not None:
-            try:
-                stats["shard_workers"] = census()
-            except Exception:  # noqa: BLE001 - census is best-effort
-                stats["shard_workers"] = []
         executor_stats = getattr(self.executor, "stats", None)
         if executor_stats is not None:
             stats["faults"] = {

@@ -32,7 +32,6 @@ import threading
 from typing import Any, Dict, Optional
 
 from ..execution.executor import Executor
-from ..execution.policy import ExecutionPolicy
 from .config import ServiceConfig
 from .protocol import (TERMINAL_STATES, AttachRequest, CancelRequest,
                        ErrorResponse, EventResponse, JobListResponse,
@@ -60,9 +59,7 @@ class ServiceServer:
         if not self.config.socket_path:
             raise ValueError("ServiceConfig needs a socket_path")
         self.registry = RunRegistry(self.config.db_path)
-        policy = ExecutionPolicy(broker=self.config.spool) \
-            if self.config.spool else None
-        self.executor = Executor(policy=policy)
+        self.executor = Executor()
         self.runner = JobRunner(self.executor, self.registry,
                                 JobQueue(max_pending=self.config.max_pending),
                                 workers=self.config.workers,

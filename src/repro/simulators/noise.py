@@ -65,8 +65,8 @@ class QuantumChannel:
         self._clear_memos()
 
     # A channel is immutable once built, so its derived forms are computed on
-    # first use and kept.  They are not pickled: shard and spool payloads
-    # carry only the Kraus operators and rebuild the forms where needed.
+    # first use and kept.  They are not pickled: shard payloads carry
+    # only the Kraus operators and rebuild the forms where needed.
     # ``_damping_table`` is the Pauli-propagation class-factor table
     # (:mod:`repro.simulators.pauli_propagation`).
     _MEMOS = ("_superoperator", "_twirl_probabilities", "_twirl",

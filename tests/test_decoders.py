@@ -531,8 +531,8 @@ print(surface_code_memory_experiment(
 
 
 def test_union_find_verdicts_ignore_hash_seed():
-    """Spool workers do not inherit the parent's PYTHONHASHSEED, so a
-    union-find verdict must not depend on it: the same seeded cell gives
+    """Separate runs do not share a PYTHONHASHSEED, so a union-find
+    verdict must not depend on it: the same seeded cell gives
     the same failure count at two string-hash seeds (46 against 42 when
     set iteration order steered the peel)."""
     env = dict(os.environ, REPRO_WORKERS="1")

@@ -262,6 +262,14 @@ class TestSupervisedSharding:
         assert report.inline_shards == 4
         assert sorted(report.inline_indices) == [0, 1, 2, 3]
 
+    def test_clean_run_stays_callback_free(self):
+        reports = []
+        results = run_sharded(_process_plan(2, 3), _square,
+                              [(1,), (2,), (3,)], policy=_fast_policy(),
+                              on_fault=reports.append)
+        assert results == [1, 4, 9]
+        assert reports == []
+
     def test_deterministic_errors_propagate_immediately(self):
         plan = _process_plan(2, 4)
         with pytest.raises(ValueError, match="deterministic"):

@@ -4,16 +4,26 @@ Every entry point that fans work out takes one
 :class:`~repro.execution.ExecutionPolicy` (or None) and nothing else: no
 public callable of the execution, QEC, VQE or algorithm packages takes
 ``parallel`` or ``max_workers``, anything other than a policy is rejected,
-and the QEC memory experiments honour a per-call broker.
+and the QEC memory experiments honour a per-call policy.
+
+:class:`ExecutionPolicy` itself is checked here too: resolution order, the
+single ``from_env`` reader, the wire (payload) form, the ``max_workers <=
+0`` bugfix (ValueError, never a silent clamp) and retry-budget validation
+(a bad value fails at construction, naming its field or variable).
 """
 
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
+from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import (ExecutionError, ExecutionPolicy, Executor,
-                             ShardPlanner, resolve_workers)
+                             ShardPlanner, ShardRetryPolicy, resolve_workers)
+from repro.execution.sharding import (SHARD_BACKOFF_ENV, SHARD_RETRIES_ENV,
+                                      SHARD_TIMEOUT_ENV, WORKERS_ENV)
+from repro.operators import ising_hamiltonian
 from repro.qec.decoder import RepetitionMatchingDecoder
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
@@ -111,33 +121,142 @@ def test_resolution_order_call_executor_environment(monkeypatch):
     assert Executor()._resolve_policy().max_workers == 3
 
 
-class TestMemoryExperimentsHonourPerCallBroker:
-    """A spool with no live worker: the parent steals every shard, and the
-    failure count is the inline run's, decoded once."""
+class TestMemoryExperimentsHonourPerCallPolicy:
+    """A per-call policy overrides the executor's inline default: the run
+    goes out as one process shard per requested worker, and the failure
+    count is the inline run's, decoded once."""
 
     SHOTS = 1024
 
     def _run(self, make, policy):
         reset_sampling_stats()
-        outcome = make().run(self.SHOTS, executor=Executor(use_cache=False),
-                             policy=policy)
+        executor = Executor(use_cache=False,
+                            policy=ExecutionPolicy(parallel="none"))
+        outcome = make().run(self.SHOTS, executor=executor, policy=policy)
         return outcome, sampling_stats()
 
-    def _check(self, make, tmp_path):
-        inline, _ = self._run(make, ExecutionPolicy(parallel="none"))
-        spool = ExecutionPolicy(parallel="process", max_workers=2,
-                                broker=str(tmp_path / "spool"))
-        stolen, stats = self._run(make, spool)
-        assert stolen.failures == inline.failures
+    def _check(self, make):
+        inline, _ = self._run(make, None)
+        pooled, stats = self._run(make, ExecutionPolicy(parallel="process",
+                                                        max_workers=2))
+        assert pooled.failures == inline.failures
         assert stats.shots_decoded == self.SHOTS
         assert stats.process_shards == 2
-        assert (tmp_path / "spool" / "results").is_dir()
 
-    def test_surface_code_memory(self, tmp_path):
+    def test_surface_code_memory(self):
         graph = rotated_surface_code_graph(3, 3, 2e-2)
-        self._check(lambda: SurfaceCodeMemory(graph, seed=5), tmp_path)
+        self._check(lambda: SurfaceCodeMemory(graph, seed=5))
 
-    def test_repetition_code_memory(self, tmp_path):
+    def test_repetition_code_memory(self):
         graph = repetition_code_graph(3, 3, 5e-2)
         self._check(lambda: SurfaceCodeMemory(
-            graph, RepetitionMatchingDecoder, seed=9), tmp_path)
+            graph, RepetitionMatchingDecoder, seed=9))
+
+
+def _sweep_fixture(num_qubits=4, points=24, seed=7):
+    template = FullyConnectedAnsatz(num_qubits, depth=1).build()
+    rng = np.random.default_rng(seed)
+    parameter_sets = rng.standard_normal(
+        (points, len(template.ordered_parameters()))).tolist()
+    return template, parameter_sets, ising_hamiltonian(num_qubits)
+
+
+class TestExecutionPolicy:
+
+    def test_invalid_parallel_mode_rejected(self):
+        with pytest.raises(ExecutionError, match="parallel"):
+            ExecutionPolicy(parallel="bogus")
+
+    def test_retry_type_checked(self):
+        with pytest.raises(ExecutionError, match="ShardRetryPolicy"):
+            ExecutionPolicy(retry=5)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_zero_or_negative_workers_rejected(self, workers):
+        # The bugfix: an explicit nonsense worker count is an error that
+        # names the env-var escape hatch, never a silent clamp to 1.
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            ExecutionPolicy(max_workers=workers)
+
+    def test_zero_workers_rejected_everywhere(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            Executor(policy=ExecutionPolicy(max_workers=0))
+        with pytest.raises(ValueError):
+            resolve_workers(0)
+        template, points, observable = _sweep_fixture(num_qubits=2, points=2)
+        with pytest.raises(ValueError, match="max_workers"):
+            Executor(use_cache=False).evaluate_sweep(
+                template, points, observable, backend="statevector",
+                policy=ExecutionPolicy(max_workers=-1))
+
+    def test_from_env_reads_all_knobs(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setenv(SHARD_RETRIES_ENV, "5")
+        policy = ExecutionPolicy.from_env()
+        assert policy.max_workers == 3
+        assert policy.retry.max_retries == 5
+
+    def test_from_env_rejects_zero_workers(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            ExecutionPolicy.from_env()
+
+    @pytest.mark.parametrize("fields", [
+        {"max_retries": -1}, {"max_retries": "3"}, {"max_retries": 1.5},
+        {"max_retries": True}, {"backoff_base": -0.1}, {"backoff_cap": -1},
+        {"backoff_base": float("nan")}, {"timeout": 0}, {"timeout": -2.0},
+        {"timeout": "5"}])
+    def test_retry_policy_rejects_nonsense(self, fields):
+        # Each of these used to be accepted and then fail mid-dispatch (a
+        # str budget) or degrade every shard silently (timeout=0).
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            ShardRetryPolicy(**fields)
+
+    def test_retry_policy_accepts_boundary_values(self):
+        policy = ShardRetryPolicy(max_retries=0, backoff_base=0,
+                                  backoff_cap=0.0, timeout=0.5)
+        assert policy.max_retries == 0 and policy.timeout == 0.5
+
+    @pytest.mark.parametrize("name, value", [
+        (SHARD_RETRIES_ENV, "-5"), (SHARD_RETRIES_ENV, "two"),
+        (SHARD_BACKOFF_ENV, "-1"), (SHARD_TIMEOUT_ENV, "0"),
+        (WORKERS_ENV, "abc")])
+    def test_from_env_names_the_bad_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            ExecutionPolicy.from_env()
+        if name == WORKERS_ENV:
+            with pytest.raises(ValueError, match=name):
+                resolve_workers(None)
+
+    def test_from_payload_validates_retry(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            ExecutionPolicy.from_payload(
+                {"retry": {"max_retries": "3", "timeout": 0}})
+
+    def test_merged_over_precedence(self):
+        call = ExecutionPolicy(parallel="process")
+        base = ExecutionPolicy(parallel="none", max_workers=4)
+        merged = call.merged_over(base)
+        assert merged.parallel == "process"  # the more specific layer wins
+        assert merged.max_workers == 4       # unset fields fall through
+
+    def test_payload_round_trip(self):
+        policy = ExecutionPolicy(
+            parallel="process", max_workers=2,
+            retry=ShardRetryPolicy(max_retries=7, backoff_base=0.0,
+                                   backoff_cap=1.0, timeout=9.0))
+        assert ExecutionPolicy.from_payload(policy.to_payload()) == policy
+
+    def test_from_payload_rejects_unknown_keys(self):
+        with pytest.raises(ExecutionError, match="unknown"):
+            ExecutionPolicy.from_payload({"parallelism": 4})
+        with pytest.raises(ExecutionError, match="unknown"):
+            ExecutionPolicy.from_payload({"retry": {"attempts": 2}})
+        # Process shards have one placement, the fork pool: there is no
+        # broker to choose, on the wire or in the constructor.
+        with pytest.raises(ExecutionError, match="unknown"):
+            ExecutionPolicy.from_payload({"broker": "/tmp/spool"})
+        with pytest.raises(TypeError):
+            ExecutionPolicy(broker="/tmp/spool")
+        assert ExecutionPolicy().broker is None

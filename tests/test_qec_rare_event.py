@@ -9,7 +9,7 @@ The load-bearing contracts:
   defect totals and estimate reproduce :func:`run_memory_sampling`
   bitwise.
 * **Fan-out independence** — both estimators return bitwise-identical
-  results for any worker count, inline vs pooled vs spool-brokered.
+  results for any worker count, inline vs threaded vs pooled.
 * **Exactness of the stratum math** — stratum probabilities match the
   binomial/Poisson-binomial exactly, conditional samples carry exactly
   their stratum's weight, and strata below the minimum fault weight are
@@ -258,7 +258,7 @@ class TestAgreement:
 
 
 # ---------------------------------------------------------------------------
-# fan-out independence (workers, brokers)
+# fan-out independence (modes, workers)
 # ---------------------------------------------------------------------------
 
 
@@ -282,25 +282,6 @@ class TestDeterminism:
             assert other.raw_failures == first.raw_failures
             assert other.total_defects == first.total_defects
             assert other.strata == first.strata
-
-    @pytest.mark.parametrize("method", ["importance", "stratified"])
-    def test_bitwise_on_spool_broker(self, method, tmp_path):
-        """A FilesystemBroker spool (drained by the parent's work-stealing
-        path — no worker subprocess needed) produces the same bits as the
-        local fork pool."""
-        graph = small_graph()
-        pooled = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), 1536, method=method, seed=72,
-            executor=_executor(),
-            policy=ExecutionPolicy(parallel="process", max_workers=2))
-        spooled = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), 1536, method=method, seed=72,
-            executor=_executor(),
-            policy=ExecutionPolicy(parallel="process", max_workers=2,
-                                   broker=str(tmp_path / "spool")))
-        assert spooled.estimate == pooled.estimate
-        assert spooled.variance == pooled.variance
-        assert spooled.strata == pooled.strata
 
     def test_streaming_final_matches_batch_stratified(self):
         graph = small_graph()

@@ -926,6 +926,26 @@ class TestServiceEndToEnd:
                 assert "max_retries" in str(caught.value)
                 assert client.list_jobs() == []  # nothing persisted
 
+    def test_oversized_max_workers_rejected_at_submit(self):
+        # max_workers sizes the server's fork pool, which starts all its
+        # workers at the first submit: a client may not ask for more than
+        # the server's CPUs.  A one-point sweep plans inline, so even an
+        # accepted submission would start no pool.
+        from repro.execution.sharding import usable_cpus
+        template, points, observable = sweep_fixture(points=1)
+        payload = sweep_payload(
+            template, points, observable,
+            policy={"parallel": "process", "max_workers": usable_cpus() + 1})
+        with pytest.raises(ProtocolError, match="malformed policy"):
+            prepare_job("sweep", payload)
+        with service() as handle:
+            with ServiceClient(handle.socket_path) as client:
+                with pytest.raises(ServiceError) as caught:
+                    client.submit("sweep", payload)
+                assert caught.value.status == 400
+                assert "max_workers" in str(caught.value)
+                assert client.list_jobs() == []  # nothing persisted
+
     def test_registry_survives_server_restart(self):
         tmp = tempfile.mkdtemp(dir="/tmp", prefix="rsvc")
         socket_path = os.path.join(tmp, "s.sock")

@@ -68,6 +68,30 @@ class TestShardPlanner:
         plan = ShardPlanner(max_workers=4).plan(64, hints=("inline",))
         assert plan.mode == "none"
 
+    def test_pauli_propagation_runs_inline_under_auto(self):
+        # Pickling a noisy Clifford circuit costs about as much as
+        # propagating it, so "auto" never forks Pauli-propagation slots,
+        # however many; an explicit process policy still shards them.
+        circuits = [clifford_circuit(5, flips=(i % 5, (i // 5) % 5))
+                    for i in range(_PROCESS_TASK_THRESHOLD + 4)]
+        observable = ising_hamiltonian(5, 1.0)
+        hint = PauliPropagationBackend().capabilities().parallel_hint
+        assert ShardPlanner(max_workers=2).plan(
+            len(circuits), hints=(hint,)).mode == "none"
+        auto = Executor(use_cache=False)
+        values = auto.evaluate_observable(
+            circuits, observable, noise_model=cx_noise(),
+            backend="pauli_propagation",
+            policy=ExecutionPolicy(parallel="auto", max_workers=2))
+        assert auto.stats.process_shards == 0
+        pooled = Executor(use_cache=False)
+        sharded = pooled.evaluate_observable(
+            circuits, observable, noise_model=cx_noise(),
+            backend="pauli_propagation",
+            policy=ExecutionPolicy(parallel="process", max_workers=2))
+        assert pooled.stats.process_shards > 0
+        assert np.array_equal(sharded, values)
+
     def test_explicit_modes_override_hints(self):
         assert ShardPlanner("process", max_workers=4).plan(
             4, hints=("process",)).mode == "process"
@@ -185,7 +209,7 @@ class TestDeterminismAcrossWorkersAndModes:
 
     def test_thread_sweep_runs_the_inline_batch(self):
         # Only process sweeps cut point blocks: a thread sweep is the one
-        # inline batch, bitwise, and hands nothing to a broker.
+        # inline batch, bitwise, and hands nothing to the pool.
         template = FullyConnectedAnsatz(8, depth=1).build()
         rng = np.random.default_rng(11)
         points = rng.uniform(-3.0, 3.0,
@@ -271,23 +295,51 @@ class TestProcessDispatchBehaviour:
         executor.run(tasks, backend="statevector")
         assert executor.stats.process_shards == 0
 
-    @pytest.mark.parametrize("parallel, spool", [
-        ("process", False), ("thread", False), ("process", True)])
-    def test_process_dispatch_counts_backend_invocations(self, tmp_path,
-                                                         parallel, spool):
+    @pytest.mark.parametrize("parallel", ["process", "thread"])
+    def test_process_dispatch_counts_backend_invocations(self, parallel):
         # Workers bump pickled backend copies; the parent must restore the
         # caller-side counter so monitoring code sees the same numbers as
-        # under inline/thread dispatch.  A spool with no live worker has
-        # the parent steal every shard: counted where it ran, not again.
+        # under inline/thread dispatch.
         backend = StatevectorBackend()
         tasks = [ExecutionTask(clifford_circuit(6, flips=(i,)),
                                observable=ising_hamiltonian(6, 1.0))
                  for i in range(6)]
-        policy = ExecutionPolicy(
-            parallel=parallel, max_workers=2,
-            broker=str(tmp_path / "spool") if spool else None)
+        policy = ExecutionPolicy(parallel=parallel, max_workers=2)
         Executor(use_cache=False).run(tasks, backend=backend, policy=policy)
         assert backend.invocations == 6
+
+    def test_killed_sweep_resumes_warm_from_checkpoint_cache(self):
+        template = FullyConnectedAnsatz(4, depth=1).build()
+        rng = np.random.default_rng(7)
+        points = rng.standard_normal(
+            (24, len(template.ordered_parameters()))).tolist()
+        observable = ising_hamiltonian(4)
+        inline = Executor(use_cache=False).evaluate_sweep(
+            template, points, observable, backend="statevector",
+            policy=ExecutionPolicy(parallel="none"))
+        policy = ExecutionPolicy(parallel="process", max_workers=2)
+        # A "killed" multi-worker run: only half the sweep's blocks landed
+        # (and were flushed through the executor's cache) before it died.
+        executor = Executor()
+        executor.evaluate_sweep(template, points[:12], observable,
+                                backend="statevector", policy=policy)
+        assert executor.stats.backend_invocations == {"statevector": 12}
+        assert executor.stats.process_shards > 0
+        # Resume on the same executor: the flushed points are served from
+        # the checkpoint cache, only the rest is computed.
+        values = executor.evaluate_sweep(template, points, observable,
+                                         backend="statevector",
+                                         policy=policy)
+        assert np.allclose(values, inline, atol=1e-12)
+        assert executor.stats.backend_invocations == {"statevector": 24}
+        assert executor.stats.term_cache_hits > 0
+        # A full re-run recomputes nothing at all.
+        shards = executor.stats.process_shards
+        again = executor.evaluate_sweep(template, points, observable,
+                                        backend="statevector", policy=policy)
+        assert np.array_equal(again, values)
+        assert executor.stats.backend_invocations == {"statevector": 24}
+        assert executor.stats.process_shards == shards
 
     @pytest.mark.parametrize("parallel", ["none", "process"])
     @pytest.mark.parametrize("engine", ["statevector", "pauli_propagation"])

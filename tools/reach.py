@@ -11,8 +11,8 @@ functions whose code ran:
 
 ``REPRO_WORKERS=1`` keeps ``auto`` dispatch inline, so shard work runs in
 this process where the profiler sees it; code that runs only in a
-subprocess (``repro.worker``, ``service/__main__``, an explicitly
-process-mode shard) is not seen.  Module bodies, class bodies and
+subprocess (``service/__main__``, an explicitly process-mode shard) is
+not seen.  Module bodies, class bodies and
 comprehensions are left out: importing a module is not reaching it.
 
 Usage (from the repository root)::
