@@ -220,7 +220,9 @@ class TestExecutionPolicy:
     @pytest.mark.parametrize("name, value", [
         (SHARD_RETRIES_ENV, "-5"), (SHARD_RETRIES_ENV, "two"),
         (SHARD_BACKOFF_ENV, "-1"), (SHARD_TIMEOUT_ENV, "0"),
-        (WORKERS_ENV, "abc")])
+        (WORKERS_ENV, "abc")],
+        ids=["retries-neg", "retries-two", "backoff-neg", "timeout-zero",
+             "workers-abc"])
     def test_from_env_names_the_bad_variable(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
         with pytest.raises(ValueError, match=name):
