@@ -1,8 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package's only build configuration.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in offline
-environments that lack the ``wheel`` package (pip then falls back to the
-legacy ``setup.py develop`` editable install).
+``pip install -e .`` installs ``src/repro`` and the ``repro-service``
+console script; the tests and examples also run uninstalled with
+``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -42,7 +42,7 @@ single batched, cached call::
 
     hamiltonian = ising_hamiltonian(8, coupling=1.0)
     circuit = FullyConnectedAnsatz(8, depth=1).build().bind_parameters(
-        [0.0] * 32)
+        [0.0] * 16)
 
     # "auto" routes per task: Clifford circuits go to Pauli propagation,
     # small noisy circuits to the density matrix.
@@ -64,104 +64,44 @@ Regime comparison (the paper's headline experiment) sits one layer up::
     print(outcome["comparison"].gamma)
 """
 
-from .algorithms import QAOA, QAOAAnsatz
-from .ansatz import (Ansatz, BlockedAllToAllAnsatz, FCHEAnsatz,
-                     FullyConnectedAnsatz, LinearAnsatz, UCCSDAnsatz,
-                     make_ansatz)
-from .architecture import (EFTCompiler, ProposedLayout, make_layout,
-                           schedule_on_layout)
-from .circuits import Parameter, ParameterVector, QuantumCircuit
-from .core import (EFTDevice, NISQRegime, PQECRegime, QECConventionalRegime,
-                   QECCultivationRegime, CircuitProfile, estimate_fidelity,
-                   injection_error_rate, relative_improvement)
-from .estimation import ResourceEstimator
-from .execution import (Backend, BackendCapabilities, BackendRegistry,
-                        ExecutionResult, ExecutionTask, Executor,
-                        available_backends, evaluate_observable,
-                        evaluate_sweep, execute, get_backend,
-                        register_backend, term_expectations)
-from .operators import (FermionicOperator, PauliString, PauliSum,
-                        heisenberg_hamiltonian, ising_hamiltonian,
-                        jordan_wigner, maxcut_cost_hamiltonian,
-                        molecular_hamiltonian)
-from .qec import (FactoryConfig, MWPMDecoder, SurfaceCodePatch,
-                  UnionFindDecoder, get_factory, logical_error_rate,
-                  surface_code_memory_experiment, t_count_for_precision)
-from .simulators import (DensityMatrixSimulator, NoiseModel,
-                         StatevectorSimulator)
-from .vqe import (VQE, BackendEnergyEvaluator, CliffordVQE, CobylaOptimizer,
-                  GeneticOptimizer, SPSAOptimizer, compare_regimes,
-                  compare_regimes_clifford, compare_regimes_opr)
+# Every paper figure is a VQE flow, so the VQE stack loads with the
+# package: it pulls in circuits, operators.pauli/hamiltonians, simulators,
+# execution, ansatz and core, plus scipy.optimize for COBYLA (about 0.2 s),
+# which a lazy import would move into the first optimisation instead.
+from . import vqe
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Ansatz",
-    "Backend",
-    "BackendCapabilities",
-    "BackendEnergyEvaluator",
-    "BackendRegistry",
-    "BlockedAllToAllAnsatz",
-    "CircuitProfile",
-    "CliffordVQE",
-    "CobylaOptimizer",
-    "DensityMatrixSimulator",
-    "EFTCompiler",
-    "EFTDevice",
-    "ExecutionResult",
-    "ExecutionTask",
-    "Executor",
-    "FCHEAnsatz",
-    "FactoryConfig",
-    "FermionicOperator",
-    "FullyConnectedAnsatz",
-    "GeneticOptimizer",
-    "LinearAnsatz",
-    "MWPMDecoder",
-    "NISQRegime",
-    "NoiseModel",
-    "PQECRegime",
-    "Parameter",
-    "ParameterVector",
-    "PauliString",
-    "PauliSum",
-    "ProposedLayout",
-    "QAOA",
-    "QAOAAnsatz",
-    "QECConventionalRegime",
-    "QECCultivationRegime",
-    "QuantumCircuit",
-    "ResourceEstimator",
-    "SPSAOptimizer",
-    "StatevectorSimulator",
-    "SurfaceCodePatch",
-    "UCCSDAnsatz",
-    "UnionFindDecoder",
-    "VQE",
-    "__version__",
-    "available_backends",
-    "compare_regimes",
-    "compare_regimes_clifford",
-    "compare_regimes_opr",
-    "estimate_fidelity",
-    "evaluate_observable",
-    "evaluate_sweep",
-    "execute",
-    "get_backend",
-    "get_factory",
-    "heisenberg_hamiltonian",
-    "injection_error_rate",
-    "ising_hamiltonian",
-    "jordan_wigner",
-    "logical_error_rate",
-    "make_ansatz",
-    "make_layout",
-    "maxcut_cost_hamiltonian",
-    "register_backend",
-    "molecular_hamiltonian",
-    "relative_improvement",
-    "schedule_on_layout",
-    "surface_code_memory_experiment",
-    "t_count_for_precision",
-    "term_expectations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "algorithms": ["QAOA", "QAOAAnsatz"],
+    "ansatz": ["Ansatz", "BlockedAllToAllAnsatz", "FCHEAnsatz",
+               "FullyConnectedAnsatz", "LinearAnsatz", "UCCSDAnsatz",
+               "make_ansatz"],
+    "architecture": ["EFTCompiler", "ProposedLayout", "make_layout",
+                     "schedule_on_layout"],
+    "circuits": ["Parameter", "ParameterVector", "QuantumCircuit"],
+    "core": ["CircuitProfile", "EFTDevice", "NISQRegime", "PQECRegime",
+             "QECConventionalRegime", "QECCultivationRegime",
+             "estimate_fidelity", "injection_error_rate",
+             "relative_improvement"],
+    "estimation": ["ResourceEstimator"],
+    "execution": ["Backend", "BackendCapabilities", "BackendRegistry",
+                  "ExecutionResult", "ExecutionTask", "Executor",
+                  "available_backends", "evaluate_observable",
+                  "evaluate_sweep", "execute", "get_backend",
+                  "register_backend", "term_expectations"],
+    "operators": ["FermionicOperator", "PauliString", "PauliSum",
+                  "heisenberg_hamiltonian", "ising_hamiltonian",
+                  "jordan_wigner", "maxcut_cost_hamiltonian",
+                  "molecular_hamiltonian"],
+    "qec": ["FactoryConfig", "MWPMDecoder", "SurfaceCodePatch",
+            "UnionFindDecoder", "get_factory", "logical_error_rate",
+            "surface_code_memory_experiment", "t_count_for_precision"],
+    "simulators": ["DensityMatrixSimulator", "NoiseModel",
+                   "StatevectorSimulator"],
+    "vqe": ["VQE", "BackendEnergyEvaluator", "CliffordVQE",
+            "CobylaOptimizer", "GeneticOptimizer", "SPSAOptimizer",
+            "compare_regimes", "compare_regimes_clifford",
+            "compare_regimes_opr"],
+})

@@ -10,10 +10,8 @@ optimization as well:
   Algorithm on MaxCut instances (:mod:`repro.operators.graphs`).
 """
 
-from .qaoa import QAOA, QAOAAnsatz, QAOAResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "QAOA",
-    "QAOAAnsatz",
-    "QAOAResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "qaoa": ["QAOA", "QAOAAnsatz", "QAOAResult"],
+})

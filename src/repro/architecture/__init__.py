@@ -1,56 +1,22 @@
 """Logical-qubit layouts, lattice-surgery costs, placement, routing and scheduling."""
 
-from .lattice_surgery import (EXPECTED_CONSUMPTION_ATTEMPTS,
-                              FAST_CNOT_CLUSTER_CYCLES, MEASUREMENT_CYCLES,
-                              OperationCost, ROTATION_CONSUMPTION_CYCLES,
-                              SLOW_CNOT_CLUSTER_CYCLES, cnot_cluster_cycles,
-                              rotation_layer_cycles)
-from .layouts import (LAYOUT_FAMILIES, CompactLayout, FastLayout, GridLayout,
-                      IntermediateLayout, Layout, LayoutSpec, ProposedLayout,
-                      make_layout)
-from .pipeline import CompilationResult, EFTCompiler
-from .placement import (PlacedAnsatz, PlacementReport, annealed_placement,
-                        greedy_placement, identity_placement,
-                        optimize_placement, placement_cost)
-from .routing import (BusRouter, ContentionAwareScheduler,
-                      ContentionScheduleResult, ProposedLayoutGeometry, Tile)
-from .scheduler import (LatticeSurgeryScheduler, ScheduleResult,
-                        layout_volume_ratios, schedule_on_layout)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BusRouter",
-    "CompactLayout",
-    "CompilationResult",
-    "ContentionAwareScheduler",
-    "ContentionScheduleResult",
-    "EFTCompiler",
-    "PlacedAnsatz",
-    "PlacementReport",
-    "ProposedLayoutGeometry",
-    "Tile",
-    "annealed_placement",
-    "greedy_placement",
-    "identity_placement",
-    "optimize_placement",
-    "placement_cost",
-    "EXPECTED_CONSUMPTION_ATTEMPTS",
-    "FAST_CNOT_CLUSTER_CYCLES",
-    "FastLayout",
-    "GridLayout",
-    "IntermediateLayout",
-    "LAYOUT_FAMILIES",
-    "LatticeSurgeryScheduler",
-    "Layout",
-    "LayoutSpec",
-    "MEASUREMENT_CYCLES",
-    "OperationCost",
-    "ProposedLayout",
-    "ROTATION_CONSUMPTION_CYCLES",
-    "SLOW_CNOT_CLUSTER_CYCLES",
-    "ScheduleResult",
-    "cnot_cluster_cycles",
-    "layout_volume_ratios",
-    "make_layout",
-    "rotation_layer_cycles",
-    "schedule_on_layout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "lattice_surgery": ["EXPECTED_CONSUMPTION_ATTEMPTS",
+                        "FAST_CNOT_CLUSTER_CYCLES", "MEASUREMENT_CYCLES",
+                        "OperationCost", "ROTATION_CONSUMPTION_CYCLES",
+                        "SLOW_CNOT_CLUSTER_CYCLES", "cnot_cluster_cycles",
+                        "rotation_layer_cycles"],
+    "layouts": ["LAYOUT_FAMILIES", "CompactLayout", "FastLayout",
+                "GridLayout", "IntermediateLayout", "Layout", "LayoutSpec",
+                "ProposedLayout", "make_layout"],
+    "pipeline": ["CompilationResult", "EFTCompiler"],
+    "placement": ["PlacedAnsatz", "PlacementReport", "annealed_placement",
+                  "greedy_placement", "identity_placement",
+                  "optimize_placement", "placement_cost"],
+    "routing": ["BusRouter", "ContentionAwareScheduler",
+                "ContentionScheduleResult", "ProposedLayoutGeometry", "Tile"],
+    "scheduler": ["LatticeSurgeryScheduler", "ScheduleResult",
+                  "layout_volume_ratios", "schedule_on_layout"],
+})

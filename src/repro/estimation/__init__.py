@@ -7,14 +7,10 @@ program/device size, how much of the device each component consumes, and how
 large a program a given device can host.
 """
 
-from .resource_estimator import (RegimeRecommendation, ResourceEstimate,
-                                 ResourceEstimator, device_capacity_table,
-                                 format_estimate_table)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RegimeRecommendation",
-    "ResourceEstimate",
-    "ResourceEstimator",
-    "device_capacity_table",
-    "format_estimate_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "resource_estimator": ["RegimeRecommendation", "ResourceEstimate",
+                           "ResourceEstimator", "device_capacity_table",
+                           "format_estimate_table"],
+})

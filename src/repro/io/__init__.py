@@ -11,29 +11,14 @@ formats the examples and benchmark harness rely on:
   measured values.
 """
 
-from .reports import ExperimentRecord, ExperimentReport, markdown_table
-from .serialization import (channel_from_dict, channel_to_dict,
-                            circuit_from_dict, circuit_to_dict,
-                            load_json, noise_model_from_dict,
-                            noise_model_to_dict, pauli_sum_from_dict,
-                            pauli_sum_to_dict, result_to_dict, save_json,
-                            template_from_dict, template_to_dict)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentRecord",
-    "ExperimentReport",
-    "channel_from_dict",
-    "channel_to_dict",
-    "circuit_from_dict",
-    "circuit_to_dict",
-    "load_json",
-    "markdown_table",
-    "noise_model_from_dict",
-    "noise_model_to_dict",
-    "pauli_sum_from_dict",
-    "pauli_sum_to_dict",
-    "result_to_dict",
-    "save_json",
-    "template_from_dict",
-    "template_to_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "reports": ["ExperimentRecord", "ExperimentReport", "markdown_table"],
+    "serialization": ["channel_from_dict", "channel_to_dict",
+                      "circuit_from_dict", "circuit_to_dict", "load_json",
+                      "noise_model_from_dict", "noise_model_to_dict",
+                      "pauli_sum_from_dict", "pauli_sum_to_dict",
+                      "result_to_dict", "save_json", "template_from_dict",
+                      "template_to_dict"],
+})

@@ -1,65 +1,26 @@
 """Pauli algebra, fermionic operators and benchmark Hamiltonians."""
 
-from .fermion import (FermionicOperator, MolecularIntegrals, bravyi_kitaev,
-                      bravyi_kitaev_matrix, fermi_hubbard, jordan_wigner,
-                      map_to_qubits, molecular_fermionic_hamiltonian,
-                      molecular_hamiltonian_from_integrals,
-                      synthetic_molecular_integrals)
-from .graphs import (GraphInstance, cut_value, erdos_renyi_graph,
-                     exact_maxcut, graph_benchmark_suite,
-                     maxcut_cost_hamiltonian, random_regular_graph,
-                     ring_graph)
-from .grouping import (MeasurementBudget, MeasurementGroup, group_commuting,
-                       grouped_measurement_overhead,
-                       num_measurement_circuits, shot_budget)
-from .hamiltonians import (PAPER_COUPLINGS, BenchmarkInstance,
-                           exact_ground_state, heisenberg_hamiltonian,
-                           ising_hamiltonian, maxcut_hamiltonian,
-                           physics_benchmark_suite)
-from .molecules import (PAPER_BOND_LENGTHS, PAPER_NUM_QUBITS, MolecularSpec,
-                        available_molecules, chemistry_benchmark_suite,
-                        molecular_hamiltonian, molecule_spec)
-from .pauli import PauliString, PauliSum
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkInstance",
-    "FermionicOperator",
-    "GraphInstance",
-    "MeasurementBudget",
-    "MeasurementGroup",
-    "MolecularIntegrals",
-    "MolecularSpec",
-    "PAPER_BOND_LENGTHS",
-    "PAPER_COUPLINGS",
-    "PAPER_NUM_QUBITS",
-    "PauliString",
-    "PauliSum",
-    "available_molecules",
-    "bravyi_kitaev",
-    "bravyi_kitaev_matrix",
-    "chemistry_benchmark_suite",
-    "cut_value",
-    "erdos_renyi_graph",
-    "exact_ground_state",
-    "exact_maxcut",
-    "fermi_hubbard",
-    "graph_benchmark_suite",
-    "group_commuting",
-    "grouped_measurement_overhead",
-    "heisenberg_hamiltonian",
-    "ising_hamiltonian",
-    "jordan_wigner",
-    "map_to_qubits",
-    "maxcut_cost_hamiltonian",
-    "maxcut_hamiltonian",
-    "molecular_fermionic_hamiltonian",
-    "molecular_hamiltonian",
-    "molecular_hamiltonian_from_integrals",
-    "molecule_spec",
-    "num_measurement_circuits",
-    "physics_benchmark_suite",
-    "random_regular_graph",
-    "ring_graph",
-    "shot_budget",
-    "synthetic_molecular_integrals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fermion": ["FermionicOperator", "MolecularIntegrals", "bravyi_kitaev",
+                "bravyi_kitaev_matrix", "fermi_hubbard", "jordan_wigner",
+                "map_to_qubits", "molecular_fermionic_hamiltonian",
+                "molecular_hamiltonian_from_integrals",
+                "synthetic_molecular_integrals"],
+    "graphs": ["GraphInstance", "cut_value", "erdos_renyi_graph",
+               "exact_maxcut", "graph_benchmark_suite",
+               "maxcut_cost_hamiltonian", "random_regular_graph",
+               "ring_graph"],
+    "grouping": ["MeasurementBudget", "MeasurementGroup", "group_commuting",
+                 "grouped_measurement_overhead", "num_measurement_circuits",
+                 "shot_budget"],
+    "hamiltonians": ["PAPER_COUPLINGS", "BenchmarkInstance",
+                     "exact_ground_state", "heisenberg_hamiltonian",
+                     "ising_hamiltonian", "maxcut_hamiltonian",
+                     "physics_benchmark_suite"],
+    "molecules": ["PAPER_BOND_LENGTHS", "PAPER_NUM_QUBITS", "MolecularSpec",
+                  "available_molecules", "chemistry_benchmark_suite",
+                  "molecular_hamiltonian", "molecule_spec"],
+    "pauli": ["PauliString", "PauliSum"],
+})

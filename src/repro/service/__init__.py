@@ -26,44 +26,19 @@ Quickstart (in-thread server, blocking client)::
 Or from a shell: ``python -m repro.service serve --socket /tmp/repro.sock``.
 """
 
-from .client import (EventCallback, JobFailedError, ServiceClient,
-                     ServiceError)
-from .config import ServiceConfig
-from .jobs import prepare_job
-from .protocol import (JOB_KINDS, JOB_STATES, PROTOCOL_VERSION,
-                       TERMINAL_STATES, ProtocolError, decode_line,
-                       encode_line, expectation_payload, qec_memory_payload,
-                       qec_rare_event_payload, sweep_payload)
-from .queue import JobQueue, QueueFullError
-from .registry import RegistryError, RunRegistry
-from .runner import JobRunner, UnknownJobError
-from .server import ServiceHandle, ServiceServer, start_in_thread
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventCallback",
-    "JobFailedError",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceConfig",
-    "prepare_job",
-    "JOB_KINDS",
-    "JOB_STATES",
-    "PROTOCOL_VERSION",
-    "TERMINAL_STATES",
-    "ProtocolError",
-    "decode_line",
-    "encode_line",
-    "expectation_payload",
-    "qec_memory_payload",
-    "qec_rare_event_payload",
-    "sweep_payload",
-    "JobQueue",
-    "QueueFullError",
-    "RegistryError",
-    "RunRegistry",
-    "JobRunner",
-    "UnknownJobError",
-    "ServiceHandle",
-    "ServiceServer",
-    "start_in_thread",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ["EventCallback", "JobFailedError", "ServiceClient",
+               "ServiceError"],
+    "config": ["ServiceConfig"],
+    "jobs": ["prepare_job"],
+    "protocol": ["JOB_KINDS", "JOB_STATES", "PROTOCOL_VERSION",
+                 "TERMINAL_STATES", "ProtocolError", "decode_line",
+                 "encode_line", "expectation_payload", "qec_memory_payload",
+                 "qec_rare_event_payload", "sweep_payload"],
+    "queue": ["JobQueue", "QueueFullError"],
+    "registry": ["RegistryError", "RunRegistry"],
+    "runner": ["JobRunner", "UnknownJobError"],
+    "server": ["ServiceHandle", "ServiceServer", "start_in_thread"],
+})

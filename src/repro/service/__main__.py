@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from .client import ServiceClient, ServiceError
 from .config import ServiceConfig
-from .server import ServiceServer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,6 +76,9 @@ def _serve_config(options: argparse.Namespace) -> ServiceConfig:
 
 
 async def _serve(config: ServiceConfig) -> None:
+    # Only ``serve`` loads the server and the engines its jobs run; the
+    # client subcommands stay light.
+    from .server import ServiceServer
     server = ServiceServer(config)
     await server.start()
     loop = asyncio.get_running_loop()

@@ -33,8 +33,23 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+# The engines every job kind runs load with this module, so a server pays
+# their import at start-up and its first QEC job pays none.
+from ..execution.errors import ExecutionError, UnknownBackendError
 from ..execution.faults import consult as _consult_faults
 from ..execution.faults import execute_directive as _execute_directive
+from ..execution.policy import ExecutionPolicy
+from ..execution.registry import DEFAULT_REGISTRY
+from ..execution.sharding import usable_cpus
+from ..execution.task import observable_fingerprint
+from ..io.serialization import (circuit_from_dict, noise_model_from_dict,
+                                pauli_sum_from_dict, template_from_dict)
+from ..qec.decoders import (LookupDecoder, MWPMDecoder, UnionFindDecoder,
+                            decoder_cache_token, repetition_code_graph,
+                            rotated_surface_code_graph)
+from ..qec.rare_event import stream_rare_event_sampling
+from ..qec.sampling import (SHOT_BLOCK, as_seed_sequence,
+                            stream_memory_sampling, wilson_interval)
 from .protocol import ProtocolError
 
 #: Default circuits / sweep points evaluated per streamed partial.
@@ -87,7 +102,6 @@ def _digest(*parts) -> str:
 
 
 def _decode_noise(payload: Dict[str, Any]):
-    from ..io.serialization import noise_model_from_dict
     entry = payload.get("noise_model")
     return noise_model_from_dict(entry) if entry is not None else None
 
@@ -102,8 +116,6 @@ def _decode_backend(payload: Dict[str, Any]) -> str:
     """The payload's ``backend``, checked against the backend registry at
     submit time, so a misspelt name is rejected instead of failing in a
     worker."""
-    from ..execution.errors import UnknownBackendError
-    from ..execution.registry import DEFAULT_REGISTRY
     backend = payload.get("backend", "auto")
     if not isinstance(backend, str):
         raise ProtocolError(f"backend must be a string, got {backend!r}")
@@ -126,9 +138,6 @@ def _decode_policy(payload: Dict[str, Any]):
     sizes the server's fork pool (a process pool starts all its workers at
     the first submit), so it may not exceed the server's usable CPUs.
     """
-    from ..execution.errors import ExecutionError
-    from ..execution.policy import ExecutionPolicy
-    from ..execution.sharding import usable_cpus
     entry = payload.get("policy")
     if entry is None:
         return None
@@ -150,7 +159,6 @@ def _decode_policy(payload: Dict[str, Any]):
 
 
 def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
-    from ..io.serialization import circuit_from_dict, pauli_sum_from_dict
     circuits = [circuit_from_dict(entry) for entry in payload["circuits"]]
     if not circuits:
         raise ProtocolError("an expectation job needs at least one circuit")
@@ -167,7 +175,6 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
     # ulp-sensitive to batch shape, so differently-chunked submissions are
     # different jobs; the observable's term order is too (its fingerprint
     # follows terms()).  policy is NOT: fan-out cannot change values.
-    from ..execution.task import observable_fingerprint
     key = _digest("expectation",
                   tuple(circuit.fingerprint() for circuit in circuits),
                   observable_fingerprint(observable),
@@ -199,7 +206,6 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
 
 
 def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
-    from ..io.serialization import pauli_sum_from_dict, template_from_dict
     template = template_from_dict(payload["template"])
     parameter_sets = [[float(v) for v in values]
                       for values in payload["parameter_sets"]]
@@ -224,7 +230,6 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
     # to batch shape, so differently-chunked submissions are different
     # jobs; the observable's term order is too (its fingerprint follows
     # terms()).  policy is NOT: fan-out cannot change values.
-    from ..execution.task import observable_fingerprint
     key = _digest("sweep", template.fingerprint(),
                   tuple(tuple(values) for values in parameter_sets),
                   observable_fingerprint(observable),
@@ -255,22 +260,13 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
 # ---------------------------------------------------------------------------
 
 _DECODER_BUILDERS = {
-    "mwpm": lambda graph: _import_qec().MWPMDecoder(graph),
-    "union_find": lambda graph: _import_qec().UnionFindDecoder(graph),
-    "lookup": lambda graph: _import_qec().LookupDecoder(graph),
+    "mwpm": MWPMDecoder,
+    "union_find": UnionFindDecoder,
+    "lookup": LookupDecoder,
 }
 
 
-def _import_qec():
-    from .. import qec
-    return qec
-
-
 def _prepare_qec_memory(payload: Dict[str, Any]) -> PreparedJob:
-    from ..qec.decoders.base import decoder_cache_token
-    from ..qec.sampling import (SHOT_BLOCK, as_seed_sequence,
-                                stream_memory_sampling, wilson_interval)
-
     graph, decoder = _decode_qec_graph_and_decoder(payload)
     shots = int(payload["shots"])
     if shots < 1:
@@ -328,7 +324,6 @@ def _prepare_qec_memory(payload: Dict[str, Any]) -> PreparedJob:
 
 def _decode_qec_graph_and_decoder(payload: Dict[str, Any]):
     """The (graph, decoder) pair shared by the QEC job kinds."""
-    from ..qec import repetition_code_graph, rotated_surface_code_graph
     code = payload.get("code", "repetition")
     distance = int(payload["distance"])
     rounds = int(payload["rounds"])
@@ -354,10 +349,6 @@ def _decode_qec_graph_and_decoder(payload: Dict[str, Any]):
 
 
 def _prepare_qec_rare_event(payload: Dict[str, Any]) -> PreparedJob:
-    from ..qec.decoders.base import decoder_cache_token
-    from ..qec.rare_event import stream_rare_event_sampling
-    from ..qec.sampling import SHOT_BLOCK, as_seed_sequence
-
     graph, decoder = _decode_qec_graph_and_decoder(payload)
     shots = int(payload["shots"])
     if shots < 1:

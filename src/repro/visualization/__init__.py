@@ -7,13 +7,9 @@ grid (Fig. 5), a tile-grid view of the proposed layout (Fig. 3) and a compact
 circuit drawer.
 """
 
-from .ascii import (ascii_bar_chart, ascii_heatmap, ascii_line_plot,
-                    draw_circuit, render_layout)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ascii_bar_chart",
-    "ascii_heatmap",
-    "ascii_line_plot",
-    "draw_circuit",
-    "render_layout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ascii": ["ascii_bar_chart", "ascii_heatmap", "ascii_line_plot",
+              "draw_circuit", "render_layout"],
+})

@@ -2,8 +2,9 @@
 
 Three gates keep the docs truthful as the code evolves:
 
-* every ``python`` code fence in ``README.md`` must *execute* cleanly
-  against the installed package (quickstarts that rot are worse than none);
+* every ``python`` code fence in ``README.md`` and every ``::`` example
+  block of the ``repro`` package docstring must *execute* cleanly against
+  the installed package (quickstarts that rot are worse than none);
 * every ``python`` code fence in ``docs/*.md`` must at least compile
   (some intentionally reference user-defined placeholder classes);
 * every relative link in README/docs must point at a file that exists, and
@@ -18,6 +19,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ DOC_FILES = sorted((REPO_ROOT / "docs").glob("*.md"))
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#]+)\)")
+_LITERAL_BLOCK = re.compile(r"::\n\n((?:(?: {4}.*)?\n)+)")
 
 
 def python_snippets(path):
@@ -51,6 +54,20 @@ def test_readme_snippets_execute():
                  namespace)
         except Exception as error:  # pragma: no cover - failure reporting
             pytest.fail(f"README snippet {index} failed: {error}\n{snippet}")
+
+
+def test_package_docstring_examples_execute():
+    import repro
+
+    blocks = _LITERAL_BLOCK.findall(repro.__doc__)
+    assert len(blocks) == 2, "the package docstring should show two examples"
+    for index, block in enumerate(blocks):
+        code = textwrap.dedent(block)
+        try:
+            exec(compile(code, f"repro.__doc__[example {index}]", "exec"), {})
+        except Exception as error:  # pragma: no cover - failure reporting
+            pytest.fail(f"package docstring example {index} failed: "
+                        f"{error}\n{code}")
 
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
