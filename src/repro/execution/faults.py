@@ -1,6 +1,6 @@
 """Deterministic, seeded fault injection for chaos-testing recovery paths.
 
-The fault-tolerance layer (shard supervisor, job retry/lease machinery)
+The fault-tolerance layer (shard supervisor, job retry machinery)
 is only trustworthy if its recovery paths are exercised continuously — and
 the repo's bitwise-deterministic seeding makes that cheap: a recovered run
 must equal the unfaulted run *exactly*, so a chaos test is an equality

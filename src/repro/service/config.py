@@ -5,14 +5,18 @@ run registry lives, the queue bound and the retry policy — is collected in
 one :class:`ServiceConfig` value object.
 ``ServiceConfig.from_env()`` reads the ``REPRO_SERVICE_*`` environment
 variables so ``python -m repro.service serve`` works with zero flags in a
-configured container.
+configured container.  A bad value is a ``ValueError`` at construction
+that names its field and variable, never a silent clamp.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
+
+from ..execution.sharding import env_number
 
 #: Path of the SQLite run registry (jobs + events tables).
 DB_ENV = "REPRO_SERVICE_DB"
@@ -26,21 +30,13 @@ WORKERS_ENV = "REPRO_SERVICE_WORKERS"
 #: Default per-job attempt budget (1 = no retries, the historical behavior).
 MAX_ATTEMPTS_ENV = "REPRO_SERVICE_MAX_ATTEMPTS"
 
-#: Lease duration granted on claim and renewed by the heartbeat thread.
-LEASE_SECONDS_ENV = "REPRO_SERVICE_LEASE_SECONDS"
-
 #: Base of the exponential retry backoff applied between job attempts.
 RETRY_BACKOFF_ENV = "REPRO_SERVICE_RETRY_BACKOFF"
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
+#: The numeric fields: (field, environment variable, type, lowest value).
+_NUMBERS = (("workers", WORKERS_ENV, int, 1), ("max_pending", None, int, 1),
+            ("max_attempts", MAX_ATTEMPTS_ENV, int, 1),
+            ("retry_backoff", RETRY_BACKOFF_ENV, float, 0))
 
 
 @dataclass(frozen=True)
@@ -58,10 +54,11 @@ class ServiceConfig:
 
     Resilience: ``max_attempts`` is the default per-job attempt budget
     (clients may request more per submission, ``1`` keeps the historical
-    fail-on-first-error behavior), ``lease_seconds`` is how long a claimed
-    job's lease lasts between heartbeats before a restarted/peer server may
-    reclaim it, and ``retry_backoff`` seeds the exponential delay between
-    attempts.
+    fail-on-first-error behavior) and ``retry_backoff`` seeds the
+    exponential delay between attempts.
+
+    ``workers``, ``max_pending`` and ``max_attempts`` must be ints >= 1
+    and ``retry_backoff`` a finite number >= 0.
     """
 
     socket_path: Optional[str] = None
@@ -69,19 +66,26 @@ class ServiceConfig:
     workers: int = 2
     max_pending: int = 256
     max_attempts: int = 1
-    lease_seconds: float = 15.0
     retry_backoff: float = 0.2
+
+    def __post_init__(self) -> None:
+        for field, name, kind, low in _NUMBERS:
+            value = getattr(self, field)
+            if type(value) not in (int, kind) or not low <= value < math.inf:
+                source = f" ({name})" if name else ""
+                raise ValueError(
+                    f"ServiceConfig.{field}{source} must be a finite "
+                    f"{kind.__name__} >= {low}, got {value!r}")
 
     @classmethod
     def from_env(cls, **overrides) -> "ServiceConfig":
         """A config from the ``REPRO_SERVICE_*`` environment, with keyword
         overrides applied on top."""
-        config = cls(
-            socket_path=os.environ.get(SOCKET_ENV) or None,
-            db_path=os.environ.get(DB_ENV) or ":memory:",
-            workers=_env_int(WORKERS_ENV, 2),
-            max_attempts=_env_int(MAX_ATTEMPTS_ENV, 1),
-            lease_seconds=_env_float(LEASE_SECONDS_ENV, 15.0),
-            retry_backoff=_env_float(RETRY_BACKOFF_ENV, 0.2),
-        )
-        return replace(config, **overrides) if overrides else config
+        fields = {"socket_path": os.environ.get(SOCKET_ENV) or None,
+                  "db_path": os.environ.get(DB_ENV) or ":memory:"}
+        for field, name, kind, _ in _NUMBERS:
+            value = name and env_number(name, kind)
+            if value is not None:
+                fields[field] = value
+        fields.update(overrides)
+        return cls(**fields)

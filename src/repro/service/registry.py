@@ -40,13 +40,14 @@ Design points:
 * **JSON columns** — payloads, results and event data are stored as JSON
   text, mirroring the pickle-free wire protocol; the registry file is
   inspectable with the ``sqlite3`` CLI and can never execute code on read.
-* **Leases & attempts** — :meth:`~RunRegistry.claim` takes a queued job in
-  one atomic UPDATE that spends an attempt and grants a time-bounded lease
-  the owner must :meth:`~RunRegistry.heartbeat`; a restarted or peer server
-  finds crashed work via :meth:`~RunRegistry.expired_running` and either
-  calls :meth:`~RunRegistry.requeue` (attempts < max_attempts) or
-  dead-letters it as ``failed``.  Attempt counts live on the row, so retry
-  budgets survive server restarts.
+* **Attempts** — :meth:`~RunRegistry.claim` takes a queued job in one
+  atomic UPDATE that spends an attempt.  One server owns a registry file
+  (:class:`~repro.service.runner.JobRunner` holds its owner lock), so a
+  restarted server finds a dead one's crashed work with
+  :meth:`~RunRegistry.jobs_in_state` and either calls
+  :meth:`~RunRegistry.requeue` (attempts < max_attempts) or dead-letters
+  it as ``failed``.  Attempt counts live on the row, so retry budgets
+  survive server restarts.
 * **Cache accounting** — each job's own expectation-cache hits and misses
   recorded by the runner land on the job row and in a ``cache`` event,
   making the shared executor cache's contribution to each job visible.
@@ -83,11 +84,8 @@ CREATE TABLE IF NOT EXISTS jobs (
     attempts         INTEGER NOT NULL DEFAULT 0,
     max_attempts     INTEGER NOT NULL DEFAULT 1,
     deadline_seconds REAL,
-    next_eligible_at REAL,
-    lease_owner      TEXT,
-    lease_expires_at REAL
+    next_eligible_at REAL
 );
-CREATE INDEX IF NOT EXISTS jobs_by_key    ON jobs (job_key, state);
 CREATE TABLE IF NOT EXISTS events (
     job_id      TEXT NOT NULL,
     seq         INTEGER NOT NULL,
@@ -101,8 +99,7 @@ CREATE TABLE IF NOT EXISTS events (
 _JOB_COLUMNS = ("id", "kind", "job_key", "state", "payload", "result",
                 "error", "created_at", "started_at", "finished_at",
                 "cache_hits", "cache_misses", "attempts", "max_attempts",
-                "deadline_seconds", "next_eligible_at", "lease_owner",
-                "lease_expires_at")
+                "deadline_seconds", "next_eligible_at")
 
 #: Columns added after the PR-6 schema, with the DDL used to backfill a
 #: registry file created by an older server (ALTER TABLE migration).
@@ -111,8 +108,6 @@ _MIGRATIONS = (
     ("max_attempts", "INTEGER NOT NULL DEFAULT 1"),
     ("deadline_seconds", "REAL"),
     ("next_eligible_at", "REAL"),
-    ("lease_owner", "TEXT"),
-    ("lease_expires_at", "REAL"),
 )
 
 
@@ -192,18 +187,16 @@ class RunRegistry:
                 if column not in present:
                     self._connection.execute(
                         f"ALTER TABLE jobs ADD COLUMN {column} {ddl}")
-            # Drop the columns of an older schema that this one lacks (an
-            # old NOT NULL column without a default fails every insert),
-            # each index on one first: SQLite cannot drop an indexed column.
-            retired = present.difference(_JOB_COLUMNS)
+            # Drop what an older schema made and this one lacks: its
+            # indexes (this schema creates none, and SQLite cannot drop an
+            # indexed column), then its columns (an old NOT NULL column
+            # without a default fails every insert).
             for index in self._connection.execute(
                     "PRAGMA index_list(jobs)").fetchall():
-                covered = {row["name"] for row in self._connection.execute(
-                    f"PRAGMA index_info(\"{index['name']}\")")}
-                if covered & retired:
+                if index["origin"] == "c":
                     self._connection.execute(
                         f"DROP INDEX \"{index['name']}\"")
-            for column in sorted(retired):
+            for column in sorted(present.difference(_JOB_COLUMNS)):
                 self._connection.execute(
                     f"ALTER TABLE jobs DROP COLUMN \"{column}\"")
 
@@ -387,17 +380,11 @@ class RunRegistry:
             "SELECT * FROM jobs ORDER BY created_at DESC LIMIT ?",
             (int(limit),))]
 
-    def queued_jobs(self) -> List[Dict[str, Any]]:
-        """Every queued job, oldest first."""
+    def jobs_in_state(self, state: str) -> List[Dict[str, Any]]:
+        """Every job in ``state``, oldest first."""
         return [self._job_dict(row) for row in self._read(
-            "SELECT * FROM jobs WHERE state = 'queued' ORDER BY created_at")]
-
-    def find_inflight(self, job_key: str) -> Optional[str]:
-        """The id of a queued/running job with this content key, if any."""
-        rows = self._read(
-            "SELECT id FROM jobs WHERE job_key = ? AND state IN "
-            "('queued', 'running') ORDER BY created_at LIMIT 1", (job_key,))
-        return rows[0]["id"] if rows else None
+            "SELECT * FROM jobs WHERE state = ? ORDER BY created_at",
+            (state,))]
 
     def transition(self, job_id: str, from_states: Sequence[str],
                    to_state: str) -> bool:
@@ -425,69 +412,37 @@ class RunRegistry:
                 f"IN ({placeholders})", args)
         return cursor.rowcount > 0
 
-    # -- leases & retries ---------------------------------------------------
-    def claim(self, job_id: str, lease_owner: str,
-              lease_seconds: float) -> Optional[int]:
+    # -- attempts & retries -------------------------------------------------
+    def claim(self, job_id: str) -> Optional[int]:
         """Atomically claim a queued job for one execution attempt.
 
-        Moves the row ``queued -> running``, increments ``attempts``, stamps
-        ``started_at`` and grants a lease to ``lease_owner``.  Returns the new
-        attempt number (1-based) on success, ``None`` if the job was not
-        queued (cancelled, already claimed, …).
+        Moves the row ``queued -> running``, increments ``attempts`` and
+        stamps ``started_at``.  Returns the new attempt number (1-based) on
+        success, ``None`` if the job was not queued (cancelled, …).
         """
-        now = time.time()
         with self.transaction():
             rows = self._connection.execute(
                 "UPDATE jobs SET state = 'running', attempts = attempts + 1, "
-                "started_at = ?, lease_owner = ?, lease_expires_at = ?, "
-                "next_eligible_at = NULL WHERE id = ? AND state = 'queued' "
-                "RETURNING attempts",
-                (now, str(lease_owner), now + float(lease_seconds), job_id)
-            ).fetchall()
+                "started_at = ?, next_eligible_at = NULL "
+                "WHERE id = ? AND state = 'queued' RETURNING attempts",
+                (time.time(), job_id)).fetchall()
         return int(rows[0]["attempts"]) if rows else None
 
-    def heartbeat(self, job_id: str, lease_owner: str,
-                  lease_seconds: float) -> bool:
-        """Extend the lease on a running job this owner holds."""
-        with self.transaction():
-            cursor = self._connection.execute(
-                "UPDATE jobs SET lease_expires_at = ? WHERE id = ? AND "
-                "state = 'running' AND lease_owner = ?",
-                (time.time() + float(lease_seconds), job_id,
-                 str(lease_owner)))
-        return cursor.rowcount > 0
-
-    def requeue(self, job_id: str, next_eligible_at: Optional[float] = None,
-                from_states: Sequence[str] = ("running",)) -> bool:
-        """Return a non-terminal job to ``queued``, clearing its lease.
+    def requeue(self, job_id: str,
+                next_eligible_at: Optional[float] = None) -> bool:
+        """Return a ``queued`` or ``running`` job to ``queued``; False if
+        it is terminal or gone.
 
         ``next_eligible_at`` (absolute time) delays redispatch — the retry
         backoff.  Attempt count is preserved: only :meth:`claim` spends
         attempts, so requeueing a job that never ran is free.
         """
-        from_states = [state for state in from_states
-                       if state not in TERMINAL_STATES]
-        if not from_states:
-            return False
-        placeholders = ",".join("?" for _ in from_states)
         with self.transaction():
             cursor = self._connection.execute(
-                f"UPDATE jobs SET state = 'queued', lease_owner = NULL, "
-                f"lease_expires_at = NULL, next_eligible_at = ? "
-                f"WHERE id = ? AND state IN ({placeholders})",
-                [next_eligible_at, job_id] + list(from_states))
+                "UPDATE jobs SET state = 'queued', next_eligible_at = ? "
+                "WHERE id = ? AND state IN ('queued', 'running')",
+                (next_eligible_at, job_id))
         return cursor.rowcount > 0
-
-    def expired_running(self, now: Optional[float] = None
-                        ) -> List[Dict[str, Any]]:
-        """Running jobs whose lease is missing or expired at ``now``."""
-        if now is None:
-            now = time.time()
-        rows = self._read(
-            "SELECT * FROM jobs WHERE state = 'running' AND "
-            "(lease_expires_at IS NULL OR lease_expires_at < ?)",
-            (float(now),))
-        return [self._job_dict(row) for row in rows]
 
     def record_result(self, job_id: str, result: Dict[str, Any],
                       cache_hits: int = 0, cache_misses: int = 0) -> None:
@@ -509,8 +464,8 @@ class RunRegistry:
                      data: Dict[str, Any]) -> int:
         """Persist one event; returns its per-job ``seq`` (1-based).
 
-        The ``seq`` is numbered by the ``INSERT`` itself, so processes
-        sharing the registry file never hand out the same one.
+        The ``seq`` is numbered by the ``INSERT`` itself: no read per
+        event.
         """
         with self.transaction():
             rows = self._connection.execute(

@@ -19,7 +19,7 @@ queue and the execution engine:
   steps share one ``COMMIT``.  Only a step that answers a client or ends a
   job waits for its commit: submit and the dedup event (awaited outside the
   submit lock, so concurrent submissions share a commit) and every terminal
-  step.  Claim, partial, retry-requeue and heartbeat steps do not: the
+  step.  Claim, partial and retry-requeue steps do not: the
   worker keeps computing while their fsync runs.  A job whose claim or
   partial failed to commit is noticed by its next step and goes down the
   failed-attempt path (retry or dead-letter).
@@ -35,23 +35,23 @@ queue and the execution engine:
   thread) and stored on its row plus a ``cache`` event in the success
   transaction.  The counts are exact with concurrent workers: a job never
   counts the lookups of the job running beside it.
-* **Waiting.**  :meth:`JobRunner.wait_result` waits for a job of this
-  runner on its in-memory in-flight set and reads the registry once, when
-  the job is terminal; a job another runner sharing the registry owns is
-  re-read every monitor tick instead.
-* **Leases, retries & recovery.**  Claiming a job spends one attempt from
-  its budget and grants a time-bounded lease the monitor thread heartbeats.
-  A failed attempt with budget left is requeued after exponential backoff
-  (a delayed heap holds it until ``next_eligible_at``); the budget's last
-  failure dead-letters the job as ``failed``.  Per-job deadlines are
-  enforced through the cancellation flag — a deadline-cancelled attempt
-  re-enters the retry path instead of the cancelled state.  On startup
-  :meth:`_recover_stale` requeues ``queued`` rows from a dead process
-  (consuming no attempt — they never ran) and reclaims ``running`` rows
-  whose lease is missing or expired; rows with a live lease belong to
-  another healthy server sharing the registry and are left alone.  Work
-  recovered this way re-decodes its persisted payload lazily in the worker
-  and recomputes from the start: the expectation cache, chunk checkpoints
+* **One owner.**  A runner holds an exclusive ``flock`` on
+  ``<registry path>.lock`` until :meth:`JobRunner.shutdown` ends (the
+  kernel drops it if the process dies), so a second runner on the file
+  fails at construction; plain readers are unaffected.  Every
+  non-terminal job is thus this runner's: :meth:`JobRunner.wait_result`
+  waits on the in-memory in-flight set and reads the row once, at the end.
+* **Retries & recovery.**  Claiming a job spends one attempt from its
+  budget.  A failed attempt with budget left is requeued after exponential
+  backoff (a delayed heap holds it until ``next_eligible_at``); the
+  budget's last failure dead-letters the job as ``failed``.  Per-job
+  deadlines are enforced through the cancellation flag — a
+  deadline-cancelled attempt re-enters the retry path instead of the
+  cancelled state.  On startup :meth:`_recover_stale` requeues ``queued``
+  rows from a dead process (consuming no attempt — they never ran) and
+  retries or dead-letters its ``running`` rows at once.  Work recovered
+  this way re-decodes its persisted payload lazily in the worker and
+  recomputes from the start: the expectation cache, chunk checkpoints
   included, died with the old process.  A retry within one server replays
   the checkpointed chunks of its earlier attempt instead.
 * **Graceful shutdown.**  ``shutdown(drain=True)`` stops intake, cancels
@@ -63,7 +63,9 @@ queue and the execution engine:
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import heapq
+import os
 import queue as queue_module
 import threading
 import time
@@ -74,7 +76,7 @@ from ..execution.cache import cache_tally
 from .jobs import JobCancelled, JobContext, PreparedJob, prepare_job
 from .protocol import TERMINAL_STATES
 from .queue import JobQueue, QueueFullError
-from .registry import Batch, CommitError, RunRegistry
+from .registry import Batch, CommitError, RegistryError, RunRegistry
 
 #: Sentinel pushed to subscribers when a job reaches a terminal state.
 STREAM_END = None
@@ -94,6 +96,45 @@ _RUN_COLUMNS = ("id", "job_key", "max_attempts", "deadline_seconds")
 
 class UnknownJobError(KeyError):
     """No job with that id exists in the registry."""
+
+
+#: Owner-lock descriptors this process holds.  A forked child (a fork-pool
+#: worker, which can outlive a killed server) closes its copies.
+_OWNER_LOCKS: Set[int] = set()
+
+
+def _close_inherited_locks() -> None:
+    while _OWNER_LOCKS:
+        os.close(_OWNER_LOCKS.pop())
+
+
+os.register_at_fork(after_in_child=_close_inherited_locks)
+
+
+def _lock_owner(path: str) -> Optional[int]:
+    """Take the owner lock of the registry file ``path``: an exclusive
+    ``flock`` on ``<path>.lock``; None for ``":memory:"``.  Never lock the
+    database file itself: closing any descriptor of it drops the process's
+    POSIX locks (https://www.sqlite.org/howtocorrupt.html, §2.2)."""
+    if path == ":memory:":
+        return None
+    lock_path = f"{path}.lock"
+    descriptor = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(descriptor)
+        raise RegistryError(
+            f"registry {path} is owned by another live server "
+            f"(lock {lock_path} is held)") from None
+    _OWNER_LOCKS.add(descriptor)
+    return descriptor
+
+
+def _unlock_owner(descriptor: Optional[int]) -> None:
+    if descriptor is not None:
+        _OWNER_LOCKS.discard(descriptor)
+        os.close(descriptor)  # drops the flock
 
 
 class Submission(tuple):
@@ -132,21 +173,20 @@ class JobRunner:
 
     ``max_attempts`` is the default per-job attempt budget (``1`` — the
     historical fail-on-first-error behavior — unless a submission overrides
-    it), ``lease_seconds`` the lease granted on claim and renewed by the
-    monitor thread, ``retry_backoff`` the base of the exponential delay
-    between attempts.
+    it), ``retry_backoff`` the base of the exponential delay between
+    attempts; :class:`~repro.service.config.ServiceConfig` validates both
+    and ``workers``.  Raises
+    :class:`~repro.service.registry.RegistryError` if another live runner
+    owns the registry file.
     """
 
     def __init__(self, executor, registry: RunRegistry,
                  queue: JobQueue, workers: int = 2, *,
-                 max_attempts: int = 1, lease_seconds: float = 15.0,
-                 retry_backoff: float = 0.2):
+                 max_attempts: int = 1, retry_backoff: float = 0.2):
         self.executor = executor
         self.registry = registry
         self.queue = queue
-        self.instance_id = uuid.uuid4().hex[:8]
-        self._max_attempts = max(1, int(max_attempts))
-        self._lease_seconds = float(lease_seconds)
+        self._max_attempts = int(max_attempts)
         self._retry_backoff = float(retry_backoff)
         self._prepared: Dict[str, PreparedJob] = {}
         self._cancel_flags: Dict[str, threading.Event] = {}
@@ -160,19 +200,24 @@ class JobRunner:
         # released into the queue by the monitor.
         self._delayed: List[Tuple[float, str]] = []
         self._delayed_lock = threading.Lock()
-        # job id -> (claimed_at, deadline_seconds) for attempts running in
-        # THIS process; drives heartbeats and deadline enforcement.
+        # job id -> (claimed_at, deadline_seconds) for running attempts;
+        # drives deadline enforcement.
         self._local_running: Dict[str, Tuple[float, Optional[float]]] = {}
         # Jobs whose cancel flag was set by the deadline enforcer, not a
         # client — their JobCancelled re-enters the retry path.
         self._deadline_hit: Set[str] = set()
         self._stop_event = threading.Event()
-        self._recover_stale()
+        self._owner_lock = _lock_owner(registry.path)
+        try:
+            self._recover_stale()
+        except BaseException:
+            _unlock_owner(self._owner_lock)
+            raise
         self._workers = [
             threading.Thread(target=self._worker_loop,
                              name=f"repro-service-worker-{index}",
                              daemon=True)
-            for index in range(max(1, int(workers)))
+            for index in range(int(workers))
         ]
         for worker in self._workers:
             worker.start()
@@ -263,31 +308,14 @@ class JobRunner:
         """Block until the job is terminal or ``timeout`` expires; returns
         its :data:`RESULT_COLUMNS`.
 
-        A job in this runner's in-flight set is waited for on the runner's
-        condition, notified after its terminal step commits, and read once.
-        A job another runner sharing the registry owns is re-read every
-        monitor tick.
+        The job leaves the in-flight set (and the runner's condition is
+        notified) once its terminal step has committed; the row is read
+        once, then.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-
-        def remaining() -> Optional[float]:
-            return None if deadline is None else deadline - time.monotonic()
-
-        while True:
-            with self._done:
-                while job_id in self._cancel_flags:
-                    left = remaining()
-                    if left is not None and left <= 0:
-                        break
-                    self._done.wait(left)
-            entry = self.job(job_id, RESULT_COLUMNS)
-            left = remaining()
-            if entry["state"] in TERMINAL_STATES or (
-                    left is not None and left <= 0):
-                return entry
-            if job_id not in self._cancel_flags:
-                time.sleep(_MONITOR_TICK if left is None
-                           else min(_MONITOR_TICK, left))
+        with self._done:
+            self._done.wait_for(lambda: job_id not in self._cancel_flags,
+                                timeout)
+        return self.job(job_id, RESULT_COLUMNS)
 
     def stats(self) -> Dict[str, Any]:
         cache = self.executor.cache_stats
@@ -297,7 +325,6 @@ class JobRunner:
                       "running": len(self._local_running)},
             "cache": {"hits": cache.hits, "misses": cache.misses},
             "workers": len(self._workers),
-            "instance": self.instance_id,
         }
         with self._delayed_lock:
             stats["delayed"] = len(self._delayed)
@@ -352,7 +379,8 @@ class JobRunner:
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = 30.0) -> None:
         """Stop intake, cancel queued jobs, finish (or cancel) running ones,
-        then retire the executor's worker-process pool."""
+        retire the executor's worker-process pool, then release the owner
+        lock."""
         with self._submit_lock:
             if self._stopping:
                 return
@@ -373,6 +401,7 @@ class JobRunner:
         self._monitor.join(timeout=timeout)
         self._notify_done()
         self.executor.shutdown(wait=drain)
+        _unlock_owner(self._owner_lock)
 
     # -- internals ----------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -408,8 +437,7 @@ class JobRunner:
             with self._submit_lock:
                 self._prepared[job_id] = prepared
         with self._step(wait=False) as step:
-            attempt = self.registry.claim(job_id, self.instance_id,
-                                          self._lease_seconds)
+            attempt = self.registry.claim(job_id)
             if attempt is not None:
                 entry = self.registry.get_job(job_id, _RUN_COLUMNS)
                 running: Dict[str, Any] = {"state": "running"}
@@ -417,8 +445,8 @@ class JobRunner:
                     running["attempt"] = attempt
                 step.emit(job_id, "state", running)
         if attempt is None:
-            # A racing cancel won, or a runner sharing the registry claimed
-            # the job: either way it is no longer this runner's to wait on.
+            # A racing cancel won: the job is no longer this runner's to
+            # wait on.
             self._release(job_id, prepared.key)
             return
         # The batches of this attempt's claim and partials, none of which
@@ -507,12 +535,11 @@ class JobRunner:
             # next attempt.
             self._cancel_flags[job_id] = threading.Event()
         with self._step(wait=False) as step:
-            if self.registry.requeue(job_id, next_eligible_at=eligible_at,
-                                     from_states=("queued", "running")):
+            if self.registry.requeue(job_id, next_eligible_at=eligible_at):
                 step.emit(job_id, "state", {
                     "state": "queued", "retry": attempt, "cause": cause,
                     "backoff": round(delay, 4)})
-        if not step.events:  # the row is gone, or no longer this runner's
+        if not step.events:  # the row is gone, or already terminal
             self._release(job_id, key)
             return
         with self._delayed_lock:
@@ -594,22 +621,11 @@ class JobRunner:
 
     # -- the monitor thread -------------------------------------------------
     def _monitor_loop(self) -> None:
-        """Release backed-off retries, heartbeat leases, enforce deadlines,
-        reclaim work whose owning server died mid-run."""
-        sweep_every = max(_MONITOR_TICK, self._lease_seconds / 3.0)
-        last_sweep = 0.0
+        """Release backed-off retries and enforce deadlines."""
         while not self._stop_event.wait(_MONITOR_TICK):
             now = time.time()
             self._release_due(now)
             self._enforce_deadlines(now)
-            if now - last_sweep >= sweep_every:
-                last_sweep = now
-                try:
-                    self._heartbeat_running()
-                    self._reclaim_foreign(now)
-                except Exception:  # noqa: BLE001 - registry may be closing
-                    if self._stopping:
-                        return
 
     def _release_due(self, now: float) -> None:
         ready = []
@@ -639,24 +655,6 @@ class JobRunner:
                 if flag is not None:
                     flag.set()
 
-    def _heartbeat_running(self) -> None:
-        running = list(self._local_running)
-        if not running:
-            return
-        with self.registry.transaction(wait=False):
-            for job_id in running:
-                self.registry.heartbeat(job_id, self.instance_id,
-                                        self._lease_seconds)
-
-    def _reclaim_foreign(self, now: float) -> None:
-        """Retry/dead-letter running jobs whose owner stopped heartbeating
-        (a peer server sharing this registry died mid-run)."""
-        for entry in self.registry.expired_running(now):
-            if entry["lease_owner"] == self.instance_id \
-                    or entry["id"] in self._local_running:
-                continue  # ours; the heartbeat will catch up
-            self._reclaim_expired(entry)
-
     def _remove_delayed(self, job_id: str) -> bool:
         with self._delayed_lock:
             for index, item in enumerate(self._delayed):
@@ -671,42 +669,34 @@ class JobRunner:
     def _recover_stale(self) -> None:
         """Re-admit jobs a previous server process left non-terminal.
 
-        ``queued`` rows never ran — they are requeued as-is, consuming no
-        retry attempt.  ``running`` rows whose lease is missing or expired
-        belonged to a dead process: they are retried if their attempt budget
-        has room, dead-lettered as ``failed`` otherwise.  Rows holding a
-        live lease belong to another healthy server sharing the registry
-        and are left untouched.  Event logs are append-only throughout, so
-        reattaching clients replay one consistent history.  Queued rows
-        are read before any running row is requeued, so none is re-admitted
-        twice.
+        This runner owns the registry, so every non-terminal row belongs
+        to a dead process.  ``queued`` rows never ran — they are requeued
+        as-is, consuming no retry attempt.  ``running`` rows died mid-run:
+        they are retried at once if their attempt budget has room,
+        dead-lettered as ``failed`` otherwise.  Event logs are append-only
+        throughout, so reattaching clients replay one consistent history.
+        Queued rows are read before any running row is requeued, so none
+        is re-admitted twice.
         """
-        now = time.time()
-        for entry in self.registry.queued_jobs():
+        for entry in self.registry.jobs_in_state("queued"):
             self._readmit(entry, {"state": "queued", "cause": "recovered"})
-        for entry in self.registry.expired_running(now):
-            self._reclaim_expired(entry)
-
-    def _reclaim_expired(self, entry: Dict[str, Any]) -> None:
-        """A running job whose lease lapsed: retry or dead-letter."""
-        job_id = entry["id"]
-        attempts = int(entry["attempts"] or 0)
-        limit = max(1, int(entry["max_attempts"] or 1))
-        if attempts >= limit:
-            with self._finish(job_id, entry["job_key"]) as step:
-                if self.registry.transition(job_id, ("running",), "failed"):
+        for entry in self.registry.jobs_in_state("running"):
+            job_id = entry["id"]
+            attempts = int(entry["attempts"] or 0)
+            if attempts >= max(1, int(entry["max_attempts"] or 1)):
+                with self._finish(job_id, entry["job_key"]) as step:
+                    self.registry.transition(job_id, ("running",), "failed")
                     self.registry.record_error(
-                        job_id,
-                        "orphaned: lease expired with no attempts left")
+                        job_id, "orphaned: its server died with no "
+                        "attempts left")
                     step.emit(job_id, "state",
-                              {"state": "failed", "error": "lease-expired"})
-            return
-        with self._step(wait=False) as step:
-            if self.registry.requeue(job_id, from_states=("running",)):
+                              {"state": "failed", "error": "orphaned"})
+                continue
+            with self._step(wait=False) as step:
+                self.registry.requeue(job_id)
                 step.emit(job_id, "state", {"state": "queued",
                                             "retry": attempts,
-                                            "cause": "lease-expired"})
-        if step.events:
+                                            "cause": "orphaned"})
             self._readmit(entry)
 
     def _readmit(self, entry: Dict[str, Any],

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import errno
 import os
 import queue as queue_module
+import socket
 import threading
 from typing import Any, Dict, Optional
 
@@ -50,6 +52,9 @@ _FEED_POLL = 0.5
 
 _FEED_IDLE = object()
 
+#: How long a server at the socket path has to answer the start-up probe.
+_PROBE_TIMEOUT = 1.0
+
 
 class ServiceServer:
     """The job server: registry + queue + executor + runner + listener."""
@@ -58,14 +63,20 @@ class ServiceServer:
         self.config = config
         if not self.config.socket_path:
             raise ValueError("ServiceConfig needs a socket_path")
+        # Refuse a live server's socket before recovery touches a registry.
+        _refuse_live_socket(self.config.socket_path)
         self.registry = RunRegistry(self.config.db_path)
         self.executor = Executor()
-        self.runner = JobRunner(self.executor, self.registry,
-                                JobQueue(max_pending=self.config.max_pending),
-                                workers=self.config.workers,
-                                max_attempts=self.config.max_attempts,
-                                lease_seconds=self.config.lease_seconds,
-                                retry_backoff=self.config.retry_backoff)
+        try:
+            self.runner = JobRunner(
+                self.executor, self.registry,
+                JobQueue(max_pending=self.config.max_pending),
+                workers=self.config.workers,
+                max_attempts=self.config.max_attempts,
+                retry_backoff=self.config.retry_backoff)
+        except BaseException:  # another server owns the registry file
+            self.registry.close()
+            raise
         self._stop: Optional[asyncio.Event] = None
         self._drain = True
         self._server: Optional[asyncio.AbstractServer] = None
@@ -73,10 +84,9 @@ class ServiceServer:
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        """Bind the socket listener (call from the serving loop)."""
+        """Bind the socket listener (call from the serving loop); asyncio
+        replaces the stale socket file the constructor's probe found."""
         self._stop = asyncio.Event()
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self.config.socket_path)
         self._server = await asyncio.start_unix_server(
             self._handle_socket, path=self.config.socket_path)
 
@@ -100,10 +110,10 @@ class ServiceServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.config.socket_path)
         await asyncio.to_thread(self.runner.shutdown, self._drain)
         self.registry.close()
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self.config.socket_path)
 
     # -- the NDJSON transport -----------------------------------------------
     async def _handle_socket(self, reader: asyncio.StreamReader,
@@ -238,6 +248,23 @@ class ServiceServer:
             return self.runner.job(job_id, RESULT_COLUMNS)
         finally:
             self.runner.unsubscribe(job_id, feed)
+
+
+def _refuse_live_socket(path: str) -> None:
+    """Raise ``OSError(EADDRINUSE)`` if a server answers a ping at ``path``;
+    a socket that does not is stale (fork-pool workers of a killed server
+    can still hold its listener open)."""
+    with socket.socket(socket.AF_UNIX) as probe:
+        probe.settimeout(_PROBE_TIMEOUT)
+        try:
+            probe.connect(path)
+            probe.sendall(encode_line(PingRequest()).encode("utf-8"))
+            answered = probe.recv(1)
+        except OSError:  # nothing there, refused, or no answer in time
+            return
+    if answered:
+        raise OSError(errno.EADDRINUSE,
+                      f"a server is already listening on {path}")
 
 
 def _poll_feed(feed: "queue_module.SimpleQueue"):

@@ -9,9 +9,11 @@ and the QEC memory experiments honour a per-call policy.
 :class:`ExecutionPolicy` itself is checked here too: resolution order, the
 single ``from_env`` reader, the wire (payload) form, the ``max_workers <=
 0`` bugfix (ValueError, never a silent clamp) and retry-budget validation
-(a bad value fails at construction, naming its field or variable).
+(a bad value fails at construction, naming its field or variable).  The
+job server's :class:`~repro.service.ServiceConfig` follows the same rule.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -28,6 +30,9 @@ from repro.qec.decoder import RepetitionMatchingDecoder
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
 from repro.qec.sampling import reset_sampling_stats, sampling_stats
+from repro.service import ServiceConfig
+from repro.service.config import (MAX_ATTEMPTS_ENV, RETRY_BACKOFF_ENV,
+                                  WORKERS_ENV as SERVICE_WORKERS_ENV)
 from repro.qec.surface_memory import SurfaceCodeMemory
 
 PACKAGES = ("repro.execution", "repro.qec", "repro.vqe", "repro.algorithms")
@@ -262,3 +267,52 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError):
             ExecutionPolicy(broker="/tmp/spool")
         assert ExecutionPolicy().broker is None
+
+
+class TestServiceConfig:
+
+    @pytest.mark.parametrize("fields", [
+        {"workers": 0}, {"workers": -1}, {"workers": True},
+        {"workers": 1.5}, {"max_pending": 0}, {"max_attempts": 0},
+        {"max_attempts": "2"}, {"retry_backoff": -0.1},
+        {"retry_backoff": float("nan")}, {"retry_backoff": "0.2"}],
+        ids=["workers-zero", "workers-neg", "workers-bool", "workers-float",
+             "pending-zero", "attempts-zero", "attempts-str", "backoff-neg",
+             "backoff-nan", "backoff-str"])
+    def test_rejects_nonsense(self, fields):
+        # workers=0 and max_attempts=0 used to be clamped to 1, and
+        # max_pending=0 started a server that refused every submission.
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            ServiceConfig(**fields)
+
+    def test_accepts_boundary_values(self):
+        config = ServiceConfig(workers=1, max_pending=1, max_attempts=1,
+                               retry_backoff=0)
+        assert (config.workers, config.max_pending) == (1, 1)
+
+    @pytest.mark.parametrize("name, value", [
+        (SERVICE_WORKERS_ENV, "abc"), (SERVICE_WORKERS_ENV, "0"),
+        (MAX_ATTEMPTS_ENV, "two"), (RETRY_BACKOFF_ENV, "fast"),
+        (RETRY_BACKOFF_ENV, "-1")],
+        ids=["workers-abc", "workers-zero", "attempts-two", "backoff-fast",
+             "backoff-neg"])
+    def test_from_env_names_the_bad_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            ServiceConfig.from_env()
+
+    def test_from_env_reads_the_knobs_under_overrides(self, monkeypatch):
+        monkeypatch.setenv(SERVICE_WORKERS_ENV, "3")
+        monkeypatch.setenv(MAX_ATTEMPTS_ENV, "4")
+        monkeypatch.setenv(RETRY_BACKOFF_ENV, "0.5")
+        config = ServiceConfig.from_env(workers=5, db_path="r.db")
+        assert (config.workers, config.max_attempts, config.retry_backoff,
+                config.db_path) == (5, 4, 0.5, "r.db")
+
+    def test_six_fields_and_no_lease_knob(self):
+        assert [field.name for field in dataclasses.fields(
+            ServiceConfig)] == ["socket_path", "db_path", "workers",
+                                "max_pending", "max_attempts",
+                                "retry_backoff"]
+        with pytest.raises(TypeError):
+            ServiceConfig(lease_seconds=15.0)

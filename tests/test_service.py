@@ -52,7 +52,7 @@ from repro.service import (PROTOCOL_VERSION, JobFailedError, JobQueue,
 from repro.service import protocol as protocol_module
 from repro.service import runner as runner_module
 from repro.service.jobs import PreparedJob, prepare_job
-from repro.service.registry import CommitError
+from repro.service.registry import CommitError, RegistryError
 from repro.simulators.noise import NoiseModel, depolarizing_channel
 
 
@@ -359,13 +359,11 @@ class TestRunRegistry:
         assert sum(s.lstrip().upper().startswith("INSERT")
                    for s in statements) == 3
 
-    def test_find_inflight_and_counts(self):
+    def test_counts(self):
         registry = RunRegistry(":memory:")
         registry.create_job("j1", "sweep", "K", {})
         registry.create_job("j2", "sweep", "K2", {})
-        assert registry.find_inflight("K") == "j1"
         registry.transition("j1", ("queued",), "cancelled")
-        assert registry.find_inflight("K") is None
         assert registry.counts() == {"queued": 1, "cancelled": 1}
 
     def test_persistence_across_reopen(self, tmp_path):
@@ -455,6 +453,19 @@ class TestOldRegistryFile:
                     assert client.fetch(new_id)["shots"] == 256
                     assert [row["id"] for row in client.list_jobs()] == [
                         new_id, "old"]
+            # The retired columns and every index the old schema made on
+            # jobs are gone.
+            migrated = sqlite3.connect(db_path)
+            try:
+                columns = {row[1] for row in migrated.execute(
+                    "PRAGMA table_info(jobs)")}
+                indexes = [row[1] for row in migrated.execute(
+                    "PRAGMA index_list(jobs)") if row[3] == "c"]
+            finally:
+                migrated.close()
+            assert not columns & {"tenant", "priority", "lease_owner",
+                                  "lease_expires_at"}
+            assert indexes == []
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
@@ -599,8 +610,8 @@ class TestJobRunner:
 
     def test_recovers_stale_jobs_from_dead_process(self, monkeypatch):
         """A restarted server requeues queued rows without spending an
-        attempt, retries lease-expired running rows with budget left, and
-        dead-letters lease-expired running rows whose budget is gone."""
+        attempt, retries running rows with budget left at once, and
+        dead-letters running rows whose budget is gone."""
         ran = []
 
         def fake_prepare(kind, payload):
@@ -614,15 +625,14 @@ class TestJobRunner:
         # Queued when the old server died: it never ran.
         registry.create_job("q1", "sweep", None, {"name": "q1"},
                             max_attempts=1)
-        # Running with an expired lease and budget left: retried.
+        # Running when the old server died, with budget left: retried.
         registry.create_job("r1", "sweep", None, {"name": "r1"},
                             max_attempts=2)
-        assert registry.claim("r1", "dead-server", lease_seconds=0.0) == 1
-        # Running with an expired lease and no budget left: dead-lettered.
+        assert registry.claim("r1") == 1
+        # Running when the old server died, no budget left: dead-lettered.
         registry.create_job("r2", "sweep", None, {"name": "r2"},
                             max_attempts=1)
-        assert registry.claim("r2", "dead-server", lease_seconds=0.0) == 1
-        time.sleep(0.01)  # both leases are now strictly in the past
+        assert registry.claim("r2") == 1
         runner = JobRunner(Executor(), registry, JobQueue(), workers=1)
         try:
             assert runner.wait_result("q1", timeout=10)["state"] == "done"
@@ -640,8 +650,10 @@ class TestJobRunner:
             kinds = [event["kind"]
                      for event in registry.events_since("r2")]
             assert kinds[-1] == "state"
-            assert registry.events_since("r2")[-1]["data"]["state"] == \
-                "failed"
+            assert registry.events_since("r2")[-1]["data"] == {
+                "state": "failed", "error": "orphaned"}
+            assert registry.events_since("r1")[0]["data"] == {
+                "state": "queued", "retry": 1, "cause": "orphaned"}
         finally:
             runner.shutdown(timeout=10)
 
@@ -973,6 +985,41 @@ class TestServiceEndToEnd:
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
+    def test_second_server_on_a_live_socket_is_refused(self):
+        """A server started on a live server's socket path is refused; the
+        first keeps answering on it, also to new clients."""
+        with service(db_path=":memory:") as first:
+            with pytest.raises(OSError, match="already listening"):
+                start_in_thread(ServiceConfig(
+                    socket_path=first.socket_path, db_path=":memory:"))
+            with ServiceClient(first.socket_path) as client:
+                assert client.ping().server == "repro.service"
+                assert client.stats()["jobs"] == {}
+
+    def test_second_server_on_a_held_registry_is_refused(self):
+        """A server on a registry file another live server owns is refused
+        at construction, before it binds its socket; the owner keeps
+        serving and a plain reader of the file keeps working."""
+        with service() as first:
+            db_path = first.server.config.db_path
+            second_socket = first.socket_path + "2"
+            with ServiceClient(first.socket_path) as client:
+                job_id = client.submit(
+                    "qec_memory", qec_memory_payload(
+                        distance=3, rounds=2, error_rate=0.02, shots=64,
+                        seed=2)).job_id
+                with pytest.raises(RegistryError, match=db_path):
+                    start_in_thread(ServiceConfig(socket_path=second_socket,
+                                                  db_path=db_path))
+                assert not os.path.exists(second_socket)
+                assert client.result(job_id, wait=True).state == "done"
+            reader = RunRegistry(db_path)
+            try:
+                assert reader.get_job(job_id, ("state",)) == {
+                    "state": "done"}
+            finally:
+                reader.close()
+
     def test_resubmitted_job_is_served_by_the_shared_cache(self):
         template, points, observable = sweep_fixture()
         payload = sweep_payload(template, points, observable)
@@ -1140,6 +1187,12 @@ def wait_until(condition, timeout=10.0):
         time.sleep(0.002)
 
 
+def signal_then_sleep(started):
+    """A forked child's target: report that it runs, then idle."""
+    started.set()
+    time.sleep(60)
+
+
 def committed_rows(path, query, args=()):
     """Rows a second connection to the registry file reads."""
     observer = sqlite3.connect(path)
@@ -1155,10 +1208,7 @@ class TestRegistryTransactions:
         one-chunk sweep commits 4 times, a 2-partial QEC job 5 times."""
         template, points, observable = sweep_fixture(points=8)
         registry = RunRegistry(str(tmp_path / "registry.db"))
-        # A long lease keeps monitor heartbeats out of the counted window.
-        runner = JobRunner(Executor(), registry, JobQueue(), workers=1,
-                           lease_seconds=600.0)
-        time.sleep(2 * runner_module._MONITOR_TICK)
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1)
         try:
             jobs = [(sweep_payload(template, points, observable), 1, 4),
                     (qec_memory_payload(distance=3, rounds=2,
@@ -1272,30 +1322,63 @@ class TestRegistryTransactions:
             registry.close()
             observer.close()
 
-    def test_wait_result_for_a_job_another_runner_owns(self, monkeypatch,
-                                                       tmp_path):
-        """Two runners share one registry file: B waits out a job A runs."""
+    def test_a_second_owner_is_refused_until_the_first_shuts_down(
+            self, monkeypatch, tmp_path):
+        """One runner owns a registry file: a second is refused at
+        construction, naming the path, while readers keep working; once
+        the first shuts down a new runner takes the file."""
         monkeypatch.setattr(runner_module, "prepare_job", stub_or_job({}))
         path = str(tmp_path / "registry.db")
         registry_a, registry_b = RunRegistry(path), RunRegistry(path)
-        runner_a = JobRunner(Executor(), registry_a, JobQueue(),
-                             workers=1)
-        runner_b = JobRunner(Executor(), registry_b, JobQueue(),
-                             workers=1)
+        runner_a = JobRunner(Executor(), registry_a, JobQueue(), workers=1)
         try:
             job_id, _, _ = runner_a.submit("sweep",
                                            {"stub": "sleep", "name": "a"})
-            start = time.monotonic()
-            entry = runner_b.wait_result(job_id, timeout=10)
-            assert entry["state"] == "done"
+            with pytest.raises(RegistryError, match=path):
+                JobRunner(Executor(), registry_b, JobQueue(), workers=1)
+            entry = runner_a.wait_result(job_id, timeout=10)
             assert entry["result"] == {"name": "a"}
-            assert time.monotonic() - start < 5
-            assert runner_a.wait_result(job_id, timeout=10) == entry
+            assert registry_b.get_job(job_id, ("state",)) == {
+                "state": "done"}
         finally:
             runner_a.shutdown(timeout=10)
-            runner_b.shutdown(timeout=10)
             registry_a.close()
+        runner_b = JobRunner(Executor(), registry_b, JobQueue(), workers=1)
+        try:
+            job_id, _, _ = runner_b.submit("sweep",
+                                           {"stub": "quick", "name": "b"})
+            assert runner_b.wait_result(job_id, timeout=10)["result"] == {
+                "name": "b"}
+        finally:
+            runner_b.shutdown(timeout=10)
             registry_b.close()
+
+    def test_a_forked_child_does_not_keep_the_owner_lock(self, tmp_path):
+        """A process forked while a runner owns the file (a fork-pool
+        worker) does not hold the lock: once the runner shuts down, a new
+        runner takes the file although the child still lives."""
+        import multiprocessing
+
+        path = str(tmp_path / "registry.db")
+        registry = RunRegistry(path)
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1)
+        context = multiprocessing.get_context("fork")
+        started = context.Event()
+        child = context.Process(target=signal_then_sleep, args=(started,),
+                                daemon=True)
+        child.start()
+        try:
+            # The child runs its at-fork hooks before its target.
+            assert started.wait(10)
+            runner.shutdown(timeout=10)
+            successor = JobRunner(Executor(), registry, JobQueue(),
+                                  workers=1)
+            assert child.is_alive()
+            successor.shutdown(timeout=10)
+        finally:
+            child.kill()
+            child.join(timeout=10)
+            registry.close()
 
     def test_concurrent_steps_keep_seqs_and_states(self, monkeypatch,
                                                    tmp_path):
@@ -1443,8 +1526,7 @@ class TestRegistryTransactions:
         registry = RunRegistry(str(tmp_path / "registry.db"))
         connection = FailingCommits(registry._connection)
         registry._connection = connection
-        runner = JobRunner(Executor(), registry, JobQueue(), workers=1,
-                           lease_seconds=600.0)
+        runner = JobRunner(Executor(), registry, JobQueue(), workers=1)
         try:
             connection.failures = 1
             with pytest.raises(CommitError):
@@ -1566,8 +1648,9 @@ class TestServerKill:
     def test_sigkilled_server_loses_no_event_a_client_saw(self, tmp_path):
         """SIGKILL the server after a streaming client saw ``running`` and
         one of four partials; a server restarted on the same registry file
-        replays every event that client saw, with seqs contiguous from 1,
-        and finishes the job."""
+        re-runs the job at once, replays every event that client saw, with
+        seqs contiguous from 1, and finishes the job with the result of an
+        unfaulted run."""
         import repro
 
         tmp = tempfile.mkdtemp(dir="/tmp", prefix="rsvc")
@@ -1576,9 +1659,8 @@ class TestServerKill:
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(
                        os.path.abspath(repro.__file__))),
-                   # The dead server's lease lapses within a second, and
-                   # its attempt leaves one for the restarted server.
-                   REPRO_SERVICE_LEASE_SECONDS="1",
+                   # The dead server's attempt leaves one for the
+                   # restarted server, which re-runs the job at once.
                    REPRO_SERVICE_MAX_ATTEMPTS="2")
 
         def serve():
@@ -1628,6 +1710,12 @@ class TestServerKill:
             assert final.state == "done"
             assert replay[-1]["kind"] == "state"
             assert replay[-1]["data"]["state"] == "done"
+            assert {"state": "queued", "retry": 1, "cause": "orphaned"} in \
+                [event["data"] for event in replay]
+            with service(db_path=":memory:") as clean:
+                with ServiceClient(clean.socket_path, timeout=60) as client:
+                    assert client.fetch(client.submit(
+                        "qec_memory", payload).job_id) == final.result
         finally:
             server.kill()
             server.wait()
