@@ -41,10 +41,13 @@ import numpy as np
 from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import ExecutionPolicy, ExecutionTask, Executor
 from repro.operators import ising_hamiltonian
-from repro.simulators.kernels import statevector_term_expectations
+from repro.simulators.kernels import (observable_bit_matrices,
+                                      statevector_term_expectations)
 from repro.simulators.statevector import StatevectorSimulator
 
 from conftest import full_mode, print_table
+from reference.readout import (
+    statevector_term_expectations as per_call_term_expectations)
 from reference.statevector import run_interpreted
 
 NUM_QUBITS = 12
@@ -158,18 +161,21 @@ def run_compiled_sweep_comparison():
     circuits = [template.bind_parameters(list(point)) for point in sweep]
     rows = []
 
-    # Interpreted per-circuit path: per instruction, re-resolve the gate
-    # matrix, re-derive tensor axes, one generic tensordot; energies read
-    # with the same per-term kernel so only the evolution differs.  Both
-    # gate-relevant timings below are best-of-2 to absorb CI timer noise.
+    # Interpreted per-circuit path, the pre-compile hot loop: per
+    # instruction, re-resolve the gate matrix, re-derive tensor axes, one
+    # generic tensordot; energies read by the per-call readout, which
+    # re-derives every term's masks and signs (the reference copies of
+    # both, so a faster compiled contraction or readout plan does not move
+    # this baseline).  Both gate-relevant timings below are best-of-2 to
+    # absorb CI timer noise.
     interpreted_time = float("inf")
     for _ in range(2):
         start = time.perf_counter()
         interpreted = []
         for circuit in circuits:
             state = run_interpreted(circuit)
-            values = statevector_term_expectations(state,
-                                                   observable=hamiltonian)
+            _, x_bits, z_bits = observable_bit_matrices(hamiltonian)
+            values = per_call_term_expectations(state, x_bits, z_bits)
             interpreted.append(float(np.dot(coefficients, values)))
         interpreted_time = min(interpreted_time,
                                time.perf_counter() - start)

@@ -66,8 +66,10 @@ Regime comparison (the paper's headline experiment) sits one layer up::
 
 # Every paper figure is a VQE flow, so the VQE stack loads with the
 # package: it pulls in circuits, operators.pauli/hamiltonians, simulators,
-# execution, ansatz and core, plus scipy.optimize for COBYLA (about 0.2 s),
-# which a lazy import would move into the first optimisation instead.
+# execution, ansatz and core, plus scipy.optimize for COBYLA (0.34-0.42 s
+# cumulative under ``python -X importtime`` on a 2-vCPU VM, almost all of
+# ``repro.vqe.optimizers``), which a lazy import would move into the first
+# optimisation instead.
 from . import vqe
 from ._lazy import lazy_exports
 

@@ -507,12 +507,16 @@ class Executor:
         if missing:
             with track_program_cache(self):
                 program = compile_circuit(template).point_program(values)
-            # The bound path's readout: the missing terms, one kernel pass.
+            # The bound path's readout: the missing terms, one kernel pass,
+            # their bit matrices read straight off the term keys.
             resolved._count_invocations()
+            shape = (len(missing), template.num_qubits)
+            x_bits = np.frombuffer(b"".join(key[0] for key in missing),
+                                   dtype=np.uint8).reshape(shape)
+            z_bits = np.frombuffer(b"".join(key[1] for key in missing),
+                                   dtype=np.uint8).reshape(shape)
             slot.record(self, missing, statevector_term_expectations(
-                program.run_statevector(),
-                observable=slot.synthetic_task(missing).observable),
-                use_cache)
+                program.run_statevector(), x_bits, z_bits), use_cache)
         return energies(observable, [slot.term_values(task)])[0]
 
     def compiled_sweep_engine(self, backend: Union[str, Backend],

@@ -85,7 +85,7 @@ class _Slot:
     """All tasks that share one circuit evolution on one backend."""
 
     __slots__ = ("task", "backend", "fingerprint", "task_indices",
-                 "term_keys", "values")
+                 "term_keys", "values", "_cache_keys")
 
     def __init__(self, task: ExecutionTask, backend: Backend,
                  fingerprint: str):
@@ -97,6 +97,8 @@ class _Slot:
         # Ordered union of the member tasks' term keys.
         self.term_keys: Dict[TermKey, None] = {}
         self.values: Dict[TermKey, float] = {}
+        # Each term's expectation-cache key, built once for probe and record.
+        self._cache_keys: Dict[TermKey, Tuple] = {}
 
     def absorb(self, index: int, task: ExecutionTask) -> None:
         self.task_indices.append(index)
@@ -107,9 +109,15 @@ class _Slot:
         return [key for key in self.term_keys if key not in self.values]
 
     def cache_keys(self, keys: Sequence[TermKey]) -> List[Tuple]:
-        return [self.task.term_cache_key(self.backend.name, key,
-                                         circuit_fingerprint=self.fingerprint)
-                for key in keys]
+        built = self._cache_keys
+        backend_name = None
+        for key in keys:
+            if key not in built:
+                # A backend's name is read off a fresh capabilities record.
+                backend_name = backend_name or self.backend.name
+                built[key] = self.task.term_cache_key(
+                    backend_name, key, circuit_fingerprint=self.fingerprint)
+        return [built[key] for key in keys]
 
     def probe(self, executor, use_cache: bool) -> List[TermKey]:
         """Fill this slot's cached term values; return the missing keys."""
@@ -136,10 +144,10 @@ class _Slot:
         uses_fallback = (type(self.backend).term_expectations
                          is Backend.term_expectations)
         spent = len(missing) if uses_fallback else 1
+        name = self.backend.name
         with executor._lock:
             counters = executor.stats.backend_invocations
-            counters[self.backend.name] = \
-                counters.get(self.backend.name, 0) + spent
+            counters[name] = counters.get(name, 0) + spent
         if use_cache:
             executor.cache.put_many(list(zip(
                 self.cache_keys(missing),

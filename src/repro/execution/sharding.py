@@ -226,8 +226,30 @@ _pool_workers = 0
 _pool_lock = threading.Lock()
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_CHECK_SECONDS = 1.0
+
+
 def _mark_worker_process() -> None:
+    """Pool initializer: mark the worker and end it when its parent dies.
+
+    A worker that outlives a killed parent is re-parented and keeps every
+    descriptor it inherited, a server's listening socket included.  A
+    daemon thread exits the worker once ``os.getppid()`` stops naming the
+    parent.  (The parent's sentinel pipe cannot tell: workers forked later
+    inherit each other's write ends of it.)
+    """
     os.environ[_WORKER_ENV] = "1"
+    parent = multiprocessing.parent_process()
+    parent_pid = parent.pid if parent is not None else os.getppid()
+
+    def exit_with_parent() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_CHECK_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 def _pool_context():

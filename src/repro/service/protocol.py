@@ -56,6 +56,13 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: Terminal states — once reached, a job row never changes again.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: Longest request line the server reads, not counting its newline:
+#: 16 MiB.  A 400-point sweep of a 10-qubit template is about 70 KB, so
+#: this holds payloads two hundred times that size while bounding what one
+#: connection can make the server buffer.  A longer line is answered with
+#: a 413 ``ErrorResponse`` naming this limit, and the connection is closed.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
 
 class ProtocolError(ValueError):
     """A message that cannot be decoded or validated."""
@@ -315,7 +322,8 @@ class ResultResponse:
 @dataclass(frozen=True)
 class ErrorResponse:
     """``status`` borrows HTTP's codes: 400 bad request, 404 unknown job,
-    429 queue full (backpressure), 503 registry commit failed."""
+    413 request line over :data:`MAX_LINE_BYTES`, 429 queue full
+    (backpressure), 503 registry commit failed."""
 
     code: str
     message: str

@@ -35,13 +35,14 @@ from typing import Any, Dict, Optional
 
 from ..execution.executor import Executor
 from .config import ServiceConfig
-from .protocol import (TERMINAL_STATES, AttachRequest, CancelRequest,
-                       ErrorResponse, EventResponse, JobListResponse,
-                       JobResponse, ListJobsRequest, OkResponse, PingRequest,
-                       PongResponse, ProtocolError, ResultRequest,
-                       ResultResponse, ShutdownRequest, StatsRequest,
-                       StatsResponse, StatusRequest, SubmitRequest,
-                       SubmittedResponse, decode_line, encode_line)
+from .protocol import (MAX_LINE_BYTES, TERMINAL_STATES, AttachRequest,
+                       CancelRequest, ErrorResponse, EventResponse,
+                       JobListResponse, JobResponse, ListJobsRequest,
+                       OkResponse, PingRequest, PongResponse, ProtocolError,
+                       ResultRequest, ResultResponse, ShutdownRequest,
+                       StatsRequest, StatsResponse, StatusRequest,
+                       SubmitRequest, SubmittedResponse, decode_line,
+                       encode_line)
 from .queue import JobQueue, QueueFullError
 from .registry import CommitError, RunRegistry
 from .runner import RESULT_COLUMNS, STREAM_END, JobRunner, UnknownJobError
@@ -88,7 +89,8 @@ class ServiceServer:
         replaces the stale socket file the constructor's probe found."""
         self._stop = asyncio.Event()
         self._server = await asyncio.start_unix_server(
-            self._handle_socket, path=self.config.socket_path)
+            self._handle_socket, path=self.config.socket_path,
+            limit=MAX_LINE_BYTES)
 
     async def serve_until_shutdown(self) -> None:
         """Serve until a shutdown request arrives, then close gracefully."""
@@ -120,7 +122,15 @@ class ServiceServer:
                              writer: asyncio.StreamWriter) -> None:
         try:
             while self._stop is not None and not self._stop.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Past the line limit the stream cannot be re-framed:
+                    # answer, then close.
+                    await self._write(writer, ErrorResponse(
+                        "too-large", f"request line exceeds "
+                        f"{MAX_LINE_BYTES} bytes", 413))
+                    break
                 if not line:
                     break
                 try:

@@ -54,9 +54,9 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +67,7 @@ from ..circuits.gates import (DIAGONAL_GATE_NAMES, _STATIC_MATRICES,
                               parametric_matrix)
 from ..circuits.parameters import (LinearForm, Parameter, evaluate_form,
                                    linear_form)
+from .memo import ByteMemo
 from .noise import NoiseModel, QuantumChannel, RESET_CHANNEL, bit_flip_channel
 
 __all__ = [
@@ -445,7 +446,7 @@ class CompiledProgram:
         ids = tuple(id(parameter) for parameter in parameters)
         if ids == tuple(id(parameter) for parameter in self.parameters):
             return self
-        with _CACHE_LOCK:
+        with _VIEWS_LOCK:
             if self._views is None:
                 self._views = {}
             view = self._views.pop(ids, None)
@@ -544,7 +545,7 @@ class CompiledProgram:
                     flat = flat * phases
                 tensor = flat.reshape([2] * n)
             elif op.kind == OP_UNITARY:
-                tensor = _apply_unitary_tensor(tensor, op.data, op.qubits, n)
+                tensor = _contract(tensor, op.data, _ket_axes(op.qubits, n))
             elif op.kind == OP_RESET:
                 flat = tensor.reshape(-1)
                 flat = _reset_ket(flat, op.qubits[0],
@@ -622,16 +623,47 @@ class CompiledProgram:
 # Low-level appliers
 # ---------------------------------------------------------------------------
 
-def _apply_unitary_tensor(tensor: np.ndarray, matrix: np.ndarray,
-                          qubits: Tuple[int, ...], num_qubits: int
-                          ) -> np.ndarray:
-    """Contract a k-qubit matrix into a ``(2,)*n`` state tensor."""
-    k = len(qubits)
-    axes = [num_qubits - 1 - q for q in qubits]
-    gate_tensor = matrix.reshape([2] * (2 * k))
-    tensor = np.tensordot(gate_tensor, tensor,
-                          axes=(list(range(k, 2 * k)), list(reversed(axes))))
-    return np.moveaxis(tensor, list(range(k)), list(reversed(axes)))
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(axes: Tuple[int, ...], ndim: int) -> tuple:
+    """How :func:`_contract` reshapes for ``axes`` of an ``ndim``-axis
+    ``(2,)*ndim`` tensor: ``(gate shape, matrix side, transpose order,
+    operand shape, result shape, inverse order)``, derived the way
+    ``np.tensordot`` and ``np.moveaxis`` derive them on every call."""
+    k = len(axes)
+    rest = [axis for axis in range(ndim) if axis not in axes]
+    side = 1 << k
+    # moveaxis(result, range(k), axes): the contracted axes land at
+    # ``axes``, the rest keep their order.
+    inverse = list(range(k, ndim))
+    for destination, source in sorted(zip(axes, range(k))):
+        inverse.insert(destination, source)
+    return ((2,) * (2 * k), side, tuple(axes) + tuple(rest),
+            (side, 1 << (ndim - k)), (2,) * ndim, tuple(inverse))
+
+
+def _contract(tensor: np.ndarray, matrix: np.ndarray,
+              axes: Tuple[int, ...]) -> np.ndarray:
+    """Apply a ``2^k × 2^k`` matrix to ``axes`` of a ``(2,)*ndim`` tensor.
+
+    ``axes[0]`` carries the matrix index's most significant bit.  Kets pass
+    their target qubits' axes, density matrices their row or column axes
+    (conjugations) or both (channel superoperators).  Bitwise equal to
+    ``np.moveaxis(np.tensordot(matrix.reshape((2,)*2k), tensor,
+    (range(k, 2k), axes)), range(k), axes)``: the same ``np.dot`` on the
+    same operand layouts, with the axis bookkeeping planned once per
+    ``(axes, ndim)``.
+    """
+    gate_shape, side, order, shape, result_shape, inverse = \
+        _contraction_plan(axes, tensor.ndim)
+    product = np.dot(matrix.reshape(gate_shape).reshape(side, side),
+                     tensor.transpose(order).reshape(shape))
+    return product.reshape(result_shape).transpose(inverse)
+
+
+def _ket_axes(qubits: Sequence[int], num_qubits: int) -> Tuple[int, ...]:
+    """Tensor axes of ``qubits`` in a ``(2,)*n`` ket, most significant
+    matrix bit (the last qubit) first."""
+    return tuple(num_qubits - 1 - q for q in reversed(qubits))
 
 
 def _reset_ket(state: np.ndarray, qubit: int,
@@ -676,19 +708,10 @@ def _batch_apply_unitary(states: np.ndarray, matrices: np.ndarray,
     return out.reshape(batch, -1)
 
 
-def _dm_apply_matrix(tensor: np.ndarray, matrix: np.ndarray,
-                     tensor_axes: List[int]) -> np.ndarray:
-    k = len(tensor_axes)
-    gate_tensor = matrix.reshape([2] * (2 * k))
-    tensor = np.tensordot(gate_tensor, tensor,
-                          axes=(list(range(k, 2 * k)), tensor_axes))
-    return np.moveaxis(tensor, list(range(k)), tensor_axes)
-
-
 def _dm_axes(qubits: Sequence[int], num_qubits: int
-             ) -> Tuple[List[int], List[int]]:
-    row_axes = [num_qubits - 1 - q for q in reversed(qubits)]
-    col_axes = [num_qubits + axis for axis in row_axes]
+             ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    row_axes = _ket_axes(qubits, num_qubits)
+    col_axes = tuple(num_qubits + axis for axis in row_axes)
     return row_axes, col_axes
 
 
@@ -697,8 +720,8 @@ def _dm_apply_unitary(rho: np.ndarray, matrix: np.ndarray,
     dim = 1 << num_qubits
     row_axes, col_axes = _dm_axes(qubits, num_qubits)
     tensor = rho.reshape([2] * (2 * num_qubits))
-    tensor = _dm_apply_matrix(tensor, matrix, row_axes)
-    tensor = _dm_apply_matrix(tensor, matrix.conj(), col_axes)
+    tensor = _contract(tensor, matrix, row_axes)
+    tensor = _contract(tensor, matrix.conj(), col_axes)
     return tensor.reshape(dim, dim)
 
 
@@ -727,8 +750,8 @@ def _dm_apply_channel(rho: np.ndarray, superoperator: np.ndarray,
     """
     dim = 1 << num_qubits
     row_axes, col_axes = _dm_axes(qubits, num_qubits)
-    tensor = _dm_apply_matrix(rho.reshape([2] * (2 * num_qubits)),
-                              superoperator, row_axes + col_axes)
+    tensor = _contract(rho.reshape([2] * (2 * num_qubits)), superoperator,
+                       row_axes + col_axes)
     return tensor.reshape(dim, dim)
 
 
@@ -779,13 +802,10 @@ def _as_perm_op(op: CompiledOp) -> CompiledOp:
     return CompiledOp(OP_PERM, op.qubits, form, factors)
 
 
-#: Byte ceiling of the gather-table memo.  One table is ``2^n`` int64
+#: The gather-table memo, capped at 64 MiB.  One table is ``2^n`` int64
 #: sources (plus ``2^n`` complex phases), 8 MiB at 20 qubits; a table larger
 #: than the whole ceiling is built but not kept.
-_PERM_TABLE_MAX_BYTES = 64 * 1024 * 1024
-_PERM_TABLES: "OrderedDict[Tuple, Tuple[Tuple, int]]" = OrderedDict()
-_PERM_TABLE_LOCK = threading.Lock()
-_PERM_TABLE_BYTES = 0
+_PERM_TABLES = ByteMemo(64 * 1024 * 1024)
 
 
 def _perm_table(run: Sequence[CompiledOp], num_qubits: int
@@ -795,16 +815,13 @@ def _perm_table(run: Sequence[CompiledOp], num_qubits: int
     Keyed by each op's ``(qubits, columns, phases)``, so every program whose
     run lowers to the same monomials shares one read-only table.
     """
-    global _PERM_TABLE_BYTES
     key = (num_qubits,) + tuple(
         (op.qubits, op.data[0].tobytes(),
          None if op.data[1] is None else op.data[1].tobytes())
         for op in run)
-    with _PERM_TABLE_LOCK:
-        cached = _PERM_TABLES.get(key)
-        if cached is not None:
-            _PERM_TABLES.move_to_end(key)
-            return cached[0]
+    cached = _PERM_TABLES.get(key)
+    if cached is not None:
+        return cached
     # Walk the run in reverse, applying each op's bit-level action to the
     # evolving index table: the composed gather builds in O(run length)
     # vectorized passes with no per-op tables.
@@ -823,14 +840,7 @@ def _perm_table(run: Sequence[CompiledOp], num_qubits: int
         if part is not None:
             part.setflags(write=False)
             nbytes += part.nbytes
-    if nbytes <= _PERM_TABLE_MAX_BYTES:
-        with _PERM_TABLE_LOCK:
-            if key not in _PERM_TABLES:
-                _PERM_TABLES[key] = (table, nbytes)
-                _PERM_TABLE_BYTES += nbytes
-            while _PERM_TABLE_BYTES > _PERM_TABLE_MAX_BYTES:
-                _, (_, evicted) = _PERM_TABLES.popitem(last=False)
-                _PERM_TABLE_BYTES -= evicted
+    _PERM_TABLES.put(key, table, nbytes)
     return table
 
 
@@ -1010,16 +1020,15 @@ def _compile_noisy(circuit: QuantumCircuit, noise_model: NoiseModel,
 # Program cache
 # ---------------------------------------------------------------------------
 
-_CACHE_MAX_SIZE = 512
-#: Approximate payload ceiling for the program cache.  Fused permutation
-#: ops hold O(2^n) gather tables, so one-shot bound circuits at high qubit
-#: counts would otherwise pin gigabytes of never-reused programs.
-_CACHE_MAX_BYTES = 256 * 1024 * 1024
-_PROGRAM_CACHE: "OrderedDict[Tuple, Tuple[CompiledProgram, int]]" = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-#: Parameter-identity views kept per lowering (see ``CompiledProgram._view``).
+#: The program cache: at most 512 programs and about 256 MiB of payload.
+#: Fused permutation ops hold O(2^n) gather tables, so one-shot bound
+#: circuits at high qubit counts would otherwise pin gigabytes of
+#: never-reused programs.
+_PROGRAM_CACHE = ByteMemo(256 * 1024 * 1024, max_entries=512)
+#: Guards the per-lowering view tables (see ``CompiledProgram._view``).
+_VIEWS_LOCK = threading.Lock()
+#: Parameter-identity views kept per lowering.
 _MAX_VIEWS = 16
-_CACHE_BYTES = 0
 #: :mod:`repro.obs` name prefix of the compile and program-cache hit counters.
 _COUNTERS = "simulators.program_cache."
 
@@ -1073,14 +1082,9 @@ def clear_program_cache() -> None:
 
     Mainly for tests.
     """
-    global _CACHE_BYTES, _PERM_TABLE_BYTES
-    with _CACHE_LOCK:
-        _PROGRAM_CACHE.clear()
-        _CACHE_BYTES = 0
+    _PROGRAM_CACHE.clear()
     obs.reset(_COUNTERS)
-    with _PERM_TABLE_LOCK:
-        _PERM_TABLES.clear()
-        _PERM_TABLE_BYTES = 0
+    _PERM_TABLES.clear()
 
 
 def _noise_cache_token(noise_model: Optional[NoiseModel]):
@@ -1099,27 +1103,13 @@ def cached_program(key, build: Callable[[], object],
     by the ``nbytes`` payload estimate, LRU-evicted, and counted in
     :func:`program_cache_counters`.
     """
-    global _CACHE_BYTES
-    with _CACHE_LOCK:
-        cached = _PROGRAM_CACHE.get(key)
-        if cached is not None:
-            _PROGRAM_CACHE.move_to_end(key)
-            obs.add(_COUNTERS + "hits")
-            return cached[0]
+    cached = _PROGRAM_CACHE.get(key)
+    if cached is not None:
+        obs.add(_COUNTERS + "hits")
+        return cached
     program = build()
-    size = nbytes(program)
-    with _CACHE_LOCK:
-        obs.add(_COUNTERS + "compiled")
-        previous = _PROGRAM_CACHE.get(key)
-        if previous is not None:
-            _CACHE_BYTES -= previous[1]
-        _PROGRAM_CACHE[key] = (program, size)
-        _PROGRAM_CACHE.move_to_end(key)
-        _CACHE_BYTES += size
-        while _PROGRAM_CACHE and (len(_PROGRAM_CACHE) > _CACHE_MAX_SIZE
-                                  or _CACHE_BYTES > _CACHE_MAX_BYTES):
-            _, (_, evicted_bytes) = _PROGRAM_CACHE.popitem(last=False)
-            _CACHE_BYTES -= evicted_bytes
+    obs.add(_COUNTERS + "compiled")
+    _PROGRAM_CACHE.put(key, program, nbytes(program))
     return program
 
 

@@ -7,7 +7,9 @@ flat program.  :func:`run_interpreted` is the pre-compile hot loop it
 replaced: per instruction it re-resolves the gate matrix, re-derives the
 tensor axes and applies one generic ``tensordot``.  It exists only for the
 compile layer's equality tests and as the baseline of the
-compiled-vs-interpreted speed gate in ``benchmarks/``.
+compiled-vs-interpreted speed gate in ``benchmarks/``, so it keeps its own
+contraction instead of the compiled programs' planned one: an independent
+reference, and a baseline that a faster compiled contraction does not move.
 """
 
 from typing import Optional
@@ -15,7 +17,18 @@ from typing import Optional
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.simulators.program import _apply_unitary_tensor, _reset_ket
+from repro.simulators.program import _reset_ket
+
+
+def _apply_unitary_tensor(tensor: np.ndarray, matrix: np.ndarray,
+                          qubits, num_qubits: int) -> np.ndarray:
+    """Contract a k-qubit matrix into a ``(2,)*n`` state tensor."""
+    k = len(qubits)
+    axes = [num_qubits - 1 - q for q in qubits]
+    gate_tensor = matrix.reshape([2] * (2 * k))
+    tensor = np.tensordot(gate_tensor, tensor,
+                          axes=(list(range(k, 2 * k)), list(reversed(axes))))
+    return np.moveaxis(tensor, list(range(k)), list(reversed(axes)))
 
 
 def run_interpreted(circuit: QuantumCircuit,

@@ -293,21 +293,21 @@ class TestStaticLoweringMemo:
     def test_gather_table_memo_stays_under_its_byte_cap(self):
         clear_program_cache()
         n = 20
-        cap = program_module._PERM_TABLE_MAX_BYTES
+        tables = program_module._PERM_TABLES
+        cap = tables.max_bytes
         try:
             for target in range(1, 11):
                 circuit = QuantumCircuit(n)
                 circuit.cx(0, target).cx(target, n - 1).y(target)
                 program = compile_circuit(circuit, use_cache=False)
                 assert [op.kind for op in program.ops] == [OP_PERM]
-                assert 0 < program_module._PERM_TABLE_BYTES <= cap
-            tables = program_module._PERM_TABLES
+                assert 0 < tables.nbytes <= cap
             assert 0 < len(tables) < 10  # the oldest tables were evicted
-            assert program_module._PERM_TABLE_BYTES == sum(
-                nbytes for _, nbytes in tables.values())
+            assert tables.nbytes == sum(
+                nbytes for _, nbytes in tables._entries.values())
         finally:
             clear_program_cache()
-        assert program_module._PERM_TABLE_BYTES == 0
+        assert tables.nbytes == 0
 
     def test_gather_table_memo_accounting_under_concurrent_compiles(
             self, monkeypatch):
@@ -315,8 +315,8 @@ class TestStaticLoweringMemo:
         # the byte count disagreeing with the entries, or over the cap.
         n = 12
         table_bytes = (1 << n) * 8
-        monkeypatch.setattr(program_module, "_PERM_TABLE_MAX_BYTES",
-                            3 * table_bytes)
+        tables = program_module._PERM_TABLES
+        monkeypatch.setattr(tables, "max_bytes", 3 * table_bytes)
         clear_program_cache()
         errors = []
 
@@ -344,10 +344,9 @@ class TestStaticLoweringMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
-        tables = program_module._PERM_TABLES
-        assert program_module._PERM_TABLE_BYTES == sum(
-            nbytes for _, nbytes in tables.values())
-        assert program_module._PERM_TABLE_BYTES <= 3 * table_bytes
+        assert tables.nbytes == sum(
+            nbytes for _, nbytes in tables._entries.values())
+        assert tables.nbytes <= 3 * table_bytes
         clear_program_cache()
 
 
@@ -650,7 +649,7 @@ class TestProgramCache:
         views = [compile_circuit(template) for template in templates[1:]]
         # One shared-cache entry charged once, however many identities.
         assert len(program_module._PROGRAM_CACHE) == 1
-        assert program_module._CACHE_BYTES == \
+        assert program_module._PROGRAM_CACHE.nbytes == \
             program_module._program_nbytes(lowering)
         assert all(view.ops is lowering.ops for view in views)
         assert len(lowering._views) == program_module._MAX_VIEWS

@@ -17,6 +17,7 @@ from repro.execution import (Backend, BackendCapabilities, ExecutionPolicy,
                              term_expectations)
 from repro.operators.grouping import group_commuting
 from repro.operators.pauli import PauliString, PauliSum
+from repro.simulators import kernels
 from repro.simulators.kernels import (density_matrix_term_expectations,
                                       observable_bit_matrices,
                                       statevector_term_expectations)
@@ -127,6 +128,50 @@ class TestKernels:
         state /= np.linalg.norm(state)
         dense = np.real(np.vdot(state, hamiltonian.to_matrix() @ state))
         assert abs(hamiltonian.expectation(state) - dense) < 1e-10
+
+
+class TestReadoutPlanMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        kernels._READOUT_PLANS.clear()
+        yield
+        kernels._READOUT_PLANS.clear()
+
+    def test_one_plan_per_term_set_shared_by_all_three_kernels(self):
+        hamiltonian = random_hamiltonian(4, 8, seed=8)
+        _, x_bits, z_bits = observable_bit_matrices(hamiltonian)
+        rng = np.random.default_rng(9)
+        states = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        statevector_term_expectations(states[0], x_bits, z_bits)
+        plans = kernels._READOUT_PLANS
+        assert len(plans) == 1
+        plan = kernels._readout_plan(x_bits, z_bits)
+        kernels.statevector_term_expectations_batch(states, x_bits, z_bits)
+        density_matrix_term_expectations(np.eye(16) / 16, x_bits, z_bits)
+        assert len(plans) == 1
+        assert kernels._readout_plan(x_bits, z_bits) is plan
+        assert plans.nbytes == plan.nbytes == 16 * 8 * (1 + 2 * 8)
+        # The same terms in another order are another term set.
+        statevector_term_expectations(states[0], x_bits[::-1], z_bits[::-1])
+        assert len(plans) == 2
+
+    def test_a_plan_over_the_ceiling_is_used_but_not_kept(self, monkeypatch):
+        hamiltonian = random_hamiltonian(5, 6, seed=10)
+        _, x_bits, z_bits = observable_bit_matrices(hamiltonian)
+        rng = np.random.default_rng(11)
+        state = rng.normal(size=32) + 1j * rng.normal(size=32)
+        kept = statevector_term_expectations(state, x_bits, z_bits)
+        plan_bytes = kernels._READOUT_PLANS.nbytes
+        kernels._READOUT_PLANS.clear()
+        monkeypatch.setattr(kernels._READOUT_PLANS, "max_bytes",
+                            plan_bytes - 1)
+        values = statevector_term_expectations(state, x_bits, z_bits)
+        assert values.tobytes() == kept.tobytes()
+        assert len(kernels._READOUT_PLANS) == 0
+        assert kernels._READOUT_PLANS.nbytes == 0
+        # An over-ceiling plan derives its terms per read: it holds no
+        # per-term vectors of its own.
+        assert kernels._readout_plan(x_bits, z_bits)._terms is None
 
 
 class TestGroupedVersusPerTerm:

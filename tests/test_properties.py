@@ -20,6 +20,9 @@ Contracts covered, one test class per contract family:
 * superoperator vs Kraus-loop density-matrix channels and noisy programs,
   with trace and hermiticity preserved (≤ 1e-12)
 * grouped vs per-term observable readout (≤ 1e-12)
+* the planned tensor contraction vs ``tensordot`` + ``moveaxis``, and the
+  plan-based readout kernels vs per-call readout, cold and warm (both
+  bitwise)
 * packed Pauli propagation vs the numpy-column reference propagator under
   random Pauli-twirled noise, and compiled Clifford sweeps vs per-point
   bound evaluation (both bitwise)
@@ -64,10 +67,13 @@ from repro.simulators.noise import (NoiseModel, PauliChannel, QuantumChannel,
                                     two_qubit_tensor_channel)
 from repro.simulators.pauli_propagation import (compile_clifford,
                                                 expectation_value, propagate)
-from repro.simulators.program import _dm_apply_channel, compile_circuit
+from repro.simulators import kernels
+from repro.simulators.program import (_contract, _contraction_plan,
+                                      _dm_apply_channel, compile_circuit)
 from repro.simulators.statevector import StatevectorSimulator
 
 from reference.density_matrix import apply_channel, naive_density_matrix_run
+from reference import readout as reference_readout
 from reference.pauli_propagation import reference_propagate
 from reference.qec import run_memory_sampling_reference, syndromes_and_flips
 from reference.stabilizer import DenseStabilizerState
@@ -631,6 +637,96 @@ class TestGroupedReadoutProperties:
         for index, (pauli, _) in enumerate(observable.terms()):
             single = PauliSum(observable.num_qubits).add_term(pauli, 1.0)
             assert abs(grouped[index] - state.expectation(single)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Planned contractions and readout plans vs their per-call derivations
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPlannedKernelProperties:
+    @given(data=st.data())
+    def test_contract_matches_tensordot_bitwise(self, data):
+        kind = data.draw(st.sampled_from(["ket", "rows", "cols",
+                                          "superoperator"]))
+        if kind == "ket":
+            ndim = data.draw(st.integers(1, 8))
+            k = data.draw(st.integers(1, min(3, ndim)))
+            axes = tuple(data.draw(st.permutations(range(ndim)))[:k])
+        else:
+            n = data.draw(st.integers(1, 4))
+            ndim = 2 * n
+            k = data.draw(st.integers(1, min(2, n)))
+            qubits = data.draw(st.permutations(range(n)))[:k]
+            rows = tuple(n - 1 - q for q in reversed(qubits))
+            cols = tuple(n + axis for axis in rows)
+            axes = {"rows": rows, "cols": cols,
+                    "superoperator": rows + cols}[kind]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        side = 1 << len(axes)
+        tensor = (rng.standard_normal((2,) * ndim)
+                  + 1j * rng.standard_normal((2,) * ndim))
+        if data.draw(st.booleans()):  # a transposed view, as gates leave
+            order = data.draw(st.permutations(range(ndim)))
+            tensor = tensor.transpose(order)
+        matrix = (rng.standard_normal((side, side))
+                  + 1j * rng.standard_normal((side, side)))
+        if data.draw(st.booleans()):
+            matrix = matrix.T
+        k = len(axes)
+        expected = np.moveaxis(
+            np.tensordot(matrix.reshape([2] * (2 * k)), tensor,
+                         axes=(list(range(k, 2 * k)), list(axes))),
+            list(range(k)), list(axes))
+        _contraction_plan.cache_clear()
+        for _ in ("cold", "warm"):
+            out = _contract(tensor, matrix, axes)
+            assert _same_bits(out, expected)
+            assert out.strides == expected.strides
+
+    @given(data=st.data())
+    def test_readout_plans_match_per_call_readout_bitwise(self, data):
+        n = data.draw(st.integers(1, 6))
+        terms = data.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        x_bits = rng.integers(0, 2, (terms, n), dtype=np.uint8)
+        z_bits = rng.integers(0, 2, (terms, n), dtype=np.uint8)
+        if data.draw(st.booleans()):
+            x_bits[rng.random(terms) < 0.5] = 0  # diagonal terms
+        dim = 1 << n
+        states = (rng.standard_normal((3, dim))
+                  + 1j * rng.standard_normal((3, dim)))
+        rho = random_density_matrix(rng, n)
+        over_ceiling = data.draw(st.booleans())
+        plans = kernels._READOUT_PLANS
+        ceiling = plans.max_bytes
+        plans.clear()
+        try:
+            if over_ceiling:  # every plan is derived per read, not kept
+                plans.max_bytes = 0
+            for _ in ("cold", "warm"):
+                assert _same_bits(
+                    kernels.statevector_term_expectations(
+                        states[0], x_bits, z_bits),
+                    reference_readout.statevector_term_expectations(
+                        states[0], x_bits, z_bits))
+                assert _same_bits(
+                    kernels.statevector_term_expectations_batch(
+                        states, x_bits, z_bits),
+                    reference_readout.statevector_term_expectations_batch(
+                        states, x_bits, z_bits))
+                assert _same_bits(
+                    kernels.density_matrix_term_expectations(
+                        rho, x_bits, z_bits),
+                    reference_readout.density_matrix_term_expectations(
+                        rho, x_bits, z_bits))
+            assert len(plans) == (0 if over_ceiling else 1)
+        finally:
+            plans.max_bytes = ceiling
+            plans.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,56 @@ class TestServiceEndToEnd:
                 assert len(partials) == 3
                 assert [p["data"]["done"] for p in partials] == [2, 4, 6]
 
+    def test_request_lines_past_asyncios_default_limit_are_read(self):
+        # A 400-point 10-qubit sweep is a ~70 KB line, past asyncio's
+        # 64 KiB default: it is submitted and served like a small one.
+        template = FullyConnectedAnsatz(10, 1).build()
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-np.pi, np.pi, (
+            400, len(template.ordered_parameters()))).tolist()
+        observable = ising_hamiltonian(10, 1.0)
+        payload = sweep_payload(template, points, observable)
+        assert len(json.dumps(payload)) > 64 * 1024
+        with Executor(use_cache=False) as reference:
+            expected = reference.evaluate_sweep(template, points, observable)
+        with service() as handle:
+            with ServiceClient(handle.socket_path) as client:
+                job_id = client.submit("sweep", payload).job_id
+                # The job runs in chunks, so equal to the whole-batch call
+                # up to rounding.
+                np.testing.assert_allclose(
+                    client.result(job_id).result["energies"], expected,
+                    rtol=0, atol=1e-12)
+
+    def test_oversized_request_line_gets_a_413_then_a_close(self):
+        limit = protocol_module.MAX_LINE_BYTES
+        line = (b'{"v": 2, "type": "ping", "pad": "' + b"x" * limit
+                + b'"}\n')
+        with service() as handle:
+            with socket.socket(socket.AF_UNIX) as connection:
+                connection.settimeout(30)
+                connection.connect(handle.socket_path)
+                # The server stops reading at the limit; the rest of the
+                # line may meet a closed socket.
+                with contextlib.suppress(BrokenPipeError,
+                                         ConnectionResetError):
+                    connection.sendall(line)
+                with connection.makefile("rb") as reader:
+                    reply = json.loads(reader.readline())
+                    assert reader.readline() == b""  # then the close
+            assert reply["type"] == "error"
+            assert (reply["code"], reply["status"]) == ("too-large", 413)
+            assert str(limit) in reply["message"]
+            # The server serves on, a line at the limit included.
+            at_limit = json.dumps(dict(PING, pad="")).encode()
+            at_limit = at_limit[:-2] + b"x" * (limit - len(at_limit)) + \
+                b'"}\n'
+            assert len(at_limit) == limit + 1
+            replies = exchange(handle.socket_path, [PING, at_limit])
+            assert replies[0]["type"] == "pong"
+            assert replies[1]["type"] == "error"
+            assert replies[1]["status"] == 400  # the pad key is refused
+
     def test_qec_stream_delivers_wilson_partials_before_result(self):
         payload = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
                                      shots=1024, seed=11, chunk_blocks=1)

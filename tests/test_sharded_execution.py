@@ -8,10 +8,18 @@ capability-hint policy, the ``REPRO_WORKERS`` override, and backend/task
 picklability (the process-pool transport contract).
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.circuits.circuit import QuantumCircuit
@@ -286,6 +294,58 @@ class TestProcessDispatchBehaviour:
         assert program_cache_counters() == (
             compiled + stats.programs_compiled,
             hits + stats.program_cache_hits)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads process states from /proc")
+    def test_pool_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        script = textwrap.dedent("""
+            import multiprocessing, os, signal, sys
+            import numpy as np
+            from repro.ansatz import FullyConnectedAnsatz
+            from repro.execution import ExecutionPolicy, Executor
+            from repro.operators import ising_hamiltonian
+            template = FullyConnectedAnsatz(5, depth=1).build()
+            points = np.random.default_rng(5).uniform(
+                -3.0, 3.0, (32, len(template.ordered_parameters())))
+            executor = Executor(use_cache=False)
+            executor.evaluate_sweep(
+                template, points, ising_hamiltonian(5),
+                backend="statevector",
+                policy=ExecutionPolicy(parallel="process", max_workers=2))
+            assert executor.stats.process_shards > 0
+            with open(sys.argv[1], "w") as report:
+                print(*(child.pid
+                        for child in multiprocessing.active_children()),
+                      file=report)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])))
+        report = tmp_path / "workers"
+        # No pipes: a surviving worker would hold them open.
+        killed = subprocess.run([sys.executable, "-c", script, str(report)],
+                                env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, timeout=120)
+        assert killed.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in report.read_text().split()]
+        assert workers
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    # A zombie has exited; only its reaping is pending.
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
     def test_auto_mode_runs_small_dense_batches_inline(self):
         executor = Executor(use_cache=False)
