@@ -10,7 +10,7 @@ recorded to ``BENCH_pr5.json``:
   failure counts** per decoder.  Timings compare the single-core paths so
   the gate measures batching, not core count.
 * **Worker-count determinism** — a harder workload with plentiful failures
-  must produce identical failure counts for inline, thread and process
+  must produce identical failure counts for inline and process
   execution at 1/2/4 workers.
 * **Warm-cache sweep** — re-running a seeded repetition-code
   ``logical_error_rate_curve`` against a fresh executor sharing the
@@ -127,7 +127,6 @@ def test_qec_worker_count_determinism():
         "process_1": failures("process", 1),
         "process_2": failures("process", 2),
         "process_4": failures("process", 4),
-        "thread_2": failures("thread", 2),
     }
     print_table("QEC worker-count determinism (d=3, p=0.02, 2600 shots)",
                 ["configuration", "failures"],

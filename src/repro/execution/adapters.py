@@ -8,7 +8,7 @@ instance serves noiseless and noisy work alike.
 Seeding: the sampling adapters accept a base ``seed`` and derive a per-task
 seed from ``blake2b(base seed, task fingerprint)``.  The derivation is
 order-independent, so shot counts are reproducible no matter how the
-executor batches or threads the work.
+executor batches or shards the work.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ class StatevectorBackend(Backend):
             name="statevector",
             description="dense noiseless statevector (exact reference)",
             supports_noise=False,
-            max_qubits=MAX_STATEVECTOR_QUBITS,
-            parallel_hint="process")
+            max_qubits=MAX_STATEVECTOR_QUBITS)
 
     def _run_task(self, task: ExecutionTask):
         simulator = StatevectorSimulator(seed=_derive_seed(self._seed, task))
@@ -103,8 +102,7 @@ class DensityMatrixBackend(Backend):
             name="density_matrix",
             description="dense density matrix with Kraus noise (exact, "
                         "small qubit counts)",
-            max_qubits=MAX_DENSITY_MATRIX_QUBITS,
-            parallel_hint="process")
+            max_qubits=MAX_DENSITY_MATRIX_QUBITS)
 
     def _run_task(self, task: ExecutionTask):
         simulator = DensityMatrixSimulator(task.noise_model,
@@ -133,11 +131,7 @@ class PauliPropagationBackend(Backend):
             description="exact noisy Clifford expectation values "
                         "(deterministic, scales to 100+ qubits)",
             supports_sampling=False,
-            clifford_only=True,
-            # Pickling a noisy Clifford circuit costs about as much as
-            # propagating it: 16 noisy depth-4 circuits at n=40 and n=100
-            # ran at 0.45-0.86x of inline on process shards.
-            parallel_hint="inline")
+            clifford_only=True)
 
     def _run_task(self, task: ExecutionTask):
         simulator = PauliPropagationSimulator(task.noise_model,

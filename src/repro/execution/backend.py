@@ -6,7 +6,10 @@ list of :class:`~repro.execution.task.ExecutionTask` objects into a list of
 :class:`~repro.execution.task.ExecutionResult` objects through
 :meth:`Backend.run_batch`.  The executor never talks to a simulator directly —
 adding a new execution path (a remote service, a GPU engine) means
-implementing this interface and registering it.
+implementing this interface and registering it.  A backend says nothing
+about fan-out: every backend's batches run inline unless the caller's
+:class:`~repro.execution.policy.ExecutionPolicy` asks for
+``parallel="process"``.
 """
 
 from __future__ import annotations
@@ -30,17 +33,7 @@ class BackendCapabilities:
     ``max_qubits`` is an advisory ceiling (dense simulators blow up past it).
     Expectation values are assumed to be pure functions of the task: the
     executor caches and deduplicates them on the task's content key, with
-    the backend name standing for the backend.  ``parallel_hint``
-    tells the shard planner how this backend's work scales out:
-    ``"process"`` for CPU-bound simulation (the GIL serializes threads, so
-    batches shard across worker processes — or run inline below the batch
-    threshold), ``"thread"`` for backends that release the GIL or wait on
-    I/O (remote services), ``"inline"`` for backends whose work is never
-    worth fanning out under ``"auto"`` (an explicit ``"process"`` or
-    ``"thread"`` policy still shards it).  The dense in-repo simulators
-    hint ``"process"`` and Pauli propagation ``"inline"``; the default is
-    ``"thread"`` so custom backends keep the historical thread-pool
-    behaviour.
+    the backend name standing for the backend.
     """
 
     name: str
@@ -50,7 +43,6 @@ class BackendCapabilities:
     supports_sampling: bool = True
     clifford_only: bool = False
     max_qubits: Optional[int] = None
-    parallel_hint: str = "thread"
 
 
 class Backend(abc.ABC):

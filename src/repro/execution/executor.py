@@ -9,13 +9,11 @@ Pipeline for one :meth:`Executor.run` call:
    one in-memory expectation cache.
 3. **Deduplicate** — remaining identical expectation tasks collapse to a
    single simulator invocation per distinct key.
-4. **Dispatch** — unique tasks are grouped per backend and fanned out
-   through :func:`~repro.execution.sharding.fan_out` under a
-   :class:`~repro.execution.sharding.ShardPlanner` plan: worker
-   **processes** for CPU-bound simulator batches
-   (``ExecutionPolicy(parallel="process")``, the auto default once a batch
-   is big enough), a thread pool for
-   backends that hint it, or inline for small batches.
+4. **Dispatch** — unique tasks are grouped per backend and run through
+   :func:`~repro.execution.sharding.fan_out` under a
+   :class:`~repro.execution.sharding.ShardPlanner` plan: inline by
+   default, or across worker **processes** on the shared fork pool when
+   the policy says ``ExecutionPolicy(parallel="process")``.
 5. **Assemble** — results come back in input order, each labelled with the
    backend that ran it and whether it was served from cache or dedup.
 """
@@ -115,7 +113,7 @@ def _checked_policy(policy) -> Optional[ExecutionPolicy]:
 
 
 class Executor:
-    """Batches tasks onto backends with caching, dedup and threading.
+    """Batches tasks onto backends with caching, dedup and fan-out.
 
     One executor owns one expectation cache and one stats block; the
     module-level :func:`execute` uses a shared default instance so all
@@ -149,20 +147,18 @@ class Executor:
                         ) -> ExecutionPolicy:
         """The effective :class:`ExecutionPolicy` for one call: per-call
         policy > this executor's policy > environment.  Fields still
-        ``None`` after the merge mean the built-in defaults (auto mode,
+        ``None`` after the merge mean the built-in defaults (inline,
         usable-CPU workers, env retry budget)."""
         return (_checked_policy(policy) or ExecutionPolicy()) \
             .merged_over(self.policy).merged_over(ExecutionPolicy.from_env())
 
-    def _plan(self, policy: Optional[ExecutionPolicy], num_items: int,
-              hints: Sequence[str] = ()
+    def _plan(self, policy: Optional[ExecutionPolicy], num_items: int
               ) -> Tuple[ExecutionPolicy, ShardPlan]:
         """The resolved policy and the :class:`ShardPlan` of one dispatch —
         the one place every sharded pipeline plans."""
         effective = self._resolve_policy(policy)
         return effective, ShardPlanner(
-            effective.parallel or "auto", effective.max_workers).plan(
-                num_items, hints=hints)
+            effective.parallel, effective.max_workers).plan(num_items)
 
     def _resolve_backend(self, task: ExecutionTask,
                          backend: Union[str, Backend]
@@ -278,10 +274,7 @@ class Executor:
         if not by_backend:
             return
 
-        effective, plan = self._plan(
-            policy, len(to_run), hints=[
-                backend.capabilities().parallel_hint
-                for backend, _ in by_backend.values()])
+        effective, plan = self._plan(policy, len(to_run))
         run = fan_out(self, effective, plan, [
             ShardGroup(_run_batch_shard, (backend,),
                        [tasks[i] for i in indices])
@@ -541,9 +534,9 @@ class Executor:
 
     def _sweep_kernel(self, engine: str, template, fingerprint: str,
                       observable, points):
-        """``(shard function, head, planner hint, block cap)`` of one
-        compiled sweep engine over the sweep's uncached points; a chunk of
-        points runs as ``shard(*head, chunk)``."""
+        """``(shard function, head, block cap)`` of one compiled sweep
+        engine over the sweep's uncached points; a chunk of points runs as
+        ``shard(*head, chunk)``."""
         if engine == "pauli_propagation":
             from ..simulators.pauli_propagation import compile_clifford
             try:
@@ -553,9 +546,7 @@ class Executor:
                 raise BackendCapabilityError(
                     f"backend 'pauli_propagation' cannot run this sweep: "
                     f"{error}") from error
-            # One bit-sliced pass costs microseconds per point: never worth
-            # a fork under "auto".
-            return _clifford_sweep_shard, (program, observable), "inline", 64
+            return _clifford_sweep_shard, (program, observable), 64
         # A template with nothing to strip is used as is: a copy would
         # re-hash its fingerprint and miss its program-cache view.
         bare_template = (template.without_measurements()
@@ -567,7 +558,6 @@ class Executor:
         # inline batch chunks under the same bound.
         return (_sweep_points_shard,
                 (bare_template, observable, _SWEEP_BATCH_AMPLITUDES),
-                "process",
                 _SWEEP_BATCH_AMPLITUDES // (8 << int(bare_template.num_qubits)))
 
     def _sweep_compiled(self, template, parameter_sets, observable,
@@ -591,8 +581,8 @@ class Executor:
         workers load-balance.  Each block's energies flush through the
         cache **as the block lands**, so a killed multi-worker sweep
         resumes warm: already-flushed points are served
-        from cache and recompute nothing.  Inline and thread sweeps run the
-        same shard function over all their points as one compiled batch.
+        from cache and recompute nothing.  An inline sweep runs the same
+        shard function over all its points as one compiled batch.
         """
         engine = backend.name
         num_points = len(parameter_sets)
@@ -619,15 +609,10 @@ class Executor:
                 # In-batch dedup: identical sweep points share one evolution.
                 points = [list(point) for point in dict.fromkeys(
                     point_keys[index] for index in missing)]
-                shard, head, hint, block_cap = self._sweep_kernel(
+                shard, head, block_cap = self._sweep_kernel(
                     engine, template, template_fingerprint, observable,
                     points)
-                effective, plan = self._plan(policy, len(points),
-                                             hints=(hint,))
-                if plan.mode != "process":
-                    # Only process sweeps cut point blocks; a thread plan
-                    # runs the one inline batch, like an inline plan.
-                    plan = ShardPlan("none", 1)
+                effective, plan = self._plan(policy, len(points))
 
                 landed: Dict[Tuple, float] = {}
 

@@ -23,11 +23,11 @@ engine works at *term* granularity:
 4. **Assembly** — per-task term values are gathered back in each task's own
    ``observable.terms()`` order; energies are ``Σ Re(c_i)·⟨P_i⟩``.
 
-Slots that need an evolution fan out in one
+Slots that need an evolution run in one
 :func:`~repro.execution.sharding.fan_out` dispatch under the executor's
-:class:`~repro.execution.sharding.ShardPlanner` plan: CPU-bound simulator
-slots shard across worker **processes**, thread-hinting custom backends use
-a thread pool, and small batches run inline.
+:class:`~repro.execution.sharding.ShardPlanner` plan: inline by default,
+or sharded across worker **processes** when the policy says
+``parallel="process"``.
 """
 
 from __future__ import annotations
@@ -235,10 +235,7 @@ def run_grouped(executor, tasks: Sequence[ExecutionTask],
             pending.append((slot, missing))
 
     # 3. Evolve each slot with missing terms exactly once.
-    hints = {slot.backend.capabilities().parallel_hint
-             for slot, _ in pending}
-    effective, plan = executor._plan(policy, len(pending),
-                                     hints=sorted(hints))
+    effective, plan = executor._plan(policy, len(pending))
     with track_program_cache(executor):
         _evolve(executor, pending, plan, effective, use_cache)
 

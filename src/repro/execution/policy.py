@@ -13,10 +13,12 @@ Resolution order (most specific wins):
 1. the per-call ``policy=`` argument,
 2. the executor's constructor policy,
 3. the environment (:meth:`from_env`),
-4. built-in defaults (auto mode, usable-CPU workers, env retry budget).
+4. built-in defaults (inline, usable-CPU workers, env retry budget).
 
-None of these can change results: the determinism contract makes every
-value bitwise independent of fan-out mode and worker count.
+A batch fans out only when a layer says ``parallel="process"``; then it
+runs on the shared fork pool across ``max_workers`` workers.  None of
+these can change results: the determinism contract makes every value
+bitwise independent of fan-out mode and worker count.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class ExecutionPolicy:
     """How a batch fans out.  Every field defaults to ``None`` = "defer to
     the next layer" (executor default, then environment, then built-ins).
 
-    ``parallel`` is a :class:`~repro.execution.sharding.ShardPlanner` mode
-    (``"auto"`` / ``"process"`` / ``"thread"`` / ``"none"``);
+    ``parallel`` is a :class:`~repro.execution.sharding.ShardPlanner` mode,
+    ``"none"`` (inline, the default) or ``"process"`` (the shared fork
+    pool);
     ``max_workers`` the worker count (must be >= 1 — zero/negative is a
     ``ValueError``, not a silent clamp); ``retry`` overrides the
     supervised retry budget.  Process shards always run on the shared fork

@@ -1,20 +1,14 @@
 """Shard planning and multi-core fan-out for the execution layer.
 
-* :class:`ShardPlanner` decides **how** a batch fans out — ``"process"``
-  (worker processes, the default for the in-repo CPU-bound backends once a
-  batch is big enough to amortize dispatch), ``"thread"`` (a thread pool,
-  the default for custom backends), or ``"none"`` (inline — small batches
-  where any pool is pure overhead).  The decision combines the resolved
-  :class:`~repro.execution.policy.ExecutionPolicy`'s mode and worker count
-  (``REPRO_WORKERS`` environment override, then CPU count) and the
-  backends' :attr:`~repro.execution.backend.BackendCapabilities.parallel_hint`.
-  Whether threads help depends on how long the NumPy kernels hold the
-  GIL released: ``evaluate_observable`` over 8 distinct depth-1
-  ``FullyConnectedAnsatz`` circuits (Ising Hamiltonian, 2 workers, 2
-  vCPUs, numpy 2.4, median of 25 interleaved rounds) took (inline /
-  thread / process) 9.2 / 9.7 / 17.9 ms at 8 qubits, 18.4 / 23.6 / 19.6
-  ms at 12, 145 / 72 / 194 ms at 14 and 344 / 348 / 587 ms at 16, with
-  identical values in all three modes.
+* :class:`ShardPlanner` decides **whether** a batch fans out.  Inline is
+  the one default plan: a batch forks only when the resolved
+  :class:`~repro.execution.policy.ExecutionPolicy` says
+  ``parallel="process"``, and then across its worker count
+  (``REPRO_WORKERS`` environment override, then CPU count).  A single
+  item, a single worker or a dispatch inside a worker process always runs
+  inline.  No paper workload wins from forking at its own size (see
+  ``docs/architecture.md``, "when ``process`` pays"), so callers with big
+  batches ask for the pool themselves.
 * :func:`fan_out` is the one dispatch of every sharded pipeline (task and
   grouped slot shards, sweep point blocks, seeded QEC blocks): the caller
   plans and hands over :class:`ShardGroup` units; the helper chunks and
@@ -48,14 +42,14 @@ import atexit
 import multiprocessing
 import numbers
 import os
+import signal
 import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor, ThreadPoolExecutor)
+                                ProcessPoolExecutor)
 from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,17 +60,9 @@ from .faults import FaultDirective, consult, execute_directive
 #: Environment override for the worker count (argument > env > cpu count).
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Below this many pending work items a thread pool costs more than it saves.
-_INLINE_THRESHOLD = 2
-
-#: Upper bound on auto-selected workers (threads or processes).
+#: Upper bound on the default worker count (no explicit count, no
+#: ``REPRO_WORKERS``).
 _MAX_AUTO_WORKERS = 8
-
-#: Minimum CPU-bound batch size before auto mode shards across processes;
-#: below it, dense batches run inline: small kernels gain nothing from a
-#: thread pool (see the module docstring) and a fork costs more than the
-#: batch.
-_PROCESS_TASK_THRESHOLD = 16
 
 #: Set in worker processes so nested dispatches always run inline.
 _WORKER_ENV = "REPRO_IN_WORKER"
@@ -86,7 +72,7 @@ SHARD_RETRIES_ENV = "REPRO_SHARD_RETRIES"
 SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
 SHARD_BACKOFF_ENV = "REPRO_SHARD_BACKOFF"
 
-_PARALLEL_MODES = ("auto", "process", "thread", "none")
+_PARALLEL_MODES = ("none", "process")
 
 
 def in_worker_process() -> bool:
@@ -159,62 +145,43 @@ def split_evenly(items: Sequence, shards: int) -> List[list]:
 class ShardPlan:
     """One dispatch decision: the fan-out mode and how many workers."""
 
-    mode: str  # "process" | "thread" | "none"
+    mode: str  # "process" | "none"
     workers: int
 
     @property
     def is_parallel(self) -> bool:
-        return self.mode != "none" and self.workers > 1
+        return self.mode == "process" and self.workers > 1
 
 
 class ShardPlanner:
-    """Plans how execution batches fan out across cores.
+    """Plans whether an execution batch fans out across processes.
 
-    ``parallel`` is the mode: ``"auto"`` (capability-driven — the
-    default), ``"process"``, ``"thread"`` or ``"none"``.  The executor
-    builds one planner per dispatch from the resolved
+    ``parallel`` is the mode: ``"none"`` (inline, also what ``None``
+    means) or ``"process"`` (the shared fork pool).  The executor builds
+    one planner per dispatch from the resolved
     :class:`~repro.execution.policy.ExecutionPolicy`.  Example::
 
-        planner = ShardPlanner(parallel="auto")
-        plan = planner.plan(num_items=64, hints=("process",))
-        assert plan.mode == "process"
+        planner = ShardPlanner(parallel="process", max_workers=4)
+        assert planner.plan(num_items=64).mode == "process"
+        assert ShardPlanner().plan(num_items=64).mode == "none"
     """
 
-    def __init__(self, parallel: str = "auto",
+    def __init__(self, parallel: Optional[str] = None,
                  max_workers: Optional[int] = None):
-        if parallel not in _PARALLEL_MODES:
+        if parallel is not None and parallel not in _PARALLEL_MODES:
             raise ExecutionError(
                 f"parallel must be one of {_PARALLEL_MODES}, got {parallel!r}")
-        self.parallel = parallel
+        self.parallel = parallel or "none"
         self.max_workers = max_workers
 
-    def plan(self, num_items: int, hints: Sequence[str] = ()) -> ShardPlan:
-        """The :class:`ShardPlan` for a batch.
-
-        ``num_items`` counts independent work units (tasks, slots, sweep
-        points, QEC blocks); ``hints`` are the involved backends'
-        ``parallel_hint`` capabilities.
-        """
-        mode = self.parallel
+    def plan(self, num_items: int) -> ShardPlan:
+        """The :class:`ShardPlan` for a batch of ``num_items`` independent
+        work units (tasks, slots, sweep points, QEC blocks)."""
         workers = resolve_workers(self.max_workers)
-        if in_worker_process() or workers <= 1 or num_items < 2:
+        if (self.parallel == "none" or in_worker_process() or workers <= 1
+                or num_items < 2):
             return ShardPlan("none", 1)
-        if mode == "none":
-            return ShardPlan("none", 1)
-        if mode == "auto":
-            hints = tuple(hints) or ("thread",)
-            if "inline" in hints:
-                return ShardPlan("none", 1)
-            if all(hint == "process" for hint in hints):
-                # CPU-bound backends: processes for big batches, inline for
-                # small ones, whose kernels are too short to win on threads.
-                if num_items >= _PROCESS_TASK_THRESHOLD:
-                    return ShardPlan("process", workers)
-                return ShardPlan("none", 1)
-            if num_items > _INLINE_THRESHOLD:
-                return ShardPlan("thread", workers)
-            return ShardPlan("none", 1)
-        return ShardPlan(mode, workers)
+        return ShardPlan("process", workers)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +198,14 @@ _PARENT_CHECK_SECONDS = 1.0
 
 
 def _mark_worker_process() -> None:
-    """Pool initializer: mark the worker and end it when its parent dies.
+    """Pool initializer: mark the worker, give it default signal handling
+    and end it when its parent dies.
+
+    A forked worker inherits its parent's signal set-up: an asyncio
+    server's no-op Python handlers and its loop's wakeup fd, so a SIGTERM
+    sent to the worker would be ignored there and written into the
+    parent's loop, which then shuts down.  The worker drops the wakeup fd
+    and takes the interpreter's default SIGTERM and SIGINT handling back.
 
     A worker that outlives a killed parent is re-parented and keeps every
     descriptor it inherited, a server's listening socket included.  A
@@ -240,6 +214,9 @@ def _mark_worker_process() -> None:
     inherit each other's write ends of it.)
     """
     os.environ[_WORKER_ENV] = "1"
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     parent = multiprocessing.parent_process()
     parent_pid = parent.pid if parent is not None else os.getppid()
 
@@ -555,9 +532,10 @@ def run_sharded(plan: ShardPlan, fn: Callable,
                 ) -> List:
     """Run ``fn(*payload)`` for every payload under ``plan``; results align
     with the payload order.  ``fn`` must be a module-level callable when the
-    plan is ``"process"`` (it crosses the pickle boundary).
+    plan is parallel (it crosses the pickle boundary).
 
-    Process dispatch runs supervised on the shared fork pool (see
+    An inline plan, or a single payload, runs in the caller.  A parallel
+    plan runs supervised on the shared fork pool (see
     :func:`_run_supervised`).  ``policy`` overrides the retry budget
     (default :meth:`ShardRetryPolicy.from_env`), ``on_fault`` receives the
     :class:`FaultReport` — only when something actually faulted, so the
@@ -575,24 +553,14 @@ def run_sharded(plan: ShardPlan, fn: Callable,
                 on_result(index, value)
             results.append(value)
         return results
-    if plan.mode == "process":
-        if policy is None:
-            policy = ShardRetryPolicy.from_env()
-        report = FaultReport(shards=len(payloads))
-        results = _run_supervised(plan.workers, fn, payloads, policy, report,
-                                  on_result=on_result)
-        if report.faulted and on_fault is not None:
-            on_fault(report)
-        return results
-    with ThreadPoolExecutor(
-            max_workers=min(plan.workers, len(payloads))) as pool:
-        futures = [pool.submit(fn, *payload) for payload in payloads]
-        results = [None] * len(payloads)
-        for index, future in enumerate(futures):
-            results[index] = future.result()
-            if on_result is not None:
-                on_result(index, results[index])
-        return results
+    if policy is None:
+        policy = ShardRetryPolicy.from_env()
+    report = FaultReport(shards=len(payloads))
+    results = _run_supervised(plan.workers, fn, payloads, policy, report,
+                              on_result=on_result)
+    if report.faulted and on_fault is not None:
+        on_fault(report)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -621,27 +589,15 @@ class FanOut(NamedTuple):
     process_shards: int
 
 
-#: Per dispatching process id, the tokens of the shards that ran in that
-#: process.  Keyed by pid: a forked worker inherits a copy of the dict and
-#: never files its own shards as the dispatcher's.
-_ran_here: Dict[int, set] = {}
-
-
 def _counted_shard(fn: Callable, *args) -> tuple:
-    """Shard entry of :func:`fan_out`: ``(fresh token, fn(*args), counter
-    movement where it ran)``, the movement being that of the process-wide
-    :mod:`repro.obs` counters and of the head objects' instance counters;
-    a dispatching process files the token."""
+    """Pool entry of :func:`fan_out`: ``(fn(*args), counter movement where
+    it ran)``, the movement being that of the process-wide :mod:`repro.obs`
+    counters and of the head objects' instance counters."""
     head = args[:-1]
     counters, instances = obs.read(), obs.instance_counters(head)
     value = fn(*args)
-    moved = (obs.delta(counters, obs.read()),
-             obs.delta(instances, obs.instance_counters(head)))
-    token = os.urandom(8)
-    tokens = _ran_here.get(os.getpid())
-    if tokens is not None:
-        tokens.add(token)
-    return token, value, moved
+    return value, (obs.delta(counters, obs.read()),
+                   obs.delta(instances, obs.instance_counters(head)))
 
 
 def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
@@ -657,10 +613,12 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
     resolved :class:`~repro.execution.policy.ExecutionPolicy`) gives the
     retry budget; ``on_result(chunk, value)`` fires as each
     chunk lands.  Fault reports and ``process_shards`` land on
-    ``executor``, and the :mod:`repro.obs` counters a shard moved (the
-    process-wide ones, the group head's instance counters) are folded
-    exactly once: not for a shard that ran in this process during this
-    dispatch, for any other.  A worker's program-cache movement reaches
+    ``executor``, and the :mod:`repro.obs` counters a pool worker moved
+    (the process-wide ones, the group head's instance counters) are
+    folded exactly once.  A shard runs in this process, and already moved
+    its counters here, only under an inline plan, as the single payload,
+    or when the supervisor degraded it (:attr:`FaultReport.inline_indices`);
+    those are never folded.  A worker's program-cache movement reaches
     ``ExecutionStats`` through the caller's ``track_program_cache`` window.
     """
     chunks: List[Tuple[int, list]] = []
@@ -676,50 +634,40 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
         chunks.extend((position, piece) for piece in pieces)
     payloads = [(groups[position].fn,) + groups[position].head + (piece,)
                 for position, piece in chunks]
-    # run_sharded hands payloads to the pool only under a parallel
-    # process plan with more than one of them.
-    pooled = (plan.mode == "process" and plan.is_parallel
-              and len(payloads) > 1)
+    values: List[list] = [[] for _ in groups]
     reports: List[FaultReport] = []
-    kwargs: dict = {}
-    if pooled:
-        def on_fault(report: FaultReport) -> None:
-            reports.append(report)
-            executor.note_fault_report(report)
+    if not plan.is_parallel or len(payloads) == 1:
+        # Inline: nothing to supervise, no dispatch wait to account and no
+        # counters to fold.
+        for (position, piece), (fn, *args) in zip(chunks, payloads):
+            value = fn(*args)
+            values[position].append(value)
+            if on_result is not None:
+                on_result(piece, value)
+        return FanOut(values, reports, 0)
 
-        kwargs = {"policy": policy.retry, "on_fault": on_fault}
+    def on_fault(report: FaultReport) -> None:
+        reports.append(report)
+        executor.note_fault_report(report)
+
     landed = None
     if on_result is not None:
         def landed(index: int, envelope: tuple) -> None:
-            on_result(chunks[index][1], envelope[1])
-    if plan.is_parallel:
-        tokens = _ran_here.setdefault(os.getpid(), set())
-        envelopes = run_sharded(plan, _counted_shard, payloads,
-                                on_result=landed, **kwargs)
-        # A shard that ran here (on a thread, or degraded to inline)
-        # already moved this process's counters.  A worker's shard is
-        # folded.
-        local = {token for token, _, _ in envelopes if token in tokens}
-        tokens.difference_update(local)
-    else:
-        # Inline: nothing to supervise, no dispatch wait to account and no
-        # counters to fold.
-        local, envelopes = set(), []
-        for index, (fn, *args) in enumerate(payloads):
-            envelopes.append((None, fn(*args), None))
-            if landed is not None:
-                landed(index, envelopes[-1])
-    values: List[list] = [[] for _ in groups]
-    for (position, _), (token, value, moved) in zip(chunks, envelopes):
+            on_result(chunks[index][1], envelope[0])
+    envelopes = run_sharded(plan, _counted_shard, payloads,
+                            policy=policy.retry, on_fault=on_fault,
+                            on_result=landed)
+    degraded = {index for report in reports
+                for index in report.inline_indices}
+    for index, ((position, _), (value, moved)) in enumerate(
+            zip(chunks, envelopes)):
         values[position].append(value)
-        if token is not None and token not in local:
+        if index not in degraded:
             obs.absorb(moved[0])
             obs.absorb_instances(groups[position].head, moved[1])
-    shards = len(payloads) if pooled else 0
-    if shards:
-        with executor._lock:
-            executor.stats.process_shards += shards
-    return FanOut(values, reports, shards)
+    with executor._lock:
+        executor.stats.process_shards += len(payloads)
+    return FanOut(values, reports, len(payloads))
 
 
 # ---------------------------------------------------------------------------

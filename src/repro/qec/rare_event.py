@@ -720,8 +720,8 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
     through the executor's planner and fork pool, and seeded runs cache
     their aggregates in the executor's expectation cache under keys that
     encode none of the fan-out choices.  Results are **bitwise
-    identical** for any worker count and any inline/thread/process
-    path: integer counts fold
+    identical** for any worker count, inline or on the fork pool:
+    integer counts fold
     exactly, and floating-point aggregates fold with ``math.fsum`` over
     per-block partial sums, whose correctly-rounded total is independent
     of how blocks were grouped.

@@ -29,11 +29,12 @@ by :class:`_SeededRun` for every entry point here and in
 * Shots are partitioned into fixed-size **blocks** of :data:`SHOT_BLOCK`;
   each block is seeded by its own ``SeedSequence.spawn`` child.  Blocks — not
   workers — are the determinism unit, so failure counts are **bitwise
-  identical** for any worker count and for the inline/thread/process
-  paths (workers only change how blocks are *grouped*).
-* Process shards are planned by the executor from the per-call policy
-  (a :class:`~repro.execution.sharding.ShardPlanner`) and run through
-  :func:`~repro.execution.sharding.fan_out` on the fork pool; decode
+  identical** for any worker count and for the inline and process paths
+  (workers only change how blocks are *grouped*).
+* Blocks run inline unless the per-call policy (resolved over the
+  executor's) says ``parallel="process"``; process shards are planned by
+  the executor (a :class:`~repro.execution.sharding.ShardPlanner`) and run
+  through :func:`~repro.execution.sharding.fan_out` on the fork pool; decode
   and decoder diagnostic counters a shard moved in another process are
   folded into the caller's counters exactly once.
 * Seeded experiments cache their results in the executor's expectation
@@ -419,8 +420,7 @@ class _SeededRun:
         """
         if not units:
             return []
-        effective, plan = self.executor._plan(policy, len(units),
-                                              hints=("process",))
+        effective, plan = self.executor._plan(policy, len(units))
         run = fan_out(self.executor, effective, plan, [
             ShardGroup(body, (self.graph, self.decoder) + tuple(extra),
                        units)])
@@ -524,8 +524,8 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     flat in the shot count (a d=15, 32768-shot run fits the 24 MiB budget
     of ``benchmarks/test_bitpacked_kernels.py``).
 
-    Failure counts are bitwise identical for any worker count and any of
-    the inline/thread/process paths: all consume the identical per-block
+    Failure counts are bitwise identical for any worker count, inline or
+    on the fork pool: all consume the identical per-block
     Bernoulli draw stream and decoding is deterministic.  Seeded runs
     therefore share one cache entry — the key encodes none of those
     execution choices — so repeating a seeded experiment decodes nothing.

@@ -365,6 +365,9 @@ def expectation_payload(circuits, observable, *, noise_model=None,
     bounds how many circuits the runner evaluates per streamed partial.
     ``policy`` (an :class:`~repro.execution.policy.ExecutionPolicy` or its
     payload dict) steers server-side fan-out; it never changes values.
+    The job runs inline unless it says ``{"parallel": "process"}``; any
+    ``parallel`` other than ``"none"`` or ``"process"`` is a
+    ``malformed policy`` 400.
     """
     from ..circuits.circuit import QuantumCircuit
     from ..io.serialization import (circuit_to_dict, noise_model_to_dict,
@@ -396,8 +399,8 @@ def sweep_payload(template, parameter_sets, observable, *, noise_model=None,
 
     Mirrors :meth:`repro.execution.Executor.evaluate_sweep`; the runner
     evaluates ``chunk`` points per streamed partial (all points in one batch
-    when unset).  ``policy`` steers server-side fan-out; it never changes
-    values.
+    when unset).  ``policy`` steers server-side fan-out, as for
+    :func:`expectation_payload`; it never changes values.
     """
     from ..io.serialization import (noise_model_to_dict, pauli_sum_to_dict,
                                     template_to_dict)

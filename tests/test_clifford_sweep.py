@@ -95,7 +95,7 @@ def test_duplicate_chromosomes_count_as_dedup_hits(template, hamiltonian):
     assert energies[5:] == energies[:3] + [energies[0]]
 
 
-@pytest.mark.parametrize("parallel,workers", [("auto", None),
+@pytest.mark.parametrize("parallel,workers", [(None, 2),
                                               ("process", 2),
                                               ("process", 4)])
 def test_energies_identical_across_fanout_modes(template, hamiltonian,
@@ -109,9 +109,10 @@ def test_energies_identical_across_fanout_modes(template, hamiltonian,
 
 
 def test_auto_never_forks(template, hamiltonian):
+    # The default policy, once called "auto", runs a 64-point sweep inline.
     executor = Executor(use_cache=False)
     sweep(executor, template, hamiltonian, population(template, 64),
-          policy=ExecutionPolicy(parallel="auto", max_workers=4))
+          policy=ExecutionPolicy(max_workers=4))
     assert executor.stats.process_shards == 0
 
 

@@ -61,8 +61,7 @@ def _boom(value):
 
 
 def _process_plan(workers, items):
-    return ShardPlanner("process", max_workers=workers).plan(
-        items, hints=("process",))
+    return ShardPlanner("process", max_workers=workers).plan(items)
 
 
 def _fast_policy(**overrides):

@@ -121,8 +121,8 @@ def test_resolution_order_call_executor_environment(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "3")
     executor = Executor(policy=ExecutionPolicy(parallel="none",
                                                max_workers=2))
-    assert executor._resolve_policy(ExecutionPolicy(parallel="thread")) \
-        == ExecutionPolicy(parallel="thread", max_workers=2)
+    assert executor._resolve_policy(ExecutionPolicy(parallel="process")) \
+        == ExecutionPolicy(parallel="process", max_workers=2)
     assert Executor()._resolve_policy().max_workers == 3
 
 
@@ -169,8 +169,12 @@ def _sweep_fixture(num_qubits=4, points=24, seed=7):
 class TestExecutionPolicy:
 
     def test_invalid_parallel_mode_rejected(self):
-        with pytest.raises(ExecutionError, match="parallel"):
-            ExecutionPolicy(parallel="bogus")
+        # "auto" and "thread" were modes once; the error names the two left.
+        for mode in ("bogus", "auto", "thread"):
+            with pytest.raises(ExecutionError,
+                               match=r"parallel must be one of \('none', "
+                                     r"'process'\)"):
+                ExecutionPolicy(parallel=mode)
 
     def test_retry_type_checked(self):
         with pytest.raises(ExecutionError, match="ShardRetryPolicy"):

@@ -9,7 +9,7 @@ The load-bearing contracts:
   defect totals and estimate reproduce :func:`run_memory_sampling`
   bitwise.
 * **Fan-out independence** — both estimators return bitwise-identical
-  results for any worker count, inline vs threaded vs pooled.
+  results for any worker count, inline or pooled.
 * **Exactness of the stratum math** — stratum probabilities match the
   binomial/Poisson-binomial exactly, conditional samples carry exactly
   their stratum's weight, and strata below the minimum fault weight are
@@ -272,7 +272,7 @@ class TestDeterminism:
                                     executor=_executor(),
                                     policy=ExecutionPolicy(parallel=mode,
                                                            max_workers=workers))
-            for mode, workers in (("none", None), ("thread", 2),
+            for mode, workers in (("none", None), (None, 2),
                                   ("process", 2), ("process", 4))]
         first = results[0]
         for other in results[1:]:

@@ -7,14 +7,13 @@ Covers the four refactor layers:
 * the ``decode_batch`` protocol (batch-vs-loop bitwise equivalence for all
   five decoders on randomized graphs, the lookup decoder's vectorized table
   path, counter semantics);
-* the execution routing (worker-count and inline/thread/process determinism
+* the execution routing (worker-count and inline/process determinism
   of failure counts, process-shard counter fold-back, expectation-cache
   keying with warm-cache zero-decode accounting);
 * the consumers (memory experiments batched-vs-reference equality, the
   collision-free sweep seeding, Wilson intervals on the outcome class).
 """
 
-import dataclasses
 import hashlib
 import pickle
 
@@ -273,7 +272,6 @@ class TestShardedDeterminism:
         assert self._failures("process", 1) == inline
         assert self._failures("process", 2) == inline
         assert self._failures("process", 4) == inline
-        assert self._failures("thread", 2) == inline
 
     def test_process_shards_recorded_and_counters_folded(self):
         graph = rotated_surface_code_graph(3, 2, 0.01)
@@ -289,10 +287,10 @@ class TestShardedDeterminism:
 
     @pytest.mark.parametrize("rate, shots, workers",
                              [(5e-3, 1024, 2), (2e-2, 8192, 4)])
-    def test_thread_shards_count_once(self, rate, shots, workers):
-        """Thread shards run in this process, so their counters already
-        moved here and must not be folded again: the totals equal the pool
-        run's at the same worker count, whose shards are folded."""
+    def test_pooled_shards_count_once(self, rate, shots, workers):
+        """Pool shards' counters fold home exactly once: the pooled run
+        decodes each shot once, like the inline run, whose blocks moved
+        this process's counters directly and are never folded."""
         graph = rotated_surface_code_graph(3, 3, rate)
 
         def sample(policy):
@@ -309,14 +307,14 @@ class TestShardedDeterminism:
         sample(ExecutionPolicy(parallel="none"))
         pooled = sample(ExecutionPolicy(parallel="process",
                                         max_workers=workers))
-        threaded = sample(ExecutionPolicy(parallel="thread",
-                                          max_workers=workers))
-        assert threaded[0] == pooled[0]
-        assert threaded[1] == dataclasses.replace(pooled[1], process_shards=0)
-        assert threaded[2] == pooled[2]
-        assert pooled[1].shots_decoded == shots
-        assert pooled[1].process_shards == workers
-        assert sum(pooled[2]) > 0
+        inline = sample(ExecutionPolicy(max_workers=workers))
+        assert inline[0] == pooled[0]
+        for stats in (inline[1], pooled[1]):
+            assert (stats.experiments, stats.shots_sampled,
+                    stats.shots_decoded) == (1, shots, shots)
+        assert (inline[1].process_shards, pooled[1].process_shards) \
+            == (0, workers)
+        assert sum(inline[2]) > 0 and sum(pooled[2]) > 0
 
     def test_counter_delta_roundtrip(self):
         graph = repetition_code_graph(3, 1, 1e-3)
@@ -606,7 +604,6 @@ class TestPackedKernel:
         inline = failures("none", 1)
         assert inline[0] > 0, "workload should produce real failures"
         assert failures("process", 2) == inline
-        assert failures("thread", 2) == inline
         reference = run_memory_sampling_reference(graph, MWPMDecoder(graph),
                                                   shots, seed=321)
         assert (reference.failures, reference.total_defects) == inline

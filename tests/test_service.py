@@ -21,6 +21,7 @@ import importlib.util
 import json
 import os
 import shutil
+import signal
 import socket
 import sqlite3
 import subprocess
@@ -987,6 +988,17 @@ class TestServiceEndToEnd:
                 assert caught.value.status == 400
                 assert "max_retries" in str(caught.value)
                 assert client.list_jobs() == []  # nothing persisted
+                # The removed fan-out modes get the same 400, and the
+                # connection keeps serving.
+                for mode in ("auto", "thread"):
+                    bad = sweep_payload(template, points, observable,
+                                        policy={"parallel": mode})
+                    with pytest.raises(ServiceError) as caught:
+                        client.submit("sweep", bad)
+                    assert caught.value.status == 400
+                    assert "malformed policy" in str(caught.value)
+                    assert "'none', 'process'" in str(caught.value)
+                    assert client.list_jobs() == []
 
     def test_oversized_max_workers_rejected_at_submit(self):
         # max_workers sizes the server's fork pool, which starts all its
@@ -1694,7 +1706,87 @@ class TestServiceClient:
                 if issubclass(warning.category, ResourceWarning)] == []
 
 
+def serve_in_subprocess(socket_path, db_path, env, *extra):
+    """``python -m repro.service serve`` on ``socket_path``, once it
+    accepts connections."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--socket",
+         socket_path, "--db", db_path, *extra],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 60
+    while True:
+        assert server.poll() is None, "server exited"
+        with socket.socket(socket.AF_UNIX) as probe:
+            try:
+                probe.connect(socket_path)
+                return server
+            except OSError:
+                pass
+        assert time.monotonic() < deadline, "server never up"
+        time.sleep(0.05)
+
+
+def live_children(pid):
+    """Pids of the running (not zombie) children of ``pid``, from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                state, parent = stat.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if int(parent) == pid and state != "Z":
+            children.append(int(entry))
+    return children
+
+
 class TestServerKill:
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads process states from /proc")
+    def test_sigterm_to_a_pool_worker_leaves_the_server_serving(self):
+        """A forked pool worker must not share the server's signal set-up:
+        SIGTERM ends that worker, the server keeps answering, and its next
+        pooled job runs on a respawned pool."""
+        import repro
+        from repro.execution.sharding import usable_cpus
+        if usable_cpus() < 2:
+            pytest.skip("a two-worker policy needs two usable CPUs")
+
+        tmp = tempfile.mkdtemp(dir="/tmp", prefix="rsvc")
+        socket_path = os.path.join(tmp, "s.sock")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__))))
+        template, points, observable = sweep_fixture(points=8)
+        policy = {"parallel": "process", "max_workers": 2}
+        server = serve_in_subprocess(socket_path, os.path.join(tmp, "db"),
+                                     env)
+        try:
+            with ServiceClient(socket_path, timeout=60) as client:
+                client.fetch(client.submit("sweep", sweep_payload(
+                    template, points, observable, policy=policy)).job_id)
+                workers = live_children(server.pid)
+                assert len(workers) == 2
+                os.kill(workers[0], signal.SIGTERM)
+                deadline = time.monotonic() + 5.0
+                while workers[0] in live_children(server.pid) \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert workers[0] not in live_children(server.pid)
+                time.sleep(0.5)  # a stopping server would be gone by now
+                assert server.poll() is None
+                assert client.ping().server == "repro.service"
+                shifted = [[value + 1.0 for value in point]
+                           for point in points]
+                result = client.fetch(client.submit("sweep", sweep_payload(
+                    template, shifted, observable, policy=policy)).job_id)
+                assert len(result["energies"]) == len(points)
+        finally:
+            server.kill()
+            server.wait()
+            shutil.rmtree(tmp, ignore_errors=True)
+
     def test_sigkilled_server_loses_no_event_a_client_saw(self, tmp_path):
         """SIGKILL the server after a streaming client saw ``running`` and
         one of four partials; a server restarted on the same registry file
@@ -1714,22 +1806,8 @@ class TestServerKill:
                    REPRO_SERVICE_MAX_ATTEMPTS="2")
 
         def serve():
-            server = subprocess.Popen(
-                [sys.executable, "-m", "repro.service", "serve", "--socket",
-                 socket_path, "--db", db_path, "--workers", "1"],
-                env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL)
-            deadline = time.monotonic() + 60
-            while True:
-                assert server.poll() is None, "server exited"
-                with socket.socket(socket.AF_UNIX) as probe:
-                    try:
-                        probe.connect(socket_path)
-                        return server
-                    except OSError:
-                        pass
-                assert time.monotonic() < deadline, "server never up"
-                time.sleep(0.05)
+            return serve_in_subprocess(socket_path, db_path, env,
+                                       "--workers", "1")
 
         # Four partials of about 0.4 s each: the kill lands mid-job.
         payload = qec_memory_payload(distance=5, rounds=5, error_rate=0.05,

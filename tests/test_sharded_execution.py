@@ -1,10 +1,10 @@
 """Process-sharded execution: planner policy, determinism, picklability.
 
-The PR-4 determinism satellite: every execution surface must produce the
-same results for ``max_workers`` in {1, 2, 4} and for the thread, process
-and inline paths (within 1e-12), plus
-unit coverage of the :class:`~repro.execution.sharding.ShardPlanner`
-capability-hint policy, the ``REPRO_WORKERS`` override, and backend/task
+Every execution surface must produce the same results for
+``max_workers`` in {1, 2, 4} and for the process and inline paths (within
+1e-12), plus unit coverage of the
+:class:`~repro.execution.sharding.ShardPlanner` (inline unless the policy
+says ``"process"``), the ``REPRO_WORKERS`` override, and backend/task
 picklability (the process-pool transport contract).
 """
 
@@ -27,8 +27,7 @@ from repro.execution import (Backend, BackendCapabilities, ExecutionPolicy,
                              ExecutionTask, Executor, PauliPropagationBackend,
                              ShardPlanner, StatevectorBackend, execute,
                              get_backend)
-from repro.execution.sharding import (resolve_workers, split_evenly,
-                                      _PROCESS_TASK_THRESHOLD)
+from repro.execution.sharding import resolve_workers, split_evenly
 from repro.operators import ising_hamiltonian
 from repro.simulators.noise import NoiseModel, depolarizing_channel
 from repro.simulators.program import program_cache_counters
@@ -50,48 +49,63 @@ def clifford_circuit(num_qubits, flips=()):
     return qc
 
 
+def _default_policy_dispatch(dispatch, executor, policy):
+    """One of the four sharded dispatches over 16 or more units."""
+    hamiltonian = ising_hamiltonian(5, 1.0)
+    if dispatch == "execute":
+        tasks = [ExecutionTask(clifford_circuit(5, flips=(i % 5, i // 5)),
+                               observable=hamiltonian) for i in range(20)]
+        return [result.value for result in executor.run(
+            tasks, backend="statevector", policy=policy)]
+    if dispatch == "grouped":
+        circuits = [clifford_circuit(5, flips=(i % 5, i // 5))
+                    for i in range(20)]
+        return executor.evaluate_observable(
+            circuits, hamiltonian, backend="statevector", policy=policy)
+    if dispatch == "sweep":
+        template = FullyConnectedAnsatz(5, depth=1).build()
+        points = np.random.default_rng(3).uniform(
+            -3.0, 3.0, (32, len(template.ordered_parameters())))
+        return executor.evaluate_sweep(template, points, hamiltonian,
+                                       backend="statevector", policy=policy)
+    from repro.qec.decoders import MWPMDecoder
+    from repro.qec.decoders.graph import repetition_code_graph
+    from repro.qec.sampling import SHOT_BLOCK, run_memory_sampling
+    graph = repetition_code_graph(3, 2, 0.02)
+    run = run_memory_sampling(graph, MWPMDecoder(graph), 16 * SHOT_BLOCK,
+                              seed=11, executor=executor, policy=policy)
+    return [run.failures, run.total_defects]
+
+
 class TestShardPlanner:
-    def test_process_backends_run_inline_below_threshold(self):
-        # The thread-overhead fix: small dense batches spin up NO pool.
-        plan = ShardPlanner().plan(_PROCESS_TASK_THRESHOLD - 1,
-                                   hints=("process",))
-        assert plan.mode == "none"
-
-    def test_process_backends_shard_at_threshold(self):
-        plan = ShardPlanner(max_workers=4).plan(_PROCESS_TASK_THRESHOLD,
-                                                hints=("process",))
-        assert plan.mode == "process"
-        assert plan.workers == 4
-
-    def test_thread_hint_keeps_thread_pool(self):
-        plan = ShardPlanner(max_workers=4).plan(8, hints=("thread",))
-        assert plan.mode == "thread"
-
-    def test_mixed_hints_fall_back_to_threads(self):
-        plan = ShardPlanner(max_workers=4).plan(64,
-                                                hints=("process", "thread"))
-        assert plan.mode == "thread"
-
-    def test_inline_hint_forces_inline(self):
-        plan = ShardPlanner(max_workers=4).plan(64, hints=("inline",))
-        assert plan.mode == "none"
+    @pytest.mark.parametrize("dispatch",
+                             ["execute", "grouped", "sweep", "qec"])
+    def test_default_policy_never_forks(self, dispatch):
+        # Inline is the one default plan: 16+ units at 2 workers still run
+        # in the caller, with the values of an explicit inline run.
+        assert ShardPlanner(max_workers=2).plan(1024).mode == "none"
+        executor = Executor(use_cache=False)
+        values = _default_policy_dispatch(dispatch, executor,
+                                          ExecutionPolicy(max_workers=2))
+        assert executor.stats.process_shards == 0
+        inline = _default_policy_dispatch(
+            dispatch, Executor(use_cache=False),
+            ExecutionPolicy(parallel="none"))
+        assert np.array_equal(values, inline)
 
     def test_pauli_propagation_runs_inline_under_auto(self):
-        # Pickling a noisy Clifford circuit costs about as much as
-        # propagating it, so "auto" never forks Pauli-propagation slots,
-        # however many; an explicit process policy still shards them.
+        # The default policy (once called "auto") never forks
+        # Pauli-propagation slots, however many; an explicit process
+        # policy still shards them, bitwise.
         circuits = [clifford_circuit(5, flips=(i % 5, (i // 5) % 5))
-                    for i in range(_PROCESS_TASK_THRESHOLD + 4)]
+                    for i in range(20)]
         observable = ising_hamiltonian(5, 1.0)
-        hint = PauliPropagationBackend().capabilities().parallel_hint
-        assert ShardPlanner(max_workers=2).plan(
-            len(circuits), hints=(hint,)).mode == "none"
-        auto = Executor(use_cache=False)
-        values = auto.evaluate_observable(
+        default = Executor(use_cache=False)
+        values = default.evaluate_observable(
             circuits, observable, noise_model=cx_noise(),
             backend="pauli_propagation",
-            policy=ExecutionPolicy(parallel="auto", max_workers=2))
-        assert auto.stats.process_shards == 0
+            policy=ExecutionPolicy(max_workers=2))
+        assert default.stats.process_shards == 0
         pooled = Executor(use_cache=False)
         sharded = pooled.evaluate_observable(
             circuits, observable, noise_model=cx_noise(),
@@ -102,26 +116,24 @@ class TestShardPlanner:
 
     def test_explicit_modes_override_hints(self):
         assert ShardPlanner("process", max_workers=4).plan(
-            4, hints=("process",)).mode == "process"
-        assert ShardPlanner("thread", max_workers=4).plan(
-            64, hints=("process",)).mode == "thread"
-        assert ShardPlanner("none", max_workers=4).plan(
-            64, hints=("process",)).mode == "none"
+            4).mode == "process"
+        assert ShardPlanner("process", max_workers=4).plan(4).workers == 4
+        assert ShardPlanner("none", max_workers=4).plan(64).mode == "none"
 
     def test_single_item_never_parallel(self):
-        plan = ShardPlanner("process", max_workers=4).plan(
-            1, hints=("process",))
+        plan = ShardPlanner("process", max_workers=4).plan(1)
         assert plan.mode == "none"
 
     def test_one_worker_never_parallel(self):
-        plan = ShardPlanner("process", max_workers=1).plan(
-            64, hints=("process",))
+        plan = ShardPlanner("process", max_workers=1).plan(64)
         assert plan.mode == "none"
 
     def test_invalid_mode_rejected(self):
         from repro.execution import ExecutionError
-        with pytest.raises(ExecutionError):
-            ShardPlanner(parallel="fork-bomb")
+        # "auto" and "thread" were modes once; the error names the two left.
+        for mode in ("fork-bomb", "auto", "thread"):
+            with pytest.raises(ExecutionError, match="'none', 'process'"):
+                ShardPlanner(parallel=mode)
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -179,8 +191,7 @@ class TestDeterminismAcrossWorkersAndModes:
                      Executor(use_cache=False).run(
                          tasks, backend="statevector",
                          policy=ExecutionPolicy(parallel="none"))]
-        for parallel, workers in (("thread", 4), ("process", 2),
-                                  ("process", 4)):
+        for parallel, workers in (("process", 2), ("process", 4)):
             values = [r.value for r in
                       Executor(use_cache=False).run(
                           tasks, backend="statevector",
@@ -193,8 +204,7 @@ class TestDeterminismAcrossWorkersAndModes:
         reference = Executor(use_cache=False).evaluate_observable(
             circuits, self.hamiltonian, backend="statevector",
             policy=ExecutionPolicy(parallel="none"))
-        for parallel, workers in (("thread", 4), ("process", 2),
-                                  ("process", 4)):
+        for parallel, workers in (("process", 2), ("process", 4)):
             values = Executor(use_cache=False).evaluate_observable(
                 circuits, self.hamiltonian, backend="statevector",
                 policy=ExecutionPolicy(parallel=parallel, max_workers=workers))
@@ -214,24 +224,6 @@ class TestDeterminismAcrossWorkersAndModes:
                 policy=ExecutionPolicy(parallel="process",
                                        max_workers=workers))
             assert np.allclose(values, reference, atol=1e-12)
-
-    def test_thread_sweep_runs_the_inline_batch(self):
-        # Only process sweeps cut point blocks: a thread sweep is the one
-        # inline batch, bitwise, and hands nothing to the pool.
-        template = FullyConnectedAnsatz(8, depth=1).build()
-        rng = np.random.default_rng(11)
-        points = rng.uniform(-3.0, 3.0,
-                             (16, len(template.ordered_parameters())))
-        hamiltonian = ising_hamiltonian(8)
-        inline = Executor(use_cache=False).evaluate_sweep(
-            template, points, hamiltonian, backend="statevector",
-            policy=ExecutionPolicy(parallel="none"))
-        executor = Executor(use_cache=False)
-        threaded = executor.evaluate_sweep(
-            template, points, hamiltonian, backend="statevector",
-            policy=ExecutionPolicy(parallel="thread", max_workers=2))
-        assert np.array_equal(threaded, inline)
-        assert executor.stats.process_shards == 0
 
     def test_noisy_pauli_propagation_matches_across_modes(self):
         circuits = [clifford_circuit(5, flips=(i % 5,)) for i in range(20)]
@@ -355,11 +347,11 @@ class TestProcessDispatchBehaviour:
         executor.run(tasks, backend="statevector")
         assert executor.stats.process_shards == 0
 
-    @pytest.mark.parametrize("parallel", ["process", "thread"])
+    @pytest.mark.parametrize("parallel", ["none", "process"])
     def test_process_dispatch_counts_backend_invocations(self, parallel):
         # Workers bump pickled backend copies; the parent must restore the
         # caller-side counter so monitoring code sees the same numbers as
-        # under inline/thread dispatch.
+        # under inline dispatch.
         backend = StatevectorBackend()
         tasks = [ExecutionTask(clifford_circuit(6, flips=(i,)),
                                observable=ising_hamiltonian(6, 1.0))
