@@ -12,9 +12,8 @@ Three checks on the low-``p`` tail workload, all recorded to
   point it sits in the hundreds of millions of shots, far beyond what any
   suite could decode directly, which is exactly the point of the PR.
 * **Agreement with a high-shot direct reference** — at a moderate ``p``
-  where direct sampling still sees failures, both rare-event estimators
-  (tilted importance sampling and weight-stratified) must agree with a
-  high-shot direct reference within its CI.
+  where direct sampling still sees failures, the weight-stratified
+  estimate must agree with a high-shot direct reference within its CI.
 * **Fan-out determinism** — the d=5 low-``p`` results must be bitwise
   identical across ``max_workers`` 1/2/4 on the fork pool.
 """
@@ -81,8 +80,8 @@ def test_rare_event_shot_reduction(benchmark):
         before = batch_decode_stats().shots_decoded
         start = time.perf_counter()
         result = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), SHOTS, method="stratified",
-            seed=SEED, executor=Executor(use_cache=False))
+            graph, MWPMDecoder(graph), SHOTS, seed=SEED,
+            executor=Executor(use_cache=False))
         seconds = time.perf_counter() - start
         decoded = batch_decode_stats().shots_decoded - before
         return result, decoded, seconds
@@ -128,7 +127,7 @@ def test_rare_event_shot_reduction(benchmark):
 
 
 def test_rare_event_agrees_with_direct_reference():
-    """Both estimators agree with a high-shot direct reference."""
+    """The stratified estimate agrees with a high-shot direct reference."""
     graph = repetition_code_graph(5, 3, 0.04)
     reference_shots = 120_000 if full_mode() else 60_000
     direct = run_memory_sampling(graph, MWPMDecoder(graph), reference_shots,
@@ -138,34 +137,28 @@ def test_rare_event_agrees_with_direct_reference():
     ref_low, ref_high = wilson_interval(direct.failures, direct.shots,
                                         z=3.3)
 
-    rows, record = [], {}
-    for method in ("importance", "stratified"):
-        result = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), SHOTS, method=method, seed=SEED + 1,
-            executor=Executor(use_cache=False))
-        low, high = result.wilson_interval(z=3.3)
-        agrees = (low <= reference_rate <= high
-                  and ref_low <= result.estimate <= ref_high)
-        rows.append([method, f"{result.estimate:.4e}",
-                     f"[{low:.3e}, {high:.3e}]", f"{result.ess:.0f}",
-                     "yes" if agrees else "NO"])
-        record[method] = {"estimate": result.estimate,
-                          "interval": [low, high], "ess": result.ess,
-                          "agrees": agrees}
-        assert agrees, (f"{method} estimate {result.estimate:.4e} "
-                        f"disagrees with direct "
-                        f"{reference_rate:.4e} [{ref_low:.4e}, "
-                        f"{ref_high:.4e}]")
+    result = run_rare_event_sampling(
+        graph, MWPMDecoder(graph), SHOTS, seed=SEED + 1,
+        executor=Executor(use_cache=False))
+    low, high = result.wilson_interval(z=3.3)
+    agrees = (low <= reference_rate <= high
+              and ref_low <= result.estimate <= ref_high)
 
     print_table(
         f"rare-event vs {reference_shots}-shot direct reference "
         f"(d=5 repetition, p=0.04, direct rate {reference_rate:.4e})",
-        ["method", "estimate", "99.9% CI", "ESS", "agrees"], rows)
+        ["estimate", "99.9% CI", "ESS", "agrees"],
+        [[f"{result.estimate:.4e}", f"[{low:.3e}, {high:.3e}]",
+          f"{result.ess:.0f}", "yes" if agrees else "NO"]])
+    assert agrees, (f"stratified estimate {result.estimate:.4e} disagrees "
+                    f"with direct {reference_rate:.4e} [{ref_low:.4e}, "
+                    f"{ref_high:.4e}]")
     _RECORD["direct_agreement"] = {
         "reference_shots": reference_shots,
         "reference_rate": reference_rate,
         "reference_interval": [ref_low, ref_high],
-        "estimators": record,
+        "estimate": result.estimate, "interval": [low, high],
+        "ess": result.ess, "agrees": agrees,
     }
 
 
@@ -174,9 +167,9 @@ def test_rare_event_bitwise_across_workers():
     graph = _graph()
     shots = SHOTS // 2
 
-    def run(method, policy):
+    def run(policy):
         result = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), shots, method=method, seed=SEED,
+            graph, MWPMDecoder(graph), shots, seed=SEED,
             executor=Executor(use_cache=False), policy=policy)
         return (result.estimate, result.variance, result.ess,
                 result.raw_failures, result.total_defects, result.strata)
@@ -186,26 +179,22 @@ def test_rare_event_bitwise_across_workers():
         "workers_2": ExecutionPolicy(parallel="process", max_workers=2),
         "workers_4": ExecutionPolicy(parallel="process", max_workers=4),
     }
-    record, rows = {}, []
-    for method in ("importance", "stratified"):
-        fingerprints = {name: run(method, policy)
-                        for name, policy in configurations.items()}
-        distinct = len(set(fingerprints.values()))
-        rows.extend([method, name, f"{bits[0]:.6e}", bits[3]]
-                    for name, bits in fingerprints.items())
-        assert distinct == 1, (
-            f"{method}: fan-out changed the bits: {fingerprints}")
-        record[method] = {
-            "configurations": sorted(configurations),
-            "estimate": fingerprints["workers_1"][0],
-            "bitwise_identical": True,
-        }
+    fingerprints = {name: run(policy)
+                    for name, policy in configurations.items()}
 
     print_table(
         f"fan-out determinism (d={DISTANCE}, p={PHYSICAL_ERROR_RATE}, "
         f"{shots} shots)",
-        ["method", "configuration", "estimate", "raw failures"], rows)
-    _RECORD["fanout_determinism"] = record
+        ["configuration", "estimate", "raw failures"],
+        [[name, f"{bits[0]:.6e}", bits[3]]
+         for name, bits in fingerprints.items()])
+    assert len(set(fingerprints.values())) == 1, (
+        f"fan-out changed the bits: {fingerprints}")
+    _RECORD["fanout_determinism"] = {
+        "configurations": sorted(configurations),
+        "estimate": fingerprints["workers_1"][0],
+        "bitwise_identical": True,
+    }
 
     bench = {"pr": 10,
              "benchmark": "rare-event QEC estimation (low-p tail)",

@@ -51,9 +51,6 @@ from .errors import (BackendCapabilityError, ExecutionError, RoutingError,
 from .executor import (ExecutionStats, Executor, default_executor,
                        evaluate_observable, evaluate_sweep, execute,
                        execute_one, reset_default_executor, term_expectations)
-from .faults import (FAULTS_ENV, FaultDirective, FaultInjector, FaultRule,
-                     clear_injector, inject_faults, install_injector,
-                     parse_fault_spec)
 from .observables import pauli_from_key, run_grouped
 from .policy import ExecutionPolicy
 from .registry import (BackendRegistry, DEFAULT_REGISTRY, available_backends,
@@ -80,11 +77,7 @@ __all__ = [
     "ExecutionTask",
     "Executor",
     "ExpectationCache",
-    "FAULTS_ENV",
-    "FaultDirective",
-    "FaultInjector",
     "FaultReport",
-    "FaultRule",
     "MAX_DENSITY_MATRIX_QUBITS",
     "MAX_STATEVECTOR_QUBITS",
     "PauliPropagationBackend",
@@ -98,11 +91,7 @@ __all__ = [
     "UnknownBackendError",
     "WORKERS_ENV",
     "available_backends",
-    "clear_injector",
     "default_executor",
-    "inject_faults",
-    "install_injector",
-    "parse_fault_spec",
     "evaluate_observable",
     "evaluate_sweep",
     "execute",

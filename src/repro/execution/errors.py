@@ -40,8 +40,9 @@ class RoutingError(ExecutionError):
 class TransientFault(ExecutionError):
     """A retryable, non-deterministic failure inside a shard or job.
 
-    Raised by the fault-injection harness (:mod:`repro.execution.faults`)
-    and available to custom backends/jobs that want a failure class the
+    Raised by the test suite's fault injector (through
+    :data:`repro.execution.sharding.fault_hook`) and available to custom
+    backends/jobs that want a failure class the
     shard supervisor treats as retryable rather than fatal: the supervisor
     retries the affected shard with backoff, while any other exception
     type propagates immediately (a deterministic bug would fail the retry

@@ -55,7 +55,6 @@ import numpy as np
 
 from .. import obs
 from .errors import ExecutionError, TransientFault
-from .faults import FaultDirective, consult, execute_directive
 
 #: Environment override for the worker count (argument > env > cpu count).
 WORKERS_ENV = "REPRO_WORKERS"
@@ -73,6 +72,14 @@ SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
 SHARD_BACKOFF_ENV = "REPRO_SHARD_BACKOFF"
 
 _PARALLEL_MODES = ("none", "process")
+
+#: Chaos-test hook, ``None`` unless a fault-injection test installs one.
+#: When set it is called as ``fault_hook(site)`` at every pooled shard
+#: dispatch (``"shard"``, in the parent) and every service job checkpoint
+#: (``"job"``), and returns ``None`` or a picklable no-argument callable
+#: that runs where the fault lands: in the pool worker before the shard,
+#: or in the job's thread.
+fault_hook: Optional[Callable[[str], Optional[Callable[[], None]]]] = None
 
 
 def in_worker_process() -> bool:
@@ -405,16 +412,16 @@ class FaultReport:
                 "inline_indices": list(self.inline_indices)}
 
 
-def _shard_entry(directive: Optional[FaultDirective], fn: Callable,
+def _shard_entry(fault: Optional[Callable[[], None]], fn: Callable,
                  payload: tuple):
-    """Worker-side shard entry: apply an injected fault, then run.
+    """Worker-side shard entry: run an injected fault, then the shard.
 
-    The parent consults the fault injector and embeds the (picklable)
-    directive per shard, so injection needs no worker-side configuration
-    and the schedule is independent of which worker picks the shard up.
+    The parent consults :data:`fault_hook` and embeds the (picklable)
+    fault per shard, so injection needs no worker-side configuration and
+    the schedule is independent of which worker picks the shard up.
     """
-    if directive is not None:
-        execute_directive(directive)
+    if fault is not None:
+        fault()
     return fn(*payload)
 
 
@@ -440,8 +447,9 @@ def _run_supervised(workers: int, fn: Callable, payloads: Sequence[tuple],
     pending = list(range(len(payloads)))
     retries_used = 0
     while pending:
-        wrapped = [(consult("shard"), fn, tuple(payloads[index]))
-                   for index in pending]
+        hook = fault_hook
+        wrapped = [(hook("shard") if hook is not None else None, fn,
+                    tuple(payloads[index])) for index in pending]
         failed: List[int] = []
         causes: List[str] = []
         round_respawn = False

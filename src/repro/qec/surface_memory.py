@@ -86,7 +86,7 @@ class RareEventMemoryOutcome(MemoryExperimentOutcome):
     ``logical_error_rate`` / ``standard_error`` / ``wilson_interval`` gets
     the variance-reduced estimate transparently.  ``failures`` counts the
     *raw* decoder disagreements observed under the biased sampling
-    distribution (diagnostics only: under a tilt or a stratum conditioning
+    distribution (diagnostics only: under the stratum conditioning
     ``failures / shots`` is not the logical error rate — that is exactly
     the point), and :attr:`rare` carries the full estimator output,
     including the per-stratum breakdown.
@@ -104,13 +104,6 @@ class RareEventMemoryOutcome(MemoryExperimentOutcome):
 
     def wilson_interval(self, z: float = 1.96) -> Tuple[float, float]:
         return self.rare.wilson_interval(z=z)
-
-
-#: ``method=`` spellings accepted by the experiment drivers.  The public
-#: name is ``"rare-event"`` (defaults to the stratified estimator); the
-#: explicit estimator names are accepted for ablations.
-_RARE_METHODS = {"rare-event": "stratified", "stratified": "stratified",
-                 "importance": "importance"}
 
 
 class SurfaceCodeMemory:
@@ -160,13 +153,13 @@ class SurfaceCodeMemory:
         """Run ``shots`` through the batched, executor-routed pipeline.
 
         ``method="direct"`` (default) is plain Monte-Carlo over the
-        physical error rates.  ``method="rare-event"`` (or explicitly
-        ``"stratified"`` / ``"importance"``) routes the same decode budget
-        through :func:`~repro.qec.rare_event.run_rare_event_sampling` and
-        returns a :class:`RareEventMemoryOutcome` whose
+        physical error rates.  ``method="rare-event"`` routes the same
+        decode budget through
+        :func:`~repro.qec.rare_event.run_rare_event_sampling` and returns
+        a :class:`RareEventMemoryOutcome` whose
         ``logical_error_rate`` is the variance-reduced estimate — the way
         low-``p`` figure points are produced.  Extra keyword arguments
-        (``tilt``, ``min_fault_weight``, ``max_weight``, ``pilot_shots``,
+        (``min_fault_weight``, ``max_weight``, ``pilot_shots``,
         ``tail_rtol``) pass through to the estimator.
         """
         if shots < 1:
@@ -182,13 +175,12 @@ class SurfaceCodeMemory:
                                           use_cache=use_cache)
             return self._outcome(shots, sampled.failures,
                                  sampled.total_defects)
-        if method not in _RARE_METHODS:
+        if method != "rare-event":
             raise ValueError(
-                f"unknown method {method!r} (expected 'direct', "
-                f"'rare-event', 'stratified' or 'importance')")
+                f"unknown method {method!r} (expected 'direct' or "
+                f"'rare-event')")
         rare = run_rare_event_sampling(
-            self._graph, self._decoder, shots,
-            method=_RARE_METHODS[method], seed=self._seed,
+            self._graph, self._decoder, shots, seed=self._seed,
             executor=executor, policy=policy,
             use_cache=use_cache, **rare_event_options)
         plain = self._outcome(rare.shots, rare.raw_failures,

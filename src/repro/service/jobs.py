@@ -36,11 +36,9 @@ from typing import Any, Callable, Dict, Optional
 # The engines every job kind runs load with this module, so a server pays
 # their import at start-up and its first QEC job pays none.
 from ..execution.errors import ExecutionError, UnknownBackendError
-from ..execution.faults import consult as _consult_faults
-from ..execution.faults import execute_directive as _execute_directive
 from ..execution.policy import ExecutionPolicy
 from ..execution.registry import DEFAULT_REGISTRY
-from ..execution.sharding import usable_cpus
+from ..execution import sharding
 from ..execution.task import observable_fingerprint
 from ..io.serialization import (circuit_from_dict, noise_model_from_dict,
                                 pauli_sum_from_dict, template_from_dict)
@@ -74,13 +72,16 @@ class JobContext:
 
     def checkpoint(self) -> None:
         """Raise :class:`JobCancelled` if the job was cancelled; also the
-        ``"job"`` fault-injection site, so chaos tests can raise transient
-        errors or stall a job at a chunk boundary deterministically."""
+        ``"job"`` site of :data:`repro.execution.sharding.fault_hook`, so
+        chaos tests can raise transient errors or stall a job at a chunk
+        boundary deterministically."""
         if self.cancelled.is_set():
             raise JobCancelled()
-        directive = _consult_faults("job")
-        if directive is not None:
-            _execute_directive(directive)
+        hook = sharding.fault_hook
+        if hook is not None:
+            fault = hook("job")
+            if fault is not None:
+                fault()
 
 
 @dataclass
@@ -145,7 +146,7 @@ def _decode_policy(payload: Dict[str, Any]):
         policy = ExecutionPolicy.from_payload(entry)
     except (ExecutionError, KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed policy: {error}") from None
-    cpus = usable_cpus()
+    cpus = sharding.usable_cpus()
     if policy.max_workers is not None and policy.max_workers > cpus:
         raise ProtocolError(
             f"malformed policy: max_workers {policy.max_workers} exceeds "
@@ -357,15 +358,7 @@ def _prepare_qec_rare_event(payload: Dict[str, Any]) -> PreparedJob:
     chunk_blocks = int(payload.get("chunk_blocks", DEFAULT_CHUNK_BLOCKS))
     if chunk_blocks < 1:
         raise ProtocolError("chunk_blocks must be a positive integer")
-    method = payload.get("method", "stratified")
-    if method == "rare-event":
-        method = "stratified"
-    if method not in ("stratified", "importance"):
-        raise ProtocolError(f"unknown rare-event method {method!r} "
-                            f"(expected 'stratified' or 'importance')")
     options = {}
-    if payload.get("tilt") is not None:
-        options["tilt"] = float(payload["tilt"])
     if payload.get("min_fault_weight") is not None:
         options["min_fault_weight"] = int(payload["min_fault_weight"])
     if payload.get("max_weight") is not None:
@@ -377,23 +370,21 @@ def _prepare_qec_rare_event(payload: Dict[str, Any]) -> PreparedJob:
 
     # Seeded + token-pinned runs coalesce across clients on the same
     # content identities the estimator caches on.  The estimator knobs are
-    # part of the key (they change the sampling distribution) and so is
-    # chunk_blocks: importance-sampling partials fold per chunk, so
-    # differently-chunked submissions may differ in the last ulp.
+    # part of the key (they change the strata and the budget split);
+    # chunk_blocks is not, because every aggregate is an integer count.
     key = None
     if seed is not None:
         _, seed_key = as_seed_sequence(int(seed))
         token = decoder_cache_token(decoder)
         if token is not None:
             key = _digest("qec-rare-event", graph.fingerprint(), token,
-                          method, tuple(sorted(options.items())), shots,
-                          SHOT_BLOCK, seed_key, chunk_blocks)
+                          tuple(sorted(options.items())), shots,
+                          SHOT_BLOCK, seed_key)
 
     def run(ctx: JobContext) -> Dict[str, Any]:
         final = None
         for partial in stream_rare_event_sampling(
                 graph, decoder, shots,
-                method=method,
                 seed=int(seed) if seed is not None else None,
                 executor=ctx.executor, chunk_blocks=chunk_blocks, **options):
             ctx.checkpoint()
@@ -415,7 +406,6 @@ def _prepare_qec_rare_event(payload: Dict[str, Any]) -> PreparedJob:
             final = partial
         low, high = final.wilson_interval()
         return {
-            "method": final.method,
             "shots": final.shots,
             "estimate": final.estimate,
             "logical_error_rate": final.estimate,
@@ -461,9 +451,8 @@ _PAYLOAD_KEYS = {
                         "noise_model", "backend", "include_idle", "chunk",
                         "policy"}),
     "qec_memory": _QEC_KEYS,
-    "qec_rare_event": _QEC_KEYS | {"method", "tilt", "min_fault_weight",
-                                   "max_weight", "pilot_shots",
-                                   "tail_rtol"},
+    "qec_rare_event": _QEC_KEYS | {"min_fault_weight", "max_weight",
+                                   "pilot_shots", "tail_rtol"},
 }
 
 

@@ -465,9 +465,7 @@ def qec_rare_event_payload(*, code: str = "repetition", distance: int,
                            rounds: int, error_rate: float,
                            measurement_error_rate: Optional[float] = None,
                            decoder: str = "mwpm", shots: int,
-                           method: str = "stratified",
                            seed: Optional[int] = None,
-                           tilt: Optional[float] = None,
                            min_fault_weight: Optional[int] = None,
                            max_weight: Optional[int] = None,
                            pilot_shots: Optional[int] = None,
@@ -477,22 +475,16 @@ def qec_rare_event_payload(*, code: str = "repetition", distance: int,
     """Payload of a ``qec_rare_event`` job (variance-reduced low-``p`` run).
 
     Same graph/decoder spec as :func:`qec_memory_payload`; ``shots`` is the
-    decode budget the estimator spends.  ``method`` is ``"stratified"``
-    (weight-stratified subset sampling, the default — per-stratum partials
-    stream out as the budget is spent) or ``"importance"`` (exponentially
-    tilted importance sampling; ``tilt`` is the tilt parameter θ, auto-solved
-    when unset).  ``min_fault_weight`` / ``max_weight`` / ``pilot_shots`` /
-    ``tail_rtol`` tune the stratified estimator; unset values use the
-    engine defaults documented on
+    decode budget the weight-stratified estimator spends, and per-stratum
+    partials stream out as it is spent.  ``min_fault_weight`` /
+    ``max_weight`` / ``pilot_shots`` / ``tail_rtol`` tune the estimator;
+    unset values use the engine defaults documented on
     :func:`repro.qec.rare_event.run_rare_event_sampling`.
     """
     payload = qec_memory_payload(
         code=code, distance=distance, rounds=rounds, error_rate=error_rate,
         measurement_error_rate=measurement_error_rate, decoder=decoder,
         shots=shots, seed=seed, chunk_blocks=chunk_blocks)
-    payload["method"] = str(method)
-    if tilt is not None:
-        payload["tilt"] = float(tilt)
     if min_fault_weight is not None:
         payload["min_fault_weight"] = int(min_fault_weight)
     if max_weight is not None:

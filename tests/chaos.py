@@ -1,30 +1,32 @@
 """Deterministic, seeded fault injection for chaos-testing recovery paths.
 
-The fault-tolerance layer (shard supervisor, job retry machinery)
-is only trustworthy if its recovery paths are exercised continuously — and
-the repo's bitwise-deterministic seeding makes that cheap: a recovered run
+The fault-tolerance layer (shard supervisor, job retry machinery) is only
+trustworthy if its recovery paths are exercised continuously — and the
+repo's bitwise-deterministic seeding makes that cheap: a recovered run
 must equal the unfaulted run *exactly*, so a chaos test is an equality
 assertion, not a statistical one.  This module supplies the controlled
-failures:
+failures through the library's one hook,
+:data:`repro.execution.sharding.fault_hook`:
 
-* :class:`FaultInjector` holds :class:`FaultRule` entries and is consulted
-  at named **sites** (``"shard"`` — one process-pool shard dispatch,
-  ``"job"`` — a service job checkpoint).  Each consultation
-  deterministically decides, from the injector seed and the per-rule
-  consultation counter alone, whether a fault fires — the same schedule
-  replays exactly across runs, regardless of thread interleaving at *other*
-  sites.
-* Fired faults become picklable :class:`FaultDirective` values.  The shard
-  supervisor consults the injector **in the parent** and ships directives
-  inside shard payloads, so injection works with the persistent
-  forked worker pool without any cross-process injector state.
+* :class:`FaultInjector` holds :class:`FaultRule` entries and, installed
+  as the hook, is consulted at named **sites** (``"shard"`` — one
+  process-pool shard dispatch, ``"job"`` — a service job checkpoint).
+  Each consultation deterministically decides, from the injector seed and
+  the per-rule consultation counter alone, whether a fault fires — the
+  same schedule replays exactly across runs, regardless of thread
+  interleaving at *other* sites.
+* Fired faults are picklable, callable :class:`FaultDirective` values.
+  The shard supervisor consults the hook **in the parent** and ships
+  directives inside shard payloads, so injection works with the
+  persistent forked worker pool without any cross-process injector state.
 * Directive kinds: ``"kill"`` (``SIGKILL`` the executing worker process —
   a hard crash mid-shard), ``"delay"`` (sleep ``seconds`` — drive a shard
   past its wall-clock timeout) and ``"raise"`` (raise
   :class:`~repro.execution.errors.TransientFault`).
 
-Configuration is by constructor (tests) or the ``REPRO_FAULTS``
-environment variable (CI chaos passes)::
+Configuration is by constructor, by a scoped :func:`inject_faults`, or by
+the ``REPRO_FAULTS`` environment variable, which ``conftest.py`` reads
+once per session (the CI background-chaos pass)::
 
     REPRO_FAULTS="seed=7,shard.kill=1/1,job.raise=0.5/2"
 
@@ -43,21 +45,15 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from .errors import TransientFault
-
-__all__ = [
-    "FAULTS_ENV", "FAULT_SITES", "FAULT_KINDS", "FaultRule",
-    "FaultDirective", "FaultInjector", "TransientFault", "active_injector",
-    "clear_injector", "consult", "execute_directive", "inject_faults",
-    "install_injector", "parse_fault_spec",
-]
+from repro.execution import sharding
+from repro.execution.errors import TransientFault
 
 #: Environment variable holding a fault spec (see module docstring).
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Consultation sites the harness knows about.
+#: Consultation sites the library exposes.
 FAULT_SITES = ("shard", "job")
 
 #: Supported directive kinds.
@@ -98,6 +94,20 @@ class FaultDirective:
     seconds: float = 0.0
     note: str = ""
 
+    def __call__(self) -> None:
+        """Carry out the fault at its execution point.
+
+        ``"kill"`` SIGKILLs the **current process** — the supervisor runs
+        shard directives only in pool workers, never on its inline
+        fallback, for exactly this reason.
+        """
+        if self.kind == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif self.kind == "delay":
+            time.sleep(max(0.0, self.seconds))
+        elif self.kind == "raise":
+            raise TransientFault(f"injected fault {self.note or 'raise'}")
+
 
 def _fires(seed: int, rule: FaultRule, rule_index: int,
            occurrence: int) -> bool:
@@ -126,6 +136,8 @@ class FaultInjector:
     counters advance under a lock, so the schedule is a pure function of
     the per-site consultation *order* (which the supervisor makes
     deterministic by consulting in shard-index order before dispatch).
+    Calling the injector is ``directive``, which is what makes it a
+    :data:`~repro.execution.sharding.fault_hook`.
     """
 
     rules: Sequence[FaultRule] = ()
@@ -158,6 +170,8 @@ class FaultInjector:
                         kind=rule.kind, seconds=rule.seconds,
                         note=f"{rule.label}#{fired + 1}")
             return hit
+
+    __call__ = directive
 
     def fired_counts(self) -> Dict[str, int]:
         """Total firings per ``site.kind`` label so far."""
@@ -209,48 +223,35 @@ def parse_fault_spec(spec: str) -> FaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# The process-wide active injector
+# Installation as the library's fault hook
 # ---------------------------------------------------------------------------
-
-_active: Optional[FaultInjector] = None
-_active_lock = threading.Lock()
-#: Injector parsed from the environment, cached per spec string so its
-#: firing counters persist across consultations within one process.
-_env_cached: Tuple[Optional[str], Optional[FaultInjector]] = (None, None)
-
-
-def install_injector(injector: Optional[FaultInjector]) -> None:
-    """Make ``injector`` the process-wide schedule (None uninstalls)."""
-    global _active
-    with _active_lock:
-        _active = injector
-
-
-def clear_injector() -> None:
-    install_injector(None)
 
 
 def active_injector() -> Optional[FaultInjector]:
-    """The installed injector, else one parsed from ``REPRO_FAULTS``
-    (cached per spec value), else None — the no-chaos fast path."""
-    global _env_cached
-    with _active_lock:
-        if _active is not None:
-            return _active
-        spec = os.environ.get(FAULTS_ENV) or None
-        if spec is None:
-            return None
-        cached_spec, cached = _env_cached
-        if cached_spec != spec:
-            cached = parse_fault_spec(spec)
-            _env_cached = (spec, cached)
-        return cached
+    """The injector installed as the fault hook, or None."""
+    return sharding.fault_hook
 
 
-def consult(site: str) -> Optional[FaultDirective]:
-    """One schedule consultation at ``site`` (None when chaos is off)."""
-    injector = active_injector()
-    return injector.directive(site) if injector is not None else None
+def install_injector(injector: Optional[FaultInjector]
+                     ) -> Optional[FaultInjector]:
+    """Make ``injector`` the fault hook (None uninstalls); returns the
+    injector it replaced."""
+    previous = sharding.fault_hook
+    sharding.fault_hook = injector
+    return previous
+
+
+def install_from_env() -> Optional[FaultInjector]:
+    """Install the injector ``REPRO_FAULTS`` describes and return it, or
+    leave the hook alone and return None when the variable is unset.  One
+    injector serves the whole session, so its counters persist across
+    consultations."""
+    spec = os.environ.get(FAULTS_ENV)
+    if not spec:
+        return None
+    injector = parse_fault_spec(spec)
+    install_injector(injector)
+    return injector
 
 
 @contextmanager
@@ -259,7 +260,9 @@ def inject_faults(spec: Union[str, FaultInjector], seed: int = 0):
 
     ``spec`` is a spec string (``seed`` applies unless the string carries
     its own ``seed=`` entry) or a ready :class:`FaultInjector`.  Yields the
-    injector so tests can assert on :meth:`FaultInjector.fired_counts`.
+    injector so tests can assert on :meth:`FaultInjector.fired_counts`,
+    and on exit restores whichever injector was installed before (the
+    session's ``REPRO_FAULTS`` one, say), not an empty hook.
     """
     if isinstance(spec, FaultInjector):
         injector = spec
@@ -267,24 +270,8 @@ def inject_faults(spec: Union[str, FaultInjector], seed: int = 0):
         injector = parse_fault_spec(spec)
         if "seed=" not in spec:
             injector = FaultInjector(rules=injector.rules, seed=seed)
-    install_injector(injector)
+    previous = install_injector(injector)
     try:
         yield injector
     finally:
-        clear_injector()
-
-
-def execute_directive(directive: FaultDirective) -> None:
-    """Carry out a directive at its execution point.
-
-    ``"kill"`` SIGKILLs the **current process** — only execute directives
-    in a context prepared to die (a pool worker); the shard supervisor
-    never forwards directives to its inline-degraded path for exactly this
-    reason.
-    """
-    if directive.kind == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif directive.kind == "delay":
-        time.sleep(max(0.0, directive.seconds))
-    elif directive.kind == "raise":
-        raise TransientFault(f"injected fault {directive.note or 'raise'}")
+        install_injector(previous)

@@ -1,4 +1,5 @@
-"""Shared pytest configuration: hypothesis profiles for the property suite.
+"""Shared pytest configuration: hypothesis profiles for the property suite,
+and the session-wide fault injector of chaos passes.
 
 Health-check suppression and deadline policy live here — centralized so
 individual property tests never carry ad-hoc ``@settings`` overrides that
@@ -12,7 +13,13 @@ drift apart:
   still exploring the strategy space deterministically.
 
 Select with ``--hypothesis-profile=ci`` (hypothesis's built-in option).
+
+With ``REPRO_FAULTS`` set (see ``chaos.py``), the injector it describes is
+installed as the library's fault hook for the whole session, so ordinary
+suites run while shards are killed and retried underneath them.
 """
+
+import chaos
 
 try:
     from hypothesis import HealthCheck, settings
@@ -37,3 +44,5 @@ if settings is not None:
         suppress_health_check=_SUPPRESSED,
     )
     settings.load_profile("dev")
+
+chaos.install_from_env()

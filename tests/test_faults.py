@@ -4,8 +4,10 @@ Everything here leans on one property the repo already guarantees: results
 are bitwise deterministic under any dispatch mode, so recovery is testable
 by *exact equality* instead of statistics.  The suite covers:
 
-* the deterministic fault injector (spec parsing, replayable schedules,
-  per-rule limits, site independence, ``REPRO_FAULTS`` env config);
+* the deterministic fault injector of ``chaos.py`` (spec parsing,
+  replayable schedules, per-rule limits, site independence, scoped
+  installation that restores the previous injector, ``REPRO_FAULTS`` env
+  config);
 * the shard supervisor — a SIGKILLed pool worker mid-batch, an injected
   wall-clock stall past the shard timeout, transient exceptions, inline
   degradation after the retry budget, and the pool-poisoning regression
@@ -30,9 +32,6 @@ import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import ExecutionPolicy, Executor
-from repro.execution.faults import (FAULTS_ENV, FaultInjector, FaultRule,
-                                    active_injector, clear_injector,
-                                    inject_faults, parse_fault_spec)
 from repro.execution.sharding import (ShardPlanner, ShardRetryPolicy,
                                       run_sharded)
 from repro.operators import ising_hamiltonian
@@ -45,6 +44,10 @@ from repro.qec.sampling import (SHOT_BLOCK, reset_sampling_stats,
 from repro.service import (RunRegistry, ServiceClient, ServiceConfig,
                            qec_memory_payload, start_in_thread,
                            sweep_payload)
+
+from chaos import (FAULTS_ENV, FaultInjector, FaultRule, active_injector,
+                   inject_faults, install_from_env, install_injector,
+                   parse_fault_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +167,32 @@ class TestFaultInjector:
         assert draws[1] != draws[2]
 
     def test_inject_faults_scopes_installation(self):
-        assert active_injector() is None
+        before = active_injector()
         with inject_faults("seed=4,shard.raise=1/1") as injector:
             assert active_injector() is injector
             assert injector.directive("shard").kind == "raise"
-        assert active_injector() is None
+            with inject_faults("job.raise=1") as inner:
+                assert active_injector() is inner
+            # the inner scope restores the outer injector, not an empty hook
+            assert active_injector() is injector
+        assert active_injector() is before
 
     def test_env_spec_is_parsed_and_cached(self, monkeypatch):
-        clear_injector()
+        previous = active_injector()
         monkeypatch.setenv(FAULTS_ENV, "seed=31,job.raise=1/3")
-        first = active_injector()
-        assert first is active_injector()  # cached per spec value
-        assert first.seed == 31
-        assert first.directive("job") is not None
-        monkeypatch.delenv(FAULTS_ENV)
-        assert active_injector() is None
+        try:
+            first = install_from_env()
+            # one injector is installed for the session: its counters
+            # persist across consultations
+            assert active_injector() is first
+            assert first.seed == 31
+            assert first.directive("job") is not None
+            assert first.fired_counts() == {"job.raise": 1}
+            monkeypatch.delenv(FAULTS_ENV)
+            assert install_from_env() is None  # unset: hook left alone
+            assert active_injector() is first
+        finally:
+            install_injector(previous)
 
     def test_retry_policy_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_RETRIES", "5")
@@ -275,14 +289,18 @@ class TestSupervisedSharding:
                         policy=_fast_policy())
 
     def test_env_spec_drives_injection(self, monkeypatch):
-        clear_injector()
+        previous = active_injector()
         monkeypatch.setenv(FAULTS_ENV, "seed=12,shard.raise=1/1")
         payloads = [(i,) for i in range(6)]
         plan = _process_plan(2, len(payloads))
         reports = []
-        results = run_sharded(plan, _square, payloads,
-                              policy=_fast_policy(),
-                              on_fault=reports.append)
+        try:
+            install_from_env()
+            results = run_sharded(plan, _square, payloads,
+                                  policy=_fast_policy(),
+                                  on_fault=reports.append)
+        finally:
+            install_injector(previous)
         assert results == [i * i for i in range(6)]
         assert reports and any("TransientFault" in cause
                                for cause in reports[0].causes)

@@ -98,3 +98,23 @@ def test_star_import_and_submodule_attributes():
     assert repro.qec.MWPMDecoder is namespace["MWPMDecoder"]
     assert repro.qec.sampling.run_memory_sampling is \
         namespace["run_memory_sampling"]
+
+
+def test_execution_carries_only_the_fault_hook():
+    # The seeded fault injector lives in the test suite (tests/chaos.py);
+    # the library keeps one hook, unset unless a test installs it.
+    loaded = modules_after("import repro.execution\n"
+                           "from repro.execution import sharding\n"
+                           "assert sharding.fault_hook is None")
+    assert "chaos" not in loaded
+    assert not [module for module in loaded
+                if module.startswith("repro") and "fault" in module]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.execution.faults")
+
+
+def test_qec_exports_no_importance_sampler():
+    import repro.qec
+    for name in ("tilted_probabilities", "tilt_for_mean_weight"):
+        assert name not in repro.qec.__all__
+        assert not hasattr(repro.qec, name)

@@ -51,9 +51,8 @@ from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
 from repro.qec.rare_event import (_conditional_include_table,
-                                  _log_weight_terms, _sample_fixed_weight,
-                                  stratum_probabilities,
-                                  tilted_probabilities)
+                                  _sample_fixed_weight,
+                                  stratum_probabilities)
 from repro.qec.sampling import (packed_syndromes_and_flips, sample_errors,
                                 sampling_arrays)
 from repro.simulators.density_matrix import DensityMatrixSimulator
@@ -783,58 +782,9 @@ class TestPauliPropagationProperties:
 
 
 class TestRareEventProperties:
-    """Contracts of the PR 10 rare-event estimators: log-weights stay
-    finite at any tilt, the identity tilt is an exact no-op, and the
-    Poisson-binomial stratum math is exact."""
-
-    @given(data=st.data())
-    def test_log_weights_finite_at_extreme_rates(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=64))
-        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-        rng = np.random.default_rng(seed)
-        # rates spanning ~300 orders of magnitude downward and as close to
-        # 1 as float64 can represent while staying strictly below it (the
-        # estimator's contract is rates strictly inside (0, 1))
-        p = 10.0 ** rng.uniform(-300, -0.001, size=n)
-        q = 1.0 - 10.0 ** rng.uniform(-15, -0.001, size=n)
-        base_log, log_ratio = _log_weight_terms(p, q)
-        assert math.isfinite(base_log)
-        assert np.all(np.isfinite(log_ratio))
-        # the heaviest possible shot (every edge flipped) still yields a
-        # finite log-weight — only exp() may round it to 0.0 or overflow
-        assert math.isfinite(base_log + float(log_ratio.sum()))
-
-    @given(data=st.data())
-    def test_identity_tilt_weights_are_exactly_one(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=64))
-        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(1e-12, 1.0 - 1e-12, size=n)
-        q = tilted_probabilities(p, 0.0)
-        assert np.array_equal(q, p)
-        base_log, log_ratio = _log_weight_terms(p, q)
-        # exact zeros, not merely small: identical arrays subtract to 0.0
-        assert base_log == 0.0
-        assert np.all(log_ratio == 0.0)
-        errors = (rng.random((16, n)) < p).view(np.uint8)
-        assert np.all(np.exp(base_log + errors @ log_ratio) == 1.0)
-
-    @given(data=st.data())
-    def test_tilted_rates_stay_in_unit_interval(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=64))
-        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-        theta = data.draw(st.floats(min_value=-700, max_value=700,
-                                    allow_nan=False))
-        p = np.random.default_rng(seed).uniform(1e-9, 1 - 1e-9, size=n)
-        q = tilted_probabilities(p, theta)
-        # extreme tilts may saturate to an exact 0.0/1.0 in float64 (the
-        # estimator's (0,1) validation rejects those) but never overflow
-        assert np.all(np.isfinite(q))
-        assert np.all((q >= 0.0) & (q <= 1.0))
-        # moderate tilts keep every rate strictly inside the interval
-        moderate = tilted_probabilities(
-            np.clip(p, 1e-6, 1 - 1e-6), max(-20.0, min(20.0, theta)))
-        assert np.all((moderate > 0.0) & (moderate < 1.0))
+    """Contracts of the weight-stratified rare-event estimator: the
+    Poisson-binomial stratum math is exact and conditional samples carry
+    exactly their stratum's weight."""
 
     @given(data=st.data())
     def test_stratum_probabilities_normalize(self, data):

@@ -1,19 +1,19 @@
-"""Rare-event estimation (PR 10): tilted importance sampling + stratified
-subset sampling over the edge-Bernoulli error model.
+"""Rare-event estimation: weight-stratified subset sampling over the
+edge-Bernoulli error model.
 
 The load-bearing contracts:
 
-* **The determinism anchor** — importance sampling with the identity tilt
-  (``q == p``) consumes the same Bernoulli stream as the direct sampler and
-  carries weights that are *exactly* 1.0, so its raw failure counts,
-  defect totals and estimate reproduce :func:`run_memory_sampling`
-  bitwise.
-* **Fan-out independence** — both estimators return bitwise-identical
-  results for any worker count, inline or pooled.
+* **Golden bits** — two seeded MWPM runs, batch and streamed, reproduce
+  the estimate, variance, effective sample size and per-stratum counts
+  recorded as ``float.hex`` before the tilted importance sampler was
+  removed from the module.
+* **Fan-out independence** — results are bitwise identical for any
+  worker count, inline or pooled.
 * **Exactness of the stratum math** — stratum probabilities match the
   binomial/Poisson-binomial exactly, conditional samples carry exactly
-  their stratum's weight, and strata below the minimum fault weight are
-  never decoded.
+  their stratum's weight, and strata below the decoder's minimum fault
+  weight are never decoded (only MWPM on a uniform-weight graph skips
+  any).
 * **Caching** — seeded runs warm the expectation cache (zero decodes on
   repeat), and killed streaming runs resume from chunk checkpoints with
   bitwise-identical snapshots.
@@ -32,7 +32,8 @@ from repro.qec import (RareEventMemoryOutcome, RareEventResult,
                        logical_error_rate_curve, run_rare_event_sampling,
                        stream_rare_event_sampling,
                        surface_code_memory_experiment)
-from repro.qec.decoders import LookupDecoder, MWPMDecoder
+from repro.qec.decoders import (CliquePredecoder, LookupDecoder,
+                                MWPMDecoder, UnionFindDecoder)
 from repro.qec.bitops import unpack_rows
 from repro.qec.decoders.base import (batch_decode, batch_decode_packed,
                                      batch_decode_stats)
@@ -40,14 +41,14 @@ from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
 from repro.qec.rare_event import (_allocate_main_shots,
                                   _conditional_include_table,
-                                  _RareEventSpec, _sample_fixed_weight,
+                                  _RareEventSpec, _resolve_spec,
+                                  _sample_fixed_weight,
                                   effective_wilson_interval,
                                   minimum_fault_weight,
-                                  stratum_probabilities,
-                                  tilt_for_mean_weight,
-                                  tilted_probabilities)
+                                  stratum_probabilities)
 from repro.qec.sampling import (packed_syndromes_and_flips,
-                                run_memory_sampling, sampling_arrays)
+                                run_memory_sampling, sample_errors,
+                                sampling_arrays)
 
 from reference.qec import syndromes_and_flips
 
@@ -61,37 +62,11 @@ def small_graph(p=0.08):
 
 
 # ---------------------------------------------------------------------------
-# tilting / stratum math
+# stratum math
 # ---------------------------------------------------------------------------
 
 
-class TestTiltMath:
-    def test_identity_tilt_is_bitwise_p(self):
-        p = np.array([0.01, 0.3, 1e-6, 0.499])
-        q = tilted_probabilities(p, 0.0)
-        assert np.array_equal(q, p)
-        assert q is not p  # a copy: callers may mutate
-
-    def test_tilt_monotone_and_bounded(self):
-        p = np.full(50, 1e-4)
-        up = tilted_probabilities(p, 3.0)
-        down = tilted_probabilities(p, -3.0)
-        assert np.all(up > p) and np.all(down < p)
-        assert np.all((up > 0) & (up < 1))
-        # extreme tilts saturate without overflow
-        assert np.all(np.isfinite(tilted_probabilities(p, 500.0)))
-        assert np.all(np.isfinite(tilted_probabilities(p, -500.0)))
-
-    def test_tilt_for_mean_weight_hits_target(self):
-        p = np.full(200, 1e-4)
-        theta = tilt_for_mean_weight(p, 3.0)
-        assert float(tilted_probabilities(p, theta).sum()) == \
-            pytest.approx(3.0, abs=1e-9)
-        with pytest.raises(ValueError):
-            tilt_for_mean_weight(p, 0.0)
-        with pytest.raises(ValueError):
-            tilt_for_mean_weight(p, 200.0)
-
+class TestStratumMath:
     def test_stratum_probabilities_binomial(self):
         p = np.full(12, 0.03)
         dist, tail = stratum_probabilities(p, 5)
@@ -114,11 +89,37 @@ class TestTiltMath:
         assert tail == pytest.approx(0.0, abs=1e-12)
 
     def test_minimum_fault_weight(self):
-        assert minimum_fault_weight(small_graph()) == 2          # d=3
-        assert minimum_fault_weight(
-            repetition_code_graph(5, 2, 0.01)) == 3              # d=5
-        assert minimum_fault_weight(
-            rotated_surface_code_graph(7, 2, 0.01)) == 4         # d=7
+        def mwpm_bound(graph):
+            return minimum_fault_weight(graph, MWPMDecoder(graph))
+
+        assert mwpm_bound(small_graph()) == 2                    # d=3
+        assert mwpm_bound(repetition_code_graph(5, 2, 0.01)) == 3  # d=5
+        assert mwpm_bound(rotated_surface_code_graph(7, 2, 0.01)) == 4
+        # mixed edge weights void the ⌈d/2⌉ argument even for MWPM
+        mixed = repetition_code_graph(5, 2, 0.01, 0.002)
+        assert minimum_fault_weight(mixed, MWPMDecoder(mixed)) == 1
+        graph = repetition_code_graph(5, 2, 0.01)
+        for decoder in (UnionFindDecoder(graph),
+                        LookupDecoder(graph, max_error_weight=2),
+                        CliquePredecoder(graph)):
+            assert minimum_fault_weight(graph, decoder) == 1
+
+    @pytest.mark.parametrize("distance", [3, 5])
+    def test_default_strata_start_per_decoder(self, distance):
+        """Only MWPM skips strata below ⌈d/2⌉ by default; every other
+        decoder is estimated from weight 1 up."""
+        graph = repetition_code_graph(distance, 2, 0.01)
+        arrays = sampling_arrays(graph)
+
+        def first_stratum(decoder):
+            spec = _resolve_spec(graph, decoder, arrays, 4096, None, None,
+                                 64, 1e-3)
+            return spec.strata[0]
+
+        assert first_stratum(MWPMDecoder(graph)) == (distance + 1) // 2
+        assert first_stratum(UnionFindDecoder(graph)) == 1
+        assert first_stratum(LookupDecoder(graph, max_error_weight=2)) == 1
+        assert first_stratum(CliquePredecoder(graph)) == 1
 
 
 class TestConditionalSampling:
@@ -159,43 +160,20 @@ class TestConditionalSampling:
         # with as many errors left as edges, inclusion is certain
         assert include[0, 3] == 1.0
 
-
-# ---------------------------------------------------------------------------
-# the determinism anchor (q == p reproduces the direct sampler bitwise)
-# ---------------------------------------------------------------------------
-
-
-class TestIdentityTiltAnchor:
-    def test_bitwise_match_with_direct_sampler(self):
-        graph = small_graph()
-        direct = run_memory_sampling(graph, MWPMDecoder(graph), 1024,
-                                     seed=31, executor=_executor())
-        anchored = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), 1024, method="importance", tilt=0.0,
-            seed=31, executor=_executor())
-        assert anchored.raw_failures == direct.failures
-        assert anchored.total_defects == direct.total_defects
-        # weights are exactly 1.0: the estimate is exactly failures/shots
-        # and the effective sample size is exactly the shot count
-        assert anchored.estimate == direct.failures / 1024
-        assert anchored.ess == 1024.0
-
     def test_kernels_agree_bitwise(self):
-        """Tilted Bernoulli rows and exact fixed-weight rows — the two
-        rare-event error matrices — give the same syndromes, logical flips
+        """Exact fixed-weight rows give the same syndromes, logical flips
         and decoder verdicts through the packed kernel as through the
-        dense reference."""
+        dense reference, like the direct sampler's Bernoulli rows."""
         graph = small_graph()
         arrays = sampling_arrays(graph)
         detectors = graph.detector_order()
         decoder = MWPMDecoder(graph)
         rng = np.random.default_rng(13)
-        q = tilted_probabilities(arrays.probabilities, 1.5)
-        tilted = (rng.random((300, arrays.num_edges)) < q).view(np.uint8)
+        direct = sample_errors(arrays, 300, rng)
         fixed = _sample_fixed_weight(
             arrays, 3, 300, rng,
             _conditional_include_table(arrays.probabilities, 3))
-        for errors in (tilted, fixed):
+        for errors in (direct, fixed):
             syndromes, flips = syndromes_and_flips(arrays, errors)
             words, packed_flips = packed_syndromes_and_flips(arrays, errors)
             assert syndromes.any()
@@ -205,6 +183,50 @@ class TestIdentityTiltAnchor:
             assert np.array_equal(
                 batch_decode_packed(decoder, words, detectors),
                 batch_decode(decoder, syndromes, detectors))
+
+
+
+# ---------------------------------------------------------------------------
+# golden bits
+# ---------------------------------------------------------------------------
+
+#: ``(estimate, variance, ess)`` as ``float.hex`` plus each stratum's
+#: ``(weight, shots, failures)``, recorded with the tilted importance
+#: sampler still in the module: two seeded MWPM cells, the second being
+#: the d=5, p=1e-4 surface cell of ``benchmarks/test_rare_event.py``.
+GOLDEN = {
+    "repetition_d3": (
+        lambda: repetition_code_graph(3, 3, 0.05), 2048, 11,
+        ("0x1.068e039e88274p-4", "0x1.8f5fcf22b4ad6p-18",
+         "0x1.3b054c1984222p+13"),
+        ((2, 964, 197), (3, 513, 260), (4, 307, 165), (5, 264, 141))),
+    "surface_d5_p1e-4": (
+        lambda: rotated_surface_code_graph(5, 5, 1e-4), 4096, 20250808,
+        ("0x1.85698194f7866p-28", "0x1.525ea11807d8ap-59",
+         "0x1.269dfe81dfacdp+31"),
+        ((3, 3808, 14), (4, 288, 7))),
+}
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("cell", sorted(GOLDEN))
+    @pytest.mark.parametrize("streamed", [False, True],
+                             ids=["batch", "streamed"])
+    def test_stratified_bits(self, cell, streamed):
+        build, shots, seed, scalars, strata = GOLDEN[cell]
+        graph = build()
+        if streamed:
+            *_, result = stream_rare_event_sampling(
+                graph, MWPMDecoder(graph), shots, seed=seed,
+                executor=_executor())
+        else:
+            result = run_rare_event_sampling(
+                graph, MWPMDecoder(graph), shots, seed=seed,
+                executor=_executor())
+        assert (result.estimate.hex(), result.variance.hex(),
+                result.ess.hex()) == scalars
+        assert tuple((s.weight, s.shots, s.failures)
+                     for s in result.strata) == strata
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +242,10 @@ class TestAgreement:
                                   seed=404, executor=_executor())
         return run.failures / run.shots
 
-    def test_importance_estimate_agrees(self, direct_reference):
-        graph = small_graph()
-        result = run_rare_event_sampling(graph, MWPMDecoder(graph), 8192,
-                                         method="importance", seed=51,
-                                         executor=_executor())
-        low, high = result.wilson_interval(z=3.3)
-        assert low <= direct_reference <= high, (result.estimate,
-                                                 direct_reference)
-        assert 0 < result.ess <= result.shots
-
     def test_stratified_estimate_agrees(self, direct_reference):
         graph = small_graph()
         result = run_rare_event_sampling(graph, MWPMDecoder(graph), 8192,
-                                         method="stratified", seed=52,
-                                         executor=_executor())
+                                         seed=52, executor=_executor())
         low, high = result.wilson_interval(z=3.3)
         # the skipped tail biases down by at most tail_probability, which
         # wilson_interval already folds into the upper edge
@@ -242,7 +253,7 @@ class TestAgreement:
                                                  direct_reference)
         # every stratum below the minimum fault weight was skipped
         assert min(s.weight for s in result.strata) == \
-            minimum_fault_weight(graph)
+            minimum_fault_weight(graph, MWPMDecoder(graph))
         assert sum(s.shots for s in result.strata) == 8192
 
     def test_strata_below_min_fault_weight_never_fail(self):
@@ -250,10 +261,10 @@ class TestAgreement:
         below-threshold stratum directly yields zero failures."""
         graph = small_graph()
         result = run_rare_event_sampling(
-            graph, MWPMDecoder(graph), 2048, method="stratified",
-            min_fault_weight=1, seed=77, executor=_executor())
+            graph, MWPMDecoder(graph), 2048, min_fault_weight=1, seed=77,
+            executor=_executor())
         below = [s for s in result.strata
-                 if s.weight < minimum_fault_weight(graph)]
+                 if s.weight < minimum_fault_weight(graph, MWPMDecoder(graph))]
         assert below and all(s.failures == 0 for s in below)
 
 
@@ -263,13 +274,11 @@ class TestAgreement:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("method", ["importance", "stratified"])
-    def test_bitwise_across_worker_counts(self, method):
+    def test_bitwise_across_worker_counts(self):
         graph = small_graph()
         results = [
             run_rare_event_sampling(graph, MWPMDecoder(graph), 2048,
-                                    method=method, seed=71,
-                                    executor=_executor(),
+                                    seed=71, executor=_executor(),
                                     policy=ExecutionPolicy(parallel=mode,
                                                            max_workers=workers))
             for mode, workers in (("none", None), (None, 2),
@@ -286,11 +295,9 @@ class TestDeterminism:
     def test_streaming_final_matches_batch_stratified(self):
         graph = small_graph()
         batch = run_rare_event_sampling(graph, MWPMDecoder(graph), 2048,
-                                        method="stratified", seed=73,
-                                        executor=_executor())
+                                        seed=73, executor=_executor())
         *_, final = stream_rare_event_sampling(graph, MWPMDecoder(graph),
-                                               2048, method="stratified",
-                                               seed=73,
+                                               2048, seed=73,
                                                executor=_executor())
         assert final.estimate == batch.estimate
         assert final.strata == batch.strata
@@ -300,8 +307,8 @@ class TestDeterminism:
         finals = []
         for chunk_blocks in (1, 3, 16):
             *_, final = stream_rare_event_sampling(
-                graph, MWPMDecoder(graph), 2048, method="stratified",
-                seed=74, chunk_blocks=chunk_blocks, executor=_executor())
+                graph, MWPMDecoder(graph), 2048, seed=74,
+                chunk_blocks=chunk_blocks, executor=_executor())
             finals.append(final)
         assert finals[0].estimate == finals[1].estimate == finals[2].estimate
         assert finals[0].strata == finals[1].strata == finals[2].strata
@@ -313,17 +320,14 @@ class TestDeterminism:
 
 
 class TestCaching:
-    @pytest.mark.parametrize("method", ["importance", "stratified"])
-    def test_warm_run_decodes_nothing(self, method):
+    def test_warm_run_decodes_nothing(self):
         graph = small_graph()
         executor = Executor()
         cold = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                       method=method, seed=81,
-                                       executor=executor)
+                                       seed=81, executor=executor)
         before = batch_decode_stats().shots_decoded
         warm = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                       method=method, seed=81,
-                                       executor=executor)
+                                       seed=81, executor=executor)
         assert batch_decode_stats().shots_decoded == before
         assert warm.from_cache and not cold.from_cache
         assert warm.estimate == cold.estimate
@@ -334,40 +338,37 @@ class TestCaching:
     def test_unseeded_runs_never_cache(self):
         graph = small_graph()
         a = run_rare_event_sampling(graph, MWPMDecoder(graph), 512,
-                                    method="stratified", seed=None,
-                                    executor=Executor())
+                                    seed=None, executor=Executor())
         assert not a.from_cache
 
     def test_method_knobs_key_separately(self):
         graph = small_graph()
         executor = Executor()
         base = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                       method="stratified", seed=83,
-                                       executor=executor)
+                                       seed=83, executor=executor)
         widened = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
-                                          method="stratified", seed=83,
-                                          max_weight=7, executor=executor)
+                                          seed=83, max_weight=7,
+                                          executor=executor)
         assert not widened.from_cache  # different truncation, different key
         assert widened.strata != base.strata
 
-    @pytest.mark.parametrize("method", ["importance", "stratified"])
-    def test_killed_stream_resumes_bitwise(self, method):
+    def test_killed_stream_resumes_bitwise(self):
         graph = small_graph()
         clean = list(stream_rare_event_sampling(
-            graph, MWPMDecoder(graph), 2048, method=method, seed=84,
-            chunk_blocks=1, executor=Executor()))
+            graph, MWPMDecoder(graph), 2048, seed=84, chunk_blocks=1,
+            executor=Executor()))
         # take a few chunks, then "die"; the resume reuses the executor
         executor = Executor()
         interrupted = stream_rare_event_sampling(
-            graph, MWPMDecoder(graph), 2048, method=method, seed=84,
-            chunk_blocks=1, executor=executor)
+            graph, MWPMDecoder(graph), 2048, seed=84, chunk_blocks=1,
+            executor=executor)
         for _ in range(3):
             next(interrupted)
         interrupted.close()
         before = batch_decode_stats().shots_decoded
         resumed = list(stream_rare_event_sampling(
-            graph, MWPMDecoder(graph), 2048, method=method, seed=84,
-            chunk_blocks=1, executor=executor))
+            graph, MWPMDecoder(graph), 2048, seed=84, chunk_blocks=1,
+            executor=executor))
         redecoded = batch_decode_stats().shots_decoded - before
         assert redecoded < 2048  # flushed chunks replay from the cache
         assert [(s.shots, s.estimate, s.variance, s.ess, s.strata)
@@ -385,30 +386,24 @@ class TestPlumbing:
     def test_validation_errors(self):
         graph = small_graph()
         decoder = MWPMDecoder(graph)
-        with pytest.raises(ValueError, match="unknown rare-event method"):
-            run_rare_event_sampling(graph, decoder, 64, method="nope",
+        # one estimator: no method to pick, no tilt to set
+        with pytest.raises(TypeError, match="method"):
+            run_rare_event_sampling(graph, decoder, 64, method="stratified",
+                                    executor=_executor())
+        with pytest.raises(TypeError, match="tilt"):
+            run_rare_event_sampling(graph, decoder, 64, tilt=0.0,
                                     executor=_executor())
         with pytest.raises(ValueError, match="at least one shot"):
             run_rare_event_sampling(graph, decoder, 0, executor=_executor())
-        with pytest.raises(ValueError, match="one rate per edge"):
-            run_rare_event_sampling(graph, decoder, 64, method="importance",
-                                    tilt=np.array([0.1, 0.2]),
-                                    executor=_executor())
-        with pytest.raises(ValueError, match="strictly in"):
-            arrays = sampling_arrays(graph)
-            bad = np.zeros(arrays.num_edges)
-            run_rare_event_sampling(graph, decoder, 64, method="importance",
-                                    tilt=bad, executor=_executor())
         with pytest.raises(ValueError, match="must be >= the minimum"):
-            run_rare_event_sampling(graph, decoder, 64, method="stratified",
-                                    min_fault_weight=3, max_weight=2,
-                                    executor=_executor())
+            run_rare_event_sampling(graph, decoder, 64, min_fault_weight=3,
+                                    max_weight=2, executor=_executor())
 
     def test_allocation_spends_exact_budget(self):
         spec = _RareEventSpec(
-            method="stratified", q=None, strata=(2, 3, 4),
+            strata=(2, 3, 4),
             stratum_probability={2: 0.1, 3: 0.01, 4: 0.001}, tail=0.0,
-            pilot_shots=8, method_token=("stratified", 2, 4, 8))
+            pilot_shots=8, token=("stratified", 2, 4, 8))
         pilot = {2: (8, 3), 3: (8, 2), 4: (8, 1)}
         for budget in (0, 1, 7, 100, 1001):
             allocation = _allocate_main_shots(spec, pilot, budget)
@@ -430,8 +425,7 @@ class TestPlumbing:
     def test_result_shape(self):
         graph = small_graph()
         result = run_rare_event_sampling(graph, MWPMDecoder(graph), 768,
-                                         method="stratified", seed=85,
-                                         executor=_executor())
+                                         seed=85, executor=_executor())
         assert isinstance(result, RareEventResult)
         assert result.logical_error_rate == result.estimate
         assert result.standard_error == math.sqrt(result.variance)
@@ -444,8 +438,10 @@ class TestPlumbing:
         graph = small_graph(0.03)
         result = run_rare_event_sampling(
             graph, LookupDecoder(graph, max_error_weight=2), 1024,
-            method="stratified", seed=86, executor=_executor())
+            seed=86, executor=_executor())
         assert result.shots == 1024
+        # no minimum-weight promise: every stratum from weight 1 is scored
+        assert result.strata[0].weight == 1
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +467,14 @@ class TestConsumers:
         assert not isinstance(out, RareEventMemoryOutcome)
         with pytest.raises(TypeError, match="takes no estimator options"):
             surface_code_memory_experiment(3, 1e-3, shots=256, seed=5,
-                                           method="direct", tilt=1.0,
+                                           method="direct",
+                                           min_fault_weight=1,
                                            executor=_executor())
-        with pytest.raises(ValueError, match="unknown method"):
-            surface_code_memory_experiment(3, 1e-3, shots=256, seed=5,
-                                           method="bogus",
-                                           executor=_executor())
+        for method in ("bogus", "stratified", "importance"):
+            with pytest.raises(ValueError, match="unknown method"):
+                surface_code_memory_experiment(3, 1e-3, shots=256, seed=5,
+                                               method=method,
+                                               executor=_executor())
 
     def test_curve_with_rare_event_method(self):
         curve = logical_error_rate_curve(
@@ -512,7 +510,6 @@ class TestServiceJobKind:
         prepared, result, events = self._run_prepared(payload)
         assert prepared.kind == "qec_rare_event"
         assert prepared.key is not None  # seeded + mwpm: coalesceable
-        assert result["method"] == "stratified"
         assert result["shots"] == 1024
         assert result["estimate"] > 0
         assert result["logical_error_rate"] == result["estimate"]
@@ -524,17 +521,7 @@ class TestServiceJobKind:
         assert all("strata" in partial for partial in partials)
         assert partials[-1]["shots"] == 1024
 
-    def test_importance_job(self):
-        from repro.service import qec_rare_event_payload
-        payload = qec_rare_event_payload(
-            distance=3, rounds=2, error_rate=0.02, shots=1024, seed=22,
-            method="importance")
-        _, result, _ = self._run_prepared(payload)
-        assert result["method"] == "importance"
-        assert result["strata"] == []
-        assert result["ess"] > 0
-
-    def test_key_separates_methods_and_coalesces_duplicates(self):
+    def test_key_separates_knobs_and_coalesces_duplicates(self):
         from repro.service import qec_rare_event_payload
         from repro.service.jobs import prepare_job
         base = dict(distance=3, rounds=2, error_rate=0.02, shots=512,
@@ -544,23 +531,27 @@ class TestServiceJobKind:
         b = prepare_job("qec_rare_event",
                         qec_rare_event_payload(**base)).key
         c = prepare_job("qec_rare_event",
-                        qec_rare_event_payload(method="importance",
-                                               **base)).key
+                        qec_rare_event_payload(max_weight=5, **base)).key
+        rechunked = prepare_job(
+            "qec_rare_event",
+            qec_rare_event_payload(chunk_blocks=1, **base)).key
         unseeded = prepare_job(
             "qec_rare_event",
             qec_rare_event_payload(distance=3, rounds=2, error_rate=0.02,
                                    shots=512)).key
-        assert a == b
+        assert a == b == rechunked
         assert c != a
         assert unseeded is None
 
     def test_malformed_payloads_rejected(self):
         from repro.service import ProtocolError
         from repro.service.jobs import prepare_job
-        with pytest.raises(ProtocolError, match="unknown rare-event"):
-            prepare_job("qec_rare_event",
-                        {"distance": 3, "rounds": 2, "error_rate": 0.02,
-                         "shots": 64, "method": "bogus"})
+        # the removed estimator knobs are unknown keys now
+        for key, value in (("method", "stratified"), ("tilt", 0.0)):
+            with pytest.raises(ProtocolError, match=f"'{key}'"):
+                prepare_job("qec_rare_event",
+                            {"distance": 3, "rounds": 2, "error_rate": 0.02,
+                             "shots": 64, key: value})
         with pytest.raises(ProtocolError, match="shots"):
             prepare_job("qec_rare_event",
                         {"distance": 3, "rounds": 2, "error_rate": 0.02,
@@ -569,6 +560,50 @@ class TestServiceJobKind:
             prepare_job("qec_rare_event",
                         {"code": "toric", "distance": 3, "rounds": 2,
                          "error_rate": 0.02, "shots": 64})
+
+    def test_rechunked_submissions_coalesce(self, tmp_path):
+        """Seeded submissions that differ only in ``chunk_blocks`` are one
+        job, and its result is the inline estimate bit for bit."""
+        import time
+        from repro.service import (ServiceClient, ServiceConfig,
+                                   qec_memory_payload,
+                                   qec_rare_event_payload, start_in_thread)
+        base = dict(distance=3, rounds=2, error_rate=0.02, shots=1024,
+                    seed=35)
+        graph = repetition_code_graph(3, 2, 0.02)
+        inline = run_rare_event_sampling(graph, MWPMDecoder(graph), 1024,
+                                         seed=35, executor=_executor())
+        handle = start_in_thread(ServiceConfig(
+            socket_path=str(tmp_path / "svc.sock"),
+            db_path=str(tmp_path / "svc.db"), workers=1))
+        try:
+            with ServiceClient(handle.socket_path) as client:
+                # The one worker runs an unseeded blocker, so both
+                # submissions below are in flight together.
+                blocker = client.submit("qec_memory", qec_memory_payload(
+                    distance=3, rounds=2, error_rate=0.02, shots=262144,
+                    chunk_blocks=4)).job_id
+                deadline = time.monotonic() + 10.0
+                while client.status(blocker)["state"] != "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                first = client.submit("qec_rare_event",
+                                      qec_rare_event_payload(
+                                          chunk_blocks=1, **base))
+                second = client.submit("qec_rare_event",
+                                       qec_rare_event_payload(
+                                           chunk_blocks=8, **base))
+                client.cancel(blocker)
+                assert not first.deduped
+                assert second.deduped and second.job_id == first.job_id
+                result = client.fetch(first.job_id)
+        finally:
+            handle.stop()
+        assert (result["estimate"], result["variance"], result["ess"]) == \
+            (inline.estimate, inline.variance, inline.ess)
+        assert [(s["weight"], s["shots"], s["failures"])
+                for s in result["strata"]] == \
+            [(s.weight, s.shots, s.failures) for s in inline.strata]
 
     def test_end_to_end_over_socket(self, tmp_path):
         from repro.service import (ServiceClient, ServiceConfig,
@@ -583,7 +618,6 @@ class TestServiceJobKind:
                     distance=3, rounds=2, error_rate=0.02, shots=512,
                     seed=33)
                 result = client.fetch(job_id)
-                assert result["method"] == "stratified"
                 assert result["shots"] == 512
                 assert result["strata"]
         finally:

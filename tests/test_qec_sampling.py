@@ -14,7 +14,6 @@ Covers the four refactor layers:
   collision-free sweep seeding, Wilson intervals on the outcome class).
 """
 
-import hashlib
 import pickle
 
 import numpy as np
@@ -724,9 +723,8 @@ class TestCacheKeys:
         decoder = MWPMDecoder(graph)
         executor = self._executor()
         run_rare_event_sampling(graph, decoder, 1024, seed=5,
-                                method="stratified", min_fault_weight=2,
-                                max_weight=3, pilot_shots=64,
-                                executor=executor)
+                                min_fault_weight=2, max_weight=3,
+                                pilot_shots=64, executor=executor)
         base = ("qec-rare",) + self._identity(
             graph, decoder, ("stratified", 2, 3, 64), shots=1024)
         keys = [base + (name,) for name
@@ -740,20 +738,24 @@ class TestCacheKeys:
         decoder = MWPMDecoder(graph)
         executor = self._executor()
         *_, final = stream_rare_event_sampling(
-            graph, decoder, self.SHOTS, seed=5, method="importance",
-            tilt=0.0, chunk_blocks=2, executor=executor)
+            graph, decoder, self.SHOTS, seed=5, min_fault_weight=2,
+            max_weight=3, pilot_shots=64, chunk_blocks=2, executor=executor)
         assert final.shots == self.SHOTS
-        digest = hashlib.blake2b(
-            sampling_arrays(graph).probabilities.tobytes(),
-            digest_size=16).hexdigest()
-        identity = self._identity(graph, decoder, ("importance", digest))
+        identity = self._identity(graph, decoder, ("stratified", 2, 3, 64))
         keys = [("qec-rare",) + identity + (name,) for name
                 in ("estimate", "variance", "ess", "raw", "defects")]
-        keys += [("qec-rare-chunk",) + identity + ("is", -1, start, count,
-                                                    name)
-                 for start, count in ((0, 2), (2, 1))
-                 for name in ("wf", "wf2", "w", "w2", "raw", "defects",
-                              "shots")]
+        keys += [("qec-rare",) + identity + ("stratum", weight, name)
+                 for weight in (2, 3) for name in ("shots", "failures")]
+        # One chunk per (phase, stratum): a 64-shot pilot block, then the
+        # stratum's share of the remaining 401 shots in at most two blocks.
+        for stratum in final.strata:
+            main = stratum.shots - 64
+            chunks = [("pilot", 1)] + ([("main", -(-main // 256))]
+                                       if main else [])
+            keys += [("qec-rare-chunk",) + identity
+                     + (phase, stratum.weight, 0, count, name)
+                     for phase, count in chunks
+                     for name in ("failures", "defects", "shots")]
         self._assert_holds_exactly(executor, keys)
 
 

@@ -213,7 +213,7 @@ def builder_payloads():
             backend="dm", include_idle=False, chunk=2, policy=policy),
         "qec_memory": qec_memory_payload(**qec),
         "qec_rare_event": qec_rare_event_payload(
-            **qec, method="stratified", tilt=0.5, min_fault_weight=1,
+            **qec, min_fault_weight=1,
             max_weight=3, pilot_shots=64, tail_rtol=0.1),
     }
 

@@ -9,11 +9,13 @@ functions whose code ran:
 * the scripts in ``examples/``;
 * one pass of each ``perfbench`` workload (set-up, run, tear-down).
 
-``REPRO_WORKERS=1`` keeps ``auto`` dispatch inline, so shard work runs in
-this process where the profiler sees it; code that runs only in a
-subprocess (``service/__main__``, an explicitly process-mode shard) is
-not seen.  Module bodies, class bodies and
-comprehensions are left out: importing a module is not reaching it.
+Dispatch is inline by default, and the script sets ``REPRO_WORKERS=1`` so
+that a ``parallel="process"`` policy naming no worker count plans inline
+too: that shard work runs in this process where the profiler sees it.
+Code that runs only in a subprocess (``service/__main__``, a shard of a
+process policy with ``max_workers`` above 1) is not seen.  Module bodies,
+class bodies and comprehensions are left out: importing a module is not
+reaching it.
 
 Usage (from the repository root)::
 
