@@ -31,15 +31,17 @@ import numpy as np
 from .backend import Backend
 from .cache import CacheStats, ExpectationCache
 from .errors import BackendCapabilityError, ExecutionError, SweepShapeError
-from .observables import (_Slot, count_grouped_tasks, energies,
-                          run_grouped, track_program_cache)
+from .observables import (count_backend_invocations, count_grouped_tasks,
+                          energies, run_grouped, track_program_cache)
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
-from .router import route_sweep, route_task
+from .router import point_router, route_sweep, route_task
 from .sharding import (FaultReport, ShardGroup, ShardPlan, ShardPlanner,
                        _clifford_sweep_shard, _run_batch_shard,
                        _sweep_points_shard, fan_out)
 from .task import ExecutionResult, ExecutionTask, observable_fingerprint
+from ..simulators.kernels import statevector_term_expectations
+from ..simulators.program import _program_nbytes, cached_plan, compile_circuit
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
 #: (batch size × 2^n).  64M amplitudes ≈ 1 GB per live temporary.
@@ -110,6 +112,42 @@ def _checked_policy(policy) -> Optional[ExecutionPolicy]:
             f"policy must be an ExecutionPolicy or None, got "
             f"{type(policy).__name__}")
     return policy
+
+
+class _PointPlan:
+    """What every :meth:`Executor.evaluate_point` step of one (template,
+    observable, backend, include_idle) shares, worked out on its first step.
+
+    ``program`` is the compiled template, or None when a point binds a
+    circuit instead (a measure, reset or barrier in the template, or a
+    backend whose engine is not the statevector); ``route`` is the
+    template half of the ``"auto"`` route
+    (:func:`~repro.execution.router.point_router`), None for a named
+    backend; ``terms`` holds each term's component of its cache key, in
+    ``terms()`` order.  The template, view and backend are held so that
+    the identities the plan is keyed by stay unique while it is kept.
+    """
+
+    __slots__ = ("template", "view", "backend", "route", "program", "terms")
+
+    def __init__(self, template, view, backend, route, program):
+        self.template = template
+        self.view = view
+        self.backend = backend
+        self.route = route
+        self.program = program
+        self.terms = [("term",) + key for key in view.keys]
+
+    def nbytes(self) -> int:
+        """The bytes a plan keeps alive: its term arrays and its program
+        (charged again here, so the cache's ceiling holds even when the
+        program's own entry is evicted first)."""
+        view = self.view
+        total = (view.x_bits.nbytes + view.z_bits.nbytes
+                 + view.coefficients.nbytes)
+        if self.program is not None:
+            total += _program_nbytes(self.program)
+        return total
 
 
 class Executor:
@@ -448,69 +486,117 @@ class Executor:
         entries: values are keyed under the bound circuit's own per-term
         keys, its fingerprint derived from the template
         (:meth:`~repro.circuits.circuit.QuantumCircuit.bound_fingerprint`),
-        so either path serves the other.  A point that runs on
-        ``statevector`` (named, or routed there by ``"auto"``
-        through :func:`~repro.execution.router.route_sweep`) binds no
-        circuit: the cached template program is bound at ``values``
-        (:meth:`~repro.simulators.program.CompiledProgram.point_program`,
-        op for op the bound circuit's lowering) and read out with the same
+        so either path serves the other, and the stats book alike.  A
+        point that runs on ``statevector`` (named, or routed there by
+        ``"auto"`` through :func:`~repro.execution.router.route_sweep`'s
+        verdict) binds no circuit: the cached template program is bound at
+        ``values`` (:meth:`~repro.simulators.program.CompiledProgram.
+        point_program`, op for op the bound circuit's lowering, one stacked
+        bind per group of parametric ops) and read out with the same
         single-state kernel, in-process (one evolution has nothing to
-        shard, so ``policy`` only reaches the fallback).  Noisy points, other backends and templates with
-        measurements, resets or barriers bind the circuit and take
+        shard, so ``policy`` only reaches the fallback).
+
+        What depends only on the template, the observable, the backend and
+        ``include_idle`` is worked out on the first step and kept as a
+        point plan in the program cache: the template's measure, reset and
+        barrier scan, the engine verdict (under ``"auto"``, the template
+        half of the route), the compiled program, and the observable's term
+        keys, bit matrices and weights
+        (:meth:`~repro.operators.pauli.PauliSum.term_view`).  A later step
+        derives its fingerprint, probes the cache once, binds, evolves,
+        reads out the missing terms, fills the cache once and takes one
+        dot.  Editing the template or the observable keys a new plan.
+        Noisy points, other backends and templates with measurements,
+        resets or barriers bind the circuit and take
         :meth:`evaluate_observable`.  Example::
 
             energy = executor.evaluate_point(ansatz.build(), theta,
                                              hamiltonian,
                                              backend="statevector")
         """
-        from ..simulators.kernels import statevector_term_expectations
-        from ..simulators.program import compile_circuit
         values = [float(value) for value in values]
         num_parameters = len(template.ordered_parameters())
         if len(values) != num_parameters:
             raise SweepShapeError(
                 f"template has {num_parameters} free parameters, got "
                 f"{len(values)} values")
-        task = ExecutionTask(circuit=template, observable=observable,
-                             noise_model=noise_model,
-                             include_idle=include_idle)
-        engine = None
-        if not task.has_noise and not any(
-                inst.name in ("measure", "reset", "barrier")
-                for inst in template):
-            engine = (next(route_sweep(template, [values]))
-                      if backend == "auto"
-                      else self.compiled_sweep_engine(backend))
-        if engine != "statevector":
+        resolved = None
+        if not (noise_model is not None and noise_model.has_noise()):
+            chosen = (None if isinstance(backend, str) and backend == "auto"
+                      else backend if isinstance(backend, Backend)
+                      else self.registry.get(backend))
+            plan = self._point_plan(template, observable, chosen,
+                                    include_idle)
+            if plan.program is not None:
+                resolved = chosen
+                if plan.route is not None and \
+                        plan.route(values) == "statevector":
+                    resolved = self.registry.get("statevector")
+        if resolved is None:
             return self.evaluate_observable(
                 template.bind_parameters(values), observable,
                 noise_model=noise_model, backend=backend,
                 include_idle=include_idle,
                 use_cache=use_cache, policy=policy)[0]
-        resolved = (backend if isinstance(backend, Backend)
-                    else self.registry.get("statevector" if backend == "auto"
-                                           else backend))
         use_cache = self.use_cache if use_cache is None else use_cache
         count_grouped_tasks(self, 1)
-        # run_grouped's slot for the bound circuit, keyed by its fingerprint
-        # derived from the template: same keys, stats and cache fill.
-        slot = _Slot(task, resolved, template.bound_fingerprint(values))
-        slot.absorb(0, task)
-        missing = slot.probe(self, use_cache)
+        # The bound circuit's per-term keys, as run_grouped's slot builds
+        # them: same keys, stats and cache fill.
+        fingerprint = template.bound_fingerprint(values)
+        name = resolved.name
+        keys = [(fingerprint, term, None, name, include_idle)
+                for term in plan.terms]
+        row = (self.cache.get_many(keys) if use_cache
+               else [None] * len(keys))
+        missing = [index for index, value in enumerate(row) if value is None]
+        if len(missing) < len(row):
+            with self._lock:
+                self.stats.term_cache_hits += len(row) - len(missing)
         if missing:
-            with track_program_cache(self):
-                program = compile_circuit(template).point_program(values)
-            # The bound path's readout: the missing terms, one kernel pass,
-            # their bit matrices read straight off the term keys.
+            view = plan.view
+            x_bits, z_bits = view.x_bits, view.z_bits
+            if len(missing) < len(row):
+                x_bits, z_bits = x_bits[missing], z_bits[missing]
             resolved._count_invocations()
-            shape = (len(missing), template.num_qubits)
-            x_bits = np.frombuffer(b"".join(key[0] for key in missing),
-                                   dtype=np.uint8).reshape(shape)
-            z_bits = np.frombuffer(b"".join(key[1] for key in missing),
-                                   dtype=np.uint8).reshape(shape)
-            slot.record(self, missing, statevector_term_expectations(
-                program.run_statevector(), x_bits, z_bits), use_cache)
-        return energies(observable, [slot.term_values(task)])[0]
+            state = plan.program.point_program(values).run_statevector()
+            fresh = statevector_term_expectations(state, x_bits,
+                                                  z_bits).tolist()
+            for index, value in zip(missing, fresh):
+                row[index] = value
+            count_backend_invocations(self, resolved, len(missing))
+            if use_cache:
+                self.cache.put_many([(keys[index], row[index])
+                                     for index in missing])
+        return float(np.dot(plan.view.coefficients, row))
+
+    def _point_plan(self, template, observable, backend: Optional[Backend],
+                    include_idle: bool) -> "_PointPlan":
+        """The point plan of one (template, observable, backend,
+        include_idle): kept in the program cache under the identities of
+        the template (with its fingerprint, which an edit changes), of the
+        observable's current term view and of the resolved backend (None
+        for ``"auto"``); the plan holds each, so no identity is reused
+        while it is kept."""
+        view = observable.term_view()
+        key = ("point-plan", id(template), template.fingerprint(), id(view),
+               backend, include_idle)
+
+        def build() -> _PointPlan:
+            # The template task validates like every bound point's would.
+            ExecutionTask(circuit=template, observable=observable,
+                          include_idle=include_idle)
+            program = route = None
+            if not any(inst.name in ("measure", "reset", "barrier")
+                       for inst in template):
+                if backend is None:
+                    route = point_router(template)
+                if route is not None or self.compiled_sweep_engine(
+                        backend) == "statevector":
+                    with track_program_cache(self):
+                        program = compile_circuit(template)
+            return _PointPlan(template, view, backend, route, program)
+
+        return cached_plan(key, build, _PointPlan.nbytes)
 
     def compiled_sweep_engine(self, backend: Union[str, Backend],
                               noise_model=None) -> Optional[str]:

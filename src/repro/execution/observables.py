@@ -102,8 +102,8 @@ class _Slot:
 
     def absorb(self, index: int, task: ExecutionTask) -> None:
         self.task_indices.append(index)
-        for pauli, _ in task.observable.terms():
-            self.term_keys.setdefault(pauli.key(), None)
+        for key in task.observable.term_view().keys:
+            self.term_keys.setdefault(key, None)
 
     def missing_keys(self) -> List[TermKey]:
         return [key for key in self.term_keys if key not in self.values]
@@ -139,15 +139,7 @@ class _Slot:
         """Store freshly computed term values (+ stats and cache fill)."""
         for key, value in zip(missing, values):
             self.values[key] = float(value)
-        # Adapters evolve once per call; a backend still on the base-class
-        # term_expectations fallback spends one run per term instead.
-        uses_fallback = (type(self.backend).term_expectations
-                         is Backend.term_expectations)
-        spent = len(missing) if uses_fallback else 1
-        name = self.backend.name
-        with executor._lock:
-            counters = executor.stats.backend_invocations
-            counters[name] = counters.get(name, 0) + spent
+        count_backend_invocations(executor, self.backend, len(missing))
         if use_cache:
             executor.cache.put_many(list(zip(
                 self.cache_keys(missing),
@@ -156,8 +148,8 @@ class _Slot:
     def term_values(self, task: ExecutionTask) -> np.ndarray:
         """A member task's term values in its own ``observable.terms()``
         order."""
-        return np.array([self.values[pauli.key()]
-                         for pauli, _ in task.observable.terms()])
+        return np.array([self.values[key]
+                         for key in task.observable.term_view().keys])
 
     def synthetic_task(self, keys: Sequence[TermKey]) -> ExecutionTask:
         """The task whose observable carries exactly the missing terms."""
@@ -166,6 +158,20 @@ class _Slot:
                               [(pauli_from_key(num_qubits, key), 1.0)
                                for key in keys])
         return dataclasses.replace(self.task, observable=observable)
+
+
+def count_backend_invocations(executor, backend: Backend,
+                              terms: int) -> None:
+    """Book the evolutions ``backend`` spent reading ``terms`` fresh terms
+    of one circuit: adapters evolve once per call; a backend still on the
+    base-class ``term_expectations`` fallback spends one run per term."""
+    uses_fallback = (type(backend).term_expectations
+                     is Backend.term_expectations)
+    spent = terms if uses_fallback else 1
+    name = backend.name
+    with executor._lock:
+        counters = executor.stats.backend_invocations
+        counters[name] = counters.get(name, 0) + spent
 
 
 def count_grouped_tasks(executor, count: int) -> None:
@@ -179,8 +185,7 @@ def energies(observable: PauliSum, rows) -> List[float]:
     """``Σ Re(c_i)·⟨P_i⟩`` for each row of term values (aligned with
     ``observable.terms()``): the one dot every grouped energy takes, per
     circuit, per sweep point and per template point."""
-    coefficients = np.array([float(np.real(coeff))
-                             for _, coeff in observable.terms()])
+    coefficients = observable.term_view().coefficients
     return [float(np.dot(coefficients, values)) for values in rows]
 
 

@@ -12,7 +12,7 @@ never picks a backend that rejects the task — when nothing fits, a
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..circuits.gates import is_clifford_at
 from ..circuits.parameters import evaluate_form
@@ -87,14 +87,27 @@ def route_sweep(template, parameter_sets: Sequence[Sequence[float]]
     give it.  Verdicts are yielded lazily, point by point, so a
     :class:`RoutingError` surfaces where the bound tasks' would.
     """
+    route = point_router(template)
+    for values in parameter_sets:
+        yield route(values)
+
+
+def point_router(template) -> Callable[[Sequence[float]], str]:
+    """:func:`route_sweep`'s verdict for one point, as a function of the
+    point: the template's static-Clifford verdict and parametric slots are
+    read once, when the router is made."""
     slots = [(template[index].name, forms)
              for index, forms in template.parametric_slots()]
     static_clifford = all(inst.gate.is_clifford for inst in template
                           if inst.gate.is_unitary
                           and not inst.gate.is_parameterized)
-    for values in parameter_sets:
+    num_qubits = template.num_qubits
+
+    def route(values: Sequence[float]) -> str:
         clifford = static_clifford and all(
             is_clifford_at(name, [evaluate_form(form, values)
                                   for form in forms])
             for name, forms in slots)
-        yield _route_expectation(clifford, False, template.num_qubits)
+        return _route_expectation(clifford, False, num_qubits)
+
+    return route

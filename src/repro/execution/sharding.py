@@ -39,6 +39,7 @@ and 4 produce bitwise identical values (see
 from __future__ import annotations
 
 import atexit
+import ctypes
 import multiprocessing
 import numbers
 import os
@@ -204,9 +205,46 @@ _pool_lock = threading.Lock()
 _PARENT_CHECK_SECONDS = 1.0
 
 
+#: Thread-count ``(setter, getter)`` symbols of the OpenBLAS builds numpy
+#: and scipy wheels load (``scipy_openblas64_`` is numpy's ILP64 build).
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def _loaded_openblas() -> List[Tuple[Callable, Callable]]:
+    """``(set_num_threads, get_num_threads)`` of every OpenBLAS this process
+    has loaded, found in its memory map; empty where there is no
+    ``/proc/self/maps`` or no library exports a known symbol pair."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = dict.fromkeys(
+                line.split()[-1] for line in maps
+                if "openblas" in line.rsplit("/", 1)[-1])
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _BLAS_THREAD_SYMBOLS:
+            if hasattr(library, setter) and hasattr(library, getter):
+                found.append((getattr(library, setter),
+                              getattr(library, getter)))
+                break
+    return found
+
+
 def _mark_worker_process() -> None:
-    """Pool initializer: mark the worker, give it default signal handling
-    and end it when its parent dies.
+    """Pool initializer: mark the worker, give it default signal handling,
+    one BLAS thread, and end it when its parent dies.
+
+    Every pool worker is one of ``max_workers`` processes sharing the
+    machine's CPUs, so a BLAS call inside it runs on one thread: with
+    OpenBLAS's default thread count, workers oversubscribe the CPUs.
 
     A forked worker inherits its parent's signal set-up: an asyncio
     server's no-op Python handlers and its loop's wakeup fd, so a SIGTERM
@@ -221,6 +259,8 @@ def _mark_worker_process() -> None:
     inherit each other's write ends of it.)
     """
     os.environ[_WORKER_ENV] = "1"
+    for set_num_threads, _ in _loaded_openblas():
+        set_num_threads(1)
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)

@@ -28,6 +28,31 @@ _LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
+class TermView:
+    """A read-only snapshot of a :class:`PauliSum`'s terms, in ``terms()``
+    order: what the per-term readout and energy code reads on every call.
+
+    ``keys`` are the terms' phase-free :meth:`PauliString.key` tuples,
+    ``x_bits``/``z_bits`` the ``(T, n)`` uint8 bit matrices the readout
+    kernels take, and ``coefficients`` each coefficient's real part
+    (float64), the weights every energy dot uses.
+    """
+
+    __slots__ = ("keys", "x_bits", "z_bits", "coefficients")
+
+    def __init__(self, num_qubits: int,
+                 coeffs: Mapping[Tuple[bytes, bytes], complex]):
+        self.keys = tuple(coeffs)
+        shape = (len(self.keys), num_qubits)
+        self.x_bits = np.frombuffer(b"".join(key[0] for key in self.keys),
+                                    dtype=np.uint8).reshape(shape)
+        self.z_bits = np.frombuffer(b"".join(key[1] for key in self.keys),
+                                    dtype=np.uint8).reshape(shape)
+        self.coefficients = np.array([float(np.real(coeff))
+                                      for coeff in coeffs.values()])
+        self.coefficients.setflags(write=False)
+
+
 def _levi_civita_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     """Exponent of i picked up when multiplying single-qubit Paulis (1)·(2)."""
     # Multiplication table for P1 * P2 expressed as i^k * P3 with
@@ -231,6 +256,7 @@ class PauliSum:
         self._num_qubits = int(num_qubits)
         self._coeffs: Dict[Tuple[bytes, bytes], complex] = {}
         self._strings: Dict[Tuple[bytes, bytes], PauliString] = {}
+        self._view: Optional[TermView] = None
         if terms:
             for pauli, coeff in terms:
                 self.add_term(pauli, coeff)
@@ -262,6 +288,7 @@ class PauliSum:
                 f"term has {pauli.num_qubits} qubits, operator has {self._num_qubits}")
         total = complex(coeff) * pauli.phase
         key = pauli.key()
+        self._view = None
         self._coeffs[key] = self._coeffs.get(key, 0.0) + total
         if key not in self._strings:
             self._strings[key] = pauli.bare()
@@ -272,6 +299,7 @@ class PauliSum:
 
     def simplify(self, atol: float = 1e-12) -> "PauliSum":
         """Drop terms with negligible coefficients (in place); returns self."""
+        self._view = None
         for key in [k for k, c in self._coeffs.items() if abs(c) <= atol]:
             del self._coeffs[key]
             del self._strings[key]
@@ -290,6 +318,15 @@ class PauliSum:
         """Iterate ``(phase-free PauliString, coefficient)`` pairs."""
         for key, coeff in self._coeffs.items():
             yield self._strings[key], coeff
+
+    def term_view(self) -> TermView:
+        """The :class:`TermView` of the current terms, built on first use
+        and rebuilt after :meth:`add_term` or :meth:`simplify` change
+        them."""
+        view = self._view
+        if view is None:
+            view = self._view = TermView(self._num_qubits, self._coeffs)
+        return view
 
     def coefficient(self, pauli: PauliString) -> complex:
         return self._coeffs.get(pauli.bare().key(), 0.0) * np.conj(1.0)

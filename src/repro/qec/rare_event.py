@@ -256,6 +256,23 @@ def _resolve_spec(graph: DecodingGraph, decoder, arrays: SamplingArrays,
         pilot_shots=pilot, token=("stratified", min_fault, max_weight, pilot))
 
 
+def rare_event_knobs(graph: DecodingGraph, decoder, shots: int, *,
+                     min_fault_weight: Optional[int] = None,
+                     max_weight: Optional[int] = None,
+                     pilot_shots: int = SHOT_BLOCK,
+                     tail_rtol: float = 1e-3) -> tuple:
+    """The estimator knobs of :func:`run_rare_event_sampling` as resolved
+    for ``(graph, decoder, shots)``: the first and last stratum weights and
+    the per-stratum pilot size (the spec's cache-key token), then
+    ``tail_rtol``.  Two argument sets with equal knobs run the same
+    estimate, whether a default was named or left unset; knobs no estimate
+    can run are a ``ValueError``."""
+    spec = _resolve_spec(graph, decoder, sampling_arrays(graph), shots,
+                         min_fault_weight, max_weight, pilot_shots,
+                         tail_rtol)
+    return spec.token + (float(tail_rtol),)
+
+
 # ---------------------------------------------------------------------------
 # Conditional fixed-weight sampling (exact, DP-based — no rejection)
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from ..io.serialization import (circuit_from_dict, noise_model_from_dict,
 from ..qec.decoders import (LookupDecoder, MWPMDecoder, UnionFindDecoder,
                             decoder_cache_token, repetition_code_graph,
                             rotated_surface_code_graph)
-from ..qec.rare_event import stream_rare_event_sampling
+from ..qec.rare_event import rare_event_knobs, stream_rare_event_sampling
 from ..qec.sampling import (SHOT_BLOCK, as_seed_sequence,
                             stream_memory_sampling, wilson_interval)
 from .protocol import ProtocolError
@@ -368,9 +368,13 @@ def _prepare_qec_rare_event(payload: Dict[str, Any]) -> PreparedJob:
     if payload.get("tail_rtol") is not None:
         options["tail_rtol"] = float(payload["tail_rtol"])
 
+    # Resolved here, so knobs no estimate can run are a 400 at submit.
+    knobs = rare_event_knobs(graph, decoder, shots, **options)
+
     # Seeded + token-pinned runs coalesce across clients on the same
-    # content identities the estimator caches on.  The estimator knobs are
-    # part of the key (they change the strata and the budget split);
+    # content identities the estimator caches on.  The resolved estimator
+    # knobs are part of the key (they change the strata and the budget
+    # split), so naming a default and leaving it unset share a key;
     # chunk_blocks is not, because every aggregate is an integer count.
     key = None
     if seed is not None:
@@ -378,8 +382,7 @@ def _prepare_qec_rare_event(payload: Dict[str, Any]) -> PreparedJob:
         token = decoder_cache_token(decoder)
         if token is not None:
             key = _digest("qec-rare-event", graph.fingerprint(), token,
-                          tuple(sorted(options.items())), shots,
-                          SHOT_BLOCK, seed_key)
+                          knobs, shots, SHOT_BLOCK, seed_key)
 
     def run(ctx: JobContext) -> Dict[str, Any]:
         final = None

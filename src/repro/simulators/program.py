@@ -32,8 +32,10 @@ execution path:
   execution layer's ``programs_compiled`` / ``program_cache_hits`` stats.
 * **bind** — a program compiled from a parametric template keeps its
   structure and rebuilds only the parametric matrices from linear forms
-  over positional parameters: ``program.bind(theta)`` binds one point,
-  :meth:`CompiledProgram.run_sweep` a whole sweep in one stacked pass.
+  over positional parameters, group by group: the ops of one factor
+  signature bind in one stacked call per factor.  ``program.bind(theta)``
+  binds one point, :meth:`CompiledProgram.run_sweep` a whole sweep in one
+  stacked pass.
   :meth:`CompiledProgram.point_program` binds one point and lowers it the
   way compiling the bound circuit would (monomial ops become gathers), so
   a per-step optimizer query needs no bound circuit.
@@ -65,8 +67,7 @@ from .. import obs
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import (DIAGONAL_GATE_NAMES, _STATIC_MATRICES,
                               parametric_matrix)
-from ..circuits.parameters import (LinearForm, Parameter, evaluate_form,
-                                   linear_form)
+from ..circuits.parameters import LinearForm, Parameter, linear_form
 from .memo import ByteMemo
 from .noise import NoiseModel, QuantumChannel, RESET_CHANNEL, bit_flip_channel
 
@@ -100,17 +101,6 @@ _MAX_PERM_QUBITS = 20
 def _diag_vector(matrix: np.ndarray) -> np.ndarray:
     """The diagonal of a (known-diagonal) gate unitary."""
     return np.ascontiguousarray(np.diag(matrix))
-
-
-def _parametric_diag(name: str, params: Tuple[float, ...]) -> np.ndarray:
-    """Diagonal phase vector of a parametric diagonal gate (rz / rzz)."""
-    half = params[0] / 2.0
-    phase, conj = np.exp(-1j * half), np.exp(1j * half)
-    if name == "rz":
-        return np.array([phase, conj])
-    if name == "rzz":
-        return np.array([phase, conj, conj, phase])
-    raise ValueError(f"gate {name!r} is not a parametric diagonal gate")
 
 
 def _broadcast_diag(diag: np.ndarray, qubits: Tuple[int, ...],
@@ -181,7 +171,7 @@ def _perm_apply_to_values(values: np.ndarray, qubits: Tuple[int, ...],
 def _stacked_gate(name: str, angles: List[np.ndarray]) -> np.ndarray:
     """``(B, 2^k, 2^k)`` matrices (or ``(B, 2^k)`` diagonals for rz/rzz) of
     a parametric gate at ``B`` angle tuples, each bitwise equal to
-    :func:`parametric_matrix` / :func:`_parametric_diag` at that tuple.
+    :func:`parametric_matrix` at that tuple (its diagonal for rz/rzz).
 
     Real trig goes through the same scalar ``math.cos``/``math.sin`` as the
     gate-matrix functions (vectorized numpy may use SIMD kernels that differ
@@ -191,7 +181,10 @@ def _stacked_gate(name: str, angles: List[np.ndarray]) -> np.ndarray:
         half = angles[0] / 2.0
         phase, conj = np.exp(-1j * half), np.exp(1j * half)
         columns = [phase, conj] if name == "rz" else [phase, conj, conj, phase]
-        return np.stack(columns, axis=1)
+        out = np.empty((len(half), len(columns)), dtype=complex)
+        for index, column in enumerate(columns):
+            out[:, index] = column
+        return out
     if name in ("rx", "ry"):
         half = (angles[0] / 2.0).tolist()
         cos = np.array([math.cos(value) for value in half])
@@ -207,18 +200,6 @@ def _stacked_gate(name: str, angles: List[np.ndarray]) -> np.ndarray:
     return np.stack([parametric_matrix(name, point)
                      for point in zip(*(column.tolist()
                                         for column in angles))])
-
-
-def _stacked_form(form: LinearForm, points: np.ndarray) -> np.ndarray:
-    """A linear form's value at every row of ``points``, with the scalar
-    :func:`~repro.circuits.parameters.evaluate_form`'s operation order."""
-    offset, terms = form
-    if not terms:
-        return np.full(len(points), offset)
-    column = offset + terms[0][1] * points[:, terms[0][0]]
-    for position, coeff in terms[1:]:
-        column = column + coeff * points[:, position]
-    return column
 
 
 class _Factor:
@@ -243,23 +224,6 @@ class _Factor:
     @property
     def is_parametric(self) -> bool:
         return self.static is None
-
-    def resolve(self, values: Sequence[float]) -> np.ndarray:
-        """The factor's array at positional parameter ``values``."""
-        if self.static is not None:
-            return self.static
-        angles = tuple(evaluate_form(form, values) for form in self.forms)
-        if self.diag:
-            return _parametric_diag(self.name, angles)
-        return parametric_matrix(self.name, angles)
-
-    def resolve_stacked(self, points: np.ndarray) -> np.ndarray:
-        """The factor's array at every row of ``points``: the static array
-        itself, or a ``(B, …)`` stack of :meth:`resolve` results."""
-        if self.static is not None:
-            return self.static
-        return _stacked_gate(self.name, [_stacked_form(form, points)
-                                         for form in self.forms])
 
 
 class CompiledOp:
@@ -306,29 +270,6 @@ class CompiledOp:
             self._full = _perm_table([self], num_qubits)
         return self._full
 
-    def bound(self, values: Sequence[float], num_qubits: int
-              ) -> "CompiledOp":
-        """A bound copy with parametric factor matrices rebuilt."""
-        if not self.is_parametric:
-            return self
-        arrays = [factor.resolve(values) for factor in self.factors]
-        if self.kind == OP_DIAG:
-            diag = _diag_product(arrays)
-            return CompiledOp(OP_DIAG, self.qubits,
-                              _broadcast_diag(diag, self.qubits, num_qubits),
-                              self.factors, raw_diag=diag)
-        return CompiledOp(OP_UNITARY, self.qubits,
-                          _matrix_product(self.factors, arrays), self.factors)
-
-    def stacked(self, points: np.ndarray, num_qubits: int) -> np.ndarray:
-        """This parametric op's data at every row of ``points``, stacked on
-        a leading axis: row ``b`` is bitwise ``bound(points[b]).data``."""
-        arrays = [factor.resolve_stacked(points) for factor in self.factors]
-        if self.kind == OP_DIAG:
-            return _broadcast_diag(_diag_product(arrays), self.qubits,
-                                   num_qubits)
-        return _matrix_product(self.factors, arrays)
-
     def __repr__(self):
         return f"CompiledOp({self.kind}, qubits={self.qubits})"
 
@@ -361,10 +302,113 @@ def _matrix_product(factors: List[_Factor],
 
 def _diag_square(diag: np.ndarray) -> np.ndarray:
     """A (stack of) diagonal vector(s) embedded as diagonal matrices."""
-    square = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
-    diagonal = np.arange(diag.shape[-1])
-    square[..., diagonal, diagonal] = diag
-    return square
+    side = diag.shape[-1]
+    square = np.zeros(diag.shape[:-1] + (side * side,), dtype=complex)
+    square[..., ::side + 1] = diag
+    return square.reshape(diag.shape + (side,))
+
+
+def _factor_signature(factor: _Factor) -> tuple:
+    """What a factor must share with its counterparts to stack with them:
+    the gate name and each parameter's term count (parametric), or the
+    array's dtype and shape (static)."""
+    if factor.is_parametric:
+        return (factor.name, factor.diag,
+                tuple(len(terms) for _, terms in factor.forms))
+    return (None, factor.diag, factor.static.dtype.str, factor.static.shape)
+
+
+class _BindGroup:
+    """The ``G`` parametric ops of one factor signature, bound together.
+
+    Per parametric factor and gate parameter, the ``G`` ops' linear forms
+    are held as columns: offsets ``(G, 1)``, and per term the positions
+    ``(G,)`` and coefficients ``(G, 1)``; per static factor, the ops'
+    arrays stacked ``(G, 1, …)``.  :meth:`block` binds every op of the
+    group at ``B`` points with one :func:`_stacked_gate` call per factor
+    and one :func:`_matrix_product` (or :func:`_diag_product`) call.
+    """
+
+    __slots__ = ("kind", "indices", "ops", "factors", "parts")
+
+    def __init__(self, indices: List[int], ops: List[CompiledOp]):
+        self.kind = ops[0].kind
+        self.indices = indices
+        self.ops = ops
+        self.factors = ops[0].factors
+        self.parts = []
+        for j, factor in enumerate(self.factors):
+            column = [op.factors[j] for op in ops]
+            if not factor.is_parametric:
+                self.parts.append(np.stack([f.static for f in column])[:, None])
+                continue
+            forms = []
+            for s in range(len(factor.forms)):
+                offsets = np.array([f.forms[s][0] for f in column])
+                terms = [f.forms[s][1] for f in column]
+                forms.append((offsets[:, None], [
+                    (np.array([row[t][0] for row in terms]),
+                     np.array([row[t][1] for row in terms])[:, None])
+                    for t in range(len(terms[0]))]))
+            self.parts.append(forms)
+
+    def block(self, columns: np.ndarray) -> np.ndarray:
+        """Every op's data at every point: ``(G, B, 2^k, 2^k)`` matrices or
+        ``(G, B, 2^k)`` bare diagonals, where ``columns`` is the ``(P, B)``
+        transpose of the ``(B, P)`` points.
+
+        Row ``[g, b]`` is bitwise what binding op ``g`` alone at point
+        ``b`` gives: each angle follows
+        :func:`~repro.circuits.parameters.evaluate_form`'s operation order,
+        and every factor product runs elementwise or per ``2^k`` block.
+        """
+        shape = (len(self.indices), columns.shape[1])
+        arrays = []
+        for factor, part in zip(self.factors, self.parts):
+            if not factor.is_parametric:
+                arrays.append(part)
+                continue
+            angles = []
+            for offsets, terms in part:
+                if not terms:
+                    angle = np.repeat(offsets, shape[1], axis=1)
+                else:
+                    positions, coeffs = terms[0]
+                    angle = offsets + coeffs * columns[positions]
+                    for positions, coeffs in terms[1:]:
+                        angle = angle + coeffs * columns[positions]
+                angles.append(angle.ravel())
+            stacked = _stacked_gate(factor.name, angles)
+            arrays.append(stacked.reshape(shape + stacked.shape[1:]))
+        if self.kind == OP_DIAG:
+            return _diag_product(arrays)
+        return _matrix_product(self.factors, arrays)
+
+    def bound_ops(self, block: np.ndarray,
+                  num_qubits: int) -> List[CompiledOp]:
+        """The group's ops bound at the one point of a ``B == 1``
+        ``block``."""
+        if self.kind == OP_DIAG:
+            return [CompiledOp(OP_DIAG, op.qubits,
+                               _broadcast_diag(diag, op.qubits, num_qubits),
+                               op.factors, raw_diag=diag)
+                    for op, diag in zip(self.ops, block[:, 0])]
+        return [CompiledOp(OP_UNITARY, op.qubits, matrix, op.factors)
+                for op, matrix in zip(self.ops, block[:, 0])]
+
+
+def _bind_groups(ops: List[CompiledOp], indices: List[int]
+                 ) -> List[_BindGroup]:
+    """The parametric ops at ``indices`` grouped by kind, qubit count and
+    factor signatures, in order of first appearance."""
+    members: Dict[tuple, List[int]] = {}
+    for index in indices:
+        op = ops[index]
+        signature = (op.kind, len(op.qubits)) + tuple(
+            _factor_signature(factor) for factor in op.factors)
+        members.setdefault(signature, []).append(index)
+    return [_BindGroup(group, [ops[index] for index in group])
+            for group in members.values()]
 
 
 class CompiledProgram:
@@ -383,7 +427,8 @@ class CompiledProgram:
 
     __slots__ = ("num_qubits", "ops", "parameters", "noise_model",
                  "fingerprint", "fused", "_template", "_structure",
-                 "_parametric_indices", "_views", "_pregather")
+                 "_parametric_indices", "_views", "_pregather",
+                 "_pregather_indices", "_groups")
 
     def __init__(self, num_qubits: int, ops: List[CompiledOp],
                  parameters: List[Parameter],
@@ -398,12 +443,17 @@ class CompiledProgram:
         self.fingerprint = fingerprint
         self.fused = fused
         self._template = template or self
-        # The op list before the monomial lowering (parametric lowerings
-        # only): what point_program re-lowers at a monomial point.
+        # The op list before the gather runs fuse, static monomials already
+        # lowered (parametric lowerings only): what point_program re-fuses
+        # at a monomial point.  Its parametric ops are the program's own,
+        # in the same order.
         self._pregather = pregather
+        self._pregather_indices = None if pregather is None else [
+            index for index, op in enumerate(pregather) if op.is_parametric]
         self._structure = None
         self._parametric_indices = [index for index, op in enumerate(ops)
                                     if op.is_parametric]
+        self._groups: Optional[List[_BindGroup]] = None
         self._views: Optional[Dict[Tuple[int, ...], CompiledProgram]] = None
 
     # -- classification ------------------------------------------------------
@@ -460,13 +510,46 @@ class CompiledProgram:
             self._views[ids] = view
         return view
 
+    def _bind_blocks(self, points: np.ndarray
+                     ) -> List[Tuple[_BindGroup, np.ndarray]]:
+        """Each bind group of the template with its ``(G, B, …)`` data
+        block at the ``(B, P)`` ``points``: the one binding kernel behind
+        :meth:`bind`, :meth:`point_program` and :meth:`run_sweep`.  The
+        groups are formed on the template's first bind."""
+        template = self._template
+        if template._groups is None:
+            template._groups = _bind_groups(template.ops,
+                                            template._parametric_indices)
+        columns = points.T
+        return [(group, group.block(columns)) for group in template._groups]
+
+    def _bound_ops(self, values: Sequence[float]
+                   ) -> Tuple[List[CompiledOp], List[Tuple[_BindGroup,
+                                                           np.ndarray]]]:
+        """The op list bound at one point, and the bind blocks it came
+        from (``B == 1``)."""
+        if len(values) != len(self.parameters):
+            raise ValueError(
+                f"expected {len(self.parameters)} parameter values, "
+                f"got {len(values)}")
+        blocks = self._bind_blocks(np.array([values], dtype=float))
+        ops = list(self.ops)
+        for group, block in blocks:
+            for index, op in zip(group.indices,
+                                 group.bound_ops(block, self.num_qubits)):
+                ops[index] = op
+        return ops, blocks
+
     def bind(self, parameters) -> "CompiledProgram":
         """Bind the template's free parameters, rebuilding only parametric ops.
 
         ``parameters`` is a mapping ``{Parameter: value}`` or a sequence
         aligned with the source circuit's ``ordered_parameters()``.  Static
-        ops (matrices, diagonals, channels) are shared with the template —
-        only ops touching a free parameter are recomputed.
+        ops (matrices, diagonals, channels) are shared with the template.
+        The parametric ops are rebuilt group by group: ops of one factor
+        signature (kind, qubit count, gate names, diagonal flags, term
+        counts) bind in one stacked call per factor and one product, each
+        op bitwise what binding it alone gives.
         """
         if isinstance(parameters, Mapping):
             missing = [param.name for param in self.parameters
@@ -477,13 +560,7 @@ class CompiledProgram:
             values = [float(parameters[param]) for param in self.parameters]
         else:
             values = list(parameters)
-            if len(values) != len(self.parameters):
-                raise ValueError(
-                    f"expected {len(self.parameters)} parameter values, "
-                    f"got {len(values)}")
-        ops = list(self.ops)
-        for index in self._parametric_indices:
-            ops[index] = ops[index].bound(values, self.num_qubits)
+        ops, _ = self._bound_ops(values)
         return CompiledProgram(self.num_qubits, ops, [], self.noise_model,
                                None, self.fused, template=self._template)
 
@@ -496,24 +573,36 @@ class CompiledProgram:
         :meth:`run_sweep` stack a sweep.  A bound circuit is lowered as a
         whole instead: an op that comes out monomial at its angles (``rx(π)``,
         ``ry(π/2)·rz(π)``, …) becomes an index gather and fuses into the
-        neighbouring gathers.  At such a point the program re-runs that
-        lowering (:func:`_finalize_ops`) over the template's pre-gather op
-        list, bound; elsewhere the structural bind already is the bound
-        circuit's lowering.
+        neighbouring gathers.  Each bound unitary group is screened in one
+        vectorized test with :func:`_monomial_form`'s predicate; only the
+        ops that pass are lowered.  At such a point the bound ops replace
+        their templates in the pre-gather op list (static monomials are
+        already lowered there) and the gather runs are fused again
+        (:func:`_fuse_perm_runs`); elsewhere the structural bind already
+        is the bound circuit's lowering.
         """
-        values = list(values)
-        program = self.bind(values)
-        if self.num_qubits > _MAX_PERM_QUBITS or not any(
-                program.ops[index].kind == OP_UNITARY
-                and _monomial_form(program.ops[index].data) is not None
-                for index in self._parametric_indices):
-            return program
-        ops = [op.bound(values, self.num_qubits)
-               for op in self._template._pregather]
-        return CompiledProgram(self.num_qubits,
-                               _finalize_ops(ops, self.num_qubits), [],
-                               self.noise_model, None, self.fused,
-                               template=self._template)
+        ops, blocks = self._bound_ops(list(values))
+        n = self.num_qubits
+        lowered = {}
+        if n <= _MAX_PERM_QUBITS:
+            for group, block in blocks:
+                if group.kind != OP_UNITARY:
+                    continue
+                nonzero = np.abs(block[:, 0]) > 1e-12
+                for g in np.flatnonzero(
+                        (nonzero.sum(axis=-1) == 1).all(axis=-1)):
+                    op = _as_perm_op(ops[group.indices[g]])
+                    if op.kind == OP_PERM:
+                        lowered[group.indices[g]] = op
+        if lowered:
+            template = self._template
+            relowered = list(template._pregather)
+            for position, index in zip(template._pregather_indices,
+                                       template._parametric_indices):
+                relowered[position] = lowered.get(index, ops[index])
+            ops = _fuse_perm_runs(relowered, n)
+        return CompiledProgram(n, ops, [], self.noise_model, None,
+                               self.fused, template=self._template)
 
     # -- execution -----------------------------------------------------------
     def run_statevector(self, initial_state: Optional[np.ndarray] = None,
@@ -592,10 +681,12 @@ class CompiledProgram:
                   ) -> np.ndarray:
         """Bind every parameter set and execute the batch in one pass.
 
-        Binding is stacked: each parametric op's ``(B, 2^k, 2^k)`` matrices
-        (or ``(B, …)`` phase tensor) fill straight from the ``(B, P)``
-        parameter array, with no per-point program.  Returns the
-        ``(B, 2^n)`` final statevectors, bitwise equal to
+        Binding is stacked: each group of parametric ops (one factor
+        signature, as in :meth:`bind`) fills its ``(G, B, 2^k, 2^k)``
+        matrices (or ``(G, B, 2^k)`` diagonals) straight from the
+        ``(B, P)`` parameter array in one stacked call per factor, with no
+        per-point program.  Returns the ``(B, 2^n)`` final statevectors,
+        bitwise equal to
         ``run_batch([self.bind(values) for values in parameter_sets])`` —
         see :func:`run_batch` for the batching mechanics and restrictions.
         """
@@ -608,8 +699,11 @@ class CompiledProgram:
                 f"point, got an array of shape {points.shape}")
         _check_batchable(self)
         rows: List[Optional[object]] = [None] * len(self.ops)
-        for index in self._parametric_indices:
-            rows[index] = self.ops[index].stacked(points, self.num_qubits)
+        for group, block in self._bind_blocks(points):
+            for index, op, data in zip(group.indices, group.ops, block):
+                rows[index] = (data if group.kind == OP_UNITARY else
+                               _broadcast_diag(data, op.qubits,
+                                               self.num_qubits))
         return _run_stacked(self, rows, len(points))
 
     def __repr__(self):
@@ -860,22 +954,26 @@ def _fuse_perm_run(run: List[CompiledOp], num_qubits: int) -> CompiledOp:
     return fused
 
 
-def _finalize_ops(ops: List[CompiledOp], num_qubits: int) -> List[CompiledOp]:
-    """Post-fusion lowering pass for resolved monomial unitaries.
-
-    Each unitary whose matrix is known (every static op; a parametric op
+def _lower_monomials(ops: List[CompiledOp], num_qubits: int
+                     ) -> List[CompiledOp]:
+    """Each unitary whose matrix is known (every static op; a parametric op
     once bound) and has exactly one nonzero per row (CX, SWAP, X, Y and
-    their products) is rewritten as an index gather (:data:`OP_PERM`), and
-    consecutive gathers collapse into one.
-    """
+    their products) rewritten as an index gather (:data:`OP_PERM`)."""
     if num_qubits > _MAX_PERM_QUBITS:
         return ops
-    lowered = [_as_perm_op(op)
-               if op.kind == OP_UNITARY and op.data is not None else op
-               for op in ops]
+    return [_as_perm_op(op)
+            if op.kind == OP_UNITARY and op.data is not None else op
+            for op in ops]
+
+
+def _fuse_perm_runs(ops: List[CompiledOp], num_qubits: int
+                    ) -> List[CompiledOp]:
+    """Collapse each run of consecutive gathers into one."""
+    if num_qubits > _MAX_PERM_QUBITS:
+        return ops
     finalized: List[CompiledOp] = []
     run: List[CompiledOp] = []
-    for op in lowered:
+    for op in ops:
         if op.kind == OP_PERM:
             run.append(op)
             continue
@@ -1052,8 +1150,8 @@ def _program_nbytes(program: CompiledProgram) -> int:
             if op.data[1] is not None:
                 total += dim * 16  # complex128 phase table
     if program._pregather is not None:
-        # The pre-gather list keeps alive the dense data of every op the
-        # monomial lowering replaced.
+        # The pre-gather list keeps alive the single gathers of every
+        # fused run.
         kept = {id(op) for op in program.ops}
         total += sum(_array_bytes(op.data) for op in program._pregather
                      if id(op) not in kept)
@@ -1113,6 +1211,23 @@ def cached_program(key, build: Callable[[], object],
     return program
 
 
+def cached_plan(key, build: Callable[[], object],
+                nbytes: Callable[[object], int]):
+    """The plan kept under ``key`` in the program cache, or ``build()`` it
+    and keep it there.
+
+    A plan is what a caller works out once about the programs it runs (the
+    execution layer's per-step point plans): it shares the program cache's
+    bounds, LRU order and :func:`clear_program_cache`, and is not counted
+    as a compile or a cache hit.
+    """
+    plan = _PROGRAM_CACHE.get(key)
+    if plan is None:
+        plan = build()
+        _PROGRAM_CACHE.put(key, plan, nbytes(plan))
+    return plan
+
+
 def compile_circuit(circuit: QuantumCircuit,
                     noise_model: Optional[NoiseModel] = None,
                     fuse: bool = True,
@@ -1149,12 +1264,13 @@ def compile_circuit(circuit: QuantumCircuit,
         else:
             ops = _compile_noiseless(circuit, fuse, positions)
             effective_fuse = fuse
+        lowered = _lower_monomials(ops, circuit.num_qubits)
         # Only a template's point_program reads the pre-gather list.
         return CompiledProgram(circuit.num_qubits,
-                               _finalize_ops(ops, circuit.num_qubits),
+                               _fuse_perm_runs(lowered, circuit.num_qubits),
                                parameters, noise_model, fingerprint,
                                effective_fuse,
-                               pregather=ops if parameters else None)
+                               pregather=lowered if parameters else None)
 
     if not use_cache:
         obs.add(_COUNTERS + "compiled")

@@ -11,8 +11,11 @@ bitwise, layer by layer:
 * the point program equals ``compile_circuit(bound)`` op for op — kinds,
   qubits, data and gather tables — on the paper's ansätze at random,
   all-Clifford and mixed points, where monomial ops re-lower;
+* the grouped bind equals binding each op on its own
+  (``tests/reference/bind.py``) at one point and over a block of points;
 * energies, term-cache entries and whole OPR flows are ``==`` either way,
-  and a COBYLA run compiles the template once and binds no circuit.
+  and a COBYLA run compiles the template once and binds no circuit; a warm
+  step reads no Pauli key and scans no template instruction.
 """
 
 import math
@@ -25,22 +28,27 @@ from hypothesis import strategies as st
 from repro.ansatz import (BlockedAllToAllAnsatz, FullyConnectedAnsatz,
                           LinearAnsatz, UCCSDAnsatz)
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.parameters import Parameter
+from repro.circuits.parameters import Parameter, ParameterVector
 from repro.core import NISQRegime, PQECRegime
 from repro.execution import Executor, reset_default_executor
 from repro.execution.errors import SweepShapeError
 from repro.operators import heisenberg_hamiltonian, ising_hamiltonian
+from repro.operators.pauli import PauliString
 from repro.simulators import program as program_module
-from repro.simulators.program import (OP_PERM, clear_program_cache,
+from repro.simulators.program import (OP_DIAG, OP_PERM, OP_UNITARY,
+                                      _broadcast_diag, clear_program_cache,
                                       compile_circuit,
                                       program_cache_counters, run_batch)
 from repro.vqe import (VQE, BackendEnergyEvaluator, CobylaOptimizer,
                        compare_regimes_opr)
 
+from reference import bind as reference_bind
+
 _QUARTER = math.pi / 2
 
 generic_angles = st.floats(-7.0, 7.0, allow_nan=False, allow_infinity=False)
 quarter_turns = st.integers(-4, 4).map(lambda k: k * _QUARTER)
+half_turns = st.integers(-3, 3).map(lambda k: k * math.pi)
 signed_zeros = st.sampled_from([0.0, -0.0])
 any_angles = st.one_of(generic_angles, quarter_turns, signed_zeros)
 
@@ -57,13 +65,51 @@ def fused_diagonal_template():
     return circuit
 
 
+def shared_parameter_template():
+    """One parameter in two slots of one op group, with coefficients and
+    an offset (``rx(2a+0.1)``, ``rx(-1.5a)``), beside slots of its own and
+    two-term forms in groups of their own."""
+    a, b, c = Parameter("a"), Parameter("b"), Parameter("c")
+    circuit = QuantumCircuit(3)
+    circuit.rx(2 * a + 0.1, 0).rx(-1.5 * a, 1).rx(b, 2)
+    circuit.cx(0, 1).cx(1, 2)
+    circuit.ry(c - 0.5 * a, 0).ry(a + c, 1).ry(0.25 * b, 2)
+    circuit.u3(a, 0.25, -b, 1)
+    return circuit
+
+
+def diagonal_groups_template():
+    """Groups of diagonal ops: ``rzz`` on neighbouring pairs (one with a
+    two-term angle), and on every qubit ``rz`` fused ahead of a static
+    ``t``, between layers of Hadamards."""
+    theta, phi = ParameterVector("theta", 3), ParameterVector("phi", 4)
+    circuit = QuantumCircuit(4)
+    for qubit in range(4):
+        circuit.h(qubit)
+    for qubit in range(3):
+        circuit.rzz(theta[qubit], qubit, qubit + 1)
+    circuit.rzz(2 * theta[0] - theta[2], 0, 3)
+    for qubit in range(4):
+        circuit.rz(phi[qubit], qubit).t(qubit)
+    circuit.cz(1, 2)
+    for qubit in range(4):
+        circuit.h(qubit)
+    return circuit
+
+
 TEMPLATES = {
     "linear": lambda: LinearAnsatz(4, 2).build(),
     "fche": lambda: FullyConnectedAnsatz(4, 2).build(),
     "blocked": lambda: BlockedAllToAllAnsatz(8, 1).build(),
     "uccsd": lambda: UCCSDAnsatz(6, 1).build(),
     "fused_diagonal": fused_diagonal_template,
+    "shared_parameter": shared_parameter_template,
+    "diagonal_groups": diagonal_groups_template,
 }
+
+ANGLES = [generic_angles, quarter_turns, half_turns,
+          st.one_of(generic_angles, quarter_turns)]
+ANGLE_IDS = ["random", "clifford", "half", "mixed"]
 
 
 def _bits(data):
@@ -167,10 +213,7 @@ class TestBoundFingerprint:
 
 class TestPointProgram:
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
-    @pytest.mark.parametrize("angles", [generic_angles, quarter_turns,
-                                        st.one_of(generic_angles,
-                                                  quarter_turns)],
-                             ids=["random", "clifford", "mixed"])
+    @pytest.mark.parametrize("angles", ANGLES, ids=ANGLE_IDS)
     @given(data=st.data())
     def test_matches_bound_circuit_lowering(self, name, angles, data):
         template = TEMPLATES[name]()
@@ -181,6 +224,43 @@ class TestPointProgram:
         assert_same_program(point, bound)
         assert point.run_statevector().tobytes() == \
             bound.run_statevector().tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    @pytest.mark.parametrize("angles", ANGLES, ids=ANGLE_IDS)
+    @given(data=st.data())
+    def test_grouped_bind_matches_per_op_reference(self, name, angles, data):
+        """The grouped kernel against each op bound on its own, bitwise:
+        the bind at one point, every op's rows over a block of points, the
+        sweep's states, and the point energy against the bound path."""
+        template = TEMPLATES[name]()
+        program = compile_circuit(template)
+        count = len(template.ordered_parameters())
+        points = np.array(data.draw(st.lists(
+            st.lists(angles, min_size=count, max_size=count),
+            min_size=2, max_size=4)))
+        n = template.num_qubits
+        assert_same_program(program.bind(points[0]),
+                            reference_bind.bind(program, points[0]))
+        groups = program._bind_blocks(points)
+        assert sorted(index for group, _ in groups
+                      for index in group.indices) == \
+            program._parametric_indices
+        for group, block in groups:
+            assert group.kind in (OP_UNITARY, OP_DIAG)
+            for op, rows in zip(group.ops, block):
+                if group.kind == OP_DIAG:
+                    rows = _broadcast_diag(rows, op.qubits, n)
+                assert _bits(rows) == _bits(
+                    reference_bind.stacked_data(op, points, n))
+        assert program.run_sweep(points).tobytes() == run_batch(
+            [reference_bind.bind(program, point)
+             for point in points]).tobytes()
+        hamiltonian = ising_hamiltonian(n, 1.0)
+        assert Executor().evaluate_point(
+            template, points[-1], hamiltonian, backend="statevector",
+            use_cache=False) == Executor().evaluate_observable(
+                template.bind_parameters(points[-1]), hamiltonian,
+                backend="statevector", use_cache=False)[0]
 
     def test_monomial_point_relowers(self):
         """At quarter turns fused rotations come out monomial: the point
@@ -203,7 +283,8 @@ class TestPointProgram:
 
     def test_only_templates_keep_the_pregather_list(self):
         """Parameter-free lowerings drop the pre-gather ops; a template's
-        are charged to the program cache for the dense data they keep."""
+        are charged to the program cache for the gathers they keep apart
+        from the fused runs."""
         template = FullyConnectedAnsatz(4, 1).build()
         values = [0.0] * len(template.ordered_parameters())
         assert compile_circuit(template.bind_parameters(values),
@@ -215,7 +296,7 @@ class TestPointProgram:
         charged = program_module._program_nbytes(program)
         program._pregather = None
         assert charged == program_module._program_nbytes(program) + sum(
-            op.data.nbytes for op in replaced)
+            program_module._array_bytes(op.data) for op in replaced)
 
     def test_generic_point_is_the_structural_bind(self):
         template = FullyConnectedAnsatz(4, 1).build()
@@ -328,7 +409,10 @@ class TestOptimizerSteps:
             self, monkeypatch):
         """50 COBYLA steps from a quarter-turn start (the CAFQA bootstrap
         shape): one compile, no circuit bound — not even at the monomial
-        points, which re-lower the template's ops instead."""
+        points, which re-lower the template's ops instead.  A warm step
+        then reads no Pauli key, scans no template instruction and tests
+        only the ops that pass the monomial screen; an edited Hamiltonian
+        is read afresh on the next step."""
         hamiltonian = ising_hamiltonian(4, 1.0)
         ansatz = FullyConnectedAnsatz(4, 1)
         evaluator = BackendEnergyEvaluator(hamiltonian,
@@ -340,23 +424,65 @@ class TestOptimizerSteps:
                           for index in range(ansatz.num_parameters())])
         binds = count_binds(monkeypatch)
         relowered = []
-        finalize = program_module._finalize_ops
+        fuse = program_module._fuse_perm_runs
 
-        def counting_finalize(ops, num_qubits):
+        def counting_fuse(ops, num_qubits):
             relowered.append(1)
-            return finalize(ops, num_qubits)
+            return fuse(ops, num_qubits)
 
-        monkeypatch.setattr(program_module, "_finalize_ops",
-                            counting_finalize)
+        monkeypatch.setattr(program_module, "_fuse_perm_runs", counting_fuse)
         clear_program_cache()
         result = vqe.run(initial_parameters=start)
         compiled, hits = program_cache_counters()
         assert result.num_evaluations == 50
         assert compiled <= 2
         assert binds == []
-        # One finalize pass compiled the template; every other one is a
+        # One fusion pass compiled the template; every other one is a
         # monomial point re-lowered without a bound circuit.
         assert len(relowered) - compiled >= 1
+
+        template = vqe._template
+        program = compile_circuit(template)
+        generic = list(np.linspace(0.1, 1.3, len(start)))
+        turns = [(index % 3) * _QUARTER for index in range(len(start))]
+        # The ops the monomial screen passes at the quarter turns: the
+        # bound unitaries with one nonzero per row, each bound on its own.
+        reference = reference_bind.bind(program, turns)
+        monomial = sum(
+            reference.ops[index].kind == OP_UNITARY
+            and program_module._monomial_form(
+                reference.ops[index].data) is not None
+            for index in program._parametric_indices)
+        assert monomial > 0
+        counts = {}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PauliString, "key",
+                            counted("key", PauliString.key))
+        monkeypatch.setattr(QuantumCircuit, "__iter__",
+                            counted("iter", QuantumCircuit.__iter__))
+        monkeypatch.setattr(program_module, "_monomial_form", counted(
+            "monomial", program_module._monomial_form))
+        for values, screened in ((generic, 0), (turns, monomial)):
+            counts.update(key=0, iter=0, monomial=0)
+            energy = evaluator.evaluate_point(template, values)
+            assert counts == {"key": 0, "iter": 0, "monomial": screened}
+            assert energy == Executor().evaluate_observable(
+                template.bind_parameters(values), hamiltonian,
+                backend="statevector")[0]
+
+        before = evaluator.evaluate_point(template, generic)
+        hamiltonian.add_term(PauliString("ZIII"), 0.5)
+        edited = evaluator.evaluate_point(template, generic)
+        assert edited == Executor().evaluate_observable(
+            template.bind_parameters(generic), hamiltonian,
+            backend="statevector")[0]
+        assert edited != before
 
     def test_opr_flow_from_cafqa_is_unchanged(self, monkeypatch):
         """A 4-qubit OPR flow started from CAFQA: its noiseless COBYLA

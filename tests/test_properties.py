@@ -16,7 +16,9 @@ Contracts covered, one test class per contract family:
 * ``decode_batch`` vs per-shot ``decode`` — and ``decode_batch_packed`` vs
   ``decode_batch`` — for all five decoder configurations
 * packed vs dense vs streaming Monte-Carlo memory sampling
-* compiled vs interpreted statevector programs (≤ 1e-12)
+* compiled vs interpreted statevector programs (≤ 1e-12), and the grouped
+  parametric bind vs binding each op on its own (bitwise, one point and a
+  block of points), with the point energy ``==`` the bound path's
 * superoperator vs Kraus-loop density-matrix channels and noisy programs,
   with trace and hermiticity preserved (≤ 1e-12)
 * grouped vs per-term observable readout (≤ 1e-12)
@@ -67,10 +69,12 @@ from repro.simulators.noise import (NoiseModel, PauliChannel, QuantumChannel,
 from repro.simulators.pauli_propagation import (compile_clifford,
                                                 expectation_value, propagate)
 from repro.simulators import kernels
-from repro.simulators.program import (_contract, _contraction_plan,
-                                      _dm_apply_channel, compile_circuit)
+from repro.simulators.program import (OP_DIAG, _broadcast_diag, _contract,
+                                      _contraction_plan, _dm_apply_channel,
+                                      compile_circuit, run_batch)
 from repro.simulators.statevector import StatevectorSimulator
 
+from reference import bind as reference_bind
 from reference.density_matrix import apply_channel, naive_density_matrix_run
 from reference import readout as reference_readout
 from reference.pauli_propagation import reference_propagate
@@ -256,6 +260,52 @@ def noisy_clifford_setups(draw, max_qubits: int = 5, max_ops: int = 24):
         noise.add_readout_error(draw(st.floats(0.0, 0.2, allow_nan=False)))
     observable = draw(pauli_sums(num_qubits=n))
     return circuit, noise, observable, draw(st.booleans())
+
+
+@st.composite
+def parametric_templates(draw, max_qubits: int = 4, max_ops: int = 14):
+    """``(template, points)``: rotations (``rx``/``ry``/``rz``/``rzz``/
+    ``u3``) whose angles are affine forms of zero to two shared parameters
+    with float coefficients and offsets, between static gates, and one to
+    four points mixing generic angles with multiples of π/2 and π."""
+    n = draw(st.integers(1, max_qubits))
+    theta = ParameterVector("t", draw(st.integers(1, 4)))
+    template = QuantumCircuit(n)
+    template.rx(theta[0], 0)
+    for _ in range(draw(st.integers(0, max_ops))):
+        kind = draw(st.sampled_from(["h", "s", "t", "cx", "cz", "rx", "ry",
+                                     "rz", "rzz", "u3"]))
+        pair = draw(st.permutations(range(n)))[:2]
+
+        def angle():
+            form = draw(st.sampled_from([0.0, -0.3, math.pi / 2]))
+            for parameter in draw(st.lists(st.sampled_from(theta.params),
+                                           max_size=2)):
+                form = form + draw(st.sampled_from(
+                    [-2.0, -1.0, 0.5, 1.0, 1.5])) * parameter
+            return form
+
+        if kind in ("cx", "cz", "rzz"):
+            if n == 1:
+                continue
+            if kind == "rzz":
+                template.rzz(angle(), *pair)
+            else:
+                getattr(template, kind)(*pair)
+        elif kind == "u3":
+            template.u3(angle(), angle(), angle(), pair[0])
+        elif kind in ("rx", "ry", "rz"):
+            getattr(template, kind)(angle(), pair[0])
+        else:
+            getattr(template, kind)(pair[0])
+    width = len(template.ordered_parameters())
+    values = st.one_of(
+        st.floats(-7.0, 7.0, allow_nan=False, allow_infinity=False),
+        st.integers(-4, 4).map(lambda k: k * math.pi / 2),
+        st.integers(-2, 2).map(lambda k: k * math.pi))
+    points = draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                           min_size=1, max_size=4))
+    return template, np.array(points)
 
 
 @st.composite
@@ -582,6 +632,39 @@ class TestProgramProperties:
         interpreted_state = run_interpreted(circuit)
         np.testing.assert_allclose(compiled_state, interpreted_state,
                                    atol=1e-12, rtol=0)
+
+    @given(setup=parametric_templates(), data=st.data())
+    def test_grouped_bind_matches_per_op_reference(self, setup, data):
+        template, points = setup
+        program = compile_circuit(template)
+        n = template.num_qubits
+
+        def bits(op):
+            parts = op.data if isinstance(op.data, tuple) else (op.data,)
+            return [None if part is None else part.tobytes()
+                    for part in parts]
+
+        assert [bits(op) for op in program.bind(points[0]).ops] == \
+            [bits(op) for op in reference_bind.bind(program, points[0]).ops]
+        for group, block in program._bind_blocks(points):
+            for op, rows in zip(group.ops, block):
+                if group.kind == OP_DIAG:
+                    rows = _broadcast_diag(rows, op.qubits, n)
+                assert rows.tobytes() == reference_bind.stacked_data(
+                    op, points, n).tobytes()
+        assert program.run_sweep(points).tobytes() == run_batch(
+            [reference_bind.bind(program, point)
+             for point in points]).tobytes()
+        point = points[-1]
+        bound = template.bind_parameters(point)
+        assert program.point_program(point).run_statevector().tobytes() == \
+            compile_circuit(bound).run_statevector().tobytes()
+        observable = data.draw(pauli_sums(num_qubits=n))
+        assert Executor().evaluate_point(
+            template, point, observable, backend="statevector",
+            use_cache=False) == Executor().evaluate_observable(
+                bound, observable, backend="statevector",
+                use_cache=False)[0]
 
 
 # ---------------------------------------------------------------------------

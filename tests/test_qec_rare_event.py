@@ -543,6 +543,25 @@ class TestServiceJobKind:
         assert c != a
         assert unseeded is None
 
+    def test_key_hashes_resolved_knobs(self):
+        """Naming the resolved default (``min_fault_weight=2``: ⌈3/2⌉ for
+        MWPM at d=3) or leaving it unset runs one estimate under one key,
+        equal to the inline run."""
+        from repro.service import qec_rare_event_payload
+        from repro.service.jobs import _decode_qec_graph_and_decoder
+        base = dict(code="surface", distance=3, rounds=3, error_rate=5e-3,
+                    shots=1024, seed=17)
+        named = qec_rare_event_payload(min_fault_weight=2, **base)
+        unset = qec_rare_event_payload(**base)
+        prepared, result, _ = self._run_prepared(named)
+        assert prepared.key is not None
+        assert prepared.key == self._run_prepared(unset)[0].key
+        graph, decoder = _decode_qec_graph_and_decoder(unset)
+        inline = run_rare_event_sampling(graph, decoder, 1024, seed=17,
+                                         executor=Executor())
+        assert result["estimate"] == inline.estimate
+        assert result["variance"] == inline.variance
+
     def test_malformed_payloads_rejected(self):
         from repro.service import ProtocolError
         from repro.service.jobs import prepare_job
@@ -560,6 +579,12 @@ class TestServiceJobKind:
             prepare_job("qec_rare_event",
                         {"code": "toric", "distance": 3, "rounds": 2,
                          "error_rate": 0.02, "shots": 64})
+        # knobs are resolved at submit, so no estimate's knobs are a 400
+        with pytest.raises(ProtocolError, match="max_weight"):
+            prepare_job("qec_rare_event",
+                        {"distance": 3, "rounds": 2, "error_rate": 0.02,
+                         "shots": 64, "min_fault_weight": 9,
+                         "max_weight": 3})
 
     def test_rechunked_submissions_coalesce(self, tmp_path):
         """Seeded submissions that differ only in ``chunk_blocks`` are one

@@ -27,7 +27,9 @@ from repro.execution import (Backend, BackendCapabilities, ExecutionPolicy,
                              ExecutionTask, Executor, PauliPropagationBackend,
                              ShardPlanner, StatevectorBackend, execute,
                              get_backend)
-from repro.execution.sharding import resolve_workers, split_evenly
+from repro.execution import sharding
+from repro.execution.sharding import (resolve_workers, run_sharded,
+                                      split_evenly)
 from repro.operators import ising_hamiltonian
 from repro.simulators.noise import NoiseModel, depolarizing_channel
 from repro.simulators.program import program_cache_counters
@@ -238,7 +240,21 @@ class TestDeterminismAcrossWorkersAndModes:
         assert np.allclose(values, reference, atol=1e-12)
 
 
+def _blas_threads(_):
+    """The thread count of every OpenBLAS the calling process loaded."""
+    return [get_num_threads() for _, get_num_threads
+            in sharding._loaded_openblas()]
+
+
 class TestProcessDispatchBehaviour:
+    @pytest.mark.skipif(not sharding._loaded_openblas(),
+                        reason="no OpenBLAS thread-count symbol is loaded")
+    def test_pool_workers_run_one_blas_thread(self):
+        plan = ShardPlanner("process", max_workers=2).plan(2)
+        assert plan.mode == "process"
+        counts = run_sharded(plan, _blas_threads, [(0,), (1,)])
+        assert counts == [[1] * len(sharding._loaded_openblas())] * 2
+
     def test_process_shards_are_counted(self):
         executor = Executor(use_cache=False)
         circuits = [clifford_circuit(4, flips=(i % 4,)) for i in range(8)]
