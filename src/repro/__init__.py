@@ -53,14 +53,19 @@ single batched, cached call::
     # Explicit backends are one registry lookup away.
     print(get_backend("statevector").capabilities())
 
-Regime comparison (the paper's headline experiment) sits one layer up::
+Regime comparison (the paper's headline experiment) sits one layer up.
+The example rescores the noiseless optimum under noise
+(``reoptimize_under_noise=False``): the library default re-optimizes
+under noise, which at this size finds energies below the noiseless
+reference and prints γ 0.0 (ROADMAP item 15 tracks why)::
 
     from repro import (NISQRegime, PQECRegime, compare_regimes_clifford,
                        FullyConnectedAnsatz, ising_hamiltonian)
 
     outcome = compare_regimes_clifford(ising_hamiltonian(16, 1.0),
                                        FullyConnectedAnsatz(16, depth=1),
-                                       PQECRegime(), NISQRegime())
+                                       PQECRegime(), NISQRegime(),
+                                       reoptimize_under_noise=False)
     print(outcome["comparison"].gamma)
 """
 

@@ -95,12 +95,9 @@ def route_sweep(template, parameter_sets: Sequence[Sequence[float]]
 def point_router(template) -> Callable[[Sequence[float]], str]:
     """:func:`route_sweep`'s verdict for one point, as a function of the
     point: the template's static-Clifford verdict and parametric slots are
-    read once, when the router is made."""
-    slots = [(template[index].name, forms)
-             for index, forms in template.parametric_slots()]
-    static_clifford = all(inst.gate.is_clifford for inst in template
-                          if inst.gate.is_unitary
-                          and not inst.gate.is_parameterized)
+    read once per template (memoized on it), not per router."""
+    slots, static_clifford = template._memoized(
+        "point_router", lambda: _router_facts(template))
     num_qubits = template.num_qubits
 
     def route(values: Sequence[float]) -> str:
@@ -111,3 +108,14 @@ def point_router(template) -> Callable[[Sequence[float]], str]:
         return _route_expectation(clifford, False, num_qubits)
 
     return route
+
+
+def _router_facts(template):
+    """The parametric slots ``(gate name, forms)`` and the static-Clifford
+    verdict of a template."""
+    slots = [(template[index].name, forms)
+             for index, forms in template.parametric_slots()]
+    static_clifford = all(inst.gate.is_clifford for inst in template
+                          if inst.gate.is_unitary
+                          and not inst.gate.is_parameterized)
+    return slots, static_clifford

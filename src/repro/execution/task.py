@@ -9,7 +9,6 @@ what the executor deduplicates and caches on.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -24,17 +23,11 @@ def observable_fingerprint(observable: PauliSum) -> str:
 
     Terms are hashed in ``terms()`` order, coefficients included: an energy
     sums its terms in that order, so a permuted observable can differ in
-    the last ulp and must not share cached energies.  ``PauliSum`` is
-    mutable, so the hash is recomputed on every call.
+    the last ulp and must not share cached energies.  The hash is memoized
+    on the ``PauliSum`` (:meth:`~repro.operators.pauli.PauliSum.fingerprint`)
+    and dropped when ``add_term`` or ``simplify`` changes its terms.
     """
-    hasher = hashlib.blake2b(digest_size=16)
-    hasher.update(str(observable.num_qubits).encode())
-    for pauli, coeff in observable.terms():
-        x_bytes, z_bytes = pauli.key()
-        hasher.update(x_bytes)
-        hasher.update(z_bytes)
-        hasher.update(repr(complex(coeff)).encode())
-    return hasher.hexdigest()
+    return observable.fingerprint()
 
 
 def noise_token(noise_model: Optional[NoiseModel]):

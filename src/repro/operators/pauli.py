@@ -15,6 +15,7 @@ engine operates on, so conversions are essentially free.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -257,6 +258,7 @@ class PauliSum:
         self._coeffs: Dict[Tuple[bytes, bytes], complex] = {}
         self._strings: Dict[Tuple[bytes, bytes], PauliString] = {}
         self._view: Optional[TermView] = None
+        self._fingerprint: Optional[str] = None
         if terms:
             for pauli, coeff in terms:
                 self.add_term(pauli, coeff)
@@ -289,6 +291,7 @@ class PauliSum:
         total = complex(coeff) * pauli.phase
         key = pauli.key()
         self._view = None
+        self._fingerprint = None
         self._coeffs[key] = self._coeffs.get(key, 0.0) + total
         if key not in self._strings:
             self._strings[key] = pauli.bare()
@@ -300,6 +303,7 @@ class PauliSum:
     def simplify(self, atol: float = 1e-12) -> "PauliSum":
         """Drop terms with negligible coefficients (in place); returns self."""
         self._view = None
+        self._fingerprint = None
         for key in [k for k, c in self._coeffs.items() if abs(c) <= atol]:
             del self._coeffs[key]
             del self._strings[key]
@@ -327,6 +331,26 @@ class PauliSum:
         if view is None:
             view = self._view = TermView(self._num_qubits, self._coeffs)
         return view
+
+    def fingerprint(self) -> str:
+        """Stable content hash of the sum (hex digest), computed on first
+        use and recomputed after :meth:`add_term` or :meth:`simplify`
+        change the terms.
+
+        Terms are hashed in ``terms()`` order, coefficients included: an
+        energy sums its terms in that order, so a permuted sum can differ
+        in the last ulp and must not share cached energies.
+        """
+        value = self._fingerprint
+        if value is None:
+            hasher = hashlib.blake2b(digest_size=16)
+            hasher.update(str(self._num_qubits).encode())
+            for (x_bytes, z_bytes), coeff in self._coeffs.items():
+                hasher.update(x_bytes)
+                hasher.update(z_bytes)
+                hasher.update(repr(complex(coeff)).encode())
+            value = self._fingerprint = hasher.hexdigest()
+        return value
 
     def coefficient(self, pauli: PauliString) -> complex:
         return self._coeffs.get(pauli.bare().key(), 0.0) * np.conj(1.0)

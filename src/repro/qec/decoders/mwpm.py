@@ -129,8 +129,9 @@ class _MatchingTable:
 def _matching_table(graph: DecodingGraph) -> _MatchingTable:
     """The shared table of ``graph``, created on first use.
 
-    Keyed by content, not identity: every service job builds its own graph
-    and decoder, and equal graphs must share one table.  The node count
+    Keyed by content, not identity: equal graphs built apart (by two
+    callers, or by the service after its decode memo dropped one) must
+    share one table.  The node count
     joins the fingerprint because isolated detectors carry no edge.
     """
     global _TABLE_BYTES

@@ -17,6 +17,16 @@ therefore hash to the same key, and the runner executes it once.  Jobs whose
 outcome is not a pure function of their payload (an unseeded QEC run) carry
 ``key=None`` and are never coalesced.
 
+Decoding is **memoized across jobs**: a campaign submits many sweeps over
+one template and many QEC runs on one code graph, so each distinct payload
+entry — a template, an observable, a noise model, an expectation circuit —
+is decoded and fingerprinted once per server, keyed by its canonical JSON
+text, and each QEC graph once per validated spec.  Jobs share these
+objects read-only; decoders are built per job, so their instance counters
+stay per job, and per-job validation (parameter counts, chunk, backend,
+policy) runs on every submission.  Hits and misses are the
+``service.decode_memo.*`` counters of :mod:`repro.obs`.
+
 Runs are **chunked** so partial results stream out while the job executes:
 per-circuit energies for expectation jobs, per-point energies for sweeps,
 and cumulative failure counts with Wilson intervals for QEC memory jobs.
@@ -29,9 +39,12 @@ same seeded sampling blocks in the same order
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from .. import obs
 
 # The engines every job kind runs load with this module, so a server pays
 # their import at start-up and its first QEC job pays none.
@@ -48,6 +61,7 @@ from ..qec.decoders import (LookupDecoder, MWPMDecoder, UnionFindDecoder,
 from ..qec.rare_event import rare_event_knobs, stream_rare_event_sampling
 from ..qec.sampling import (SHOT_BLOCK, as_seed_sequence,
                             stream_memory_sampling, wilson_interval)
+from ..simulators.memo import ByteMemo
 from .protocol import ProtocolError
 
 #: Default circuits / sweep points evaluated per streamed partial.
@@ -102,13 +116,73 @@ def _digest(*parts) -> str:
     return hasher.hexdigest()
 
 
+#: Decoded payload entries, ``(kind, canonical JSON text)`` -> ``(object,
+#: fingerprint)``, and QEC graphs, ``("qec-graph", spec)`` -> ``(graph,
+#: fingerprint)``; sized by text length (a graph counts one byte).
+_DECODED = ByteMemo(64 * 1024 * 1024, max_entries=256)
+
+
+def _memoized(key: Tuple, nbytes: int, build: Callable[[], Tuple]) -> Tuple:
+    """The memo's ``(object, fingerprint)`` under ``key``, built on a miss
+    (a build that raises keeps nothing)."""
+    value = _DECODED.get(key)
+    if value is not None:
+        obs.add("service.decode_memo.hits")
+        return value
+    obs.add("service.decode_memo.misses")
+    value = build()
+    _DECODED.put(key, value, nbytes)
+    return value
+
+
+def _decoded(kind: str, entry: Any, decode: Callable[[Any], Any],
+             fingerprint: Callable[[Any], Optional[str]]) -> Tuple:
+    """``(object, fingerprint)`` of one payload entry, decoded once per
+    distinct canonical text: equal entries whose keys come in another order
+    share it."""
+    text = json.dumps(entry, sort_keys=True)
+
+    def build():
+        value = decode(entry)
+        return value, fingerprint(value)
+
+    return _memoized((kind, text), len(text), build)
+
+
+def decode_memo_stats() -> Dict[str, int]:
+    """Hits and misses of the decode memo (a view of ``repro.obs``)."""
+    counters = obs.read("service.decode_memo.")
+    return {"hits": counters.get("hits", 0),
+            "misses": counters.get("misses", 0)}
+
+
+def clear_decode_memo() -> None:
+    """Drop every memoized entry and zero the memo's counters."""
+    _DECODED.clear()
+    obs.reset("service.decode_memo.")
+
+
+def _circuit_fingerprint(circuit) -> str:
+    return circuit.fingerprint()
+
+
+def _decode_observable(payload: Dict[str, Any]):
+    return _decoded("observable", payload["observable"], pauli_sum_from_dict,
+                    observable_fingerprint)
+
+
 def _decode_noise(payload: Dict[str, Any]):
+    """``(noise model or None, its fingerprint or None)``; a model with no
+    noise has no fingerprint."""
     entry = payload.get("noise_model")
-    return noise_model_from_dict(entry) if entry is not None else None
+    if entry is None:
+        return None, None
+    return _decoded("noise_model", entry, noise_model_from_dict,
+                    _noise_fingerprint)
 
 
 def _noise_fingerprint(noise_model) -> Optional[str]:
-    if noise_model is None or not noise_model.has_noise():
+    if not noise_model.has_noise():
         return None
     return noise_model.fingerprint()
 
@@ -160,11 +234,14 @@ def _decode_policy(payload: Dict[str, Any]):
 
 
 def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
-    circuits = [circuit_from_dict(entry) for entry in payload["circuits"]]
-    if not circuits:
+    decoded = [_decoded("circuit", entry, circuit_from_dict,
+                        _circuit_fingerprint)
+               for entry in payload["circuits"]]
+    if not decoded:
         raise ProtocolError("an expectation job needs at least one circuit")
-    observable = pauli_sum_from_dict(payload["observable"])
-    noise_model = _decode_noise(payload)
+    circuits = [circuit for circuit, _ in decoded]
+    observable, observable_key = _decode_observable(payload)
+    noise_model, noise_key = _decode_noise(payload)
     backend = _decode_backend(payload)
     include_idle = bool(payload.get("include_idle", True))
     chunk = int(payload.get("chunk", DEFAULT_CHUNK))
@@ -177,10 +254,8 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
     # different jobs; the observable's term order is too (its fingerprint
     # follows terms()).  policy is NOT: fan-out cannot change values.
     key = _digest("expectation",
-                  tuple(circuit.fingerprint() for circuit in circuits),
-                  observable_fingerprint(observable),
-                  _noise_fingerprint(noise_model), backend, include_idle,
-                  chunk)
+                  tuple(fingerprint for _, fingerprint in decoded),
+                  observable_key, noise_key, backend, include_idle, chunk)
 
     def run(ctx: JobContext) -> Dict[str, Any]:
         energies = []
@@ -207,7 +282,9 @@ def _prepare_expectation(payload: Dict[str, Any]) -> PreparedJob:
 
 
 def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
-    template = template_from_dict(payload["template"])
+    template, template_key = _decoded("template", payload["template"],
+                                      template_from_dict,
+                                      _circuit_fingerprint)
     parameter_sets = [[float(v) for v in values]
                       for values in payload["parameter_sets"]]
     if not parameter_sets:
@@ -218,8 +295,8 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
             raise ProtocolError(
                 f"template has {num_parameters} free parameters, got a "
                 f"sweep point with {len(values)}")
-    observable = pauli_sum_from_dict(payload["observable"])
-    noise_model = _decode_noise(payload)
+    observable, observable_key = _decode_observable(payload)
+    noise_model, noise_key = _decode_noise(payload)
     backend = _decode_backend(payload)
     include_idle = bool(payload.get("include_idle", True))
     chunk = int(payload.get("chunk", DEFAULT_CHUNK))
@@ -231,11 +308,9 @@ def _prepare_sweep(payload: Dict[str, Any]) -> PreparedJob:
     # to batch shape, so differently-chunked submissions are different
     # jobs; the observable's term order is too (its fingerprint follows
     # terms()).  policy is NOT: fan-out cannot change values.
-    key = _digest("sweep", template.fingerprint(),
+    key = _digest("sweep", template_key,
                   tuple(tuple(values) for values in parameter_sets),
-                  observable_fingerprint(observable),
-                  _noise_fingerprint(noise_model), backend, include_idle,
-                  chunk)
+                  observable_key, noise_key, backend, include_idle, chunk)
 
     def run(ctx: JobContext) -> Dict[str, Any]:
         energies = []
@@ -323,8 +398,16 @@ def _prepare_qec_memory(payload: Dict[str, Any]) -> PreparedJob:
 # ---------------------------------------------------------------------------
 
 
+_GRAPH_BUILDERS = {
+    "repetition": repetition_code_graph,
+    "surface": rotated_surface_code_graph,
+}
+
+
 def _decode_qec_graph_and_decoder(payload: Dict[str, Any]):
-    """The (graph, decoder) pair shared by the QEC job kinds."""
+    """The (graph, decoder) pair the QEC job kinds share: the graph comes
+    from the decode memo, keyed by its validated spec (its fingerprint is
+    kept on it); the decoder is the job's own."""
     code = payload.get("code", "repetition")
     distance = int(payload["distance"])
     rounds = int(payload["rounds"])
@@ -332,15 +415,20 @@ def _decode_qec_graph_and_decoder(payload: Dict[str, Any]):
     measurement_error_rate = payload.get("measurement_error_rate")
     if measurement_error_rate is not None:
         measurement_error_rate = float(measurement_error_rate)
-    if code == "repetition":
-        graph = repetition_code_graph(distance, rounds, error_rate,
-                                      measurement_error_rate)
-    elif code == "surface":
-        graph = rotated_surface_code_graph(distance, rounds, error_rate,
-                                           measurement_error_rate)
-    else:
+    graph_builder = _GRAPH_BUILDERS.get(code)
+    if graph_builder is None:
         raise ProtocolError(f"unknown code family {code!r} "
                             f"(expected 'repetition' or 'surface')")
+
+    def build():
+        graph = graph_builder(distance, rounds, error_rate,
+                              measurement_error_rate)
+        return graph, graph.fingerprint()
+
+    # Rates key by repr, so -0.0 and 0.0 stay apart as they would unshared.
+    graph, _ = _memoized(
+        ("qec-graph", code, distance, rounds, repr(error_rate),
+         repr(measurement_error_rate)), 1, build)
     builder = _DECODER_BUILDERS.get(payload.get("decoder", "mwpm"))
     if builder is None:
         raise ProtocolError(

@@ -118,13 +118,50 @@ def _storable(value) -> bool:
     return not (isinstance(value, str) and _SURROGATE.search(value))
 
 
+class RawJSON:
+    """JSON text kept as it was stored (a registry column):
+    :func:`encode_line` splices it into the line verbatim, so a stored
+    payload or result is served without a decode and a re-encode."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+#: What :func:`encode_line` writes in place of a :class:`RawJSON` before
+#: splicing its text in.
+_SPLICE = "\x00raw-json\x00"
+_SPLICE_TOKEN = json.dumps(_SPLICE)
+
+
 def encode_line(msg) -> str:
-    """One wire line (newline-terminated JSON object) for a message."""
+    """One wire line (newline-terminated JSON object) for a message; a
+    :class:`RawJSON` value anywhere in it goes in as its stored text."""
     payload = {"v": PROTOCOL_VERSION, "type": msg.TYPE}
     for f in dataclasses.fields(msg):
         payload[f.name] = getattr(msg, f.name)
-    return json.dumps(payload, separators=(",", ":"),
-                      sort_keys=True) + "\n"
+    texts: List[str] = []
+
+    def splice(value):
+        if not isinstance(value, RawJSON):
+            raise TypeError(f"Object of type {type(value).__name__} is not "
+                            f"JSON serializable")
+        texts.append(value.text)
+        return _SPLICE
+
+    line = json.dumps(payload, separators=(",", ":"), sort_keys=True,
+                      default=splice)
+    if texts:
+        parts = line.split(_SPLICE_TOKEN)
+        if len(parts) == len(texts) + 1:
+            line = "".join(part + text for part, text
+                           in zip(parts, texts)) + parts[-1]
+        else:  # a string of the message equals the marker
+            line = json.dumps(payload, separators=(",", ":"),
+                              sort_keys=True,
+                              default=lambda value: json.loads(value.text))
+    return line + "\n"
 
 
 def decode_line(line: str):

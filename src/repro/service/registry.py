@@ -33,6 +33,11 @@ Design points:
   batch, so no read returns a row that a later failure could take back.
 * **Narrow reads** — :meth:`~RunRegistry.get_job` reads only the columns a
   caller names, so a state or result read never decodes the payload.
+* **Stored-text reads** — with ``decode=False``, :meth:`~RunRegistry.get_job`
+  and :meth:`~RunRegistry.list_jobs` return the JSON columns as the
+  :class:`~repro.service.protocol.RawJSON` text they were stored as, which
+  the server splices into its ``job``, ``result-data`` and ``job-list``
+  lines without a decode and a re-encode.
 * **Atomic state transitions** — ``transition()`` is one guarded
   ``UPDATE … WHERE state IN (…)``; the returned row count decides who won a
   race (e.g. a cancel racing the worker that just claimed the job), so
@@ -63,9 +68,9 @@ import sqlite3
 import threading
 import time
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence)
+                    Sequence, Union)
 
-from .protocol import JOB_STATES, TERMINAL_STATES
+from .protocol import JOB_STATES, TERMINAL_STATES, RawJSON
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -109,6 +114,12 @@ _MIGRATIONS = (
     ("deadline_seconds", "REAL"),
     ("next_eligible_at", "REAL"),
 )
+
+
+def encode_column(value: Any) -> RawJSON:
+    """The stored text of a JSON column value; keys are sorted, so equal
+    values store equal text."""
+    return RawJSON(json.dumps(value, sort_keys=True))
 
 
 class RegistryError(RuntimeError):
@@ -344,25 +355,31 @@ class RunRegistry:
 
     # -- jobs ---------------------------------------------------------------
     def create_job(self, job_id: str, kind: str, job_key: Optional[str],
-                   payload: Dict[str, Any], *, max_attempts: int = 1,
+                   payload: Union[Dict[str, Any], RawJSON], *,
+                   max_attempts: int = 1,
                    deadline_seconds: Optional[float] = None) -> None:
+        """Insert a ``queued`` row; ``payload`` is the submission or its
+        :func:`encode_column` text, encoded ahead of the caller's step."""
+        # Encoded before the step, so the registry lock is not held for it.
+        if not isinstance(payload, RawJSON):
+            payload = encode_column(payload)
         with self.transaction():
             self._connection.execute(
                 "INSERT INTO jobs (id, kind, job_key, state, payload, "
                 "created_at, max_attempts, deadline_seconds) "
                 "VALUES (?,?,?,?,?,?,?,?)",
-                (job_id, kind, job_key, "queued",
-                 json.dumps(payload, sort_keys=True), time.time(),
+                (job_id, kind, job_key, "queued", payload.text, time.time(),
                  max(1, int(max_attempts)),
                  None if deadline_seconds is None else
                  float(deadline_seconds)))
 
-    def get_job(self, job_id: str, columns: Optional[Sequence[str]] = None
-                ) -> Optional[Dict[str, Any]]:
+    def get_job(self, job_id: str, columns: Optional[Sequence[str]] = None,
+                *, decode: bool = True) -> Optional[Dict[str, Any]]:
         """The job's row (only ``columns``, when given), or None.
 
         The JSON ``payload`` and ``result`` columns are decoded only when
-        read, so a caller that wants the state never pays for the payload.
+        read, so a caller that wants the state never pays for the payload;
+        with ``decode=False`` they stay their stored :class:`RawJSON` text.
         """
         if columns is None:
             selected = "*"
@@ -373,10 +390,12 @@ class RunRegistry:
             selected = ", ".join(columns)
         rows = self._read(f"SELECT {selected} FROM jobs WHERE id = ?",
                           (job_id,))
-        return self._job_dict(rows[0]) if rows else None
+        return self._job_dict(rows[0], decode) if rows else None
 
-    def list_jobs(self, limit: int = 50) -> List[Dict[str, Any]]:
-        return [self._job_dict(row) for row in self._read(
+    def list_jobs(self, limit: int = 50, *,
+                  decode: bool = True) -> List[Dict[str, Any]]:
+        """The newest ``limit`` rows, as :meth:`get_job` returns them."""
+        return [self._job_dict(row, decode) for row in self._read(
             "SELECT * FROM jobs ORDER BY created_at DESC LIMIT ?",
             (int(limit),))]
 
@@ -509,9 +528,10 @@ class RunRegistry:
 
     # -- helpers ------------------------------------------------------------
     @staticmethod
-    def _job_dict(row: sqlite3.Row) -> Dict[str, Any]:
+    def _job_dict(row: sqlite3.Row, decode: bool = True) -> Dict[str, Any]:
         entry = dict(zip(row.keys(), row))
         for column in ("payload", "result"):
             if entry.get(column) is not None:
-                entry[column] = json.loads(entry[column])
+                entry[column] = (json.loads(entry[column]) if decode
+                                 else RawJSON(entry[column]))
         return entry

@@ -73,10 +73,12 @@ import uuid
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..execution.cache import cache_tally
-from .jobs import JobCancelled, JobContext, PreparedJob, prepare_job
+from .jobs import (JobCancelled, JobContext, PreparedJob, decode_memo_stats,
+                   prepare_job)
 from .protocol import TERMINAL_STATES
 from .queue import JobQueue, QueueFullError
-from .registry import Batch, CommitError, RegistryError, RunRegistry
+from .registry import (Batch, CommitError, RegistryError, RunRegistry,
+                       encode_column)
 
 #: Sentinel pushed to subscribers when a job reaches a terminal state.
 STREAM_END = None
@@ -240,6 +242,9 @@ class JobRunner:
         / ``max_attempts`` override the runner defaults for this job only.
         """
         prepared = prepare_job(kind, payload)
+        # Encoded before the submit lock and the registry step, which every
+        # other submission and lifecycle step waits on.
+        stored = encode_column(payload)
         attempts_budget = self._max_attempts if max_attempts is None \
             else max(1, int(max_attempts))
         rejected = None
@@ -265,7 +270,7 @@ class JobRunner:
                 position = None
                 with self._step(wait=False) as step:
                     self.registry.create_job(
-                        job_id, kind, prepared.key, payload,
+                        job_id, kind, prepared.key, stored,
                         max_attempts=attempts_budget,
                         deadline_seconds=deadline)
                     try:
@@ -295,18 +300,19 @@ class JobRunner:
         return submission
 
     # -- queries ------------------------------------------------------------
-    def job(self, job_id: str,
-            columns: Optional[Tuple[str, ...]] = None) -> Dict[str, Any]:
-        """The job's registry row (only ``columns``, when given)."""
-        entry = self.registry.get_job(job_id, columns)
+    def job(self, job_id: str, columns: Optional[Tuple[str, ...]] = None,
+            *, decode: bool = True) -> Dict[str, Any]:
+        """The job's registry row (only ``columns``, when given; JSON
+        columns as stored text with ``decode=False``)."""
+        entry = self.registry.get_job(job_id, columns, decode=decode)
         if entry is None:
             raise UnknownJobError(job_id)
         return entry
 
-    def wait_result(self, job_id: str,
-                    timeout: Optional[float] = None) -> Dict[str, Any]:
+    def wait_result(self, job_id: str, timeout: Optional[float] = None,
+                    *, decode: bool = True) -> Dict[str, Any]:
         """Block until the job is terminal or ``timeout`` expires; returns
-        its :data:`RESULT_COLUMNS`.
+        its :data:`RESULT_COLUMNS` (read as :meth:`job` reads them).
 
         The job leaves the in-flight set (and the runner's condition is
         notified) once its terminal step has committed; the row is read
@@ -315,7 +321,7 @@ class JobRunner:
         with self._done:
             self._done.wait_for(lambda: job_id not in self._cancel_flags,
                                 timeout)
-        return self.job(job_id, RESULT_COLUMNS)
+        return self.job(job_id, RESULT_COLUMNS, decode=decode)
 
     def stats(self) -> Dict[str, Any]:
         cache = self.executor.cache_stats
@@ -324,6 +330,7 @@ class JobRunner:
             "queue": {"pending": self.queue.pending,
                       "running": len(self._local_running)},
             "cache": {"hits": cache.hits, "misses": cache.misses},
+            "decode_memo": decode_memo_stats(),
             "workers": len(self._workers),
         }
         with self._delayed_lock:

@@ -10,7 +10,10 @@ directory, so every job rides one warm expectation cache) and the
 The transport is NDJSON over a unix socket: one
 :mod:`repro.service.protocol` message per line in both directions.
 Streaming responses (``submit(stream=True)``, ``attach``) are a run of
-``event`` lines terminated by a ``result-data`` line.
+``event`` lines terminated by a ``result-data`` line.  ``status``,
+``result``, ``attach`` and ``jobs`` answers carry the registry's stored
+payload and result text as is (:class:`~repro.service.protocol.RawJSON`),
+with no decode and re-encode.
 
 The asyncio loop never runs engine code: submissions, blocking waits and
 event-feed reads hop onto threads (``asyncio.to_thread``), while worker
@@ -167,13 +170,15 @@ class ServiceServer:
             elif isinstance(request, StatsRequest):
                 response = StatsResponse(self.runner.stats())
             elif isinstance(request, StatusRequest):
-                response = JobResponse(self.runner.job(request.job_id))
+                response = JobResponse(
+                    self.runner.job(request.job_id, decode=False))
             elif isinstance(request, ResultRequest):
                 response = _result_response(
                     await asyncio.to_thread(self.runner.wait_result,
-                                            request.job_id)
+                                            request.job_id, decode=False)
                     if request.wait else
-                    self.runner.job(request.job_id, RESULT_COLUMNS))
+                    self.runner.job(request.job_id, RESULT_COLUMNS,
+                                    decode=False))
             elif isinstance(request, AttachRequest):
                 self.runner.job(request.job_id, ("state",))
                 response = _result_response(await self._pump_events(
@@ -182,8 +187,8 @@ class ServiceServer:
                 response = OkResponse(
                     detail=self.runner.cancel(request.job_id))
             elif isinstance(request, ListJobsRequest):
-                response = JobListResponse(
-                    self.registry.list_jobs(request.validate().limit))
+                response = JobListResponse(self.registry.list_jobs(
+                    request.validate().limit, decode=False))
             else:  # a response type sent as a request
                 response = ErrorResponse(
                     "bad-request",
@@ -237,7 +242,7 @@ class ServiceServer:
         """
         feed = self.runner.subscribe(job_id)
         try:
-            entry = self.runner.job(job_id, RESULT_COLUMNS)
+            entry = self.runner.job(job_id, RESULT_COLUMNS, decode=False)
             horizon = int(after_seq)
             for event in self.registry.events_since(job_id, horizon):
                 horizon = max(horizon, event["seq"])
@@ -255,7 +260,7 @@ class ServiceServer:
                 if event["seq"] <= horizon:
                     continue
                 await self._write(writer, EventResponse(**event))
-            return self.runner.job(job_id, RESULT_COLUMNS)
+            return self.runner.job(job_id, RESULT_COLUMNS, decode=False)
         finally:
             self.runner.unsubscribe(job_id, feed)
 

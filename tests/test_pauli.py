@@ -97,6 +97,32 @@ class TestPauliSum:
         op.add_label("XX", 0.5).add_label("XX", 0.25)
         assert op.coefficient(PauliString("XX")) == pytest.approx(0.75)
 
+    def test_observable_fingerprint_follows_add_term_and_simplify(self):
+        from repro.execution import observable_fingerprint
+        op = PauliSum.from_label_dict({"XX": 1.0, "ZZ": -0.5})
+        before = observable_fingerprint(op)
+        assert observable_fingerprint(op) == before  # memoized
+        op.add_label("YY", 1e-15)
+        grown = observable_fingerprint(op)
+        assert grown != before
+        assert grown == observable_fingerprint(PauliSum.from_label_dict(
+            {"XX": 1.0, "ZZ": -0.5, "YY": 1e-15}))
+        op.simplify()
+        assert observable_fingerprint(op) == before
+
+    def test_fingerprint_hashes_terms_in_order(self):
+        import hashlib
+        op = PauliSum.from_label_dict({"ZI": 0.25, "XY": -1.0 + 0.5j,
+                                       "IZ": 2.0})
+        hasher = hashlib.blake2b(digest_size=16)
+        hasher.update(b"2")
+        for pauli, coeff in op.terms():
+            x_bytes, z_bytes = pauli.key()
+            hasher.update(x_bytes)
+            hasher.update(z_bytes)
+            hasher.update(repr(complex(coeff)).encode())
+        assert op.fingerprint() == hasher.hexdigest()
+
     def test_simplify_drops_tiny_terms(self):
         op = PauliSum(1)
         op.add_label("Z", 1e-15)

@@ -40,7 +40,7 @@ from repro.circuits.parameters import Parameter
 from repro.execution import Executor
 from repro.operators import ising_hamiltonian
 from repro.operators.pauli import PauliSum
-from repro.qec import MWPMDecoder, repetition_code_graph
+from repro.qec import LookupDecoder, MWPMDecoder, repetition_code_graph
 from repro.qec.sampling import (reset_sampling_stats, run_memory_sampling,
                                 sampling_stats, stream_memory_sampling)
 from repro.service import (PROTOCOL_VERSION, JobFailedError, JobQueue,
@@ -50,9 +50,12 @@ from repro.service import (PROTOCOL_VERSION, JobFailedError, JobQueue,
                            expectation_payload, qec_memory_payload,
                            qec_rare_event_payload, start_in_thread,
                            sweep_payload)
+from repro.service import jobs as jobs_module
 from repro.service import protocol as protocol_module
 from repro.service import runner as runner_module
-from repro.service.jobs import PreparedJob, prepare_job
+from repro.service.jobs import (JobContext, PreparedJob, clear_decode_memo,
+                                decode_memo_stats, prepare_job)
+from repro.service.protocol import RawJSON
 from repro.service.registry import CommitError, RegistryError
 from repro.simulators.noise import NoiseModel, depolarizing_channel
 
@@ -141,6 +144,22 @@ class TestProtocol:
             except TypeError:
                 continue  # needs positional fields; covered elsewhere
             assert decode_line(encode_line(instance)) == instance
+
+    def test_raw_json_is_spliced_verbatim(self):
+        stored = json.dumps({"b": [1.5, -0.0], "a": "x"}, sort_keys=True)
+        line = encode_line(protocol_module.JobResponse(
+            {"payload": RawJSON(stored), "result": None, "state": "done"}))
+        assert stored in line and line.endswith("\n")
+        assert "\n" not in line[:-1]
+        assert decode_line(line).job == {"payload": json.loads(stored),
+                                         "result": None, "state": "done"}
+
+    def test_raw_json_beside_a_string_equal_to_the_marker(self):
+        job = {"payload": RawJSON('{"a": 1}'),
+               "error": protocol_module._SPLICE}
+        decoded = decode_line(encode_line(protocol_module.JobResponse(job)))
+        assert decoded.job == {"payload": {"a": 1},
+                               "error": protocol_module._SPLICE}
 
     def test_rejects_wrong_version(self):
         line = json.dumps({"v": 99, "type": "ping"})
@@ -1883,3 +1902,167 @@ class TestPerJobCacheCounts:
                                   "misses": row["cache_misses"]}]
         finally:
             runner.shutdown(timeout=10)
+
+
+def reversed_keys(value):
+    """``value`` with every dict's keys in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [reversed_keys(item) for item in value]
+    return value
+
+
+def run_prepared(prepared):
+    """A prepared job's result, run on a fresh executor."""
+    context = JobContext(executor=Executor(), emit=lambda kind, data: None,
+                         cancelled=threading.Event())
+    return prepared.run(context)
+
+
+class TestDecodeMemo:
+    """Shared payload entries are decoded once per server; keys, values
+    and validation are those of a fresh decode."""
+
+    @pytest.mark.parametrize("kind", ["expectation", "sweep", "qec_memory",
+                                      "qec_rare_event"])
+    def test_memoized_prepare_matches_a_fresh_decode(self, kind):
+        payload = builder_payloads()[kind]
+        clear_decode_memo()
+        fresh = prepare_job(kind, payload)
+        assert decode_memo_stats()["hits"] == 0
+        memoized = prepare_job(kind, reversed_keys(payload))
+        assert decode_memo_stats()["hits"] > 0
+        assert decode_memo_stats()["misses"] == \
+            decode_memo_stats()["hits"]
+        assert memoized.key == fresh.key
+        if kind in ("expectation", "sweep"):
+            assert run_prepared(memoized) == run_prepared(fresh)
+
+    def test_perfbench_sweeps_share_template_and_key_as_fresh(self):
+        workloads = perfbench_workloads()
+        payloads = [workloads.sweep_job(index) for index in (0, 16, 5)]
+        clear_decode_memo()
+        keys = [prepare_job("sweep", payload).key for payload in payloads]
+        stats = decode_memo_stats()
+        # One template for all three and two observables (entries 0 and 16
+        # share a coupling): three decodes, three hits.
+        assert stats == {"hits": 3, "misses": 3}
+        for key, payload in zip(keys, payloads):
+            clear_decode_memo()
+            assert prepare_job("sweep", payload).key == key
+
+    def test_concurrent_prepares_agree_and_count_every_lookup(self):
+        workloads = perfbench_workloads()
+        payloads = [workloads.sweep_job(index) for index in range(3)]
+        clear_decode_memo()
+        fresh = [prepare_job("sweep", payload).key for payload in payloads]
+        clear_decode_memo()
+        threads, rounds = 8, 10
+        keys = [[] for _ in range(threads)]
+
+        def prepare_all(out):
+            for _ in range(rounds):
+                out.extend(prepare_job("sweep", payload).key
+                           for payload in payloads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=prepare_all, args=(out,))
+                       for out in keys]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert keys == [fresh * rounds] * threads
+        stats = decode_memo_stats()
+        # A template and an observable per sweep, none lost.
+        assert stats["hits"] + stats["misses"] == threads * rounds * 3 * 2
+
+    def test_malformed_payload_sharing_a_memoized_template_gets_its_400(
+            self):
+        template, points, observable = sweep_fixture()
+        good = sweep_payload(template, points, observable)
+        bad = dict(good, parameter_sets=[[0.1, 0.2]])
+        clear_decode_memo()
+        with service(workers=1) as handle:
+            with ServiceClient(handle.socket_path) as client:
+                client.fetch(client.submit("sweep", good).job_id)
+                with pytest.raises(ServiceError,
+                                   match="1 free parameters") as caught:
+                    client.submit("sweep", bad)
+                assert caught.value.status == 400
+                # The bad sweep reads the memoized template, then fails
+                # the per-job parameter count before its observable.
+                assert client.stats()["decode_memo"] == {"hits": 1,
+                                                         "misses": 2}
+                assert len(client.list_jobs()) == 1
+
+    def test_concurrent_qec_jobs_share_the_graph_not_the_decoder(
+            self, monkeypatch):
+        built = []
+
+        def recording_lookup(graph):
+            decoder = LookupDecoder(graph)
+            built.append(decoder)
+            return decoder
+
+        monkeypatch.setitem(jobs_module._DECODER_BUILDERS, "lookup",
+                            recording_lookup)
+        spec = dict(distance=3, rounds=3, error_rate=0.04, decoder="lookup",
+                    shots=4096, chunk_blocks=1)
+        seeds = (11, 12)
+        clear_decode_memo()
+        runner = JobRunner(Executor(), RunRegistry(":memory:"), JobQueue(),
+                           workers=2)
+        try:
+            jobs = [runner.submit("qec_memory",
+                                  qec_memory_payload(**spec, seed=seed))[0]
+                    for seed in seeds]
+            results = [runner.wait_result(job_id, timeout=60)
+                       for job_id in jobs]
+        finally:
+            runner.shutdown(timeout=10)
+        assert decode_memo_stats() == {"hits": 1, "misses": 1}
+        concurrent = built[:]
+        assert concurrent[0] is not concurrent[1]
+        assert concurrent[0].decoding_graph is concurrent[1].decoding_graph
+        for seed, decoder, entry in zip(seeds, concurrent, results):
+            # The same job run alone, on a fresh decode and executor.
+            clear_decode_memo()
+            serial = run_prepared(prepare_job(
+                "qec_memory", qec_memory_payload(**spec, seed=seed)))
+            assert entry["state"] == "done"
+            assert entry["result"] == serial
+            assert decoder.fallback_count == built[-1].fallback_count
+        assert sum(decoder.fallback_count for decoder in concurrent) > 0
+
+    def test_stored_json_reads_decode_to_the_registry_row(self):
+        template, points, observable = sweep_fixture()
+        qec = qec_memory_payload(distance=3, rounds=2, error_rate=0.02,
+                                 shots=512, seed=4)
+        with service(workers=1) as handle:
+            registry = handle.server.registry
+            with ServiceClient(handle.socket_path) as client:
+                jobs = [client.submit("sweep", sweep_payload(
+                            template, points, observable)).job_id,
+                        client.submit("qec_memory", qec).job_id]
+                for job_id in jobs:
+                    client.fetch(job_id)
+                for job_id in jobs:
+                    row = registry.get_job(job_id)
+                    assert client.status(job_id) == row
+                    result = client.result(job_id)
+                    assert (result.state, result.result, result.error) == \
+                        (row["state"], row["result"], row["error"])
+                    assert client.result(job_id, wait=False) == result
+                    events = []
+                    attached = client.attach(job_id, on_event=events.append)
+                    assert attached == result
+                assert client.status(jobs[1])["payload"] == qec
+                assert client.list_jobs() == registry.list_jobs()
+                assert client.list_jobs(limit=1) == registry.list_jobs(1)
