@@ -21,9 +21,9 @@ Pauli propagation):
   and noiseless statevector sweeps execute as a single stacked NumPy pass
   (noiseless ``pauli_propagation`` sweeps as one bit-sliced Clifford pass);
 * :class:`ExecutionPolicy` — one frozen value for "how should this run"
-  (fan-out mode, worker count, retry budget), the only per-call fan-out
-  argument (``policy=``) of every entry point; process shards run
-  supervised on one shared fork pool.
+  (fan-out mode, worker count), the only per-call fan-out argument
+  (``policy=``) of every entry point; process shards run on one shared
+  fork pool, and a shard whose worker dies reruns in the caller.
 
 Quick start::
 
@@ -47,7 +47,7 @@ from .adapters import (DensityMatrixBackend, MAX_DENSITY_MATRIX_QUBITS,
 from .backend import Backend, BackendCapabilities
 from .cache import CacheStats, ExpectationCache
 from .errors import (BackendCapabilityError, ExecutionError, RoutingError,
-                     SweepShapeError, TransientFault, UnknownBackendError)
+                     SweepShapeError, UnknownBackendError)
 from .executor import (ExecutionStats, Executor, default_executor,
                        evaluate_observable, evaluate_sweep, execute,
                        execute_one, reset_default_executor, term_expectations)
@@ -56,9 +56,8 @@ from .policy import ExecutionPolicy
 from .registry import (BackendRegistry, DEFAULT_REGISTRY, available_backends,
                        get_backend, register_backend)
 from .router import route_task
-from .sharding import (FaultReport, ShardPlan, ShardPlanner,
-                       ShardRetryPolicy, WORKERS_ENV, resolve_workers,
-                       shutdown_process_pool)
+from .sharding import (ShardPlan, ShardPlanner, WORKERS_ENV,
+                       resolve_workers, shutdown_process_pool)
 from .task import (ExecutionResult, ExecutionTask, noise_token,
                    observable_fingerprint)
 
@@ -77,17 +76,14 @@ __all__ = [
     "ExecutionTask",
     "Executor",
     "ExpectationCache",
-    "FaultReport",
     "MAX_DENSITY_MATRIX_QUBITS",
     "MAX_STATEVECTOR_QUBITS",
     "PauliPropagationBackend",
     "RoutingError",
     "ShardPlan",
     "ShardPlanner",
-    "ShardRetryPolicy",
     "SweepShapeError",
     "StatevectorBackend",
-    "TransientFault",
     "UnknownBackendError",
     "WORKERS_ENV",
     "available_backends",

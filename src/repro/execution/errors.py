@@ -36,15 +36,3 @@ class SweepShapeError(ExecutionError, ValueError):
 class RoutingError(ExecutionError):
     """Auto-routing could not find a backend able to run a task."""
 
-
-class TransientFault(ExecutionError):
-    """A retryable, non-deterministic failure inside a shard or job.
-
-    Raised by the test suite's fault injector (through
-    :data:`repro.execution.sharding.fault_hook`) and available to custom
-    backends/jobs that want a failure class the
-    shard supervisor treats as retryable rather than fatal: the supervisor
-    retries the affected shard with backoff, while any other exception
-    type propagates immediately (a deterministic bug would fail the retry
-    identically, so retrying it only wastes the budget).
-    """

@@ -20,11 +20,10 @@ Pipeline for one :meth:`Executor.run` call:
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import threading
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .observables import (count_backend_invocations, count_grouped_tasks,
 from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import point_router, route_sweep, route_task
-from .sharding import (FaultReport, ShardGroup, ShardPlan, ShardPlanner,
+from .sharding import (ShardGroup, ShardPlan, ShardPlanner,
                        _clifford_sweep_shard, _run_batch_shard,
                        _sweep_points_shard, fan_out)
 from .task import ExecutionResult, ExecutionTask, observable_fingerprint
@@ -64,12 +63,10 @@ class ExecutionStats:
     too.  ``process_shards`` counts shard payloads handed to the
     fork pool.
 
-    The fault counters aggregate the shard supervisor's
-    :class:`~repro.execution.sharding.FaultReport`\\ s: ``shard_retries``
-    re-dispatched shards, ``shard_timeouts`` per-shard wall-clock timeouts,
-    ``pool_respawns`` worker-pool invalidations (crash or timeout), and
-    ``degraded_shards`` shards that fell back to inline execution after
-    the retry budget.  All stay 0 on a healthy run.
+    The recovery counters count what
+    :func:`~repro.execution.sharding.run_sharded` did about dead pool
+    workers: ``pool_respawns`` broken pools retired, ``degraded_shards``
+    shards rerun in the caller.  Both stay 0 on a healthy run.
     """
 
     tasks_submitted: int = 0
@@ -80,8 +77,8 @@ class ExecutionStats:
     programs_compiled: int = 0
     program_cache_hits: int = 0
     process_shards: int = 0
-    shard_retries: int = 0
-    shard_timeouts: int = 0
+    shard_retries: int = 0  # always 0; read only by perfbench/report.py
+    shard_timeouts: int = 0  # always 0; read only by perfbench/report.py
     pool_respawns: int = 0
     degraded_shards: int = 0
     backend_invocations: Dict[str, int] = field(default_factory=dict)
@@ -98,9 +95,8 @@ class ExecutionStats:
                 f"programs={self.programs_compiled}/"
                 f"{self.program_cache_hits} compiled/cached, "
                 f"process_shards={self.process_shards}, "
-                f"faults={self.shard_retries}/{self.shard_timeouts}/"
-                f"{self.pool_respawns}/{self.degraded_shards} "
-                f"retries/timeouts/respawns/degraded, "
+                f"recoveries={self.pool_respawns}/{self.degraded_shards} "
+                f"respawns/degraded, "
                 f"invocations={dict(self.backend_invocations)})")
 
 
@@ -164,11 +160,10 @@ class Executor:
                  use_cache: bool = True,
                  policy: Optional[ExecutionPolicy] = None):
         """``policy`` is the executor-default
-        :class:`~repro.execution.policy.ExecutionPolicy` — fan-out mode,
-        worker count and retry budget in one value.  Unset fields defer to
-        the environment (:meth:`ExecutionPolicy.from_env` —
-        ``REPRO_WORKERS``, ``REPRO_SHARD_*``) at dispatch time, then to
-        built-in defaults.
+        :class:`~repro.execution.policy.ExecutionPolicy` — fan-out mode and
+        worker count in one value.  Unset fields defer to the environment
+        (:meth:`ExecutionPolicy.from_env` — ``REPRO_WORKERS``) at dispatch
+        time, then to built-in defaults.
         """
         self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None \
@@ -176,8 +171,6 @@ class Executor:
         self.policy = _checked_policy(policy) or ExecutionPolicy()
         self.use_cache = use_cache
         self.stats = ExecutionStats()
-        #: Recent shard-supervisor FaultReports (bounded; newest last).
-        self.fault_reports: Deque = collections.deque(maxlen=32)
         self._lock = threading.Lock()
 
     # -- resolution ----------------------------------------------------------
@@ -186,7 +179,7 @@ class Executor:
         """The effective :class:`ExecutionPolicy` for one call: per-call
         policy > this executor's policy > environment.  Fields still
         ``None`` after the merge mean the built-in defaults (inline,
-        usable-CPU workers, env retry budget)."""
+        usable-CPU workers)."""
         return (_checked_policy(policy) or ExecutionPolicy()) \
             .merged_over(self.policy).merged_over(ExecutionPolicy.from_env())
 
@@ -754,23 +747,6 @@ class Executor:
         self.shutdown()
 
     # -- introspection -------------------------------------------------------
-    def note_fault_report(self, report: FaultReport) -> None:
-        """Fold one shard-supervisor :class:`FaultReport` into the stats.
-
-        Wired as the ``on_fault`` callback of every
-        :func:`~repro.execution.sharding.fan_out` dispatch this executor
-        plans (its own dispatches and executor-routed pipelines like
-        :mod:`repro.qec.sampling`), so recoveries are never
-        silent: counters land in :attr:`stats` and the report itself is
-        kept on the bounded :attr:`fault_reports` deque for inspection.
-        """
-        with self._lock:
-            self.stats.shard_retries += len(report.retried)
-            self.stats.shard_timeouts += report.timeouts
-            self.stats.pool_respawns += report.respawns
-            self.stats.degraded_shards += report.inline_shards
-        self.fault_reports.append(report)
-
     @property
     def cache_stats(self) -> CacheStats:
         return self.cache.stats

@@ -12,18 +12,15 @@
 * :func:`fan_out` is the one dispatch of every sharded pipeline (task and
   grouped slot shards, sweep point blocks, seeded QEC blocks): the caller
   plans and hands over :class:`ShardGroup` units; the helper chunks and
-  runs them, keeps fault reports and shard counts, and folds worker
-  counters (:mod:`repro.obs`) back exactly once.
-* :func:`run_sharded` executes shard payloads under a plan, reusing one
-  persistent process pool across calls so fork/spawn cost is paid once per
-  process, not once per batch.  Process dispatch is **supervised**: a
-  crashed worker (``BrokenProcessPool``) or a shard exceeding its
-  wall-clock timeout invalidates the pool, which is respawned, and only
-  the failed shards are retried under a capped exponential-backoff budget
-  (:class:`ShardRetryPolicy`); when the budget is exhausted the survivors
-  run inline.  Per-shard seeding makes retried results bitwise identical,
-  and a :class:`FaultReport` describing the recovery is handed to the
-  caller's ``on_fault`` callback.
+  runs them, keeps shard and recovery counts, and folds worker counters
+  (:mod:`repro.obs`) back exactly once.
+* :func:`run_sharded` executes shard payloads on one persistent process
+  pool, reused across calls so fork/spawn cost is paid once per process,
+  not once per batch.  It has one recovery rule and no retry budget: a
+  pool found broken at submit is rebuilt once before the batch goes in,
+  and a shard whose worker dies mid-run retires the pool, then it and
+  every shard not yet collected rerun in the caller.  Per-shard seeding
+  makes a rerun bitwise identical.
 * The module-level ``_*_shard`` functions are the process-pool targets —
   top-level so they pickle by reference; workers receive picklable
   :class:`~repro.execution.task.ExecutionTask` / circuit / observable specs
@@ -41,7 +38,6 @@ from __future__ import annotations
 import atexit
 import ctypes
 import multiprocessing
-import numbers
 import os
 import signal
 import threading
@@ -49,13 +45,13 @@ import time
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor)
 from concurrent.futures import wait as _futures_wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from .errors import ExecutionError, TransientFault
+from .errors import ExecutionError
 
 #: Environment override for the worker count (argument > env > cpu count).
 WORKERS_ENV = "REPRO_WORKERS"
@@ -66,11 +62,6 @@ _MAX_AUTO_WORKERS = 8
 
 #: Set in worker processes so nested dispatches always run inline.
 _WORKER_ENV = "REPRO_IN_WORKER"
-
-#: Environment overrides for the default shard-retry policy.
-SHARD_RETRIES_ENV = "REPRO_SHARD_RETRIES"
-SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
-SHARD_BACKOFF_ENV = "REPRO_SHARD_BACKOFF"
 
 _PARALLEL_MODES = ("none", "process")
 
@@ -285,9 +276,10 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def _submit_to_pool(workers: int, fn: Callable,
-                    payloads: Sequence[tuple]) -> List:
-    """Create/grow the shared pool and submit one batch atomically.
+def _submit_to_pool(workers: int, fn: Callable, payloads: Sequence[tuple]
+                    ) -> Tuple[ProcessPoolExecutor, List, int]:
+    """Create/grow the shared pool and submit one batch atomically; returns
+    the pool, the futures and how many broken pools were retired first.
 
     The pool is persistent across dispatches so fork/spawn cost is paid
     once per process, and it only ever *grows*.  Submission happens under
@@ -295,7 +287,9 @@ def _submit_to_pool(workers: int, fn: Callable,
     observe a half-submitted batch or reject a submit; a retired (smaller)
     pool is shut down **without cancelling** its queued futures — work
     already submitted to it runs to completion and its workers exit
-    afterwards.
+    afterwards.  A pool found broken here (a worker died since the last
+    dispatch) is retired and rebuilt once, and the whole batch goes into
+    the new one: no shard has run yet, so nothing is lost.
 
     Note the fork caveat: where the fork start method is used, the first
     pool creation should not race user threads holding locks (the standard
@@ -305,14 +299,28 @@ def _submit_to_pool(workers: int, fn: Callable,
     """
     global _pool, _pool_workers
     with _pool_lock:
-        if _pool is None or _pool_workers < workers:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-                initializer=_mark_worker_process)
-            _pool_workers = workers
-        return [_pool.submit(fn, *payload) for payload in payloads]
+        for respawns in (0, 1):
+            if _pool is None or _pool_workers < workers:
+                if _pool is not None:
+                    _pool.shutdown(wait=False)
+                _pool = ProcessPoolExecutor(
+                    max_workers=workers, mp_context=_pool_context(),
+                    initializer=_mark_worker_process)
+                _pool_workers = workers
+            futures: List = []
+            try:
+                for payload in payloads:
+                    futures.append(_pool.submit(fn, *payload))
+            except BrokenExecutor:
+                if respawns:
+                    raise
+                for future in futures:
+                    future.cancel()
+                _pool.shutdown(wait=False, cancel_futures=True)
+                _pool = None
+                _pool_workers = 0
+                continue
+            return _pool, futures, respawns
 
 
 def shutdown_process_pool(wait: bool = True) -> None:
@@ -331,125 +339,31 @@ def shutdown_process_pool(wait: bool = True) -> None:
             _pool_workers = 0
 
 
-def _invalidate_pool() -> None:
-    """Retire the shared pool after a breakage or timeout.
+def _retire_pool(pool: ProcessPoolExecutor) -> int:
+    """Retire ``pool`` after one of its workers died; 1 if it was still the
+    shared pool, 0 if another dispatch already replaced it.
 
     A ``BrokenProcessPool`` is permanent — every later submit raises — so
     the broken object must never be left in the module global: resetting
-    ``_pool``/``_pool_workers`` here is what lets the next dispatch (a
-    supervisor retry *or* an unrelated later caller) lazily rebuild a
-    healthy pool.  ``wait=False`` + ``cancel_futures`` abandons stuck
-    workers; they finish (or die) on their own and exit.
+    ``_pool``/``_pool_workers`` here is what lets the next dispatch lazily
+    build a healthy pool.
     """
     global _pool, _pool_workers
     with _pool_lock:
-        if _pool is not None:
-            _pool.shutdown(wait=False, cancel_futures=True)
-            _pool = None
-            _pool_workers = 0
+        if _pool is not pool:
+            return 0
+        _pool.shutdown(wait=False, cancel_futures=True)
+        _pool = None
+        _pool_workers = 0
+        return 1
 
 
 atexit.register(shutdown_process_pool)
 
 
 # ---------------------------------------------------------------------------
-# The shard supervisor
+# Pooled dispatch and its one recovery rule
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardRetryPolicy:
-    """Retry budget for supervised process dispatch.
-
-    ``max_retries`` extra dispatch rounds after the first (each retries
-    only the still-failed shards), with exponential backoff between rounds
-    (``backoff_base * 2**(round-1)``, capped at ``backoff_cap``).
-    ``timeout`` bounds one dispatch round's wall clock — a shard result
-    not collected by then counts as failed and the stuck pool is retired.
-    After the budget, failed shards run inline (no pool, no injection).
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    timeout: Optional[float] = None
-
-    def __post_init__(self):
-        # A bad budget must fail here, not mid-dispatch once a shard
-        # faults (a str retry count) or as silent degradation (timeout=0
-        # times out every shard).
-        retries = self.max_retries
-        if not (_is_number(retries, numbers.Integral) and retries >= 0):
-            raise ValueError(
-                f"max_retries must be an int >= 0, got {retries!r}")
-        for name in ("backoff_base", "backoff_cap"):
-            value = getattr(self, name)
-            if not (_is_number(value) and value >= 0):
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if self.timeout is not None and not (_is_number(self.timeout)
-                                             and self.timeout > 0):
-            raise ValueError(
-                f"timeout must be None or > 0, got {self.timeout!r}")
-
-    @classmethod
-    def from_env(cls) -> "ShardRetryPolicy":
-        """Policy with ``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_TIMEOUT`` /
-        ``REPRO_SHARD_BACKOFF`` environment overrides applied; a bad value
-        is a ``ValueError`` naming its variable."""
-        fields = {"max_retries": (SHARD_RETRIES_ENV, int),
-                  "backoff_base": (SHARD_BACKOFF_ENV, float),
-                  "timeout": (SHARD_TIMEOUT_ENV, float)}
-        values = {}
-        for field_name, (name, kind) in fields.items():
-            value = env_number(name, kind)
-            if value is None:
-                continue
-            try:
-                cls(**{field_name: value})
-            except ValueError as error:
-                raise ValueError(f"{name}: {error}") from None
-            values[field_name] = value
-        return cls(**values)
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-@dataclass
-class FaultReport:
-    """What the supervisor did to finish one supervised dispatch.
-
-    ``attempts`` counts dispatch rounds (1 = no retries), ``retried`` the
-    shard indices re-dispatched (in round order, repeats possible),
-    ``causes`` one human-readable cause per failed shard observation,
-    ``backoff`` the inter-round sleeps taken, ``respawns`` how often the
-    pool was invalidated, and ``inline_shards`` how many shards fell back
-    to inline execution after the budget was exhausted.
-    """
-
-    shards: int = 0
-    attempts: int = 1
-    retried: List[int] = field(default_factory=list)
-    causes: List[str] = field(default_factory=list)
-    backoff: List[float] = field(default_factory=list)
-    timeouts: int = 0
-    respawns: int = 0
-    inline_shards: int = 0
-    #: Payload indices that fell back to inline execution.
-    inline_indices: List[int] = field(default_factory=list)
-
-    @property
-    def faulted(self) -> bool:
-        return bool(self.causes or self.respawns or self.inline_shards)
-
-    def as_dict(self) -> dict:
-        return {"shards": self.shards, "attempts": self.attempts,
-                "retried": list(self.retried), "causes": list(self.causes),
-                "backoff": list(self.backoff), "timeouts": self.timeouts,
-                "respawns": self.respawns,
-                "inline_shards": self.inline_shards,
-                "inline_indices": list(self.inline_indices)}
 
 
 def _shard_entry(fault: Optional[Callable[[], None]], fn: Callable,
@@ -465,149 +379,68 @@ def _shard_entry(fault: Optional[Callable[[], None]], fn: Callable,
     return fn(*payload)
 
 
-def _run_supervised(workers: int, fn: Callable, payloads: Sequence[tuple],
-                    policy: ShardRetryPolicy, report: FaultReport,
-                    on_result: Optional[Callable[[int, object], None]] = None
-                    ) -> List:
-    """Pooled dispatch with failure detection and shard retry.
+def run_sharded(plan: ShardPlan, fn: Callable, payloads: Sequence[tuple],
+                on_result: Optional[Callable[[int, object], None]] = None,
+                stats=None) -> List:
+    """Run ``fn(*payload)`` for every payload on the shared fork pool,
+    across ``plan.workers`` workers; results align with the payload order.
+    ``fn`` must be a module-level callable (it crosses the pickle
+    boundary).  :func:`fan_out` runs inline plans itself and hands only
+    parallel ones here.
 
-    Per-shard seeds mean a retried shard reproduces its result bitwise, so
-    retrying is always safe.  Each round submits the pending shards to the
-    shared pool and waits on their futures.  Retryable causes are dead
-    workers (``BrokenExecutor``, which also retires the pool), wall-clock
-    timeouts (the wedged pool is retired too), and
-    :class:`~repro.execution.errors.TransientFault`; any other exception
-    propagates immediately — a deterministic error would fail every retry
-    identically.  After ``policy.max_retries`` extra rounds the remaining
-    shards run inline with their **raw** payloads (never through
-    :func:`_shard_entry` — an injected ``kill`` must not execute in the
-    caller's process).
-    """
-    results: List = [None] * len(payloads)
-    pending = list(range(len(payloads)))
-    retries_used = 0
-    while pending:
-        hook = fault_hook
-        wrapped = [(hook("shard") if hook is not None else None, fn,
-                    tuple(payloads[index])) for index in pending]
-        failed: List[int] = []
-        causes: List[str] = []
-        round_respawn = False
-        try:
-            futures = _submit_to_pool(workers, _shard_entry, wrapped)
-        except BrokenExecutor as error:
-            _invalidate_pool()
-            failed = list(pending)
-            causes = [type(error).__name__] * len(pending)
-            round_respawn = True
-            futures = []
-        outstanding = dict(zip(futures, pending))
-        deadline = None if policy.timeout is None \
-            else time.monotonic() + policy.timeout
-        while outstanding:
-            remaining = None if deadline is None \
-                else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                # The round's wall clock is spent: every still-outstanding
-                # shard is retried next round, against a fresh pool (a
-                # timed-out round means a wedged worker).
-                for future, index in outstanding.items():
-                    future.cancel()
-                    failed.append(index)
-                    causes.append("timeout")
-                    report.timeouts += 1
-                _invalidate_pool()
-                round_respawn = True
-                break
-            done, _ = _futures_wait(outstanding, timeout=remaining,
-                                    return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=outstanding.__getitem__):
-                index = outstanding.pop(future)
-                try:
-                    value = future.result()
-                except BrokenExecutor as error:
-                    if not round_respawn:
-                        # A broken pool poisons every later submit: retire
-                        # it so the next round lazily rebuilds a healthy one.
-                        _invalidate_pool()
-                        round_respawn = True
-                    failed.append(index)
-                    causes.append(type(error).__name__)
-                except TransientFault as error:
-                    failed.append(index)
-                    causes.append(f"TransientFault: {error}")
-                except BaseException:  # deterministic: propagates
-                    for other in outstanding:
-                        other.cancel()
-                    raise
-                else:
-                    results[index] = value
-                    if on_result is not None:
-                        on_result(index, value)
-        if round_respawn:
-            report.respawns += 1
-        if not failed:
-            break
-        # Futures complete in any order; report in index order so recovery
-        # accounting is deterministic.
-        order = sorted(range(len(failed)), key=failed.__getitem__)
-        pending = [failed[i] for i in order]
-        report.causes.extend(causes[i] for i in order)
-        if retries_used >= policy.max_retries:
-            for index in pending:
-                results[index] = fn(*payloads[index])
-                if on_result is not None:
-                    on_result(index, results[index])
-            report.inline_shards = len(pending)
-            report.inline_indices = list(pending)
-            break
-        retries_used += 1
-        delay = min(policy.backoff_cap,
-                    policy.backoff_base * (2 ** (retries_used - 1)))
-        if delay > 0:
-            time.sleep(delay)
-        report.backoff.append(delay)
-        report.retried.extend(pending)
-        report.attempts += 1
-    return results
-
-
-def run_sharded(plan: ShardPlan, fn: Callable,
-                payloads: Sequence[tuple],
-                policy: Optional[ShardRetryPolicy] = None,
-                on_fault: Optional[Callable[[FaultReport], None]] = None,
-                on_result: Optional[Callable[[int, object], None]] = None
-                ) -> List:
-    """Run ``fn(*payload)`` for every payload under ``plan``; results align
-    with the payload order.  ``fn`` must be a module-level callable when the
-    plan is parallel (it crosses the pickle boundary).
-
-    An inline plan, or a single payload, runs in the caller.  A parallel
-    plan runs supervised on the shared fork pool (see
-    :func:`_run_supervised`).  ``policy`` overrides the retry budget
-    (default :meth:`ShardRetryPolicy.from_env`), ``on_fault`` receives the
-    :class:`FaultReport` — only when something actually faulted, so the
-    happy path stays callback-free — and ``on_result(index, value)`` fires
-    as each shard's result lands (in completion order under a parallel
-    plan), which is what lets callers checkpoint partial progress.
+    Every shard is submitted once, to a pool rebuilt first if it was
+    found broken (:func:`_submit_to_pool`).  The one recovery rule: a
+    shard whose worker died (``BrokenExecutor`` from its future) retires
+    the pool, and that shard and every shard not yet collected rerun here
+    with their raw payloads — never through :func:`_shard_entry`, so an
+    injected ``kill`` cannot reach this process.  Per-shard seeding makes
+    a rerun bitwise identical.  Any other exception propagates at once: a deterministic
+    error would fail a rerun identically.  ``on_result(index, value)``
+    fires as each shard's result lands (in completion order), which is
+    what lets callers checkpoint partial progress.  ``stats`` (an
+    :class:`~repro.execution.executor.ExecutionStats`), when given, counts
+    the recoveries: ``pool_respawns`` (broken pools retired) and
+    ``degraded_shards`` (shards rerun here).  There are no rounds, no
+    backoff, no deadline and no retry budget.
     """
     if not payloads:
         return []
-    if not plan.is_parallel or len(payloads) == 1:
-        results = []
-        for index, payload in enumerate(payloads):
-            value = fn(*payload)
+    hook = fault_hook
+    wrapped = [(hook("shard") if hook is not None else None, fn,
+                tuple(payload)) for payload in payloads]
+    pool, futures, respawns = _submit_to_pool(plan.workers, _shard_entry,
+                                              wrapped)
+    results: List = [None] * len(payloads)
+    outstanding = dict(zip(futures, range(len(payloads))))
+    rerun: List[int] = []
+    while outstanding and not rerun:
+        done, _ = _futures_wait(outstanding, return_when=FIRST_COMPLETED)
+        for future in sorted(done, key=outstanding.__getitem__):
+            index = outstanding.pop(future)
+            try:
+                value = future.result()
+            except BrokenExecutor:
+                rerun.append(index)
+                continue
+            except BaseException:  # deterministic: propagates
+                for other in outstanding:
+                    other.cancel()
+                raise
+            results[index] = value
             if on_result is not None:
                 on_result(index, value)
-            results.append(value)
-        return results
-    if policy is None:
-        policy = ShardRetryPolicy.from_env()
-    report = FaultReport(shards=len(payloads))
-    results = _run_supervised(plan.workers, fn, payloads, policy, report,
-                              on_result=on_result)
-    if report.faulted and on_fault is not None:
-        on_fault(report)
+    if rerun:
+        respawns += _retire_pool(pool)
+        for future in outstanding:
+            future.cancel()
+        rerun = sorted(rerun + list(outstanding.values()))
+        for index in rerun:
+            results[index] = fn(*payloads[index])
+            if on_result is not None:
+                on_result(index, results[index])
+    if stats is not None:
+        obs.bump(stats, "pool_respawns", respawns)
+        obs.bump(stats, "degraded_shards", len(rerun))
     return results
 
 
@@ -629,18 +462,23 @@ class ShardGroup(NamedTuple):
 
 
 class FanOut(NamedTuple):
-    """Per group, each chunk's value in unit order; the supervisor's fault
-    reports; the payloads handed to the process pool."""
+    """Per group, each chunk's value in unit order; the payloads handed to
+    the process pool."""
 
     values: List[list]
-    reports: List[FaultReport]
     process_shards: int
 
 
 def _counted_shard(fn: Callable, *args) -> tuple:
-    """Pool entry of :func:`fan_out`: ``(fn(*args), counter movement where
-    it ran)``, the movement being that of the process-wide :mod:`repro.obs`
-    counters and of the head objects' instance counters."""
+    """Pool entry of :func:`fan_out`: ``(fn(*args), counter movement)``.
+
+    In a pool worker the movement is that of the process-wide
+    :mod:`repro.obs` counters and of the head objects' instance counters;
+    a shard rerun in the caller already moved its counters there, so its
+    movement is None.
+    """
+    if not in_worker_process():
+        return fn(*args), None
     head = args[:-1]
     counters, instances = obs.read(), obs.instance_counters(head)
     value = fn(*args)
@@ -655,19 +493,18 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
     """Run every :class:`ShardGroup` under ``plan`` — the one path from a
     planned dispatch to :func:`run_sharded`.
 
-    An inline plan runs each group as one chunk; a parallel plan cuts it
-    into ``block``-unit blocks when given (payloads then do not depend on
-    the worker count), else one chunk per worker.  ``policy`` (the
-    resolved :class:`~repro.execution.policy.ExecutionPolicy`) gives the
-    retry budget; ``on_result(chunk, value)`` fires as each
-    chunk lands.  Fault reports and ``process_shards`` land on
-    ``executor``, and the :mod:`repro.obs` counters a pool worker moved
-    (the process-wide ones, the group head's instance counters) are
-    folded exactly once.  A shard runs in this process, and already moved
-    its counters here, only under an inline plan, as the single payload,
-    or when the supervisor degraded it (:attr:`FaultReport.inline_indices`);
-    those are never folded.  A worker's program-cache movement reaches
-    ``ExecutionStats`` through the caller's ``track_program_cache`` window.
+    An inline plan runs each group as one chunk in this process; a
+    parallel plan cuts it into ``block``-unit blocks when given (payloads
+    then do not depend on the worker count), else one chunk per worker.
+    ``on_result(chunk, value)`` fires as each chunk lands.
+    ``process_shards`` and the pool's recoveries land on ``executor``'s
+    stats, and the :mod:`repro.obs` counters a pool worker moved (the
+    process-wide ones, the group head's instance counters) are folded
+    exactly once: only the envelopes that carry a movement are folded.
+    A worker's program-cache movement reaches ``ExecutionStats`` through
+    the caller's ``track_program_cache`` window.  ``policy`` is the
+    resolved :class:`~repro.execution.policy.ExecutionPolicy` the plan
+    came from.
     """
     chunks: List[Tuple[int, list]] = []
     for position, group in enumerate(groups):
@@ -683,39 +520,29 @@ def fan_out(executor, policy, plan: ShardPlan, groups: Sequence[ShardGroup],
     payloads = [(groups[position].fn,) + groups[position].head + (piece,)
                 for position, piece in chunks]
     values: List[list] = [[] for _ in groups]
-    reports: List[FaultReport] = []
     if not plan.is_parallel or len(payloads) == 1:
-        # Inline: nothing to supervise, no dispatch wait to account and no
-        # counters to fold.
+        # Inline: no dispatch wait to account and no counters to fold.
         for (position, piece), (fn, *args) in zip(chunks, payloads):
             value = fn(*args)
             values[position].append(value)
             if on_result is not None:
                 on_result(piece, value)
-        return FanOut(values, reports, 0)
-
-    def on_fault(report: FaultReport) -> None:
-        reports.append(report)
-        executor.note_fault_report(report)
+        return FanOut(values, 0)
 
     landed = None
     if on_result is not None:
         def landed(index: int, envelope: tuple) -> None:
             on_result(chunks[index][1], envelope[0])
     envelopes = run_sharded(plan, _counted_shard, payloads,
-                            policy=policy.retry, on_fault=on_fault,
-                            on_result=landed)
-    degraded = {index for report in reports
-                for index in report.inline_indices}
-    for index, ((position, _), (value, moved)) in enumerate(
-            zip(chunks, envelopes)):
+                            on_result=landed, stats=executor.stats)
+    for (position, _), (value, moved) in zip(chunks, envelopes):
         values[position].append(value)
-        if index not in degraded:
+        if moved is not None:
             obs.absorb(moved[0])
             obs.absorb_instances(groups[position].head, moved[1])
     with executor._lock:
         executor.stats.process_shards += len(payloads)
-    return FanOut(values, reports, len(payloads))
+    return FanOut(values, len(payloads))
 
 
 # ---------------------------------------------------------------------------

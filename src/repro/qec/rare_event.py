@@ -174,7 +174,6 @@ class RareEventResult:
     from_cache: bool
     strata: Tuple[StratumResult, ...]
     tail_probability: float
-    fault_report: Optional[object] = None
 
     @property
     def logical_error_rate(self) -> float:
@@ -580,8 +579,7 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
 
     blocks = sample(0, dict.fromkeys(spec.strata, spec.pilot_shots))
     blocks += sample(1, _main_allocation(spec, blocks, shots))
-    result = replace(_fold(blocks, spec), shots=run.shots,
-                     fault_report=run.fault_report)
+    result = replace(_fold(blocks, spec), shots=run.shots)
     run.finish(_result_values(result))
     return result
 

@@ -338,13 +338,7 @@ class _SeededRun:
             self.identity = ((graph.fingerprint(), decoder_token)
                              + tuple(extra)
                              + (self.shots, SHOT_BLOCK, seed_key))
-        self.fault_reports: list = []
         self.process_shards = 0
-
-    @property
-    def fault_report(self):
-        """The first shard-supervisor report of this run, None if healthy."""
-        return self.fault_reports[0] if self.fault_reports else None
 
     # -- cache -----------------------------------------------------------
     def _keys(self, names: Sequence, position: tuple = ()) -> Dict:
@@ -415,8 +409,7 @@ class _SeededRun:
         """Run ``body(graph, decoder, *extra, chunk)`` on each chunk of
         ``units`` in one :func:`~repro.execution.sharding.fan_out` under
         the per-call ``policy`` (resolved over the executor's); returns
-        each shard's value in unit order and keeps fault reports for
-        :attr:`fault_report`.
+        each shard's value in unit order.
         """
         if not units:
             return []
@@ -424,7 +417,6 @@ class _SeededRun:
         run = fan_out(self.executor, effective, plan, [
             ShardGroup(body, (self.graph, self.decoder) + tuple(extra),
                        units)])
-        self.fault_reports.extend(run.reports)
         self.process_shards += run.process_shards
         return run.values[0]
 
@@ -473,18 +465,15 @@ _MEMORY_COMPONENTS = ("failures", "defects")
 class SamplingRun:
     """Raw outcome of one batched memory-experiment sampling run.
 
-    ``fault_report`` is the shard supervisor's
-    :class:`~repro.execution.sharding.FaultReport` when process dispatch
-    had to recover from a worker crash/timeout (None on a healthy run);
-    recovery never changes the counts — retried shards are re-seeded
-    identically.
+    A shard whose pool worker died reruns in the caller, re-seeded
+    identically, so recovery never changes the counts (the executor's
+    ``pool_respawns`` / ``degraded_shards`` stats count it).
     """
 
     shots: int
     failures: int
     total_defects: int
     from_cache: bool
-    fault_report: Optional[object] = None
 
     @property
     def logical_error_rate(self) -> float:
@@ -541,8 +530,7 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
               for name in _MEMORY_COMPONENTS}
     run.finish(totals)
     return SamplingRun(shots=run.shots, failures=totals["failures"],
-                       total_defects=totals["defects"], from_cache=False,
-                       fault_report=run.fault_report)
+                       total_defects=totals["defects"], from_cache=False)
 
 
 def stream_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,

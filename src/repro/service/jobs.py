@@ -206,7 +206,7 @@ def _decode_policy(payload: Dict[str, Any]):
     """An optional :class:`~repro.execution.policy.ExecutionPolicy` from
     the submission's ``policy`` key.
 
-    The policy steers *how* the job fans out (mode, workers, retries) and
+    The policy steers *how* the job fans out (mode, workers) and
     is deliberately **not** part of the job key: the determinism contract
     makes results bitwise independent of it, so two submissions differing
     only in policy are the same job.  ``max_workers`` is outside input that

@@ -33,11 +33,12 @@ Design points:
   batch, so no read returns a row that a later failure could take back.
 * **Narrow reads** — :meth:`~RunRegistry.get_job` reads only the columns a
   caller names, so a state or result read never decodes the payload.
-* **Stored-text reads** — with ``decode=False``, :meth:`~RunRegistry.get_job`
-  and :meth:`~RunRegistry.list_jobs` return the JSON columns as the
+* **Stored-text reads** — with ``decode=False``, :meth:`~RunRegistry.get_job`,
+  :meth:`~RunRegistry.list_jobs` and :meth:`~RunRegistry.events_since`
+  return the JSON columns as the
   :class:`~repro.service.protocol.RawJSON` text they were stored as, which
-  the server splices into its ``job``, ``result-data`` and ``job-list``
-  lines without a decode and a re-encode.
+  the server splices into its ``job``, ``result-data``, ``job-list`` and
+  replayed ``event`` lines without a decode and a re-encode.
 * **Atomic state transitions** — ``transition()`` is one guarded
   ``UPDATE … WHERE state IN (…)``; the returned row count decides who won a
   race (e.g. a cancel racing the worker that just claimed the job), so
@@ -495,15 +496,19 @@ class RunRegistry:
                  json.dumps(data, sort_keys=True))).fetchall()
         return int(rows[0]["seq"])
 
-    def events_since(self, job_id: str,
-                     after_seq: int = 0) -> List[Dict[str, Any]]:
-        """All persisted events with ``seq > after_seq``, in order."""
+    def events_since(self, job_id: str, after_seq: int = 0, *,
+                     decode: bool = True) -> List[Dict[str, Any]]:
+        """All persisted events with ``seq > after_seq``, in order; with
+        ``decode=False`` each ``data`` stays its stored :class:`RawJSON`
+        text."""
         rows = self._read(
             "SELECT seq, created_at, kind, data FROM events "
             "WHERE job_id = ? AND seq > ? ORDER BY seq",
             (job_id, int(after_seq)))
         return [{"job_id": job_id, "seq": int(row["seq"]),
-                 "kind": row["kind"], "data": json.loads(row["data"])}
+                 "kind": row["kind"],
+                 "data": (json.loads(row["data"]) if decode
+                          else RawJSON(row["data"]))}
                 for row in rows]
 
     # -- introspection ------------------------------------------------------

@@ -338,8 +338,6 @@ class JobRunner:
         executor_stats = getattr(self.executor, "stats", None)
         if executor_stats is not None:
             stats["faults"] = {
-                "shard_retries": executor_stats.shard_retries,
-                "shard_timeouts": executor_stats.shard_timeouts,
                 "pool_respawns": executor_stats.pool_respawns,
                 "degraded_shards": executor_stats.degraded_shards,
             }

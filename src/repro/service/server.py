@@ -244,7 +244,8 @@ class ServiceServer:
         try:
             entry = self.runner.job(job_id, RESULT_COLUMNS, decode=False)
             horizon = int(after_seq)
-            for event in self.registry.events_since(job_id, horizon):
+            for event in self.registry.events_since(job_id, horizon,
+                                                    decode=False):
                 horizon = max(horizon, event["seq"])
                 await self._write(writer, EventResponse(**event))
             if entry["state"] in TERMINAL_STATES:

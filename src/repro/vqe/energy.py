@@ -84,7 +84,7 @@ class BackendEnergyEvaluator(EnergyEvaluator):
         self.include_idle = include_idle
         self.use_cache = use_cache
         # Fan-out policy forwarded to every executor call: an
-        # ExecutionPolicy (mode, workers, retry in one value), or
+        # ExecutionPolicy (mode and workers in one value), or
         # None to defer to the executor's own defaults.
         self.policy = policy
         self._executor = executor

@@ -1,9 +1,10 @@
 """Deterministic, seeded fault injection for chaos-testing recovery paths.
 
-The fault-tolerance layer (shard supervisor, job retry machinery) is only
-trustworthy if its recovery paths are exercised continuously — and the
-repo's bitwise-deterministic seeding makes that cheap: a recovered run
-must equal the unfaulted run *exactly*, so a chaos test is an equality
+The fault-tolerance layer (the fork pool's inline rerun of a dead
+worker's shards, the service's job retries) is only trustworthy if its
+recovery paths are exercised continuously — and the repo's
+bitwise-deterministic seeding makes that cheap: a recovered run must
+equal the unfaulted run *exactly*, so a chaos test is an equality
 assertion, not a statistical one.  This module supplies the controlled
 failures through the library's one hook,
 :data:`repro.execution.sharding.fault_hook`:
@@ -16,13 +17,14 @@ failures through the library's one hook,
   same schedule replays exactly across runs, regardless of thread
   interleaving at *other* sites.
 * Fired faults are picklable, callable :class:`FaultDirective` values.
-  The shard supervisor consults the hook **in the parent** and ships
+  Pooled dispatch consults the hook **in the parent** and ships
   directives inside shard payloads, so injection works with the
   persistent forked worker pool without any cross-process injector state.
-* Directive kinds: ``"kill"`` (``SIGKILL`` the executing worker process —
-  a hard crash mid-shard), ``"delay"`` (sleep ``seconds`` — drive a shard
-  past its wall-clock timeout) and ``"raise"`` (raise
-  :class:`~repro.execution.errors.TransientFault`).
+* Directive kinds per site (:data:`SITE_KINDS`): at ``"shard"`` only
+  ``"kill"`` (``SIGKILL`` the executing worker process — a hard crash
+  mid-shard); at ``"job"`` ``"delay"`` (sleep ``seconds`` — drive a job
+  past its deadline) and ``"raise"`` (raise :class:`TransientFault`,
+  which the service retries like any other job error).
 
 Configuration is by constructor, by a scoped :func:`inject_faults`, or by
 the ``REPRO_FAULTS`` environment variable, which ``conftest.py`` reads
@@ -48,16 +50,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.execution import sharding
-from repro.execution.errors import TransientFault
 
 #: Environment variable holding a fault spec (see module docstring).
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Consultation sites the library exposes.
-FAULT_SITES = ("shard", "job")
+#: Directive kinds each consultation site the library exposes accepts.
+SITE_KINDS = {"shard": ("kill",), "job": ("delay", "raise")}
 
-#: Supported directive kinds.
-FAULT_KINDS = ("kill", "delay", "raise")
+
+class TransientFault(RuntimeError):
+    """The error a ``job.raise`` directive raises at a job checkpoint."""
 
 
 @dataclass(frozen=True)
@@ -72,12 +74,13 @@ class FaultRule:
     seconds: float = 0.05  # sleep duration for "delay" directives
 
     def __post_init__(self):
-        if self.site not in FAULT_SITES:
+        if self.site not in SITE_KINDS:
             raise ValueError(f"unknown fault site {self.site!r} "
-                             f"(expected one of {FAULT_SITES})")
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r} "
-                             f"(expected one of {FAULT_KINDS})")
+                             f"(expected one of {tuple(SITE_KINDS)})")
+        if self.kind not in SITE_KINDS[self.site]:
+            raise ValueError(f"unknown fault kind {self.kind!r} at site "
+                             f"{self.site!r} (expected one of "
+                             f"{SITE_KINDS[self.site]})")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
 
@@ -97,9 +100,9 @@ class FaultDirective:
     def __call__(self) -> None:
         """Carry out the fault at its execution point.
 
-        ``"kill"`` SIGKILLs the **current process** — the supervisor runs
-        shard directives only in pool workers, never on its inline
-        fallback, for exactly this reason.
+        ``"kill"`` SIGKILLs the **current process** — pooled dispatch runs
+        shard directives only in pool workers, never when it reruns a
+        shard in the caller, for exactly this reason.
         """
         if self.kind == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
@@ -134,8 +137,8 @@ class FaultInjector:
 
     ``directive(site)`` is thread-safe; per-rule consultation and firing
     counters advance under a lock, so the schedule is a pure function of
-    the per-site consultation *order* (which the supervisor makes
-    deterministic by consulting in shard-index order before dispatch).
+    the per-site consultation *order* (which pooled dispatch makes
+    deterministic by consulting in shard-index order before submitting).
     Calling the injector is ``directive``, which is what makes it a
     :data:`~repro.execution.sharding.fault_hook`.
     """
@@ -195,7 +198,7 @@ def parse_fault_spec(spec: str) -> FaultInjector:
     Format: comma-separated entries, each either ``seed=N`` or
     ``site.kind=rate[/limit][:seconds]``.  Example::
 
-        parse_fault_spec("seed=7,shard.kill=1/1,shard.delay=0.5/2:0.2")
+        parse_fault_spec("seed=7,shard.kill=1/1,job.delay=0.5/2:0.2")
     """
     seed = 0
     rules: List[FaultRule] = []

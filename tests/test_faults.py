@@ -1,19 +1,20 @@
-"""Chaos tests for the fault-tolerance layer (PR 8).
+"""Chaos tests for the fault-tolerance layer.
 
 Everything here leans on one property the repo already guarantees: results
 are bitwise deterministic under any dispatch mode, so recovery is testable
 by *exact equality* instead of statistics.  The suite covers:
 
-* the deterministic fault injector of ``chaos.py`` (spec parsing,
-  replayable schedules, per-rule limits, site independence, scoped
-  installation that restores the previous injector, ``REPRO_FAULTS`` env
-  config);
-* the shard supervisor — a SIGKILLed pool worker mid-batch, an injected
-  wall-clock stall past the shard timeout, transient exceptions, inline
-  degradation after the retry budget, and the pool-poisoning regression
-  (a later dispatch after a ``BrokenProcessPool`` must just work);
-* the executor surfaces — a killed worker during an expectation sweep and
-  during QEC sampling recovers bitwise and is visible in ``Executor.stats``;
+* the deterministic fault injector of ``chaos.py`` (spec parsing, the
+  kinds each site accepts, replayable schedules, per-rule limits, site
+  independence, scoped installation that restores the previous injector,
+  ``REPRO_FAULTS`` env config);
+* pooled dispatch's one recovery rule — a SIGKILLed pool worker mid-batch
+  reruns its shard and every uncollected one in the caller, a pool whose
+  idle worker died between dispatches is rebuilt before the batch goes in,
+  and deterministic errors propagate;
+* the executor surfaces — a killed worker during an expectation sweep, QEC
+  sampling and rare-event sampling recovers bitwise and is visible in
+  ``Executor.stats``, and worker counters fold exactly once;
 * streamed QEC chunk checkpoints — a run that dies mid-stream resumes from
   the executor's cache and decodes only the remaining chunks;
 * the service layer end-to-end over the unix socket — a restarted server
@@ -25,19 +26,23 @@ by *exact equality* instead of statistics.  The suite covers:
 import contextlib
 import os
 import shutil
+import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import ExecutionPolicy, Executor
-from repro.execution.sharding import (ShardPlanner, ShardRetryPolicy,
-                                      run_sharded)
+from repro.execution import sharding
+from repro.execution.executor import ExecutionStats
+from repro.execution.sharding import ShardPlanner, run_sharded
 from repro.operators import ising_hamiltonian
 from repro.qec.decoders import MWPMDecoder
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
+from repro.qec.rare_event import run_rare_event_sampling
 from repro.qec.sampling import (SHOT_BLOCK, reset_sampling_stats,
                                 run_memory_sampling, sampling_stats,
                                 stream_memory_sampling)
@@ -65,12 +70,6 @@ def _boom(value):
 
 def _process_plan(workers, items):
     return ShardPlanner("process", max_workers=workers).plan(items)
-
-
-def _fast_policy(**overrides):
-    defaults = dict(max_retries=2, backoff_base=0.0)
-    defaults.update(overrides)
-    return ShardRetryPolicy(**defaults)
 
 
 def sweep_fixture(points=4):
@@ -110,45 +109,52 @@ def service(**overrides):
 class TestFaultInjector:
     def test_parse_full_spec(self):
         injector = parse_fault_spec(
-            "seed=7,shard.kill=1/1,shard.delay=0.5/2:0.2")
+            "seed=7,shard.kill=1/1,job.delay=0.5/2:0.2")
         assert injector.seed == 7
         kill, delay = injector.rules
         assert (kill.site, kill.kind, kill.rate, kill.limit) \
             == ("shard", "kill", 1.0, 1)
         assert (delay.site, delay.kind, delay.rate, delay.limit,
-                delay.seconds) == ("shard", "delay", 0.5, 2, 0.2)
+                delay.seconds) == ("job", "delay", 0.5, 2, 0.2)
 
     def test_parse_rejects_unknown_site_kind_and_rate(self):
         with pytest.raises(ValueError, match="site"):
             parse_fault_spec("warp.kill=1")
         with pytest.raises(ValueError, match="kind"):
             parse_fault_spec("shard.explode=1")
+        # A shard is only ever killed: a raise or a stall in a pool worker
+        # exercised retry and timeout machinery that no longer exists.
+        for kind in ("raise", "delay"):
+            with pytest.raises(ValueError, match=f"kind '{kind}' at site"):
+                parse_fault_spec(f"shard.{kind}=1")
+        with pytest.raises(ValueError, match="kind 'kill' at site 'job'"):
+            parse_fault_spec("job.kill=1")
         with pytest.raises(ValueError, match="rate"):
             parse_fault_spec("shard.kill=1.5")
         with pytest.raises(ValueError, match="malformed"):
             parse_fault_spec("shard.kill")
 
     def test_schedule_replays_exactly(self):
-        injector = parse_fault_spec("seed=3,shard.raise=0.4")
-        first = [injector.directive("shard") is not None for _ in range(50)]
+        injector = parse_fault_spec("seed=3,job.raise=0.4")
+        first = [injector.directive("job") is not None for _ in range(50)]
         counts = injector.fired_counts()
-        assert counts.get("shard.raise", 0) == sum(first)
+        assert counts.get("job.raise", 0) == sum(first)
         assert 0 < sum(first) < 50  # a genuine Bernoulli schedule
         injector.reset()
-        replay = [injector.directive("shard") is not None for _ in range(50)]
+        replay = [injector.directive("job") is not None for _ in range(50)]
         assert replay == first
         assert injector.fired_counts() == counts
 
     def test_limit_caps_firings(self):
         injector = FaultInjector(
-            rules=(FaultRule("shard", "raise", rate=1.0, limit=2),), seed=0)
+            rules=(FaultRule("shard", "kill", rate=1.0, limit=2),), seed=0)
         fired = [injector.directive("shard") for _ in range(5)]
         assert [d is not None for d in fired] \
             == [True, True, False, False, False]
-        assert injector.fired_counts() == {"shard.raise": 2}
+        assert injector.fired_counts() == {"shard.kill": 2}
 
     def test_sites_do_not_perturb_each_other(self):
-        spec = "seed=9,shard.raise=0.5,job.raise=0.5"
+        spec = "seed=9,shard.kill=0.5,job.raise=0.5"
         injector = parse_fault_spec(spec)
         alone = [injector.directive("job") is not None for _ in range(20)]
         injector.reset()
@@ -161,16 +167,16 @@ class TestFaultInjector:
     def test_seed_changes_the_schedule(self):
         draws = {}
         for seed in (1, 2):
-            with inject_faults("shard.raise=0.5", seed=seed) as injector:
+            with inject_faults("shard.kill=0.5", seed=seed) as injector:
                 draws[seed] = [injector.directive("shard") is not None
                                for _ in range(40)]
         assert draws[1] != draws[2]
 
     def test_inject_faults_scopes_installation(self):
         before = active_injector()
-        with inject_faults("seed=4,shard.raise=1/1") as injector:
+        with inject_faults("seed=4,shard.kill=1/1") as injector:
             assert active_injector() is injector
-            assert injector.directive("shard").kind == "raise"
+            assert injector.directive("shard").kind == "kill"
             with inject_faults("job.raise=1") as inner:
                 assert active_injector() is inner
             # the inner scope restores the outer injector, not an empty hook
@@ -194,18 +200,9 @@ class TestFaultInjector:
         finally:
             install_injector(previous)
 
-    def test_retry_policy_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_RETRIES", "5")
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "1.5")
-        monkeypatch.setenv("REPRO_SHARD_BACKOFF", "0.01")
-        policy = ShardRetryPolicy.from_env()
-        assert policy.max_retries == 5
-        assert policy.timeout == 1.5
-        assert policy.backoff_base == 0.01
-
 
 # ---------------------------------------------------------------------------
-# the shard supervisor
+# pooled dispatch: one recovery rule
 # ---------------------------------------------------------------------------
 
 
@@ -215,95 +212,83 @@ class TestSupervisedSharding:
         plan = _process_plan(2, len(payloads))
         baseline = run_sharded(plan, _square, payloads)
         assert baseline == [i * i for i in range(6)]
-        reports = []
+        stats = ExecutionStats()
         with inject_faults("shard.kill=1/1") as injector:
-            chaotic = run_sharded(plan, _square, payloads,
-                                  policy=_fast_policy(),
-                                  on_fault=reports.append)
+            chaotic = run_sharded(plan, _square, payloads, stats=stats)
         assert chaotic == baseline
         assert injector.fired_counts() == {"shard.kill": 1}
-        report = reports[0]
-        assert report.respawns >= 1
-        assert report.retried
-        assert report.inline_shards == 0
-        # Pool-poisoning regression: the broken pool was reset, so a later
-        # uninjected dispatch lazily rebuilds a healthy one and just works.
-        assert run_sharded(plan, _square, payloads) == baseline
+        assert stats.pool_respawns == 1
+        assert 1 <= stats.degraded_shards <= len(payloads)
+        # Pool-poisoning regression: the broken pool was retired, so a
+        # later uninjected dispatch lazily builds a healthy one.
+        stats = ExecutionStats()
+        assert run_sharded(plan, _square, payloads, stats=stats) == baseline
+        assert (stats.pool_respawns, stats.degraded_shards) == (0, 0)
 
-    def test_transient_faults_retried_per_shard(self):
-        payloads = [(i,) for i in range(6)]
-        plan = _process_plan(2, len(payloads))
-        reports = []
-        with inject_faults("shard.raise=1/2"):
-            results = run_sharded(plan, _square, payloads,
-                                  policy=_fast_policy(),
-                                  on_fault=reports.append)
-        assert results == [i * i for i in range(6)]
-        report = reports[0]
-        assert sum("TransientFault" in cause for cause in report.causes) == 2
-        assert report.attempts == 2
-        assert report.respawns == 0  # a raise never breaks the pool
-
-    def test_stalled_shard_times_out_and_retries(self):
+    def test_every_killed_shard_reruns_inline(self):
         payloads = [(i,) for i in range(4)]
         plan = _process_plan(2, len(payloads))
-        reports = []
-        with inject_faults("shard.delay=1/1:1.5"):
+        stats = ExecutionStats()
+        landed = []
+        with inject_faults("shard.kill=1") as injector:  # every shard
             results = run_sharded(plan, _square, payloads,
-                                  policy=_fast_policy(timeout=0.25),
-                                  on_fault=reports.append)
+                                  on_result=lambda i, v: landed.append(i),
+                                  stats=stats)
+        # The caller reruns the RAW payloads (no injected kill), so the
+        # results are complete and correct, and each lands once.
         assert results == [i * i for i in range(4)]
-        report = reports[0]
-        assert report.timeouts >= 1
-        assert report.respawns >= 1  # the wedged pool was retired
-        assert "timeout" in report.causes
+        assert sorted(landed) == [0, 1, 2, 3]
+        assert injector.fired_counts() == {"shard.kill": 4}
+        assert (stats.pool_respawns, stats.degraded_shards) == (1, 4)
 
-    def test_budget_exhaustion_degrades_to_inline(self):
+    def test_idle_worker_killed_between_dispatches_rebuilds_pool(self):
         payloads = [(i,) for i in range(4)]
         plan = _process_plan(2, len(payloads))
-        reports = []
-        with inject_faults("shard.raise=1"):  # no limit: every round fails
-            results = run_sharded(plan, _square, payloads,
-                                  policy=_fast_policy(max_retries=1),
-                                  on_fault=reports.append)
-        # The inline fallback runs the RAW payloads (no injection) in the
-        # parent, so results are still complete and correct.
-        assert results == [i * i for i in range(4)]
-        report = reports[0]
-        assert report.attempts == 2
-        assert report.inline_shards == 4
-        assert sorted(report.inline_indices) == [0, 1, 2, 3]
+        assert run_sharded(plan, _square, payloads) == [0, 1, 4, 9]
+        pool = sharding._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken  # the pool saw its worker die
+        stats = ExecutionStats()
+        assert run_sharded(plan, _square, payloads, stats=stats) \
+            == [0, 1, 4, 9]
+        # Found broken at submit: rebuilt before the batch went in, so
+        # every shard ran on the new pool and none reran in the caller.
+        assert sharding._pool is not pool
+        assert (stats.pool_respawns, stats.degraded_shards) == (1, 0)
 
-    def test_clean_run_stays_callback_free(self):
-        reports = []
+    def test_clean_run_counts_no_recovery(self):
+        stats = ExecutionStats()
         results = run_sharded(_process_plan(2, 3), _square,
-                              [(1,), (2,), (3,)], policy=_fast_policy(),
-                              on_fault=reports.append)
+                              [(1,), (2,), (3,)], stats=stats)
         assert results == [1, 4, 9]
-        assert reports == []
+        assert (stats.pool_respawns, stats.degraded_shards) == (0, 0)
 
     def test_deterministic_errors_propagate_immediately(self):
         plan = _process_plan(2, 4)
         with pytest.raises(ValueError, match="deterministic"):
-            run_sharded(plan, _boom, [(i,) for i in range(4)],
-                        policy=_fast_policy())
+            run_sharded(plan, _boom, [(i,) for i in range(4)])
+        # Also once a kill broke the pool: the caller's rerun raises too.
+        with inject_faults("shard.kill=1"):
+            with pytest.raises(ValueError, match="deterministic"):
+                run_sharded(plan, _boom, [(i,) for i in range(4)])
 
     def test_env_spec_drives_injection(self, monkeypatch):
         previous = active_injector()
-        monkeypatch.setenv(FAULTS_ENV, "seed=12,shard.raise=1/1")
+        monkeypatch.setenv(FAULTS_ENV, "seed=12,shard.kill=1/1")
         payloads = [(i,) for i in range(6)]
         plan = _process_plan(2, len(payloads))
-        reports = []
+        stats = ExecutionStats()
         try:
-            install_from_env()
-            results = run_sharded(plan, _square, payloads,
-                                  policy=_fast_policy(),
-                                  on_fault=reports.append)
+            injector = install_from_env()
+            results = run_sharded(plan, _square, payloads, stats=stats)
         finally:
             install_injector(previous)
         assert results == [i * i for i in range(6)]
-        assert reports and any("TransientFault" in cause
-                               for cause in reports[0].causes)
+        assert injector.fired_counts() == {"shard.kill": 1}
+        assert stats.pool_respawns == 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +313,8 @@ class TestExecutorChaos:
                 policy=ExecutionPolicy(parallel="process", max_workers=2))
         assert np.array_equal(chaotic, clean)
         assert executor.stats.pool_respawns >= 1
-        assert executor.stats.shard_retries >= 1
-        assert executor.fault_reports
-        assert executor.fault_reports[-1].respawns >= 1
+        assert executor.stats.degraded_shards >= 1
+        assert executor.stats.shard_retries == 0
 
     def test_qec_sampling_sigkill_recovers_bitwise(self):
         graph = rotated_surface_code_graph(3, 2, 0.01)
@@ -349,13 +333,11 @@ class TestExecutorChaos:
                                               max_workers=2))
         assert (chaotic.failures, chaotic.total_defects) \
             == (clean.failures, clean.total_defects)
-        assert chaotic.fault_report is not None
-        assert chaotic.fault_report.respawns >= 1
         assert executor.stats.pool_respawns >= 1
 
     def test_qec_sampling_degraded_shards_count_decodes_once(self):
-        """Shards the supervisor degrades to inline decode in this process,
-        so their counter deltas must not be folded back a second time."""
+        """Shards rerun in the caller decode in this process, so their
+        counters must not be folded back a second time."""
         graph = rotated_surface_code_graph(3, 2, 0.01)
         shots = 2 * SHOT_BLOCK + 17
         clean = run_memory_sampling(graph, MWPMDecoder(graph), shots,
@@ -363,17 +345,35 @@ class TestExecutorChaos:
                                     executor=Executor(use_cache=False),
                                     policy=ExecutionPolicy(parallel="none"))
         executor = Executor(use_cache=False)
-        policy = ExecutionPolicy(parallel="process", max_workers=2,
-                                 retry=_fast_policy(max_retries=0))
+        policy = ExecutionPolicy(parallel="process", max_workers=2)
         reset_sampling_stats()
-        with inject_faults("shard.raise=1"):  # every pooled attempt fails
+        with inject_faults("shard.kill=1"):  # every pooled shard dies
             degraded = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                            seed=321, executor=executor,
                                            policy=policy)
         assert (degraded.failures, degraded.total_defects) \
             == (clean.failures, clean.total_defects)
-        assert sorted(degraded.fault_report.inline_indices) == [0, 1]
+        assert executor.stats.process_shards == 2
+        assert executor.stats.degraded_shards == 2
+        assert executor.stats.pool_respawns == 1
         assert sampling_stats().shots_decoded == shots
+
+    def test_rare_event_sigkill_recovers_bitwise(self):
+        graph = rotated_surface_code_graph(3, 2, 0.002)
+        shots = 4 * SHOT_BLOCK
+        policy = ExecutionPolicy(parallel="process", max_workers=2)
+        clean = run_rare_event_sampling(graph, MWPMDecoder(graph), shots,
+                                        seed=77,
+                                        executor=Executor(use_cache=False),
+                                        policy=policy)
+        executor = Executor(use_cache=False)
+        with inject_faults("shard.kill=1/1"):
+            chaotic = run_rare_event_sampling(graph, MWPMDecoder(graph),
+                                              shots, seed=77,
+                                              executor=executor,
+                                              policy=policy)
+        assert chaotic == clean
+        assert executor.stats.pool_respawns >= 1
 
     def test_stream_checkpoints_resume_with_partial_decodes(self):
         graph = rotated_surface_code_graph(3, 2, 0.01)
@@ -391,11 +391,14 @@ class TestExecutorChaos:
         next(stream)
         stream.close()
         # The resumed attempt on the same executor folds the checkpointed
-        # chunks from its cache and decodes only the remainder.
+        # chunks from its cache and decodes only the remainder.  Streaming
+        # samples inline: no shard ships, so no kill can fire.
         reset_sampling_stats()
-        resumed = list(stream_memory_sampling(
-            graph, MWPMDecoder(graph), shots, seed=101,
-            executor=executor, chunk_blocks=2))
+        with inject_faults("shard.kill=1/1") as injector:
+            resumed = list(stream_memory_sampling(
+                graph, MWPMDecoder(graph), shots, seed=101,
+                executor=executor, chunk_blocks=2))
+        assert injector.fired_counts() == {}
         final = resumed[-1]
         assert final.shots == shots
         assert (final.failures, final.total_defects) \

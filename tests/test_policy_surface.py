@@ -8,9 +8,10 @@ and the QEC memory experiments honour a per-call policy.
 
 :class:`ExecutionPolicy` itself is checked here too: resolution order, the
 single ``from_env`` reader, the wire (payload) form, the ``max_workers <=
-0`` bugfix (ValueError, never a silent clamp) and retry-budget validation
-(a bad value fails at construction, naming its field or variable).  The
-job server's :class:`~repro.service.ServiceConfig` follows the same rule.
+0`` bugfix (ValueError, never a silent clamp) and the absence of any
+retry budget (a retry field, keyword or wire key fails, naming itself).
+The job server's :class:`~repro.service.ServiceConfig` validates its
+knobs the same way.
 """
 
 import dataclasses
@@ -22,9 +23,8 @@ import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import (ExecutionError, ExecutionPolicy, Executor,
-                             ShardPlanner, ShardRetryPolicy, resolve_workers)
-from repro.execution.sharding import (SHARD_BACKOFF_ENV, SHARD_RETRIES_ENV,
-                                      SHARD_TIMEOUT_ENV, WORKERS_ENV)
+                             ShardPlanner, resolve_workers)
+from repro.execution.sharding import WORKERS_ENV
 from repro.operators import ising_hamiltonian
 from repro.qec.decoder import RepetitionMatchingDecoder
 from repro.qec.decoders.graph import (repetition_code_graph,
@@ -177,8 +177,12 @@ class TestExecutionPolicy:
                 ExecutionPolicy(parallel=mode)
 
     def test_retry_type_checked(self):
-        with pytest.raises(ExecutionError, match="ShardRetryPolicy"):
+        # A pooled shard has one recovery rule and no retry budget: retry
+        # is no policy field.
+        with pytest.raises(TypeError, match="retry"):
             ExecutionPolicy(retry=5)
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy)] \
+            == ["parallel", "max_workers"]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_zero_or_negative_workers_rejected(self, workers):
@@ -200,10 +204,9 @@ class TestExecutionPolicy:
 
     def test_from_env_reads_all_knobs(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "3")
-        monkeypatch.setenv(SHARD_RETRIES_ENV, "5")
-        policy = ExecutionPolicy.from_env()
-        assert policy.max_workers == 3
-        assert policy.retry.max_retries == 5
+        # The removed shard-retry variable is no knob: it is ignored.
+        monkeypatch.setenv("REPRO_SHARD_RETRIES", "-5")
+        assert ExecutionPolicy.from_env() == ExecutionPolicy(max_workers=3)
 
     def test_from_env_rejects_zero_workers(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "0")
@@ -216,22 +219,13 @@ class TestExecutionPolicy:
         {"backoff_base": float("nan")}, {"timeout": 0}, {"timeout": -2.0},
         {"timeout": "5"}])
     def test_retry_policy_rejects_nonsense(self, fields):
-        # Each of these used to be accepted and then fail mid-dispatch (a
-        # str budget) or degrade every shard silently (timeout=0).
-        with pytest.raises(ValueError, match=next(iter(fields))):
-            ShardRetryPolicy(**fields)
+        # The former retry-budget fields are refused by name, good values
+        # or bad: no policy carries a retry budget.
+        with pytest.raises(TypeError, match=next(iter(fields))):
+            ExecutionPolicy(**fields)
 
-    def test_retry_policy_accepts_boundary_values(self):
-        policy = ShardRetryPolicy(max_retries=0, backoff_base=0,
-                                  backoff_cap=0.0, timeout=0.5)
-        assert policy.max_retries == 0 and policy.timeout == 0.5
-
-    @pytest.mark.parametrize("name, value", [
-        (SHARD_RETRIES_ENV, "-5"), (SHARD_RETRIES_ENV, "two"),
-        (SHARD_BACKOFF_ENV, "-1"), (SHARD_TIMEOUT_ENV, "0"),
-        (WORKERS_ENV, "abc")],
-        ids=["retries-neg", "retries-two", "backoff-neg", "timeout-zero",
-             "workers-abc"])
+    @pytest.mark.parametrize("name, value", [(WORKERS_ENV, "abc")],
+                             ids=["workers-abc"])
     def test_from_env_names_the_bad_variable(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
         with pytest.raises(ValueError, match=name):
@@ -241,9 +235,10 @@ class TestExecutionPolicy:
                 resolve_workers(None)
 
     def test_from_payload_validates_retry(self):
-        with pytest.raises(ValueError, match="max_retries"):
+        # A retry budget on the wire is an unknown key, named.
+        with pytest.raises(ExecutionError, match="unknown .*'retry'"):
             ExecutionPolicy.from_payload(
-                {"retry": {"max_retries": "3", "timeout": 0}})
+                {"retry": {"max_retries": 3, "timeout": 1.0}})
 
     def test_merged_over_precedence(self):
         call = ExecutionPolicy(parallel="process")
@@ -253,17 +248,14 @@ class TestExecutionPolicy:
         assert merged.max_workers == 4       # unset fields fall through
 
     def test_payload_round_trip(self):
-        policy = ExecutionPolicy(
-            parallel="process", max_workers=2,
-            retry=ShardRetryPolicy(max_retries=7, backoff_base=0.0,
-                                   backoff_cap=1.0, timeout=9.0))
+        policy = ExecutionPolicy(parallel="process", max_workers=2)
+        assert policy.to_payload() == {"parallel": "process",
+                                       "max_workers": 2}
         assert ExecutionPolicy.from_payload(policy.to_payload()) == policy
 
     def test_from_payload_rejects_unknown_keys(self):
         with pytest.raises(ExecutionError, match="unknown"):
             ExecutionPolicy.from_payload({"parallelism": 4})
-        with pytest.raises(ExecutionError, match="unknown"):
-            ExecutionPolicy.from_payload({"retry": {"attempts": 2}})
         # Process shards have one placement, the fork pool: there is no
         # broker to choose, on the wire or in the constructor.
         with pytest.raises(ExecutionError, match="unknown"):

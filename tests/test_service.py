@@ -818,8 +818,8 @@ class TestServiceEndToEnd:
             server = handle.server
             replay = server.registry.events_since
 
-            def replay_then_finish(job_id, after_seq=0):
-                events = replay(job_id, after_seq)
+            def replay_then_finish(job_id, after_seq=0, **options):
+                events = replay(job_id, after_seq, **options)
                 server.runner.wait_result(job_id, timeout=10)
                 return events
 
@@ -994,10 +994,12 @@ class TestServiceEndToEnd:
                 assert client.list_jobs() == []  # nothing persisted
 
     def test_malformed_retry_policy_rejected_at_submit(self):
+        # Pooled shards carry no retry budget: a policy naming one is a
+        # malformed policy whose error names the unknown key.
         template, points, observable = sweep_fixture()
         payload = sweep_payload(
             template, points, observable,
-            policy={"retry": {"max_retries": "3", "timeout": 0}})
+            policy={"retry": {"max_retries": 3, "timeout": 1.0}})
         with pytest.raises(ProtocolError, match="malformed policy"):
             prepare_job("sweep", payload)
         with service() as handle:
@@ -1005,7 +1007,8 @@ class TestServiceEndToEnd:
                 with pytest.raises(ServiceError) as caught:
                     client.submit("sweep", payload)
                 assert caught.value.status == 400
-                assert "max_retries" in str(caught.value)
+                assert "malformed policy" in str(caught.value)
+                assert "'retry'" in str(caught.value)
                 assert client.list_jobs() == []  # nothing persisted
                 # The removed fan-out modes get the same 400, and the
                 # connection keeps serving.
@@ -2066,3 +2069,23 @@ class TestDecodeMemo:
                 assert client.status(jobs[1])["payload"] == qec
                 assert client.list_jobs() == registry.list_jobs()
                 assert client.list_jobs(limit=1) == registry.list_jobs(1)
+
+    def test_event_replay_decodes_to_the_registry_rows(self):
+        """``attach`` replays stored event text as stored; each event the
+        client reads equals the registry's decoded row."""
+        template, points, observable = sweep_fixture()
+        with service(workers=1) as handle:
+            registry = handle.server.registry
+            with ServiceClient(handle.socket_path) as client:
+                job_id = client.submit("sweep", sweep_payload(
+                    template, points, observable, chunk=2)).job_id
+                client.fetch(job_id)
+                for after_seq in (0, 2):
+                    events = []
+                    client.attach(job_id, after_seq=after_seq,
+                                  on_event=events.append)
+                    rows = registry.events_since(job_id, after_seq)
+                    assert events == rows
+                stored = registry.events_since(job_id, decode=False)
+                assert sum(e["kind"] == "partial" for e in stored) == 3
+                assert all(isinstance(e["data"], RawJSON) for e in stored)
